@@ -6,7 +6,7 @@
 PYTHON ?= python
 PYTHONPATH_SRC = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-fast bench bench-compare report figures examples trace lint verify-contracts resilience restart-demo stability sanitize chaos soak service-soak serve serve-demo clean
+.PHONY: install test test-fast bench bench-compare perfbench report figures examples trace lint verify-contracts resilience restart-demo stability sanitize chaos soak service-soak serve serve-demo clean
 
 install:
 	pip install -e .
@@ -27,15 +27,21 @@ bench:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.cli.main bench --out results/bench
 
 # Perf regression gate: quick fresh run, then diff its solver cases
-# against the committed BENCH_8.json pin (kernel grids differ by design
+# against the committed BENCH_12.json pin (kernel grids differ by design
 # between quick and full suites; only overlapping cases are compared).
 # Exits non-zero when any case regresses past the threshold.
 bench-compare:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.cli.main bench --quick \
 	    --out results/bench-compare --pr 1
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.cli.main bench \
-	    --compare BENCH_8.json results/bench-compare/BENCH_1.json \
+	    --compare BENCH_12.json results/bench-compare/BENCH_1.json \
 	    --threshold 2.5
+
+# The repo's benchmark (BENCHMARK.json; perfbench/README.md): converged,
+# verified solves and service requests timed from outside, every
+# end-to-end metric.  Exits non-zero if any op failed verification.
+perfbench:
+	$(PYTHON) -m perfbench --check
 
 report:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.cli.main report --out results

@@ -5,9 +5,8 @@ Registry of :class:`~repro.kernels.base.KernelBackend` implementations:
 ========  ===========================================================
 backend   implementation
 ========  ===========================================================
-numpy     whole-array NumPy; the baseline, extracted verbatim from the
-          original operator / halo code (always available)
-fused     loop-fused + cache-blocked NumPy (always available)
+numpy     the baseline: cache-blocked, allocation-free NumPy
+fused     the baseline plus block-partial, chain-fused reductions
 numba     JIT-compiled serial loops (optional; auto-detected)
 ========  ===========================================================
 

@@ -18,13 +18,11 @@ Numerical policy (see ``docs/kernels.md``):
 
 - **fp-order-preserving kernels** — ``stencil_apply``, ``axpy``, the
   field updates of ``apply_axpy_dot``, ``pack_halo``/``unpack_halo`` —
-  must match the ``numpy`` baseline **bit for bit** for every dtype.
-  They are elementwise, so blocking/JIT cannot change results as long as
-  the per-element operation order is preserved.
-- **reductions** — ``dot``, ``norm`` and the scalar returned by
-  ``apply_dot``/``apply_axpy_dot`` — may reassociate (blocked partial
-  sums, JIT accumulation loops) and must agree with the baseline within
-  the documented bound ``|d - d_ref| <= 64 * eps(dtype) * sum_i |a_i b_i|``.
+  are elementwise and must match the ``numpy`` baseline **bit for bit**
+  for every dtype: blocking or JIT may not reorder an element's ops.
+- **reductions** — ``dot``, ``norm`` and the scalars of ``apply_dot`` /
+  ``apply_axpy_dot`` — may reassociate, within
+  ``|d - d_ref| <= 64 * eps(dtype) * sum_i |a_i b_i|`` of the baseline.
 
 The equivalence battery (``tests/test_kernels_equivalence.py``) enforces
 both halves differentially against the ``numpy`` backend for every
@@ -71,11 +69,14 @@ def reduction_tolerance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class KernelBackend:
-    """Abstract kernel set.  Subclasses implement every method.
+    """Abstract kernel set: subclasses implement the stencil chains,
+    ``dot`` and ``axpy``; ``norm`` and the halo copies have defaults.
 
-    Backends must be stateless with respect to results (scratch buffers
-    are fine); one instance may be shared by an operator and its halo
-    exchanger.
+    An instance carries scratch (the baseline: a workspace and a cached
+    stencil diagonal), so it belongs to **one operator** and its halo
+    exchanger, never to two operators or two rank threads.  ``out is p``
+    is rejected (``ConfigurationError``); frozen ``kx``/``ky``
+    (``flags.writeable`` False) must never change again.
     """
 
     #: Registry name (``"numpy"`` / ``"fused"`` / ``"numba"``).
@@ -125,18 +126,18 @@ class KernelBackend:
 
     def norm(self, a: np.ndarray) -> float:
         """Local 2-norm ``sqrt(<a, a>)``."""
-        raise NotImplementedError
+        return float(np.sqrt(self.dot(a, a)))
 
     # -- halo pack/unpack ------------------------------------------------------
 
     def pack_halo(self, a: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
         """Contiguous copy of ``a[rows, cols]`` ready to send."""
-        raise NotImplementedError
+        return np.ascontiguousarray(a[rows, cols])
 
     def unpack_halo(self, a: np.ndarray, rows: slice, cols: slice,
                     buf: np.ndarray) -> None:
         """``a[rows, cols] = buf`` (received payload into ghost cells)."""
-        raise NotImplementedError
+        a[rows, cols] = buf
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<KernelBackend {self.name}>"

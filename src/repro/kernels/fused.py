@@ -1,29 +1,16 @@
-"""Loop-fused, cache-blocked kernels (pure NumPy).
+"""Chain-fused reductions on top of the blocked baseline (pure NumPy).
 
-Generalizes the data-locality idea behind the ``cg_fused`` prototype
-(Kronbichler et al., arXiv 2205.08909): stream each field through cache
-**once** per chain instead of once per whole-array NumPy expression.
-Two levers:
-
-1. **Row blocking** — every kernel walks the region in row blocks sized
-   so the block working set (operands + scratch) fits in L2.  The
-   whole-array baseline materialises ~9 full-size temporaries per
-   stencil apply; here the temporaries are two reused block-sized
-   scratch buffers that stay cache-resident.
-2. **Chain fusion** — ``apply_dot`` and ``apply_axpy_dot`` fold the
-   trailing dot/axpy into the same block pass, so the freshly computed
-   output block is consumed while still hot instead of being written to
-   memory and re-read by a separate BLAS-1 sweep.
-
-Equivalence policy (enforced by ``tests/test_kernels_equivalence.py``):
-the per-element operation order of every elementwise kernel exactly
-mirrors the ``numpy`` baseline, so ``stencil_apply``, ``axpy`` and the
-field updates of the fused chains are **bit-identical** for every dtype.
-Reductions accumulate block partials (``np.dot`` per block, exact
-``math.fsum`` across partials) and therefore reassociate relative to the
-baseline's single ``np.dot`` — they match within the documented bound of
-:func:`repro.kernels.base.reduction_tolerance`.  Block sizes depend only
-on region shape and dtype, so results are deterministic run to run.
+The data-locality idea of Kronbichler et al. (arXiv 2205.08909): stream
+each field through cache once per chain, not once per whole-array pass.
+Its elementwise half (L2-sized row blocks, block scratch) now *is* the
+``numpy`` baseline, so ``stencil_apply``, ``axpy`` and the chains' field
+updates are inherited, bit-identical by construction.  What is left are
+**block-partial reductions**: where the baseline pays a copy of each
+strided operand and a second pass over memory for its one reference
+``np.dot``, this backend reduces each block while it is cache-hot
+(``np.dot`` per block, exact ``math.fsum`` across).  That reassociates,
+within :func:`repro.kernels.base.reduction_tolerance`; block sizes
+depend only on region shape and dtype, so results repeat run to run.
 """
 
 from __future__ import annotations
@@ -32,131 +19,40 @@ import math
 
 import numpy as np
 
-from repro.kernels.numpy_backend import NumpyBackend
-
-#: Target bytes for one block's working set (operands + scratch); sized
-#: to sit comfortably inside a typical per-core L2.
-_BLOCK_BYTES = 1 << 20
-
-#: Floor on rows per block — below this the per-block Python dispatch
-#: overhead dominates any locality win.
-_MIN_BLOCK_ROWS = 8
-
-
-def _block_rows(nrows: int, ncols: int, itemsize: int, streams: int) -> int:
-    """Rows per block so ``streams`` arrays of the block fit the target."""
-    per_row = max(1, streams * ncols * itemsize)
-    return max(_MIN_BLOCK_ROWS, min(nrows, _BLOCK_BYTES // per_row))
+from repro.kernels.numpy_backend import (_DOT_A, _DOT_B, NumpyBackend,
+                                         _block_rows, _dot)
 
 
 class FusedBackend(NumpyBackend):
-    """Cache-blocked + chain-fused NumPy kernels."""
+    """The blocked baseline with block-partial, chain-fused reductions."""
 
     name = "fused"
 
-    # -- blocked stencil core --------------------------------------------------
-
-    @staticmethod
-    def _stencil_block(kx, ky, p, b0, b1, c0, c1, acc, tmp):
-        """``acc[:] = (A p)[b0:b1, c0:c1]`` using two scratch buffers.
-
-        The operation sequence replays the baseline expression exactly
-        per element (IEEE addition is commutative, so ``ky_hi + 1.0``
-        equals the baseline's ``1.0 + ky_hi`` bit for bit).
-        """
-        pc = p[b0:b1, c0:c1]
-        ky_lo = ky[b0:b1, c0:c1]
-        ky_hi = ky[b0 + 1:b1 + 1, c0:c1]
-        kx_lo = kx[b0:b1, c0:c1]
-        kx_hi = kx[b0:b1, c0:c1 + 1]
-        np.add(ky_hi, 1.0, out=acc)
-        np.add(acc, ky_lo, out=acc)
-        np.add(acc, kx_hi[:, 1:], out=acc)
-        np.add(acc, kx_lo, out=acc)
-        np.multiply(acc, pc, out=acc)
-        np.multiply(ky_hi, p[b0 + 1:b1 + 1, c0:c1], out=tmp)
-        np.subtract(acc, tmp, out=acc)
-        np.multiply(ky_lo, p[b0 - 1:b1 - 1, c0:c1], out=tmp)
-        np.subtract(acc, tmp, out=acc)
-        np.multiply(kx_hi[:, 1:], p[b0:b1, c0 + 1:c1 + 1], out=tmp)
-        np.subtract(acc, tmp, out=acc)
-        np.multiply(kx_lo, p[b0:b1, c0 - 1:c1 - 1], out=tmp)
-        np.subtract(acc, tmp, out=acc)
-
-    def _scratch(self, rows: int, cols: int, dtype) -> tuple:
-        acc = np.empty((rows, cols), dtype=dtype)
-        tmp = np.empty((rows, cols), dtype=dtype)
-        return acc, tmp
-
-    # -- stencil chains --------------------------------------------------------
-
-    def stencil_apply(self, kx, ky, p, out, r0, r1, c0, c1):
-        w = c1 - c0
-        bs = _block_rows(r1 - r0, w, p.itemsize, streams=6)
-        acc, tmp = self._scratch(bs, w, out.dtype)
-        for b0 in range(r0, r1, bs):
-            b1 = min(b0 + bs, r1)
-            h = b1 - b0
-            self._stencil_block(kx, ky, p, b0, b1, c0, c1, acc[:h], tmp[:h])
-            out[b0:b1, c0:c1] = acc[:h]
-
     def apply_dot(self, kx, ky, p, out, r0, r1, c0, c1):
-        w = c1 - c0
-        bs = _block_rows(r1 - r0, w, p.itemsize, streams=7)
-        acc, tmp = self._scratch(bs, w, out.dtype)
         partials = []
-        for b0 in range(r0, r1, bs):
-            b1 = min(b0 + bs, r1)
-            h = b1 - b0
-            self._stencil_block(kx, ky, p, b0, b1, c0, c1, acc[:h], tmp[:h])
-            out[b0:b1, c0:c1] = acc[:h]
-            # The dot consumes the scratch block (contiguous, cache-hot)
-            # rather than re-reading the strided slice just written.
-            partials.append(float(np.dot(p[b0:b1, c0:c1].ravel(),
-                                         acc[:h].ravel())))
+        for b0, b1, acc, tmp in self._stencil_blocks(kx, ky, p, out,
+                                                     r0, r1, c0, c1, 7):
+            # p through the free scratch: both operands contiguous, cache-hot.
+            tmp[...] = p[b0:b1, c0:c1]
+            partials.append(_dot(tmp, acc))
         return math.fsum(partials)
 
     def apply_axpy_dot(self, kx, ky, p, out, y, alpha, r0, r1, c0, c1):
-        w = c1 - c0
-        bs = _block_rows(r1 - r0, w, p.itemsize, streams=8)
-        acc, tmp = self._scratch(bs, w, out.dtype)
         partials = []
-        for b0 in range(r0, r1, bs):
-            b1 = min(b0 + bs, r1)
-            h = b1 - b0
-            self._stencil_block(kx, ky, p, b0, b1, c0, c1, acc[:h], tmp[:h])
-            out[b0:b1, c0:c1] = acc[:h]
-            yb = y[b0:b1, c0:c1]
-            np.multiply(acc[:h], alpha, out=tmp[:h])
-            np.add(yb, tmp[:h], out=yb)
-            partials.append(float(np.dot(yb.ravel(), yb.ravel())))
+        for b0, b1, acc, tmp in self._stencil_blocks(kx, ky, p, out,
+                                                     r0, r1, c0, c1, 8):
+            np.multiply(acc, alpha, out=tmp)
+            np.add(y[b0:b1, c0:c1], tmp, out=tmp)
+            y[b0:b1, c0:c1] = tmp
+            partials.append(_dot(tmp, tmp))
         return math.fsum(partials)
-
-    # -- BLAS-1 tail -----------------------------------------------------------
 
     def dot(self, a, b):
         nrows = a.shape[0]
         bs = _block_rows(nrows, a.shape[-1], a.itemsize, streams=2)
-        if bs >= nrows:
-            return float(np.dot(a.ravel(), b.ravel()))
-        partials = [float(np.dot(a[b0:b0 + bs].ravel(),
-                                 b[b0:b0 + bs].ravel()))
-                    for b0 in range(0, nrows, bs)]
-        return math.fsum(partials)
-
-    def axpy(self, y, alpha, x):
-        nrows = y.shape[0]
-        bs = _block_rows(nrows, y.shape[-1], y.itemsize, streams=3)
-        if bs >= nrows:
-            y += alpha * x
-            return
-        tmp = np.empty((bs,) + y.shape[1:], dtype=y.dtype)
+        partials = []
         for b0 in range(0, nrows, bs):
-            b1 = min(b0 + bs, nrows)
-            h = b1 - b0
-            np.multiply(x[b0:b1], alpha, out=tmp[:h])
-            yb = y[b0:b1]
-            np.add(yb, tmp[:h], out=yb)
-
-    def norm(self, a):
-        return math.sqrt(self.dot(a, a))
+            fa = self._contiguous(_DOT_A, a[b0:b0 + bs])
+            fb = fa if b is a else self._contiguous(_DOT_B, b[b0:b0 + bs])
+            partials.append(_dot(fa, fb))
+        return math.fsum(partials)

@@ -126,6 +126,7 @@ class NumbaBackend(NumpyBackend):  # pragma: no cover - requires numba
     name = "numba"
 
     def __init__(self) -> None:
+        super().__init__()
         (self._stencil, self._stencil_dot, self._stencil_axpy_dot,
          self._dot, self._axpy) = _compile()
 
@@ -153,7 +154,4 @@ class NumbaBackend(NumpyBackend):  # pragma: no cover - requires numba
         if y.flags.c_contiguous and x.flags.c_contiguous:
             self._axpy(y, y.dtype.type(alpha), x)
         else:
-            y += alpha * x
-
-    def norm(self, a):
-        return float(np.sqrt(self.dot(a, a)))
+            super().axpy(y, alpha, x)

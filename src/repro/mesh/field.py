@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kernels import DEFAULT_BACKEND, get_backend
 from repro.mesh.decomposition import Tile
 from repro.utils.validation import check_positive, require
 
@@ -124,9 +125,17 @@ class Field:
 
     # -- reductions (rank-local; global reductions live on the operator) -----
 
-    def local_dot(self, other: "Field") -> float:
-        """Rank-local interior dot product."""
-        return float(np.dot(self.interior.ravel(), other.interior.ravel()))
+    def local_dot(self, other: "Field", kernels=None) -> float:
+        """Rank-local interior dot product, reduced by ``kernels.dot``
+        (a throwaway baseline backend when none is given).
+
+        Both operands are one view when ``other is self``, so the
+        backend copies the strided interior to workspace once, not twice.
+        """
+        if kernels is None:
+            kernels = get_backend(DEFAULT_BACKEND)
+        a = self.interior
+        return kernels.dot(a, a if other is self else other.interior)
 
     def local_sum(self) -> float:
         return float(self.interior.sum())

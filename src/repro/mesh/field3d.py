@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kernels import DEFAULT_BACKEND, get_backend
 from repro.mesh.decomposition3d import Tile3D
 from repro.utils.validation import check_positive, require
 
@@ -79,8 +80,17 @@ class Field3D:
         self.data.fill(value)
         return self
 
-    def local_dot(self, other: "Field3D") -> float:
-        return float(np.dot(self.interior.ravel(), other.interior.ravel()))
+    def local_dot(self, other: "Field3D", kernels=None) -> float:
+        """Rank-local interior dot product, reduced by ``kernels.dot``
+        (a throwaway baseline backend when none is given).
+
+        Both operands are one view when ``other is self``, so the
+        backend copies the strided interior to workspace once, not twice.
+        """
+        if kernels is None:
+            kernels = get_backend(DEFAULT_BACKEND)
+        a = self.interior
+        return kernels.dot(a, a if other is self else other.interior)
 
     def local_sum(self) -> float:
         return float(self.interior.sum())

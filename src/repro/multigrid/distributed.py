@@ -29,6 +29,7 @@ import scipy.sparse.linalg as spla
 
 from repro.mesh.decomposition import Tile
 from repro.mesh.field import Field
+from repro.mesh.halo import HaloExchanger
 from repro.multigrid.levels import Level
 from repro.multigrid.vcycle import _assemble_level
 from repro.solvers.cg import cg_solve
@@ -63,11 +64,12 @@ def _coarsen_operator(op: StencilOperator2D) -> StencilOperator2D:
         0.25 * (fkx[0::2, 0::2] + fkx[1::2, 0::2])
     kyc.data[1:1 + ct.ny + 1, 1:1 + ct.nx] = \
         0.25 * (fky[0::2, 0::2] + fky[0::2, 1::2])
-    coarse = StencilOperator2D(kx=kxc, ky=kyc, comm=op.comm,
-                               events=op.events)
-    # Coefficients straddling rank boundaries live in the halo; refresh.
-    coarse.exchanger.exchange([coarse.kx, coarse.ky], depth=1)
-    return coarse
+    # Coefficients straddling rank boundaries live in the halo; refresh
+    # them before the operator exists — it freezes its coefficients.
+    exchanger = HaloExchanger(op.comm, events=op.events)
+    exchanger.exchange([kxc, kyc], depth=1)
+    return StencilOperator2D(kx=kxc, ky=kyc, comm=op.comm,
+                             exchanger=exchanger, events=op.events)
 
 
 def _local_levels(tile: Tile, min_local: int, max_levels: int) -> int:

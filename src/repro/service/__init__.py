@@ -33,6 +33,7 @@ from repro.service.cache import SetupCache, fingerprint
 from repro.service.cancel import (
     CancelToken,
     Cancelled,
+    DeadlineCancel,
     DeadlineExceeded,
     ScheduledCancel,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "RequestOutcome",
     "ResultStore",
     "STATUSES",
+    "DeadlineCancel",
     "ScheduledCancel",
     "ServiceConfig",
     "ServiceEngine",

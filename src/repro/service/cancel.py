@@ -32,11 +32,12 @@ identical to running with ``cancel=None``.
 from __future__ import annotations
 
 import threading
+import time
 
 from repro.utils.errors import Cancelled, DeadlineExceeded
 
-__all__ = ["CancelToken", "Cancelled", "DeadlineExceeded",
-           "ScheduledCancel"]
+__all__ = ["CancelToken", "Cancelled", "DeadlineCancel",
+           "DeadlineExceeded", "ScheduledCancel"]
 
 
 class CancelToken:
@@ -161,3 +162,24 @@ class ScheduledCancel:
     @property
     def cancel_requested(self) -> bool:
         return self.token.cancel_requested
+
+
+class DeadlineCancel(ScheduledCancel):
+    """Wall-clock sibling of :class:`ScheduledCancel`.
+
+    Fires the wrapped token's :meth:`~CancelToken.cancel` at the first
+    iteration boundary on or after ``deadline`` (``time.monotonic``
+    seconds) — read by the solving thread itself.  A timer on another
+    thread would first have to win the interpreter lock from the
+    compute-bound solve it is trying to stop, and a short solve finishes
+    before it does.
+    """
+
+    def __init__(self, token: CancelToken, deadline: float, reason: str):
+        super().__init__(token, 0, reason)
+        self.deadline = deadline
+
+    def check(self, iteration: int) -> None:
+        if time.monotonic() >= self.deadline:
+            self.token.cancel(self.reason)
+        self.token.check(iteration)

@@ -5,9 +5,9 @@ coroutines and executes them on a thread pool — each solve is a real
 (optionally SPMD) solve through the resilient stack, with the same
 admission control (token-bucket quota + bounded in-flight window) and
 cooperative cancellation the deterministic engine applies.  Deadlines
-here are *wall-clock*: a timer fires the request's
-:class:`~repro.service.cancel.CancelToken`, and the solver raises at its
-next iteration boundary — same latched-boundary semantics, real time.
+here are *wall-clock*: a :class:`~repro.service.cancel.DeadlineCancel`
+around the request's token reads the clock at every iteration boundary
+and the solver raises there — same latched-boundary semantics, real time.
 
 Dispatch is **breaker-gated**: a worker whose circuit breaker is open is
 skipped (half-open probes are claimed atomically via
@@ -37,7 +37,7 @@ import asyncio
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.physics.deck import deck_solver_options, parse_deck_text
-from repro.service.cancel import CancelToken
+from repro.service.cancel import CancelToken, DeadlineCancel
 from repro.service.quota import TokenBucket
 from repro.service.recovery import (
     ReplayIndex,
@@ -185,10 +185,10 @@ class SolveService:
                        "deck_sha": deck_fingerprint(deck_text)})
 
         token = cancel if cancel is not None else CancelToken()
-        timer = None
+        timed = token
         if deadline_s is not None:
-            timer = loop.call_later(
-                deadline_s, token.cancel, _DEADLINE_REASON)
+            timed = DeadlineCancel(token, loop.time() + deadline_s,
+                                   _DEADLINE_REASON)
 
         digest = ""
         self._inflight += 1
@@ -219,10 +219,10 @@ class SolveService:
                                "request_id": outcome.request_id,
                                "attempt": attempt, "worker": worker.wid,
                                "now": loop.time()})
-                run_token = token
+                run_token = timed
                 watchdog = None
                 if self.stuck_after_s > 0:
-                    run_token = SupervisedToken(token)
+                    run_token = SupervisedToken(timed)
                     watchdog = loop.call_later(
                         self.stuck_after_s, run_token.trip,
                         f"worker {worker.wid} watchdog fired after "
@@ -277,8 +277,6 @@ class SolveService:
             return outcome
         finally:
             self._inflight -= 1
-            if timer is not None:
-                timer.cancel()
             outcome.finish_s = loop.time()
             terminal = {"type": "terminal",
                         "request_id": outcome.request_id,

@@ -16,6 +16,7 @@ is how CPPCG obtains its spectrum bounds (§III-D).
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,6 +51,13 @@ COMM_CONTRACT = {
     "allreduces_per_iter": 2,
     "halo_depth": 1,
 }
+
+
+def _norm(rr: float) -> float:
+    """``sqrt(rr)``, or NaN for the negative or NaN ``rr`` of a corrupted
+    reduction — decided before any square root is taken, so the guards
+    that screen every norm report it, not a numpy ``RuntimeWarning``."""
+    return math.sqrt(rr) if rr >= 0.0 else math.nan
 
 
 def _rewind(snap: "Snapshot", alphas: list, betas: list, history: list):
@@ -210,7 +218,7 @@ def cg_solve(
         reference = float(scalars["reference"])
         iterations = int(resume_state["iteration"])
         threshold = eps * reference
-        res_norm = float(np.sqrt(rr))
+        res_norm = _norm(rr)
         r0_norm = reference
         history = [res_norm]
         converged = res_norm <= threshold
@@ -230,7 +238,7 @@ def cg_solve(
             rz, rr = op.dots([(r, z), (r, r)])
         p = z.copy()
 
-        r0_norm = float(np.sqrt(rr))
+        r0_norm = _norm(rr)
         reference = r0_norm if reference_norm is None else reference_norm
         threshold = eps * reference
         history = [r0_norm]
@@ -294,7 +302,7 @@ def cg_solve(
             alphas.append(float(alpha))
             betas.append(float(beta))
             iterations += 1
-            res_norm = float(np.sqrt(rr))
+            res_norm = _norm(rr)
             history.append(res_norm)
             if guard is not None and not guard.healthy(res_norm):
                 with tracer.span("recover", solver_name):
@@ -315,7 +323,7 @@ def cg_solve(
                                        getattr(op.comm, "events", None)):
                     op.residual(b, x, out=w)
                     (true_rr,) = op.dots([(w, w)])
-                true_norm = float(np.sqrt(true_rr))
+                true_norm = _norm(true_rr)
                 if abs(true_norm - res_norm) > abft_tolerance * reference:
                     reason = (f"ABFT replay: true residual {true_norm:.6e} "
                               f"vs recurrence {res_norm:.6e} at iteration "
@@ -349,7 +357,7 @@ def cg_solve(
                                           getattr(op.comm, "events", None)):
                     op.residual(b, x, out=w)
                     (true_rr,) = op.dots([(w, w)])
-                    true_norm = float(np.sqrt(true_rr))
+                    true_norm = _norm(true_rr)
                     if replacer.observe(abs(true_norm - res_norm),
                                         max(true_norm, res_norm),
                                         iterations):
@@ -361,7 +369,7 @@ def cg_solve(
                             precond_applies += 1
                             rz_new, rr = op.dots([(r, z), (r, r)])
                         beta = 0.0
-                        res_norm = float(np.sqrt(rr))
+                        res_norm = _norm(rr)
                         history[-1] = res_norm
                         breakdown.reset()
             if res_norm <= threshold:
@@ -378,7 +386,9 @@ def cg_solve(
                     breakdown.reset()
                 continue
             breakdown.coefficient("beta", beta, iterations)
-            p.interior[...] = z.interior + beta * p.interior
+            pi = p.interior
+            pi *= beta
+            pi += z.interior
             rz = rz_new
 
     if not converged and raise_on_stall:

@@ -126,8 +126,11 @@ def cg_fused_solve(
                 quantity="alpha_denominator", value=denom)
         alpha = gamma_new / denom
         gamma = gamma_new
-        p.interior[...] = u.interior + beta * p.interior
-        s.interior[...] = w.interior + beta * s.interior
+        pi, si = p.interior, s.interior
+        pi *= beta
+        pi += u.interior
+        si *= beta
+        si += w.interior
 
     result = SolveResult(
         x=x,

@@ -95,6 +95,10 @@ class StencilOperator2D:
     def __post_init__(self):
         if self.kx.tile != self.ky.tile or self.kx.halo != self.ky.halo:
             raise ConfigurationError("kx/ky fields must share tile and halo")
+        # The coefficients of a live operator are immutable: the kernel
+        # backend caches the diagonal it derives from them.
+        self.kx.data.flags.writeable = False
+        self.ky.data.flags.writeable = False
         if self.tracer is None:
             # Deferred import: keeps the solver core importable without
             # loading the observability package at module import time.
@@ -269,8 +273,7 @@ class StencilOperator2D:
 
     def dot(self, a: Field, b: Field) -> float:
         """Global dot product over interiors (one allreduce)."""
-        return float(self.comm.allreduce(
-            self.kernels.dot(a.interior, b.interior)))
+        return float(self.comm.allreduce(a.local_dot(b, self.kernels)))
 
     def dots(self, pairs: list[tuple[Field, Field]]) -> tuple[float, ...]:
         """Several global dot products fused into a single allreduce.
@@ -278,8 +281,7 @@ class StencilOperator2D:
         This is the "multiple dot products combined into a single
         communication step" optimisation the paper lists as future work.
         """
-        local = np.array([self.kernels.dot(a.interior, b.interior)
-                          for a, b in pairs])
+        local = np.array([a.local_dot(b, self.kernels) for a, b in pairs])
         out = self.comm.allreduce(local)
         return tuple(float(v) for v in out)
 

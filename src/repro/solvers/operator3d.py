@@ -160,14 +160,12 @@ class DistributedOperator3D:
         one-allreduce budget as the 2D fused chain.
         """
         self.apply(p, out)
-        return float(self.comm.allreduce(
-            self.kernels.dot(p.interior, out.interior)))
+        return float(self.comm.allreduce(p.local_dot(out, self.kernels)))
 
     def residual_dot(self, b: Field3D, x: Field3D, out: Field3D) -> float:
         """``out = b - A x``; returns the global ``<out, out>``."""
         self.residual(b, x, out)
-        return float(self.comm.allreduce(
-            self.kernels.dot(out.interior, out.interior)))
+        return float(self.comm.allreduce(out.local_dot(out, self.kernels)))
 
     def with_kernels(self, backend) -> "DistributedOperator3D":
         """This operator with backend ``backend`` for its BLAS-1 tail."""
@@ -203,12 +201,10 @@ class DistributedOperator3D:
     # -- global reductions ----------------------------------------------------------
 
     def dot(self, a: Field3D, b: Field3D) -> float:
-        return float(self.comm.allreduce(
-            self.kernels.dot(a.interior, b.interior)))
+        return float(self.comm.allreduce(a.local_dot(b, self.kernels)))
 
     def dots(self, pairs) -> tuple[float, ...]:
-        local = np.array([self.kernels.dot(a.interior, b.interior)
-                          for a, b in pairs])
+        local = np.array([a.local_dot(b, self.kernels) for a, b in pairs])
         out = self.comm.allreduce(local)
         return tuple(float(v) for v in out)
 

@@ -90,17 +90,24 @@ class TestLedgerFiles:
         assert json.loads(path.read_text())["schema"] == "repro.bench/v1"
 
     def test_committed_ledger_meets_acceptance(self):
-        """The repo's BENCH_8.json shows fused beating numpy on the
-        stencil+axpy+dot chain at the cache-exceeding grid."""
+        """The repo's BENCH_12.json shows the fold is complete: at the
+        cache-exceeding grid, float64, the ``numpy`` baseline's
+        ``stencil_apply`` and ``apply_dot`` keep up with ``fused``.
+
+        ``stencil_apply`` is one body for both backends, so its ratio is
+        the harness's noise around 1 (re-runs here read 0.94-1.19);
+        ``apply_dot`` adds what the baseline pays to stay bit-identical,
+        two operand copies and a whole-region dot (1.10-1.23).  The bound
+        is the ledger's own regression threshold (``compare_ledgers``).
+        """
         from pathlib import Path
-        ledger = json.loads(Path("BENCH_8.json").read_text())
+        ledger = json.loads(Path("BENCH_12.json").read_text())
         assert ledger["schema"] == "repro.bench/v1"
-        speedups = bench.fused_speedups(ledger, kernel="apply_axpy_dot")
-        big = max(n for _, n in
-                  [(d, c["n"]) for c in ledger["cases"]
-                   for d in [c["dtype"]] if c["kind"] == "kernel"])
-        at_big = {k: v for k, v in speedups.items() if k.endswith(str(big))}
-        assert at_big and all(v > 1.0 for v in at_big.values()), speedups
+        big = max(c["n"] for c in ledger["cases"] if c["kind"] == "kernel")
+        assert big >= 512
+        for kernel in ("stencil_apply", "apply_dot"):
+            speedups = bench.fused_speedups(ledger, kernel=kernel)
+            assert speedups[f"float64/n={big}"] <= 1.25, (kernel, speedups)
 
 
 class TestRenderAndCli:

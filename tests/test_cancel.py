@@ -89,6 +89,28 @@ class TestCancelToken:
 
 # -- solver integration --------------------------------------------------------
 
+    def test_deadline_cancel_fires_from_the_solving_thread(self):
+        """A wall-clock deadline is read at the iteration boundary itself:
+        no second thread has to win the interpreter lock for it to fire,
+        so even a solve shorter than a lock hand-over cannot outrun it."""
+        import time
+        from repro.service.cancel import DeadlineCancel
+        token = CancelToken()
+        far = DeadlineCancel(token, time.monotonic() + 3600.0, "deadline")
+        far.check(0)
+        far.poll()
+        assert not token.cancel_requested
+        due = DeadlineCancel(token, time.monotonic(), "deadline")
+        with pytest.raises(Cancelled) as exc:
+            due.check(7)
+        assert exc.value.iteration == 7 and token.reason == "deadline"
+        op, b = _serial_system()
+        with pytest.raises(Cancelled) as exc:
+            cg_solve(op, b, eps=1e-30, max_iters=50,
+                     cancel=DeadlineCancel(CancelToken(), time.monotonic(),
+                                           "deadline"))
+        assert exc.value.iteration == 0
+
 
 class TestSolverCancellation:
     def test_cg_deadline_carries_iteration(self):

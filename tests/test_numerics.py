@@ -16,7 +16,8 @@ from repro.numerics import (
     resolve_dtype,
     unit_roundoff,
 )
-from repro.solvers import EigenBounds, SolverOptions, cg_solve, solve_linear
+from repro.solvers import (EigenBounds, SolverOptions, StencilOperator2D,
+                           cg_solve, solve_linear)
 from repro.solvers.dim3 import StencilOperator3D, cg_solve_3d
 from repro.solvers.jacobi import jacobi_solve
 from repro.solvers.ppcg import ppcg_solve
@@ -175,6 +176,32 @@ class TestSolverBreakdowns:
             cg_solve(op, b, eps=1e-10, max_iters=50)
         assert exc.value.quantity == "pAp"
         assert exc.value.value <= 0.0
+
+    def test_cg_sign_flipped_reduction_reaches_the_guard(self):
+        """A corrupted ``<r, r> < 0`` used to be square-rooted first (a
+        numpy ``RuntimeWarning``) and screened second; now the guard is
+        what reports it."""
+        import warnings
+        from repro.comm import SerialComm
+
+        class FlippingComm(SerialComm):
+            calls = 0
+
+            def allreduce(self, value, op="sum"):
+                self.calls += 1
+                out = super().allreduce(value, op)
+                return -out if self.calls == 5 else out  # <r, r>, iteration 2
+
+        g, kx, ky, bg = crooked_pipe_system(16)
+        op = StencilOperator2D.from_global_faces(
+            serial_operator(g, kx, ky).tile, 1, kx, ky, FlippingComm())
+        b = Field.from_global(op.tile, 1, bg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BreakdownError) as exc:
+                cg_solve(op, b, eps=1e-10, max_iters=50)
+        assert exc.value.quantity == "residual_norm"
+        assert np.isnan(exc.value.value)
 
     def test_cg_fused_indefinite_operator(self):
         from repro.solvers.cg_fused import cg_fused_solve

@@ -176,3 +176,30 @@ class TestConstruction:
         f2 = Field(t, 2)
         with pytest.raises(ConfigurationError):
             StencilOperator2D(kx=f1, ky=f2, comm=SerialComm())
+
+    def test_coefficients_of_every_constructed_operator_are_frozen(self):
+        """However an operator comes to exist — the classmethod, the bare
+        constructor, a re-routed copy, the coarse levels of a multigrid
+        hierarchy (which used to halo-exchange the coefficients of a live
+        operator) — writing to its ``kx``/``ky`` raises: kernel backends
+        cache what they derive from them."""
+        from repro.multigrid.distributed import DistributedMultigrid
+        g, kx, ky, _ = crooked_pipe_system(32)
+
+        def rank_main(comm):
+            tile = decompose(g, comm.size)[comm.rank]
+            op = StencilOperator2D.from_global_faces(tile, 1, kx, ky, comm)
+            bare = StencilOperator2D(kx=Field(tile, 1), ky=Field(tile, 1),
+                                     comm=comm)
+            ops = [op, bare, op.with_kernels("fused"),
+                   *DistributedMultigrid(op).ops]
+            refused = 0
+            for o in ops:
+                for coeff in (o.kx, o.ky):
+                    with pytest.raises(ValueError, match="read-only"):
+                        coeff.data[1, 1] = 2.0
+                    refused += 1
+            return len(ops), refused
+
+        for n_ops, refused in launch_spmd(rank_main, 2):
+            assert n_ops > 4 and refused == 2 * n_ops
