@@ -6,7 +6,7 @@
 PYTHON ?= python
 PYTHONPATH_SRC = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-fast bench bench-compare perfbench report figures examples trace lint verify-contracts resilience restart-demo stability sanitize chaos soak service-soak serve serve-demo clean
+.PHONY: install test test-fast bench bench-compare perfbench report figures examples trace lint loc verify-contracts resilience restart-demo stability sanitize chaos soak service-soak serve serve-demo clean
 
 install:
 	pip install -e .
@@ -75,6 +75,16 @@ lint:
 	else echo "ruff not installed; skipped (pip install -e .[dev])"; fi
 	@if command -v mypy >/dev/null 2>&1; then mypy; \
 	else echo "mypy not installed; skipped (pip install -e .[dev])"; fi
+
+# Source size, the ROADMAP north-star's "figure to push down": `wc -l`
+# per src/repro package, then the solvers+comm+resilience total (8047
+# before PR 13).  Printed by the CI lint job on every PR.
+loc:
+	@for d in src/repro/*/; do \
+	    printf '%7d  %s\n' $$(find $$d -name '*.py' | xargs cat | wc -l) $$d; done
+	@printf '%7d  src/repro (all)\n' $$(find src/repro -name '*.py' | xargs cat | wc -l)
+	@printf '%7d  solvers+comm+resilience\n' $$(find src/repro/solvers \
+	    src/repro/comm src/repro/resilience -name '*.py' | xargs cat | wc -l)
 
 # Dynamic contract verification: run each solver under InstrumentedComm and
 # cross-check measured per-iteration comm counts against its COMM_CONTRACT.

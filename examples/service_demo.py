@@ -37,7 +37,7 @@ from repro.service import (
     SolveRequest,
     SolveService,
 )
-from repro.solvers import cg_solve
+from repro.solvers import Defences, cg_solve
 from repro.testing import crooked_pipe_system, serial_operator
 from repro.mesh import Field
 
@@ -78,13 +78,14 @@ def demo_cooperative_cancel():
     b = Field.from_global(op.tile, 1, bg)
     try:
         cg_solve(op, b, eps=1e-12, max_iters=200,
-                 cancel=CancelToken(iteration_budget=5))
+                 defences=Defences(cancel=CancelToken(iteration_budget=5)))
     except DeadlineExceeded as exc:
         print(f"   deadline fired at iteration {exc.iteration} "
               f"(budget 5): {type(exc).__name__}")
         assert exc.iteration == 5
     plain = cg_solve(op, b, eps=1e-10, max_iters=200)
-    tokened = cg_solve(op, b, eps=1e-10, max_iters=200, cancel=CancelToken())
+    tokened = cg_solve(op, b, eps=1e-10, max_iters=200,
+                       defences=Defences(cancel=CancelToken()))
     assert tokened.iterations == plain.iterations
     print(f"   inert token is bit-transparent "
           f"({plain.iterations} iterations either way)")

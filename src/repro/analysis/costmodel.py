@@ -23,11 +23,11 @@ a *nested* loop makes the cost :attr:`CommCost.unbounded` (a static trip
 count is unknowable, and per the paper's budgets no hot loop may contain
 one).  Calls on receivers in ``ignore-receivers`` (preconditioner handles
 like ``M``) are skipped: preconditioner communication is accounted
-separately from the iteration skeleton.  Bodies of ``with
-recovery_scope(...)`` and ``with replacement_scope(...)`` blocks are
-excluded entirely: at runtime the event log reroutes that traffic under
-``RECOVERY_KIND`` / ``REPLACEMENT_KIND`` respectively, so it is never
-part of the first-attempt contract the budgets describe.
+separately from the iteration skeleton.  Rerouted traffic (ABFT replay,
+residual replacement — logged under ``RECOVERY_KIND`` /
+``REPLACEMENT_KIND`` at runtime) is issued from
+:mod:`repro.solvers.defences`, outside any solver module's hot loop, so
+the static budget never meets it.
 """
 
 from __future__ import annotations
@@ -188,36 +188,12 @@ class ModuleCostModel:
             items = ZERO
             for item in stmt.items:
                 items = items + self.expr_cost(item.context_expr, class_name)
-            if self._is_rerouted_scope(stmt):
-                # Communication inside a ``recovery_scope(...)`` or
-                # ``replacement_scope(...)`` block is rerouted traffic: at
-                # runtime the event log re-buckets it under RECOVERY_KIND /
-                # REPLACEMENT_KIND, so the dynamic verifier never counts it
-                # as first-attempt cost — the static budget mirrors that
-                # semantic and excludes the body.
-                return items
             return items + self.body_cost(stmt.body, class_name)
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             return ZERO
         # Leaf statements: every Call expression inside contributes.
         return self.expr_cost(stmt, class_name)
-
-    #: Context managers whose ``with`` bodies the static budget excludes
-    #: (their runtime traffic is re-bucketed away from first-attempt kinds).
-    REROUTED_SCOPES = frozenset({"recovery_scope", "replacement_scope"})
-
-    @classmethod
-    def _is_rerouted_scope(cls, stmt: ast.With | ast.AsyncWith) -> bool:
-        """True when any with-item enters a rerouted event scope."""
-        for item in stmt.items:
-            ctx = item.context_expr
-            if not isinstance(ctx, ast.Call):
-                continue
-            parts = dotted_parts(ctx.func)
-            if parts and parts[-1] in cls.REROUTED_SCOPES:
-                return True
-        return False
 
     def expr_cost(self, node: ast.AST | None, class_name: str = "") -> CommCost:
         if node is None:

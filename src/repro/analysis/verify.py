@@ -84,14 +84,14 @@ class VerifySpec:
     module: str           # dotted module whose COMM_CONTRACT applies
     halo: int             # field halo depth the run needs
     iters: tuple[int, int]  # the two iteration budgets to difference
-    run: Callable         # (op, b, bounds, max_iters, guard=None) -> SolveResult
+    run: Callable         # (op, b, bounds, max_iters, defences) -> SolveResult
     expected: Callable    # (contract) -> (allreduces, halos) per iteration
     detail: str = ""
-    #: Optional variant of ``run`` with periodic residual replacement
-    #: switched on — used by the sanitized verify pass to prove that
-    #: replacement collectives (rerouted to REPLACEMENT_KIND) stay both
-    #: contract-exact *and* sanitizer-transparent.
-    run_replaced: Callable | None = None
+    #: The solver honours residual replacement: the sanitized verify pass
+    #: switches it on to prove that replacement collectives (rerouted to
+    #: REPLACEMENT_KIND) stay both contract-exact *and*
+    #: sanitizer-transparent.
+    replaceable: bool = False
 
 
 def _gershgorin_lam_max(kxg, kyg) -> float:
@@ -136,62 +136,53 @@ def default_specs() -> list[VerifySpec]:
     return [
         VerifySpec(
             "cg", "repro.solvers.cg", halo=1, iters=(4, 12),
-            run=lambda op, b, bounds, k, guard=None: cg_solve(
-                op, b, eps=EPS_NEVER, max_iters=k, guard=guard),
-            expected=per_iter,
-            run_replaced=lambda op, b, bounds, k, guard=None: cg_solve(
-                op, b, eps=EPS_NEVER, max_iters=k, guard=guard,
-                replace_interval=5)),
+            run=lambda op, b, bounds, k, defences: cg_solve(
+                op, b, eps=EPS_NEVER, max_iters=k, defences=defences),
+            expected=per_iter, replaceable=True),
         VerifySpec(
             "cg_fused", "repro.solvers.cg_fused", halo=1, iters=(4, 12),
-            run=lambda op, b, bounds, k, guard=None: cg_fused_solve(
-                op, b, eps=EPS_NEVER, max_iters=k),
+            run=lambda op, b, bounds, k, defences: cg_fused_solve(
+                op, b, eps=EPS_NEVER, max_iters=k, cancel=defences.cancel),
             expected=per_iter),
         VerifySpec(
             "jacobi", "repro.solvers.jacobi", halo=1, iters=(5, 15),
-            run=lambda op, b, bounds, k, guard=None: jacobi_solve(
-                op, b, eps=EPS_NEVER, max_iters=k),
+            run=lambda op, b, bounds, k, defences: jacobi_solve(
+                op, b, eps=EPS_NEVER, max_iters=k, cancel=defences.cancel),
             expected=per_iter),
         VerifySpec(
             "chebyshev", "repro.solvers.chebyshev", halo=1, iters=(20, 60),
-            run=lambda op, b, bounds, k, guard=None: chebyshev_solve(
+            run=lambda op, b, bounds, k, defences: chebyshev_solve(
                 op, b, eps=EPS_NEVER, max_iters=k, warmup_iters=8,
-                check_interval=10, bounds=bounds, guard=guard),
+                check_interval=10, bounds=bounds, defences=defences),
             expected=cheby_expected(depth=1),
             detail="check_interval=10"),
         VerifySpec(
             "chebyshev[depth=4]", "repro.solvers.chebyshev", halo=4,
             iters=(20, 60),
-            run=lambda op, b, bounds, k, guard=None: chebyshev_solve(
+            run=lambda op, b, bounds, k, defences: chebyshev_solve(
                 op, b, eps=EPS_NEVER, max_iters=k, warmup_iters=8,
-                check_interval=10, halo_depth=4, bounds=bounds, guard=guard),
+                check_interval=10, halo_depth=4, bounds=bounds,
+                defences=defences),
             expected=cheby_expected(depth=4),
             detail="matrix powers, check_interval=10"),
         VerifySpec(
             "ppcg", "repro.solvers.ppcg", halo=1, iters=(3, 9),
-            run=lambda op, b, bounds, k, guard=None: ppcg_solve(
+            run=lambda op, b, bounds, k, defences: ppcg_solve(
                 op, b, eps=EPS_NEVER, max_iters=k, inner_steps=4,
-                warmup_iters=8, bounds=bounds, guard=guard),
+                warmup_iters=8, bounds=bounds, defences=defences),
             expected=ppcg_expected(inner=4, depth=1),
-            detail="inner_steps=4",
-            run_replaced=lambda op, b, bounds, k, guard=None: ppcg_solve(
-                op, b, eps=EPS_NEVER, max_iters=k, inner_steps=4,
-                warmup_iters=8, bounds=bounds, guard=guard,
-                replace_interval=5)),
+            detail="inner_steps=4", replaceable=True),
         VerifySpec(
             "ppcg[depth=4]", "repro.solvers.ppcg", halo=4, iters=(3, 9),
-            run=lambda op, b, bounds, k, guard=None: ppcg_solve(
+            run=lambda op, b, bounds, k, defences: ppcg_solve(
                 op, b, eps=EPS_NEVER, max_iters=k, inner_steps=8,
-                halo_depth=4, warmup_iters=8, bounds=bounds, guard=guard),
+                halo_depth=4, warmup_iters=8, bounds=bounds,
+                defences=defences),
             expected=ppcg_expected(inner=8, depth=4),
-            detail="matrix powers, inner_steps=8",
-            run_replaced=lambda op, b, bounds, k, guard=None: ppcg_solve(
-                op, b, eps=EPS_NEVER, max_iters=k, inner_steps=8,
-                halo_depth=4, warmup_iters=8, bounds=bounds, guard=guard,
-                replace_interval=5)),
+            detail="matrix powers, inner_steps=8", replaceable=True),
         VerifySpec(
             "dcg", "repro.solvers.deflation", halo=1, iters=(4, 12),
-            run=lambda op, b, bounds, k, guard=None: deflated_cg_solve(
+            run=lambda op, b, bounds, k, defences: deflated_cg_solve(
                 op, b, eps=EPS_NEVER, max_iters=k, blocks=(2, 2)),
             expected=per_iter),
     ]
@@ -227,26 +218,27 @@ def kernel_specs(backend: str = "fused") -> list[VerifySpec]:
     return [
         VerifySpec(
             f"cg{tag}", "repro.solvers.cg", halo=1, iters=(4, 12),
-            run=lambda op, b, bounds, k, guard=None: cg_solve(
+            run=lambda op, b, bounds, k, defences: cg_solve(
                 op.with_kernels(backend), b, eps=EPS_NEVER, max_iters=k,
-                guard=guard),
+                defences=defences),
             expected=per_iter, detail=f"kernel backend {backend}"),
         VerifySpec(
             f"cg_fused{tag}", "repro.solvers.cg_fused", halo=1,
             iters=(4, 12),
-            run=lambda op, b, bounds, k, guard=None: cg_fused_solve(
+            run=lambda op, b, bounds, k, defences: cg_fused_solve(
                 op.with_kernels(backend), b, eps=EPS_NEVER, max_iters=k),
             expected=per_iter, detail=f"kernel backend {backend}"),
         VerifySpec(
             f"jacobi{tag}", "repro.solvers.jacobi", halo=1, iters=(5, 15),
-            run=lambda op, b, bounds, k, guard=None: jacobi_solve(
+            run=lambda op, b, bounds, k, defences: jacobi_solve(
                 op.with_kernels(backend), b, eps=EPS_NEVER, max_iters=k),
             expected=per_iter, detail=f"kernel backend {backend}"),
         VerifySpec(
             f"ppcg{tag}", "repro.solvers.ppcg", halo=1, iters=(3, 9),
-            run=lambda op, b, bounds, k, guard=None: ppcg_solve(
+            run=lambda op, b, bounds, k, defences: ppcg_solve(
                 op.with_kernels(backend), b, eps=EPS_NEVER, max_iters=k,
-                inner_steps=4, warmup_iters=8, bounds=bounds, guard=guard),
+                inner_steps=4, warmup_iters=8, bounds=bounds,
+                defences=defences),
             expected=ppcg_expected(inner=4, depth=1),
             detail=f"inner_steps=4, kernel backend {backend}"),
     ]
@@ -286,6 +278,7 @@ def _measure(spec: VerifySpec, n: int,
     from repro.comm import EventWindow, InstrumentedComm, SerialComm
     from repro.mesh import Field, decompose
     from repro.solvers import StencilOperator2D
+    from repro.solvers.defences import Defences
     from repro.solvers.eigen import EigenBounds
     from repro.testing import crooked_pipe_system
     from repro.utils import EventLog
@@ -322,10 +315,11 @@ def _measure(spec: VerifySpec, n: int,
         op = StencilOperator2D.from_global_faces(
             tile, spec.halo, kxg, kyg, comm, events=log)
         b = Field.from_global(tile, spec.halo, bg)
-        run = (spec.run_replaced
-               if sanitize and spec.run_replaced is not None else spec.run)
+        defences = Defences(
+            guard=guard,
+            replace_interval=5 if sanitize and spec.replaceable else 0)
         with EventWindow(log) as w:
-            result = run(op, b, bounds, max_iters, guard=guard)
+            result = spec.run(op, b, bounds, max_iters, defences)
         if sanitize:
             comm.check_quiescent()
         return (w.count_kind("allreduce"), w.count_kind("halo_exchange"),
@@ -392,7 +386,7 @@ def verify_contracts(n: int = 32,
         detail = spec.detail
         if sanitize:
             extra = "sanitized full stack"
-            if spec.run_replaced is not None:
+            if spec.replaceable:
                 extra += ", residual replacement on"
             detail = f"{detail}, {extra}" if detail else extra
         elif integrity:

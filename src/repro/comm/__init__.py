@@ -10,6 +10,8 @@ mpi4py-flavoured API:
   mailboxes and collectives synchronise on barriers, so every distributed
   algorithm (halo exchange at any depth, reduction placement, matrix powers)
   executes genuinely decomposed;
+- :class:`ForwardingComm` — the base every wrapper derives from: it forwards
+  all primitives to ``inner``, so a wrapper defines only what it intercepts;
 - :class:`InstrumentedComm` — a transparent wrapper counting messages, bytes
   and reductions into an :class:`~repro.utils.events.EventLog`, feeding the
   performance model;
@@ -22,7 +24,7 @@ mpi4py-flavoured API:
   offending call-sites.
 """
 
-from repro.comm.base import Communicator, REDUCE_OPS
+from repro.comm.base import Communicator, ForwardingComm, REDUCE_OPS
 from repro.comm.serial import SerialComm
 from repro.comm.threaded import ThreadComm, ThreadWorld
 from repro.comm.instrument import (RECOVERY_KIND, RETRY_KIND, EventWindow,
@@ -33,6 +35,7 @@ from repro.utils.errors import SanitizerError
 
 __all__ = [
     "Communicator",
+    "ForwardingComm",
     "REDUCE_OPS",
     "RECOVERY_KIND",
     "RETRY_KIND",

@@ -105,8 +105,12 @@ class Communicator(ABC):
         """Buffered send of ``obj`` to ``dest`` (payload is copied)."""
 
     @abstractmethod
-    def recv(self, source: int, tag: int = 0):
-        """Blocking receive of the next message from ``source`` with ``tag``."""
+    def recv(self, source: int, tag: int = 0, timeout: float | None = None):
+        """Blocking receive of the next message from ``source`` with ``tag``.
+
+        ``timeout`` (seconds) bounds the wait where the transport can
+        block; ``None`` means the transport's own default.
+        """
 
     def sendrecv(self, obj, dest: int, source: int, tag: int = 0):
         """Send to ``dest`` and receive from ``source`` on the same tag."""
@@ -155,3 +159,42 @@ class Communicator(ABC):
                 f"peer rank {peer} out of range [0,{self.size})")
         if peer == self.rank:
             raise CommunicationError("self-sends are not supported")
+
+
+class ForwardingComm(Communicator):
+    """Base for communicator wrappers: a subclass is only its interceptions.
+
+    Holds ``inner``, copies ``rank``/``size`` as plain attributes (they
+    never change for a live communicator) and forwards the seven
+    primitives.  ``isend``/``irecv`` are deliberately *not* forwarded:
+    the :class:`Communicator` defaults derive them from the wrapper's own
+    ``send``/``recv``, so whatever a subclass intercepts there (retry,
+    checksums, fault injection, event counts) also covers the
+    non-blocking calls.
+    """
+
+    def __init__(self, inner: Communicator):
+        self.inner = inner
+        self.rank = inner.rank
+        self.size = inner.size
+
+    def send(self, obj, dest: int, tag: int = 0) -> None:
+        self.inner.send(obj, dest, tag)
+
+    def recv(self, source: int, tag: int = 0, timeout: float | None = None):
+        return self.inner.recv(source, tag, timeout=timeout)
+
+    def allreduce(self, value, op: str = "sum"):
+        return self.inner.allreduce(value, op)
+
+    def bcast(self, obj, root: int = 0):
+        return self.inner.bcast(obj, root)
+
+    def gather(self, obj, root: int = 0):
+        return self.inner.gather(obj, root)
+
+    def allgather(self, obj) -> list:
+        return self.inner.allgather(obj)
+
+    def barrier(self) -> None:
+        self.inner.barrier()

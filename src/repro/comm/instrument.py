@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.comm.base import Communicator, payload_bytes
+from repro.comm.base import Communicator, ForwardingComm, payload_bytes
 from repro.utils.events import RECOVERY_KIND, EventLog
 
 #: Event kind recorded (by :class:`~repro.resilience.retry.RetryingComm`)
@@ -118,7 +118,7 @@ class EventWindow:
         return log
 
 
-class InstrumentedComm(Communicator):
+class InstrumentedComm(ForwardingComm):
     """Delegates to an inner communicator while counting traffic.
 
     Recorded events (kind, key):
@@ -136,7 +136,7 @@ class InstrumentedComm(Communicator):
 
     def __init__(self, inner: Communicator, events: EventLog | None = None,
                  tracer=None):
-        self.inner = inner
+        super().__init__(inner)
         self.events = events if events is not None else EventLog()
         if tracer is None:
             # Deferred import: repro.observe.hooks imports repro.comm.base,
@@ -149,14 +149,6 @@ class InstrumentedComm(Communicator):
         """Open an :class:`EventWindow` over this communicator's log."""
         return EventWindow(self.events)
 
-    @property
-    def rank(self) -> int:
-        return self.inner.rank
-
-    @property
-    def size(self) -> int:
-        return self.inner.size
-
     # -- point to point -----------------------------------------------------------
 
     def send(self, obj, dest: int, tag: int = 0) -> None:
@@ -167,10 +159,7 @@ class InstrumentedComm(Communicator):
     def recv(self, source: int, tag: int = 0,
              timeout: float | None = None):
         with self.tracer.span("p2p_recv", tag):
-            if timeout is None:
-                obj = self.inner.recv(source, tag)
-            else:
-                obj = self.inner.recv(source, tag, timeout=timeout)
+            obj = self.inner.recv(source, tag, timeout=timeout)
         self.events.record("p2p_recv", tag, bytes=payload_bytes(obj))
         return obj
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.comm.base import Communicator, Request
+from repro.comm.base import Communicator, ForwardingComm, Request
 from repro.utils.errors import CommunicationError, SanitizerError
 
 #: Default bound on how long one rank may sit in a collective waiting for
@@ -326,7 +326,7 @@ class _SanitizedRecvRequest(Request):
         return self._value
 
 
-class SanitizerComm(Communicator):
+class SanitizerComm(ForwardingComm):
     """Transparent sanitizing wrapper around any communicator.
 
     Parameters
@@ -346,7 +346,7 @@ class SanitizerComm(Communicator):
     def __init__(self, inner: Communicator,
                  state: SanitizerState | None = None,
                  p2p_timeout: float = DEFAULT_P2P_TIMEOUT_S):
-        self.inner = inner
+        super().__init__(inner)
         self.state = state if state is not None \
             else SanitizerState(inner.size)
         if self.state.size != inner.size:
@@ -354,14 +354,6 @@ class SanitizerComm(Communicator):
                 f"sanitizer state is sized for {self.state.size} rank(s) "
                 f"but the wrapped communicator has {inner.size}")
         self.p2p_timeout = p2p_timeout
-
-    @property
-    def rank(self) -> int:
-        return self.inner.rank
-
-    @property
-    def size(self) -> int:
-        return self.inner.size
 
     def __getattr__(self, name: str):
         # Transparency: expose whatever the wrapped stack offers (events,
@@ -393,10 +385,7 @@ class SanitizerComm(Communicator):
             f"in p2p recv from {source} tag={tag} at {site}"
         bound = self.p2p_timeout if timeout is None else timeout
         try:
-            try:
-                obj = self.inner.recv(source, tag, timeout=bound)
-            except TypeError:
-                obj = self.inner.recv(source, tag)
+            obj = self.inner.recv(source, tag, timeout=bound)
         except SanitizerError:
             raise
         except CommunicationError as exc:

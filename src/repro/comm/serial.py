@@ -19,7 +19,7 @@ class SerialComm(Communicator):
     def send(self, obj, dest: int, tag: int = 0) -> None:
         raise CommunicationError("SerialComm has no peers to send to")
 
-    def recv(self, source: int, tag: int = 0):
+    def recv(self, source: int, tag: int = 0, timeout: float | None = None):
         raise CommunicationError("SerialComm has no peers to receive from")
 
     def allreduce(self, value, op: str = "sum"):

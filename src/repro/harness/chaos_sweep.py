@@ -14,33 +14,13 @@ job and ``tests/test_chaos.py`` both hold that invariant).
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 
+from repro.harness.ledger import write_ledger
 from repro.resilience.chaos import (
     ChaosCampaignResult,
     run_campaign,
 )
-
-_LEDGER_RE = re.compile(r"CHAOS_(\d+)\.json$")
-
-
-def next_ledger_path(out_dir: Path) -> Path:
-    """The first unused ``CHAOS_<n>.json`` path under ``out_dir``."""
-    out_dir = Path(out_dir)
-    taken = [int(m.group(1)) for p in out_dir.glob("CHAOS_*.json")
-             if (m := _LEDGER_RE.match(p.name))]
-    return out_dir / f"CHAOS_{max(taken, default=-1) + 1}.json"
-
-
-def write_ledger(result: ChaosCampaignResult, out_dir: Path) -> Path:
-    """Persist the ledger as the next free ``CHAOS_<n>.json``."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = next_ledger_path(out_dir)
-    path.write_text(result.to_json() + "\n", encoding="utf-8")
-    return path
-
 
 def render(result: ChaosCampaignResult) -> str:
     """Human-readable SLO ledger table."""
@@ -73,7 +53,7 @@ def run_chaos(seed: int = 20170905,
     """Run one campaign and persist its ledger + fixtures under ``out_dir``."""
     out = Path(out_dir)
     result = run_campaign(seed, trials, n=n, fixtures_dir=out / "fixtures")
-    return result, write_ledger(result, out)
+    return result, write_ledger(result.as_dict(), out, "CHAOS")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -31,12 +31,12 @@ from __future__ import annotations
 import json
 import os
 import random
-import re
 import subprocess
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from repro.harness.ledger import to_json, write_ledger
 from repro.harness.service_sweep import (
     SWEEP_EPS,
     _deck_text,
@@ -50,8 +50,6 @@ from repro.service.recovery import ResultStore
 from repro.service.requests import STATUSES, SolveRequest
 
 SCHEMA = "repro.service-soak/v1"
-
-_LEDGER_RE = re.compile(r"SOAK_SERVICE_(\d+)\.json$")
 
 #: restart-cycle hard cap (progress >= ~2 records/cycle is guaranteed,
 #: so a legitimate campaign finishes far below this)
@@ -313,7 +311,7 @@ class ServiceSoakResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return to_json(self.to_dict())
 
 
 def _stats(outcomes: list[dict]) -> dict:
@@ -453,23 +451,6 @@ def run_service_soak(seed: int = 424243, count: int = 30, *,
     )
 
 
-def next_ledger_path(out_dir: Path) -> Path:
-    out_dir = Path(out_dir)
-    taken = [int(m.group(1)) for p in out_dir.glob("SOAK_SERVICE_*.json")
-             if (m := _LEDGER_RE.match(p.name))]
-    return out_dir / f"SOAK_SERVICE_{max(taken, default=-1) + 1}.json"
-
-
-def write_ledger(result: ServiceSoakResult, out_dir: Path,
-                 index: int | None = None) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = (out_dir / f"SOAK_SERVICE_{index}.json" if index is not None
-            else next_ledger_path(out_dir))
-    path.write_text(result.to_json() + "\n", encoding="utf-8")
-    return path
-
-
 def render(result: ServiceSoakResult) -> str:
     s = result.stats
     r = result.runtime
@@ -549,8 +530,8 @@ def main(argv: list[str] | None = None) -> int:
                 args.seed, args.requests, kill_seed=args.kill_seed,
                 workers=args.workers, group_size=args.group_size,
                 work_dir=Path(td))
-    path = write_ledger(result, Path(args.out),
-                        index=args.index if args.index >= 0 else None)
+    path = write_ledger(result.to_dict(), Path(args.out), "SOAK_SERVICE",
+                        args.index if args.index >= 0 else None)
     print(render(result))
     print(f"ledger written to {path}")
     return result.exit_code

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.mesh.field import Field
 from repro.multigrid.vcycle import MultigridHierarchy
+from repro.numerics.breakdown import residual_norm
 from repro.solvers.cg import cg_solve
 from repro.solvers.operator import StencilOperator2D
 from repro.solvers.preconditioners import Preconditioner
@@ -90,7 +91,7 @@ def multigrid_solve(
     x = x0.copy() if x0 is not None else op.new_field()
     r = op.new_field()
     op.residual(b, x, out=r)
-    r0_norm = float(np.sqrt(op.dot(r, r)))
+    r0_norm = residual_norm(op.dot(r, r))
     threshold = eps * r0_norm
     history = [r0_norm]
     res_norm = r0_norm
@@ -99,7 +100,7 @@ def multigrid_solve(
     while not converged and iterations < max_iters:
         x.interior += M.hierarchy.cycle(r.interior.copy())
         op.residual(b, x, out=r)
-        res_norm = float(np.sqrt(op.dot(r, r)))
+        res_norm = residual_norm(op.dot(r, r))
         iterations += 1
         history.append(res_norm)
         converged = res_norm <= threshold

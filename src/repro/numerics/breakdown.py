@@ -22,6 +22,13 @@ from dataclasses import dataclass, field
 from repro.utils.errors import ConvergenceError
 
 
+def residual_norm(rr: float) -> float:
+    """``sqrt(rr)``, or NaN for the negative or NaN ``rr`` of a corrupted
+    reduction — decided before any square root is taken, so the guards
+    that screen every norm report it, not a numpy ``RuntimeWarning``."""
+    return math.sqrt(rr) if rr >= 0.0 else math.nan
+
+
 class BreakdownError(ConvergenceError):
     """A solver recurrence broke down numerically.
 

@@ -11,8 +11,7 @@ Observability for the solver design space (docs/observability.md):
   histograms with a ``snapshot()`` dict API;
 - :mod:`~repro.observe.export` — JSONL, Chrome ``trace_event`` and text
   summaries;
-- :mod:`~repro.observe.hooks` — :class:`TracingComm` decorator and
-  :func:`attach_tracer`;
+- :mod:`~repro.observe.hooks` — :func:`attach_tracer`;
 - :mod:`~repro.observe.runner` — one-call traced solves for the CLI,
   harness and tests.
 """
@@ -26,7 +25,7 @@ from repro.observe.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.observe.hooks import TracingComm, attach_tracer
+from repro.observe.hooks import attach_tracer
 from repro.observe.metrics import (
     BYTE_BUCKETS,
     ITERATION_BUCKETS,
@@ -65,7 +64,6 @@ __all__ = [
     "MetricsRegistry",
     "ITERATION_BUCKETS",
     "BYTE_BUCKETS",
-    "TracingComm",
     "attach_tracer",
     "jsonl_lines",
     "write_jsonl",

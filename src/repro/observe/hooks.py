@@ -1,91 +1,19 @@
-"""Instrumentation hooks: the tracing communicator and tracer attachment.
+"""Instrumentation hooks: attaching a tracer to a live operator.
 
-Two ways to get spans out of a run:
-
-- pass a :class:`~repro.observe.trace.Tracer` to the constructors that
-  take one (:class:`~repro.comm.instrument.InstrumentedComm`,
-  :class:`~repro.solvers.operator.StencilOperator2D`,
-  :class:`~repro.mesh.halo.HaloExchanger`,
-  :class:`~repro.physics.simulation.Simulation`), or
-- wrap any communicator in :class:`TracingComm`, a pure decorator that
-  emits one span per operation and delegates everything else.
-
-:class:`TracingComm` composes at **any** layer of the resilient stack
-(``InstrumentedComm(TracingComm(RetryingComm(FaultyComm(base))))`` or
-``TracingComm(InstrumentedComm(...))``): it neither swallows nor
-re-issues operations, so the first-attempt counts the COMM_CONTRACT
-verifier reads from :class:`~repro.comm.instrument.EventWindow` are
-identical whichever side of the retry layer it sits on — a property the
-test-suite locks down (wrapper order must not matter).
+Spans come out of a run through the constructors that take a
+:class:`~repro.observe.trace.Tracer`
+(:class:`~repro.comm.instrument.InstrumentedComm`,
+:class:`~repro.solvers.operator.StencilOperator2D`,
+:class:`~repro.mesh.halo.HaloExchanger`,
+:class:`~repro.physics.simulation.Simulation`); :func:`attach_tracer`
+installs one on an already-built operator and its comm context.
 """
 
 from __future__ import annotations
 
-from repro.comm.base import Communicator
-from repro.observe.trace import NULL_TRACER, Tracer
+from repro.observe.trace import Tracer
 
-__all__ = ["TracingComm", "attach_tracer"]
-
-
-class TracingComm(Communicator):
-    """Communicator decorator that wraps every operation in a span.
-
-    Span names mirror the event kinds recorded by
-    :class:`~repro.comm.instrument.InstrumentedComm` (``p2p_send``,
-    ``p2p_recv``, ``allreduce``, ...), keyed by tag/op, so span counts
-    and event counts can be cross-checked one-to-one.
-    """
-
-    def __init__(self, inner: Communicator, tracer: Tracer | None = None):
-        self.inner = inner
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-
-    @property
-    def rank(self) -> int:
-        return self.inner.rank
-
-    @property
-    def size(self) -> int:
-        return self.inner.size
-
-    # -- point to point --------------------------------------------------------
-
-    def send(self, obj, dest: int, tag: int = 0) -> None:
-        with self.tracer.span("p2p_send", tag):
-            self.inner.send(obj, dest, tag)
-
-    def recv(self, source: int, tag: int = 0, timeout: float | None = None):
-        with self.tracer.span("p2p_recv", tag):
-            if timeout is None:
-                return self.inner.recv(source, tag)
-            return self.inner.recv(source, tag, timeout=timeout)
-
-    def irecv(self, source: int, tag: int = 0):
-        # Completion happens in request.wait(); spanning the post alone
-        # would misattribute the wait, so delegate untraced.
-        return self.inner.irecv(source, tag)
-
-    # -- collectives -----------------------------------------------------------
-
-    def allreduce(self, value, op: str = "sum"):
-        with self.tracer.span("allreduce", op):
-            return self.inner.allreduce(value, op)
-
-    def bcast(self, obj, root: int = 0):
-        with self.tracer.span("bcast"):
-            return self.inner.bcast(obj, root)
-
-    def gather(self, obj, root: int = 0):
-        with self.tracer.span("gather"):
-            return self.inner.gather(obj, root)
-
-    def allgather(self, obj) -> list:
-        with self.tracer.span("allgather"):
-            return self.inner.allgather(obj)
-
-    def barrier(self) -> None:
-        with self.tracer.span("barrier"):
-            self.inner.barrier()
+__all__ = ["attach_tracer"]
 
 
 def attach_tracer(op, tracer: Tracer) -> Tracer:

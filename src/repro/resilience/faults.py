@@ -62,7 +62,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.comm.base import Communicator, payload_bytes
+from repro.comm.base import Communicator, ForwardingComm, payload_bytes
 from repro.utils.errors import ConfigurationError, TransientCommError
 from repro.utils.events import EventLog
 
@@ -377,7 +377,7 @@ def _corrupt(obj: Any, mode: str, scale: float,
     return obj, "non-numeric payload untouched"
 
 
-class FaultyComm(Communicator):
+class FaultyComm(ForwardingComm):
     """Communicator decorator injecting faults from a :class:`FaultPlan`.
 
     Composes with the existing wrappers; the canonical resilient stack is
@@ -404,7 +404,7 @@ class FaultyComm(Communicator):
                  events: EventLog | None = None,
                  clock=None,
                  iteration: IterationCell | None = None):
-        self.inner = inner
+        super().__init__(inner)
         self.plan = plan
         self.events = events
         self.clock = clock
@@ -414,14 +414,6 @@ class FaultyComm(Communicator):
         self._op_index = 0
         self._op_counts: dict[str, int] = {}
         self._rule_fires: dict[int, int] = {}
-
-    @property
-    def rank(self) -> int:
-        return self.inner.rank
-
-    @property
-    def size(self) -> int:
-        return self.inner.size
 
     # -- fault decision --------------------------------------------------------
 
@@ -540,10 +532,7 @@ class FaultyComm(Communicator):
              timeout: float | None = None):
         idx = self._op_index
         fired = self._consult("recv", None, tag)
-        if timeout is None:
-            obj = self.inner.recv(source, tag)
-        else:
-            obj = self.inner.recv(source, tag, timeout=timeout)
+        obj = self.inner.recv(source, tag, timeout=timeout)
         return self._apply_corruptions("recv", obj, fired, idx)
 
     # -- collectives -----------------------------------------------------------

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.comm.base import Communicator
+from repro.comm.base import Communicator, ForwardingComm
 from repro.utils.errors import ChecksumError
 from repro.utils.events import EventLog
 
@@ -137,7 +137,7 @@ def _decode_frame(frame) -> tuple[int, object] | None:
     return seq, data.copy().reshape(shape)
 
 
-class ChecksumComm(Communicator):
+class ChecksumComm(ForwardingComm):
     """Checksummed redundant-envelope wrapper over an inner communicator.
 
     Point-to-point and broadcast payloads travel in CRC32-verified frames;
@@ -151,7 +151,7 @@ class ChecksumComm(Communicator):
                  copies: int = 2):
         if copies < 1:
             raise ValueError(f"copies must be >= 1, got {copies}")
-        self.inner = inner
+        super().__init__(inner)
         self.events = events
         self.copies = copies
         self.detections = 0
@@ -164,14 +164,6 @@ class ChecksumComm(Communicator):
         # consumed and verified — the retry layer re-enters recv() and
         # resumes at the channel that failed (see recv()).
         self._recv_partial: dict[tuple[int, int], dict] = {}
-
-    @property
-    def rank(self) -> int:
-        return self.inner.rank
-
-    @property
-    def size(self) -> int:
-        return self.inner.size
 
     def _note(self, op: str, kind: str, detail: str,
               peer: int | None = None, tag: int | None = None) -> None:
@@ -221,10 +213,7 @@ class ChecksumComm(Communicator):
                 # May raise TransientCommError *before* consuming (the
                 # injector fails operations pre-wire): `state` still
                 # points at this channel for the retried attempt.
-                if timeout is None:
-                    msg = self.inner.recv(source, chan)
-                else:
-                    msg = self.inner.recv(source, chan, timeout=timeout)
+                msg = self.inner.recv(source, chan, timeout=timeout)
                 if (isinstance(msg, tuple) and len(msg) == 3
                         and msg[0] == _RAW_SENTINEL):
                     decoded: tuple[int, object] | None = (msg[1], msg[2])
@@ -299,12 +288,3 @@ class ChecksumComm(Communicator):
                 f"rank {self.rank}: broadcast envelope from root {root} "
                 f"failed checksum verification")
         return decoded[1]
-
-    def gather(self, obj, root: int = 0):
-        return self.inner.gather(obj, root)
-
-    def allgather(self, obj) -> list:
-        return self.inner.allgather(obj)
-
-    def barrier(self) -> None:
-        self.inner.barrier()

@@ -26,7 +26,7 @@ reproducible and makes backoff costs measurable in tests.
 
 from __future__ import annotations
 
-from repro.comm.base import Communicator
+from repro.comm.base import Communicator, ForwardingComm
 from repro.comm.instrument import RETRY_KIND
 from repro.utils.errors import ConfigurationError, TransientCommError
 from repro.utils.events import EventLog
@@ -61,7 +61,7 @@ class VirtualClock:
         return t
 
 
-class RetryingComm(Communicator):
+class RetryingComm(ForwardingComm):
     """Communicator decorator that retries transient failures.
 
     Parameters
@@ -112,7 +112,7 @@ class RetryingComm(Communicator):
             raise ConfigurationError(
                 f"max_delay ({max_delay}) must be >= base_delay "
                 f"({base_delay})")
-        self.inner = inner
+        super().__init__(inner)
         self.max_attempts = max_attempts
         self.base_delay = base_delay
         self.backoff = backoff
@@ -124,20 +124,13 @@ class RetryingComm(Communicator):
         #: total re-issued attempts across all operations
         self.retries = 0
 
-    @property
-    def rank(self) -> int:
-        return self.inner.rank
-
-    @property
-    def size(self) -> int:
-        return self.inner.size
-
-    def _attempt(self, op_name: str, call):
-        """Run ``call`` with bounded retry on TransientCommError."""
+    def _attempt(self, op_name: str, call, *args, **kwargs):
+        """Run ``call(*args, **kwargs)`` with bounded retry on
+        TransientCommError."""
         attempt = 1
         while True:
             try:
-                return call()
+                return call(*args, **kwargs)
             except TransientCommError:
                 # The final attempt re-raises the *retryable* error class
                 # unchanged (TransientCommError, or its ChecksumError
@@ -160,35 +153,28 @@ class RetryingComm(Communicator):
                 if self.events is not None:
                     self.events.record(RETRY_KIND, op_name)
 
-    # -- point to point --------------------------------------------------------
+    # -- every operation goes through the same retry loop ----------------------
 
     def send(self, obj, dest: int, tag: int = 0) -> None:
-        self._attempt("send", lambda: self.inner.send(obj, dest, tag))
+        self._attempt("send", self.inner.send, obj, dest, tag)
 
     def recv(self, source: int, tag: int = 0,
              timeout: float | None = None):
         per_attempt = timeout if timeout is not None else self.recv_timeout
-        if per_attempt is None:
-            return self._attempt(
-                "recv", lambda: self.inner.recv(source, tag))
-        return self._attempt(
-            "recv", lambda: self.inner.recv(source, tag,
-                                            timeout=per_attempt))
-
-    # -- collectives -----------------------------------------------------------
+        return self._attempt("recv", self.inner.recv, source, tag,
+                             timeout=per_attempt)
 
     def allreduce(self, value, op: str = "sum"):
-        return self._attempt(
-            "allreduce", lambda: self.inner.allreduce(value, op))
+        return self._attempt("allreduce", self.inner.allreduce, value, op)
 
     def bcast(self, obj, root: int = 0):
-        return self._attempt("bcast", lambda: self.inner.bcast(obj, root))
+        return self._attempt("bcast", self.inner.bcast, obj, root)
 
     def gather(self, obj, root: int = 0):
-        return self._attempt("gather", lambda: self.inner.gather(obj, root))
+        return self._attempt("gather", self.inner.gather, obj, root)
 
     def allgather(self, obj) -> list:
-        return self._attempt("allgather", lambda: self.inner.allgather(obj))
+        return self._attempt("allgather", self.inner.allgather, obj)
 
     def barrier(self) -> None:
-        self._attempt("barrier", lambda: self.inner.barrier())
+        self._attempt("barrier", self.inner.barrier)

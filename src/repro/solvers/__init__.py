@@ -12,7 +12,10 @@ The design space the paper explores:
   (``halo_depth`` > 1) so inner iterations exchange a deep halo once per
   ``halo_depth`` stencil applications.
 
-Plus the supporting machinery: the matrix-free operator (Listing 1),
+Plus the supporting machinery: :class:`~repro.solvers.defences.Defences`
+(every safeguard around the cg/ppcg/chebyshev loops — guard rollback, ABFT
+replay, residual replacement, cancellation), the matrix-free operator
+(Listing 1),
 eigenvalue estimation from the CG Lanczos recurrence, and the local
 preconditioners (diagonal Jacobi, 4x1-strip block Jacobi via the Thomas
 algorithm).
@@ -36,6 +39,7 @@ from repro.solvers.preconditioners import (
     BlockJacobiPreconditioner,
     make_local_preconditioner,
 )
+from repro.solvers.defences import Defences
 from repro.solvers.cg import cg_solve
 from repro.solvers.cg_fused import cg_fused_solve
 from repro.solvers.deflation import DeflationSpace, deflated_cg_solve
@@ -51,6 +55,7 @@ __all__ = [
     "DistributedOperator3D",
     "embed_global_3d",
     "SolveResult",
+    "Defences",
     "EigenBounds",
     "lanczos_tridiagonal",
     "estimate_eigenvalues",

@@ -28,7 +28,7 @@ from repro.solvers.preconditioners import (
     Preconditioner,
 )
 from repro.solvers.result import SolveResult
-from repro.numerics.breakdown import BreakdownError
+from repro.numerics.breakdown import BreakdownError, residual_norm
 from repro.utils.validation import check_finite_field, check_positive
 
 #: Machine-checked communication budget (see ``repro.analysis``): the
@@ -71,7 +71,7 @@ def cg_fused_solve(
     op.apply(u, w)
     gamma, delta, rr = op.dots([(r, u), (w, u), (r, r)])
 
-    r0_norm = float(np.sqrt(rr))
+    r0_norm = residual_norm(rr)
     reference = r0_norm if reference_norm is None else reference_norm
     threshold = eps * reference
     history = [r0_norm]
@@ -108,7 +108,7 @@ def cg_fused_solve(
         op.apply(u, w)
         gamma_new, delta, rr = op.dots([(r, u), (w, u), (r, r)])
         iterations += 1
-        res_norm = float(np.sqrt(rr))
+        res_norm = residual_norm(rr)
         history.append(res_norm)
         alphas.append(float(alpha))
         if res_norm <= threshold:

@@ -28,13 +28,12 @@ with a single depth-1 exchange of the direction vector.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.mesh.field import Field
-from repro.numerics.breakdown import BreakdownGuard
+from repro.numerics.breakdown import residual_norm
 from repro.solvers.cg import cg_solve
+from repro.solvers.defences import Defences
 from repro.solvers.eigen import EigenBounds, estimate_eigenvalues
 from repro.solvers.operator import StencilOperator2D
 from repro.solvers.preconditioners import (
@@ -51,9 +50,6 @@ from repro.utils.errors import (
     stall_error,
 )
 from repro.utils.validation import check_finite_field, check_positive
-
-if TYPE_CHECKING:
-    from repro.resilience.guard import SolverGuard
 
 #: Machine-checked communication budget (see ``repro.analysis``).  The
 #: Chebyshev recurrence itself (``ChebyshevIteration.run``) performs **no
@@ -104,6 +100,8 @@ class ChebyshevIteration:
                 "block Jacobi cannot be combined with matrix powers "
                 "(halo_depth > 1): the strip solve needs up-to-date whole "
                 "blocks every step (paper §IV-C2)")
+        # Pointwise preconditioners step on extended bounds (matrix powers);
+        # block Jacobi steps on the interior with a depth-1 exchange.
         self._pointwise_M = isinstance(
             self.M, (IdentityPreconditioner, DiagonalPreconditioner))
         self.d = op.new_field()
@@ -129,31 +127,22 @@ class ChebyshevIteration:
         """
         if isinstance(self.M, IdentityPreconditioner):
             np.multiply(src.data[region], scale, out=dst.data[region])
-        elif isinstance(self.M, DiagonalPreconditioner):
+        else:  # diagonal: the only other preconditioner stepping extended
             self.M.apply_region(src, dst, region)
             dst.data[region] *= scale
-        else:
-            # interior-only preconditioner (block Jacobi); n == 1 enforced.
-            self.M.apply(src, dst)
-            dst.interior[...] *= scale
 
     def run(self, steps: int) -> None:
         """Advance ``steps`` Chebyshev steps."""
-        if steps <= 0:
-            return
-        op, n = self.op, self.n
-        extended = self._pointwise_M and n >= 1
         from repro.observe.trace import tracer_of
-        tracer = tracer_of(op)
+        tracer = tracer_of(self.op)
         # Named "cheby_step", not "iteration": under CPPCG these nest
         # inside the outer CG's precond span and must not inflate its
         # iteration count.
+        step = self._step_extended if self._pointwise_M \
+            else self._step_interior
         for _ in range(steps):
-            with tracer.span("cheby_step", n):
-                if extended:
-                    self._step_extended()
-                else:
-                    self._step_interior()
+            with tracer.span("cheby_step", self.n):
+                step()
                 self.steps_done += 1
 
     # -- matrix-powers (extended bounds) stepping ----------------------------------
@@ -228,7 +217,6 @@ class ChebyshevPreconditioner(Preconditioner):
         self.bounds = bounds
         self.steps = steps
         self.halo_depth = halo_depth
-        self.inner_kind = inner_preconditioner
         self._inner = make_local_preconditioner(op, inner_preconditioner)
         self._rr = op.new_field()
         self.applications = 0
@@ -247,6 +235,34 @@ class ChebyshevPreconditioner(Preconditioner):
         self.applications += 1
 
 
+class _Recurrence:
+    """What a standalone Chebyshev solve checkpoints: iterate, residual,
+    direction and the recurrence scalars (see ``Defences.watch``)."""
+
+    def __init__(self, x: Field, rr: Field, it: ChebyshevIteration,
+                 history: list[float]):
+        self.x, self.rr, self.it, self.history = x, rr, it, history
+        self.res_norm = history[-1]
+        self.offset = 0  # recurrence steps retired by abandoned deep runs
+
+    @property
+    def iterations(self) -> int:
+        return self.offset + self.it.steps_done
+
+    def snapshot(self) -> tuple[dict, dict]:
+        it = self.it
+        return ({"x": self.x, "rr": self.rr, "d": it.d},
+                {"rho": it.rho, "steps": it.steps_done,
+                 "since": it._since_exchange, "hist": len(self.history)})
+
+    def restore(self, iteration: int, scalars: dict) -> None:
+        it = self.it
+        it.rho, it.steps_done = scalars["rho"], scalars["steps"]
+        it._since_exchange = scalars["since"]
+        del self.history[scalars["hist"]:]
+        self.res_norm = self.history[-1]
+
+
 def chebyshev_solve(
     op: StencilOperator2D,
     b: Field,
@@ -261,10 +277,8 @@ def chebyshev_solve(
     halo_depth: int = 1,
     bounds: EigenBounds | None = None,
     raise_on_stall: bool = False,
-    guard: "SolverGuard | None" = None,
     degrade: bool = False,
-    stagnation_window: int = 0,
-    cancel=None,
+    defences: Defences | None = None,
 ) -> SolveResult:
     """Standalone Chebyshev solver (TeaLeaf ``tl_use_chebyshev``).
 
@@ -275,26 +289,25 @@ def chebyshev_solve(
 
     ``raise_on_stall`` raises :class:`ConvergenceError` (solver name,
     final relative residual, iteration count) when the budget runs out
-    unconverged.  ``guard`` enables checkpoint/rollback of the recurrence
-    state at each convergence check (see
-    :class:`~repro.resilience.guard.SolverGuard`).  ``degrade`` lets a
-    matrix-powers run (``halo_depth > 1``) whose deep exchanges keep
-    failing restart the recurrence at depth 1 instead of aborting; the
-    result then carries ``degraded = True``.  ``stagnation_window``
-    (counted in residual *checks*, i.e. ``check_interval`` steps each)
-    enables the shared breakdown guard's stagnation detection.
+    unconverged.  ``degrade`` lets a matrix-powers run (``halo_depth >
+    1``) whose deep exchanges keep failing restart the recurrence at
+    depth 1 instead of aborting; the result then carries ``degraded =
+    True``.  Of the ``defences``
+    (:class:`~repro.solvers.defences.Defences`) the guard checkpoints and
+    rolls back the recurrence at each convergence check, the stagnation
+    window counts residual *checks* (``check_interval`` steps each), and
+    cancellation fires between checks — right after the previous chunk's
+    convergence allreduce synchronised every rank.
     """
     check_positive("check_interval", check_interval)
     check_finite_field("b", b)
     check_finite_field("x0", x0)
-    breakdown = BreakdownGuard("chebyshev",
-                               stagnation_window=stagnation_window)
-    from repro.observe.trace import tracer_of
-    tracer = tracer_of(op)
+    defences = defences if defences is not None else Defences()
     local_M = make_local_preconditioner(op, preconditioner)
     warmup = cg_solve(op, b, x0, eps=eps, max_iters=warmup_iters,
                       preconditioner=local_M, solver_name="chebyshev",
-                      guard=guard, cancel=cancel)
+                      defences=Defences(guard=defences.guard,
+                                        cancel=defences.cancel))
     if warmup.converged:
         warmup.warmup_iterations = warmup.iterations
         warmup.iterations = 0
@@ -306,91 +319,59 @@ def chebyshev_solve(
     x = warmup.x
     rr = op.new_field()
     op.residual(b, x, out=rr)
-    it = ChebyshevIteration(op, rr, x, bounds, halo_depth=halo_depth,
-                            local_precond=local_M)
+    st = _Recurrence(x, rr, ChebyshevIteration(
+        op, rr, x, bounds, halo_depth=halo_depth, local_precond=local_M),
+        list(warmup.history))
+    watch = defences.watch(st, op, "chebyshev")
     threshold = eps * warmup.initial_residual_norm
-    history = list(warmup.history)
-    res_norm = history[-1]
     converged = False
     degraded = False
-    steps_offset = 0  # recurrence steps retired by abandoned deep runs
-    while steps_offset + it.steps_done < max_iters:
-        # Cancellation boundary: between residual checks, right after the
-        # previous chunk's convergence allreduce synchronised every rank,
-        # so all ranks stop at the same chunk boundary with no exchange
-        # in flight (see repro.service.cancel).
-        if cancel is not None:
-            cancel.check(steps_offset + it.steps_done)
-        if guard is not None:
-            guard.begin(steps_offset + it.steps_done)
-            if guard.due(steps_offset + it.steps_done):
-                with tracer.span("checkpoint", "chebyshev"):
-                    guard.save(steps_offset + it.steps_done,
-                               fields={"x": x, "rr": rr, "d": it.d},
-                               scalars={"rho": it.rho,
-                                        "steps": it.steps_done,
-                                        "since": it._since_exchange,
-                                        "hist": len(history)})
+    while st.iterations < max_iters:
+        watch.boundary()
+        watch.begin()
         try:
-            it.run(min(check_interval,
-                       max_iters - steps_offset - it.steps_done))
+            st.it.run(min(check_interval, max_iters - st.iterations))
         except CommunicationError:
-            if not (degrade and it.n > 1):
+            if not (degrade and st.it.n > 1):
                 raise
             # The matrix powers kernel's deep exchanges keep failing
             # (retries exhausted): restart the recurrence at depth 1 from
             # the current iterate — Chebyshev restarts are legal, only
             # the communication amortisation is lost.
-            steps_offset += it.steps_done
+            st.offset += st.it.steps_done
             op.residual(b, x, out=rr)
-            it = ChebyshevIteration(op, rr, x, bounds, halo_depth=1,
-                                    local_precond=local_M)
+            st.it = ChebyshevIteration(op, rr, x, bounds, halo_depth=1,
+                                       local_precond=local_M)
             degraded = True
-            if guard is not None:
+            if watch.guard is not None:
                 # Re-anchor the checkpoint on the new recurrence state:
                 # the previous snapshot referenced the abandoned one.
-                with tracer.span("checkpoint", "chebyshev"):
-                    guard.save(steps_offset + it.steps_done,
-                               fields={"x": x, "rr": rr, "d": it.d},
-                               scalars={"rho": it.rho,
-                                        "steps": it.steps_done,
-                                        "since": it._since_exchange,
-                                        "hist": len(history)})
+                watch.checkpoint()
             continue
-        res_norm = float(np.sqrt(op.dot(rr, rr)))
-        history.append(res_norm)
-        if guard is not None and not guard.healthy(res_norm):
-            with tracer.span("recover", "chebyshev"):
-                snap = guard.rollback(f"residual norm {res_norm:.3e}")
-                it.rho = snap.scalars["rho"]
-                it.steps_done = snap.scalars["steps"]
-                it._since_exchange = snap.scalars["since"]
-                del history[snap.scalars["hist"]:]
-                res_norm = history[-1]
-                breakdown.reset()
+        st.res_norm = residual_norm(op.dot(rr, rr))
+        st.history.append(st.res_norm)
+        # A non-finite residual means the eigenvalue bounds exclude part
+        # of the spectrum (lam_max underestimated?) and the recurrence
+        # diverged: the guard rewinds, the breakdown check raises.
+        if watch.residual():
             continue
-        # Shared breakdown guard: a non-finite residual means the
-        # eigenvalue bounds exclude part of the spectrum (lam_max
-        # underestimated?) and the recurrence diverged.
-        breakdown.residual(res_norm, steps_offset + it.steps_done)
-        if res_norm <= threshold:
+        if st.res_norm <= threshold:
             converged = True
             break
 
-    iterations = steps_offset + it.steps_done
     if not converged and raise_on_stall:
-        raise stall_error("chebyshev", iterations, res_norm,
+        raise stall_error("chebyshev", st.iterations, st.res_norm,
                           warmup.initial_residual_norm, eps)
 
     result = SolveResult(
         x=x,
         solver="chebyshev",
         converged=converged,
-        iterations=iterations,
+        iterations=st.iterations,
         warmup_iterations=warmup.iterations,
-        residual_norm=res_norm,
+        residual_norm=st.res_norm,
         initial_residual_norm=warmup.initial_residual_norm,
-        history=history,
+        history=st.history,
         eigen_bounds=(bounds.lam_min, bounds.lam_max),
         events=op.events,
     )

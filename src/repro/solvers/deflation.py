@@ -34,6 +34,7 @@ from repro.solvers.preconditioners import (
     make_local_preconditioner,
 )
 from repro.solvers.result import SolveResult
+from repro.numerics.breakdown import residual_norm
 from repro.utils.errors import ConfigurationError, ConvergenceError
 from repro.utils.validation import check_finite_field, check_positive
 
@@ -193,7 +194,7 @@ def deflated_cg_solve(
         rz, rr = op.dots([(r, z), (r, r)])
     p = z.copy()
 
-    r0_norm = float(np.sqrt(rr))
+    r0_norm = residual_norm(rr)
     threshold = eps * r0_norm
     history = [r0_norm]
     converged = r0_norm <= threshold
@@ -217,7 +218,7 @@ def deflated_cg_solve(
             M.apply(r, z)
             rz_new, rr = op.dots([(r, z), (r, r)])
         iterations += 1
-        res_norm = float(np.sqrt(rr))
+        res_norm = residual_norm(rr)
         history.append(res_norm)
         if res_norm <= threshold:
             converged = True

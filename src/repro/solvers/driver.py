@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from repro.mesh.field import Field
 from repro.solvers.cg import cg_solve
 from repro.solvers.chebyshev import chebyshev_solve
+from repro.solvers.defences import Defences
 from repro.solvers.jacobi import jacobi_solve
 from repro.solvers.operator import StencilOperator2D
 from repro.solvers.options import SolverOptions
@@ -48,16 +49,16 @@ def solve_linear(
     The operator's fields must have halo depth >=
     ``options.required_field_halo`` (matrix powers needs deep halos).
 
-    ``guard`` is an optional pre-built
+    The solve's :class:`~repro.solvers.defences.Defences` are built here,
+    once, from ``options`` plus the two live objects a caller may hand
+    in.  ``guard`` is an optional pre-built
     :class:`~repro.resilience.guard.SolverGuard` (so callers can share its
     iteration cell with a fault injector); when omitted and
     ``options.guard_interval > 0`` one is constructed from the options.
-    Guards apply to the cg/ppcg/chebyshev family.
-
-    ``cancel`` is an optional
-    :class:`~repro.service.cancel.CancelToken`-like object checked at
-    every iteration boundary of the cg/cg_fused/jacobi/chebyshev/ppcg
-    family (a fired token raises
+    Guards apply to the cg/ppcg/chebyshev family.  ``cancel`` is an
+    optional :class:`~repro.service.cancel.CancelToken`-like object
+    checked at every iteration boundary of the
+    cg/cg_fused/jacobi/chebyshev/ppcg family (a fired token raises
     :class:`~repro.utils.errors.DeadlineExceeded` /
     :class:`~repro.utils.errors.Cancelled` coherently on every rank; an
     inert token is bit-transparent).
@@ -81,11 +82,7 @@ def solve_linear(
         # (which come back through this entry point with refine=False).
         from repro.numerics.refine import refined_solve
         return refined_solve(op, b, x0, opt, guard=guard)
-    if guard is None and opt.guard_interval > 0:
-        from repro.resilience.guard import SolverGuard
-        guard = SolverGuard(checkpoint_interval=opt.guard_interval,
-                            divergence_ratio=opt.guard_divergence_ratio,
-                            max_rollbacks=opt.guard_max_rollbacks)
+    defences = Defences.from_options(opt, guard, cancel)
 
     solve_op, bb, xx = op, b, x0
     if opt.dtype != str(op.dtype):
@@ -103,7 +100,7 @@ def solve_linear(
 
     from repro.observe.trace import tracer_of
     with tracer_of(solve_op).span("solve", opt.solver):
-        result = _dispatch(solve_op, bb, xx, opt, guard, cancel, setup,
+        result = _dispatch(solve_op, bb, xx, opt, defences, setup,
                            resume_state)
     if result.x.data.dtype != b.data.dtype:
         result.x = Field(result.x.tile, result.x.halo,
@@ -114,86 +111,53 @@ def solve_linear(
     return result
 
 
-def _dispatch(op, b, x0, opt, guard, cancel=None, setup=None,
+def _dispatch(op, b, x0, opt, defences, setup=None,
               resume_state=None) -> SolveResult:
-    bounds = setup.bounds if setup is not None else None
-    prebuilt = setup.preconditioner if setup is not None else None
     if resume_state is not None and opt.solver != "cg":
         raise ConfigurationError(
             f"exact mid-solve resume is only supported for the plain "
             f"'cg' solver, not {opt.solver!r}")
+    budget = {"eps": opt.eps, "max_iters": opt.max_iters}
     if opt.solver == "jacobi":
-        return jacobi_solve(op, b, x0, eps=opt.eps, max_iters=opt.max_iters,
-                            stagnation_window=opt.stagnation_window,
-                            cancel=cancel)
-    if opt.solver == "cg":
-        M = prebuilt if prebuilt is not None \
-            else make_local_preconditioner(op, opt.preconditioner)
-        return cg_solve(op, b, x0, eps=opt.eps, max_iters=opt.max_iters,
-                        preconditioner=M, raise_on_stall=opt.raise_on_stall,
-                        guard=guard, abft_interval=opt.abft_interval,
-                        abft_tolerance=opt.abft_tolerance,
-                        replace_interval=opt.replace_interval,
-                        replace_adaptive=opt.replace_adaptive,
-                        replace_tolerance=opt.replace_tolerance,
-                        stagnation_window=opt.stagnation_window,
-                        cancel=cancel, resume_state=resume_state)
-    if opt.solver == "cg_fused":
+        return jacobi_solve(op, b, x0, **budget, cancel=defences.cancel,
+                            stagnation_window=opt.stagnation_window)
+    if opt.solver in ("cg", "cg_fused"):
+        M = setup.preconditioner if setup is not None else None
+        if M is None:
+            M = make_local_preconditioner(op, opt.preconditioner)
+        if opt.solver == "cg":
+            return cg_solve(op, b, x0, **budget, preconditioner=M,
+                            raise_on_stall=opt.raise_on_stall,
+                            defences=defences, resume_state=resume_state)
         from repro.solvers.cg_fused import cg_fused_solve
-        M = prebuilt if prebuilt is not None \
-            else make_local_preconditioner(op, opt.preconditioner)
-        return cg_fused_solve(op, b, x0, eps=opt.eps,
-                              max_iters=opt.max_iters, preconditioner=M,
-                              cancel=cancel)
+        return cg_fused_solve(op, b, x0, **budget, preconditioner=M,
+                              cancel=defences.cancel)
     if opt.solver == "dcg":
         from repro.solvers.deflation import deflated_cg_solve
-        return deflated_cg_solve(op, b, x0, eps=opt.eps,
-                                 max_iters=opt.max_iters,
+        return deflated_cg_solve(op, b, x0, **budget,
                                  blocks=opt.deflation_blocks,
                                  preconditioner=opt.preconditioner)
-    if opt.solver == "chebyshev":
-        return chebyshev_solve(
-            op, b, x0, eps=opt.eps, max_iters=opt.max_iters,
-            warmup_iters=opt.eigen_warmup_iters,
-            eigen_safety=opt.eigen_safety,
-            check_interval=opt.check_interval,
-            preconditioner=opt.preconditioner,
-            halo_depth=opt.halo_depth,
-            raise_on_stall=opt.raise_on_stall,
-            guard=guard,
-            degrade=opt.degrade,
-            stagnation_window=opt.stagnation_window,
-            bounds=bounds,
-            cancel=cancel,
-        )
-    if opt.solver == "ppcg":
-        return ppcg_solve(
-            op, b, x0, eps=opt.eps, max_iters=opt.max_iters,
-            inner_steps=opt.ppcg_inner_steps,
-            halo_depth=opt.halo_depth,
-            warmup_iters=opt.eigen_warmup_iters,
-            eigen_safety=opt.eigen_safety,
-            inner_preconditioner=opt.preconditioner,
-            adaptive=opt.adaptive,
-            raise_on_stall=opt.raise_on_stall,
-            guard=guard,
-            degrade=opt.degrade,
-            abft_interval=opt.abft_interval,
-            abft_tolerance=opt.abft_tolerance,
-            replace_interval=opt.replace_interval,
-            replace_adaptive=opt.replace_adaptive,
-            replace_tolerance=opt.replace_tolerance,
-            stagnation_window=opt.stagnation_window,
-            bounds=bounds,
-            cancel=cancel,
-        )
+    if opt.solver in ("chebyshev", "ppcg"):
+        spectral = dict(budget, warmup_iters=opt.eigen_warmup_iters,
+                        eigen_safety=opt.eigen_safety,
+                        halo_depth=opt.halo_depth,
+                        raise_on_stall=opt.raise_on_stall,
+                        degrade=opt.degrade, defences=defences,
+                        bounds=setup.bounds if setup is not None else None)
+        if opt.solver == "chebyshev":
+            return chebyshev_solve(op, b, x0, **spectral,
+                                   check_interval=opt.check_interval,
+                                   preconditioner=opt.preconditioner)
+        return ppcg_solve(op, b, x0, **spectral, adaptive=opt.adaptive,
+                          inner_steps=opt.ppcg_inner_steps,
+                          inner_preconditioner=opt.preconditioner)
     if opt.solver == "mgcg":
         # Imported lazily: multigrid builds on this package.  Serial runs
         # use the global-grid hierarchy; decomposed runs use the hybrid
         # domain-decomposition + agglomeration V-cycle (paper §VII).
         if op.comm.size == 1:
             from repro.multigrid.mgcg import mgcg_solve
-            return mgcg_solve(op, b, x0, eps=opt.eps, max_iters=opt.max_iters)
+            return mgcg_solve(op, b, x0, **budget)
         from repro.multigrid.distributed import dmgcg_solve
-        return dmgcg_solve(op, b, x0, eps=opt.eps, max_iters=opt.max_iters)
+        return dmgcg_solve(op, b, x0, **budget)
     raise ConfigurationError(f"unknown solver {opt.solver!r}")

@@ -9,10 +9,8 @@ reuses the shared matvec kernel.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.mesh.field import Field
-from repro.numerics.breakdown import BreakdownGuard
+from repro.numerics.breakdown import BreakdownGuard, residual_norm
 from repro.solvers.operator import StencilOperator2D
 from repro.solvers.result import SolveResult
 from repro.utils.validation import check_finite_field, check_positive
@@ -59,7 +57,7 @@ def jacobi_solve(
     inv_diag = 1.0 / op.diagonal()
 
     rr = op.residual_dot(b, x, out=r)
-    r0_norm = float(np.sqrt(rr))
+    r0_norm = residual_norm(rr)
     threshold = eps * r0_norm
     history = [r0_norm]
     converged = r0_norm <= threshold
@@ -79,7 +77,7 @@ def jacobi_solve(
             # allreduce, exactly the budget of the residual + dot pair.
             rr = op.residual_dot(b, x, out=r)
             iterations += 1
-            res_norm = float(np.sqrt(rr))
+            res_norm = residual_norm(rr)
             history.append(res_norm)
             breakdown.residual(res_norm, iterations)
             converged = res_norm <= threshold

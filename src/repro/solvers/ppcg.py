@@ -21,13 +21,12 @@ matrix powers kernel: one ``n``-deep halo exchange per ``n`` inner steps.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.mesh.field import Field
 from repro.solvers.cg import cg_solve
 from repro.solvers.chebyshev import ChebyshevPreconditioner
+from repro.solvers.defences import Defences
 from repro.solvers.eigen import (
     EigenBounds,
     estimate_eigenvalues,
@@ -43,9 +42,6 @@ from repro.utils.errors import (
     stall_error,
 )
 from repro.utils.validation import check_finite_field, check_positive
-
-if TYPE_CHECKING:
-    from repro.resilience.guard import SolverGuard
 
 #: Machine-checked communication budget (see ``repro.analysis``).  CPPCG's
 #: outer loop *is* ``cg_solve`` running with the Chebyshev preconditioner,
@@ -82,15 +78,8 @@ def ppcg_solve(
     adaptive: bool = False,
     max_restarts: int = 2,
     raise_on_stall: bool = False,
-    guard: "SolverGuard | None" = None,
     degrade: bool = False,
-    abft_interval: int = 0,
-    abft_tolerance: float = 1e-6,
-    replace_interval: int = 0,
-    replace_adaptive: bool = False,
-    replace_tolerance: float = 0.0,
-    stagnation_window: int = 0,
-    cancel=None,
+    defences: Defences | None = None,
 ) -> SolveResult:
     """Solve ``A x = b`` with CPPCG.
 
@@ -122,26 +111,6 @@ def ppcg_solve(
         Raise :class:`ConvergenceError` (with solver name, final relative
         residual and iteration count) instead of returning an unconverged
         result when the budget is exhausted.
-    guard:
-        Optional :class:`~repro.resilience.guard.SolverGuard`, threaded
-        through to every inner ``cg_solve`` phase (warm-up, outer,
-        re-warm-up) for checkpoint/rollback recovery.
-    abft_interval, abft_tolerance:
-        Periodic ABFT residual-replay check threaded through to every
-        ``cg_solve`` phase (see :func:`~repro.solvers.cg.cg_solve`) —
-        particularly valuable here, where the fused inner/outer structure
-        lets undetected corruption propagate across ``inner_steps``
-        stencil applications before any residual check sees it.
-    replace_interval / replace_adaptive / replace_tolerance:
-        Residual replacement for the Chebyshev-preconditioned outer phase
-        (and the plain-CG fallback), see :func:`~repro.solvers.cg.cg_solve`.
-        Deep matrix-powers inner steps are exactly where the recurrence
-        residual drifts from the true residual, so this is the knob that
-        lets depth-16 CPPCG converge to the same *true*-residual tolerance
-        as depth-1.
-    stagnation_window:
-        Breakdown-guard stagnation window threaded to every CG phase
-        (0 disables).
     degrade:
         Graceful degradation: fall back to *plain CG* when the Chebyshev
         preconditioner is unusable (invalid/non-finite spectrum bounds,
@@ -149,6 +118,12 @@ def ppcg_solve(
         ``halo_depth = 1`` when the matrix-powers deep exchanges keep
         failing with :class:`CommunicationError`.  A degraded result
         carries ``result.degraded = True`` and ``result.degraded_reason``.
+    defences:
+        The :class:`~repro.solvers.defences.Defences` of every ``cg_solve``
+        phase (ABFT replay matters most here: corruption crosses
+        ``inner_steps`` stencil applications before a residual check sees
+        it; replacement is what lets depth-16 CPPCG reach depth-1's *true*
+        tolerance).  Warm-up phases run them as ``defences.warmup()``.
     """
     check_positive("inner_steps", inner_steps)
     check_positive("warmup_iters", warmup_iters)
@@ -163,14 +138,19 @@ def ppcg_solve(
             "block Jacobi cannot be combined with matrix powers "
             "(halo_depth > 1); see paper §IV-C2")
 
-    local_M = make_local_preconditioner(op, inner_preconditioner)
+    defences = defences if defences is not None else Defences()
     from repro.observe.trace import tracer_of
     tracer = tracer_of(op)
-    with tracer.span("phase", "warmup"):
-        warmup = cg_solve(op, b, x0, eps=eps, max_iters=warmup_iters,
-                          preconditioner=local_M, solver_name="ppcg",
-                          guard=guard, abft_interval=abft_interval,
-                          abft_tolerance=abft_tolerance, cancel=cancel)
+
+    def phase(name, x, iters, defences, **kwargs):
+        """One ``cg_solve`` phase of this solve, under its own span."""
+        with tracer.span("phase", name):
+            return cg_solve(op, b, x, eps=eps, max_iters=iters,
+                            solver_name="ppcg", defences=defences, **kwargs)
+
+    warmup = phase("warmup", x0, warmup_iters, defences.warmup(),
+                   preconditioner=make_local_preconditioner(
+                       op, inner_preconditioner))
     if warmup.converged:
         warmup.warmup_iterations = warmup.iterations
         warmup.iterations = 0
@@ -208,25 +188,9 @@ def ppcg_solve(
             predicted = iteration_bounds(bounds, inner_steps,
                                          tolerance=eps).k_outer
             chunk = min(chunk, int(4 * predicted) + 20)
-        breakdown: ConvergenceError | None = None
         try:
-            with tracer.span("phase", "outer"):
-                outer = cg_solve(
-                    op, b, current_x,
-                    eps=eps,
-                    max_iters=chunk,
-                    preconditioner=cheby,
-                    reference_norm=reference,
-                    solver_name="ppcg",
-                    guard=guard,
-                    abft_interval=abft_interval,
-                    abft_tolerance=abft_tolerance,
-                    replace_interval=replace_interval,
-                    replace_adaptive=replace_adaptive,
-                    replace_tolerance=replace_tolerance,
-                    stagnation_window=stagnation_window,
-                    cancel=cancel,
-                )
+            outer = phase("outer", current_x, chunk, defences,
+                          preconditioner=cheby, reference_norm=reference)
         except CommunicationError:
             if degrade and depth > 1:
                 # The deep exchanges of the matrix powers kernel keep
@@ -242,35 +206,29 @@ def ppcg_solve(
                 break
             raise
         except ConvergenceError as exc:
-            if not adaptive:
-                if degrade:
-                    cg_reason = f"chebyshev-preconditioned CG broke down: {exc}"
-                    break
-                raise
-            breakdown = exc
-        if breakdown is None:
+            # Breakdown: restart below while the adaptive budget lasts,
+            # then degrade or give up.
+            if not (adaptive and restarts < max_restarts):
+                if not degrade:
+                    raise
+                cg_reason = (
+                    f"breakdown persists after {restarts} restart(s): {exc}"
+                    if adaptive else
+                    f"chebyshev-preconditioned CG broke down: {exc}")
+                break
+        else:
             history_prefix += outer.history[1:]
             budget -= outer.iterations
             current_x = outer.x
             if outer.converged or not adaptive or budget <= 0 \
                     or restarts >= max_restarts:
                 break
-        elif restarts >= max_restarts:
-            if degrade:
-                cg_reason = (f"breakdown persists after {restarts} "
-                             f"restart(s): {breakdown}")
-                break
-            raise breakdown
 
         # Restart: widen the interval and re-estimate from where we are.
         restarts += 1
         safety = (safety[0] * 0.85, safety[1] * 1.25)
-        with tracer.span("phase", "rewarm"):
-            rewarm = cg_solve(op, b, current_x, eps=eps,
-                              max_iters=warmup_iters,
-                              reference_norm=reference, solver_name="ppcg",
-                              guard=guard, abft_interval=abft_interval,
-                              abft_tolerance=abft_tolerance, cancel=cancel)
+        rewarm = phase("rewarm", current_x, warmup_iters, defences.warmup(),
+                       reference_norm=reference)
         extra_warmup += rewarm.iterations
         history_prefix += rewarm.history[1:]
         current_x = rewarm.x
@@ -289,17 +247,8 @@ def ppcg_solve(
         # Graceful degradation: finish the solve with plain CG — slower,
         # but immune to bad spectrum bounds (the stopping criterion is
         # unchanged: same eps against the same reference norm).
-        with tracer.span("phase", "fallback_cg"):
-            outer = cg_solve(op, b, current_x, eps=eps,
-                             max_iters=max(budget, 1),
-                             reference_norm=reference, solver_name="ppcg",
-                             guard=guard, abft_interval=abft_interval,
-                             abft_tolerance=abft_tolerance,
-                             replace_interval=replace_interval,
-                             replace_adaptive=replace_adaptive,
-                             replace_tolerance=replace_tolerance,
-                             stagnation_window=stagnation_window,
-                             cancel=cancel)
+        outer = phase("fallback_cg", current_x, max(budget, 1), defences,
+                      reference_norm=reference)
         history_prefix += outer.history[1:]
         current_x = outer.x
 

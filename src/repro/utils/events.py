@@ -91,29 +91,11 @@ class EventLog:
             return self.count_kind(RECOVERY_KIND)
         return self.count(RECOVERY_KIND, kind)
 
-    @contextmanager
-    def recovery_scope(self):
-        """Reroute records into ``RECOVERY_KIND`` for the ``with`` body."""
-        self._recovery_depth += 1
-        try:
-            yield self
-        finally:
-            self._recovery_depth -= 1
-
     def replacement_count(self, kind: str | None = None) -> int:
         """Events rerouted into the replacement bucket (optionally one kind)."""
         if kind is None:
             return self.count_kind(REPLACEMENT_KIND)
         return self.count(REPLACEMENT_KIND, kind)
-
-    @contextmanager
-    def replacement_scope(self):
-        """Reroute records into ``REPLACEMENT_KIND`` for the ``with`` body."""
-        self._replacement_depth += 1
-        try:
-            yield self
-        finally:
-            self._replacement_depth -= 1
 
     def keys_for(self, kind: str) -> list:
         """All refinement keys observed for ``kind``."""
@@ -151,6 +133,18 @@ class EventLog:
 
 
 @contextmanager
+def _rerouted(depth_attr: str, logs):
+    """Bump ``depth_attr`` on each distinct non-``None`` log for the body."""
+    unique = list({id(log): log for log in logs if log is not None}.values())
+    for log in unique:
+        setattr(log, depth_attr, getattr(log, depth_attr) + 1)
+    try:
+        yield
+    finally:
+        for log in unique:
+            setattr(log, depth_attr, getattr(log, depth_attr) - 1)
+
+
 def recovery_scope(*logs: "EventLog | None"):
     """Enter the recovery scope of several logs at once.
 
@@ -161,22 +155,9 @@ def recovery_scope(*logs: "EventLog | None"):
         with recovery_scope(op.events, getattr(comm, "events", None)):
             exchanger.exchange([x], depth=1)
     """
-    unique: list[EventLog] = []
-    seen: set[int] = set()
-    for log in logs:
-        if log is not None and id(log) not in seen:
-            seen.add(id(log))
-            unique.append(log)
-    for log in unique:
-        log._recovery_depth += 1
-    try:
-        yield
-    finally:
-        for log in unique:
-            log._recovery_depth -= 1
+    return _rerouted("_recovery_depth", logs)
 
 
-@contextmanager
 def replacement_scope(*logs: "EventLog | None"):
     """Enter the replacement scope of several logs at once.
 
@@ -186,16 +167,4 @@ def replacement_scope(*logs: "EventLog | None"):
     first-attempt ``COMM_CONTRACT`` counts.  ``None`` entries and
     duplicates are tolerated exactly as for :func:`recovery_scope`.
     """
-    unique: list[EventLog] = []
-    seen: set[int] = set()
-    for log in logs:
-        if log is not None and id(log) not in seen:
-            seen.add(id(log))
-            unique.append(log)
-    for log in unique:
-        log._replacement_depth += 1
-    try:
-        yield
-    finally:
-        for log in unique:
-            log._replacement_depth -= 1
+    return _rerouted("_replacement_depth", logs)

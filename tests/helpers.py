@@ -14,10 +14,38 @@ from repro.testing import (  # noqa: F401
     serial_operator,
 )
 
+import hashlib
+import struct
+
+from repro.comm import SerialComm
+
+
+def history_sha(history) -> str:
+    """Short sha256 of a residual history's exact float64 bit patterns."""
+    return hashlib.sha256(
+        b"".join(struct.pack("<d", h) for h in history)).hexdigest()[:16]
+
+
+class ScriptedComm(SerialComm):
+    """Serial comm applying ``script[k]`` to the k-th allreduce result
+    (1-based): a deterministic way to corrupt one named reduction."""
+
+    def __init__(self, script):
+        self.script, self.calls = script, 0
+
+    def allreduce(self, value, op="sum"):
+        self.calls += 1
+        out = super().allreduce(value, op)
+        fn = self.script.get(self.calls)
+        return out if fn is None else fn(out)
+
+
 __all__ = [
+    "ScriptedComm",
     "crooked_pipe_jump_system",
     "crooked_pipe_system",
     "distributed_solve",
+    "history_sha",
     "random_spd_faces",
     "reference_solution",
     "serial_operator",

@@ -17,8 +17,8 @@ from repro.comm import SanitizerComm, SanitizerState, launch_spmd
 from repro.mesh import Field, decompose
 from repro.service import CancelToken, Cancelled, DeadlineExceeded, \
     ScheduledCancel
-from repro.solvers import StencilOperator2D, cg_solve, chebyshev_solve, \
-    jacobi_solve, ppcg_solve
+from repro.solvers import Defences, StencilOperator2D, cg_solve, \
+    chebyshev_solve, jacobi_solve, ppcg_solve
 from repro.testing import crooked_pipe_system, serial_operator
 
 
@@ -107,8 +107,8 @@ class TestCancelToken:
         op, b = _serial_system()
         with pytest.raises(Cancelled) as exc:
             cg_solve(op, b, eps=1e-30, max_iters=50,
-                     cancel=DeadlineCancel(CancelToken(), time.monotonic(),
-                                           "deadline"))
+                     defences=Defences(cancel=DeadlineCancel(
+                         CancelToken(), time.monotonic(), "deadline")))
         assert exc.value.iteration == 0
 
 
@@ -117,32 +117,35 @@ class TestSolverCancellation:
         op, b = _serial_system()
         with pytest.raises(DeadlineExceeded) as exc:
             cg_solve(op, b, eps=1e-12, max_iters=200,
-                     cancel=CancelToken(iteration_budget=4))
+                     defences=Defences(cancel=CancelToken(iteration_budget=4)))
         assert exc.value.iteration == 4
 
     @pytest.mark.parametrize("solve", [cg_solve, jacobi_solve])
     def test_scheduled_client_cancel_mid_solve(self, solve):
         op, b = _serial_system()
-        token = CancelToken()
+        cancel = ScheduledCancel(CancelToken(), cancel_at_iteration=3)
+        kw = ({"defences": Defences(cancel=cancel)} if solve is cg_solve
+              else {"cancel": cancel})
         with pytest.raises(Cancelled):
-            solve(op, b, eps=1e-12, max_iters=500,
-                  cancel=ScheduledCancel(token, cancel_at_iteration=3))
+            solve(op, b, eps=1e-12, max_iters=500, **kw)
 
     def test_chebyshev_and_ppcg_respect_budgets(self):
         op, b = _serial_system()
         with pytest.raises(DeadlineExceeded):
             chebyshev_solve(op, b, eps=1e-14, max_iters=400, warmup_iters=8,
-                            cancel=CancelToken(iteration_budget=12))
+                            defences=Defences(
+                                cancel=CancelToken(iteration_budget=12)))
         with pytest.raises(DeadlineExceeded):
             ppcg_solve(op, b, eps=1e-14, max_iters=400, warmup_iters=4,
-                       cancel=CancelToken(iteration_budget=6))
+                       defences=Defences(
+                           cancel=CancelToken(iteration_budget=6)))
 
     def test_inert_token_is_bit_transparent(self):
         """The no-token and inert-token solves take identical paths."""
         op, b = _serial_system()
         plain = cg_solve(op, b, eps=1e-10, max_iters=200)
         tokened = cg_solve(op, b, eps=1e-10, max_iters=200,
-                           cancel=CancelToken())
+                           defences=Defences(cancel=CancelToken()))
         assert tokened.iterations == plain.iterations
         assert np.array_equal(tokened.x.interior, plain.x.interior)
 
@@ -154,8 +157,8 @@ class TestSolverCancellation:
         op, b = _serial_system()
         guard = SolverGuard(checkpoint_interval=2)
         with pytest.raises(DeadlineExceeded):
-            cg_solve(op, b, eps=1e-12, max_iters=200, guard=guard,
-                     cancel=CancelToken(iteration_budget=7))
+            cg_solve(op, b, eps=1e-12, max_iters=200, defences=Defences(
+                guard=guard, cancel=CancelToken(iteration_budget=7)))
         assert guard.checkpoints >= 3
         snap = guard.rollback("resume after cancel")
         assert 0 <= snap.iteration <= 6
@@ -201,7 +204,8 @@ class TestRankCoherentCancellation:
             b = Field.from_global(tile, 1, bg)
             try:
                 cg_solve(op, b, eps=1e-14, max_iters=200,
-                         cancel=CancelToken(iteration_budget=5))
+                         defences=Defences(
+                             cancel=CancelToken(iteration_budget=5)))
             except DeadlineExceeded as exc:
                 c.check_quiescent()   # raises SanitizerError if p2p pending
                 return ("deadline", exc.iteration)
@@ -237,36 +241,14 @@ def test_all_contracts_verify_with_inert_token():
 
     specs = default_specs()
     assert len(specs) == 8
-    # Re-point every cancel-aware solver at a tokened run (dcg keeps its
-    # stock run: deflated CG has no cancellation hook).
-    from repro.analysis.verify import EPS_NEVER
-    from repro.solvers import cg_fused_solve
+    # Hand every spec's run an inert token on top of its defences (dcg
+    # ignores it: deflated CG has no cancellation hook).
+    from dataclasses import replace
 
     token = CancelToken()
-    by_name = {s.name: s for s in specs}
-    by_name["cg"].run = lambda op, b, bounds, k, guard=None: cg_solve(
-        op, b, eps=EPS_NEVER, max_iters=k, guard=guard, cancel=token)
-    by_name["cg_fused"].run = \
-        lambda op, b, bounds, k, guard=None: cg_fused_solve(
-            op, b, eps=EPS_NEVER, max_iters=k, cancel=token)
-    by_name["jacobi"].run = lambda op, b, bounds, k, guard=None: jacobi_solve(
-        op, b, eps=EPS_NEVER, max_iters=k, cancel=token)
-    by_name["chebyshev"].run = \
-        lambda op, b, bounds, k, guard=None: chebyshev_solve(
-            op, b, eps=EPS_NEVER, max_iters=k, warmup_iters=8,
-            check_interval=10, bounds=bounds, guard=guard, cancel=token)
-    by_name["chebyshev[depth=4]"].run = \
-        lambda op, b, bounds, k, guard=None: chebyshev_solve(
-            op, b, eps=EPS_NEVER, max_iters=k, warmup_iters=8,
-            check_interval=10, halo_depth=4, bounds=bounds, guard=guard,
-            cancel=token)
-    by_name["ppcg"].run = lambda op, b, bounds, k, guard=None: ppcg_solve(
-        op, b, eps=EPS_NEVER, max_iters=k, inner_steps=4, warmup_iters=8,
-        bounds=bounds, guard=guard, cancel=token)
-    by_name["ppcg[depth=4]"].run = \
-        lambda op, b, bounds, k, guard=None: ppcg_solve(
-            op, b, eps=EPS_NEVER, max_iters=k, inner_steps=8, halo_depth=4,
-            warmup_iters=8, bounds=bounds, guard=guard, cancel=token)
+    for spec in specs:
+        spec.run = (lambda op, b, bounds, k, defences, run=spec.run:
+                    run(op, b, bounds, k, replace(defences, cancel=token)))
 
     reports = verify_contracts(n=32, specs=specs)
     assert len(reports) == 8

@@ -222,6 +222,41 @@ class TestSolverCheckpointStore:
         assert np.array_equal(arrays["x"], np.arange(4.0))
         assert scalars["res_norm"] == 1e-3
 
+    def test_cg_resumes_bit_identically_from_a_guard_shard(self, tmp_path):
+        """A CG killed after its iteration-20 checkpoint continues from
+        the shard exactly as the uninterrupted run does: the shard holds
+        what ``CGState.snapshot`` saved and ``resume_state`` goes through
+        the same ``restore`` a guard rollback uses (pinned before PR 13)."""
+        from repro.mesh import Field
+        from repro.resilience import SolverGuard
+        from repro.solvers import Defences, cg_solve
+        from tests.helpers import history_sha, serial_operator
+
+        g, kx, ky, bg = crooked_pipe_system(16)
+
+        def system():
+            op = serial_operator(g, kx, ky)
+            return op, Field.from_global(op.tile, 1, bg)
+
+        full = cg_solve(*system(), eps=1e-10, max_iters=200)
+        store = SolverCheckpointStore(tmp_path, rank=0)
+        killed = cg_solve(*system(), eps=1e-10, max_iters=23,
+                          defences=Defences(guard=SolverGuard(
+                              checkpoint_interval=5, store=store)))
+        assert not killed.converged
+        iteration, arrays, scalars = store.load()
+        assert iteration == 20 and sorted(arrays) == ["p", "r", "x"]
+        resumed = cg_solve(*system(), eps=1e-10, max_iters=200,
+                           resume_state={"iteration": iteration,
+                                         "arrays": arrays,
+                                         "scalars": scalars})
+        assert resumed.converged
+        assert resumed.iterations == full.iterations == 28
+        assert np.array_equal(resumed.x.data, full.x.data)
+        assert resumed.history == full.history[20:]
+        assert history_sha(resumed.history) == "67f82e0c50703852"
+        assert history_sha(full.history) == "5ab6329831f90439"
+
 
 # -- kill-and-restart ---------------------------------------------------------
 

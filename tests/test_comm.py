@@ -268,3 +268,132 @@ class TestInstrumentedComm:
         assert ic.allreduce(2.0) == 2.0
         assert ic.rank == 0 and ic.size == 1
         assert ic.events.count("allreduce", "sum") == 1
+
+
+# -- ForwardingComm: a wrapper is only its interceptions -----------------------
+
+
+class _Loopback(SerialComm):
+    """One-rank inner comm that records every call and loops sends back."""
+
+    def __init__(self):
+        self.calls, self.boxes = [], {}
+
+    def send(self, obj, dest, tag=0):
+        self.calls.append(("send", (obj, dest, tag)))
+        self.boxes.setdefault(tag, []).append(obj)
+
+    def recv(self, source, tag=0, timeout=None):
+        self.calls.append(("recv", (source, tag, timeout)))
+        return self.boxes[tag].pop(0)
+
+    def _collective(name):
+        def method(self, *args):
+            self.calls.append((name, args))
+            return (name, "result")
+        return method
+
+    allreduce = _collective("allreduce")
+    bcast = _collective("bcast")
+    gather = _collective("gather")
+    allgather = _collective("allgather")
+    barrier = _collective("barrier")
+
+
+def _wrappers():
+    from repro.comm import SanitizerComm
+    from repro.resilience import (ChecksumComm, FaultPlan, FaultyComm,
+                                  RetryingComm)
+    return {
+        InstrumentedComm: lambda inner: InstrumentedComm(inner, EventLog()),
+        RetryingComm: lambda inner: RetryingComm(inner),
+        ChecksumComm: lambda inner: ChecksumComm(inner),
+        FaultyComm: lambda inner: FaultyComm(inner, FaultPlan.disabled()),
+        SanitizerComm: lambda inner: SanitizerComm(inner),
+    }
+
+
+#: primitive -> the arguments the transparency test calls it with
+_PRIMITIVES = {
+    "send": ("payload", 0, 7), "recv": (0, 7, 1.5),
+    "allreduce": (2.0, "max"), "bcast": ("obj", 0), "gather": ("obj", 0),
+    "allgather": ("obj",), "barrier": (),
+}
+
+
+class TestForwardingComm:
+    def test_every_wrapper_is_registered_here(self):
+        from repro.comm.base import ForwardingComm
+        assert set(ForwardingComm.__subclasses__()) == set(_wrappers())
+
+    @pytest.mark.parametrize("cls", list(_wrappers()), ids=lambda c: c.__name__)
+    def test_undefined_methods_reach_inner_with_their_arguments(self, cls):
+        inner = _Loopback()
+        inner.boxes[7] = ["queued"]
+        wrapper = _wrappers()[cls](inner)
+        assert "rank" not in vars(cls) and "size" not in vars(cls)
+        assert (wrapper.rank, wrapper.size) == (0, 1)
+        assert wrapper.inner is inner
+        for name, args in _PRIMITIVES.items():
+            if name in vars(cls):
+                continue          # an interception: covered by its own tests
+            del inner.calls[:]
+            out = getattr(wrapper, name)(*args)
+            assert inner.calls == [(name, args)], (cls.__name__, name)
+            if name == "recv":
+                assert out == "queued"
+            elif name not in ("send", "barrier"):
+                assert out == (name, "result")
+
+    def test_isend_irecv_stay_on_the_wrappers_own_send_recv(self):
+        """Forwarding isend/irecv to ``inner`` would bypass every
+        interception; the ABC defaults route them through the wrapper."""
+        from repro.resilience import (ChecksumComm, FaultPlan, FaultRule,
+                                      FaultyComm, RetryingComm)
+        from repro.resilience.integrity import CHANNEL_OFFSET
+        from repro.utils.errors import TransientCommError
+
+        # event counts observed
+        ic = InstrumentedComm(_Loopback(), EventLog())
+        ic.isend("m", 0, tag=3).wait()
+        assert ic.irecv(0, tag=3).wait() == "m"
+        assert ic.events.count("p2p_send", 3) == 1
+        assert ic.events.count("p2p_recv", 3) == 1
+
+        # retries observed
+        class Flaky(_Loopback):
+            failed = set()
+
+            def _once(self, name):
+                if name not in self.failed:
+                    self.failed.add(name)
+                    raise TransientCommError(f"first {name} fails")
+
+            def send(self, obj, dest, tag=0):
+                self._once("send")
+                super().send(obj, dest, tag)
+
+            def recv(self, source, tag=0, timeout=None):
+                self._once("recv")
+                return super().recv(source, tag, timeout)
+
+        rc = RetryingComm(Flaky())
+        rc.isend("m", 0, tag=3).wait()
+        assert rc.irecv(0, tag=3).wait() == "m"
+        assert rc.retries == 2
+
+        # fault consult observed
+        fc = FaultyComm(_Loopback(), FaultPlan(seed=1, rules=(
+            FaultRule(mode="delay", ops=("send", "recv")),)))
+        fc.isend("m", 0, tag=3).wait()
+        assert fc.irecv(0, tag=3).wait() == "m"
+        assert [ev.op for ev in fc.log] == ["send", "recv"]
+
+        # checksum framing observed: two framed copies on two channels
+        inner = _Loopback()
+        cc = ChecksumComm(inner)
+        cc.isend(np.arange(3.0), 0, tag=3).wait()
+        sends = [args for name, args in inner.calls if name == "send"]
+        assert [tag for _obj, _dest, tag in sends] == [3, 3 + CHANNEL_OFFSET]
+        assert all(obj.shape != (3,) for obj, _dest, _tag in sends)
+        assert np.array_equal(cc.irecv(0, tag=3).wait(), np.arange(3.0))

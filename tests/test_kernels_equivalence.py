@@ -43,7 +43,7 @@ from repro.kernels import (
 )
 from repro.kernels.numpy_backend import _block_rows
 from repro.mesh import Field
-from repro.solvers import SolverOptions, cg_solve, solve_linear
+from repro.solvers import Defences, SolverOptions, cg_solve, solve_linear
 from repro.testing import crooked_pipe_system, serial_operator
 from repro.utils.errors import ConfigurationError
 
@@ -361,7 +361,8 @@ def test_cg_iterations_allocate_no_array(backend, small_ufunc_buffers):
     b = Field.from_global(op.tile, op.halo, bg)
     probe = _AllocationProbe(6, 25)
     try:
-        result = cg_solve(op, b, eps=1e-30, max_iters=30, cancel=probe)
+        result = cg_solve(op, b, eps=1e-30, max_iters=30,
+                          defences=Defences(cancel=probe))
     finally:
         tracemalloc.stop()
     assert result.iterations == 30 and probe.growth is not None

@@ -16,8 +16,8 @@ from repro.numerics import (
     resolve_dtype,
     unit_roundoff,
 )
-from repro.solvers import (EigenBounds, SolverOptions, StencilOperator2D,
-                           cg_solve, solve_linear)
+from repro.solvers import (Defences, EigenBounds, SolverOptions,
+                           StencilOperator2D, cg_solve, solve_linear)
 from repro.solvers.dim3 import StencilOperator3D, cg_solve_3d
 from repro.solvers.jacobi import jacobi_solve
 from repro.solvers.ppcg import ppcg_solve
@@ -28,6 +28,7 @@ from tests.helpers import (
     crooked_pipe_jump_system,
     crooked_pipe_system,
     distributed_solve,
+    history_sha,
     serial_operator,
 )
 
@@ -203,6 +204,51 @@ class TestSolverBreakdowns:
         assert exc.value.quantity == "residual_norm"
         assert np.isnan(exc.value.value)
 
+    @pytest.mark.parametrize("name,flip_at,verdict", [
+        ("jacobi", 3, "raises"), ("chebyshev", 12, "raises"),
+        ("cg_fused", 3, "nan"), ("dcg", 8, "nan"), ("multigrid", 2, "nan"),
+    ])
+    def test_sign_flipped_reduction_outside_cg(self, name, flip_at, verdict):
+        """ROADMAP 4a beyond ``cg.py``: every residual norm is taken with
+        ``residual_norm``, so a sign-flipped ``<r, r>`` is a NaN norm for
+        the guards to judge (or the history to show), never a numpy
+        ``RuntimeWarning`` from an unguarded ``sqrt``."""
+        import warnings
+        from repro.multigrid import multigrid_solve
+        from repro.solvers import (cg_fused_solve, chebyshev_solve,
+                                   deflated_cg_solve)
+        from tests.helpers import ScriptedComm
+
+        def negate(out):   # <r, r> is the last (or only) reduced value
+            if np.ndim(out) == 0:
+                return -out
+            out = out.copy()
+            out[-1] = -out[-1]
+            return out
+        solve = {
+            "jacobi": lambda op, b: jacobi_solve(op, b, max_iters=20),
+            "chebyshev": lambda op, b: chebyshev_solve(
+                op, b, max_iters=40, warmup_iters=4, check_interval=5),
+            "cg_fused": lambda op, b: cg_fused_solve(op, b, max_iters=5),
+            "dcg": lambda op, b: deflated_cg_solve(
+                op, b, max_iters=5, blocks=(2, 2), preconditioner="diagonal"),
+            "multigrid": lambda op, b: multigrid_solve(op, b, max_iters=3),
+        }[name]
+        g, kx, ky, bg = crooked_pipe_system(16)
+        op = StencilOperator2D.from_global_faces(
+            serial_operator(g, kx, ky).tile, 1, kx, ky,
+            ScriptedComm({flip_at: negate}))
+        b = Field.from_global(op.tile, 1, bg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if verdict == "raises":
+                with pytest.raises(BreakdownError) as exc:
+                    solve(op, b)
+                assert exc.value.quantity == "residual_norm"
+                assert np.isnan(exc.value.value)
+            else:
+                assert any(np.isnan(h) for h in solve(op, b).history)
+
     def test_cg_fused_indefinite_operator(self):
         from repro.solvers.cg_fused import cg_fused_solve
         op, b = indefinite_problem()
@@ -274,7 +320,7 @@ class TestPpcgRestartAndFallback:
         bad = EigenBounds(lam_min=0.5, lam_max=0.6)
         return ppcg_solve(op, b, eps=self.EPS, max_iters=400,
                           inner_steps=9, halo_depth=4, bounds=bad,
-                          stagnation_window=15, **kw)
+                          defences=Defences(stagnation_window=15), **kw)
 
     def test_fallback_to_plain_cg(self, system):
         result = self.run(system, adaptive=True, max_restarts=0,
@@ -283,6 +329,16 @@ class TestPpcgRestartAndFallback:
         assert result.degraded
         assert "fell back to plain CG" in result.degraded_reason
         assert "breakdown persists" in result.degraded_reason
+        # pinned before PR 13 moved the defences behind one object: the
+        # warm-up ran with the stagnation window off, every later phase
+        # with a fresh one
+        assert (result.iterations, result.warmup_iterations,
+                result.restarts) == (37, 25, 0)
+        assert len(result.history) == 63
+        assert history_sha(result.history) == "f12ca2e550319502"
+        assert result.degraded_reason.endswith(
+            "residual stagnated across 15 iterations "
+            "(1.311807e-02 -> 1.310812e-02) at iteration 89")
 
     def test_breakdown_raises_without_degrade(self, system):
         with pytest.raises(BreakdownError, match="stagnated"):
@@ -436,6 +492,29 @@ class TestResidualReplacement:
         assert honest.replacement.splices > 0
         if honest.converged:
             assert honest.true_relative_residual <= 10 * eps
+        # pinned before PR 13: every claimed convergence was refused
+        assert (honest.iterations, honest.converged) == (300, False)
+        assert honest.replacement.as_dict() == {
+            "checks": 109, "splices": 108,
+            "max_drift": 1.4321918708997808e-06, "interval": 10}
+        assert history_sha(honest.history) == "d3474ba933aaf34f"
+
+    def test_splice_at_claimed_convergence_pinned(self):
+        # A drift bound below rounding makes every check splice — the
+        # scheduled ones (10, 20) and the one forced when the recurrence
+        # claims convergence (29) — with guard and ABFT replay (every 3,
+        # never coinciding) riding along.  Pinned before PR 13.
+        op, b = pipe_problem(16)
+        result = solve_linear(op, b, options=SolverOptions(
+            solver="cg", eps=1e-10, max_iters=300, replace_interval=10,
+            replace_tolerance=1e-15, guard_interval=5, abft_interval=3))
+        assert (result.iterations, result.converged) == (29, True)
+        assert result.replacement.as_dict() == {
+            "checks": 3, "splices": 3,
+            "max_drift": 2.3418766925686896e-16, "interval": 10}
+        assert history_sha(result.history) == "9ade3deb71bdb0e4"
+        assert result.events.recovery_count("matvec") == 9
+        assert result.events.replacement_count("matvec") == 3
 
     def test_replacement_traffic_is_rerouted(self):
         # Splice-free replacement checks must not change the iteration

@@ -30,7 +30,6 @@ from repro.observe import (
     MetricsRegistry,
     NullTracer,
     Tracer,
-    TracingComm,
     attach_tracer,
     chrome_trace,
     jsonl_lines,
@@ -51,7 +50,8 @@ from repro.resilience import (
     RetryingComm,
     VirtualClock,
 )
-from repro.solvers import SolverOptions, StencilOperator2D, cg_solve
+from repro.solvers import (Defences, SolverOptions, StencilOperator2D,
+                           cg_solve)
 from repro.testing import crooked_pipe_system
 from repro.utils import EventLog
 
@@ -414,7 +414,7 @@ def _span_measure(spec, n=32):
         op = StencilOperator2D.from_global_faces(
             tile, spec.halo, kxg, kyg, comm, events=log, tracer=tracer)
         b = Field.from_global(tile, spec.halo, bg)
-        result = spec.run(op, b, bounds, max_iters)
+        result = spec.run(op, b, bounds, max_iters, Defences())
         return (tracer.count("allreduce"), tracer.count("halo_exchange"),
                 result.iterations, tracer)
 
@@ -445,11 +445,11 @@ def test_span_counts_match_comm_contracts():
             spec.name
 
 
-# -- retry exclusion, wrapper order independent (satellite) --------------------
+# -- retry exclusion (satellite) -----------------------------------------------
 
 
-def _faulty_cg(stack_order, seed=11, rate=0.05):
-    """cg on a fault-injecting stack with tracing at ``stack_order``."""
+def _faulty_cg(seed=11, rate=0.05):
+    """cg on a fault-injecting stack traced at the instrument layer."""
     grid, kxg, kyg, bg = crooked_pipe_system(16)
     log = EventLog()
     tracer = Tracer(clock=VirtualClock(tick=1e-6))
@@ -459,10 +459,7 @@ def _faulty_cg(stack_order, seed=11, rate=0.05):
         if rate > 0 else FaultPlan.disabled()
     faulty = FaultyComm(SerialComm(), plan, events=log, clock=clock)
     retrying = RetryingComm(faulty, max_attempts=5, clock=clock, events=log)
-    if stack_order == "instrument_outer":
-        comm = InstrumentedComm(TracingComm(retrying, tracer), log)
-    else:
-        comm = TracingComm(InstrumentedComm(retrying, log), tracer)
+    comm = InstrumentedComm(retrying, log, tracer=tracer)
     tile = decompose(grid, 1)[0]
     op = StencilOperator2D.from_global_faces(tile, 1, kxg, kyg, comm,
                                              events=log)
@@ -472,13 +469,11 @@ def _faulty_cg(stack_order, seed=11, rate=0.05):
     return w, result, tracer, retrying
 
 
-@pytest.mark.parametrize("order", ["instrument_outer", "tracing_outer"])
-def test_retries_excluded_from_first_attempt_counts(order):
-    """RETRY_KIND re-issues never inflate contract counts, and inserting
-    the tracing wrapper on either side of the instrument layer yields
-    identical first-attempt numbers."""
-    clean_w, clean_result, _, _ = _faulty_cg(order, rate=0.0)
-    w, result, tracer, retrying = _faulty_cg(order)
+def test_retries_excluded_from_first_attempt_counts():
+    """RETRY_KIND re-issues never inflate contract counts, and the
+    instrument layer's spans match its first-attempt event counts."""
+    clean_w, clean_result, _, _ = _faulty_cg(rate=0.0)
+    w, result, tracer, retrying = _faulty_cg()
     assert result.iterations == clean_result.iterations == 10
     assert retrying.retries > 0, "fault plan injected nothing"
     assert w.retry_count("allreduce") == retrying.retries
@@ -489,16 +484,6 @@ def test_retries_excluded_from_first_attempt_counts(order):
         clean_w.count_kind("halo_exchange")
     # the tracer sees the same logical operations as the event log
     assert tracer.count("allreduce") == w.count_kind("allreduce")
-
-
-def test_wrapper_orders_agree():
-    wa, ra, ta, _ = _faulty_cg("instrument_outer")
-    wb, rb, tb, _ = _faulty_cg("tracing_outer")
-    assert wa.count_kind("allreduce") == wb.count_kind("allreduce")
-    assert wa.count_kind("halo_exchange") == wb.count_kind("halo_exchange")
-    assert wa.retry_count() == wb.retry_count()
-    assert ta.count("allreduce") == tb.count("allreduce")
-    assert ra.history == rb.history  # same seed -> identical trajectory
 
 
 def test_attach_tracer_installs_everywhere():

@@ -20,13 +20,16 @@ from repro.resilience import (
     run_resilient,
 )
 from repro.solvers import (
+    Defences,
     EigenBounds,
     SolverOptions,
+    StencilOperator2D,
     cg_fused_solve,
     cg_solve,
     chebyshev_solve,
     deflated_cg_solve,
     jacobi_solve,
+    make_local_preconditioner,
     ppcg_solve,
 )
 from repro.utils import EventLog
@@ -37,7 +40,12 @@ from repro.utils.errors import (
     TransientCommError,
 )
 
-from tests.helpers import crooked_pipe_system, serial_operator
+from tests.helpers import (
+    ScriptedComm,
+    crooked_pipe_system,
+    history_sha,
+    serial_operator,
+)
 
 #: The acceptance-criteria fault mix: 2% transient wire errors on every op
 #: class plus 1% NaN-corrupted allreduce results.
@@ -238,6 +246,102 @@ class TestGuard:
         assert any(ev.action == "rollback" for ev in report.guard_events)
 
 
+class TestDefencePaths:
+    """Every way a CG iteration can be rewound or refused, pinned at the
+    commit before the defences moved behind one object (PR 13): iteration
+    and rollback/checkpoint counts, the guard-log text, and the exact
+    residual history.  A CG allreduce sequence is 1 = initial dots, then
+    per iteration k: 2k+2 = ``<p, Ap>``, 2k+3 = ``(<r, z>, <r, r>)``."""
+
+    CLEAN = "5ab6329831f90439"   # history of the fault-free 28-iteration run
+
+    @staticmethod
+    def system(script):
+        g, kx, ky, bg = crooked_pipe_system(16)
+        op = StencilOperator2D.from_global_faces(
+            serial_operator(g, kx, ky).tile, 1, kx, ky, ScriptedComm(script))
+        return op, Field.from_global(op.tile, 1, bg)
+
+    @staticmethod
+    def first_inf(out):
+        out = out.copy()
+        out[0] = np.inf
+        return out
+
+    @pytest.mark.parametrize("script,precond,log,sha", [
+        ({16: lambda out: float("nan")}, "none",
+         "<p, Ap> = nan", CLEAN),
+        ({17: lambda out: out * np.nan}, "none",
+         "residual norm nan", CLEAN),
+        ({17: first_inf.__func__}, "diagonal",
+         "beta = inf", "a1992c9ef76a2094"),
+    ], ids=["curvature", "residual", "beta"])
+    def test_bad_scalar_rolls_back(self, script, precond, log, sha):
+        op, b = self.system(script)
+        guard = SolverGuard(checkpoint_interval=5)
+        result = cg_solve(
+            op, b, eps=1e-10, max_iters=200,
+            preconditioner=make_local_preconditioner(op, precond),
+            defences=Defences(guard=guard))
+        assert result.converged and result.iterations == 28
+        assert (guard.rollbacks, guard.checkpoints) == (1, 7)
+        assert [str(ev) for ev in guard.log if ev.action == "rollback"] == [
+            f"[guard rollback] iter 7: restored iteration 5 — {log}"]
+        assert len(result.history) == 29
+        assert history_sha(result.history) == sha
+
+    ABFT_REASON = ("ABFT replay: true residual 5.495385e-04 vs recurrence "
+                   "5.245525e-04 at iteration 10")
+
+    def drifting_system(self):
+        """``A p`` perturbed once (iteration 7): the recurrence residual
+        silently drifts away from ``b - A x``."""
+        op, b = self.system({})
+        real, calls = op.apply_dot, [0]
+
+        def bad(p, out):
+            pw = real(p, out)
+            calls[0] += 1
+            if calls[0] == 8:
+                out.interior[3, 3] += 1e-3
+            return pw
+        op.apply_dot = bad
+        return op, b
+
+    def test_abft_drift_rolls_back(self):
+        op, b = self.drifting_system()
+        guard = SolverGuard(checkpoint_interval=5)
+        result = cg_solve(op, b, eps=1e-10, max_iters=200,
+                          defences=Defences(guard=guard, abft_interval=10))
+        assert result.converged and result.iterations == 28
+        assert (guard.rollbacks, guard.checkpoints) == (1, 7)
+        assert [str(ev) for ev in guard.log if ev.action == "rollback"] == [
+            "[guard rollback] iter 9: restored iteration 5 — "
+            + self.ABFT_REASON]
+        assert history_sha(result.history) == self.CLEAN
+
+    def test_abft_drift_without_guard_raises(self):
+        op, b = self.drifting_system()
+        with pytest.raises(ConvergenceError) as exc:
+            cg_solve(op, b, eps=1e-10, max_iters=200,
+                     defences=Defences(abft_interval=10))
+        assert str(exc.value) == \
+            "silent corruption detected — " + self.ABFT_REASON
+
+    def test_abft_and_replacement_share_one_recompute(self):
+        """Both due at iteration 20: one ``b - A x``, under the recovery
+        scope; every other check is accounted where it always was."""
+        g, kx, ky, bg = crooked_pipe_system(16)
+        op = serial_operator(g, kx, ky)
+        b = Field.from_global(op.tile, 1, bg)
+        result = cg_solve(op, b, eps=1e-10, max_iters=300, defences=Defences(
+            abft_interval=4, replace_interval=10, replace_tolerance=1.0))
+        assert result.converged and result.iterations == 28
+        assert result.replacement.checks == 3       # 10, 20, 28 (claimed)
+        assert op.events.recovery_count("matvec") == 7      # 4, 8, ... 28
+        assert op.events.replacement_count("matvec") == 1   # 10 only
+
+
 class TestDegradation:
     def _deep_exchange_poisoned(self, halo):
         op, b = serial_system(32, halo=halo)
@@ -253,10 +357,16 @@ class TestDegradation:
 
     def test_chebyshev_falls_back_to_depth_1(self):
         op, b = self._deep_exchange_poisoned(4)
+        guard = SolverGuard(checkpoint_interval=5)
         result = chebyshev_solve(op, b, eps=1e-10, warmup_iters=10,
-                                 halo_depth=4, degrade=True)
+                                 halo_depth=4, degrade=True,
+                                 defences=Defences(guard=guard))
         assert result.converged and result.degraded
         assert "4 -> 1" in result.degraded_reason
+        # pinned before PR 13: the re-anchored checkpoint rides along
+        assert (result.iterations, result.warmup_iterations) == (100, 10)
+        assert (guard.rollbacks, guard.checkpoints) == (0, 14)
+        assert history_sha(result.history) == "3482c6cda10cae0f"
 
     def test_chebyshev_without_degrade_raises(self):
         op, b = self._deep_exchange_poisoned(4)
@@ -268,6 +378,8 @@ class TestDegradation:
         result = ppcg_solve(op, b, eps=1e-10, inner_steps=8, halo_depth=4,
                             warmup_iters=10, degrade=True)
         assert result.converged and result.degraded
+        assert (result.iterations, result.warmup_iterations) == (9, 10)
+        assert history_sha(result.history) == "e05e77d4073054d7"
 
     def test_ppcg_degenerate_bounds_fall_back_to_cg(self):
         op, b = serial_system(32)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness import service_soak
+from repro.harness import ledger, service_soak
 from repro.service import STATUSES
 
 
@@ -93,11 +93,12 @@ class TestLedgerIO:
         result = service_soak.ServiceSoakResult(
             seed=1, kill_seed=2, requests=3, config={})
         result.oracle = {"checked": 0, "skipped": 0, "violations": 0}
-        path = service_soak.write_ledger(result, tmp_path)
+        path = ledger.write_ledger(result.to_dict(), tmp_path, "SOAK_SERVICE")
         assert path.name == "SOAK_SERVICE_0.json"
-        assert service_soak.next_ledger_path(tmp_path).name == \
+        assert ledger.next_ledger_path(tmp_path, "SOAK_SERVICE").name == \
             "SOAK_SERVICE_1.json"
-        pinned = service_soak.write_ledger(result, tmp_path, index=10)
+        pinned = ledger.write_ledger(result.to_dict(), tmp_path,
+                                     "SOAK_SERVICE", index=10)
         assert pinned.name == "SOAK_SERVICE_10.json"
         data = json.loads(pinned.read_text())
         assert data["schema"] == service_soak.SCHEMA

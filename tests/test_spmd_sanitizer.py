@@ -223,6 +223,24 @@ class TestPointToPoint:
         assert "orphaned" in msg
         assert "src=0 dst=1 tag=3" in msg
 
+    def test_typeerror_inside_inner_recv_surfaces_once(self):
+        """A genuine ``TypeError`` raised inside an inner ``recv`` — after
+        a message was consumed — used to be mistaken for "no ``timeout``
+        parameter" and retried, silently receiving the *next* message."""
+        class Consuming(SerialComm):
+            queue = ["first", "second"]
+
+            def recv(self, source, tag=0, timeout=None):
+                msg = self.queue.pop(0)
+                if msg == "first":
+                    raise TypeError("bug inside the transport")
+                return msg
+
+        inner = Consuming()
+        with pytest.raises(TypeError, match="inside the transport"):
+            SanitizerComm(inner).recv(0, tag=1)
+        assert inner.queue == ["second"]
+
     def test_irecv_wait_completes_and_records(self):
         state = SanitizerState(2)
 
