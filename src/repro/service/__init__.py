@@ -15,7 +15,8 @@ Two execution surfaces share these parts:
   discrete-event execution on virtual time (capacity planning, chaos
   validation, the ``SERVICE_<n>.json`` ledgers);
 - :class:`~repro.service.front.SolveService` — an asyncio front-end on
-  real time and a thread pool (``repro serve``, examples).
+  real time and worker processes, one BLAS thread each
+  (:mod:`repro.service.process`; ``repro serve``, examples).
 
 Both surfaces are optionally **crash-consistent**: a
 :class:`~repro.service.journal.RequestJournal` (CRC32-framed segmented

@@ -9,12 +9,13 @@ seconds; the first dispatch after the cooldown is the *probe*
 another cooldown.  Driven entirely by caller-supplied virtual
 timestamps, so breaker trajectories are deterministic.
 
-Thread safety: the virtual-clock engine is single-threaded, but the
-asyncio front-end dispatches from a thread pool, where two concurrent
-requests could historically both pass the half-open gate between one
-task's ``allow`` and its ``on_dispatch`` (the classic check-then-act
-race, letting two probes hammer a recovering worker).  All state
-transitions now happen under one lock, and :meth:`on_dispatch` is the
+Thread safety: the virtual-clock engine is single-threaded and the
+asyncio front-end touches its breakers from the event-loop thread only,
+but a breaker shared by threaded callers could historically let two
+requests both pass the half-open gate between one caller's ``allow``
+and its ``on_dispatch`` (the classic check-then-act race, letting two
+probes hammer a recovering worker).  All state transitions happen under
+one lock, and :meth:`on_dispatch` is the
 *atomic* admit-and-claim: it both answers "may I dispatch?" and, in the
 same critical section, claims the single half-open probe slot.
 """

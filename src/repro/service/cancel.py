@@ -56,7 +56,7 @@ class CancelToken:
     """
 
     __slots__ = ("iteration_budget", "deadline_s", "reason",
-                 "_requested", "_cancelled_at", "_lock")
+                 "_requested", "_cancelled_at", "_lock", "_listeners")
 
     def __init__(self, iteration_budget: int | None = None,
                  deadline_s: float | None = None):
@@ -70,13 +70,42 @@ class CancelToken:
         #: cancel flag; every rank raises at exactly this boundary.
         self._cancelled_at: int | None = None
         self._lock = threading.Lock()
+        self._listeners: list = []
 
     # -- client side -----------------------------------------------------------
 
     def cancel(self, reason: str = "client cancelled") -> None:
-        """Request cancellation (thread-safe, idempotent)."""
-        self.reason = self.reason or reason
-        self._requested = True
+        """Request cancellation (thread-safe, idempotent).
+
+        The first request also calls every listener with the reason, on
+        the caller's thread.
+        """
+        with self._lock:
+            first = not self._requested
+            self.reason = self.reason or reason
+            self._requested = True
+            listeners = tuple(self._listeners) if first else ()
+        for listener in listeners:
+            listener(self.reason)
+
+    def add_listener(self, listener) -> None:
+        """Call ``listener(reason)`` when cancellation is requested.
+
+        This is how a cancel reaches a solve that does not share this
+        object — the front-end's worker processes — the moment it
+        happens, with nobody polling :attr:`cancel_requested`.  A token
+        already cancelled calls the listener at once.  Listeners must be
+        cheap, thread-safe and idempotent.
+        """
+        with self._lock:
+            self._listeners.append(listener)
+            requested = self._requested
+        if requested:
+            listener(self.reason)
+
+    def remove_listener(self, listener) -> None:
+        with self._lock:
+            self._listeners.remove(listener)
 
     @property
     def cancel_requested(self) -> bool:

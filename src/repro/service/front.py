@@ -1,27 +1,38 @@
 """Asyncio front-end of the solve service.
 
 :class:`SolveService` accepts concurrent deck-style solve requests from
-coroutines and executes them on a thread pool — each solve is a real
-(optionally SPMD) solve through the resilient stack, with the same
-admission control (token-bucket quota + bounded in-flight window) and
-cooperative cancellation the deterministic engine applies.  Deadlines
-here are *wall-clock*: a :class:`~repro.service.cancel.DeadlineCancel`
-around the request's token reads the clock at every iteration boundary
-and the solver raises there — same latched-boundary semantics, real time.
+coroutines and executes them on worker **processes**
+(:mod:`repro.service.process`: one per ``workers``, one BLAS thread each)
+— each solve is a real (optionally SPMD) solve through the resilient
+stack, with the same admission control (token-bucket quota + bounded
+in-flight window) and cooperative cancellation the deterministic engine
+applies.  Everything with a single writer stays in this process — the
+journal, the result store, quotas, breakers, the idempotency maps,
+request numbering; a dispatch sends the parsed options, ``n`` and the
+deadline out and gets a slim reply back.  Deadlines here are
+*wall-clock*: the worker wraps its token in a
+:class:`~repro.service.cancel.DeadlineCancel` that reads the clock at
+every iteration boundary and the solver raises there — same
+latched-boundary semantics, real time.  A request waits only while
+*every* admitting worker is busy, and takes the first one that frees.
 
 Dispatch is **breaker-gated**: a worker whose circuit breaker is open is
 skipped (half-open probes are claimed atomically via
 ``CircuitBreaker.on_dispatch``), and a retryable or supervisor-declared
-*stuck* result re-dispatches once, hedged onto a different worker.  With
+*stuck* result re-dispatches once, hedged onto a different worker — and
+a worker process that dies under a dispatch is such a retryable result
+(``WorkerDied``), with a replacement started in its slot.  With
 ``stuck_after_s`` set, a wall-clock watchdog arms per dispatch and trips
-the :class:`~repro.service.supervisor.SupervisedToken` — the solve then
-aborts cooperatively at its next iteration boundary with
-:class:`~repro.utils.errors.WorkerStuck`.
+the worker's :class:`~repro.service.supervisor.SupervisedToken` through
+the cancel slot — the solve then aborts cooperatively at its next
+iteration boundary with :class:`~repro.utils.errors.WorkerStuck`.
 
 With a ``journal`` (+ optional ``results`` store) the front records
 lifecycle transitions durably and serves **exactly-once** answers for
 idempotency keys across restarts — a resubmitted key whose completion is
-journaled returns the stored digest/solution without a solve.  The
+journaled returns the stored digest/solution without a solve, and one
+submitted while its first bearer is still in flight waits for that
+bearer instead of solving beside it.  The
 wall-clock front is append-only on the journal (its trajectory is not
 deterministically replayable); full verify-or-append recovery is the
 virtual-clock :class:`~repro.service.engine.ServiceEngine`'s job.
@@ -34,10 +45,10 @@ run on the virtual-clock engine, whose ledgers are byte-deterministic.
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.physics.deck import deck_solver_options, parse_deck_text
-from repro.service.cancel import CancelToken, DeadlineCancel
+from repro.service.cancel import CancelToken
+from repro.service.process import DEADLINE_REASON, WorkerProcess
 from repro.service.quota import TokenBucket
 from repro.service.recovery import (
     ReplayIndex,
@@ -45,18 +56,14 @@ from repro.service.recovery import (
     solution_digest,
 )
 from repro.service.requests import RequestOutcome
-from repro.service.supervisor import SupervisedToken
-from repro.service.worker import WorkerGroup
 from repro.utils.errors import ConfigurationError
-
-_DEADLINE_REASON = "deadline exceeded"
 
 #: service-level dispatch attempts per request (initial + one hedge)
 _MAX_DISPATCHES = 2
 
 
 class SolveService:
-    """Concurrent solve intake over a bounded thread worker pool."""
+    """Concurrent solve intake over a fixed pool of worker processes."""
 
     def __init__(self, workers: int = 2, group_size: int = 1,
                  max_inflight: int = 8,
@@ -71,17 +78,17 @@ class SolveService:
         self.stuck_after_s = stuck_after_s
         self.journal = journal
         self.results = results
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="solve-worker")
         self._buckets: dict[str, TokenBucket] = {}
         self._inflight = 0
         self._count = 0
-        self._pool = [WorkerGroup(i, group_size=group_size)
-                      for i in range(workers)]
+        #: futures of submits waiting for a worker to free
+        self._waiters: list[asyncio.Future] = []
         records = journal.records if journal is not None else []
         index = ReplayIndex.from_records(records)
         #: idempotency key -> terminal record (journal-seeded, grown live)
         self._completed_keys: dict[str, dict] = dict(index.completed_by_key)
+        #: idempotency key -> future resolved at its first bearer's terminal
+        self._inflight_keys: dict[str, asyncio.Future] = {}
         for rec in records:
             # Continue request numbering past the journal so replayed ids
             # never collide with new submissions.
@@ -93,9 +100,18 @@ class SolveService:
                     pass
         if journal is not None:
             journal.fast_forward()
+        #: started last (nothing above can fail and strand them) and not
+        #: waited for: they import while the caller gets on, and the
+        #: first dispatches absorb what is left
+        self._pool = [WorkerProcess(i, group_size=group_size)
+                      for i in range(workers)]
+        #: the pool, most recently released first
+        self._warm = list(self._pool)
 
     def close(self) -> None:
-        self._executor.shutdown(wait=True)
+        """Stop every worker process (none outlives this call)."""
+        for worker in self._pool:
+            worker.close()
         if self.journal is not None:
             self.journal.close()
 
@@ -116,20 +132,54 @@ class SolveService:
         if self.journal is not None:
             self.journal.append(record)
 
-    def _pick_worker(self, now: float, avoid: int = -1):
-        """Round-robin worker whose breaker admits this dispatch.
+    async def _claim_worker(self, loop, avoid: int = -1):
+        """An idle worker whose breaker admits this dispatch, claimed.
 
         ``on_dispatch`` is the atomic admit-and-claim: in half-open
         state exactly one in-flight probe wins, so concurrent submits
-        cannot stampede a recovering worker.  Prefers workers other
-        than ``avoid`` (the one that just failed the request).
+        cannot stampede a recovering worker.  The most recently
+        released worker goes first (its caches are warm), after the
+        workers other than ``avoid`` (the one that just failed the
+        request).  While every admitting worker is busy the submit waits
+        for the next release — never behind one particular worker — and
+        ``None`` means every breaker refused.
         """
-        start = (self._count - 1) % len(self._pool)
-        order = self._pool[start:] + self._pool[:start]
-        for w in sorted(order, key=lambda w: w.wid == avoid):
-            if w.breaker.on_dispatch(now):
-                return w
-        return None
+        while True:
+            now = loop.time()
+            for w in sorted(self._warm, key=lambda w: w.wid == avoid):
+                if not w.busy and w.breaker.on_dispatch(now):
+                    w.busy = True
+                    return w
+            if not any(w.busy and w.breaker.allow(now) for w in self._pool):
+                return None
+            freed = loop.create_future()
+            self._waiters.append(freed)
+            try:
+                await freed
+            finally:
+                self._waiters.remove(freed)
+
+    def _release_worker(self, worker: WorkerProcess) -> None:
+        worker.busy = False
+        self._warm.remove(worker)
+        self._warm.insert(0, worker)
+        for freed in self._waiters:
+            if not freed.done():
+                freed.set_result(None)
+
+    def _serve_duplicate(self, outcome: RequestOutcome, done: dict,
+                         now: float) -> RequestOutcome:
+        """Answer ``outcome`` from its key's journaled completion."""
+        outcome.status = "completed"
+        outcome.deduplicated = True
+        outcome.solver = done.get("solver", "")
+        outcome.finish_s = now
+        if self.results is not None and done.get("digest"):
+            outcome.x = self.results.load(done["request_id"], done["digest"])
+        self._journal({"type": "dedup", "request_id": outcome.request_id,
+                       "key": outcome.idempotency_key,
+                       "source": done["request_id"], "now": now})
+        return outcome
 
     async def submit(self, deck_text: str, *, tenant: str = "default",
                      n: int = 16, deadline_s: float | None = None,
@@ -141,7 +191,9 @@ class SolveService:
         handle (``token.cancel()`` from any task/thread aborts the solve
         at its next iteration boundary).  A non-empty
         ``idempotency_key`` whose completion is already journaled is
-        served without a solve (``deduplicated=True``).
+        served without a solve (``deduplicated=True``); one whose first
+        bearer is still in flight waits for that bearer's terminal and
+        is then served the same way.
         """
         loop = asyncio.get_running_loop()
         now = loop.time()
@@ -150,21 +202,17 @@ class SolveService:
                                  tenant=tenant, status="shed",
                                  arrival_s=now,
                                  idempotency_key=idempotency_key)
-        done = (self._completed_keys.get(idempotency_key)
-                if idempotency_key else None)
-        if done is not None:
-            outcome.status = "completed"
-            outcome.deduplicated = True
-            outcome.solver = done.get("solver", "")
-            outcome.finish_s = now
-            if self.results is not None and done.get("digest"):
-                outcome.x = self.results.load(done["request_id"],
-                                              done["digest"])
-            self._journal({"type": "dedup",
-                           "request_id": outcome.request_id,
-                           "key": idempotency_key,
-                           "source": done["request_id"], "now": now})
-            return outcome
+        while idempotency_key:
+            done = self._completed_keys.get(idempotency_key)
+            if done is not None:
+                return self._serve_duplicate(outcome, done, now)
+            first = self._inflight_keys.get(idempotency_key)
+            if first is None:
+                break
+            # The first bearer may yet fail or be cancelled: look again
+            # once it is terminal, and solve only if nobody completed.
+            await first
+            now = loop.time()
         if not self._bucket(tenant).try_acquire(now):
             outcome.shed_reason = "quota"
             outcome.finish_s = now
@@ -185,13 +233,12 @@ class SolveService:
                        "deck_sha": deck_fingerprint(deck_text)})
 
         token = cancel if cancel is not None else CancelToken()
-        timed = token
-        if deadline_s is not None:
-            timed = DeadlineCancel(token, loop.time() + deadline_s,
-                                   _DEADLINE_REASON)
+        deadline = None if deadline_s is None else loop.time() + deadline_s
 
         digest = ""
         self._inflight += 1
+        if idempotency_key:
+            self._inflight_keys[idempotency_key] = loop.create_future()
         try:
             try:
                 options = deck_solver_options(parse_deck_text(deck_text))
@@ -204,75 +251,59 @@ class SolveService:
 
             avoid = -1
             for attempt in range(1, _MAX_DISPATCHES + 1):
-                worker = self._pick_worker(loop.time(), avoid=avoid)
+                worker = await self._claim_worker(loop, avoid=avoid)
                 if worker is None:
                     # Every breaker refused: structured shed, the same
                     # way the engine sheds behind saturated admission.
                     outcome.status = "shed"
                     outcome.shed_reason = "breaker_open"
                     return outcome
-                outcome.worker = worker.wid
-                outcome.attempts = attempt
-                if outcome.start_s < 0:
-                    outcome.start_s = loop.time()
-                self._journal({"type": "dispatched",
-                               "request_id": outcome.request_id,
-                               "attempt": attempt, "worker": worker.wid,
-                               "now": loop.time()})
-                run_token = timed
-                watchdog = None
-                if self.stuck_after_s > 0:
-                    run_token = SupervisedToken(timed)
-                    watchdog = loop.call_later(
-                        self.stuck_after_s, run_token.trip,
-                        f"worker {worker.wid} watchdog fired after "
-                        f"{self.stuck_after_s}s")
                 try:
-                    result = await loop.run_in_executor(
-                        self._executor,
-                        lambda w=worker, t=run_token:
-                            w.execute(options, n, cancel=t))
+                    outcome.worker = worker.wid
+                    outcome.attempts = attempt
+                    if outcome.start_s < 0:
+                        outcome.start_s = loop.time()
+                    self._journal({"type": "dispatched",
+                                   "request_id": outcome.request_id,
+                                   "attempt": attempt, "worker": worker.wid,
+                                   "now": loop.time()})
+                    reply = await worker.solve(options, n, deadline, token,
+                                               self.stuck_after_s)
                 finally:
-                    if watchdog is not None:
-                        watchdog.cancel()
-                outcome.iterations = result.iterations
+                    self._release_worker(worker)
+                outcome.iterations = reply.iterations
                 now = loop.time()
-                if result.kind == "ok":
+                if reply.kind == "ok":
                     worker.breaker.record_success()
-                    outcome.status = "degraded" if result.report.degraded \
+                    outcome.status = "degraded" if reply.degraded \
                         else "completed"
-                    outcome.x = result.report.x
-                    outcome.retries = result.report.retries
-                    if result.report.x is not None:
+                    outcome.x = reply.x
+                    outcome.retries = reply.retries
+                    if reply.x is not None:
                         if self.results is not None:
                             digest = self.results.save(outcome.request_id,
-                                                       result.report.x)
+                                                       reply.x)
                         elif self.journal is not None:
-                            digest = solution_digest(result.report.x)
+                            digest = solution_digest(reply.x)
                     return outcome
-                if result.kind in ("cancelled", "deadline_exceeded"):
+                outcome.error_class = reply.error_class
+                outcome.error_message = reply.error_message
+                if reply.kind in ("cancelled", "deadline_exceeded"):
                     worker.breaker.record_success()  # worker is healthy
-                    if result.kind == "cancelled" \
-                            and token.reason == _DEADLINE_REASON:
+                    if reply.kind == "cancelled" \
+                            and reply.cancel_reason == DEADLINE_REASON:
                         outcome.status = "deadline_exceeded"
                     else:
-                        outcome.status = result.kind
-                    outcome.error_class = result.error_class
-                    outcome.error_message = str(result.error)[:200]
+                        outcome.status = reply.kind
                     return outcome
-                if result.kind in ("stuck", "retryable"):
+                outcome.status = "failed"
+                if reply.kind in ("stuck", "retryable"):
                     # Count it against this worker and hedge the request
                     # onto a different one while dispatches remain.
                     worker.breaker.record_failure(now)
                     avoid = worker.wid
-                    outcome.status = "failed"
-                    outcome.error_class = result.error_class
-                    outcome.error_message = str(result.error)[:200]
                     continue
                 worker.breaker.record_success()  # solve failed, worker fine
-                outcome.status = "failed"
-                outcome.error_class = result.error_class
-                outcome.error_message = str(result.error)[:200]
                 return outcome
             return outcome
         finally:
@@ -288,3 +319,5 @@ class SolveService:
             if digest and idempotency_key \
                     and outcome.status in ("completed", "degraded"):
                 self._completed_keys.setdefault(idempotency_key, terminal)
+            if idempotency_key:
+                self._inflight_keys.pop(idempotency_key).set_result(None)

@@ -121,6 +121,18 @@ class WorkerStuck(Cancelled):
     """
 
 
+class WorkerDied(CommunicationError):
+    """A service worker process exited while it held a dispatch.
+
+    Never raised: the asyncio front-end names it as the ``error_class``
+    of the ``retryable`` reply it synthesizes when a worker's socket
+    reads EOF (SIGKILL, OOM kill, interpreter crash).  A
+    :class:`CommunicationError` because that is how the service treats
+    it — the worker's breaker counts it and the request is hedged onto
+    another worker.
+    """
+
+
 class DeadlineExceeded(Cancelled):
     """A per-request deadline expired before the solve converged.
 
