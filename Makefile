@@ -27,14 +27,14 @@ bench:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.cli.main bench --out results/bench
 
 # Perf regression gate: quick fresh run, then diff its solver cases
-# against the committed BENCH_12.json pin (kernel grids differ by design
+# against the committed BENCH_15.json pin (kernel grids differ by design
 # between quick and full suites; only overlapping cases are compared).
 # Exits non-zero when any case regresses past the threshold.
 bench-compare:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.cli.main bench --quick \
 	    --out results/bench-compare --pr 1
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.cli.main bench \
-	    --compare BENCH_12.json results/bench-compare/BENCH_1.json \
+	    --compare BENCH_15.json results/bench-compare/BENCH_1.json \
 	    --threshold 2.5
 
 # The repo's benchmark (BENCHMARK.json; perfbench/README.md): converged,

@@ -92,8 +92,9 @@ def _kernel_system(n: int, dtype: str, halo: int = 1):
     """Deterministic padded arrays for the kernel-level cases."""
     rng = np.random.default_rng(20170905)
     dt = np.dtype(dtype)
-    kx = np.zeros((n + 2 * halo, n + 2 * halo + 1), dtype=dt)
-    ky = np.zeros((n + 2 * halo + 1, n + 2 * halo), dtype=dt)
+    # Padded shape, like an operator's: the layout the solvers run on.
+    kx = np.zeros((n + 2 * halo, n + 2 * halo), dtype=dt)
+    ky = np.zeros((n + 2 * halo, n + 2 * halo), dtype=dt)
     kx[halo:halo + n, halo + 1:halo + n] = rng.uniform(
         0.1, 2.0, size=(n, n - 1))
     ky[halo + 1:halo + n, halo:halo + n] = rng.uniform(

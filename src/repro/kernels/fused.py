@@ -30,11 +30,11 @@ class FusedBackend(NumpyBackend):
 
     def apply_dot(self, kx, ky, p, out, r0, r1, c0, c1):
         partials = []
-        for b0, b1, acc, tmp in self._stencil_blocks(kx, ky, p, out,
-                                                     r0, r1, c0, c1, 7):
-            # p through the free scratch: both operands contiguous, cache-hot.
-            tmp[...] = p[b0:b1, c0:c1]
-            partials.append(_dot(tmp, acc))
+        for b0, b1, acc, _ in self._stencil_blocks(kx, ky, p, out,
+                                                   r0, r1, c0, c1, 7):
+            # Both operands cache-hot; workspace copies where strided.
+            partials.append(_dot(self._contiguous(_DOT_A, p[b0:b1, c0:c1]),
+                                 self._contiguous(_DOT_B, acc)))
         return math.fsum(partials)
 
     def apply_axpy_dot(self, kx, ky, p, out, y, alpha, r0, r1, c0, c1):
@@ -44,7 +44,8 @@ class FusedBackend(NumpyBackend):
             np.multiply(acc, alpha, out=tmp)
             np.add(y[b0:b1, c0:c1], tmp, out=tmp)
             y[b0:b1, c0:c1] = tmp
-            partials.append(_dot(tmp, tmp))
+            yb = self._contiguous(_DOT_A, tmp)
+            partials.append(_dot(yb, yb))
         return math.fsum(partials)
 
     def dot(self, a, b):

@@ -7,6 +7,10 @@ allocates no array (``docs/kernels.md`` has the measurements):
 
 - **Blocked.**  The stencil and ``axpy`` replay their expression with
   ``out=`` ufuncs over row blocks whose working set fits L2.
+- **Contiguous spans.**  Operands laid out alike (an operator's fields)
+  are walked as 1-D runs of memory, halo columns between two rows of the
+  region included, not as strided 2-D windows; only the region's cells
+  are stored.
 - **Cached.**  The stencil diagonal (4 of 13 ufunc passes) is computed
   once per coefficient pair — only for **frozen** arrays
   (``flags.writeable`` False, as an operator makes its coefficients),
@@ -54,6 +58,23 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.dot(a.reshape(-1), b.reshape(-1)))
 
 
+def _stencil_passes(diag, ky_hi, ky_lo, kx_hi, kx_lo, p_c, p_hi, p_lo,
+                    p_right, p_left, acc, tmp) -> None:
+    """``acc = A p`` over one block of same-shape operand views: the
+    whole-array expression replayed per element in 9 ufunc passes, 13
+    when ``diag`` is None (``ky_hi + 1.0`` is ``1.0 + ky_hi`` in IEEE)."""
+    if diag is None:
+        np.add(ky_hi, 1.0, out=acc)
+        for k in (ky_lo, kx_hi, kx_lo):
+            np.add(acc, k, out=acc)
+        diag = acc
+    np.multiply(diag, p_c, out=acc)
+    for k, q in ((ky_hi, p_hi), (ky_lo, p_lo), (kx_hi, p_right),
+                 (kx_lo, p_left)):
+        np.multiply(k, q, out=tmp)
+        np.subtract(acc, tmp, out=acc)
+
+
 class NumpyBackend(KernelBackend):
     """Blocked NumPy kernels producing the baseline bit patterns."""
 
@@ -87,50 +108,77 @@ class NumpyBackend(KernelBackend):
 
     def _diagonal(self, kx: np.ndarray, ky: np.ndarray):
         """The stencil's centre coefficient per padded cell (wherever the
-        cell's upper and right faces exist) for a frozen pair, else None."""
+        cell's upper and right faces exist, 1 elsewhere) for a frozen
+        pair, else None.  It has ``kx``'s shape, hence its pitch."""
         if kx is self._kx and ky is self._ky:
             return self._diag
         if kx.flags.writeable or ky.flags.writeable:
             return None
         rows = min(kx.shape[0], ky.shape[0] - 1)
         cols = min(kx.shape[1] - 1, ky.shape[1])
-        self._diag = (1.0 + ky[1:rows + 1, :cols] + ky[:rows, :cols]
-                      + kx[:rows, 1:cols + 1] + kx[:rows, :cols])
+        core = (1.0 + ky[1:rows + 1, :cols] + ky[:rows, :cols]
+                + kx[:rows, 1:cols + 1] + kx[:rows, :cols])
+        self._diag = np.ones(kx.shape, dtype=core.dtype)
+        self._diag[:rows, :cols] = core
         self._kx, self._ky = kx, ky
         return self._diag
 
     def _stencil_blocks(self, kx, ky, p, out, r0, r1, c0, c1, streams):
         """``out[R] = (A p)[R]`` by row blocks; yields ``(b0, b1, acc, tmp)``
-        per block — ``(A p)[b0:b1, c0:c1]`` in contiguous, cache-hot scratch
-        and free scratch of that shape.  The ufuncs replay the whole-array
-        expression per element (``ky_hi + 1.0`` is ``1.0 + ky_hi`` in IEEE)."""
+        per block — ``(A p)[b0:b1, c0:c1]`` in cache-hot scratch and free
+        scratch of that shape.
+
+        Operands that are C-contiguous and share one shape (an operator's
+        always are) are walked as **contiguous spans**: every pass of a
+        block runs over the one 1-D run of memory from its first region
+        cell to its last — the halo columns in between are read and
+        computed on, into scratch of the operands' pitch — and only the
+        region's columns of that scratch (``acc``/``tmp``, strided
+        windows then) are copied to ``out``.  What lands between two rows
+        is arithmetic on halo cells, so its overflow/invalid flags are
+        not reported.  Any other operands take the same passes over 2-D
+        windows and contiguous ``acc``/``tmp``."""
         if out is p:
             raise ConfigurationError(
                 "stencil output must not alias its input (out is p)")
         w, dtype = c1 - c0, out.dtype
         bs = _block_rows(r1 - r0, w, p.itemsize, streams)
-        accs = self._buf(_ACC, (bs, w), dtype)
-        tmps = self._buf(_TMP, (bs, w), dtype)
         diag = self._diagonal(kx, ky)
+        spans = (p.shape == kx.shape == ky.shape and p.flags.c_contiguous
+                 and kx.flags.c_contiguous and ky.flags.c_contiguous)
+        if spans:
+            pitch = p.shape[1]
+            pf, kxf, kyf = p.ravel(), kx.ravel(), ky.ravel()
+            df = None if diag is None else diag.ravel()
+            accf = self._buf(_ACC, (bs * pitch,), dtype)
+            tmpf = self._buf(_TMP, (bs * pitch,), dtype)
+            accs, tmps = (a.reshape(bs, pitch)[:, :w] for a in (accf, tmpf))
+        else:
+            accs = self._buf(_ACC, (bs, w), dtype)
+            tmps = self._buf(_TMP, (bs, w), dtype)
         for b0 in range(r0, r1, bs):
             b1 = min(b0 + bs, r1)
             acc, tmp = accs[:b1 - b0], tmps[:b1 - b0]
-            ky_lo = ky[b0:b1, c0:c1]
-            ky_hi = ky[b0 + 1:b1 + 1, c0:c1]
-            kx_lo = kx[b0:b1, c0:c1]
-            kx_hi = kx[b0:b1, c0 + 1:c1 + 1]
-            if diag is None:
-                np.add(ky_hi, 1.0, out=acc)
-                for k in (ky_lo, kx_hi, kx_lo):
-                    np.add(acc, k, out=acc)
-            np.multiply(acc if diag is None else diag[b0:b1, c0:c1],
-                        p[b0:b1, c0:c1], out=acc)
-            for k, q in ((ky_hi, p[b0 + 1:b1 + 1, c0:c1]),
-                         (ky_lo, p[b0 - 1:b1 - 1, c0:c1]),
-                         (kx_hi, p[b0:b1, c0 + 1:c1 + 1]),
-                         (kx_lo, p[b0:b1, c0 - 1:c1 - 1])):
-                np.multiply(k, q, out=tmp)
-                np.subtract(acc, tmp, out=acc)
+            if spans:
+                s0 = b0 * pitch + c0
+                s1 = s0 + (b1 - b0 - 1) * pitch + w
+                with np.errstate(over="ignore", invalid="ignore"):
+                    _stencil_passes(
+                        None if df is None else df[s0:s1],
+                        kyf[s0 + pitch:s1 + pitch], kyf[s0:s1],
+                        kxf[s0 + 1:s1 + 1], kxf[s0:s1], pf[s0:s1],
+                        pf[s0 + pitch:s1 + pitch], pf[s0 - pitch:s1 - pitch],
+                        pf[s0 + 1:s1 + 1], pf[s0 - 1:s1 - 1],
+                        accf[:s1 - s0], tmpf[:s1 - s0])
+            else:
+                _stencil_passes(
+                    None if diag is None else diag[b0:b1, c0:c1],
+                    ky[b0 + 1:b1 + 1, c0:c1], ky[b0:b1, c0:c1],
+                    kx[b0:b1, c0 + 1:c1 + 1], kx[b0:b1, c0:c1],
+                    p[b0:b1, c0:c1],
+                    p[b0 + 1:b1 + 1, c0:c1], p[b0 - 1:b1 - 1, c0:c1],
+                    p[b0:b1, c0 + 1:c1 + 1], p[b0:b1, c0 - 1:c1 - 1],
+                    acc, tmp)
             out[b0:b1, c0:c1] = acc
             yield b0, b1, acc, tmp
 

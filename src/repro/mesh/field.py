@@ -5,17 +5,34 @@ depth.  TeaLeaf's matrix powers kernel needs halos "up to 16 deep", so the
 depth is a per-field parameter; the interior and arbitrarily *extended*
 regions (interior grown by ``e <= h`` cells toward neighbouring ranks) are
 exposed as NumPy views so kernels never copy.
+
+In-place updates of a region (:meth:`Field.axpy`, :meth:`Field.aypx`) do
+not walk that strided 2-D view: they run over the region's **span** —
+the one contiguous 1-D run of the padded buffer from its first cell to
+its last — and put back the halo cells lying in between (the *gaps*),
+so every cell outside the region keeps its bits (``docs/kernels.md``,
+"Contiguous spans").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.kernels import DEFAULT_BACKEND, get_backend
 from repro.mesh.decomposition import Tile
 from repro.utils.validation import check_positive, require
+
+
+class _Span(NamedTuple):
+    """One region of one padded buffer as 1-D memory (see ``Field._span``)."""
+
+    cells: np.ndarray   # flat[first region cell : last region cell + 1]
+    gaps: np.ndarray    # the (rows - 1, pitch - cols) halo cells inside it
+    saved: np.ndarray   # where an update parks the gaps' values
+    where: tuple        # (padded shape, start, length): equal = same layout
 
 
 @dataclass
@@ -52,6 +69,14 @@ class Field:
             require(self.data.shape == shape,
                     f"padded data shape {self.data.shape} != expected {shape}")
         self.dtype = self.data.dtype
+        # The buffer the cached spans view, and those spans by extension.
+        self._spans_of, self._spans = None, {}
+
+    def __getstate__(self) -> dict:
+        # A pickle or deepcopy duplicates ``data`` and would duplicate the
+        # cached views as detached arrays, no longer windows of it: the
+        # copy starts without spans and builds its own.
+        return {**self.__dict__, "_spans_of": None, "_spans": {}}
 
     # -- constructors -------------------------------------------------------
 
@@ -122,6 +147,62 @@ class Field:
         self.data.fill(0.0)
         self.interior[...] = keep
         return self
+
+    # -- in-place region updates (next to local_dot: where fields pair up) ----
+
+    def _span(self, ext: int) -> _Span | None:
+        """The span of ``region(ext)``: views built once per ``data``
+        buffer (rebinding ``data`` drops them), never per call; ``None``
+        for a buffer that is not C-contiguous."""
+        if self._spans_of is not self.data:
+            self._spans_of, self._spans = self.data, {}
+        try:
+            return self._spans[ext]
+        except KeyError:
+            pass
+        span = None
+        if self.data.flags.c_contiguous:
+            rows, cols = self.region(ext)
+            pitch, flat = self.data.shape[1], self.data.ravel()
+            nrows, ncols = rows.stop - rows.start, cols.stop - cols.start
+            start = rows.start * pitch + cols.start
+            length = (nrows - 1) * pitch + ncols
+            gaps = flat[start + ncols:start + ncols + (nrows - 1) * pitch]
+            gaps = gaps.reshape(nrows - 1, pitch)[:, :pitch - ncols]
+            span = _Span(flat[start:start + length], gaps,
+                         np.empty(gaps.shape, self.data.dtype),
+                         (self.data.shape, start, length))
+        self._spans[ext] = span
+        return span
+
+    def _update(self, other: "Field", ext: int, update) -> None:
+        """``update(y, x)`` on ``region(ext)`` of ``self``/``other``, as
+        spans when both buffers lay the region out alike (else as the 2-D
+        views).  The gaps are computed on too — halo values, so their
+        overflow/invalid flags mean nothing — and restored whatever
+        ``update`` does, so only the region's cells change."""
+        y, x = self._span(ext), other._span(ext)
+        if y is None or x is None or y.where != x.where:
+            update(self.data[self.region(ext)], other.data[other.region(ext)])
+            return
+        np.copyto(y.saved, y.gaps)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                update(y.cells, x.cells)
+        finally:
+            np.copyto(y.gaps, y.saved)
+
+    def axpy(self, alpha: float, other: "Field", kernels, ext: int = 0) -> None:
+        """``self += alpha * other`` on ``region(ext)``, by ``kernels.axpy``."""
+        self._update(other, ext, lambda y, x: kernels.axpy(y, alpha, x))
+
+    def aypx(self, beta: float, other: "Field", ext: int = 0) -> None:
+        """``self = beta * self + other`` on ``region(ext)``: the direction
+        update of CG and Chebyshev, one multiply and one add per cell."""
+        def update(y, x):
+            np.multiply(y, beta, out=y)
+            np.add(y, x, out=y)
+        self._update(other, ext, update)
 
     # -- reductions (rank-local; global reductions live on the operator) -----
 

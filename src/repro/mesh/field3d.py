@@ -80,6 +80,23 @@ class Field3D:
         self.data.fill(value)
         return self
 
+    # In-place region updates under :class:`~repro.mesh.field.Field`'s
+    # names, so solvers stay dimension-agnostic; on the 3-D views.
+
+    def _view(self, ext: int) -> np.ndarray:
+        return self.extended(ext) if ext else self.interior
+
+    def axpy(self, alpha: float, other: "Field3D", kernels,
+             ext: int = 0) -> None:
+        """``self += alpha * other`` on ``region(ext)``, by ``kernels.axpy``."""
+        kernels.axpy(self._view(ext), alpha, other._view(ext))
+
+    def aypx(self, beta: float, other: "Field3D", ext: int = 0) -> None:
+        """``self = beta * self + other`` on ``region(ext)``."""
+        y = self._view(ext)
+        np.multiply(y, beta, out=y)
+        np.add(y, other._view(ext), out=y)
+
     def local_dot(self, other: "Field3D", kernels=None) -> float:
         """Rank-local interior dot product, reduced by ``kernels.dot``
         (a throwaway baseline backend when none is given).

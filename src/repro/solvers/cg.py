@@ -212,8 +212,8 @@ def cg_solve(
             if watch.curvature(pw):
                 continue
             alpha = s.rz / pw
-            op.kernels.axpy(s.x.interior, alpha, s.p.interior)
-            op.kernels.axpy(s.r.interior, -alpha, s.w.interior)
+            s.x.axpy(alpha, s.p, op.kernels)
+            s.r.axpy(-alpha, s.w, op.kernels)
             s.rz_new = s.precondition()
             s.beta = s.rz_new / s.rz
             s.alphas.append(float(alpha))
@@ -228,9 +228,7 @@ def cg_solve(
                 break
             if watch.coefficient(s.beta):
                 continue
-            pi = s.p.interior
-            pi *= s.beta
-            pi += s.z.interior
+            s.p.aypx(s.beta, s.z)
             s.rz = s.rz_new
 
     if not converged and raise_on_stall:

@@ -102,8 +102,8 @@ def cg_fused_solve(
         # and fused reduction (see repro.service.cancel).
         if cancel is not None:
             cancel.check(iterations)
-        op.kernels.axpy(x.interior, alpha, p.interior)
-        op.kernels.axpy(r.interior, -alpha, s.interior)
+        x.axpy(alpha, p, op.kernels)
+        r.axpy(-alpha, s, op.kernels)
         M.apply(r, u)
         op.apply(u, w)
         gamma_new, delta, rr = op.dots([(r, u), (w, u), (r, r)])
@@ -126,11 +126,8 @@ def cg_fused_solve(
                 quantity="alpha_denominator", value=denom)
         alpha = gamma_new / denom
         gamma = gamma_new
-        pi, si = p.interior, s.interior
-        pi *= beta
-        pi += u.interior
-        si *= beta
-        si += w.interior
+        p.aypx(beta, u)
+        s.aypx(beta, w)
 
     result = SolveResult(
         x=x,

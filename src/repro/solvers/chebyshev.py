@@ -165,13 +165,12 @@ class ChebyshevIteration:
         ext = n - 1 - s
         region = self.rr.region(ext)
         op.apply_noexchange(self.d, self.w, ext=ext)
-        op.kernels.axpy(self.accum.interior, 1.0, self.d.interior)
-        op.kernels.axpy(self.rr.data[region], -1.0, self.w.data[region])
+        self.accum.axpy(1.0, self.d, op.kernels)
+        self.rr.axpy(-1.0, self.w, op.kernels, ext)
         rho_new = 1.0 / (2.0 * self.sigma - self.rho)
         # d <- rho' rho d + (2 rho'/delta) M^{-1} r  on the extended region
-        self.d.data[region] *= rho_new * self.rho
         self._precondition(self.rr, self.w, region, 2.0 * rho_new / self.delta)
-        self.d.data[region] += self.w.data[region]
+        self.d.aypx(rho_new * self.rho, self.w, ext)
         self.rho = rho_new
         self._since_exchange = (s + 1) % n
 
@@ -183,12 +182,13 @@ class ChebyshevIteration:
             self.M.apply(self.rr, self.d)
             self.d.interior[...] /= self.theta
         op.apply(self.d, self.w)  # depth-1 exchange of d inside
-        op.kernels.axpy(self.accum.interior, 1.0, self.d.interior)
-        op.kernels.axpy(self.rr.interior, -1.0, self.w.interior)
+        self.accum.axpy(1.0, self.d, op.kernels)
+        self.rr.axpy(-1.0, self.w, op.kernels)
         rho_new = 1.0 / (2.0 * self.sigma - self.rho)
         self.M.apply(self.rr, self.w)
-        self.d.interior[...] = (rho_new * self.rho * self.d.interior
-                                + (2.0 * rho_new / self.delta) * self.w.interior)
+        wi = self.w.interior
+        np.multiply(wi, 2.0 * rho_new / self.delta, out=wi)
+        self.d.aypx(rho_new * self.rho, self.w)
         self.rho = rho_new
 
 

@@ -209,8 +209,8 @@ def deflated_cg_solve(
             raise ConvergenceError(
                 f"deflated CG breakdown: <p, PAp> = {pw:.3e} <= 0")
         alpha = rz / pw
-        x.interior += alpha * p.interior
-        r.interior -= alpha * w.interior
+        x.axpy(alpha, p, op.kernels)
+        r.axpy(-alpha, w, op.kernels)
         if identity:
             (rz_new,) = op.dots([(r, r)])
             rr = rz_new
@@ -223,7 +223,7 @@ def deflated_cg_solve(
         if res_norm <= threshold:
             converged = True
             break
-        p.interior[...] = z.interior + (rz_new / rz) * p.interior
+        p.aypx(rz_new / rz, z)
         rz = rz_new
 
     # x_final = Q b + P^T x_hat

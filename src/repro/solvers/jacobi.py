@@ -9,6 +9,8 @@ reuses the shared matvec kernel.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.mesh.field import Field
 from repro.numerics.breakdown import BreakdownGuard, residual_norm
 from repro.solvers.operator import StencilOperator2D
@@ -72,7 +74,10 @@ def jacobi_solve(
         if cancel is not None:
             cancel.check(iterations)
         with tracer.span("iteration", "jacobi"):
-            x.interior += inv_diag * r.interior
+            # x += D^-1 r; r is recomputed whole just below.
+            ri = r.interior
+            np.multiply(inv_diag, ri, out=ri)
+            x.axpy(1.0, r, op.kernels)
             # Fused residual + convergence dot: one exchange, one
             # allreduce, exactly the budget of the residual + dot pair.
             rr = op.residual_dot(b, x, out=r)

@@ -26,6 +26,12 @@ def history_sha(history) -> str:
         b"".join(struct.pack("<d", h) for h in history)).hexdigest()[:16]
 
 
+def bits(a):
+    """``a``'s cells as unsigned integers: equality of these is equality
+    of bit patterns (NaN payloads and the sign of zero included)."""
+    return a.view(f"u{a.itemsize}")
+
+
 class ScriptedComm(SerialComm):
     """Serial comm applying ``script[k]`` to the k-th allreduce result
     (1-based): a deterministic way to corrupt one named reduction."""
@@ -42,6 +48,7 @@ class ScriptedComm(SerialComm):
 
 __all__ = [
     "ScriptedComm",
+    "bits",
     "crooked_pipe_jump_system",
     "crooked_pipe_system",
     "distributed_solve",

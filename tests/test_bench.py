@@ -90,21 +90,33 @@ class TestLedgerFiles:
         assert json.loads(path.read_text())["schema"] == "repro.bench/v1"
 
     def test_committed_ledger_meets_acceptance(self):
-        """The repo's BENCH_12.json shows the fold is complete: at the
-        cache-exceeding grid, float64, the ``numpy`` baseline's
-        ``stencil_apply`` and ``apply_dot`` keep up with ``fused``.
+        """The repo's BENCH_15.json shows what walking contiguous spans
+        bought, and that the fold of PR 12 still holds.
 
-        ``stencil_apply`` is one body for both backends, so its ratio is
-        the harness's noise around 1 (re-runs here read 0.94-1.19);
-        ``apply_dot`` adds what the baseline pays to stay bit-identical,
-        two operand copies and a whole-region dot (1.10-1.23).  The bound
-        is the ledger's own regression threshold (``compare_ledgers``).
+        At the cache-exceeding grid, float64, the ``numpy`` baseline's
+        ``stencil_apply`` and ``apply_dot`` beat the parent commit's by
+        more than the ledger's own regression threshold
+        (``compare_ledgers``).  The pins are the parent *on this ledger's
+        inputs* — ``kx``/``ky`` at the padded shape, as an operator's are
+        — not BENCH_12.json's, which timed another layout: medians of
+        five parent processes, 2.003 and 2.524 ms (docs/kernels.md).
+
+        ``fused`` shares the stencil body, so that ratio is the harness's
+        noise around 1; ``apply_dot`` adds what the baseline pays to stay
+        bit-identical, two operand copies and a whole-region dot.  Both
+        stay inside the same threshold.
         """
         from pathlib import Path
-        ledger = json.loads(Path("BENCH_12.json").read_text())
+        ledger = json.loads(Path("BENCH_15.json").read_text())
         assert ledger["schema"] == "repro.bench/v1"
         big = max(c["n"] for c in ledger["cases"] if c["kind"] == "kernel")
-        assert big >= 512
+        assert big == 512
+        wall = {c["kernel"]: c["timing"]["wall_s_min"]
+                for c in ledger["cases"] if c["kind"] == "kernel"
+                and (c["backend"], c["dtype"], c["n"])
+                == ("numpy", "float64", big)}
+        assert wall["stencil_apply"] * 1.25 <= 2.003e-3
+        assert wall["apply_dot"] * 1.25 <= 2.524e-3
         for kernel in ("stencil_apply", "apply_dot"):
             speedups = bench.fused_speedups(ledger, kernel=kernel)
             assert speedups[f"float64/n={big}"] <= 1.25, (kernel, speedups)

@@ -1,10 +1,16 @@
 """Unit tests: halo-padded fields."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.kernels import get_backend
 from repro.mesh import Field, Grid2D, decompose
 from repro.utils import ConfigurationError
+
+from tests.helpers import bits
 
 
 def tile_1rank(nx=8, ny=6):
@@ -105,3 +111,143 @@ class TestReductionsAndMutation:
         f.zero_halos()
         assert np.all(f.interior == 3.0)
         assert f.data.sum() == pytest.approx(3.0 * 16)
+
+
+def _pair(tile, halo=2, other_halo=None, seed=0):
+    """Two fields of random cells, halos included."""
+    rng = np.random.default_rng(seed)
+    fields = []
+    for h in (halo, halo if other_halo is None else other_halo):
+        f = Field(tile, h)
+        f.data[...] = rng.standard_normal(f.data.shape)
+        fields.append(f)
+    return fields
+
+
+class TestRegionUpdates:
+    """``Field.axpy``/``Field.aypx``: in place, on the region's span,
+    with the halo cells the span crosses put back (the exhaustive
+    shape x halo x dtype x poison battery is in
+    ``test_kernels_equivalence.py``)."""
+
+    KERNELS = get_backend("numpy")
+
+    def center(self):
+        return decompose(Grid2D(18, 15), 9, factors=(3, 3))[4]
+
+    def test_axpy_and_aypx_match_the_whole_array_expressions(self):
+        y, x = _pair(self.center())
+        for ext in (0, 1, 2):
+            rows, cols = y.region(ext)
+            ref = y.data.copy()
+            ref[rows, cols] += 0.375 * x.data[rows, cols]
+            y.axpy(0.375, x, self.KERNELS, ext)
+            assert np.array_equal(bits(y.data), bits(ref))
+            ref[rows, cols] *= -0.75
+            ref[rows, cols] += x.data[rows, cols]
+            y.aypx(-0.75, x, ext)
+            assert np.array_equal(bits(y.data), bits(ref))
+
+    def test_other_may_be_self(self):
+        y, _ = _pair(self.center())
+        ref = y.data.copy()
+        ref[y.region(0)] += 0.5 * ref[y.region(0)]
+        y.axpy(0.5, y, self.KERNELS)
+        assert np.array_equal(bits(y.data), bits(ref))
+
+    def test_gaps_restored_when_the_kernel_raises(self):
+        class Scribbler:
+            def axpy(self, y, alpha, x):
+                y[...] = 7.0
+                raise FloatingPointError("mid-update")
+
+        y, x = _pair(self.center())
+        before = y.data.copy()
+        with pytest.raises(FloatingPointError):
+            y.axpy(1.0, x, Scribbler())
+        halo = np.ones(y.data.shape, dtype=bool)
+        halo[y.region(0)] = False
+        assert np.array_equal(bits(y.data)[halo], bits(before)[halo])
+        assert np.all(y.interior == 7.0)
+
+    def test_span_views_are_built_once_per_buffer(self):
+        y, x = _pair(self.center())
+        y.axpy(1.0, x, self.KERNELS)
+        span = y._span(0)
+        y.data[...] = 3.0          # writing through the buffer keeps them
+        y.axpy(1.0, x, self.KERNELS)
+        assert y._span(0) is span and span.cells.base is not None
+        assert np.shares_memory(span.cells, y.data)
+
+    def test_rebinding_data_invalidates_the_cached_views(self):
+        y, x = _pair(self.center())
+        y.axpy(1.0, x, self.KERNELS)
+        old = y.data
+        kept = old.copy()
+        y.data = old.copy()
+        ref = y.data.copy()
+        ref[y.region(0)] += 2.0 * x.interior
+        y.axpy(2.0, x, self.KERNELS)
+        assert np.array_equal(bits(y.data), bits(ref))
+        assert np.array_equal(bits(old), bits(kept))
+        assert np.shares_memory(y._span(0).cells, y.data)
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
+        ids=["deepcopy", "pickle"])
+    def test_a_copied_field_builds_its_own_views(self, duplicate):
+        """``comm`` deep-copies what it transports and the service pickles
+        it: a copy taken after the views exist must update *its* buffer."""
+        y, x = _pair(self.center())
+        y.axpy(1.0, x, self.KERNELS)
+        y.aypx(0.5, x, 1)
+        twin = duplicate(y)
+        assert np.array_equal(bits(twin.data), bits(y.data))
+        ref = y.data.copy()
+        ref[y.region(0)] += 2.0 * x.interior
+        twin.axpy(2.0, x, self.KERNELS)
+        assert np.array_equal(bits(twin.data), bits(ref))
+        assert np.shares_memory(twin._span(0).cells, twin.data)
+        assert not np.shares_memory(twin.data, y.data)
+        ref[y.region(1)] *= 0.5
+        ref[y.region(1)] += x.data[x.region(1)]
+        twin.aypx(0.5, x, 1)
+        assert np.array_equal(bits(twin.data), bits(ref))
+
+    def test_buffers_that_do_not_share_a_layout_take_the_2d_path(self):
+        tile = self.center()
+        cases = [
+            _pair(tile, halo=2, other_halo=3),                 # pitch differs
+            [Field(tile, 2, np.asfortranarray(f.data))         # not C-order
+             for f in _pair(tile)],
+        ]
+        for y, x in cases:
+            buffer = y.data
+            ref = y.data.copy()
+            ref[y.region(1)] += 0.25 * x.data[x.region(1)]
+            y.axpy(0.25, x, self.KERNELS, 1)
+            assert y.data is buffer
+            assert np.array_equal(bits(y.data), bits(ref))
+            ref[y.region(1)] *= 0.5
+            ref[y.region(1)] += x.data[x.region(1)]
+            y.aypx(0.5, x, 1)
+            assert np.array_equal(bits(y.data), bits(ref))
+
+    def test_field3d_carries_the_same_methods(self):
+        from repro.mesh import Grid3D, decompose3d
+        from repro.mesh.field3d import Field3D
+        tile = decompose3d(Grid3D(12, 10, 8), 8)[0]
+        rng = np.random.default_rng(5)
+        y, x = (Field3D(tile, 2) for _ in range(2))
+        for f in (y, x):
+            f.data[...] = rng.standard_normal(f.data.shape)
+        for ext in (0, 1):
+            region = y.region(ext)
+            ref = y.data.copy()
+            ref[region] += 0.375 * x.data[region]
+            y.axpy(0.375, x, self.KERNELS, ext)
+            assert np.array_equal(bits(y.data), bits(ref))
+            ref[region] *= -0.75
+            ref[region] += x.data[region]
+            y.aypx(-0.75, x, ext)
+            assert np.array_equal(bits(y.data), bits(ref))

@@ -24,6 +24,7 @@ test-only :class:`OracleBackend`.  The ``numpy`` backend must match it
 solves, and a steady-state CG iteration on it must allocate no array.
 """
 
+import hashlib
 import tracemalloc
 
 from dataclasses import replace
@@ -42,10 +43,12 @@ from repro.kernels import (
     reduction_tolerance,
 )
 from repro.kernels.numpy_backend import _block_rows
-from repro.mesh import Field
+from repro.mesh import Field, Grid2D, decompose
 from repro.solvers import Defences, SolverOptions, cg_solve, solve_linear
 from repro.testing import crooked_pipe_system, serial_operator
 from repro.utils.errors import ConfigurationError
+
+from tests.helpers import bits
 
 BASELINE = get_backend("numpy")
 
@@ -297,6 +300,251 @@ def test_baseline_bit_identical_to_oracle(shape, halo, dtype, frozen):
         assert np.array_equal(yw, ref_y)
 
 
+# -- contiguous spans: nothing outside the region ever changes -------------------
+#
+# The baseline's passes run over 1-D spans of the padded buffers, halo
+# cells between two region rows included, and ``Field.axpy``/``aypx``
+# update such a span in place.  The invariant that makes that legal:
+# every cell outside the region keeps its *bits* — whatever a stale halo
+# holds — and the region equals the whole-array oracle exactly.
+
+SPAN_SHAPES = [(9, 1), (1, 9), (13, 7), (520, 300)]
+SPAN_HALOS = [1, 2, 3, 4]
+SPAN_IDS = [f"{ny}x{nx}" for ny, nx in SPAN_SHAPES]
+
+
+def _poison(a, keep):
+    """``a`` with every cell outside the mask ``keep`` set, in turn, to
+    NaN, +inf, -inf, -0.0 and the dtype's largest finite value."""
+    vals = np.array([np.nan, np.inf, -np.inf, -0.0, np.finfo(a.dtype).max],
+                    dtype=a.dtype)
+    where = np.flatnonzero(~keep.ravel())
+    a.reshape(-1)[where] = vals[np.arange(where.size) % vals.size]
+    return a
+
+
+def _region_mask(shape, rows, cols):
+    mask = np.zeros(shape, dtype=bool)
+    mask[rows, cols] = True
+    return mask
+
+
+def _windowed(a):
+    """``a``'s values as a window of a wider buffer: not C-contiguous."""
+    wide = np.zeros((a.shape[0], a.shape[1] + 3), dtype=a.dtype)
+    wide[:, :a.shape[1]] = a
+    return wide[:, :a.shape[1]]
+
+
+#: Operand layouts of a stencil chain.  ``padded`` is an operator's (one
+#: contiguous shape: the span body); the other two do not share a pitch
+#: and take the general 2-D body — face-staggered coefficients, ``kx`` a
+#: column and ``ky`` a row larger than ``p``, or a non-contiguous ``p``.
+LAYOUTS = ["padded", "staggered", "windowed"]
+
+
+def _check_stencil_chains(k, shape, halo, dtype, frozen, exact,
+                          layout="padded"):
+    """``out`` and ``y`` start as poison everywhere a chain may not
+    write, ``p`` holds poison wherever the stencil does not read: after
+    each chain of backend ``k`` every array equals the oracle's bit for
+    bit — so nothing outside the region moved.  ``exact`` also holds the
+    reductions to the oracle's value, not just its envelope."""
+    kx, ky, p, y = _system(shape, halo, dtype)
+    if layout == "staggered":
+        kx, ky = np.pad(kx, ((0, 0), (0, 1))), np.pad(ky, ((0, 1), (0, 0)))
+    kx.flags.writeable = ky.flags.writeable = not frozen
+    for bounds in _all_bound_sets(shape, halo):
+        r0, r1, c0, c1 = bounds
+        region = _region_mask(p.shape, slice(r0, r1), slice(c0, c1))
+        read = (region | _region_mask(p.shape, slice(r0 - 1, r1 + 1),
+                                      slice(c0, c1))
+                | _region_mask(p.shape, slice(r0, r1), slice(c0 - 1, c1 + 1)))
+        pp = _poison(p.copy(), read)
+        if layout == "windowed":
+            pp = _windowed(pp)
+        blank = _poison(np.zeros_like(p), np.zeros_like(region))
+        yp = _poison(y.copy(), region)
+
+        ref, out = blank.copy(), blank.copy()
+        ORACLE.stencil_apply(kx, ky, pp, ref, *bounds)
+        k.stencil_apply(kx, ky, pp, out, *bounds)
+        assert np.array_equal(bits(out), bits(ref))
+
+        ref, out = blank.copy(), blank.copy()
+        d_ref = ORACLE.apply_dot(kx, ky, pp, ref, *bounds)
+        d = k.apply_dot(kx, ky, pp, out, *bounds)
+        assert np.array_equal(bits(out), bits(ref))
+        assert abs(d - d_ref) <= (0.0 if exact else reduction_tolerance(
+            pp[r0:r1, c0:c1], ref[r0:r1, c0:c1]))
+
+        ref, out = blank.copy(), blank.copy()
+        ref_y, yw = yp.copy(), yp.copy()
+        d_ref = ORACLE.apply_axpy_dot(kx, ky, pp, ref, ref_y, -0.75, *bounds)
+        d = k.apply_axpy_dot(kx, ky, pp, out, yw, -0.75, *bounds)
+        assert np.array_equal(bits(out), bits(ref))
+        assert np.array_equal(bits(yw), bits(ref_y))
+        yr = ref_y[r0:r1, c0:c1]
+        assert abs(d - d_ref) <= (0.0 if exact else
+                                  reduction_tolerance(yr, yr))
+        assert np.array_equal(bits(pp), bits(_poison(p.copy(), read)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("backend", ["numpy", "fused"])
+@pytest.mark.parametrize("frozen", [False, True], ids=["writeable", "frozen"])
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("halo", SPAN_HALOS)
+@pytest.mark.parametrize("shape", SPAN_SHAPES, ids=SPAN_IDS)
+def test_stencil_chains_write_only_the_region(shape, halo, dtype, frozen,
+                                              backend):
+    """Every region the halo allows, nothing warned on the way."""
+    _check_stencil_chains(get_backend(backend), shape, halo, dtype, frozen,
+                          exact=backend == "numpy")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("backend", ["numpy", "fused"])
+@pytest.mark.parametrize("frozen", [False, True], ids=["writeable", "frozen"])
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("layout", LAYOUTS[1:])
+@pytest.mark.parametrize("shape", SPAN_SHAPES, ids=SPAN_IDS)
+def test_general_layouts_write_only_the_region(shape, layout, dtype, frozen,
+                                               backend):
+    """Operands that do not share a pitch take the 2-D body: the same
+    bits as the oracle, the same untouched cells, every region of a
+    depth-3 halo."""
+    _check_stencil_chains(get_backend(backend), shape, 3, dtype, frozen,
+                          exact=backend == "numpy", layout=layout)
+
+
+def _span_tiles(shape):
+    """Two tiles of interior ``shape``: the centre of a 3x3 decomposition
+    (``region(e)`` grows on every side) and its corner (on two)."""
+    ny, nx = shape
+    tiles = decompose(Grid2D(3 * nx, 3 * ny), 9, factors=(3, 3))
+    return tiles[4], tiles[0]
+
+
+def _check_field_updates(field_cls, k, shape, halo, dtype):
+    """``axpy`` and ``aypx`` of ``field_cls`` on every region ``0..halo``
+    of two poisoned fields: the updated buffer equals the whole-array
+    expression on the region and its old bits everywhere else; the other
+    operand is untouched."""
+    rng = np.random.default_rng(7 * shape[0] + shape[1] + halo)
+    for tile in _span_tiles(shape):
+        pad = (shape[0] + 2 * halo, shape[1] + 2 * halo)
+        for ext in range(halo + 1):
+            y, x = (field_cls(tile, halo,
+                              rng.standard_normal(pad).astype(dtype))
+                    for _ in range(2))
+            rows, cols = y.region(ext)
+            keep = _region_mask(pad, rows, cols)
+            _poison(y.data, keep), _poison(x.data, keep)
+            x_before = x.data.copy()
+
+            ref = y.data.copy()
+            ORACLE.axpy(ref[rows, cols], 0.375, x.data[rows, cols])
+            y.axpy(0.375, x, k, ext)
+            assert np.array_equal(bits(y.data), bits(ref))
+
+            region = ref[rows, cols]
+            region *= -0.75
+            region += x.data[rows, cols]
+            y.aypx(-0.75, x, ext)
+            assert np.array_equal(bits(y.data), bits(ref))
+            assert np.array_equal(bits(x.data), bits(x_before))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("backend", ["numpy", "fused", "oracle"])
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("halo", SPAN_HALOS)
+@pytest.mark.parametrize("shape", SPAN_SHAPES, ids=SPAN_IDS)
+def test_field_updates_write_only_the_region(shape, halo, dtype, backend):
+    """Through either backend and the whole-array oracle, warning-free."""
+    k = ORACLE if backend == "oracle" else get_backend(backend)
+    _check_field_updates(Field, k, shape, halo, dtype)
+
+
+def _mutant(module_name, old, new):
+    """``module_name`` re-executed from its source with ``old`` (which
+    must occur exactly once) replaced by ``new``."""
+    import importlib.util
+    import sys
+    import types
+    origin = importlib.util.find_spec(module_name).origin
+    with open(origin) as handle:
+        source = handle.read()
+    assert source.count(old) == 1, f"mutation site {old!r} moved"
+    module = types.ModuleType(module_name + "_mutant")
+    sys.modules[module.__name__] = module   # dataclasses look it up
+    try:
+        exec(compile(source.replace(old, new), origin, "exec"),
+             module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+#: Seeded mutants of the span arithmetic (ROADMAP 4d): each must be
+#: killed by the battery above.
+SPAN_MUTANTS = {
+    "right<->left": (
+        "repro.kernels.numpy_backend",
+        "pf[s0 + 1:s1 + 1], pf[s0 - 1:s1 - 1],",
+        "pf[s0 - 1:s1 - 1], pf[s0 + 1:s1 + 1],"),
+    "up<->down": (
+        "repro.kernels.numpy_backend",
+        "pf[s0 + pitch:s1 + pitch], pf[s0 - pitch:s1 - pitch],",
+        "pf[s0 - pitch:s1 - pitch], pf[s0 + pitch:s1 + pitch],"),
+    "span-one-short": (
+        "repro.kernels.numpy_backend",
+        "s1 = s0 + (b1 - b0 - 1) * pitch + w",
+        "s1 = s0 + (b1 - b0 - 1) * pitch + w - 1"),
+    "stencil-flags-reported": (
+        "repro.kernels.numpy_backend",
+        'with np.errstate(over="ignore", invalid="ignore"):\n'
+        "                    _stencil_passes(",
+        "with np.errstate():\n                    _stencil_passes("),
+    "general-right<->left": (
+        "repro.kernels.numpy_backend",
+        "p[b0:b1, c0 + 1:c1 + 1], p[b0:b1, c0 - 1:c1 - 1],",
+        "p[b0:b1, c0 - 1:c1 - 1], p[b0:b1, c0 + 1:c1 + 1],"),
+    "general-taken-for-spans": (
+        "repro.kernels.numpy_backend",
+        "spans = (p.shape == kx.shape == ky.shape and p.flags.c_contiguous",
+        "spans = (p.shape[0] == kx.shape[0] and p.flags.c_contiguous"),
+    "gap-one-narrow": (
+        "repro.mesh.field",
+        "[:, :pitch - ncols]", "[:, :pitch - ncols - 1]"),
+    "gaps-not-restored": (
+        "repro.mesh.field",
+        "np.copyto(y.gaps, y.saved)", "pass"),
+    "field-flags-reported": (
+        "repro.mesh.field",
+        'with np.errstate(over="ignore", invalid="ignore"):\n'
+        "                update(",
+        "with np.errstate():\n                update("),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", SPAN_MUTANTS)
+def test_span_mutants_are_killed(name):
+    module_name, old, new = SPAN_MUTANTS[name]
+    module = _mutant(module_name, old, new)
+    with pytest.raises((AssertionError, RuntimeWarning, ValueError)):
+        if module_name.endswith("field"):
+            _check_field_updates(module.Field, BASELINE, (13, 7), 2,
+                                 "float64")
+        else:
+            _check_stencil_chains(
+                module.NumpyBackend(), (13, 7), 3, "float64", frozen=True,
+                exact=True,
+                layout="staggered" if name.startswith("general") else "padded")
+
+
 @pytest.mark.parametrize("backend", ["numpy", "fused"])
 def test_stencil_rejects_output_aliasing_input(backend):
     """The whole-array expression tolerated ``out is p``; the in-place
@@ -408,7 +656,8 @@ def test_blas1_tail_on_3d_fields_allocates_no_array(backend,
 
 def test_workspace_is_shared_across_extents():
     """Four regions of different extents (CPPCG's shrinking matrix-powers
-    bounds) leave every workspace slot no larger than the largest needs."""
+    bounds) leave every workspace slot no larger than the largest needs:
+    its rows at the padded pitch (span scratch keeps the halo columns)."""
     shape, halo = (96, 80), 4
     kx, ky, p, y = _system(shape, halo, "float64")
     kx.flags.writeable = ky.flags.writeable = False
@@ -418,7 +667,7 @@ def test_workspace_is_shared_across_extents():
         k.apply_dot(kx, ky, p, out, *bounds)
         k.apply_axpy_dot(kx, ky, p, out, y, -1.0, *bounds)
     assert len(_all_bound_sets(shape, halo)) == 4
-    largest = (shape[0] + 2 * (halo - 1)) * (shape[1] + 2 * (halo - 1)) * 8
+    largest = (shape[0] + 2 * (halo - 1)) * (shape[1] + 2 * halo) * 8
     assert all(pool is not None and pool.nbytes <= largest
                for pool in k._pools)
 
@@ -484,6 +733,13 @@ PINNED_ITERATIONS = {
 }
 
 
+#: sha256 (first 16 hex digits) of the padded solution of the two solvers
+#: that updated ``x``/``r``/``p`` with whole-array temporaries outside the
+#: backends until they were routed through ``Field.axpy``/``aypx`` —
+#: recorded before the routing, with the iteration counts above.
+PINNED_SOLUTIONS = {"jacobi": "bf37c77db26be68b", "dcg": "2a6dd2423d2bb951"}
+
+
 @pytest.mark.parametrize("label,opt", SOLVE_CONFIGS,
                          ids=[name for name, _ in SOLVE_CONFIGS])
 def test_full_solve_identical_to_oracle(label, opt):
@@ -506,6 +762,9 @@ def test_full_solve_identical_to_oracle(label, opt):
     assert new.converged == ref.converged
     assert new.true_relative_residual == ref.true_relative_residual
     assert np.array_equal(new.x.data, ref.x.data)
+    if label in PINNED_SOLUTIONS:
+        digest = hashlib.sha256(new.x.data.tobytes()).hexdigest()[:16]
+        assert digest == PINNED_SOLUTIONS[label]
 
 
 # -- registry, options and deck plumbing ---------------------------------------

@@ -61,6 +61,33 @@ class TestOperatorProperties:
         rhs = float(np.sum(u.interior * Av.interior))
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
+    @given(faces_strategy(), st.sampled_from(["numpy", "fused"]),
+           st.sampled_from(["float32", "float64"]), st.integers(1, 4))
+    @settings(max_examples=60, **COMMON)
+    def test_operator_symmetry_per_backend_dtype_and_halo(
+            self, system, backend, dtype, halo):
+        """<Au, v> == <u, Av> through each backend's chains, in either
+        precision, at every halo depth (whose padding the span kernels
+        read through) — to the reduction envelope of the two products:
+        ``64 eps ||A||_inf ||u|| ||v||``."""
+        ny, nx, kx, ky, seed = system
+        rng = np.random.default_rng(seed + 3)
+        tile = decompose(Grid2D(nx, ny), 1)[0]
+        op = StencilOperator2D.from_global_faces(
+            tile, halo, kx, ky, SerialComm(), dtype=np.dtype(dtype)
+        ).with_kernels(backend)
+        u, v = (Field.from_global(tile, halo, rng.standard_normal((ny, nx)),
+                                  dtype=dtype) for _ in range(2))
+        Au, Av = op.new_field(), op.new_field()
+        op.apply(u, Au)
+        vAv = op.apply_dot(v, Av)
+        assert Au.dtype == np.dtype(dtype)
+        norm_a = float((2.0 * op.diagonal() - 1.0).max())   # Gershgorin
+        envelope = 64 * float(np.finfo(dtype).eps) * norm_a
+        scale = math.sqrt(op.dot(u, u) * op.dot(v, v))
+        assert abs(op.dot(Au, v) - op.dot(u, Av)) <= envelope * scale
+        assert abs(vAv - op.dot(v, Av)) <= envelope * op.dot(v, v)
+
     @given(faces_strategy())
     @settings(max_examples=30, **COMMON)
     def test_operator_positive_definite(self, system):
