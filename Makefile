@@ -78,13 +78,18 @@ lint:
 
 # Source size, the ROADMAP north-star's "figure to push down": `wc -l`
 # per src/repro package, then the solvers+comm+resilience total (8047
-# before PR 13).  Printed by the CI lint job on every PR.
+# before PR 13) and the numerical core mesh+solvers+physics+kernels
+# (6822 before PR 18 merged the 2-D and 3-D stacks).  Printed by the CI
+# lint job on every PR.
 loc:
 	@for d in src/repro/*/; do \
 	    printf '%7d  %s\n' $$(find $$d -name '*.py' | xargs cat | wc -l) $$d; done
 	@printf '%7d  src/repro (all)\n' $$(find src/repro -name '*.py' | xargs cat | wc -l)
 	@printf '%7d  solvers+comm+resilience\n' $$(find src/repro/solvers \
 	    src/repro/comm src/repro/resilience -name '*.py' | xargs cat | wc -l)
+	@printf '%7d  mesh+solvers+physics+kernels\n' $$(find src/repro/mesh \
+	    src/repro/solvers src/repro/physics src/repro/kernels -name '*.py' \
+	    | xargs cat | wc -l)
 
 # Dynamic contract verification: run each solver under InstrumentedComm and
 # cross-check measured per-iteration comm counts against its COMM_CONTRACT.

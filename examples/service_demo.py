@@ -50,11 +50,16 @@ def demo_front_end():
     print("1) asyncio front-end: mixed concurrent outcomes")
 
     async def scenario():
-        with SolveService(workers=2, quota_rate=50.0, quota_burst=5.0) as svc:
+        # Outcomes that do not depend on how fast this box is: a bucket
+        # of five tokens that refills one per 1000 s sheds the sixth
+        # submit however long the first five take to start, and a
+        # deadline already reached at submit fires at the solve's first
+        # iteration boundary however late the worker comes up.
+        with SolveService(workers=2, quota_rate=1e-3, quota_burst=5.0) as svc:
             jobs = [svc.submit(CG_DECK, tenant="acme", n=12)
                     for _ in range(3)]
             jobs.append(svc.submit(CG_DECK, tenant="acme", n=12,
-                                   deadline_s=1e-4))
+                                   deadline_s=0.0))
             jobs.append(svc.submit("*tea\nbogus=1\n*endtea\n",
                                    tenant="acme"))
             jobs.append(svc.submit(CG_DECK, tenant="acme", n=12))

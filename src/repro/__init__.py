@@ -48,6 +48,7 @@ from repro.physics import (
     run_simulation,
 )
 from repro.solvers import (
+    StencilOperator,
     StencilOperator2D,
     SolverOptions,
     SolveResult,
@@ -93,6 +94,7 @@ __all__ = [
     "Simulation",
     "SimulationReport",
     "run_simulation",
+    "StencilOperator",
     "StencilOperator2D",
     "SolverOptions",
     "SolveResult",

@@ -4,9 +4,9 @@ Counts the communication call sites *statically reachable* from a piece of
 solver code:
 
 - direct primitives — ``*.allreduce(...)`` (one global reduction) and
-  ``*exchanger*.exchange(...)``/``begin_exchange`` (one halo exchange);
+  ``*exchanger*.exchange(...)`` (one halo exchange);
 - operator helpers — calls on a receiver named ``op``/``self.op`` resolve
-  through a cost table built by analyzing ``StencilOperator2D``'s own
+  through a cost table built by analyzing ``StencilOperator``'s own
   methods (``apply`` → 1 halo exchange, ``dot``/``dots``/``norm`` → 1
   allreduce, ``residual`` → 1 halo exchange, ...).  The table is derived
   from the AST of the sibling ``operator.py`` when present, falling back
@@ -42,7 +42,7 @@ from repro.analysis.config import DEFAULT_IGNORE_RECEIVERS
 REDUCTION_ATTRS = frozenset({"allreduce"})
 #: Attribute names counted as one halo exchange when called on an
 #: exchanger-ish receiver.
-HALO_ATTRS = frozenset({"exchange", "begin_exchange"})
+HALO_ATTRS = frozenset({"exchange"})
 #: Receiver names that look like the stencil operator.
 OPERATOR_RECEIVERS = frozenset({"op", "operator"})
 
@@ -74,7 +74,7 @@ ZERO = CommCost()
 
 #: Fallback operator-method costs (used when the sibling ``operator.py``
 #: is not available, e.g. analyzing a lone file); mirrors
-#: :class:`repro.solvers.operator.StencilOperator2D`.
+#: :class:`repro.solvers.operator.StencilOperator`.
 DEFAULT_OPERATOR_COSTS: dict[str, CommCost] = {
     "apply": CommCost(halos=1),
     "residual": CommCost(halos=1),
@@ -233,7 +233,7 @@ class ModuleCostModel:
 
 def build_operator_table(
         operator_path: Path,
-        class_name: str = "StencilOperator2D") -> dict[str, CommCost]:
+        class_name: str = "StencilOperator") -> dict[str, CommCost]:
     """Derive the operator cost table from ``operator.py``'s own AST.
 
     Falls back to :data:`DEFAULT_OPERATOR_COSTS` when the file is missing

@@ -1,7 +1,9 @@
 """Dynamic contract verification (``python -m repro.analysis --verify``).
 
 Bridges the static contracts to reality: each solver runs a small
-crooked-pipe solve under :class:`~repro.comm.instrument.InstrumentedComm`,
+crooked-pipe solve (two configurations the 12^3 crooked duct, so the
+7-point operator and the three-phase exchange are proven under the same
+stacks) under :class:`~repro.comm.instrument.InstrumentedComm`,
 and the *measured* per-iteration reduction/halo-exchange counts from the
 :class:`~repro.utils.events.EventLog` are cross-checked against the
 module's ``COMM_CONTRACT``.
@@ -87,6 +89,8 @@ class VerifySpec:
     run: Callable         # (op, b, bounds, max_iters, defences) -> SolveResult
     expected: Callable    # (contract) -> (allreduces, halos) per iteration
     detail: str = ""
+    #: The system solved, a key of :func:`build_system`.
+    system: str = "crooked_pipe"
     #: The solver honours residual replacement: the sanitized verify pass
     #: switches it on to prove that replacement collectives (rerouted to
     #: REPLACEMENT_KIND) stay both contract-exact *and*
@@ -94,13 +98,23 @@ class VerifySpec:
     replaceable: bool = False
 
 
-def _gershgorin_lam_max(kxg, kyg) -> float:
+def build_system(name: str, n: int) -> tuple:
+    """``(grid, global face arrays, b)`` of the system a spec names: the
+    ``n``^2 crooked pipe or the 12^3 crooked duct (its 3-D analogue)."""
+    from repro.testing import crooked_duct_system, crooked_pipe_system
+    build, size = {"crooked_pipe": (crooked_pipe_system, n),
+                   "crooked_duct_12": (crooked_duct_system, 12)}[name]
+    grid, *faces, bg = build(size)
+    return grid, faces, bg
+
+
+def _gershgorin_lam_max(*faces) -> float:
     """Safe upper eigenvalue bound of ``A = I + D`` (row-sum bound).
 
     Overestimating ``lam_max`` keeps Chebyshev stable (just slower), which
     is what the verifier wants: a fixed number of non-converging steps.
     """
-    return 1.0 + 4.0 * (float(kxg.max()) + float(kyg.max()))
+    return 1.0 + 4.0 * sum(float(k.max()) for k in faces)
 
 
 def default_specs() -> list[VerifySpec]:
@@ -185,13 +199,28 @@ def default_specs() -> list[VerifySpec]:
             run=lambda op, b, bounds, k, defences: deflated_cg_solve(
                 op, b, eps=EPS_NEVER, max_iters=k, blocks=(2, 2)),
             expected=per_iter),
+        VerifySpec(
+            "cg[3d]", "repro.solvers.cg", halo=1, iters=(4, 12),
+            run=lambda op, b, bounds, k, defences: cg_solve(
+                op, b, eps=EPS_NEVER, max_iters=k, defences=defences),
+            expected=per_iter, detail="12^3 crooked duct",
+            replaceable=True, system="crooked_duct_12"),
+        VerifySpec(
+            "ppcg[3d,depth=2]", "repro.solvers.ppcg", halo=2, iters=(3, 9),
+            run=lambda op, b, bounds, k, defences: ppcg_solve(
+                op, b, eps=EPS_NEVER, max_iters=k, inner_steps=4,
+                halo_depth=2, warmup_iters=8, bounds=bounds,
+                defences=defences),
+            expected=ppcg_expected(inner=4, depth=2),
+            detail="12^3 crooked duct, matrix powers, inner_steps=4",
+            replaceable=True, system="crooked_duct_12"),
     ]
 
 
 def kernel_specs(backend: str = "fused") -> list[VerifySpec]:
     """Solver configurations re-run through a non-default kernel backend.
 
-    Routing the hot loops through :meth:`StencilOperator2D.with_kernels`
+    Routing the hot loops through :meth:`StencilOperator.with_kernels`
     must be communication-neutral: the fused ``apply_dot`` /
     ``residual_dot`` chains change *how* the local arithmetic is blocked,
     never how often the solver reduces or exchanges.  These specs re-prove
@@ -277,18 +306,17 @@ def _measure(spec: VerifySpec, n: int,
     """
     from repro.comm import EventWindow, InstrumentedComm, SerialComm
     from repro.mesh import Field, decompose
-    from repro.solvers import StencilOperator2D
+    from repro.solvers import StencilOperator
     from repro.solvers.defences import Defences
     from repro.solvers.eigen import EigenBounds
-    from repro.testing import crooked_pipe_system
     from repro.utils import EventLog
 
     if sanitize:
         resilience = True
         integrity = True
 
-    grid, kxg, kyg, bg = crooked_pipe_system(n)
-    bounds = EigenBounds(1.0, _gershgorin_lam_max(kxg, kyg))
+    grid, faces, bg = build_system(spec.system, n)
+    bounds = EigenBounds(1.0, _gershgorin_lam_max(*faces))
 
     def one_run(max_iters: int) -> tuple[int, int, int]:
         log = EventLog()
@@ -312,8 +340,8 @@ def _measure(spec: VerifySpec, n: int,
                 prefix="repro-verify-"), rank=0)
             guard = SolverGuard(checkpoint_interval=5, store=store)
         tile = decompose(grid, 1)[0]
-        op = StencilOperator2D.from_global_faces(
-            tile, spec.halo, kxg, kyg, comm, events=log)
+        op = StencilOperator.from_global_faces(
+            tile, spec.halo, *faces, comm, events=log)
         b = Field.from_global(tile, spec.halo, bg)
         defences = Defences(
             guard=guard,

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from repro.kernels import numba_backend
 from repro.kernels.base import (KERNEL_STREAMS, REDUCTION_ULP_FACTOR,
-                                KernelBackend, reduction_tolerance)
+                                KernelBackend, reduction_tolerance,
+                                stencil_diagonal)
 from repro.kernels.fused import FusedBackend
 from repro.kernels.numpy_backend import NumpyBackend
 from repro.utils.errors import ConfigurationError
@@ -79,4 +80,5 @@ __all__ = [
     "available_backends",
     "get_backend",
     "reduction_tolerance",
+    "stencil_diagonal",
 ]

@@ -1,7 +1,8 @@
 """The pluggable kernel interface behind the hot paths.
 
-Every computational kernel of the solver family — the 5-point stencil
-apply (paper Listing 1), the fused apply+dot and apply+axpy+dot chains,
+Every computational kernel of the solver family — the 5-point (2-D) or
+7-point (3-D) stencil apply (paper Listing 1), the fused apply+dot and
+apply+axpy+dot chains,
 halo pack/unpack, and the BLAS-1 tail (dot/axpy/norm) — is routed through
 a :class:`KernelBackend`.  Backends operate on **raw padded arrays plus
 explicit loop bounds** so implementations are free to block, fuse or JIT
@@ -13,6 +14,15 @@ the region to compute (``rows = r0:r1``, ``cols = c0:c1``), exactly the
 slices returned by :meth:`repro.mesh.field.Field.region`.  The stencil
 reads one extra ring (``r0-1 .. r1`` / ``c0-1 .. c1``), which the caller
 guarantees is valid (a fresh halo).
+
+Dimension convention: the signatures below are the 2-D calls.  A 3-D
+call is the same method with one more face array after ``ky`` and one
+more bound pair in front, slowest axis first —
+``stencil_apply(kx, ky, kz, p, out, z0, z1, r0, r1, c0, c1)``,
+``pack_halo(a, planes, rows, cols)`` — and the dimension is
+``kx.ndim``.  All operands of a stencil chain share one C-contiguous
+padded shape (an operator's fields always do); anything else is a
+``ConfigurationError``.
 
 Numerical policy (see ``docs/kernels.md``):
 
@@ -54,6 +64,24 @@ KERNEL_STREAMS = {
 REDUCTION_ULP_FACTOR = 64.0
 
 
+def stencil_diagonal(*faces: np.ndarray) -> np.ndarray:
+    """The stencil's centre coefficient per padded cell: ``1 + `` the
+    cell's two face coefficients along every axis, slowest axis first and
+    high face before low (the order every backend must add them in);
+    1 in the last index of each axis, whose high faces do not exist.
+
+    ``faces`` are ``(kx, ky[, kz])``, fastest axis first, of one shape.
+    """
+    inner = (slice(None, -1),) * len(faces)
+    core = 1.0
+    for axis, k in enumerate(reversed(faces)):
+        high = (*inner[:axis], slice(1, None), *inner[axis + 1:])
+        core = core + k[high] + k[inner]
+    diag = np.ones(faces[0].shape, dtype=core.dtype)
+    diag[inner] = core
+    return diag
+
+
 def reduction_tolerance(a: np.ndarray, b: np.ndarray) -> float:
     """The documented bound on ``|dot(a, b) - dot_ref(a, b)|``.
 
@@ -71,6 +99,8 @@ def reduction_tolerance(a: np.ndarray, b: np.ndarray) -> float:
 class KernelBackend:
     """Abstract kernel set: subclasses implement the stencil chains,
     ``dot`` and ``axpy``; ``norm`` and the halo copies have defaults.
+    The stencil signatures are the 2-D calls (module docstring: a 3-D
+    call carries ``kz`` and a plane bound pair more).
 
     An instance carries scratch (the baseline: a workspace and a cached
     stencil diagonal), so it belongs to **one operator** and its halo
@@ -117,7 +147,7 @@ class KernelBackend:
     # -- BLAS-1 tail -----------------------------------------------------------
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Local dot product of two (2D view) arrays."""
+        """Local dot product of two (view) arrays of one shape."""
         raise NotImplementedError
 
     def axpy(self, y: np.ndarray, alpha: float, x: np.ndarray) -> None:
@@ -130,14 +160,14 @@ class KernelBackend:
 
     # -- halo pack/unpack ------------------------------------------------------
 
-    def pack_halo(self, a: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    def pack_halo(self, a: np.ndarray, *region: slice) -> np.ndarray:
         """Contiguous copy of ``a[rows, cols]`` ready to send."""
-        return np.ascontiguousarray(a[rows, cols])
+        return np.ascontiguousarray(a[region])
 
-    def unpack_halo(self, a: np.ndarray, rows: slice, cols: slice,
-                    buf: np.ndarray) -> None:
-        """``a[rows, cols] = buf`` (received payload into ghost cells)."""
-        a[rows, cols] = buf
+    def unpack_halo(self, a: np.ndarray, *region_buf) -> None:
+        """``a[rows, cols] = buf`` (received payload into ghost cells);
+        called as ``unpack_halo(a, rows, cols, buf)``."""
+        a[region_buf[:-1]] = region_buf[-1]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<KernelBackend {self.name}>"

@@ -2,9 +2,9 @@
 
 The data-locality idea of Kronbichler et al. (arXiv 2205.08909): stream
 each field through cache once per chain, not once per whole-array pass.
-Its elementwise half (L2-sized row blocks, block scratch) now *is* the
-``numpy`` baseline, so ``stencil_apply``, ``axpy`` and the chains' field
-updates are inherited, bit-identical by construction.  What is left are
+Its elementwise half (L2-sized blocks of rows or planes, block scratch)
+now *is* the ``numpy`` baseline, so ``stencil_apply``, ``axpy`` and the
+chains' field updates are inherited, bit-identical by construction.  What is left are
 **block-partial reductions**: where the baseline pays a copy of each
 strided operand and a second pass over memory for its one reference
 ``np.dot``, this backend reduces each block while it is cache-hot
@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from repro.kernels.numpy_backend import (_DOT_A, _DOT_B, NumpyBackend,
-                                         _block_rows, _dot)
+                                         _block_rows, _dot, _operands)
 
 
 class FusedBackend(NumpyBackend):
@@ -28,22 +28,24 @@ class FusedBackend(NumpyBackend):
 
     name = "fused"
 
-    def apply_dot(self, kx, ky, p, out, r0, r1, c0, c1):
+    def apply_dot(self, *args):
+        faces, p, out, _, bounds = _operands(args)
+        plan = self._plan(faces, p, out, bounds, 7)
         partials = []
-        for b0, b1, acc, _ in self._stencil_blocks(kx, ky, p, out,
-                                                   r0, r1, c0, c1, 7):
+        for _, window, acc, _ in self._stencil_blocks(*plan, p, out):
             # Both operands cache-hot; workspace copies where strided.
-            partials.append(_dot(self._contiguous(_DOT_A, p[b0:b1, c0:c1]),
+            partials.append(_dot(self._contiguous(_DOT_A, p[window]),
                                  self._contiguous(_DOT_B, acc)))
         return math.fsum(partials)
 
-    def apply_axpy_dot(self, kx, ky, p, out, y, alpha, r0, r1, c0, c1):
+    def apply_axpy_dot(self, *args):
+        faces, p, out, (y, alpha), bounds = _operands(args, 2)
+        plan = self._plan(faces, p, out, bounds, 8, y)
         partials = []
-        for b0, b1, acc, tmp in self._stencil_blocks(kx, ky, p, out,
-                                                     r0, r1, c0, c1, 8):
+        for _, window, acc, tmp in self._stencil_blocks(*plan, p, out):
             np.multiply(acc, alpha, out=tmp)
-            np.add(y[b0:b1, c0:c1], tmp, out=tmp)
-            y[b0:b1, c0:c1] = tmp
+            np.add(y[window], tmp, out=tmp)
+            y[window] = tmp
             yb = self._contiguous(_DOT_A, tmp)
             partials.append(_dot(yb, yb))
         return math.fsum(partials)

@@ -8,31 +8,26 @@ with ``halo_depth`` layers of ghost cells.  This package provides:
 - :func:`decompose` — rank-count → tile layout with neighbour topology,
 - :class:`Field` — a halo-padded cell-centred array with interior views,
 - :class:`HaloExchanger` — depth-*d* ghost exchange over a communicator
-  (the two-phase scheme that also fills corner halos, as required by the
-  matrix powers kernel).
+  (the phase-per-axis scheme that also fills edge and corner halos, as
+  required by the matrix powers kernel).
+
+Tiles, fields and the exchange are written once over the dimension: a
+:class:`Grid3D` decomposes into 3-D tiles of the same classes.
 """
 
 from repro.mesh.grid import Grid2D, Grid3D
 from repro.mesh.decomposition import Tile, decompose, tile_for_rank, choose_factors
-from repro.mesh.decomposition3d import Tile3D, choose_factors_3d, decompose3d
 from repro.mesh.field import Field
-from repro.mesh.field3d import Field3D
 from repro.mesh.halo import HaloExchanger, reflect_boundaries
-from repro.mesh.halo3d import HaloExchanger3D
 
 __all__ = [
     "Grid2D",
     "Grid3D",
     "Tile",
-    "Tile3D",
     "decompose",
-    "decompose3d",
     "tile_for_rank",
     "choose_factors",
-    "choose_factors_3d",
     "Field",
-    "Field3D",
     "HaloExchanger",
-    "HaloExchanger3D",
     "reflect_boundaries",
 ]

@@ -1,126 +1,166 @@
 """Rectangular domain decomposition with neighbour topology.
 
-TeaLeaf decomposes the global grid into a ``px`` x ``py`` grid of rectangular
-tiles, one per MPI rank, choosing the factorisation of the rank count whose
-tile aspect ratio best matches the mesh (minimising halo surface, hence
-communication volume).  This module reproduces that scheme and additionally
-exposes the neighbour topology each tile needs for halo exchange.
+TeaLeaf decomposes the global grid into a ``px`` x ``py`` (x ``pz``) grid of
+rectangular tiles, one per MPI rank, choosing the factorisation of the rank
+count whose tile aspect ratio best matches the mesh (minimising halo surface,
+hence communication volume).  This module reproduces that scheme for 2-D and
+3-D grids alike and exposes the neighbour topology each tile needs for halo
+exchange.
+
+Everything per-axis is a tuple in **array order** — slowest axis first,
+``(y, x)`` or ``(z, y, x)``, the order of ``grid.shape`` — and the familiar
+names (``nx``, ``y0``, ``left``, ``front``...) read one entry of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from itertools import product
 
-from repro.mesh.grid import Grid2D
+from repro.mesh.grid import Grid2D, Grid3D
 from repro.utils.errors import DecompositionError
 
+#: (low, high) side names by spatial axis: x, y, z.
+SIDES = (("left", "right"), ("down", "up"), ("back", "front"))
 
-def choose_factors(nranks: int, nx: int, ny: int) -> tuple[int, int]:
-    """Pick ``(px, py)`` with ``px*py == nranks`` minimising halo perimeter.
 
-    The perimeter of cut edges for a ``px x py`` layout of an ``nx x ny``
-    mesh is ``(px-1)*ny + (py-1)*nx``; we minimise it exactly over all
-    factorisations (ties broken toward wider-in-x layouts, matching
-    TeaLeaf's preference for contiguous rows).
+def _factorisations(n: int, parts: int):
+    """Every ordered ``parts``-tuple of positive integers with product ``n``."""
+    if parts == 1:
+        yield (n,)
+        return
+    for p in range(1, n + 1):
+        if n % p == 0:
+            for rest in _factorisations(n // p, parts - 1):
+                yield (p, *rest)
+
+
+def choose_factors(nranks: int, *extents: int) -> tuple[int, ...]:
+    """Pick ``(px, py[, pz])`` with product ``nranks`` minimising the cut.
+
+    ``extents`` is the mesh size ``(nx, ny[, nz])``.  The cut surface of a
+    layout — ``(px-1)*ny + (py-1)*nx`` cell edges in 2-D, the three face
+    terms in 3-D — is minimised exactly over all factorisations, ties
+    broken toward fewer ranks along the slower axes (TeaLeaf's preference
+    for contiguous rows).
     """
     if nranks < 1:
         raise DecompositionError(f"nranks must be >= 1, got {nranks}")
+    cells = math.prod(extents)
     best = None
-    for px in range(1, nranks + 1):
-        if nranks % px:
-            continue
-        py = nranks // px
-        cut = (px - 1) * ny + (py - 1) * nx
-        key = (cut, py)  # prefer fewer rows of ranks on ties
+    for factors in _factorisations(nranks, len(extents)):
+        cut = sum((p - 1) * (cells // n) for p, n in zip(factors, extents))
+        key = (cut, *factors[:0:-1])
         if best is None or key < best[0]:
-            best = (key, (px, py))
+            best = (key, factors)
     return best[1]
+
+
+class _Axis:
+    """``tile.<name>``: one entry of the per-axis tuple ``attr``, counted
+    from the fastest axis (x is 1); an ``AttributeError`` on a tile with
+    fewer axes (``nz`` of a 2-D tile)."""
+
+    def __init__(self, attr: str, axis: int):
+        self.attr, self.axis = attr, axis
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, tile, owner=None):
+        if tile is None:
+            return self
+        values = getattr(tile, self.attr)
+        if self.axis > len(values):
+            raise AttributeError(
+                f"a {len(values)}-D tile has no {self.name!r}")
+        return values[-self.axis]
 
 
 @dataclass(frozen=True)
 class Tile:
-    """One rank's rectangular patch of the global grid.
+    """One rank's rectangular (cuboid) patch of the global grid.
 
     Attributes
     ----------
     rank:
-        Owning rank id in ``[0, px*py)``; ranks are laid out row-major
-        (x fastest), i.e. ``rank = cy*px + cx``.
-    cx, cy:
-        Tile coordinates in the process grid.
-    px, py:
-        Process-grid dimensions.
-    x0, x1, y0, y1:
-        Global half-open cell ranges ``[x0, x1) x [y0, y1)`` owned by
-        this tile.
+        Owning rank id; ranks are laid out row-major over ``coords``
+        (x fastest), i.e. ``rank = (cz*py + cy)*px + cx``.
+    coords, dims:
+        Tile coordinates in, and dimensions of, the process grid.
+    lo, hi:
+        Global half-open cell ranges ``[lo, hi)`` owned along each axis.
+    shape:
+        Local interior array shape, ``(ny, nx)`` or ``(nz, ny, nx)``.
+    lower, upper:
+        Rank owning the neighbouring tile toward smaller / larger indices
+        of each axis, or None at a physical boundary.
+
+    By name: ``cx/cy/cz``, ``px/py/pz``, ``x0/y0/z0`` and ``x1/y1/z1``
+    (``lo``/``hi``), ``nx/ny/nz`` (``shape``), ``left/down/back``
+    (``lower``) and ``right/up/front`` (``upper``).
     """
 
     rank: int
-    cx: int
-    cy: int
-    px: int
-    py: int
-    x0: int
-    x1: int
-    y0: int
-    y1: int
+    coords: tuple[int, ...]
+    dims: tuple[int, ...]
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    shape: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    lower: tuple = field(init=False, compare=False, repr=False)
+    upper: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # Worked out once: fields read these on every region and exchange.
+        strides = [math.prod(self.dims[a + 1:]) for a in range(len(self.dims))]
+        for name, value in (
+                ("shape", tuple(h - l for l, h in zip(self.lo, self.hi))),
+                ("lower", tuple(self.rank - s if c > 0 else None
+                                for c, s in zip(self.coords, strides))),
+                ("upper", tuple(self.rank + s if c < p - 1 else None
+                                for c, p, s in zip(self.coords, self.dims,
+                                                   strides)))):
+            object.__setattr__(self, name, value)
+
+    cx, cy, cz = (_Axis("coords", axis) for axis in (1, 2, 3))
+    px, py, pz = (_Axis("dims", axis) for axis in (1, 2, 3))
+    x0, y0, z0 = (_Axis("lo", axis) for axis in (1, 2, 3))
+    x1, y1, z1 = (_Axis("hi", axis) for axis in (1, 2, 3))
+    nx, ny, nz = (_Axis("shape", axis) for axis in (1, 2, 3))
+    left, down, back = (_Axis("lower", axis) for axis in (1, 2, 3))
+    right, up, front = (_Axis("upper", axis) for axis in (1, 2, 3))
 
     @property
-    def nx(self) -> int:
-        return self.x1 - self.x0
-
-    @property
-    def ny(self) -> int:
-        return self.y1 - self.y0
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """Local interior array shape ``(ny, nx)``."""
-        return (self.ny, self.nx)
+    def ndim(self) -> int:
+        return len(self.shape)
 
     @property
     def n_cells(self) -> int:
-        return self.nx * self.ny
+        return math.prod(self.shape)
 
     @property
-    def global_slices(self) -> tuple[slice, slice]:
-        """Slices selecting this tile from a global ``(ny, nx)`` array."""
-        return (slice(self.y0, self.y1), slice(self.x0, self.x1))
-
-    # -- neighbour topology -------------------------------------------------
-
-    def _nbr(self, dx: int, dy: int) -> int | None:
-        cx, cy = self.cx + dx, self.cy + dy
-        if 0 <= cx < self.px and 0 <= cy < self.py:
-            return cy * self.px + cx
-        return None
+    def global_slices(self) -> tuple[slice, ...]:
+        """Slices selecting this tile from a global array."""
+        return tuple(slice(l, h) for l, h in zip(self.lo, self.hi))
 
     @property
-    def left(self) -> int | None:
-        """Rank owning the tile at smaller x, or None at the boundary."""
-        return self._nbr(-1, 0)
-
-    @property
-    def right(self) -> int | None:
-        return self._nbr(+1, 0)
-
-    @property
-    def down(self) -> int | None:
-        """Rank owning the tile at smaller y, or None at the boundary."""
-        return self._nbr(0, -1)
-
-    @property
-    def up(self) -> int | None:
-        return self._nbr(0, +1)
+    def sides(self) -> tuple[tuple[str, str], ...]:
+        """The (low, high) side names of each array axis, slowest first."""
+        return SIDES[:self.ndim][::-1]
 
     @property
     def neighbors(self) -> dict[str, int | None]:
-        return {"left": self.left, "right": self.right,
-                "down": self.down, "up": self.up}
+        """Neighbour rank (or None) by side name, x sides first."""
+        out = {}
+        for (low, high), l, u in zip(SIDES, self.lower[::-1],
+                                     self.upper[::-1]):
+            out[low], out[high] = l, u
+        return out
 
     @property
     def n_neighbors(self) -> int:
-        return sum(1 for r in self.neighbors.values() if r is not None)
+        return sum(1 for r in self.lower + self.upper if r is not None)
 
     def extension(self, depth: int) -> dict[str, int]:
         """Extension amounts toward each neighbour for matrix-powers bounds.
@@ -128,10 +168,8 @@ class Tile:
         A side facing a physical boundary never extends (there is no fresh
         halo data there, and boundary face coefficients are zero).
         """
-        return {
-            side: (depth if nbr is not None else 0)
-            for side, nbr in self.neighbors.items()
-        }
+        return {side: (depth if nbr is not None else 0)
+                for side, nbr in self.neighbors.items()}
 
 
 def _split(n: int, parts: int) -> list[tuple[int, int]]:
@@ -145,48 +183,44 @@ def _split(n: int, parts: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def decompose(grid: Grid2D, nranks: int,
-              factors: tuple[int, int] | None = None) -> list[Tile]:
+def decompose(grid: Grid2D | Grid3D, nranks: int,
+              factors: tuple[int, ...] | None = None) -> list[Tile]:
     """Decompose ``grid`` into one :class:`Tile` per rank.
 
     Parameters
     ----------
     grid:
-        The global grid.
+        The global grid, 2-D or 3-D.
     nranks:
         Number of ranks; every rank must receive at least one cell in each
         direction, otherwise :class:`DecompositionError` is raised (the
         paper's strong-scaling limit: "barely four grid points per PE").
     factors:
-        Optional explicit ``(px, py)`` override (must multiply to
+        Optional explicit ``(px, py[, pz])`` override (must multiply to
         ``nranks``); by default chosen by :func:`choose_factors`.
     """
+    extents = grid.shape[::-1]
     if factors is None:
-        px, py = choose_factors(nranks, grid.nx, grid.ny)
-    else:
-        px, py = factors
-        if px * py != nranks:
-            raise DecompositionError(
-                f"factors {px}x{py} != nranks {nranks}")
-    if px > grid.nx or py > grid.ny:
+        factors = choose_factors(nranks, *extents)
+    elif len(factors) != len(extents) or math.prod(factors) != nranks:
         raise DecompositionError(
-            f"cannot give each of {px}x{py} ranks a nonempty tile of a "
-            f"{grid.nx}x{grid.ny} grid")
-    xranges = _split(grid.nx, px)
-    yranges = _split(grid.ny, py)
+            f"factors {'x'.join(map(str, factors))} != nranks {nranks} "
+            f"over {len(extents)} axes")
+    if any(p > n for p, n in zip(factors, extents)):
+        raise DecompositionError(
+            f"cannot give each of {'x'.join(map(str, factors))} ranks a "
+            f"nonempty tile of a {'x'.join(map(str, extents))} grid")
+    dims = tuple(factors)[::-1]
+    ranges = [_split(n, p) for n, p in zip(grid.shape, dims)]
     tiles = []
-    for cy in range(py):
-        for cx in range(px):
-            rank = cy * px + cx
-            x0, x1 = xranges[cx]
-            y0, y1 = yranges[cy]
-            tiles.append(Tile(rank=rank, cx=cx, cy=cy, px=px, py=py,
-                              x0=x0, x1=x1, y0=y0, y1=y1))
+    for rank, coords in enumerate(product(*map(range, dims))):
+        lo, hi = zip(*(axis[c] for axis, c in zip(ranges, coords)))
+        tiles.append(Tile(rank, coords, dims, lo, hi))
     return tiles
 
 
-def tile_for_rank(grid: Grid2D, nranks: int, rank: int,
-                  factors: tuple[int, int] | None = None) -> Tile:
+def tile_for_rank(grid: Grid2D | Grid3D, nranks: int, rank: int,
+                  factors: tuple[int, ...] | None = None) -> Tile:
     """Convenience: the tile a given ``rank`` owns under :func:`decompose`."""
     if not 0 <= rank < nranks:
         raise DecompositionError(f"rank {rank} out of range [0,{nranks})")

@@ -1,21 +1,24 @@
-"""Halo-padded cell-centred fields.
+"""Halo-padded cell-centred fields, 2-D or 3-D.
 
-A :class:`Field` owns a ``(ny + 2h, nx + 2h)`` array where ``h`` is the halo
-depth.  TeaLeaf's matrix powers kernel needs halos "up to 16 deep", so the
+A :class:`Field` owns its tile's interior — ``(ny, nx)`` or
+``(nz, ny, nx)`` — padded by the halo depth ``h`` on every side.
+TeaLeaf's matrix powers kernel needs halos "up to 16 deep", so the
 depth is a per-field parameter; the interior and arbitrarily *extended*
 regions (interior grown by ``e <= h`` cells toward neighbouring ranks) are
 exposed as NumPy views so kernels never copy.
 
 In-place updates of a region (:meth:`Field.axpy`, :meth:`Field.aypx`) do
-not walk that strided 2-D view: they run over the region's **span** —
+not walk that strided view: they run over the region's **span** —
 the one contiguous 1-D run of the padded buffer from its first cell to
-its last — and put back the halo cells lying in between (the *gaps*),
-so every cell outside the region keeps its bits (``docs/kernels.md``,
+its last — and put back the halo cells lying in between (the *gaps*:
+between two rows of a plane and, in 3-D, between two planes), so every
+cell outside the region keeps its bits (``docs/kernels.md``,
 "Contiguous spans").
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,9 +33,11 @@ class _Span(NamedTuple):
     """One region of one padded buffer as 1-D memory (see ``Field._span``)."""
 
     cells: np.ndarray   # flat[first region cell : last region cell + 1]
-    gaps: np.ndarray    # the (rows - 1, pitch - cols) halo cells inside it
-    saved: np.ndarray   # where an update parks the gaps' values
-    where: tuple        # (padded shape, start, length): equal = same layout
+    gaps: tuple         # the halo cells inside it, one strided view per
+    #                     axis but the fastest (2-D: rows - 1 runs of
+    #                     pitch - cols cells), each paired with the
+    #                     buffer an update parks its values in
+    where: tuple        # (padded shape, region bounds): equal = same layout
 
 
 @dataclass
@@ -46,8 +51,8 @@ class Field:
     halo:
         Ghost-layer depth ``h >= 1``.
     data:
-        Optional pre-existing padded array of shape
-        ``(tile.ny + 2h, tile.nx + 2h)``; allocated (zeros) when omitted.
+        Optional pre-existing padded array (``tile.shape`` plus ``2h``
+        along every axis); allocated (zeros) when omitted.
     dtype:
         Working precision of the allocated array (ignored when ``data`` is
         supplied — the field then adopts ``data.dtype``).  Defaults to
@@ -62,13 +67,19 @@ class Field:
 
     def __post_init__(self):
         check_positive("halo", self.halo)
-        shape = (self.tile.ny + 2 * self.halo, self.tile.nx + 2 * self.halo)
+        h = self.halo
+        shape = tuple(n + 2 * h for n in self.tile.shape)
         if self.data is None:
             self.data = np.zeros(shape, dtype=self.dtype)
         else:
             require(self.data.shape == shape,
                     f"padded data shape {self.data.shape} != expected {shape}")
         self.dtype = self.data.dtype
+        # Geometry, worked out once per field: the padded-array slices of
+        # the interior grown by a uniform extension (0: the interior
+        # itself), and the exchange's slabs by depth.
+        self._regions = {0: tuple(slice(h, h + n) for n in self.tile.shape)}
+        self._slabs = {}
         # The buffer the cached spans view, and those spans by extension.
         self._spans_of, self._spans = None, {}
 
@@ -100,40 +111,67 @@ class Field:
 
     @property
     def interior(self) -> np.ndarray:
-        """View of the owned (non-ghost) cells, shape ``(ny, nx)``."""
-        h = self.halo
-        return self.data[h:h + self.tile.ny, h:h + self.tile.nx]
+        """View of the owned (non-ghost) cells, shape ``tile.shape``."""
+        return self.data[self._regions[0]]
 
     @interior.setter
     def interior(self, value) -> None:
         # Enables `f.interior += v` / `f.interior = arr`: the augmented
         # assignment mutates the view in place and then re-assigns it here.
-        h = self.halo
-        self.data[h:h + self.tile.ny, h:h + self.tile.nx] = value
+        self.data[self._regions[0]] = value
 
-    def region(self, ext: dict[str, int] | int = 0) -> tuple[slice, slice]:
-        """Padded-array slices of the interior grown by ``ext`` per side.
+    def region(self, ext: dict[str, int] | int = 0) -> tuple[slice, ...]:
+        """Padded-array slices of the interior grown by ``ext`` per side,
+        one per axis (slowest first).
 
         ``ext`` is either a uniform integer or a dict with keys
-        ``left/right/down/up``.  Growth is clipped to sides that actually
-        have a neighbouring rank (physical boundaries never extend); this is
-        the "extended loop bounds" of the matrix powers kernel (paper
-        Fig. 2).
+        ``left/right/down/up`` (and ``back/front`` in 3-D).  Growth is
+        clipped to sides that actually have a neighbouring rank (physical
+        boundaries never extend); this is the "extended loop bounds" of
+        the matrix powers kernel (paper Fig. 2).
         """
         if isinstance(ext, int):
-            ext = self.tile.extension(ext)
+            try:
+                return self._regions[ext]
+            except KeyError:
+                region = self.region(self.tile.extension(ext))
+                self._regions[ext] = region
+                return region
         for side, e in ext.items():
             require(0 <= e <= self.halo,
                     f"extension {e} on {side} exceeds halo depth {self.halo}")
         h, t = self.halo, self.tile
-        rows = slice(h - ext.get("down", 0), h + t.ny + ext.get("up", 0))
-        cols = slice(h - ext.get("left", 0), h + t.nx + ext.get("right", 0))
-        return rows, cols
+        return tuple(slice(h - ext.get(low, 0), h + n + ext.get(high, 0))
+                     for n, (low, high) in zip(t.shape, t.sides))
+
+    def slabs(self, depth: int) -> tuple:
+        """What a depth-``depth`` halo exchange (or boundary reflection)
+        moves, per axis: the padded-array slices of the owned cells next
+        to the low side and of the ghosts beyond it, the same two for the
+        high side, and the cell count of one such slab.  Faster axes,
+        whose phase runs earlier, span their halos too (so edges and
+        corners propagate); slower ones span their interior only."""
+        try:
+            return self._slabs[depth]
+        except KeyError:
+            pass
+        h, shape = self.halo, self.tile.shape
+        per_axis = []
+        for axis, n in enumerate(shape):
+            box = [slice(h, h + m) if a < axis
+                   else slice(h - depth, h + m + depth)
+                   for a, m in enumerate(shape)]
+            per_axis.append((
+                *((*box[:axis], slice(start, start + depth), *box[axis + 1:])
+                  for start in (h, h - depth, h + n - depth, h + n)),
+                depth * math.prod(s.stop - s.start
+                                  for s in box[:axis] + box[axis + 1:])))
+        self._slabs[depth] = tuple(per_axis)
+        return self._slabs[depth]
 
     def extended(self, ext: dict[str, int] | int) -> np.ndarray:
         """View of the interior grown by ``ext`` toward neighbouring ranks."""
-        rows, cols = self.region(ext)
-        return self.data[rows, cols]
+        return self.data[self.region(ext)]
 
     # -- mutation helpers ----------------------------------------------------
 
@@ -162,35 +200,50 @@ class Field:
             pass
         span = None
         if self.data.flags.c_contiguous:
-            rows, cols = self.region(ext)
-            pitch, flat = self.data.shape[1], self.data.ravel()
-            nrows, ncols = rows.stop - rows.start, cols.stop - cols.start
-            start = rows.start * pitch + cols.start
-            length = (nrows - 1) * pitch + ncols
-            gaps = flat[start + ncols:start + ncols + (nrows - 1) * pitch]
-            gaps = gaps.reshape(nrows - 1, pitch)[:, :pitch - ncols]
-            span = _Span(flat[start:start + length], gaps,
-                         np.empty(gaps.shape, self.data.dtype),
-                         (self.data.shape, start, length))
+            data, region = self.data, self.region(ext)
+            extents = [s.stop - s.start for s in region]
+            strides = [math.prod(data.shape[a + 1:])
+                       for a in range(data.ndim)]
+            start = sum(s.start * st for s, st in zip(region, strides))
+            # run[a]: cells from the first to the last region cell at one
+            # index of every axis slower than ``a`` (run[0] is the span).
+            run = [sum((n - 1) * st for n, st in zip(extents[a:], strides[a:]))
+                   + 1 for a in range(data.ndim)]
+            # Between two consecutive indices of axis ``a`` the span
+            # crosses ``strides[a] - run[a + 1]`` cells outside the region.
+            gaps = tuple(
+                np.ndarray(
+                    (*extents[:a], extents[a] - 1, strides[a] - run[a + 1]),
+                    data.dtype, buffer=data,
+                    offset=(start + run[a + 1]) * data.itemsize,
+                    strides=[st * data.itemsize
+                             for st in (*strides[:a + 1], 1)])
+                for a in range(data.ndim - 1))
+            span = _Span(
+                data.reshape(-1)[start:start + run[0]],
+                tuple((g, np.empty(g.shape, data.dtype)) for g in gaps),
+                (data.shape, tuple((s.start, s.stop) for s in region)))
         self._spans[ext] = span
         return span
 
     def _update(self, other: "Field", ext: int, update) -> None:
         """``update(y, x)`` on ``region(ext)`` of ``self``/``other``, as
-        spans when both buffers lay the region out alike (else as the 2-D
-        views).  The gaps are computed on too — halo values, so their
+        spans when both buffers lay the region out alike (else as the
+        strided views).  The gaps are computed on too — halo values, so their
         overflow/invalid flags mean nothing — and restored whatever
         ``update`` does, so only the region's cells change."""
         y, x = self._span(ext), other._span(ext)
         if y is None or x is None or y.where != x.where:
             update(self.data[self.region(ext)], other.data[other.region(ext)])
             return
-        np.copyto(y.saved, y.gaps)
+        for gap, saved in y.gaps:
+            np.copyto(saved, gap)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 update(y.cells, x.cells)
         finally:
-            np.copyto(y.gaps, y.saved)
+            for gap, saved in y.gaps:
+                np.copyto(gap, saved)
 
     def axpy(self, alpha: float, other: "Field", kernels, ext: int = 0) -> None:
         """``self += alpha * other`` on ``region(ext)``, by ``kernels.axpy``."""

@@ -1,29 +1,37 @@
 """Depth-*d* halo exchange between neighbouring tiles.
 
-The exchange is the classic two-phase scheme TeaLeaf uses:
+The exchange is the classic phased scheme TeaLeaf uses, one phase per
+axis, fastest first:
 
 1. **x-phase** — swap ``d`` columns with the left/right neighbours over the
-   interior row range;
-2. **y-phase** — swap ``d`` rows with the down/up neighbours over the row
-   range *including* the x-halos just received.
+   interior of the other axes;
+2. **y-phase** — swap ``d`` rows with the down/up neighbours over the
+   column range *including* the x-halos just received;
+3. **z-phase** (3-D) — swap ``d`` planes with the back/front neighbours
+   including the x- and y-halos.
 
-After both phases every ghost cell within depth ``d`` — including the corner
-blocks — holds fresh neighbour data, which is exactly what the matrix powers
-kernel requires before running ``d`` stencil applications without further
-communication (paper Fig. 2).
+After all phases every ghost cell within depth ``d`` — including the edge
+and corner blocks — holds fresh neighbour data, which is exactly what the
+matrix powers kernel requires before running ``d`` stencil applications
+without further communication (paper Fig. 2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from repro.mesh.field import Field
 from repro.utils.errors import CommunicationError
 from repro.utils.events import EventLog
 
 # Distinct tag streams per (phase, direction) so concurrent exchanges of
-# different fields cannot cross-match.
-_TAG_LEFT, _TAG_RIGHT, _TAG_DOWN, _TAG_UP = 101, 102, 103, 104
+# different fields cannot cross-match: the message travelling toward the
+# low neighbour of spatial axis i (x is 0) carries _TAG_LOW + 2 i, the
+# one toward the high neighbour the tag after it (x: 101/102, y: 103/104,
+# z: 105/106).
+_TAG_LOW = 101
 
 
 @dataclass
@@ -83,122 +91,34 @@ class HaloExchanger:
                     f"exchange depth {depth} exceeds field halo {f.halo}")
         with self.tracer.span("halo_exchange", depth):
             nbytes = 0
-            for f in fields:
-                nbytes += self._exchange_x(f, depth)
-            for f in fields:
-                nbytes += self._exchange_y(f, depth)
+            for axis in reversed(range(tile.ndim)):
+                low, high = tile.lower[axis], tile.upper[axis]
+                if low is None and high is None:
+                    continue
+                tag_low = _TAG_LOW + 2 * (tile.ndim - 1 - axis)
+                for f in fields:
+                    nbytes += self._exchange_axis(
+                        f.data, f.slabs(depth)[axis], low, high, tag_low)
         if self.events is not None:
             self.events.record("halo_exchange", depth, bytes=nbytes)
 
-    # -- split-phase (overlap) API --------------------------------------------
-
-    def begin_exchange(self, fields: Field | list[Field],
-                       depth: int = 1) -> dict:
-        """Post the x-phase of an exchange and return a pending handle.
-
-        The caller may compute on the interior while neighbour data is in
-        flight, then call :meth:`end_exchange` — this is the hook for the
-        paper's §VII plan to overlap communications "with the application
-        of the preconditioner".  Only the x-phase overlaps: the y-phase
-        must see the received x-halos (corner propagation), so it runs in
-        :meth:`end_exchange`.
-        """
-        if isinstance(fields, Field):
-            fields = [fields]
-        pending = {"fields": fields, "depth": depth, "recvs": [], "bytes": 0}
-        with self.tracer.span("halo_begin", depth):
-            for f in fields:
-                if depth > f.halo:
-                    raise CommunicationError(
-                        f"exchange depth {depth} exceeds field halo {f.halo}")
-                t, h, a = f.tile, f.halo, f.data
-                rows = slice(h, h + t.ny)
-                if t.left is not None:
-                    self.comm.send(
-                        self.kernels.pack_halo(a, rows, slice(h, h + depth)),
-                        dest=t.left, tag=_TAG_LEFT)
-                    req = self.comm.irecv(source=t.left, tag=_TAG_RIGHT)
-                    pending["recvs"].append(
-                        (f, (rows, slice(h - depth, h)), req))
-                if t.right is not None:
-                    self.comm.send(
-                        self.kernels.pack_halo(
-                            a, rows, slice(h + t.nx - depth, h + t.nx)),
-                        dest=t.right, tag=_TAG_RIGHT)
-                    req = self.comm.irecv(source=t.right, tag=_TAG_LEFT)
-                    pending["recvs"].append(
-                        (f, (rows, slice(h + t.nx, h + t.nx + depth)), req))
-        return pending
-
-    def end_exchange(self, pending: dict) -> None:
-        """Complete a :meth:`begin_exchange`: wait x, then run the y-phase."""
-        depth = pending["depth"]
-        # Span named like the blocking exchange so span counts stay
-        # one-to-one with ("halo_exchange", depth) events either way.
-        with self.tracer.span("halo_exchange", depth):
-            nbytes = 0
-            for f, region, req in pending["recvs"]:
-                got = req.wait()
-                self.kernels.unpack_halo(f.data, region[0], region[1], got)
-                nbytes += got.nbytes * 2
-            for f in pending["fields"]:
-                nbytes += self._exchange_y(f, depth)
-        if self.events is not None:
-            self.events.record("halo_exchange", depth, bytes=nbytes)
-
-    # -- phases --------------------------------------------------------------
-
-    def _exchange_x(self, f: Field, d: int) -> int:
-        t, h, a = f.tile, f.halo, f.data
-        rows = slice(h, h + t.ny)
-        nbytes = 0
+    def _exchange_axis(self, a, slabs: tuple, low, high, tag_low: int) -> int:
+        """One phase for one field's array; returns its send + recv
+        payload bytes."""
+        own_low, ghost_low, own_high, ghost_high, cells = slabs
+        tag_high = tag_low + 1
+        pack, unpack = self.kernels.pack_halo, self.kernels.unpack_halo
         # Post all sends first (non-blocking deposit), then blocking recvs.
-        if t.left is not None:
-            self.comm.send(self.kernels.pack_halo(a, rows, slice(h, h + d)),
-                           dest=t.left, tag=_TAG_LEFT)
-        if t.right is not None:
-            self.comm.send(
-                self.kernels.pack_halo(a, rows,
-                                       slice(h + t.nx - d, h + t.nx)),
-                dest=t.right, tag=_TAG_RIGHT)
-        if t.left is not None:
-            self.kernels.unpack_halo(a, rows, slice(h - d, h),
-                                     self.comm.recv(source=t.left,
-                                                    tag=_TAG_RIGHT))
-            nbytes += t.ny * d * a.itemsize * 2  # send + recv payload
-        if t.right is not None:
-            self.kernels.unpack_halo(a, rows,
-                                     slice(h + t.nx, h + t.nx + d),
-                                     self.comm.recv(source=t.right,
-                                                    tag=_TAG_LEFT))
-            nbytes += t.ny * d * a.itemsize * 2
-        return nbytes
-
-    def _exchange_y(self, f: Field, d: int) -> int:
-        t, h, a = f.tile, f.halo, f.data
-        # Include the x-halos so corners propagate.
-        cols = slice(h - d, h + t.nx + d)
-        width = t.nx + 2 * d
-        nbytes = 0
-        if t.down is not None:
-            self.comm.send(self.kernels.pack_halo(a, slice(h, h + d), cols),
-                           dest=t.down, tag=_TAG_DOWN)
-        if t.up is not None:
-            self.comm.send(
-                self.kernels.pack_halo(a, slice(h + t.ny - d, h + t.ny),
-                                       cols),
-                dest=t.up, tag=_TAG_UP)
-        if t.down is not None:
-            self.kernels.unpack_halo(a, slice(h - d, h), cols,
-                                     self.comm.recv(source=t.down,
-                                                    tag=_TAG_UP))
-            nbytes += width * d * a.itemsize * 2
-        if t.up is not None:
-            self.kernels.unpack_halo(a, slice(h + t.ny, h + t.ny + d), cols,
-                                     self.comm.recv(source=t.up,
-                                                    tag=_TAG_DOWN))
-            nbytes += width * d * a.itemsize * 2
-        return nbytes
+        if low is not None:
+            self.comm.send(pack(a, *own_low), dest=low, tag=tag_low)
+        if high is not None:
+            self.comm.send(pack(a, *own_high), dest=high, tag=tag_high)
+        if low is not None:
+            unpack(a, *ghost_low, self.comm.recv(source=low, tag=tag_high))
+        if high is not None:
+            unpack(a, *ghost_high, self.comm.recv(source=high, tag=tag_low))
+        return (2 * cells * a.itemsize
+                * ((low is not None) + (high is not None)))
 
 
 def reflect_boundaries(f: Field, depth: int | None = None) -> None:
@@ -207,19 +127,16 @@ def reflect_boundaries(f: Field, depth: int | None = None) -> None:
     TeaLeaf's ``update_halo`` applies reflective (zero-gradient) boundary
     conditions this way.  The linear solvers do not need it — boundary face
     coefficients are zero so ghost values never contribute — but the physics
-    driver and visualisation use it to keep ghost data meaningful.
+    driver and visualisation use it to keep ghost data meaningful.  Axes go
+    in the exchange's phase order so edge and corner ghosts are consistent.
     """
-    t, h, a = f.tile, f.halo, f.data
+    t, a = f.tile, f.data
     d = f.halo if depth is None else depth
-    if d > h:
-        raise CommunicationError(f"reflect depth {d} exceeds halo {h}")
-    rows = slice(h, h + t.ny)
-    if t.left is None:
-        a[rows, h - d:h] = a[rows, h:h + d][:, ::-1]
-    if t.right is None:
-        a[rows, h + t.nx:h + t.nx + d] = a[rows, h + t.nx - d:h + t.nx][:, ::-1]
-    cols = slice(h - d, h + t.nx + d)
-    if t.down is None:
-        a[h - d:h, cols] = a[h:h + d, cols][::-1, :]
-    if t.up is None:
-        a[h + t.ny:h + t.ny + d, cols] = a[h + t.ny - d:h + t.ny, cols][::-1, :]
+    if d > f.halo:
+        raise CommunicationError(f"reflect depth {d} exceeds halo {f.halo}")
+    for axis in reversed(range(t.ndim)):
+        own_low, ghost_low, own_high, ghost_high, _ = f.slabs(d)[axis]
+        if t.lower[axis] is None:
+            a[ghost_low] = np.flip(a[own_low], axis)
+        if t.upper[axis] is None:
+            a[ghost_high] = np.flip(a[own_high], axis)

@@ -22,7 +22,7 @@ in :mod:`repro.multigrid.mgcg`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -42,10 +42,8 @@ from repro.utils.validation import check_positive
 
 def _coarse_tile(tile: Tile, factor: int) -> Tile:
     """The tile's footprint on a grid coarsened by ``factor``."""
-    return Tile(rank=tile.rank, cx=tile.cx, cy=tile.cy,
-                px=tile.px, py=tile.py,
-                x0=tile.x0 // factor, x1=tile.x1 // factor,
-                y0=tile.y0 // factor, y1=tile.y1 // factor)
+    return replace(tile, lo=tuple(v // factor for v in tile.lo),
+                   hi=tuple(v // factor for v in tile.hi))
 
 
 def _coarsen_operator(op: StencilOperator2D) -> StencilOperator2D:
@@ -135,6 +133,9 @@ class DistributedMultigrid:
                  max_levels: int = 16):
         check_positive("pre_sweeps", pre_sweeps)
         check_positive("post_sweeps", post_sweeps)
+        if op.ndim != 2:
+            raise ConfigurationError(
+                "the multigrid hierarchy is defined for the 2D operator only")
         self.pre_sweeps = pre_sweeps
         self.post_sweeps = post_sweeps
         self.omega = omega

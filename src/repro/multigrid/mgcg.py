@@ -45,6 +45,9 @@ class MultigridPreconditioner(Preconditioner):
             raise ConfigurationError(
                 "MG-CG runs on the global grid (serial communicator); its "
                 "distributed cost is modelled by repro.perfmodel")
+        if op.ndim != 2:
+            raise ConfigurationError(
+                "the multigrid hierarchy is defined for the 2D operator only")
         self.op = op
         kx, ky = _global_faces(op)
         self.hierarchy = MultigridHierarchy.build(

@@ -5,7 +5,7 @@ merely stall: an indefinite (or corrupted) operator makes ``<p, Ap>``
 non-positive, lost conjugacy drives ``beta`` negative, rounding turns a
 residual non-finite, or the recurrence quietly stops making progress.
 Before this module each solver hand-rolled a subset of these checks
-(``cg_fused``/``dim3`` guarded curvature, plain ``cg`` did not, ``jacobi``
+(``cg_fused`` guarded curvature, plain ``cg`` did not, ``jacobi``
 checked nothing); now they all share one :class:`BreakdownGuard` raising a
 structured :class:`BreakdownError`.
 

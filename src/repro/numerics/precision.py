@@ -81,6 +81,7 @@ def cast_operator(op: StencilOperator2D, dtype: str | np.dtype
     return StencilOperator2D(
         kx=cast_field(op.kx, dt),
         ky=cast_field(op.ky, dt),
+        kz=None if op.kz is None else cast_field(op.kz, dt),
         comm=op.comm,
         events=op.events,
         tracer=op.tracer,

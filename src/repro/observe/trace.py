@@ -117,7 +117,7 @@ def tracer_of(obj) -> "Tracer | NullTracer":
     """The tracer installed on ``obj``, or :data:`NULL_TRACER`.
 
     Solvers fetch their tracer this way so operator-like objects that
-    never grew a ``tracer`` attribute (3D operators, multigrid levels,
+    never grew a ``tracer`` attribute (multigrid levels,
     test doubles) keep working untraced.
     """
     t = getattr(obj, "tracer", None)

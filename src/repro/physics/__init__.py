@@ -37,7 +37,6 @@ from repro.physics.simulation3d import (
     crooked_duct_3d,
     run_simulation_3d_distributed,
 )
-from repro.physics.state3d import build_coefficient_fields_3d, build_fields_3d
 from repro.physics.summary import FieldSummary, field_summary
 
 __all__ = [
@@ -67,8 +66,6 @@ __all__ = [
     "Simulation3D",
     "crooked_duct_3d",
     "run_simulation_3d_distributed",
-    "build_coefficient_fields_3d",
-    "build_fields_3d",
     "FieldSummary",
     "field_summary",
 ]

@@ -1,9 +1,12 @@
-"""3D time-stepping driver (serial).
+"""3D time-stepping driver.
 
 Completes the mini-app's "two and three dimensions via five and seven
 point finite difference stencils" (§II).  The paper evaluates 2D only
-("the 3D results are similar"), so the 3D driver runs on the global grid
-with the serial 7-point solvers.
+("the 3D results are similar"), so the 3D driver is small: paint a box
+problem, decompose it over in-process ranks (serial is the one-rank
+case) and step it with any solver :func:`~repro.solvers.driver.solve_linear`
+offers that is not 2D by construction, on the same tiles, fields,
+exchange and operator as the 2D mini-app.
 """
 
 from __future__ import annotations
@@ -12,13 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.comm.spmd import launch_spmd
+from repro.mesh.decomposition import decompose
+from repro.mesh.field import Field
 from repro.mesh.grid import Grid3D
-from repro.physics.conduction import (
-    Conductivity,
-    cell_conductivity,
-    face_coefficients_3d,
-)
-from repro.solvers.dim3 import StencilOperator3D, cg_solve_3d
+from repro.mesh.halo import HaloExchanger
+from repro.physics.conduction import Conductivity
+from repro.physics.state import build_coefficient_fields
+from repro.solvers.driver import solve_linear
+from repro.solvers.operator import StencilOperator
+from repro.solvers.options import SolverOptions
 from repro.utils.errors import ConvergenceError
 from repro.utils.validation import check_positive, require
 
@@ -55,9 +61,29 @@ def crooked_duct_3d() -> tuple[BoxRegion3D, ...]:
     )
 
 
+def paint_boxes(grid: Grid3D, regions: tuple[BoxRegion3D, ...]
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Rasterise ``regions`` (background first, later boxes on top) to
+    global ``(density, energy)`` arrays."""
+    require(len(regions) >= 1, "need at least a background region")
+    require(regions[0].bounds is None,
+            "first region must be the background (bounds=None)")
+    density, energy = np.empty(grid.shape), np.empty(grid.shape)
+    for region in regions:
+        m = region.mask(grid)
+        density[m] = region.density
+        energy[m] = region.energy
+    return density, energy
+
+
 @dataclass
 class Simulation3D:
-    """Serial 3D implicit heat-conduction stepping."""
+    """3D implicit heat-conduction stepping on ``nranks`` in-process ranks.
+
+    ``options`` selects and configures the solver (default: CG to ``eps``
+    within ``max_iters``); ``density`` and the temperature ``u`` are kept
+    as global arrays between :meth:`run` calls.
+    """
 
     grid: Grid3D
     regions: tuple[BoxRegion3D, ...]
@@ -66,47 +92,65 @@ class Simulation3D:
     max_iters: int = 50_000
     conductivity: Conductivity | str = Conductivity.RECIP_DENSITY
     warm_start: bool = True
+    nranks: int = 1
+    options: SolverOptions | None = None
     time: float = field(default=0.0, init=False)
     step_index: int = field(default=0, init=False)
 
     def __post_init__(self):
         check_positive("dt", self.dt)
-        require(len(self.regions) >= 1, "need at least a background region")
-        require(self.regions[0].bounds is None,
-                "first region must be the background (bounds=None)")
-        self.density = np.empty(self.grid.shape)
-        energy = np.empty(self.grid.shape)
-        for region in self.regions:
-            m = region.mask(self.grid)
-            self.density[m] = region.density
-            energy[m] = region.energy
+        if self.options is None:
+            self.options = SolverOptions(solver="cg", eps=self.eps,
+                                         max_iters=self.max_iters)
+        self.density, energy = paint_boxes(self.grid, self.regions)
         self.u = self.density * energy
-        kappa = cell_conductivity(self.density, self.conductivity)
-        rx = self.dt / self.grid.dx ** 2
-        ry = self.dt / self.grid.dy ** 2
-        rz = self.dt / self.grid.dz ** 2
-        kx, ky, kz = face_coefficients_3d(kappa, rx, ry, rz)
-        self.op = StencilOperator3D(kx=kx, ky=ky, kz=kz)
 
     def step(self) -> dict:
         """One implicit step; returns solve statistics."""
-        x0 = self.u if self.warm_start else None
-        x, iterations, rel = cg_solve_3d(self.op, self.u, x0=x0,
-                                         eps=self.eps,
-                                         max_iters=self.max_iters)
-        if rel > self.eps:
-            raise ConvergenceError(
-                f"3D step {self.step_index}: residual {rel:.3e} > {self.eps}")
-        self.u = x
-        self.step_index += 1
-        self.time += self.dt
-        return {"step": self.step_index, "time": self.time,
-                "iterations": iterations,
-                "mean_temperature": float(self.u.mean())}
+        return self.run(1)[0]
 
     def run(self, n_steps: int) -> list[dict]:
+        """``n_steps`` implicit steps; returns each step's statistics."""
         check_positive("n_steps", n_steps)
-        return [self.step() for _ in range(n_steps)]
+        grid, options = self.grid, self.options
+        halo = options.required_field_halo
+        ratios = [self.dt / d ** 2 for d in (grid.dx, grid.dy, grid.dz)]
+
+        def rank_main(comm):
+            tile = decompose(grid, comm.size)[comm.rank]
+            exchanger = HaloExchanger(comm)
+            kx, ky, kz = build_coefficient_fields(
+                Field.from_global(tile, halo, self.density), *ratios,
+                exchanger, model=self.conductivity)
+            op = StencilOperator(kx=kx, ky=ky, kz=kz, comm=comm,
+                                 exchanger=exchanger)
+            u = Field.from_global(tile, halo, self.u)
+            stats = []
+            for _ in range(n_steps):
+                result = solve_linear(op, u.copy(),
+                                      u if self.warm_start else None,
+                                      options=options)
+                if not result.converged:
+                    raise ConvergenceError(
+                        f"3D step {self.step_index + len(stats)} failed: "
+                        f"{result.summary()}")
+                u = result.x
+                stats.append((result.iterations, u.local_sum()))
+            return tile, u.interior, stats
+
+        out = launch_spmd(rank_main, self.nranks)
+        for tile, part, _ in out:
+            self.u[tile.global_slices] = part
+        steps = []
+        for per_rank in zip(*(stats for _, _, stats in out)):
+            self.step_index += 1
+            self.time += self.dt
+            steps.append({
+                "step": self.step_index, "time": self.time,
+                "iterations": per_rank[0][0],
+                "mean_temperature":
+                    sum(total for _, total in per_rank) / grid.n_cells})
+        return steps
 
     def mean_temperature(self) -> float:
         return float(self.u.mean())
@@ -125,65 +169,12 @@ def run_simulation_3d_distributed(
     halo_depth: int = 1,
     conductivity: Conductivity | str = Conductivity.RECIP_DENSITY,
 ) -> dict:
-    """Distributed 3D mini-app run over the in-process SPMD world.
-
-    Uses the dimension-agnostic solvers on
-    :class:`~repro.solvers.operator3d.DistributedOperator3D`; returns the
-    gathered global temperature plus per-step iteration counts.
-    """
-    from repro.comm.spmd import launch_spmd
-    from repro.mesh.decomposition3d import decompose3d
-    from repro.mesh.field3d import Field3D
-    from repro.mesh.halo3d import HaloExchanger3D
-    from repro.physics.state3d import build_coefficient_fields_3d, build_fields_3d
-    from repro.solvers.cg import cg_solve
-    from repro.solvers.operator3d import DistributedOperator3D
-    from repro.solvers.ppcg import ppcg_solve
-
-    check_positive("dt", dt)
-    require(solver in ("cg", "ppcg"),
-            f"3D distributed driver supports cg|ppcg, got {solver!r}")
-    density_g = np.empty(grid.shape)
-    energy_g = np.empty(grid.shape)
-    for region in regions:
-        m = region.mask(grid)
-        density_g[m] = region.density
-        energy_g[m] = region.energy
-
-    halo = max(1, halo_depth)
-    rx = dt / grid.dx ** 2
-    ry = dt / grid.dy ** 2
-    rz = dt / grid.dz ** 2
-
-    def rank_main(comm):
-        tile = decompose3d(grid, comm.size)[comm.rank]
-        fields = build_fields_3d(tile, halo, density_g, energy_g)
-        exchanger = HaloExchanger3D(comm)
-        kx, ky, kz = build_coefficient_fields_3d(
-            fields["density"], rx, ry, rz, exchanger, model=conductivity)
-        op = DistributedOperator3D(kx=kx, ky=ky, kz=kz, comm=comm,
-                                   exchanger=exchanger)
-        u = fields["u"]
-        iters = []
-        for _ in range(n_steps):
-            b = u.copy()
-            if solver == "ppcg":
-                result = ppcg_solve(op, b, u, eps=eps,
-                                    inner_steps=inner_steps,
-                                    halo_depth=halo_depth)
-            else:
-                result = cg_solve(op, b, u, eps=eps)
-            if not result.converged:
-                raise ConvergenceError(f"3D step failed: {result.summary()}")
-            u = result.x
-            iters.append(result.iterations)
-        pieces = comm.gather((tile, u.interior.copy()), root=0)
-        temp = None
-        if pieces is not None:
-            temp = np.zeros(grid.shape)
-            for t, part in pieces:
-                temp[t.global_slices] = part
-        return {"iterations": iters, "temperature": temp}
-
-    results = launch_spmd(rank_main, nranks)
-    return results[0]
+    """A :class:`Simulation3D` run from its initial state on ``nranks``
+    ranks; returns the global temperature plus per-step iteration counts."""
+    sim = Simulation3D(
+        grid, regions, dt=dt, conductivity=conductivity, nranks=nranks,
+        options=SolverOptions(solver=solver, eps=eps, halo_depth=halo_depth,
+                              ppcg_inner_steps=inner_steps))
+    stats = sim.run(n_steps)
+    return {"iterations": [s["iterations"] for s in stats],
+            "temperature": sim.u}

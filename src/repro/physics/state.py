@@ -13,9 +13,11 @@ import numpy as np
 from repro.mesh.decomposition import Tile
 from repro.mesh.field import Field
 from repro.mesh.grid import Grid2D
-from repro.mesh.halo import HaloExchanger, reflect_boundaries
-from repro.physics.conduction import Conductivity, cell_conductivity
+from repro.mesh.halo import reflect_boundaries
+from repro.physics.conduction import (Conductivity, _face_mean,
+                                      cell_conductivity)
 from repro.physics.problems import ProblemSpec
+from repro.utils.validation import require
 
 
 def global_initial_state(grid: Grid2D, problem: ProblemSpec
@@ -45,21 +47,26 @@ def build_fields(
 
 def build_coefficient_fields(
     density: Field,
-    rx: float,
-    ry: float,
-    exchanger: HaloExchanger,
+    *ratios_exchanger,
     model: Conductivity | str = Conductivity.RECIP_DENSITY,
     mean: str = "harmonic",
-) -> tuple[Field, Field]:
-    """Build padded face-coefficient fields ``(Kx, Ky)`` on this rank.
+) -> tuple[Field, ...]:
+    """Build padded face-coefficient fields ``(Kx, Ky[, Kz])`` on this
+    rank, called as ``build_coefficient_fields(density, rx, ry[, rz],
+    exchanger)`` with ``rx = dt/dx^2`` and so on.
 
     ``Kx.data[k, j]`` couples padded cells ``(k, j-1)`` and ``(k, j)``;
-    likewise ``Ky`` in y.  Coefficients are valid over the whole padded
-    array (after a full-depth density exchange plus boundary reflection),
-    which is what the matrix powers kernel's extended loop bounds require.
-    Faces lying on the physical boundary are zeroed (insulated boundary).
+    likewise ``Ky`` in y and ``Kz`` in z.  Coefficients are valid over the
+    whole padded array (after a full-depth density exchange plus boundary
+    reflection), which is what the matrix powers kernel's extended loop
+    bounds require.  Faces lying on the physical boundary are zeroed
+    (insulated boundary).
     """
+    *ratios, exchanger = ratios_exchanger
     tile, h = density.tile, density.halo
+    require(len(ratios) == tile.ndim,
+            f"a {tile.ndim}-D tile takes {tile.ndim} ratios dt/dx^2, "
+            f"got {len(ratios)}")
     # Fresh neighbour data first, then mirror across physical boundaries so
     # the face means are well-defined on every padded cell we may touch.
     exchanger.exchange(density, depth=h)
@@ -71,26 +78,17 @@ def build_coefficient_fields(
     pad[pad <= 0] = 1.0
     kappa = cell_conductivity(pad, model)
 
-    kx = Field(tile, h)
-    ky = Field(tile, h)
-    if mean == "arithmetic":
-        fx = 0.5 * (kappa[:, :-1] + kappa[:, 1:])
-        fy = 0.5 * (kappa[:-1, :] + kappa[1:, :])
-    elif mean == "harmonic":
-        fx = 2.0 * kappa[:, :-1] * kappa[:, 1:] / (kappa[:, :-1] + kappa[:, 1:])
-        fy = 2.0 * kappa[:-1, :] * kappa[1:, :] / (kappa[:-1, :] + kappa[1:, :])
-    else:
-        raise ValueError(f"unknown face mean {mean!r}")
-    kx.data[:, 1:] = rx * fx
-    ky.data[1:, :] = ry * fy
-
-    # Insulated physical boundaries: zero the boundary-face coefficients.
-    if tile.left is None:
-        kx.data[:, h] = 0.0
-    if tile.right is None:
-        kx.data[:, h + tile.nx] = 0.0
-    if tile.down is None:
-        ky.data[h, :] = 0.0
-    if tile.up is None:
-        ky.data[h + tile.ny, :] = 0.0
-    return kx, ky
+    faces = []
+    for axis, ratio in zip(reversed(range(tile.ndim)), ratios):
+        k = Field(tile, h)
+        # Views with ``axis`` in front: index i is the face between cells
+        # i - 1 and i along it.
+        across, cells = np.moveaxis(k.data, axis, 0), np.moveaxis(kappa, axis, 0)
+        across[1:] = ratio * _face_mean(cells[:-1], cells[1:], mean)
+        # Insulated physical boundaries: zero the boundary-face coefficients.
+        if tile.lower[axis] is None:
+            across[h] = 0.0
+        if tile.upper[axis] is None:
+            across[h + tile.shape[axis]] = 0.0
+        faces.append(k)
+    return tuple(faces)

@@ -21,8 +21,8 @@ preconditioners (diagonal Jacobi, 4x1-strip block Jacobi via the Thomas
 algorithm).
 """
 
-from repro.solvers.operator import StencilOperator2D, embed_global
-from repro.solvers.operator3d import DistributedOperator3D, embed_global_3d
+from repro.solvers.operator import (StencilOperator, StencilOperator2D,
+                                    embed_global)
 from repro.solvers.result import SolveResult
 from repro.solvers.eigen import (
     EigenBounds,
@@ -50,10 +50,9 @@ from repro.solvers.options import SolverOptions
 from repro.solvers.driver import solve_linear
 
 __all__ = [
+    "StencilOperator",
     "StencilOperator2D",
     "embed_global",
-    "DistributedOperator3D",
-    "embed_global_3d",
     "SolveResult",
     "Defences",
     "EigenBounds",

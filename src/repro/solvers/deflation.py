@@ -67,6 +67,9 @@ class DeflationSpace:
     def __init__(self, op: StencilOperator2D,
                  grid_shape: tuple[int, int],
                  blocks: tuple[int, int] = (4, 4)):
+        if op.ndim != 2:
+            raise ConfigurationError(
+                "subdomain deflation is defined for the 2D operator only")
         qx, qy = blocks
         check_positive("qx", qx)
         check_positive("qy", qy)

@@ -1,19 +1,21 @@
-"""The matrix-free 5-point diffusion operator (paper Listing 1).
+"""The matrix-free 5-point (2-D) and 7-point (3-D) diffusion operator
+(paper Listing 1).
 
-``w = A p`` with
+In 2-D ``w = A p`` with
 
     w[k,j] = (1 + Ky[k+1,j] + Ky[k,j] + Kx[k,j+1] + Kx[k,j]) * p[k,j]
            - Ky[k+1,j]*p[k+1,j] - Ky[k,j]*p[k-1,j]
            - Kx[k,j+1]*p[k,j+1] - Kx[k,j]*p[k,j-1]
 
 where ``Kx``/``Ky`` are the face conduction coefficients scaled by
-``dt/dx^2``/``dt/dy^2``.  ``A = I + D`` with ``D`` symmetric weakly
+``dt/dx^2``/``dt/dy^2``; in 3-D ``Kz`` adds the same two terms along z.
+``A = I + D`` with ``D`` symmetric weakly
 diagonally dominant, so ``A`` is SPD with ``lambda_min = 1`` exactly (the
 constant vector, from the insulated boundaries).
 
 The operator is *matrix free*: it reads the coefficient arrays in mesh
 layout and no sparse matrix is ever assembled (except by
-:meth:`StencilOperator2D.to_sparse`, which exists for testing against
+:meth:`StencilOperator.assemble_sparse`, which exists for testing against
 ``scipy``).  Every method also supports the **extended bounds** needed by
 the matrix powers kernel: computing on the interior grown by ``ext`` cells
 toward neighbouring ranks.
@@ -21,13 +23,15 @@ toward neighbouring ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import math
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.comm.base import Communicator
-from repro.kernels import DEFAULT_BACKEND, KernelBackend, get_backend
+from repro.kernels import (DEFAULT_BACKEND, KernelBackend, get_backend,
+                           stencil_diagonal)
 from repro.mesh.decomposition import Tile
 from repro.mesh.field import Field
 from repro.mesh.halo import HaloExchanger
@@ -36,35 +40,36 @@ from repro.utils.events import EventLog
 
 
 def embed_global(local: np.ndarray, global_array: np.ndarray,
-                 y_off: int, x_off: int) -> None:
+                 *offsets: int) -> None:
     """Copy ``global_array`` into ``local`` with ``local[r,c] =
-    global[r+y_off, c+x_off]`` wherever that index is in range.
+    global[r+y_off, c+x_off]`` wherever that index is in range
+    (``offsets`` is one per axis, slowest first: ``y_off, x_off`` or
+    ``z_off, y_off, x_off``).
 
     Out-of-range cells are left untouched (callers pre-fill with zeros).
     Used to build padded local coefficient/field arrays from global ones in
     tests and reference constructions.
     """
-    gh, gw = global_array.shape
-    lh, lw = local.shape
-    r0 = max(0, -y_off)
-    c0 = max(0, -x_off)
-    r1 = min(lh, gh - y_off)
-    c1 = min(lw, gw - x_off)
-    if r1 > r0 and c1 > c0:
-        local[r0:r1, c0:c1] = global_array[r0 + y_off:r1 + y_off,
-                                           c0 + x_off:c1 + x_off]
+    lo = [max(0, -off) for off in offsets]
+    hi = [min(n, g - off)
+          for n, g, off in zip(local.shape, global_array.shape, offsets)]
+    if all(h > l for l, h in zip(lo, hi)):
+        local[tuple(slice(l, h) for l, h in zip(lo, hi))] = global_array[
+            tuple(slice(l + off, h + off)
+                  for l, h, off in zip(lo, hi, offsets))]
 
 
 @dataclass
-class StencilOperator2D:
+class StencilOperator:
     """Rank-local matrix-free operator plus its communication context.
 
     Parameters
     ----------
-    kx, ky:
+    kx, ky, kz:
         Padded face-coefficient fields (see
         :func:`repro.physics.state.build_coefficient_fields`); ``kx.data[k,j]``
-        couples padded cells ``(k, j-1)`` and ``(k, j)``.
+        couples padded cells ``(k, j-1)`` and ``(k, j)``, ``ky`` and ``kz``
+        likewise along y and z.  ``kz`` is given for 3-D tiles only.
     comm:
         The communicator (dot products reduce over it).
     exchanger:
@@ -88,17 +93,27 @@ class StencilOperator2D:
     events: EventLog = dc_field(default_factory=EventLog)
     tracer: object = dc_field(default=None)
     kernels: KernelBackend = dc_field(default=None)
+    kz: Field = None
     #: Lazily allocated workspace for the fused residual chain.
     _scratch: Field = dc_field(default=None, init=False, repr=False,
                                compare=False)
 
     def __post_init__(self):
-        if self.kx.tile != self.ky.tile or self.kx.halo != self.ky.halo:
-            raise ConfigurationError("kx/ky fields must share tile and halo")
+        faces = self.faces
+        if len(faces) != self.kx.tile.ndim or any(
+                k.tile != self.kx.tile or k.halo != self.kx.halo
+                for k in faces):
+            raise ConfigurationError(
+                "kx/ky(/kz) must be one field per axis of one tile, of one "
+                "halo depth")
         # The coefficients of a live operator are immutable: the kernel
         # backend caches the diagonal it derives from them.
-        self.kx.data.flags.writeable = False
-        self.ky.data.flags.writeable = False
+        for k in faces:
+            k.data.flags.writeable = False
+        # What every stencil call passes: the coefficient arrays, and per
+        # extension the region's loop bounds and cell count.
+        self._coeffs = tuple(k.data for k in faces)
+        self._bounds = {}
         if self.tracer is None:
             # Deferred import: keeps the solver core importable without
             # loading the observability package at module import time.
@@ -126,30 +141,48 @@ class StencilOperator2D:
         cls,
         tile: Tile,
         halo: int,
-        kx_global: np.ndarray,
-        ky_global: np.ndarray,
-        comm: Communicator,
+        *faces_comm,
         events: EventLog | None = None,
         tracer=None,
         dtype: np.dtype = np.float64,
-    ) -> "StencilOperator2D":
-        """Build the rank-local operator from global face arrays.
+    ) -> "StencilOperator":
+        """Build the rank-local operator from global face arrays, called
+        as ``from_global_faces(tile, halo, kx_global, ky_global[,
+        kz_global], comm)``.
 
-        ``kx_global`` has shape ``(ny, nx+1)`` and ``ky_global`` has shape
-        ``(ny+1, nx)`` (see :func:`repro.physics.conduction.face_coefficients`).
+        In 2-D ``kx_global`` has shape ``(ny, nx+1)`` and ``ky_global`` has
+        shape ``(ny+1, nx)`` (see
+        :func:`repro.physics.conduction.face_coefficients`; its ``_3d``
+        form gives the three 3-D arrays).
         Faces outside the global domain are zero, so no halo exchange of the
         coefficients is needed.  ``dtype`` sets the working precision of the
         coefficient fields (and hence of :meth:`new_field` workspaces).
         """
-        kx = Field(tile, halo, dtype=dtype)
-        ky = Field(tile, halo, dtype=dtype)
-        embed_global(kx.data, kx_global, tile.y0 - halo, tile.x0 - halo)
-        embed_global(ky.data, ky_global, tile.y0 - halo, tile.x0 - halo)
-        return cls(kx=kx, ky=ky, comm=comm,
+        *faces_global, comm = faces_comm
+        if len(faces_global) != tile.ndim:
+            raise ConfigurationError(
+                f"a {tile.ndim}-D tile takes {tile.ndim} global face "
+                f"arrays, got {len(faces_global)}")
+        faces = {}
+        for name, face in zip(("kx", "ky", "kz"), faces_global):
+            faces[name] = Field(tile, halo, dtype=dtype)
+            embed_global(faces[name].data, face,
+                         *(lo - halo for lo in tile.lo))
+        return cls(**faces, comm=comm,
                    events=events if events is not None else EventLog(),
                    tracer=tracer)
 
     # -- geometry helpers --------------------------------------------------------
+
+    @property
+    def faces(self) -> tuple[Field, ...]:
+        """The coefficient fields ``(kx, ky[, kz])``."""
+        return (self.kx, self.ky) + (() if self.kz is None else (self.kz,))
+
+    @property
+    def ndim(self) -> int:
+        """Spatial dimensionality, 2 or 3."""
+        return self.kx.tile.ndim
 
     @property
     def tile(self) -> Tile:
@@ -169,11 +202,21 @@ class StencilOperator2D:
 
     # -- the stencil ---------------------------------------------------------------
 
-    def _region(self, ext: int) -> tuple[slice, slice]:
+    def _stencil_bounds(self, ext: int) -> tuple:
+        """``(bounds, cells)`` of the interior grown by ``ext``: the loop
+        bounds a kernel takes, ``lo, hi`` per axis slowest first."""
+        try:
+            return self._bounds[ext]
+        except KeyError:
+            pass
         if not 0 <= ext <= self.halo - 1:
             raise ConfigurationError(
                 f"stencil extension {ext} must be in [0, halo-1={self.halo - 1}]")
-        return self.kx.region(ext)
+        region = self.kx.region(ext)
+        self._bounds[ext] = (
+            tuple(b for s in region for b in (s.start, s.stop)),
+            math.prod(s.stop - s.start for s in region))
+        return self._bounds[ext]
 
     def apply_noexchange(self, p: Field, out: Field, ext: int = 0) -> None:
         """``out = A p`` on the interior grown by ``ext`` toward neighbours.
@@ -181,13 +224,11 @@ class StencilOperator2D:
         Requires ``p`` valid on extension ``ext + 1`` (i.e. a fresh halo of
         at least that depth); no communication is performed.
         """
-        rows, cols = self._region(ext)
-        r0, r1, c0, c1 = rows.start, rows.stop, cols.start, cols.stop
+        bounds, cells = self._stencil_bounds(ext)
         with self.tracer.span("stencil", ext):
-            self.kernels.stencil_apply(self.kx.data, self.ky.data,
-                                       p.data, out.data, r0, r1, c0, c1)
-        self.events.record("matvec", None,
-                           cells=(r1 - r0) * (c1 - c0))
+            self.kernels.stencil_apply(*self._coeffs, p.data, out.data,
+                                       *bounds)
+        self.events.record("matvec", None, cells=cells)
 
     def apply(self, p: Field, out: Field) -> None:
         """``out = A p`` on the interior, exchanging p's depth-1 halo first."""
@@ -203,13 +244,11 @@ class StencilOperator2D:
         :meth:`repro.kernels.base.KernelBackend.apply_dot`).
         """
         self.exchanger.exchange(p, depth=1)
-        rows, cols = self._region(0)
-        r0, r1, c0, c1 = rows.start, rows.stop, cols.start, cols.stop
+        bounds, cells = self._stencil_bounds(0)
         with self.tracer.span("stencil", 0):
-            local = self.kernels.apply_dot(self.kx.data, self.ky.data,
-                                           p.data, out.data, r0, r1, c0, c1)
-        self.events.record("matvec", None,
-                           cells=(r1 - r0) * (c1 - c0))
+            local = self.kernels.apply_dot(*self._coeffs, p.data, out.data,
+                                           *bounds)
+        self.events.record("matvec", None, cells=cells)
         return float(self.comm.allreduce(local))
 
     def residual_dot(self, b: Field, x: Field, out: Field) -> float:
@@ -222,18 +261,16 @@ class StencilOperator2D:
         self.exchanger.exchange(x, depth=1)
         if self._scratch is None:
             self._scratch = self.new_field()
-        rows, cols = self._region(0)
-        r0, r1, c0, c1 = rows.start, rows.stop, cols.start, cols.stop
+        bounds, cells = self._stencil_bounds(0)
         out.interior[...] = b.interior
         with self.tracer.span("stencil", 0):
             local = self.kernels.apply_axpy_dot(
-                self.kx.data, self.ky.data, x.data, self._scratch.data,
-                out.data, -1.0, r0, r1, c0, c1)
-        self.events.record("matvec", None,
-                           cells=(r1 - r0) * (c1 - c0))
+                *self._coeffs, x.data, self._scratch.data, out.data, -1.0,
+                *bounds)
+        self.events.record("matvec", None, cells=cells)
         return float(self.comm.allreduce(local))
 
-    def with_kernels(self, backend) -> "StencilOperator2D":
+    def with_kernels(self, backend) -> "StencilOperator":
         """This operator routed through kernel backend ``backend``.
 
         Returns ``self`` when the backend already matches; otherwise a
@@ -243,31 +280,16 @@ class StencilOperator2D:
         k = get_backend(backend) if isinstance(backend, str) else backend
         if k.name == self.kernels.name:
             return self
-        exchanger = HaloExchanger(self.comm, events=self.events,
-                                  tracer=self.tracer, kernels=k)
-        return StencilOperator2D(kx=self.kx, ky=self.ky, comm=self.comm,
-                                 exchanger=exchanger, events=self.events,
-                                 tracer=self.tracer, kernels=k)
-
-    #: spatial dimensionality (3D operators report 3)
-    ndim = 2
+        return replace(self, kernels=k, exchanger=HaloExchanger(
+            self.comm, events=self.events, tracer=self.tracer, kernels=k))
 
     def diagonal(self) -> np.ndarray:
-        """The diagonal of ``A`` over the interior, shape ``(ny, nx)``."""
-        rows, cols = self.kx.region(0)
-        r0, r1, c0, c1 = rows.start, rows.stop, cols.start, cols.stop
-        kxd, kyd = self.kx.data, self.ky.data
-        return (1.0
-                + kyd[r0 + 1:r1 + 1, c0:c1] + kyd[r0:r1, c0:c1]
-                + kxd[r0:r1, c0 + 1:c1 + 1] + kxd[r0:r1, c0:c1])
+        """The diagonal of ``A`` over the interior, shape ``tile.shape``."""
+        return self.diagonal_padded()[self.kx.region(0)].copy()
 
     def diagonal_padded(self) -> np.ndarray:
         """diag(A) over the full padded array (outer edges padded with 1)."""
-        kxd, kyd = self.kx.data, self.ky.data
-        d = np.ones_like(kxd)
-        d[:-1, :-1] = (1.0 + kyd[1:, :-1] + kyd[:-1, :-1]
-                       + kxd[:-1, 1:] + kxd[:-1, :-1])
-        return d
+        return stencil_diagonal(*self._coeffs)
 
     # -- global reductions --------------------------------------------------------
 
@@ -296,34 +318,44 @@ class StencilOperator2D:
     # -- reference assembly (tests/ground truth) --------------------------------------
 
     @staticmethod
-    def assemble_sparse(kx_global: np.ndarray, ky_global: np.ndarray) -> sp.csr_matrix:
-        """Assemble the explicit global sparse matrix (serial, for tests).
+    def assemble_sparse(*faces_global: np.ndarray) -> sp.csr_matrix:
+        """Assemble the explicit global sparse matrix of ``(kx_global,
+        ky_global[, kz_global])`` (serial, for tests).
 
         Row-major cell ordering: cell ``(k, j)`` maps to row ``k*nx + j``.
+        Faces whose coefficient is zero contribute no entry.
         """
-        ny, nxp1 = kx_global.shape
-        nx = nxp1 - 1
-        n = nx * ny
+        ndim = len(faces_global)
+        shape = tuple(n - (a == ndim - 1)
+                      for a, n in enumerate(faces_global[0].shape))
+        every = (slice(None),) * ndim
 
-        def idx(k, j):
-            return k * nx + j
+        def along(axis, part):
+            return (*every[:axis], part, *every[axis + 1:])
 
-        rows, cols, vals = [], [], []
-        for k in range(ny):
-            for j in range(nx):
-                d = (1.0 + kx_global[k, j] + kx_global[k, j + 1]
-                     + ky_global[k, j] + ky_global[k + 1, j])
-                rows.append(idx(k, j)); cols.append(idx(k, j)); vals.append(d)
-                if j > 0 and kx_global[k, j] != 0.0:
-                    rows.append(idx(k, j)); cols.append(idx(k, j - 1))
-                    vals.append(-kx_global[k, j])
-                if j < nx - 1 and kx_global[k, j + 1] != 0.0:
-                    rows.append(idx(k, j)); cols.append(idx(k, j + 1))
-                    vals.append(-kx_global[k, j + 1])
-                if k > 0 and ky_global[k, j] != 0.0:
-                    rows.append(idx(k, j)); cols.append(idx(k - 1, j))
-                    vals.append(-ky_global[k, j])
-                if k < ny - 1 and ky_global[k + 1, j] != 0.0:
-                    rows.append(idx(k, j)); cols.append(idx(k + 1, j))
-                    vals.append(-ky_global[k + 1, j])
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        cell = np.arange(math.prod(shape)).reshape(shape)
+        diag = 1.0
+        rows, cols, vals = [cell.ravel()], [cell.ravel()], []
+        for axis, k in zip(reversed(range(ndim)), faces_global):
+            if k.shape != tuple(n + (a == axis) for a, n in enumerate(shape)):
+                raise ConfigurationError(
+                    f"inconsistent face shapes "
+                    f"{' / '.join(str(f.shape) for f in faces_global)}")
+            diag = (diag + k[along(axis, slice(None, -1))]
+                    + k[along(axis, slice(1, None))])
+            inner = k[along(axis, slice(1, -1))]
+            coupled = inner != 0.0
+            low = cell[along(axis, slice(None, -1))][coupled]
+            high = cell[along(axis, slice(1, None))][coupled]
+            rows += [high, low]
+            cols += [low, high]
+            vals += [-inner[coupled]] * 2
+        vals.insert(0, diag.ravel())
+        n = cell.size
+        return sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows),
+                                    np.concatenate(cols))), shape=(n, n))
+
+
+#: The operator under its 2-D name.
+StencilOperator2D = StencilOperator

@@ -498,6 +498,9 @@ def test_verify_mode_confirms_paper_budgets():
     # Matrix powers amortise the deep halo exchange (paper SIV-C2).
     assert reports["chebyshev[depth=4]"].measured_halos == pytest.approx(0.25)
     assert reports["dcg"].measured_allreduces == pytest.approx(3.0)
+    # The 7-point operator keeps the 2-D budgets; its matrix powers too.
+    assert reports["cg[3d]"].measured_halos == pytest.approx(1.0)
+    assert reports["ppcg[3d,depth=2]"].measured_halos == pytest.approx(3.0)
 
 
 def test_verify_detects_contract_drift(monkeypatch):
@@ -506,8 +509,9 @@ def test_verify_detects_contract_drift(monkeypatch):
 
     wrong = dict(cg_mod.COMM_CONTRACT, allreduces_per_iter=1)
     monkeypatch.setattr(cg_mod, "COMM_CONTRACT", wrong)
-    reports = verify_contracts(n=32, names=["cg"])
-    assert len(reports) == 1 and not reports[0].ok
+    reports = verify_contracts(n=32, names=["cg"])   # 2-D and 3-D
+    assert [r.name for r in reports] == ["cg", "cg[3d]"]
+    assert not any(r.ok for r in reports)
 
 
 def test_cli_verify_only(capsys):

@@ -240,7 +240,7 @@ def test_all_contracts_verify_with_inert_token():
     from repro.analysis.verify import default_specs, verify_contracts
 
     specs = default_specs()
-    assert len(specs) == 8
+    assert len(specs) == 10
     # Hand every spec's run an inert token on top of its defences (dcg
     # ignores it: deflated CG has no cancellation hook).
     from dataclasses import replace
@@ -251,7 +251,7 @@ def test_all_contracts_verify_with_inert_token():
                     run(op, b, bounds, k, replace(defences, cancel=token)))
 
     reports = verify_contracts(n=32, specs=specs)
-    assert len(reports) == 8
+    assert len(reports) == 10
     bad = [(r.name, r.measured_allreduces, r.measured_halos)
            for r in reports if not r.ok]
     assert not bad, bad

@@ -499,7 +499,7 @@ class TestIntegrityAcrossRanks:
 def test_all_contracts_verify_under_integrity_stack():
     from repro.analysis.verify import verify_contracts
     reports = verify_contracts(n=24, integrity=True)
-    assert len(reports) == 8
+    assert len(reports) == 10
     bad = [r.name for r in reports if not r.ok]
     assert bad == [], f"contract drift under checksummed stack: {bad}"
 

@@ -1,8 +1,12 @@
-"""Unit tests: rectangular decomposition and neighbour topology."""
+"""Unit tests: rectangular decomposition and neighbour topology, for
+2-D and 3-D grids (one ``decompose``, one ``Tile``)."""
+
+from itertools import product
 
 import pytest
 
-from repro.mesh import Grid2D, choose_factors, decompose, tile_for_rank
+from repro.comm.base import payload_bytes
+from repro.mesh import Grid2D, Grid3D, choose_factors, decompose, tile_for_rank
 from repro.utils import DecompositionError
 
 
@@ -31,23 +35,26 @@ class TestChooseFactors:
 
 class TestDecompose:
     def test_partition_covers_grid_exactly(self):
-        g = Grid2D(17, 13)
-        for nranks in (1, 2, 3, 4, 6, 12):
-            tiles = decompose(g, nranks)
-            assert len(tiles) == nranks
-            seen = set()
-            for t in tiles:
-                for k in range(t.y0, t.y1):
-                    for j in range(t.x0, t.x1):
-                        assert (k, j) not in seen
-                        seen.add((k, j))
-            assert len(seen) == g.n_cells
+        for g in (Grid2D(17, 13), Grid3D(7, 5, 6)):
+            for nranks in (1, 2, 3, 4, 6, 12):
+                tiles = decompose(g, nranks)
+                assert len(tiles) == nranks
+                seen = set()
+                for t in tiles:
+                    for cell in product(*map(range, t.lo, t.hi)):
+                        assert cell not in seen
+                        seen.add(cell)
+                assert len(seen) == g.n_cells
 
     def test_rank_ordering_row_major(self):
         tiles = decompose(Grid2D(8, 8), 4, factors=(2, 2))
         assert [t.rank for t in tiles] == [0, 1, 2, 3]
         assert (tiles[1].cx, tiles[1].cy) == (1, 0)
         assert (tiles[2].cx, tiles[2].cy) == (0, 1)
+        tiles = decompose(Grid3D(4, 4, 4), 8, factors=(2, 2, 2))
+        assert [t.rank for t in tiles] == list(range(8))
+        assert [(t.cx, t.cy, t.cz) for t in tiles[1:5:3]] == [(1, 0, 0),
+                                                              (0, 0, 1)]
 
     def test_neighbors(self):
         tiles = decompose(Grid2D(9, 9), 9, factors=(3, 3))
@@ -63,6 +70,10 @@ class TestDecompose:
         assert corner.right == 1
         assert corner.up == 3
         assert corner.n_neighbors == 2
+        # a tile is a plain object to the byte counters, not a sequence
+        assert payload_bytes(center) == 8
+        with pytest.raises(AttributeError, match="2-D tile has no 'front'"):
+            center.front
 
     def test_uneven_split_sizes(self):
         tiles = decompose(Grid2D(10, 1), 3, factors=(3, 1))
@@ -72,6 +83,8 @@ class TestDecompose:
     def test_explicit_factors_mismatch(self):
         with pytest.raises(DecompositionError):
             decompose(Grid2D(8, 8), 4, factors=(3, 2))
+        with pytest.raises(DecompositionError):   # one factor per axis
+            decompose(Grid3D(8, 8, 8), 4, factors=(2, 2))
 
     def test_too_many_ranks(self):
         with pytest.raises(DecompositionError):

@@ -9,12 +9,14 @@ serial solve to floating-point reassociation tolerance.
 import numpy as np
 import pytest
 
+from repro.kernels import REDUCTION_ULP_FACTOR
 from repro.solvers import SolverOptions
 
 from tests.helpers import (
     crooked_pipe_system,
     distributed_solve,
     reference_solution,
+    system_3d,
 )
 
 pytestmark = pytest.mark.distributed
@@ -86,6 +88,35 @@ def test_iteration_counts_decomposition_invariant(system):
         _, result = distributed_solve(g, kx, ky, bg, options, size)
         iters.append(result.iterations)
     assert max(iters) - min(iters) <= 1
+
+
+@pytest.mark.parametrize("options", [
+    pytest.param(SolverOptions(solver="cg", eps=EPS), id="cg"),
+    pytest.param(SolverOptions(solver="ppcg", eps=EPS, ppcg_inner_steps=8,
+                               halo_depth=2), id="ppcg-2"),
+])
+@pytest.mark.parametrize("layouts", [
+    [(1, 1), (2, 1), (2, 2), (4, 1)],
+    [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)],
+], ids=["2d", "3d"])
+def test_decomposition_invariance(system, layouts, options):
+    """However the mesh is cut — 32^2 crooked pipe, 12^3 random system —
+    the solve takes the same outer and inner iterations and lands on the
+    same solution to the reduction envelope: only the order in which the
+    dot products' partial sums are added depends on the layout."""
+    if len(layouts[0]) == 2:
+        g, *faces, bg, _ = system
+    else:
+        g, faces, bg, _ = system_3d()
+    runs = [distributed_solve(g, *faces, bg, options, int(np.prod(factors)),
+                              factors=factors) for factors in layouts]
+    x_ref, ref = runs[0]
+    assert ref.converged and ref.iterations > 3
+    envelope = REDUCTION_ULP_FACTOR * np.finfo(float).eps * np.abs(x_ref).max()
+    for x, result in runs[1:]:
+        assert (result.iterations, result.inner_iterations) == \
+            (ref.iterations, ref.inner_iterations)
+        assert np.abs(x - x_ref).max() <= envelope
 
 
 def test_block_jacobi_truncated_strips_at_rank_boundaries(system):

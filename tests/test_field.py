@@ -1,4 +1,5 @@
-"""Unit tests: halo-padded fields."""
+"""Unit tests: halo-padded fields, 2-D and 3-D (one class: the in-place
+update tests run on a tile of each dimension)."""
 
 import copy
 import pickle
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.kernels import get_backend
-from repro.mesh import Field, Grid2D, decompose
+from repro.mesh import Field, Grid2D, Grid3D, decompose
 from repro.utils import ConfigurationError
 
 from tests.helpers import bits
@@ -22,6 +23,9 @@ class TestFieldConstruction:
         f = Field(tile_1rank(), halo=2)
         assert f.data.shape == (6 + 4, 8 + 4)
         assert np.all(f.data == 0)
+        f = Field(decompose(Grid3D(8, 6, 5), 1)[0], halo=2, dtype=np.float32)
+        assert f.data.shape == (5 + 4, 6 + 4, 8 + 4)
+        assert f.dtype == np.float32 and f.interior.shape == (5, 6, 8)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ConfigurationError):
@@ -76,6 +80,12 @@ class TestViews:
         rows, cols = f.region({"left": 1, "right": 2, "down": 0, "up": 2})
         assert rows == slice(2, 2 + t.ny + 2)
         assert cols == slice(1, 2 + t.nx + 2)
+        t = decompose(Grid3D(9, 9, 9), 27, factors=(3, 3, 3))[13]
+        f = Field(t, halo=2)
+        assert f.region({"left": 1, "up": 2, "back": 2, "front": 1}) == (
+            slice(0, 2 + t.nz + 1), slice(2, 2 + t.ny + 2),
+            slice(1, 2 + t.nx))
+        assert f.region(1) == (slice(1, 3 + t.nz),) * 3
 
     def test_region_exceeding_halo_raises(self):
         t = decompose(Grid2D(9, 9), 9, factors=(3, 3))[4]
@@ -132,28 +142,35 @@ class TestRegionUpdates:
 
     KERNELS = get_backend("numpy")
 
+    #: The centre tile of a 3x3 and of a 3x3x3 decomposition: regions
+    #: grow on every side.
+    CENTERS = (decompose(Grid2D(18, 15), 9, factors=(3, 3))[4],
+               decompose(Grid3D(18, 15, 12), 27, factors=(3, 3, 3))[13])
+
     def center(self):
-        return decompose(Grid2D(18, 15), 9, factors=(3, 3))[4]
+        return self.CENTERS[0]
 
     def test_axpy_and_aypx_match_the_whole_array_expressions(self):
-        y, x = _pair(self.center())
-        for ext in (0, 1, 2):
-            rows, cols = y.region(ext)
-            ref = y.data.copy()
-            ref[rows, cols] += 0.375 * x.data[rows, cols]
-            y.axpy(0.375, x, self.KERNELS, ext)
-            assert np.array_equal(bits(y.data), bits(ref))
-            ref[rows, cols] *= -0.75
-            ref[rows, cols] += x.data[rows, cols]
-            y.aypx(-0.75, x, ext)
-            assert np.array_equal(bits(y.data), bits(ref))
+        for tile in self.CENTERS:
+            y, x = _pair(tile)
+            for ext in (0, 1, 2):
+                region = y.region(ext)
+                ref = y.data.copy()
+                ref[region] += 0.375 * x.data[region]
+                y.axpy(0.375, x, self.KERNELS, ext)
+                assert np.array_equal(bits(y.data), bits(ref))
+                ref[region] *= -0.75
+                ref[region] += x.data[region]
+                y.aypx(-0.75, x, ext)
+                assert np.array_equal(bits(y.data), bits(ref))
 
     def test_other_may_be_self(self):
-        y, _ = _pair(self.center())
-        ref = y.data.copy()
-        ref[y.region(0)] += 0.5 * ref[y.region(0)]
-        y.axpy(0.5, y, self.KERNELS)
-        assert np.array_equal(bits(y.data), bits(ref))
+        for tile in self.CENTERS:
+            y, _ = _pair(tile)
+            ref = y.data.copy()
+            ref[y.region(0)] += 0.5 * ref[y.region(0)]
+            y.axpy(0.5, y, self.KERNELS)
+            assert np.array_equal(bits(y.data), bits(ref))
 
     def test_gaps_restored_when_the_kernel_raises(self):
         class Scribbler:
@@ -161,14 +178,15 @@ class TestRegionUpdates:
                 y[...] = 7.0
                 raise FloatingPointError("mid-update")
 
-        y, x = _pair(self.center())
-        before = y.data.copy()
-        with pytest.raises(FloatingPointError):
-            y.axpy(1.0, x, Scribbler())
-        halo = np.ones(y.data.shape, dtype=bool)
-        halo[y.region(0)] = False
-        assert np.array_equal(bits(y.data)[halo], bits(before)[halo])
-        assert np.all(y.interior == 7.0)
+        for tile in self.CENTERS:
+            y, x = _pair(tile)
+            before = y.data.copy()
+            with pytest.raises(FloatingPointError):
+                y.axpy(1.0, x, Scribbler())
+            halo = np.ones(y.data.shape, dtype=bool)
+            halo[y.region(0)] = False
+            assert np.array_equal(bits(y.data)[halo], bits(before)[halo])
+            assert np.all(y.interior == 7.0)
 
     def test_span_views_are_built_once_per_buffer(self):
         y, x = _pair(self.center())
@@ -215,12 +233,14 @@ class TestRegionUpdates:
         assert np.array_equal(bits(twin.data), bits(ref))
 
     def test_buffers_that_do_not_share_a_layout_take_the_2d_path(self):
-        tile = self.center()
-        cases = [
-            _pair(tile, halo=2, other_halo=3),                 # pitch differs
-            [Field(tile, 2, np.asfortranarray(f.data))         # not C-order
-             for f in _pair(tile)],
-        ]
+        """... the strided-view path, in either dimension."""
+        cases = []
+        for tile in self.CENTERS:
+            cases += [
+                _pair(tile, halo=2, other_halo=3),             # pitch differs
+                [Field(tile, 2, np.asfortranarray(f.data))     # not C-order
+                 for f in _pair(tile)],
+            ]
         for y, x in cases:
             buffer = y.data
             ref = y.data.copy()
@@ -234,20 +254,19 @@ class TestRegionUpdates:
             assert np.array_equal(bits(y.data), bits(ref))
 
     def test_field3d_carries_the_same_methods(self):
-        from repro.mesh import Grid3D, decompose3d
-        from repro.mesh.field3d import Field3D
-        tile = decompose3d(Grid3D(12, 10, 8), 8)[0]
-        rng = np.random.default_rng(5)
-        y, x = (Field3D(tile, 2) for _ in range(2))
-        for f in (y, x):
-            f.data[...] = rng.standard_normal(f.data.shape)
-        for ext in (0, 1):
-            region = y.region(ext)
-            ref = y.data.copy()
-            ref[region] += 0.375 * x.data[region]
-            y.axpy(0.375, x, self.KERNELS, ext)
-            assert np.array_equal(bits(y.data), bits(ref))
-            ref[region] *= -0.75
-            ref[region] += x.data[region]
-            y.aypx(-0.75, x, ext)
-            assert np.array_equal(bits(y.data), bits(ref))
+        """A 3-D field is the same class: ``dtype=``, the constructors
+        and the cached span views all reach it."""
+        tile = decompose(Grid3D(12, 10, 8), 8)[0]
+        glob = np.random.default_rng(5).standard_normal((8, 10, 12))
+        y = Field.from_global(tile, 2, glob, dtype=np.float32)
+        assert y.dtype == np.float32 and Field.like(y).dtype == np.float32
+        assert np.array_equal(y.interior,
+                              glob[tile.global_slices].astype(np.float32))
+        x = y.copy()
+        y.axpy(0.5, x, self.KERNELS, 1)
+        span = y._span(1)
+        assert len(span.gaps) == 2 and y._span(1) is span
+        region = np.zeros(y.data.shape, dtype=bool)
+        region[y.region(1)] = True
+        assert np.array_equal(y.data[region], np.float32(1.5) * x.data[region])
+        assert np.array_equal(bits(y.data)[~region], bits(x.data)[~region])

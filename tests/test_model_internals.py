@@ -18,7 +18,8 @@ from repro.perfmodel.predict import (
 from repro.solvers import StencilOperator2D, cg_solve
 from repro.utils import ConvergenceError
 
-from tests.helpers import crooked_pipe_system, serial_operator
+from tests.helpers import (check_factors_optimal, crooked_pipe_system,
+                           serial_operator)
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -148,20 +149,7 @@ class TestCommProperties:
            ny=st.integers(16, 128), nz=st.integers(16, 128))
     @settings(max_examples=30, **COMMON)
     def test_choose_factors_3d_optimal(self, nranks, nx, ny, nz):
-        from repro.mesh import choose_factors_3d
-        px, py, pz = choose_factors_3d(nranks, nx, ny, nz)
-        assert px * py * pz == nranks
-        cut = (px - 1) * ny * nz + (py - 1) * nx * nz + (pz - 1) * nx * ny
-        for qx in range(1, nranks + 1):
-            if nranks % qx:
-                continue
-            for qy in range(1, nranks // qx + 1):
-                if (nranks // qx) % qy:
-                    continue
-                qz = nranks // qx // qy
-                alt = ((qx - 1) * ny * nz + (qy - 1) * nx * nz
-                       + (qz - 1) * nx * ny)
-                assert cut <= alt
+        check_factors_optimal(nranks, nx, ny, nz)
 
 
 class TestMiscEdges:

@@ -1,12 +1,10 @@
-"""Tests: non-blocking point-to-point and split-phase halo exchange."""
+"""Tests: non-blocking point-to-point requests."""
 
-import numpy as np
 import pytest
 
 from repro.comm import SerialComm, launch_spmd
 from repro.comm.base import CompletedRequest
-from repro.mesh import Field, Grid2D, HaloExchanger, decompose
-from repro.utils import CommunicationError, EventLog
+from repro.utils import CommunicationError
 
 
 class TestRequests:
@@ -66,67 +64,3 @@ class TestRequests:
     def test_serial_irecv_raises(self):
         with pytest.raises(CommunicationError):
             SerialComm().irecv(source=0)
-
-
-class TestSplitPhaseExchange:
-    def test_matches_blocking_exchange(self):
-        g = Grid2D(16, 12)
-        glob = np.arange(16.0 * 12).reshape(12, 16)
-
-        def rank_main(comm):
-            t = decompose(g, comm.size)[comm.rank]
-            f_block = Field.from_global(t, 2, glob)
-            f_split = Field.from_global(t, 2, glob)
-            ex = HaloExchanger(comm)
-            ex.exchange(f_block, depth=2)
-            pending = ex.begin_exchange(f_split, depth=2)
-            # interior work may proceed here while x-halos are in flight
-            interior_sum = f_split.interior.sum()
-            ex.end_exchange(pending)
-            assert interior_sum == f_split.interior.sum()
-            assert np.array_equal(f_block.data, f_split.data)
-            return True
-
-        for size in (2, 4, 6):
-            assert all(launch_spmd(rank_main, size))
-
-    def test_events_recorded_once(self):
-        g = Grid2D(8, 8)
-
-        def rank_main(comm):
-            t = decompose(g, comm.size)[comm.rank]
-            f = Field.from_global(t, 1, np.ones((8, 8)))
-            log = EventLog()
-            ex = HaloExchanger(comm, events=log)
-            ex.end_exchange(ex.begin_exchange(f, depth=1))
-            return log
-
-        log = launch_spmd(rank_main, 4)[0]
-        assert log.count("halo_exchange", 1) == 1
-
-    def test_depth_guard(self):
-        g = Grid2D(8, 8)
-        t = decompose(g, 1)[0]
-        f = Field(t, 1)
-        ex = HaloExchanger(SerialComm())
-        with pytest.raises(CommunicationError):
-            ex.begin_exchange(f, depth=3)
-
-    def test_multi_field_split(self):
-        g = Grid2D(12, 12)
-        glob = np.arange(144.0).reshape(12, 12)
-
-        def rank_main(comm):
-            t = decompose(g, comm.size)[comm.rank]
-            f1 = Field.from_global(t, 2, glob)
-            f2 = Field.from_global(t, 2, 2 * glob)
-            ex = HaloExchanger(comm)
-            ex.end_exchange(ex.begin_exchange([f1, f2], depth=2))
-            ref1 = Field.from_global(t, 2, glob)
-            ref2 = Field.from_global(t, 2, 2 * glob)
-            HaloExchanger(comm).exchange([ref1, ref2], depth=2)
-            assert np.array_equal(f1.data, ref1.data)
-            assert np.array_equal(f2.data, ref2.data)
-            return True
-
-        assert all(launch_spmd(rank_main, 4))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.mesh import Field, Grid2D
+from repro.mesh import Field, Grid2D, Grid3D
 from repro.numerics import (
     BreakdownError,
     BreakdownGuard,
@@ -18,7 +18,6 @@ from repro.numerics import (
 )
 from repro.solvers import (Defences, EigenBounds, SolverOptions,
                            StencilOperator2D, cg_solve, solve_linear)
-from repro.solvers.dim3 import StencilOperator3D, cg_solve_3d
 from repro.solvers.jacobi import jacobi_solve
 from repro.solvers.ppcg import ppcg_solve
 from repro.utils import ConvergenceError
@@ -280,7 +279,7 @@ class TestSolverBreakdowns:
                 stagnation_window=5))
 
     def test_cg3d_breakdown(self):
-        # Satellite: exercise the dim3 breakdown raise with negative faces.
+        # The 7-point operator under the shared CG: negative faces.
         n = 4
         kx = np.zeros((n, n, n + 1))
         ky = np.zeros((n, n + 1, n))
@@ -288,11 +287,12 @@ class TestSolverBreakdowns:
         kx[:, :, 1:n] = -4.0
         ky[:, 1:n, :] = -4.0
         kz[1:n, :, :] = -4.0
-        op = StencilOperator3D(kx=kx, ky=ky, kz=kz)
-        b = np.random.default_rng(42).standard_normal((n, n, n))
+        op = serial_operator(Grid3D(n, n, n), kx, ky, kz)
+        b = Field.from_global(
+            op.tile, 1, np.random.default_rng(42).standard_normal((n, n, n)))
         with pytest.raises(BreakdownError) as exc:
-            cg_solve_3d(op, b, eps=1e-10, max_iters=50)
-        assert exc.value.solver == "cg3d"
+            cg_solve(op, b, eps=1e-10, max_iters=50)
+        assert exc.value.solver == "cg"
         assert exc.value.quantity == "pAp"
         assert exc.value.value <= 0.0
 
@@ -381,7 +381,7 @@ class TestMixedPrecision:
         for dtype in ("float64", "float32"):
             options = SolverOptions(solver="cg", eps=1e-30, max_iters=5,
                                     dtype=dtype)
-            _, result = distributed_solve(g, kx, ky, bg, options, size=2)
+            _, result = distributed_solve(g, kx, ky, bg, options, 2)
             totals[dtype] = result.events.total("halo_exchange", "bytes")
         assert totals["float64"] > 0
         assert totals["float32"] == totals["float64"] // 2
@@ -528,8 +528,8 @@ class TestResidualReplacement:
         options_rep = SolverOptions(solver="cg", eps=1e-10,
                                     replace_interval=10,
                                     replace_tolerance=1.0)
-        _, plain = distributed_solve(g, kx, ky, bg, options_plain, size=2)
-        _, rep = distributed_solve(g, kx, ky, bg, options_rep, size=2)
+        _, plain = distributed_solve(g, kx, ky, bg, options_plain, 2)
+        _, rep = distributed_solve(g, kx, ky, bg, options_rep, 2)
         assert rep.replacement.splices == 0
         assert rep.replacement.checks > 0
         assert rep.iterations == plain.iterations

@@ -400,11 +400,11 @@ def test_simulation_step_spans(tmp_path):
 
 def _span_measure(spec, n=32):
     """Replicate verify._measure, counting *spans* instead of events."""
-    from repro.analysis.verify import _gershgorin_lam_max
+    from repro.analysis.verify import _gershgorin_lam_max, build_system
     from repro.solvers.eigen import EigenBounds
 
-    grid, kxg, kyg, bg = crooked_pipe_system(n)
-    bounds = EigenBounds(1.0, _gershgorin_lam_max(kxg, kyg))
+    grid, faces, bg = build_system(spec.system, n)
+    bounds = EigenBounds(1.0, _gershgorin_lam_max(*faces))
 
     def one_run(max_iters):
         tracer = Tracer(clock=VirtualClock(tick=1e-6))
@@ -412,7 +412,7 @@ def _span_measure(spec, n=32):
         comm = InstrumentedComm(SerialComm(), log, tracer=tracer)
         tile = decompose(grid, 1)[0]
         op = StencilOperator2D.from_global_faces(
-            tile, spec.halo, kxg, kyg, comm, events=log, tracer=tracer)
+            tile, spec.halo, *faces, comm, events=log, tracer=tracer)
         b = Field.from_global(tile, spec.halo, bg)
         result = spec.run(op, b, bounds, max_iters, Defences())
         return (tracer.count("allreduce"), tracer.count("halo_exchange"),
@@ -428,14 +428,16 @@ def _span_measure(spec, n=32):
 
 @pytest.mark.slow
 def test_span_counts_match_comm_contracts():
-    """Per-iteration span counts == COMM_CONTRACT for all 8 shipped
-    solver configurations (same differencing as repro.analysis.verify)."""
+    """Per-iteration span counts == COMM_CONTRACT for all 10 shipped
+    solver configurations, the two 3-D ones included — whose exchange
+    gained its tracer span with the merge (same differencing as
+    repro.analysis.verify)."""
     import importlib
 
     from repro.analysis.verify import default_specs
 
     specs = default_specs()
-    assert len(specs) == 8
+    assert len(specs) == 10
     for spec in specs:
         contract = importlib.import_module(spec.module).COMM_CONTRACT
         expected_ar, expected_halo = spec.expected(contract)

@@ -8,52 +8,41 @@ from repro.mesh import Field, Grid2D, decompose
 from repro.solvers import StencilOperator2D, embed_global
 from repro.utils import ConfigurationError
 
-from tests.helpers import crooked_pipe_system, random_spd_faces, serial_operator
+from tests.helpers import (check_matvec, crooked_pipe_system, grid_of,
+                           random_spd_faces, serial_operator)
 
 
 class TestEmbedGlobal:
     def test_interior_window(self):
         local = np.zeros((6, 6))
         glob = np.arange(16.0).reshape(4, 4)
-        embed_global(local, glob, y_off=-1, x_off=-1)
+        embed_global(local, glob, -1, -1)
         assert np.array_equal(local[1:5, 1:5], glob)
         assert local[0].sum() == 0
 
     def test_clipped_window(self):
         local = np.zeros((4, 4))
         glob = np.arange(4.0).reshape(2, 2)
-        embed_global(local, glob, y_off=1, x_off=1)
+        embed_global(local, glob, 1, 1)
         # only global row/col 1 lands in local [0,0]
         assert local[0, 0] == glob[1, 1]
         assert local[1:].sum() == 0
 
     def test_disjoint_noop(self):
         local = np.zeros((3, 3))
-        embed_global(local, np.ones((2, 2)), y_off=10, x_off=10)
+        embed_global(local, np.ones((2, 2)), 10, 10)
         assert local.sum() == 0
 
 
 class TestMatvecAgainstSparse:
     @pytest.mark.parametrize("n", [5, 8, 16])
     def test_serial_matches_assembly(self, rng, n):
-        kx, ky = random_spd_faces(rng, n, n)
-        A = StencilOperator2D.assemble_sparse(kx, ky)
-        g = Grid2D(n, n)
-        op = serial_operator(g, kx, ky)
-        x = rng.standard_normal((n, n))
-        p = Field.from_global(op.tile, 1, x)
-        w = op.new_field()
-        op.apply(p, w)
-        assert np.allclose(w.interior.ravel(), A @ x.ravel(), atol=1e-12)
+        check_matvec(Grid2D(n, n), random_spd_faces(rng, n, n),
+                     rng.standard_normal((n, n)))
 
     def test_crooked_pipe_coefficients(self):
         g, kx, ky, b = crooked_pipe_system(16)
-        A = StencilOperator2D.assemble_sparse(kx, ky)
-        op = serial_operator(g, kx, ky)
-        p = Field.from_global(op.tile, 1, b)
-        w = op.new_field()
-        op.apply(p, w)
-        assert np.allclose(w.interior.ravel(), A @ b.ravel(), rtol=1e-12)
+        check_matvec(g, (kx, ky), b)
 
     def test_sparse_matrix_is_symmetric(self, rng):
         kx, ky = random_spd_faces(rng, 7, 9)
@@ -79,30 +68,12 @@ class TestMatvecAgainstSparse:
 
 class TestExtendedBounds:
     def test_extended_matches_global_matvec(self, rng):
-        """Extended-bounds local matvec equals the global matvec restricted."""
-        n = 16
-        kx, ky = random_spd_faces(rng, n, n)
-        A = StencilOperator2D.assemble_sparse(kx, ky)
-        g = Grid2D(n, n)
-        x = rng.standard_normal((n, n))
-        expect = (A @ x.ravel()).reshape(n, n)
-
-        def rank_main(comm):
-            tile = decompose(g, comm.size, factors=(2, 2))[comm.rank]
-            op = StencilOperator2D.from_global_faces(tile, 3, kx, ky, comm)
-            p = Field.from_global(tile, 3, x)
-            op.exchanger.exchange(p, depth=3)
-            w = op.new_field()
-            op.apply_noexchange(p, w, ext=2)
-            ext = tile.extension(2)
-            rows, cols = p.region(ext)
-            got = w.data[rows, cols]
-            want = expect[tile.y0 - ext["down"]:tile.y1 + ext["up"],
-                          tile.x0 - ext["left"]:tile.x1 + ext["right"]]
-            assert np.allclose(got, want, atol=1e-12)
-            return True
-
-        assert all(launch_spmd(rank_main, 4))
+        """Extended-bounds local matvec equals the global matvec
+        restricted, for the 5-point and the 7-point operator."""
+        for shape in ((16, 16), (8, 8, 8)):
+            check_matvec(grid_of(shape), random_spd_faces(rng, *shape),
+                         rng.standard_normal(shape), size=2 ** len(shape),
+                         ext=2, factors=(2,) * len(shape))
 
     def test_extension_beyond_halo_rejected(self, rng):
         kx, ky = random_spd_faces(rng, 8, 8)

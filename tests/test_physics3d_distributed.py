@@ -1,97 +1,69 @@
-"""Tests: 3D rank-local coefficients and the distributed 3D driver."""
+"""Tests: 3D rank-local coefficients and the 3D stepping driver."""
 
 import numpy as np
 import pytest
 
-from repro.comm import launch_spmd
-from repro.mesh import Field3D, Grid3D, HaloExchanger3D, decompose3d
-from repro.mesh.halo3d import reflect_boundaries_3d
+from repro.comm import SerialComm
+from repro.mesh import Field, Grid3D, HaloExchanger, decompose
+from repro.mesh.halo import reflect_boundaries
 from repro.physics import face_coefficients_3d
 from repro.physics.conduction import cell_conductivity
 from repro.physics.simulation3d import (
     Simulation3D,
     crooked_duct_3d,
+    paint_boxes,
     run_simulation_3d_distributed,
 )
-from repro.physics.state3d import build_coefficient_fields_3d, build_fields_3d
+from repro.physics.state import build_coefficient_fields, build_fields
+from repro.solvers import SolverOptions
 from repro.utils import CommunicationError, ConfigurationError
+
+from tests.helpers import check_coefficient_fields
 
 pytestmark = pytest.mark.distributed
 
 
-def density_energy(grid, regions):
-    density = np.empty(grid.shape)
-    energy = np.empty(grid.shape)
-    for region in regions:
-        m = region.mask(grid)
-        density[m] = region.density
-        energy[m] = region.energy
-    return density, energy
-
-
 class TestReflect3D:
     def test_serial_mirrors_all_faces(self):
-        g = Grid3D(4, 4, 4)
-        rng = np.random.default_rng(0)
-        glob = rng.standard_normal(g.shape)
-        t = decompose3d(g, 1)[0]
-        f = Field3D.from_global(t, 2, glob)
-        reflect_boundaries_3d(f)
+        glob = np.random.default_rng(0).standard_normal((4, 4, 4))
+        f = Field.from_global(decompose(Grid3D(4, 4, 4), 1)[0], 2, glob)
+        reflect_boundaries(f)
         h = f.halo
-        assert np.array_equal(f.data[h:h + 4, h:h + 4, h - 1],
-                              glob[:, :, 0])
-        assert np.array_equal(f.data[h:h + 4, h:h + 4, h + 4],
-                              glob[:, :, -1])
-        assert np.array_equal(f.data[h - 1, h:h + 4, h:h + 4],
-                              glob[0, :, :])
-        assert np.array_equal(f.data[h + 4, h:h + 4, h:h + 4],
-                              glob[-1, :, :])
+        inner = slice(h, h + 4)
+        for axis in range(3):
+            at = [inner] * 3
+            for ghost, cell in ((h - 1, 0), (h + 4, -1)):
+                at[axis] = ghost
+                assert np.array_equal(f.data[tuple(at)],
+                                      np.take(glob, cell, axis))
 
     def test_depth_guard(self):
-        t = decompose3d(Grid3D(4, 4, 4), 1)[0]
+        t = decompose(Grid3D(4, 4, 4), 1)[0]
         with pytest.raises(CommunicationError):
-            reflect_boundaries_3d(Field3D(t, 1), depth=2)
+            reflect_boundaries(Field(t, 1), depth=2)
 
 
 class TestCoefficients3D:
     def test_matches_global_construction(self):
         """Rank-local K build == global face_coefficients_3d, all ranks."""
         g = Grid3D(12, 12, 12)
-        density_g, energy_g = density_energy(g, crooked_duct_3d())
-        rx, ry, rz = 0.9, 0.8, 0.7
-        kappa = cell_conductivity(density_g)
-        kxg, kyg, kzg = face_coefficients_3d(kappa, rx, ry, rz)
-
-        def rank_main(comm):
-            tile = decompose3d(g, comm.size)[comm.rank]
-            fields = build_fields_3d(tile, 2, density_g, energy_g)
-            ex = HaloExchanger3D(comm)
-            kx, ky, kz = build_coefficient_fields_3d(
-                fields["density"], rx, ry, rz, ex)
-            h = kx.halo
-            got = kx.data[h:h + tile.nz, h:h + tile.ny, h:h + tile.nx + 1]
-            want = kxg[tile.z0:tile.z1, tile.y0:tile.y1,
-                       tile.x0:tile.x1 + 1]
-            assert np.allclose(got, want, rtol=1e-12), comm.rank
-            got = kz.data[h:h + tile.nz + 1, h:h + tile.ny, h:h + tile.nx]
-            want = kzg[tile.z0:tile.z1 + 1, tile.y0:tile.y1,
-                       tile.x0:tile.x1]
-            assert np.allclose(got, want, rtol=1e-12), comm.rank
-            return True
-
-        for size in (1, 4, 8):
-            assert all(launch_spmd(rank_main, size))
+        density, _ = paint_boxes(g, crooked_duct_3d())
+        check_coefficient_fields(
+            g, density, (0.9, 0.8, 0.7),
+            face_coefficients_3d(cell_conductivity(density), 0.9, 0.8, 0.7),
+            sizes=(1, 4, 8))
 
     def test_bad_mean(self):
         g = Grid3D(4, 4, 4)
-        density_g, energy_g = density_energy(g, crooked_duct_3d())
-        tile = decompose3d(g, 1)[0]
-        fields = build_fields_3d(tile, 1, density_g, energy_g)
-        from repro.comm import SerialComm
+        density_g, energy_g = paint_boxes(g, crooked_duct_3d())
+        tile = decompose(g, 1)[0]
+        fields = build_fields(tile, 1, density_g, energy_g)
+        ex = HaloExchanger(SerialComm())
         with pytest.raises(ConfigurationError):
-            build_coefficient_fields_3d(fields["density"], 1, 1, 1,
-                                        HaloExchanger3D(SerialComm()),
-                                        mean="median")
+            build_coefficient_fields(fields["density"], 1, 1, 1, ex,
+                                     mean="median")
+        with pytest.raises(ConfigurationError):   # one ratio per axis
+            build_coefficient_fields(fields["density"], 1, 1, ex)
 
 
 class TestDistributedSimulation3D:
@@ -118,13 +90,28 @@ class TestDistributedSimulation3D:
 
     def test_energy_conserved(self):
         g = Grid3D(10, 10, 10)
-        density_g, energy_g = density_energy(g, crooked_duct_3d())
+        density_g, energy_g = paint_boxes(g, crooked_duct_3d())
         u0 = density_g * energy_g
         out = run_simulation_3d_distributed(
             g, crooked_duct_3d(), n_steps=3, nranks=4, eps=1e-12)
         assert out["temperature"].sum() == pytest.approx(u0.sum(), rel=1e-9)
 
     def test_unknown_solver_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_simulation_3d_distributed(
-                Grid3D(8, 8, 8), crooked_duct_3d(), solver="jacobi")
+        """Every solver ``solve_linear`` knows runs, unless it is 2D by
+        construction; those and unknown names are configuration errors."""
+        for solver in ("mgcg", "dcg", "sor"):
+            with pytest.raises(ConfigurationError):
+                run_simulation_3d_distributed(
+                    Grid3D(8, 8, 8), crooked_duct_3d(), solver=solver)
+
+    def test_options_reach_the_3d_driver(self, serial_ref):
+        """``SolverOptions`` drive the 3D stepping: float32 working
+        precision with refinement, a guard and the fused backend, on two
+        ranks, agree with the plain serial run."""
+        sim = Simulation3D(
+            Grid3D(12, 12, 12), crooked_duct_3d(), nranks=2,
+            options=SolverOptions(solver="cg", eps=1e-11, dtype="float32",
+                                  refine=True, guard_interval=5,
+                                  kernel_backend="fused"))
+        sim.run(2)
+        assert np.abs(sim.u - serial_ref).max() < 1e-9

@@ -12,34 +12,34 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.comm import SerialComm, launch_spmd
+from repro.comm import SerialComm
 from repro.mesh import Field, Grid2D, HaloExchanger, choose_factors, decompose
 from repro.physics import face_coefficients
 from repro.physics.deck import CROOKED_PIPE_DECK, parse_deck_text
-from repro.solvers import StencilOperator2D, chebyshev_epsilon
+from repro.solvers import StencilOperator, chebyshev_epsilon
 from repro.solvers.eigen import EigenBounds
 
-from tests.helpers import serial_operator
+from tests.helpers import (check_exchange_fills_ghosts, check_factors_optimal,
+                           check_matvec, grid_of, random_spd_faces,
+                           serial_operator)
 
 COMMON = dict(deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
 
 
 def faces_strategy(max_n=12):
-    """(ny, nx, kx, ky) with positive interior faces, zero boundaries."""
+    """(grid, faces, seed) in 2-D or 3-D: positive interior faces
+    ``(kx, ky[, kz])``, zero boundaries."""
 
     @st.composite
     def build(draw):
-        ny = draw(st.integers(2, max_n))
-        nx = draw(st.integers(2, max_n))
+        ndim = draw(st.sampled_from([2, 3]))
+        shape = tuple(draw(st.integers(2, max_n if ndim == 2 else 6))
+                      for _ in range(ndim))
         seed = draw(st.integers(0, 2 ** 31 - 1))
-        rng = np.random.default_rng(seed)
-        scale = draw(st.floats(0.05, 20.0))
-        kx = np.zeros((ny, nx + 1))
-        ky = np.zeros((ny + 1, nx))
-        kx[:, 1:nx] = scale * rng.uniform(0.05, 3.0, size=(ny, nx - 1))
-        ky[1:ny, :] = scale * rng.uniform(0.05, 3.0, size=(ny - 1, nx))
-        return ny, nx, kx, ky, seed
+        faces = random_spd_faces(np.random.default_rng(seed), *shape,
+                                 scale=draw(st.floats(0.05, 20.0)))
+        return grid_of(shape), faces, seed
 
     return build()
 
@@ -49,11 +49,11 @@ class TestOperatorProperties:
     @settings(max_examples=30, **COMMON)
     def test_operator_symmetry(self, system):
         """<Au, v> == <u, Av> for the matrix-free operator."""
-        ny, nx, kx, ky, seed = system
+        g, faces, seed = system
         rng = np.random.default_rng(seed + 1)
-        op = serial_operator(Grid2D(nx, ny), kx, ky)
-        u = Field.from_global(op.tile, 1, rng.standard_normal((ny, nx)))
-        v = Field.from_global(op.tile, 1, rng.standard_normal((ny, nx)))
+        op = serial_operator(g, *faces)
+        u = Field.from_global(op.tile, 1, rng.standard_normal(g.shape))
+        v = Field.from_global(op.tile, 1, rng.standard_normal(g.shape))
         Au, Av = op.new_field(), op.new_field()
         op.apply(u, Au)
         op.apply(v, Av)
@@ -67,16 +67,16 @@ class TestOperatorProperties:
     def test_operator_symmetry_per_backend_dtype_and_halo(
             self, system, backend, dtype, halo):
         """<Au, v> == <u, Av> through each backend's chains, in either
-        precision, at every halo depth (whose padding the span kernels
-        read through) — to the reduction envelope of the two products:
-        ``64 eps ||A||_inf ||u|| ||v||``."""
-        ny, nx, kx, ky, seed = system
+        precision and dimension, at every halo depth (whose padding the
+        span kernels read through) — to the reduction envelope of the two
+        products: ``64 eps ||A||_inf ||u|| ||v||``."""
+        g, faces, seed = system
         rng = np.random.default_rng(seed + 3)
-        tile = decompose(Grid2D(nx, ny), 1)[0]
-        op = StencilOperator2D.from_global_faces(
-            tile, halo, kx, ky, SerialComm(), dtype=np.dtype(dtype)
+        tile = decompose(g, 1)[0]
+        op = StencilOperator.from_global_faces(
+            tile, halo, *faces, SerialComm(), dtype=np.dtype(dtype)
         ).with_kernels(backend)
-        u, v = (Field.from_global(tile, halo, rng.standard_normal((ny, nx)),
+        u, v = (Field.from_global(tile, halo, rng.standard_normal(g.shape),
                                   dtype=dtype) for _ in range(2))
         Au, Av = op.new_field(), op.new_field()
         op.apply(u, Au)
@@ -92,10 +92,10 @@ class TestOperatorProperties:
     @settings(max_examples=30, **COMMON)
     def test_operator_positive_definite(self, system):
         """<Au, u> >= <u, u>: A = I + (PSD) for any positive coefficients."""
-        ny, nx, kx, ky, seed = system
+        g, faces, seed = system
         rng = np.random.default_rng(seed + 2)
-        op = serial_operator(Grid2D(nx, ny), kx, ky)
-        u = Field.from_global(op.tile, 1, rng.standard_normal((ny, nx)))
+        op = serial_operator(g, *faces)
+        u = Field.from_global(op.tile, 1, rng.standard_normal(g.shape))
         Au = op.new_field()
         op.apply(u, Au)
         uAu = float(np.sum(Au.interior * u.interior))
@@ -105,9 +105,9 @@ class TestOperatorProperties:
     @given(faces_strategy())
     @settings(max_examples=30, **COMMON)
     def test_constant_invariance(self, system):
-        ny, nx, kx, ky, _ = system
-        op = serial_operator(Grid2D(nx, ny), kx, ky)
-        u = Field.from_global(op.tile, 1, np.full((ny, nx), 3.7))
+        g, faces, _ = system
+        op = serial_operator(g, *faces)
+        u = Field.from_global(op.tile, 1, np.full(g.shape, 3.7))
         Au = op.new_field()
         op.apply(u, Au)
         assert np.allclose(Au.interior, 3.7, atol=1e-11)
@@ -115,16 +115,9 @@ class TestOperatorProperties:
     @given(faces_strategy())
     @settings(max_examples=20, **COMMON)
     def test_matvec_matches_sparse_assembly(self, system):
-        ny, nx, kx, ky, seed = system
-        rng = np.random.default_rng(seed + 3)
-        A = StencilOperator2D.assemble_sparse(kx, ky)
-        op = serial_operator(Grid2D(nx, ny), kx, ky)
-        x = rng.standard_normal((ny, nx))
-        p = Field.from_global(op.tile, 1, x)
-        w = op.new_field()
-        op.apply(p, w)
-        assert np.allclose(w.interior.ravel(), A @ x.ravel(),
-                           rtol=1e-10, atol=1e-10)
+        g, faces, seed = system
+        check_matvec(g, faces,
+                     np.random.default_rng(seed + 3).standard_normal(g.shape))
 
 
 class TestHaloProperties:
@@ -133,44 +126,19 @@ class TestHaloProperties:
         ny=st.integers(6, 24),
         depth=st.integers(1, 3),
         nranks=st.sampled_from([2, 3, 4, 6]),
-        seed=st.integers(0, 2 ** 31 - 1),
     )
     @settings(max_examples=20, **COMMON)
-    def test_exchange_reproduces_global_windows(self, nx, ny, depth,
-                                                nranks, seed):
+    def test_exchange_reproduces_global_windows(self, nx, ny, depth, nranks):
         g = Grid2D(nx, ny)
-        tiles = decompose(g, nranks)
-        if min(t.nx for t in tiles) < depth or min(t.ny for t in tiles) < depth:
+        if min(min(t.shape) for t in decompose(g, nranks)) < depth:
             return  # tiles thinner than the halo: out of scope
-        rng = np.random.default_rng(seed)
-        glob = rng.standard_normal((ny, nx))
-
-        def rank_main(comm):
-            t = decompose(g, comm.size)[comm.rank]
-            f = Field.from_global(t, depth, glob)
-            HaloExchanger(comm).exchange(f, depth=depth)
-            ext = t.extension(depth)
-            rows, cols = f.region(ext)
-            want = glob[t.y0 - ext["down"]:t.y1 + ext["up"],
-                        t.x0 - ext["left"]:t.x1 + ext["right"]]
-            assert np.array_equal(f.data[rows, cols], want)
-            return True
-
-        assert all(launch_spmd(rank_main, nranks))
+        check_exchange_fills_ghosts(HaloExchanger, g, nranks, depth)
 
     @given(nranks=st.integers(1, 64), nx=st.integers(64, 512),
            ny=st.integers(64, 512))
     @settings(max_examples=40, **COMMON)
     def test_choose_factors_valid_and_optimal_enough(self, nranks, nx, ny):
-        px, py = choose_factors(nranks, nx, ny)
-        assert px * py == nranks
-        cut = (px - 1) * ny + (py - 1) * nx
-        # no factorisation is strictly better
-        for qx in range(1, nranks + 1):
-            if nranks % qx:
-                continue
-            qy = nranks // qx
-            assert cut <= (qx - 1) * ny + (qy - 1) * nx
+        check_factors_optimal(nranks, nx, ny)
 
     @given(nranks=st.integers(1, 48), nx=st.integers(8, 64),
            ny=st.integers(8, 64))

@@ -1,15 +1,18 @@
-"""Property-based tests for the 3D distributed structures."""
+"""Property-based tests for the 3D cases of the distributed structures
+(``tests/test_properties.py`` draws the operator properties in both
+dimensions; these pin the 3D side and the decompositions)."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.comm import SerialComm, launch_spmd
-from repro.mesh import Field3D, Grid3D, HaloExchanger3D, decompose3d
+from repro.comm import launch_spmd
+from repro.mesh import Field, Grid3D, HaloExchanger, decompose
 from repro.physics import face_coefficients_3d
-from repro.solvers import DistributedOperator3D
-from repro.solvers.dim3 import StencilOperator3D
+
+from tests.helpers import (check_exchange_fills_ghosts, check_matvec,
+                           serial_operator)
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -20,7 +23,11 @@ def grids_3d(draw, max_n=10):
     ny = draw(st.integers(4, max_n))
     nz = draw(st.integers(4, max_n))
     seed = draw(st.integers(0, 2 ** 31 - 1))
-    return nx, ny, nz, seed
+    return Grid3D(nx, ny, nz), np.random.default_rng(seed)
+
+
+def random_faces(g, rng):
+    return face_coefficients_3d(rng.uniform(0.1, 5.0, g.shape), 0.7, 0.5, 0.3)
 
 
 class TestHalo3DProperties:
@@ -31,85 +38,45 @@ class TestHalo3DProperties:
     )
     @settings(max_examples=12, **COMMON)
     def test_exchange_reproduces_global_windows(self, params, nranks, depth):
-        nx, ny, nz, seed = params
-        g = Grid3D(nx, ny, nz)
-        tiles = decompose3d(g, nranks)
-        if min(min(t.nx, t.ny, t.nz) for t in tiles) < depth:
+        g, _ = params
+        if min(min(t.shape) for t in decompose(g, nranks)) < depth:
             return
-        rng = np.random.default_rng(seed)
-        glob = rng.standard_normal(g.shape)
-
-        def rank_main(comm):
-            t = decompose3d(g, comm.size)[comm.rank]
-            f = Field3D.from_global(t, depth, glob)
-            HaloExchanger3D(comm).exchange(f, depth=depth)
-            ext = t.extension(depth)
-            want = glob[t.z0 - ext["back"]:t.z1 + ext["front"],
-                        t.y0 - ext["down"]:t.y1 + ext["up"],
-                        t.x0 - ext["left"]:t.x1 + ext["right"]]
-            assert np.array_equal(f.data[f.region(ext)], want)
-            return True
-
-        assert all(launch_spmd(rank_main, nranks))
+        check_exchange_fills_ghosts(HaloExchanger, g, nranks, depth)
 
 
 class TestOperator3DProperties:
     @given(params=grids_3d(max_n=8))
     @settings(max_examples=15, **COMMON)
     def test_symmetry_and_constant_invariance(self, params):
-        nx, ny, nz, seed = params
-        rng = np.random.default_rng(seed)
-        g = Grid3D(nx, ny, nz)
-        kappa = rng.uniform(0.1, 5.0, g.shape)
-        kx, ky, kz = face_coefficients_3d(kappa, 0.7, 0.5, 0.3)
-        t = decompose3d(g, 1)[0]
-        op = DistributedOperator3D.from_global_faces(t, 1, kx, ky, kz,
-                                                     SerialComm())
-        u = Field3D.from_global(t, 1, rng.standard_normal(g.shape))
-        v = Field3D.from_global(t, 1, rng.standard_normal(g.shape))
-        Au, Av = op.new_field(), op.new_field()
+        g, rng = params
+        op = serial_operator(g, *random_faces(g, rng))
+        u, v, ones = (Field.from_global(op.tile, 1, a) for a in (
+            rng.standard_normal(g.shape), rng.standard_normal(g.shape),
+            np.ones(g.shape)))
+        Au, Av, Aones = (op.new_field() for _ in range(3))
         op.apply(u, Au)
         op.apply(v, Av)
         assert op.dot(Au, v) == pytest.approx(op.dot(u, Av),
                                               rel=1e-10, abs=1e-10)
-        ones = Field3D.from_global(t, 1, np.ones(g.shape))
-        Aones = op.new_field()
         op.apply(ones, Aones)
         assert np.allclose(Aones.interior, 1.0, atol=1e-12)
 
     @given(params=grids_3d(max_n=7))
     @settings(max_examples=10, **COMMON)
     def test_matvec_matches_sparse(self, params):
-        nx, ny, nz, seed = params
-        rng = np.random.default_rng(seed)
-        g = Grid3D(nx, ny, nz)
-        kappa = rng.uniform(0.1, 5.0, g.shape)
-        kx, ky, kz = face_coefficients_3d(kappa, 0.7, 0.5, 0.3)
-        A = StencilOperator3D(kx=kx, ky=ky, kz=kz).to_sparse()
-        x = rng.standard_normal(g.shape)
-        t = decompose3d(g, 1)[0]
-        op = DistributedOperator3D.from_global_faces(t, 1, kx, ky, kz,
-                                                     SerialComm())
-        p = Field3D.from_global(t, 1, x)
-        w = op.new_field()
-        op.apply(p, w)
-        assert np.allclose(w.interior.ravel(), A @ x.ravel(),
-                           rtol=1e-10, atol=1e-10)
+        g, rng = params
+        check_matvec(g, random_faces(g, rng), rng.standard_normal(g.shape))
 
     @given(nranks=st.sampled_from([2, 4, 8]), params=grids_3d(max_n=10))
     @settings(max_examples=8, **COMMON)
     def test_distributed_dot_decomposition_invariant(self, nranks, params):
-        nx, ny, nz, seed = params
-        g = Grid3D(nx, ny, nz)
-        if min(g.shape) < 2:
-            return
-        rng = np.random.default_rng(seed)
+        g, rng = params
         glob = rng.standard_normal(g.shape)
         expect = float(np.sum(glob * glob))
 
         def rank_main(comm):
-            t = decompose3d(g, comm.size)[comm.rank]
-            f = Field3D.from_global(t, 1, glob)
+            t = decompose(g, comm.size)[comm.rank]
+            f = Field.from_global(t, 1, glob)
             return comm.allreduce(f.local_dot(f))
 
         for v in launch_spmd(rank_main, nranks):

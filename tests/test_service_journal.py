@@ -16,6 +16,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.physics.deck import CROOKED_PIPE_DECK
 from repro.service import (
@@ -183,6 +185,27 @@ class TestReplayIndex:
         idx = ReplayIndex.from_records(records)
         assert idx.completed_by_key["k"]["digest"] == "d1"
 
+    @given(st.lists(st.fixed_dictionaries({
+        "type": st.sampled_from(["accepted", "shed", "dedup", "dispatched",
+                                 "attempt", "terminal", "note"]),
+        "request_id": st.sampled_from(["r1", "r2", "r3"]),
+        "attempt": st.integers(1, 2),
+        "status": st.sampled_from(["completed", "degraded", "failed"]),
+        "key": st.sampled_from(["", "k1", "k2"]),
+        "digest": st.sampled_from(["d1", "d2"])}), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_replaying_a_journal_twice_indexes_like_once(self, records):
+        """Idempotence of the read side: whatever the record stream —
+        valid lifecycle or not — indexing it twice over changes nothing
+        but the record count, so a recovery that is itself interrupted
+        and restarted sees the decisions of the first."""
+        once = ReplayIndex.from_records(records)
+        twice = ReplayIndex.from_records(records + records)
+        assert twice.record_count == 2 * once.record_count
+        twice.record_count = once.record_count
+        assert twice == once
+        assert twice.in_flight() == once.in_flight()
+
 
 class TestResultStore:
     def test_save_load_round_trip(self, tmp_path):
@@ -278,6 +301,15 @@ class TestEngineReplay:
         assert rec["replayed_attempts"] == 3        # nothing re-solved
         assert again.results.saves == 0             # no new side effects
         assert np.array_equal(replayed[0].x, golden[0].x)
+        # ... and idempotent: the replay appended nothing, so a second
+        # restart replays the same journal to the same outcomes.
+        records, _ = scan_journal(tmp_path / "wal")
+        third = _engine(tmp_path)
+        assert [o.to_dict() for o in third.run(_requests(3))] == \
+            [o.to_dict() for o in golden]
+        third.journal.close()
+        assert scan_journal(tmp_path / "wal")[0] == records
+        assert third.recovery_summary() == rec
 
     def test_partial_prefix_replays_then_runs_live(self, tmp_path):
         first = _engine(tmp_path)

@@ -338,7 +338,7 @@ def test_real_halo_modules_are_clean():
     src = REPO_ROOT / "src" / "repro"
     cfg = AnalysisConfig(root=REPO_ROOT)
     result = analyze_paths(
-        [src / "mesh" / "halo.py", src / "mesh" / "halo3d.py"], cfg,
+        [src / "mesh" / "halo.py"], cfg,
         rule_filter=lambda r: r.code in {"RPR009", "RPR010", "RPR011"})
     assert result.findings == []
 

@@ -299,10 +299,11 @@ class TestTransparency:
         from repro.analysis import verify_contracts
 
         reports = verify_contracts(n=24, names=["cg"], sanitize=True)
-        assert len(reports) == 1
-        assert reports[0].ok
-        assert "sanitized" in reports[0].detail
-        assert "residual replacement" in reports[0].detail
+        assert [r.name for r in reports] == ["cg", "cg[3d]"]
+        for report in reports:
+            assert report.ok
+            assert "sanitized" in report.detail
+            assert "residual replacement" in report.detail
 
     def test_state_size_must_match_world(self):
         from repro.utils.errors import CommunicationError

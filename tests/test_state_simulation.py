@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.comm import SerialComm, launch_spmd
-from repro.mesh import Field, Grid2D, HaloExchanger, decompose
+from repro.comm import SerialComm
+from repro.mesh import Grid2D, HaloExchanger, decompose
 from repro.physics import (
     Conductivity,
     Simulation,
@@ -17,6 +17,8 @@ from repro.physics import (
 from repro.physics.state import build_coefficient_fields, build_fields
 from repro.solvers import SolverOptions
 from repro.utils import ConvergenceError
+
+from tests.helpers import check_coefficient_fields
 
 
 class TestGlobalInitialState:
@@ -49,27 +51,11 @@ class TestCoefficientFields:
         from repro.physics import cell_conductivity, face_coefficients
 
         g = Grid2D(24, 24)
-        density, energy, _ = global_initial_state(g, crooked_pipe())
-        rx = ry = 0.9
-        kappa = cell_conductivity(density)
-        kxg, kyg = face_coefficients(kappa, rx, ry)
-
-        def rank_main(comm):
-            tile = decompose(g, comm.size)[comm.rank]
-            fields = build_fields(tile, 2, density, energy)
-            ex = HaloExchanger(comm)
-            kx, ky = build_coefficient_fields(fields["density"], rx, ry, ex)
-            h = kx.halo
-            got_kx = kx.data[h:h + tile.ny, h:h + tile.nx + 1]
-            want_kx = kxg[tile.y0:tile.y1, tile.x0:tile.x1 + 1]
-            assert np.allclose(got_kx, want_kx, rtol=1e-12), comm.rank
-            got_ky = ky.data[h:h + tile.ny + 1, h:h + tile.nx]
-            want_ky = kyg[tile.y0:tile.y1 + 1, tile.x0:tile.x1]
-            assert np.allclose(got_ky, want_ky, rtol=1e-12), comm.rank
-            return True
-
-        for size in (1, 4, 6):
-            assert all(launch_spmd(rank_main, size))
+        density, _, _ = global_initial_state(g, crooked_pipe())
+        check_coefficient_fields(
+            g, density, (0.9, 0.9),
+            face_coefficients(cell_conductivity(density), 0.9, 0.9),
+            sizes=(1, 4, 6))
 
     def test_arithmetic_mean_option(self):
         g = Grid2D(8, 8)
