@@ -78,9 +78,10 @@ lint:
 
 # Source size, the ROADMAP north-star's "figure to push down": `wc -l`
 # per src/repro package, then the solvers+comm+resilience total (8047
-# before PR 13) and the numerical core mesh+solvers+physics+kernels
-# (6822 before PR 18 merged the 2-D and 3-D stacks).  Printed by the CI
-# lint job on every PR.
+# before PR 13), the numerical core mesh+solvers+physics+kernels
+# (6822 before PR 18 merged the 2-D and 3-D stacks) and the rank programs
+# outside src/ (examples+benchmarks, 1566 before PR 19 put them on
+# solve_on_ranks).  Printed by the CI lint job on every PR.
 loc:
 	@for d in src/repro/*/; do \
 	    printf '%7d  %s\n' $$(find $$d -name '*.py' | xargs cat | wc -l) $$d; done
@@ -90,6 +91,8 @@ loc:
 	@printf '%7d  mesh+solvers+physics+kernels\n' $$(find src/repro/mesh \
 	    src/repro/solvers src/repro/physics src/repro/kernels -name '*.py' \
 	    | xargs cat | wc -l)
+	@printf '%7d  examples+benchmarks\n' $$(cat examples/*.py benchmarks/*.py \
+	    | wc -l)
 
 # Dynamic contract verification: run each solver under InstrumentedComm and
 # cross-check measured per-iteration comm counts against its COMM_CONTRACT.

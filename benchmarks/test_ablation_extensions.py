@@ -9,49 +9,31 @@
 - halo-depth sweep: where the matrix-powers trade turns over per machine.
 """
 
-import numpy as np
-import pytest
-
-from repro.comm import InstrumentedComm, SerialComm
-from repro.mesh import Field, decompose
-from repro.solvers import (
-    StencilOperator2D,
-    cg_fused_solve,
-    cg_solve,
-    deflated_cg_solve,
-)
-from repro.utils import EventLog
+from repro.solvers import SolverOptions
+from repro.solvers.ranks import instrumented_stack, solve_on_ranks
 
 from benchmarks.conftest import write_result
 from tests.helpers import crooked_pipe_system
 
 
-def _instrumented_op(g, kx, ky, halo=1):
-    log = EventLog()
-    comm = InstrumentedComm(SerialComm(), log)
-    tile = decompose(g, 1)[0]
-    op = StencilOperator2D.from_global_faces(tile, halo, kx, ky, comm,
-                                             events=log)
-    return op, log
+def _solve(system, size=1, **options):
+    """One counted solve on the rank program."""
+    g, *faces, bg = system
+    return solve_on_ranks(g, faces, bg, SolverOptions(**options), size,
+                          stack=instrumented_stack)
 
 
 def test_fused_cg_halves_reductions(benchmark):
-    g, kx, ky, bg = crooked_pipe_system(96)
+    system = crooked_pipe_system(96)
 
     def run():
-        op1, log1 = _instrumented_op(g, kx, ky)
-        b1 = Field.from_global(op1.tile, 1, bg)
-        classic = cg_solve(op1, b1, eps=1e-9)
-        op2, log2 = _instrumented_op(g, kx, ky)
-        b2 = Field.from_global(op2.tile, 1, bg)
-        fused = cg_fused_solve(op2, b2, eps=1e-9)
-        return classic, log1, fused, log2
+        return (_solve(system, solver="cg", eps=1e-9),
+                _solve(system, solver="cg_fused", eps=1e-9))
 
-    classic, log1, fused, log2 = benchmark.pedantic(run, iterations=1,
-                                                    rounds=1)
+    runs = benchmark.pedantic(run, iterations=1, rounds=1)
+    classic, fused = (r.result for r in runs)
     assert classic.converged and fused.converged
-    r_classic = log1.count_kind("allreduce")
-    r_fused = log2.count_kind("allreduce")
+    r_classic, r_fused = (r.events.count_kind("allreduce") for r in runs)
     assert r_fused < 0.6 * r_classic
     write_result("ablation_fused_cg.csv",
                  "variant,iterations,allreduces\n"
@@ -87,16 +69,11 @@ def test_deflation_on_stiff_steps(benchmark):
     def run():
         out = []
         for dt in (0.04, 10.0, 50.0):
-            g, kx, ky, bg = crooked_pipe_system(48, dt=dt)
-            op, _ = _instrumented_op(g, kx, ky)
-            b = Field.from_global(op.tile, 1, bg)
-            plain = cg_solve(op, b, eps=1e-9).iterations
-            its = {}
-            for blocks in ((4, 4), (8, 8)):
-                op2, _ = _instrumented_op(g, kx, ky)
-                b2 = Field.from_global(op2.tile, 1, bg)
-                its[blocks] = deflated_cg_solve(
-                    op2, b2, eps=1e-9, blocks=blocks).iterations
+            system = crooked_pipe_system(48, dt=dt)
+            plain = _solve(system, solver="cg", eps=1e-9).result.iterations
+            its = {blocks: _solve(system, solver="dcg", eps=1e-9,
+                                  deflation_blocks=blocks).result.iterations
+                   for blocks in ((4, 4), (8, 8))}
             out.append((dt, plain, its[(4, 4)], its[(8, 8)]))
         return out
 
@@ -115,25 +92,11 @@ def test_deflation_on_stiff_steps(benchmark):
 
 def test_hybrid_multigrid_distributed(benchmark):
     """Hybrid DD+agglomeration MG ~ serial-baseline convergence, 4 ranks."""
-    from repro.comm import launch_spmd
-    from repro.multigrid import mgcg_solve
-    from repro.multigrid.distributed import dmgcg_solve
-
-    g, kx, ky, bg = crooked_pipe_system(64)
+    system = crooked_pipe_system(64)
 
     def run():
-        op = _instrumented_op(g, kx, ky)[0]
-        b = Field.from_global(op.tile, 1, bg)
-        serial = mgcg_solve(op, b, eps=1e-10)
-
-        def rank_main(comm):
-            tile = decompose(g, comm.size)[comm.rank]
-            dop = StencilOperator2D.from_global_faces(tile, 1, kx, ky, comm)
-            db = Field.from_global(tile, 1, bg)
-            return dmgcg_solve(dop, db, eps=1e-10)
-
-        dist = launch_spmd(rank_main, 4)[0]
-        return serial, dist
+        return (_solve(system, solver="mgcg", eps=1e-10).result,
+                _solve(system, 4, solver="mgcg", eps=1e-10).result)
 
     serial, dist = benchmark.pedantic(run, iterations=1, rounds=1)
     assert serial.converged and dist.converged

@@ -11,10 +11,8 @@ import math
 
 import pytest
 
-from repro.comm import launch_spmd
-from repro.mesh import Field, decompose
-from repro.solvers import StencilOperator2D, ppcg_solve
-from repro.utils import EventLog
+from repro.solvers import SolverOptions
+from repro.solvers.ranks import instrumented_stack, solve_on_ranks
 
 from benchmarks.conftest import write_result
 from tests.helpers import crooked_pipe_system
@@ -26,20 +24,13 @@ _rows = {}
 
 
 def run_depth(depth):
-    g, kx, ky, bg = crooked_pipe_system(N)
-
-    def rank_main(comm):
-        tile = decompose(g, comm.size, factors=(2, 2))[comm.rank]
-        log = EventLog()
-        op = StencilOperator2D.from_global_faces(tile, depth, kx, ky, comm,
-                                                 events=log)
-        b = Field.from_global(tile, depth, bg)
-        result = ppcg_solve(op, b, eps=1e-9, inner_steps=INNER,
-                            halo_depth=depth)
-        return result, log
-
-    out = launch_spmd(rank_main, 4)
-    return out[0]
+    g, *faces, bg = crooked_pipe_system(N)
+    run = solve_on_ranks(
+        g, faces, bg,
+        SolverOptions(solver="ppcg", eps=1e-9, ppcg_inner_steps=INNER,
+                      halo_depth=depth),
+        4, factors=(2, 2), stack=instrumented_stack)
+    return run.result, run.events
 
 
 @pytest.mark.parametrize("depth", DEPTHS)

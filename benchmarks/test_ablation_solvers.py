@@ -7,10 +7,8 @@ CG+block-Jacobi / Chebyshev / CPPCG / MG-CG on the crooked-pipe first step.
 
 import pytest
 
-from repro.comm import InstrumentedComm, SerialComm
-from repro.mesh import Field, decompose
-from repro.solvers import SolverOptions, StencilOperator2D, solve_linear
-from repro.utils import EventLog
+from repro.solvers import SolverOptions
+from repro.solvers.ranks import instrumented_stack, solve_on_ranks
 
 from benchmarks.conftest import write_result
 from tests.helpers import crooked_pipe_system
@@ -30,16 +28,10 @@ _rows = {}
 
 
 def run_case(options):
-    g, kx, ky, bg = crooked_pipe_system(N)
-    log = EventLog()
-    comm = InstrumentedComm(SerialComm(), log)
-    tile = decompose(g, 1)[0]
-    op = StencilOperator2D.from_global_faces(
-        tile, options.required_field_halo, kx, ky, comm, events=log)
-    b = Field.from_global(tile, options.required_field_halo, bg)
-    result = solve_linear(op, b, options=options)
-    assert result.converged
-    return result, log
+    g, *faces, bg = crooked_pipe_system(N)
+    run = solve_on_ranks(g, faces, bg, options, stack=instrumented_stack)
+    assert run.result.converged
+    return run.result, run.events
 
 
 @pytest.mark.parametrize("name", list(CASES))

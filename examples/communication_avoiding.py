@@ -16,73 +16,45 @@ model:
 Run:  python examples/communication_avoiding.py
 """
 
-import numpy as np
-
 from repro import Grid2D, SolverOptions, crooked_pipe
-from repro.comm import InstrumentedComm, SerialComm, launch_spmd
-from repro.mesh import Field, decompose
-from repro.physics import cell_conductivity, face_coefficients, global_initial_state
-from repro.solvers import (
-    EigenBounds,
-    StencilOperator2D,
-    cg_fused_solve,
-    cg_solve,
-    deflated_cg_solve,
-    ppcg_solve,
-)
-from repro.utils import EventLog
+from repro.physics import first_step_system
+from repro.solvers import EigenBounds
+from repro.solvers.driver import SolveSetup
+from repro.solvers.ranks import instrumented_stack, solve_on_ranks
 
 
-def build(n, dt=0.04):
-    grid = Grid2D(n, n)
-    density, _, u0 = global_initial_state(grid, crooked_pipe())
-    kappa = cell_conductivity(density)
-    kx, ky = face_coefficients(kappa, dt / grid.dx ** 2, dt / grid.dy ** 2)
-    return grid, kx, ky, u0
-
-
-def instrumented_op(grid, kx, ky, halo=1):
-    log = EventLog()
-    comm = InstrumentedComm(SerialComm(), log)
-    tile = decompose(grid, 1)[0]
-    op = StencilOperator2D.from_global_faces(tile, halo, kx, ky, comm,
-                                             events=log)
-    return op, log
+def solve(n, options, dt=0.04, size=1, **kw):
+    """The crooked-pipe first step at ``n``^2 on the rank program."""
+    grid, *faces, u0 = first_step_system(Grid2D(n, n), crooked_pipe(), dt)
+    return solve_on_ranks(grid, faces, u0, options, size,
+                          stack=instrumented_stack, **kw)
 
 
 def demo_fused_cg():
     print("1) single-reduction CG (Chronopoulos-Gear)")
-    grid, kx, ky, u0 = build(96)
-    for name, solver in (("classic", cg_solve), ("fused", cg_fused_solve)):
-        op, log = instrumented_op(grid, kx, ky)
-        b = Field.from_global(op.tile, 1, u0)
-        result = solver(op, b, eps=1e-9)
-        print(f"   {name:8s}: {result.iterations:4d} iterations, "
-              f"{log.count_kind('allreduce'):4d} global reductions")
+    for name, solver in (("classic", "cg"), ("fused", "cg_fused")):
+        run = solve(96, SolverOptions(solver=solver, eps=1e-9))
+        print(f"   {name:8s}: {run.result.iterations:4d} iterations, "
+              f"{run.events.count_kind('allreduce'):4d} global reductions")
 
 
 def demo_deflation():
     print("\n2) deflated CG on increasingly stiff steps (dt sweep)")
+    cg = SolverOptions(solver="cg", eps=1e-9)
+    dcg = SolverOptions(solver="dcg", eps=1e-9, deflation_blocks=(8, 8))
     for dt in (0.04, 10.0, 50.0):
-        grid, kx, ky, u0 = build(48, dt=dt)
-        op, _ = instrumented_op(grid, kx, ky)
-        b = Field.from_global(op.tile, 1, u0)
-        plain = cg_solve(op, b, eps=1e-9).iterations
-        op2, _ = instrumented_op(grid, kx, ky)
-        b2 = Field.from_global(op2.tile, 1, u0)
-        defl = deflated_cg_solve(op2, b2, eps=1e-9, blocks=(8, 8)).iterations
+        plain = solve(48, cg, dt).result.iterations
+        defl = solve(48, dcg, dt).result.iterations
         print(f"   dt={dt:6.2f}: CG {plain:5d} -> deflated (8x8) {defl:5d} "
               f"iterations ({plain / defl:.2f}x)")
 
 
 def demo_adaptive():
     print("\n3) adaptive CPPCG recovering from bad eigenvalue bounds")
-    grid, kx, ky, u0 = build(48)
     bad = EigenBounds(1.0, 1.5)  # lam_max grossly underestimated
-    op, _ = instrumented_op(grid, kx, ky)
-    b = Field.from_global(op.tile, 1, u0)
-    result = ppcg_solve(op, b, eps=1e-9, bounds=bad, warmup_iters=15,
-                        adaptive=True)
+    result = solve(48, SolverOptions(solver="ppcg", eps=1e-9, adaptive=True,
+                                     eigen_warmup_iters=15),
+                   setup=SolveSetup(bounds=bad)).result
     print(f"   converged={result.converged} after {result.restarts} "
           f"restart(s); final bounds "
           f"[{result.eigen_bounds[0]:.2f}, {result.eigen_bounds[1]:.2f}]")
@@ -90,16 +62,8 @@ def demo_adaptive():
 
 def demo_hybrid_mg():
     print("\n4) hybrid DD + agglomeration multigrid (4 SPMD ranks)")
-    from repro.multigrid.distributed import dmgcg_solve
-    grid, kx, ky, u0 = build(64)
-
-    def rank_main(comm):
-        tile = decompose(grid, comm.size)[comm.rank]
-        op = StencilOperator2D.from_global_faces(tile, 1, kx, ky, comm)
-        b = Field.from_global(tile, 1, u0)
-        return dmgcg_solve(op, b, eps=1e-10)
-
-    result = launch_spmd(rank_main, 4)[0]
+    result = solve(64, SolverOptions(solver="mgcg", eps=1e-10),
+                   size=4).result
     print(f"   {result.iterations} outer iterations over "
           f"{result.n_levels} levels (decomposed + agglomerated coarse)")
 

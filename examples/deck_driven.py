@@ -13,11 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import Field, Grid3D, decompose, launch_spmd
-from repro.physics import face_coefficients_3d, parse_deck
-from repro.physics.deck import CROOKED_PIPE_DECK, deck_to_problem
+from repro import Grid3D
+from repro.physics import face_coefficients, parse_deck
+from repro.physics.deck import (CROOKED_PIPE_DECK, deck_solver_options,
+                                deck_to_problem)
 from repro.physics.simulation import run_simulation
-from repro.solvers import SolverOptions, StencilOperator, solve_linear
+from repro.solvers import SolverOptions
+from repro.solvers.ranks import solve_on_ranks
 
 
 def run_deck() -> None:
@@ -26,12 +28,7 @@ def run_deck() -> None:
         deck_path.write_text(CROOKED_PIPE_DECK.format(n=48))
         deck = parse_deck(deck_path)
 
-    options = SolverOptions(
-        solver=deck.solver,
-        eps=deck.tl_eps,
-        max_iters=deck.tl_max_iters,
-        ppcg_inner_steps=deck.tl_ppcg_inner_steps,
-    )
+    options = deck_solver_options(deck)
     print(f"deck: {deck.x_cells}x{deck.y_cells}, solver={deck.solver}, "
           f"dt={deck.initial_timestep}, {len(deck.states)} states")
     report = run_simulation(deck.grid, deck_to_problem(deck), options,
@@ -47,21 +44,12 @@ def run_3d() -> None:
     rng = np.random.default_rng(42)
     kappa = np.where(rng.random(grid.shape) < 0.2, 10.0, 0.01)
     rx = 0.04 / grid.dx ** 2
-    kx, ky, kz = face_coefficients_3d(kappa, rx, rx, rx)
     u0 = np.full(grid.shape, 0.01)
     u0[10:14, 10:14, 10:14] = 25.0
     options = SolverOptions(solver="cg", eps=1e-10, true_residual=True)
-
-    def rank_main(comm):
-        tile = decompose(grid, comm.size)[comm.rank]
-        op = StencilOperator.from_global_faces(tile, 1, kx, ky, kz, comm)
-        result = solve_linear(op, Field.from_global(tile, 1, u0),
-                              options=options)
-        return tile, result
-
-    u1 = np.empty(grid.shape)
-    for tile, result in launch_spmd(rank_main, 2):
-        u1[tile.global_slices] = result.x.interior
+    run = solve_on_ranks(grid, face_coefficients(kappa, rx, rx, rx), u0,
+                         options, 2)
+    result, u1 = run.result, run.x
     print(f"  {grid.nx}^3 mesh: CG converged in {result.iterations} "
           f"iterations (relative residual "
           f"{result.true_relative_residual:.2e})")

@@ -15,10 +15,7 @@ Walks the repro.resilience subsystem end to end:
 Run:  python examples/fault_tolerance.py
 """
 
-import numpy as np
-
-from repro.comm import launch_spmd
-from repro.mesh import Field, decompose
+from repro.comm import SerialComm
 from repro.physics import crooked_pipe
 from repro.mesh.grid import Grid2D
 from repro.physics.simulation import Simulation
@@ -26,10 +23,12 @@ from repro.resilience import (
     CrashWindow,
     FaultPlan,
     FaultRule,
-    build_resilient_comm,
     run_resilient,
 )
-from repro.solvers import SolverOptions, StencilOperator2D, solve_linear
+from repro.solvers import EigenBounds, SolverOptions
+from repro.solvers.driver import SolveSetup
+from repro.solvers.ranks import solve_on_ranks
+from repro.testing import crooked_pipe_system
 from repro.utils.errors import ConvergenceError
 
 
@@ -56,19 +55,15 @@ def demo_transient_faults():
 
 def demo_degradation():
     print("\n2) CPPCG degrading to plain CG on unusable spectrum bounds")
-    from repro.solvers import EigenBounds, ppcg_solve
-    from repro.testing import crooked_pipe_system
-    from repro.comm import SerialComm
-
-    grid, kxg, kyg, bg = crooked_pipe_system(32)
-    tile = decompose(grid, 1)[0]
-    op = StencilOperator2D.from_global_faces(tile, 1, kxg, kyg, SerialComm())
-    b = Field.from_global(tile, 1, bg)
+    grid, *faces, bg = crooked_pipe_system(32)
     # Degenerate spectrum estimate: passes EigenBounds validation but a
     # zero-width ellipse is unusable for the Chebyshev preconditioner.
     bad = EigenBounds(1.0, 1.0)
-    result = ppcg_solve(op, b, eps=1e-10, bounds=bad, warmup_iters=10,
-                        degrade=True)
+    result = solve_on_ranks(
+        grid, faces, bg,
+        SolverOptions(solver="ppcg", eps=1e-10, eigen_warmup_iters=10,
+                      degrade=True),
+        setup=SolveSetup(bounds=bad)).result
     print(f"   converged={result.converged} in {result.iterations} iters; "
           f"degraded={result.degraded} ({result.degraded_reason})")
 
@@ -87,8 +82,6 @@ def demo_crash_window():
 
 def demo_step_retry():
     print("\n4) mini-app time loop: checkpoint every step, retry failures")
-    from repro.comm import SerialComm
-
     grid = Grid2D(24, 24)
     options = SolverOptions(solver="cg", eps=1e-10, max_iters=400)
     sim = Simulation(SerialComm(), grid, crooked_pipe(), options)

@@ -10,21 +10,9 @@ Run:  python examples/solver_comparison.py [mesh_n]
 import sys
 
 from repro import Grid2D, SolverOptions, crooked_pipe
-from repro.comm import InstrumentedComm, SerialComm
 from repro.io import format_table
-from repro.mesh import Field, decompose
-from repro.physics import cell_conductivity, face_coefficients, global_initial_state
-from repro.solvers import StencilOperator2D, solve_linear
-from repro.utils import EventLog
-
-
-def crooked_pipe_system(n: int, dt: float = 0.04):
-    """Global arrays of the crooked-pipe first implicit step."""
-    grid = Grid2D(n, n)
-    density, _, u0 = global_initial_state(grid, crooked_pipe())
-    kappa = cell_conductivity(density)
-    kxg, kyg = face_coefficients(kappa, dt / grid.dx ** 2, dt / grid.dy ** 2)
-    return grid, kxg, kyg, u0
+from repro.physics import first_step_system
+from repro.solvers.ranks import instrumented_stack, solve_on_ranks
 
 CASES = [
     ("Jacobi", SolverOptions(solver="jacobi", eps=1e-8, max_iters=500_000)),
@@ -45,16 +33,13 @@ CASES = [
 
 
 def main(mesh_n: int = 96) -> None:
-    grid, kxg, kyg, bg = crooked_pipe_system(mesh_n)
+    grid, *faces, bg = first_step_system(Grid2D(mesh_n, mesh_n),
+                                         crooked_pipe())
     rows = []
     for name, options in CASES:
-        log = EventLog()
-        comm = InstrumentedComm(SerialComm(), log)
-        tile = decompose(grid, 1)[0]
-        op = StencilOperator2D.from_global_faces(
-            tile, options.required_field_halo, kxg, kyg, comm, events=log)
-        b = Field.from_global(tile, options.required_field_halo, bg)
-        result = solve_linear(op, b, options=options)
+        run = solve_on_ranks(grid, faces, bg, options,
+                             stack=instrumented_stack)
+        result, log = run.result, run.events
         rows.append([
             name,
             result.iterations,

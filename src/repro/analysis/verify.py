@@ -1,18 +1,19 @@
 """Dynamic contract verification (``python -m repro.analysis --verify``).
 
-Bridges the static contracts to reality: each solver runs a small
-crooked-pipe solve (two configurations the 12^3 crooked duct, so the
+Bridges the static contracts to reality: each solver configuration runs a
+small crooked-pipe solve (two configurations the 12^3 crooked duct, so the
 7-point operator and the three-phase exchange are proven under the same
-stacks) under :class:`~repro.comm.instrument.InstrumentedComm`,
-and the *measured* per-iteration reduction/halo-exchange counts from the
+stacks) through the rank program
+(:func:`~repro.solvers.ranks.solve_on_ranks` — the road every harness
+takes) on an instrumented stack, and the *measured* per-iteration
+reduction/halo-exchange counts from the
 :class:`~repro.utils.events.EventLog` are cross-checked against the
 module's ``COMM_CONTRACT``.
 
 Methodology: per solver configuration we run the same problem twice with
 different iteration budgets (``eps`` is set unreachably tight so neither
-run converges), wrap each solve in an
-:class:`~repro.comm.instrument.EventWindow`, and difference the two
-windows.  Setup communication (initial residual, warm-up CG, deflation
+run converges) and difference the two runs' event logs.  Setup
+communication (initial residual, warm-up CG, deflation
 coarse assembly, ...) is identical in both runs and cancels exactly, so
 the quotient is the steady-state per-iteration cost — compared against
 the contract's declared budget to a 1e-9 tolerance (the counts are exact
@@ -32,6 +33,8 @@ from __future__ import annotations
 
 import importlib
 import math
+import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -84,9 +87,8 @@ class VerifySpec:
 
     name: str
     module: str           # dotted module whose COMM_CONTRACT applies
-    halo: int             # field halo depth the run needs
     iters: tuple[int, int]  # the two iteration budgets to difference
-    run: Callable         # (op, b, bounds, max_iters, defences) -> SolveResult
+    options: Callable     # (max_iters) -> the SolverOptions to run
     expected: Callable    # (contract) -> (allreduces, halos) per iteration
     detail: str = ""
     #: The system solved, a key of :func:`build_system`.
@@ -101,11 +103,21 @@ class VerifySpec:
 def build_system(name: str, n: int) -> tuple:
     """``(grid, global face arrays, b)`` of the system a spec names: the
     ``n``^2 crooked pipe or the 12^3 crooked duct (its 3-D analogue)."""
-    from repro.testing import crooked_duct_system, crooked_pipe_system
-    build, size = {"crooked_pipe": (crooked_pipe_system, n),
-                   "crooked_duct_12": (crooked_duct_system, 12)}[name]
-    grid, *faces, bg = build(size)
+    from repro.mesh import Grid2D, Grid3D
+    from repro.physics import (crooked_duct_3d, crooked_pipe,
+                               first_step_system)
+    grid, problem = {"crooked_pipe": (Grid2D(n, n), crooked_pipe()),
+                     "crooked_duct_12": (Grid3D(12, 12, 12),
+                                         crooked_duct_3d())}[name]
+    grid, *faces, bg = first_step_system(grid, problem)
     return grid, faces, bg
+
+
+def _never_converging(**knobs) -> Callable:
+    """A spec's ``options``: the budget is the only thing that varies."""
+    from repro.solvers import SolverOptions
+    return lambda max_iters: SolverOptions(eps=EPS_NEVER,
+                                           max_iters=max_iters, **knobs)
 
 
 def _gershgorin_lam_max(*faces) -> float:
@@ -117,101 +129,81 @@ def _gershgorin_lam_max(*faces) -> float:
     return 1.0 + 4.0 * sum(float(k.max()) for k in faces)
 
 
+def _per_iter(contract):
+    return (contract["allreduces_per_iter"],
+            contract["halo_exchanges_per_iter"])
+
+
+def _cheby_expected(depth):
+    def expected(contract):
+        ar = (contract["allreduces_per_iter"]
+              + contract.get("allreduces_per_check", 0) / 10)
+        return ar, contract["halo_exchanges_per_iter"] / depth
+    return expected
+
+
+def _ppcg_expected(inner, depth):
+    def expected(contract):
+        halos = (contract["halo_exchanges_per_iter"]
+                 + math.ceil(inner / depth)
+                 * contract.get("halo_exchanges_per_inner_step", 0))
+        return contract["allreduces_per_iter"], halos
+    return expected
+
+
 def default_specs() -> list[VerifySpec]:
     """The shipped solver configurations to verify."""
-    from repro.solvers import (
-        cg_fused_solve,
-        cg_solve,
-        chebyshev_solve,
-        deflated_cg_solve,
-        jacobi_solve,
-        ppcg_solve,
-    )
-
-    def per_iter(contract):
-        return (contract["allreduces_per_iter"],
-                contract["halo_exchanges_per_iter"])
-
-    def cheby_expected(depth):
-        def expected(contract):
-            ar = (contract["allreduces_per_iter"]
-                  + contract.get("allreduces_per_check", 0) / 10)
-            return ar, contract["halo_exchanges_per_iter"] / depth
-        return expected
-
-    def ppcg_expected(inner, depth):
-        def expected(contract):
-            halos = (contract["halo_exchanges_per_iter"]
-                     + math.ceil(inner / depth)
-                     * contract.get("halo_exchanges_per_inner_step", 0))
-            return contract["allreduces_per_iter"], halos
-        return expected
-
+    cheby = dict(solver="chebyshev", eigen_warmup_iters=8, check_interval=10)
+    ppcg = dict(solver="ppcg", eigen_warmup_iters=8)
     return [
         VerifySpec(
-            "cg", "repro.solvers.cg", halo=1, iters=(4, 12),
-            run=lambda op, b, bounds, k, defences: cg_solve(
-                op, b, eps=EPS_NEVER, max_iters=k, defences=defences),
-            expected=per_iter, replaceable=True),
+            "cg", "repro.solvers.cg", iters=(4, 12),
+            options=_never_converging(solver="cg"),
+            expected=_per_iter, replaceable=True),
         VerifySpec(
-            "cg_fused", "repro.solvers.cg_fused", halo=1, iters=(4, 12),
-            run=lambda op, b, bounds, k, defences: cg_fused_solve(
-                op, b, eps=EPS_NEVER, max_iters=k, cancel=defences.cancel),
-            expected=per_iter),
+            "cg_fused", "repro.solvers.cg_fused", iters=(4, 12),
+            options=_never_converging(solver="cg_fused"),
+            expected=_per_iter),
         VerifySpec(
-            "jacobi", "repro.solvers.jacobi", halo=1, iters=(5, 15),
-            run=lambda op, b, bounds, k, defences: jacobi_solve(
-                op, b, eps=EPS_NEVER, max_iters=k, cancel=defences.cancel),
-            expected=per_iter),
+            "jacobi", "repro.solvers.jacobi", iters=(5, 15),
+            options=_never_converging(solver="jacobi"),
+            expected=_per_iter),
         VerifySpec(
-            "chebyshev", "repro.solvers.chebyshev", halo=1, iters=(20, 60),
-            run=lambda op, b, bounds, k, defences: chebyshev_solve(
-                op, b, eps=EPS_NEVER, max_iters=k, warmup_iters=8,
-                check_interval=10, bounds=bounds, defences=defences),
-            expected=cheby_expected(depth=1),
+            "chebyshev", "repro.solvers.chebyshev", iters=(20, 60),
+            options=_never_converging(**cheby),
+            expected=_cheby_expected(depth=1),
             detail="check_interval=10"),
         VerifySpec(
-            "chebyshev[depth=4]", "repro.solvers.chebyshev", halo=4,
-            iters=(20, 60),
-            run=lambda op, b, bounds, k, defences: chebyshev_solve(
-                op, b, eps=EPS_NEVER, max_iters=k, warmup_iters=8,
-                check_interval=10, halo_depth=4, bounds=bounds,
-                defences=defences),
-            expected=cheby_expected(depth=4),
+            "chebyshev[depth=4]", "repro.solvers.chebyshev", iters=(20, 60),
+            options=_never_converging(**cheby, halo_depth=4),
+            expected=_cheby_expected(depth=4),
             detail="matrix powers, check_interval=10"),
         VerifySpec(
-            "ppcg", "repro.solvers.ppcg", halo=1, iters=(3, 9),
-            run=lambda op, b, bounds, k, defences: ppcg_solve(
-                op, b, eps=EPS_NEVER, max_iters=k, inner_steps=4,
-                warmup_iters=8, bounds=bounds, defences=defences),
-            expected=ppcg_expected(inner=4, depth=1),
+            "ppcg", "repro.solvers.ppcg", iters=(3, 9),
+            options=_never_converging(**ppcg, ppcg_inner_steps=4),
+            expected=_ppcg_expected(inner=4, depth=1),
             detail="inner_steps=4", replaceable=True),
         VerifySpec(
-            "ppcg[depth=4]", "repro.solvers.ppcg", halo=4, iters=(3, 9),
-            run=lambda op, b, bounds, k, defences: ppcg_solve(
-                op, b, eps=EPS_NEVER, max_iters=k, inner_steps=8,
-                halo_depth=4, warmup_iters=8, bounds=bounds,
-                defences=defences),
-            expected=ppcg_expected(inner=8, depth=4),
+            "ppcg[depth=4]", "repro.solvers.ppcg", iters=(3, 9),
+            options=_never_converging(**ppcg, ppcg_inner_steps=8,
+                                      halo_depth=4),
+            expected=_ppcg_expected(inner=8, depth=4),
             detail="matrix powers, inner_steps=8", replaceable=True),
         VerifySpec(
-            "dcg", "repro.solvers.deflation", halo=1, iters=(4, 12),
-            run=lambda op, b, bounds, k, defences: deflated_cg_solve(
-                op, b, eps=EPS_NEVER, max_iters=k, blocks=(2, 2)),
-            expected=per_iter),
+            "dcg", "repro.solvers.deflation", iters=(4, 12),
+            options=_never_converging(solver="dcg",
+                                      deflation_blocks=(2, 2)),
+            expected=_per_iter),
         VerifySpec(
-            "cg[3d]", "repro.solvers.cg", halo=1, iters=(4, 12),
-            run=lambda op, b, bounds, k, defences: cg_solve(
-                op, b, eps=EPS_NEVER, max_iters=k, defences=defences),
-            expected=per_iter, detail="12^3 crooked duct",
+            "cg[3d]", "repro.solvers.cg", iters=(4, 12),
+            options=_never_converging(solver="cg"),
+            expected=_per_iter, detail="12^3 crooked duct",
             replaceable=True, system="crooked_duct_12"),
         VerifySpec(
-            "ppcg[3d,depth=2]", "repro.solvers.ppcg", halo=2, iters=(3, 9),
-            run=lambda op, b, bounds, k, defences: ppcg_solve(
-                op, b, eps=EPS_NEVER, max_iters=k, inner_steps=4,
-                halo_depth=2, warmup_iters=8, bounds=bounds,
-                defences=defences),
-            expected=ppcg_expected(inner=4, depth=2),
+            "ppcg[3d,depth=2]", "repro.solvers.ppcg", iters=(3, 9),
+            options=_never_converging(**ppcg, ppcg_inner_steps=4,
+                                      halo_depth=2),
+            expected=_ppcg_expected(inner=4, depth=2),
             detail="12^3 crooked duct, matrix powers, inner_steps=4",
             replaceable=True, system="crooked_duct_12"),
     ]
@@ -220,64 +212,37 @@ def default_specs() -> list[VerifySpec]:
 def kernel_specs(backend: str = "fused") -> list[VerifySpec]:
     """Solver configurations re-run through a non-default kernel backend.
 
-    Routing the hot loops through :meth:`StencilOperator.with_kernels`
-    must be communication-neutral: the fused ``apply_dot`` /
+    Routing the hot loops through ``SolverOptions.kernel_backend`` must be
+    communication-neutral: the fused ``apply_dot`` /
     ``residual_dot`` chains change *how* the local arithmetic is blocked,
-    never how often the solver reduces or exchanges.  These specs re-prove
-    the matvec-family budgets with the backend engaged; the CLI appends
+    never how often the solver reduces or exchanges.  These are the
+    matvec-family specs of :func:`default_specs` with the backend engaged
+    (residual replacement left off); the CLI appends
     them to :func:`default_specs` so ``--verify`` fails if a backend ever
     smuggles in extra communication.
     """
-    from repro.solvers import cg_fused_solve, cg_solve, jacobi_solve, \
-        ppcg_solve
+    from dataclasses import replace
 
-    def per_iter(contract):
-        return (contract["allreduces_per_iter"],
-                contract["halo_exchanges_per_iter"])
-
-    def ppcg_expected(inner, depth):
-        def expected(contract):
-            halos = (contract["halo_exchanges_per_iter"]
-                     + math.ceil(inner / depth)
-                     * contract.get("halo_exchanges_per_inner_step", 0))
-            return contract["allreduces_per_iter"], halos
-        return expected
-
-    tag = f"[kernels={backend}]"
-    return [
-        VerifySpec(
-            f"cg{tag}", "repro.solvers.cg", halo=1, iters=(4, 12),
-            run=lambda op, b, bounds, k, defences: cg_solve(
-                op.with_kernels(backend), b, eps=EPS_NEVER, max_iters=k,
-                defences=defences),
-            expected=per_iter, detail=f"kernel backend {backend}"),
-        VerifySpec(
-            f"cg_fused{tag}", "repro.solvers.cg_fused", halo=1,
-            iters=(4, 12),
-            run=lambda op, b, bounds, k, defences: cg_fused_solve(
-                op.with_kernels(backend), b, eps=EPS_NEVER, max_iters=k),
-            expected=per_iter, detail=f"kernel backend {backend}"),
-        VerifySpec(
-            f"jacobi{tag}", "repro.solvers.jacobi", halo=1, iters=(5, 15),
-            run=lambda op, b, bounds, k, defences: jacobi_solve(
-                op.with_kernels(backend), b, eps=EPS_NEVER, max_iters=k),
-            expected=per_iter, detail=f"kernel backend {backend}"),
-        VerifySpec(
-            f"ppcg{tag}", "repro.solvers.ppcg", halo=1, iters=(3, 9),
-            run=lambda op, b, bounds, k, defences: ppcg_solve(
-                op.with_kernels(backend), b, eps=EPS_NEVER, max_iters=k,
-                inner_steps=4, warmup_iters=8, bounds=bounds,
-                defences=defences),
-            expected=ppcg_expected(inner=4, depth=1),
-            detail=f"inner_steps=4, kernel backend {backend}"),
-    ]
+    base = {spec.name: spec for spec in default_specs()}
+    specs = []
+    for name in ("cg", "cg_fused", "jacobi", "ppcg"):
+        spec = base[name]
+        specs.append(replace(
+            spec, name=f"{name}[kernels={backend}]", replaceable=False,
+            options=lambda k, options=spec.options: replace(
+                options(k), kernel_backend=backend),
+            detail=", ".join(filter(None, (spec.detail,
+                                           f"kernel backend {backend}")))))
+    return specs
 
 
 def _measure(spec: VerifySpec, n: int,
              resilience: bool = False,
              integrity: bool = False,
              sanitize: bool = False) -> tuple[float, float, int]:
-    """Per-iteration (allreduces, halos) for one spec via window deltas.
+    """Per-iteration (allreduces, halos) for one spec, differencing two
+    runs of the rank program; Chebyshev and CPPCG get Gershgorin bounds
+    as the solve's ``setup`` (a fixed number of stable steps).
 
     With ``resilience=True`` the solve is routed through the canonical
     resilient stack (``InstrumentedComm(RetryingComm(FaultyComm(...)))``
@@ -304,54 +269,46 @@ def _measure(spec: VerifySpec, n: int,
     :class:`~repro.utils.errors.SanitizerError` means the solver's own
     communication pattern tripped a runtime check.
     """
-    from repro.comm import EventWindow, InstrumentedComm, SerialComm
-    from repro.mesh import Field, decompose
-    from repro.solvers import StencilOperator
-    from repro.solvers.defences import Defences
+    from dataclasses import replace
+
+    from repro.solvers.driver import SolveSetup
     from repro.solvers.eigen import EigenBounds
-    from repro.utils import EventLog
+    from repro.solvers.ranks import instrumented_stack, solve_on_ranks
 
     if sanitize:
         resilience = True
         integrity = True
 
     grid, faces, bg = build_system(spec.system, n)
-    bounds = EigenBounds(1.0, _gershgorin_lam_max(*faces))
+    setup = SolveSetup(bounds=EigenBounds(1.0, _gershgorin_lam_max(*faces)))
 
-    def one_run(max_iters: int) -> tuple[int, int, int]:
-        log = EventLog()
-        guard = None
+    def stack(comm, recv_timeout):
         if resilience or integrity:
             from repro.resilience import FaultPlan, build_resilient_comm
-            comm = build_resilient_comm(SerialComm(), FaultPlan.disabled(),
-                                        events=log,
-                                        integrity=integrity).comm
+            stk = build_resilient_comm(comm, FaultPlan.disabled(),
+                                       integrity=integrity)
         else:
-            comm = InstrumentedComm(SerialComm(), log)
+            stk = instrumented_stack(comm)
         if sanitize:
             from repro.comm import SanitizerComm
-            comm = SanitizerComm(comm)
-        if integrity:
-            import tempfile
+            stk.comm = SanitizerComm(stk.comm)
+        return stk
 
-            from repro.resilience import SolverCheckpointStore
-            from repro.resilience.guard import SolverGuard
-            store = SolverCheckpointStore(tempfile.mkdtemp(
-                prefix="repro-verify-"), rank=0)
-            guard = SolverGuard(checkpoint_interval=5, store=store)
-        tile = decompose(grid, 1)[0]
-        op = StencilOperator.from_global_faces(
-            tile, spec.halo, *faces, comm, events=log)
-        b = Field.from_global(tile, spec.halo, bg)
-        defences = Defences(
-            guard=guard,
-            replace_interval=5 if sanitize and spec.replaceable else 0)
-        with EventWindow(log) as w:
-            result = spec.run(op, b, bounds, max_iters, defences)
+    def one_run(max_iters: int) -> tuple[int, int, int]:
+        options = spec.options(max_iters)
+        if integrity:
+            options = replace(options, guard_interval=5)
+        if sanitize and spec.replaceable:
+            options = replace(options, replace_interval=5)
+        with (tempfile.TemporaryDirectory(prefix="repro-verify-")
+              if integrity else nullcontext()) as shards:
+            run = solve_on_ranks(grid, faces, bg, options, stack=stack,
+                                 setup=setup, checkpoint_dir=shards)
         if sanitize:
-            comm.check_quiescent()
-        return (w.count_kind("allreduce"), w.count_kind("halo_exchange"),
-                result.iterations)
+            run.ranks[0].stack.comm.check_quiescent()
+        return (run.events.count_kind("allreduce"),
+                run.events.count_kind("halo_exchange"),
+                run.result.iterations)
 
     ar1, halo1, it1 = one_run(spec.iters[0])
     ar2, halo2, it2 = one_run(spec.iters[1])

@@ -7,46 +7,29 @@ import sys
 from pathlib import Path
 
 
-def _cmd_tealeaf(args) -> int:
-    from repro.io.ascii_viz import render_heatmap
-    from repro.physics.deck import deck_to_problem, parse_deck
-    from repro.physics.simulation import run_simulation
-    from repro.solvers.options import SolverOptions
+#: CLI flags that override a deck's solver options; each flag's ``dest``
+#: is the :class:`~repro.solvers.options.SolverOptions` field it sets.
+_OPTION_FLAGS = ("solver", "halo_depth", "dtype", "true_residual",
+                 "kernel_backend", "comm_timeout", "checkpoint_dir",
+                 "checkpoint_interval")
 
-    deck = parse_deck(args.deck)
-    checkpoint_dir = args.checkpoint_dir or deck.tl_checkpoint_dir
-    checkpoint_interval = args.checkpoint_interval or deck.tl_checkpoint_interval
-    if checkpoint_interval and not checkpoint_dir:
-        print("error: --checkpoint-interval needs --checkpoint-dir "
-              "(or tl_checkpoint_dir in the deck)", file=sys.stderr)
-        return 2
-    options = SolverOptions(
-        solver=deck.solver,
-        eps=deck.tl_eps,
-        max_iters=deck.tl_max_iters,
-        preconditioner=deck.tl_preconditioner_type,
-        ppcg_inner_steps=deck.tl_ppcg_inner_steps,
-        halo_depth=deck.tl_ppcg_halo_depth,
-        eigen_warmup_iters=deck.tl_eigen_warmup_iters,
-        checkpoint_interval=checkpoint_interval,
-        checkpoint_dir=str(checkpoint_dir),
-        recovery=deck.tl_enable_recovery,
-        integrity=deck.tl_enable_checksums,
-        abft_interval=deck.tl_abft_interval,
-        dtype=deck.tl_working_dtype,
-        refine=deck.tl_enable_refinement,
-        replace_interval=deck.tl_replace_interval,
-        true_residual=deck.tl_check_true_residual,
-        kernel_backend=deck.tl_kernel_backend,
-        comm_timeout=args.comm_timeout or deck.tl_comm_timeout,
-    )
-    n_steps = args.steps if args.steps else deck.n_steps
-    report = run_simulation(
-        deck.grid, deck_to_problem(deck), options,
-        dt=deck.initial_timestep, n_steps=n_steps, nranks=args.ranks,
-        conductivity=deck.tl_coefficient)
-    print(f"TeaLeaf: {deck.x_cells}x{deck.y_cells} mesh, solver={deck.solver}, "
-          f"{n_steps} steps on {args.ranks} rank(s)")
+
+def _solver_options(deck, args):
+    """The deck's solver options with this subcommand's flags applied: a
+    flag left at its falsy default keeps the deck's value."""
+    from repro.physics.deck import deck_solver_options
+
+    given = {flag: getattr(args, flag) for flag in _OPTION_FLAGS
+             if getattr(args, flag, None)}
+    if given.get("solver") == "cppcg":
+        # The paper's name for the Chebyshev-preconditioned solver.
+        given["solver"] = "ppcg"
+    return deck_solver_options(deck, **given)
+
+
+def _print_run(report, args) -> None:
+    """What ``tealeaf`` and ``restart`` print of a stepping run: one line
+    per step, then ``--show`` and ``--out``."""
     for s in report.steps:
         true = (f" true={s.true_residual_norm:.3e}"
                 if s.true_residual_norm is not None else "")
@@ -54,11 +37,35 @@ def _cmd_tealeaf(args) -> int:
               f" (+{s.inner_iterations} inner) residual={s.residual_norm:.3e}"
               f"{true} mean T={s.mean_temperature:.6f}")
     if args.show:
+        from repro.io.ascii_viz import render_heatmap
         print(render_heatmap(report.temperature, width=args.width))
     if args.out:
         from repro.io.snapshots import save_field_npy
         path = save_field_npy(args.out, report.temperature)
         print(f"temperature field written to {path}")
+
+
+def _cmd_tealeaf(args) -> int:
+    from repro.physics.deck import deck_to_problem, parse_deck
+    from repro.physics.simulation import run_simulation
+    from repro.utils.errors import ConfigurationError
+
+    deck = parse_deck(args.deck)
+    try:
+        options = _solver_options(deck, args)
+    except ConfigurationError as exc:
+        # e.g. --checkpoint-interval with neither --checkpoint-dir nor
+        # tl_checkpoint_dir in the deck
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    n_steps = args.steps if args.steps else deck.n_steps
+    report = run_simulation(
+        deck.grid, deck_to_problem(deck), options,
+        dt=deck.initial_timestep, n_steps=n_steps, nranks=args.ranks,
+        conductivity=deck.tl_coefficient)
+    print(f"TeaLeaf: {deck.x_cells}x{deck.y_cells} mesh, solver={deck.solver}, "
+          f"{n_steps} steps on {args.ranks} rank(s)")
+    _print_run(report, args)
     if args.vtk:
         from repro.io.vtk import write_vtk
         density, _ = deck_to_problem(deck).paint(deck.grid)
@@ -71,7 +78,6 @@ def _cmd_tealeaf(args) -> int:
 
 def _cmd_restart(args) -> int:
     """Resume a checkpointed run from its newest committed checkpoint."""
-    from repro.io.ascii_viz import render_heatmap
     from repro.physics.simulation import restart_simulation
     from repro.utils.errors import CheckpointError
 
@@ -86,67 +92,20 @@ def _cmd_restart(args) -> int:
         return 2
     print(f"restarted from {args.from_dir}: "
           f"{len(report.steps)} step(s) resumed")
-    for s in report.steps:
-        print(f"  step {s.step:4d} t={s.time:8.3f} iters={s.iterations:5d}"
-              f" (+{s.inner_iterations} inner) residual={s.residual_norm:.3e}"
-              f" mean T={s.mean_temperature:.6f}")
-    if args.show:
-        print(render_heatmap(report.temperature, width=args.width))
-    if args.out:
-        from repro.io.snapshots import save_field_npy
-        path = save_field_npy(args.out, report.temperature)
-        print(f"temperature field written to {path}")
+    _print_run(report, args)
     return 0
 
 
 def _cmd_solve(args) -> int:
     """One-shot linear solve of a deck's first implicit step."""
-    import numpy as np
-
-    from repro.comm import InstrumentedComm, launch_spmd
-    from repro.mesh import Field, decompose
-    from repro.physics import cell_conductivity, face_coefficients
-    from repro.physics.deck import deck_to_problem, parse_deck
-    from repro.physics.state import global_initial_state
-    from repro.solvers import StencilOperator2D, SolverOptions, solve_linear
-    from repro.utils import EventLog
+    from repro.physics.deck import deck_system, parse_deck
+    from repro.solvers.ranks import instrumented_stack, solve_on_ranks
 
     deck = parse_deck(args.deck)
-    options = SolverOptions(
-        solver=args.solver or deck.solver,
-        eps=deck.tl_eps,
-        max_iters=deck.tl_max_iters,
-        preconditioner=deck.tl_preconditioner_type,
-        ppcg_inner_steps=deck.tl_ppcg_inner_steps,
-        halo_depth=args.halo_depth or deck.tl_ppcg_halo_depth,
-        dtype=args.dtype or deck.tl_working_dtype,
-        refine=deck.tl_enable_refinement,
-        replace_interval=deck.tl_replace_interval,
-        true_residual=args.true_residual or deck.tl_check_true_residual,
-        kernel_backend=args.kernel_backend or deck.tl_kernel_backend,
-        comm_timeout=args.comm_timeout or deck.tl_comm_timeout,
-    )
-    grid = deck.grid
-    density, _, u0 = global_initial_state(grid, deck_to_problem(deck))
-    kappa = cell_conductivity(density, deck.tl_coefficient)
-    rx = deck.initial_timestep / grid.dx ** 2
-    ry = deck.initial_timestep / grid.dy ** 2
-    kxg, kyg = face_coefficients(kappa, rx, ry)
-
-    def rank_main(comm):
-        log = EventLog()
-        comm = InstrumentedComm(comm, log)
-        tile = decompose(grid, comm.size)[comm.rank]
-        op = StencilOperator2D.from_global_faces(
-            tile, options.required_field_halo, kxg, kyg, comm, events=log)
-        b = Field.from_global(tile, options.required_field_halo, u0)
-        result = solve_linear(op, b, options=options)
-        return result, log
-
-    result, log = launch_spmd(
-        rank_main, args.ranks,
-        recv_timeout=options.comm_timeout if options.comm_timeout > 0
-        else None)[0]
+    grid, *faces, u0 = deck_system(deck)
+    run = solve_on_ranks(grid, faces, u0, _solver_options(deck, args),
+                         args.ranks, stack=instrumented_stack)
+    result, log = run.result, run.events
     print(result.summary())
     print(f"matvecs={log.count('matvec')} "
           f"reductions={log.count_kind('allreduce')} "
@@ -158,30 +117,16 @@ def _cmd_solve(args) -> int:
 def _cmd_trace(args) -> int:
     """Traced one-shot solve: JSONL + Chrome trace + text summaries."""
     from repro.observe import (
-        deck_system,
         metrics_table,
         summary_table,
         traced_solve,
         write_chrome_trace,
         write_jsonl,
     )
-    from repro.physics.deck import parse_deck
-    from repro.solvers import SolverOptions
+    from repro.physics.deck import deck_system, parse_deck
 
     deck = parse_deck(args.deck)
-    solver = args.solver or deck.solver
-    # Accept the paper's name for the Chebyshev-preconditioned solver.
-    if solver == "cppcg":
-        solver = "ppcg"
-    options = SolverOptions(
-        solver=solver,
-        eps=deck.tl_eps,
-        max_iters=deck.tl_max_iters,
-        preconditioner=deck.tl_preconditioner_type,
-        ppcg_inner_steps=deck.tl_ppcg_inner_steps,
-        halo_depth=args.halo_depth or deck.tl_ppcg_halo_depth,
-        eigen_warmup_iters=deck.tl_eigen_warmup_iters,
-    )
+    options = _solver_options(deck, args)
     clock_factory = None
     if args.virtual_clock:
         from repro.resilience import VirtualClock
@@ -365,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--deck", required=True)
     p_solve.add_argument("--ranks", type=int, default=1)
     p_solve.add_argument("--solver", default="",
-                         help="override the deck's solver selection")
+                         help="override the deck's solver (accepts 'cppcg')")
     p_solve.add_argument("--halo-depth", type=int, default=0,
                          help="override the matrix-powers halo depth")
     p_solve.add_argument("--dtype", default="",

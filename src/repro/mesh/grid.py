@@ -48,6 +48,11 @@ class Grid2D:
         return (ymax - ymin) / self.ny
 
     @property
+    def spacing(self) -> tuple[float, float]:
+        """Cell widths ``(dx, dy)``, one per axis in coordinate order."""
+        return (self.dx, self.dy)
+
+    @property
     def shape(self) -> tuple[int, int]:
         """Array shape ``(ny, nx)`` of a cell-centred global field."""
         return (self.ny, self.nx)
@@ -113,6 +118,11 @@ class Grid3D:
     @property
     def dz(self) -> float:
         return (self.extent[5] - self.extent[4]) / self.nz
+
+    @property
+    def spacing(self) -> tuple[float, float, float]:
+        """Cell widths ``(dx, dy, dz)``, one per axis in coordinate order."""
+        return (self.dx, self.dy, self.dz)
 
     @property
     def shape(self) -> tuple[int, int, int]:

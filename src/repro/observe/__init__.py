@@ -36,7 +36,6 @@ from repro.observe.metrics import (
 )
 from repro.observe.runner import (
     TraceRun,
-    deck_system,
     record_chaos_metrics,
     record_resilience_metrics,
     record_solve_metrics,
@@ -75,7 +74,6 @@ __all__ = [
     "TraceRun",
     "traced_solve",
     "traced_crooked_pipe",
-    "deck_system",
     "record_solve_metrics",
     "record_chaos_metrics",
     "record_resilience_metrics",

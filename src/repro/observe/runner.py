@@ -24,7 +24,6 @@ __all__ = [
     "TraceRun",
     "traced_solve",
     "traced_crooked_pipe",
-    "deck_system",
     "record_solve_metrics",
     "record_resilience_metrics",
     "record_stability_metrics",
@@ -50,70 +49,40 @@ class TraceRun:
         return sort_spans(merged)
 
 
-def deck_system(deck):
-    """Global ``(grid, kxg, kyg, bg)`` of a deck's first implicit step.
-
-    Mirrors what ``repro solve`` sets up: the deck's painted initial
-    state, its conductivity model and its initial timestep.
-    """
-    from repro.physics import cell_conductivity, face_coefficients
-    from repro.physics.deck import deck_to_problem
-    from repro.physics.state import global_initial_state
-
-    grid = deck.grid
-    density, _, u0 = global_initial_state(grid, deck_to_problem(deck))
-    kappa = cell_conductivity(density, deck.tl_coefficient)
-    rx = deck.initial_timestep / grid.dx ** 2
-    ry = deck.initial_timestep / grid.dy ** 2
-    kxg, kyg = face_coefficients(kappa, rx, ry)
-    return grid, kxg, kyg, u0
-
-
-def traced_solve(grid, kxg, kyg, bg, options, *,
-                 size: int = 1,
-                 clock_factory=None,
+def traced_solve(grid, *system, size: int = 1, clock_factory=None,
                  capacity: int = 1 << 16) -> TraceRun:
-    """Solve a global system with per-rank tracing over ``size`` ranks.
+    """The rank program (:func:`~repro.solvers.ranks.solve_on_ranks`) with a
+    :class:`Tracer` per rank on the instrumented stack, called as
+    ``traced_solve(grid, kx, ky[, kz], b, options, size=...)``.
 
     ``clock_factory``: optional ``rank -> callable`` producing each
     tracer's clock (default: wall ``time.perf_counter``).
     """
-    from repro.comm import InstrumentedComm, launch_spmd
-    from repro.mesh import Field, decompose
-    from repro.solvers import StencilOperator2D, solve_linear
-    from repro.utils import EventLog
+    from repro.solvers.ranks import instrumented_stack, solve_on_ranks
 
-    halo = options.required_field_halo
+    *faces, bg, options = system
 
-    def rank_main(comm):
+    def stack(comm, recv_timeout):
         clock = clock_factory(comm.rank) if clock_factory is not None \
             else None
-        tracer = Tracer(clock=clock, rank=comm.rank, capacity=capacity)
-        log = EventLog()
-        comm = InstrumentedComm(comm, log, tracer=tracer)
-        tile = decompose(grid, comm.size)[comm.rank]
-        op = StencilOperator2D.from_global_faces(
-            tile, halo, kxg, kyg, comm, events=log, tracer=tracer)
-        b = Field.from_global(tile, halo, bg)
-        result = solve_linear(op, b, options=options)
-        return result, log, tracer
+        return instrumented_stack(comm, tracer=Tracer(
+            clock=clock, rank=comm.rank, capacity=capacity))
 
-    results = launch_spmd(rank_main, size)
-    run = TraceRun(result=results[0][0], events=results[0][1],
-                   tracers=[r[2] for r in results])
+    ranks = solve_on_ranks(grid, faces, bg, options, size, stack=stack)
+    run = TraceRun(result=ranks.result, events=ranks.events,
+                   tracers=[rank.stack.tracer for rank in ranks.ranks])
     record_solve_metrics(run.metrics, run.result, run.events)
     return run
 
 
 def traced_crooked_pipe(n: int = 24, options=None, **kwargs) -> TraceRun:
     """Traced solve of the crooked-pipe first implicit step (CG default)."""
+    from repro.physics.state import crooked_pipe_system
     from repro.solvers import SolverOptions
-    from repro.testing import crooked_pipe_system
 
-    grid, kxg, kyg, bg = crooked_pipe_system(n)
     if options is None:
         options = SolverOptions(solver="cg")
-    return traced_solve(grid, kxg, kyg, bg, options, **kwargs)
+    return traced_solve(*crooked_pipe_system(n), options, **kwargs)
 
 
 def record_solve_metrics(registry: MetricsRegistry, result, events) -> None:

@@ -19,18 +19,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.comm.serial import SerialComm
-from repro.mesh.decomposition import decompose
-from repro.mesh.field import Field
-from repro.mesh.grid import Grid2D
 from repro.perfmodel.profiles import SolverConfig
-from repro.physics.conduction import cell_conductivity
-from repro.physics.problems import crooked_pipe
-from repro.physics.state import global_initial_state
-from repro.physics.conduction import face_coefficients
-from repro.solvers.driver import solve_linear
-from repro.solvers.operator import StencilOperator2D
+from repro.physics.state import crooked_pipe_system
 from repro.solvers.options import SolverOptions
+from repro.solvers.ranks import solve_on_ranks
 from repro.utils.errors import ConfigurationError
 from repro.utils.validation import check_positive
 
@@ -57,18 +49,9 @@ def _measure_one(config_key: tuple, mesh_n: int, eps: float, dt: float
     Returns ``(outer, inner, warmup)``.
     """
     config = SolverConfig(*config_key)
-    grid = Grid2D(mesh_n, mesh_n)
-    density, _, u0 = global_initial_state(grid, crooked_pipe())
-    kappa = cell_conductivity(density)
-    rx = dt / grid.dx ** 2
-    ry = dt / grid.dy ** 2
-    kxg, kyg = face_coefficients(kappa, rx, ry)
-    opts = _options_for(config, eps)
-    tile = decompose(grid, 1)[0]
-    op = StencilOperator2D.from_global_faces(
-        tile, opts.required_field_halo, kxg, kyg, SerialComm())
-    b = Field.from_global(tile, opts.required_field_halo, u0)
-    result = solve_linear(op, b, options=opts)
+    grid, *faces, u0 = crooked_pipe_system(mesh_n, dt)
+    result = solve_on_ranks(grid, faces, u0,
+                            _options_for(config, eps)).result
     if not result.converged:
         raise ConfigurationError(
             f"measurement solve did not converge: {result.summary()}")

@@ -19,7 +19,7 @@ import enum
 
 import numpy as np
 
-from repro.utils.validation import check_in, check_positive
+from repro.utils.validation import check_in, check_positive, require
 
 
 class Conductivity(str, enum.Enum):
@@ -49,63 +49,42 @@ def _face_mean(a: np.ndarray, b: np.ndarray, mean: str) -> np.ndarray:
     return 2.0 * a * b / (a + b)
 
 
-def face_coefficients(
-    kappa: np.ndarray,
-    rx: float,
-    ry: float,
-    mean: str = "harmonic",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Face coefficient arrays ``(Kx, Ky)`` from cell conductivity.
+def face_coefficients(kappa: np.ndarray, *ratios: float,
+                      mean: str = "harmonic") -> tuple[np.ndarray, ...]:
+    """Face coefficient arrays ``(Kx, Ky[, Kz])`` from cell conductivity,
+    called as ``face_coefficients(kappa, rx, ry[, rz])``.
 
     Parameters
     ----------
     kappa:
-        Cell conductivity, shape ``(ny, nx)``.
-    rx, ry:
-        ``dt/dx^2`` and ``dt/dy^2`` scalings.
+        Cell conductivity, shape ``(ny, nx)`` or ``(nz, ny, nx)``.
+    ratios:
+        The ``dt/dx^2``, ``dt/dy^2`` (and ``dt/dz^2``) scalings, one per
+        axis.
     mean:
         ``"harmonic"`` (TeaLeaf's choice, exact for layered media) or
         ``"arithmetic"``.
 
     Returns
     -------
-    Kx : ``(ny, nx+1)`` — ``Kx[k, j]`` couples cells ``(k, j-1)`` and
-        ``(k, j)``; columns 0 and nx (physical boundary faces) are zero.
-    Ky : ``(ny+1, nx)`` — ``Ky[k, j]`` couples cells ``(k-1, j)`` and
-        ``(k, j)``; rows 0 and ny are zero.
+    One array per axis, one cell longer along it: in 2-D ``Kx`` is ``(ny,
+    nx+1)`` and ``Kx[k, j]`` couples cells ``(k, j-1)`` and ``(k, j)``,
+    ``Ky`` is ``(ny+1, nx)`` and ``Ky[k, j]`` couples ``(k-1, j)`` and
+    ``(k, j)``; 3-D adds ``Kz`` of shape ``(nz+1, ny, nx)``.  The first and
+    last face along each axis (the physical boundary) are zero.
     """
-    check_positive("rx", rx)
-    check_positive("ry", ry)
     kappa = np.asarray(kappa, dtype=np.float64)
-    ny, nx = kappa.shape
-    kx = np.zeros((ny, nx + 1))
-    ky = np.zeros((ny + 1, nx))
-    kx[:, 1:nx] = rx * _face_mean(kappa[:, :-1], kappa[:, 1:], mean)
-    ky[1:ny, :] = ry * _face_mean(kappa[:-1, :], kappa[1:, :], mean)
-    return kx, ky
-
-
-def face_coefficients_3d(
-    kappa: np.ndarray,
-    rx: float,
-    ry: float,
-    rz: float,
-    mean: str = "harmonic",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """3D analogue of :func:`face_coefficients` for the 7-point operator.
-
-    Returns ``(Kx, Ky, Kz)`` with shapes ``(nz, ny, nx+1)``,
-    ``(nz, ny+1, nx)`` and ``(nz+1, ny, nx)``; boundary faces are zero.
-    """
-    check_positive("rx", rx)
-    check_positive("ry", ry)
-    check_positive("rz", rz)
-    kappa = np.asarray(kappa, dtype=np.float64)
-    nz, ny, nx = kappa.shape
-    kx = np.zeros((nz, ny, nx + 1))
-    ky = np.zeros((nz, ny + 1, nx))
-    kz = np.zeros((nz + 1, ny, nx))
-    kx[:, :, 1:nx] = rx * _face_mean(kappa[:, :, :-1], kappa[:, :, 1:], mean)
-    ky[:, 1:ny, :] = ry * _face_mean(kappa[:, :-1, :], kappa[:, 1:, :], mean)
-    kz[1:nz, :, :] = rz * _face_mean(kappa[:-1, :, :], kappa[1:, :, :], mean)
-    return kx, ky, kz
+    require(len(ratios) == kappa.ndim,
+            f"a {kappa.ndim}-D conductivity takes {kappa.ndim} ratios "
+            f"dt/dx^2, got {len(ratios)}")
+    faces = []
+    for name, axis, ratio in zip("xyz", reversed(range(kappa.ndim)), ratios):
+        check_positive(f"r{name}", ratio)
+        k = np.zeros([n + (a == axis) for a, n in enumerate(kappa.shape)])
+        # Views with ``axis`` in front: face i lies between cells i - 1
+        # and i along it.
+        cells = np.moveaxis(kappa, axis, 0)
+        np.moveaxis(k, axis, 0)[1:-1] = ratio * _face_mean(
+            cells[:-1], cells[1:], mean)
+        faces.append(k)
+    return tuple(faces)

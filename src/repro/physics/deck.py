@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from repro.mesh.grid import Grid2D
 from repro.physics.conduction import Conductivity
 from repro.physics.problems import ProblemSpec, RegionSpec
+from repro.physics.state import first_step_system
 from repro.utils.errors import ConfigurationError
 
 #: Bare-flag solver selectors, in TeaLeaf's spelling.
@@ -48,17 +49,10 @@ _SOLVER_FLAGS = {
 _PRECONDITIONERS = {"none": "none", "jac_diag": "diagonal",
                     "jac_block": "block_jacobi"}
 
-#: Bare-flag resilience toggles (see :mod:`repro.resilience`).
-_RESILIENCE_FLAGS = {
-    "tl_enable_recovery": "tl_enable_recovery",
-    "tl_enable_checksums": "tl_enable_checksums",
-}
-
-#: Bare-flag numerics toggles (see :mod:`repro.numerics`).
-_NUMERICS_FLAGS = {
-    "tl_enable_refinement": "tl_enable_refinement",
-    "tl_check_true_residual": "tl_check_true_residual",
-}
+#: Bare-flag toggles, each the :class:`Deck` attribute it sets: resilience
+#: (see :mod:`repro.resilience`), then numerics (see :mod:`repro.numerics`).
+_TOGGLE_FLAGS = ("tl_enable_recovery", "tl_enable_checksums",
+                 "tl_enable_refinement", "tl_check_true_residual")
 
 
 @dataclass
@@ -206,13 +200,9 @@ def parse_deck_text(text: str) -> Deck:
             _first_use("solver flag", lineno, what="solver selection")
             deck.solver = _SOLVER_FLAGS[low]
             continue
-        if low in _RESILIENCE_FLAGS:
+        if low in _TOGGLE_FLAGS:
             _first_use(low, lineno, what="flag")
-            setattr(deck, _RESILIENCE_FLAGS[low], True)
-            continue
-        if low in _NUMERICS_FLAGS:
-            _first_use(low, lineno, what="flag")
-            setattr(deck, _NUMERICS_FLAGS[low], True)
+            setattr(deck, low, True)
             continue
         if "=" not in line:
             raise ConfigurationError(f"line {lineno}: unrecognised entry {line!r}")
@@ -305,16 +295,26 @@ def deck_to_problem(deck: Deck, name: str = "deck") -> ProblemSpec:
     return ProblemSpec(regions=tuple(deck.states), name=name)
 
 
-def deck_solver_options(deck: Deck):
+def deck_system(deck: Deck) -> tuple:
+    """Global ``(grid, kx, ky, u0)`` of a deck's first implicit step (its
+    painted states, conductivity model and initial timestep) — what
+    ``repro solve`` and ``repro trace`` solve."""
+    return first_step_system(deck.grid, deck_to_problem(deck),
+                             deck.initial_timestep, deck.tl_coefficient)
+
+
+def deck_solver_options(deck: Deck, **overrides):
     """The :class:`~repro.solvers.options.SolverOptions` a deck selects.
 
-    The canonical ``tl_*`` → options mapping (the same one the
-    ``tealeaf`` CLI applies before its flag overrides); re-runs the full
-    options validation, so an inconsistent deck raises
+    The one place a ``tl_*`` key becomes an options field.  ``overrides``
+    are options fields that win over the deck's (the CLI's flags); the
+    result is validated as a whole, so a deck that sets
+    ``tl_checkpoint_interval`` may leave the directory to
+    ``--checkpoint-dir``, and an inconsistent combination raises
     :class:`ConfigurationError` here rather than mid-solve.
     """
     from repro.solvers.options import SolverOptions
-    return SolverOptions(
+    return SolverOptions(**(dict(
         solver=deck.solver,
         eps=deck.tl_eps,
         max_iters=deck.tl_max_iters,
@@ -333,7 +333,7 @@ def deck_solver_options(deck: Deck):
         true_residual=deck.tl_check_true_residual,
         kernel_backend=deck.tl_kernel_backend,
         comm_timeout=deck.tl_comm_timeout,
-    )
+    ) | overrides))
 
 
 #: The paper's crooked-pipe benchmark as deck text (mesh size is a template).

@@ -9,11 +9,11 @@ pipe with two kinks, with a hot source at the pipe inlet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.mesh.grid import Grid2D
+from repro.mesh.grid import Grid2D, Grid3D
 from repro.utils.validation import check_in, check_positive, require
 
 
@@ -22,10 +22,11 @@ class RegionSpec:
     """One "state" line of a TeaLeaf deck.
 
     ``geometry`` is ``"background"`` (fills everything; must be first),
-    ``"rectangle"`` (``bounds = (xmin, xmax, ymin, ymax)``), ``"circle"``
-    (``bounds = (cx, cy, radius)``) or ``"point"`` (``bounds = (x, y)``).
-    Cells are painted when their centre lies inside the region, matching
-    TeaLeaf's cell-centred initialisation.
+    ``"rectangle"`` (``bounds = (xmin, xmax, ymin, ymax[, zmin, zmax])``:
+    a box when painted on a 3-D grid), ``"circle"`` (``bounds = (cx, cy,
+    radius)``) or ``"point"`` (``bounds = (x, y)``); circles and points
+    are 2-D.  Cells are painted when their centre lies inside the region,
+    matching TeaLeaf's cell-centred initialisation.
     """
 
     density: float
@@ -38,19 +39,30 @@ class RegionSpec:
         check_positive("energy", self.energy)
         check_in("geometry", self.geometry,
                  ("background", "rectangle", "circle", "point"))
-        need = {"background": 0, "rectangle": 4, "circle": 3, "point": 2}
-        require(len(self.bounds) == need[self.geometry],
-                f"{self.geometry} region needs {need[self.geometry]} bounds, "
+        need = {"background": (0,), "rectangle": (4, 6), "circle": (3,),
+                "point": (2,)}[self.geometry]
+        require(len(self.bounds) in need,
+                f"{self.geometry} region needs "
+                f"{' or '.join(map(str, need))} bounds, "
                 f"got {len(self.bounds)}")
 
-    def mask(self, grid: Grid2D) -> np.ndarray:
+    def mask(self, grid: Grid2D | Grid3D) -> np.ndarray:
         """Boolean array of cells whose centres fall inside this region."""
-        X, Y = grid.cell_centers()
         if self.geometry == "background":
             return np.ones(grid.shape, dtype=bool)
+        centers = grid.cell_centers()
         if self.geometry == "rectangle":
-            xmin, xmax, ymin, ymax = self.bounds
-            return (X >= xmin) & (X < xmax) & (Y >= ymin) & (Y < ymax)
+            require(len(self.bounds) == 2 * len(centers),
+                    f"a rectangle on a {len(centers)}-D grid needs "
+                    f"{2 * len(centers)} bounds, got {len(self.bounds)}")
+            inside = np.ones(grid.shape, dtype=bool)
+            for C, lo, hi in zip(centers, self.bounds[::2], self.bounds[1::2]):
+                inside &= (C >= lo) & (C < hi)
+            return inside
+        require(len(centers) == 2,
+                f"{self.geometry} regions are 2-D; paint a 3-D grid with "
+                "rectangles")
+        X, Y = centers
         if self.geometry == "circle":
             cx, cy, r = self.bounds
             return (X - cx) ** 2 + (Y - cy) ** 2 <= r * r
@@ -75,7 +87,7 @@ class ProblemSpec:
         require(self.regions[0].geometry == "background",
                 "first region must be the background state")
 
-    def paint(self, grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
+    def paint(self, grid: Grid2D | Grid3D) -> tuple[np.ndarray, np.ndarray]:
         """Rasterise to global ``(density, energy)`` arrays of grid shape."""
         density = np.empty(grid.shape)
         energy = np.empty(grid.shape)
@@ -110,6 +122,17 @@ def crooked_pipe() -> ProblemSpec:
     )
 
 
+def crooked_duct_3d() -> ProblemSpec:
+    """A 3-D analogue of the crooked pipe: the same kinked low-density
+    duct, extruded over ``1 <= z < 2``, through the dense block."""
+    background, *pipe = crooked_pipe().regions
+    return ProblemSpec(
+        name="crooked_duct_3d",
+        regions=(background, *(
+            RegionSpec(r.density, r.energy, "rectangle",
+                       r.bounds + (1.0, 2.0)) for r in pipe)))
+
+
 #: Conductivity jumps of the numerical-stability battery (paper §VIII asks
 #: how the solver family behaves "at extreme condition numbers"; these
 #: decks answer it for the numerics layer).
@@ -134,21 +157,11 @@ def crooked_pipe_jump(jump: float = 1e3) -> ProblemSpec:
     check_positive("jump", jump)
     s = float(np.sqrt(jump))
     mean = float(np.sqrt(10.0))
-    rho_bg, rho_pipe = mean * s, mean / s
+    background, *pipe = crooked_pipe().regions
     return ProblemSpec(
         name=f"crooked_pipe[jump={jump:g}]",
-        regions=(
-            RegionSpec(density=rho_bg, energy=0.0001),
-            RegionSpec(density=rho_pipe, energy=25.0,
-                       geometry="rectangle", bounds=(0.0, 1.0, 1.0, 2.0)),
-            RegionSpec(density=rho_pipe, energy=0.1,
-                       geometry="rectangle", bounds=(1.0, 6.0, 1.0, 2.0)),
-            RegionSpec(density=rho_pipe, energy=0.1,
-                       geometry="rectangle", bounds=(5.0, 6.0, 1.0, 8.0)),
-            RegionSpec(density=rho_pipe, energy=0.1,
-                       geometry="rectangle", bounds=(5.0, 10.0, 7.0, 8.0)),
-        ),
-    )
+        regions=(replace(background, density=mean * s),
+                 *(replace(r, density=mean / s) for r in pipe)))
 
 
 def stability_battery(jumps: tuple = STABILITY_JUMPS) -> tuple[ProblemSpec, ...]:

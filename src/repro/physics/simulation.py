@@ -7,6 +7,10 @@ explicit solution for a parabolic partial differential equation" (§II).
 
 :class:`Simulation` is the rank-local (SPMD) view; :func:`run_simulation`
 launches one per rank over the in-process world and gathers the results.
+Both take a :class:`~repro.mesh.grid.Grid2D` or ``Grid3D`` ("two and three
+dimensions via five and seven point finite difference stencils", §II): one
+driver, so 3-D stepping has the event log, tracer, step retry and durable
+checkpoint/restart of the 2-D mini-app.
 """
 
 from __future__ import annotations
@@ -20,14 +24,15 @@ from repro.comm.base import Communicator
 from repro.comm.spmd import launch_spmd
 from repro.mesh.decomposition import Tile, decompose
 from repro.mesh.field import Field
-from repro.mesh.grid import Grid2D
+from repro.mesh.grid import Grid2D, Grid3D
 from repro.mesh.halo import HaloExchanger
 from repro.physics.conduction import Conductivity
 from repro.physics.problems import ProblemSpec, RegionSpec
 from repro.physics.state import build_coefficient_fields, build_fields, global_initial_state
 from repro.solvers.driver import solve_linear
-from repro.solvers.operator import StencilOperator2D
-from repro.solvers.options import SolverOptions
+from repro.solvers.operator import StencilOperator
+from repro.solvers.options import (SolverOptions, options_from_dict,
+                                   options_to_dict)
 from repro.utils.errors import (CheckpointError, CommunicationError,
                                 ConvergenceError)
 from repro.utils.events import EventLog, recovery_scope
@@ -57,13 +62,15 @@ class StepStats:
 class SimulationReport:
     """Gathered outcome of a full run."""
 
-    grid: Grid2D
+    grid: Grid2D | Grid3D
     dt: float
     steps: list[StepStats]
-    temperature: np.ndarray | None  # global (ny, nx), on the caller
+    temperature: np.ndarray | None  # global, of grid.shape, on the caller
     events: EventLog
     #: per-rank tracers when run_simulation was given a tracer_factory
     tracers: list = field(default_factory=list)
+    #: per-rank stack objects when run_simulation was given a stack factory
+    stacks: list = field(default_factory=list)
 
     @property
     def n_steps(self) -> int:
@@ -85,7 +92,7 @@ class Simulation:
     def __init__(
         self,
         comm: Communicator,
-        grid: Grid2D,
+        grid: Grid2D | Grid3D,
         problem: ProblemSpec,
         options: SolverOptions | None = None,
         dt: float = 0.04,
@@ -122,15 +129,12 @@ class Simulation:
         density_g, energy_g, _ = global_initial_state(grid, problem)
         self.fields = build_fields(self.tile, halo, density_g, energy_g)
 
-        rx = dt / grid.dx ** 2
-        ry = dt / grid.dy ** 2
-        kx, ky = build_coefficient_fields(
-            self.fields["density"], rx, ry, self.exchanger,
-            model=conductivity, mean=face_mean)
-        self.op = StencilOperator2D(kx=kx, ky=ky, comm=comm,
-                                    exchanger=self.exchanger,
-                                    events=self.events,
-                                    tracer=tracer)
+        faces = build_coefficient_fields(
+            self.fields["density"], *(dt / d ** 2 for d in grid.spacing),
+            self.exchanger, model=conductivity, mean=face_mean)
+        self.op = StencilOperator(**dict(zip(("kx", "ky", "kz"), faces)),
+                                  comm=comm, exchanger=self.exchanger,
+                                  events=self.events, tracer=tracer)
 
     @property
     def u(self) -> Field:
@@ -310,26 +314,19 @@ class Simulation:
         return stats
 
     def _visit_dump(self, output_dir) -> None:
-        from pathlib import Path
+        from repro.io.vtk import write_vtk
 
         temperature = self.gather_temperature(root=0)
-        density = self.comm.gather(
-            (self.tile, self.fields["density"].interior.copy()), root=0)
+        density = self._gather(self.fields["density"], root=0)
         if temperature is None:
             return  # not rank 0
-        import numpy as _np
-
-        from repro.io.vtk import write_vtk
-        rho = _np.zeros(self.grid.shape)
-        for tile, part in density:
-            rho[tile.global_slices] = part
         out = Path(output_dir) if output_dir is not None else Path(".")
         write_vtk(out / f"tea.{self.step_index}.vtk", self.grid,
-                  {"temperature": temperature, "density": rho})
+                  {"temperature": temperature, "density": density})
 
-    def gather_temperature(self, root: int = 0) -> np.ndarray | None:
-        """Assemble the global temperature array on ``root``."""
-        pieces = self.comm.gather((self.tile, self.u.interior.copy()), root)
+    def _gather(self, field: Field, root: int) -> np.ndarray | None:
+        """Assemble ``field``'s global array on ``root`` (one gather)."""
+        pieces = self.comm.gather((self.tile, field.interior.copy()), root)
         if pieces is None:
             return None
         out = np.zeros(self.grid.shape)
@@ -337,8 +334,12 @@ class Simulation:
             out[tile.global_slices] = interior
         return out
 
+    def gather_temperature(self, root: int = 0) -> np.ndarray | None:
+        """Assemble the global temperature array on ``root``."""
+        return self._gather(self.u, root)
 
-def checkpoint_config(grid: Grid2D,
+
+def checkpoint_config(grid: Grid2D | Grid3D,
                       problem: ProblemSpec,
                       options: SolverOptions,
                       *,
@@ -358,10 +359,9 @@ def checkpoint_config(grid: Grid2D,
     """
     cond = conductivity.value if isinstance(conductivity, Conductivity) \
         else str(conductivity)
-    opts = {k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in asdict(options).items()}
     return {
-        "grid": {"nx": grid.nx, "ny": grid.ny, "extent": list(grid.extent)},
+        # nx, ny[, nz], extent: an ``nz`` marks a 3-D grid
+        "grid": dict(asdict(grid), extent=list(grid.extent)),
         "problem": {
             "name": problem.name,
             "regions": [
@@ -370,7 +370,7 @@ def checkpoint_config(grid: Grid2D,
                 for r in problem.regions
             ],
         },
-        "options": opts,
+        "options": options_to_dict(options),
         "dt": dt,
         "n_steps": n_steps,
         "nranks": nranks,
@@ -383,24 +383,19 @@ def checkpoint_config(grid: Grid2D,
 
 def _config_from_manifest(config: dict):
     """Invert :func:`checkpoint_config` → (grid, problem, options, kwargs)."""
-    g = config["grid"]
-    grid = Grid2D(nx=g["nx"], ny=g["ny"], extent=tuple(g["extent"]))
+    g = dict(config["grid"], extent=tuple(config["grid"]["extent"]))
+    grid = (Grid3D if "nz" in g else Grid2D)(**g)
     problem = ProblemSpec(
         regions=tuple(
             RegionSpec(density=r["density"], energy=r["energy"],
                        geometry=r["geometry"], bounds=tuple(r["bounds"]))
             for r in config["problem"]["regions"]),
         name=config["problem"]["name"])
-    raw = dict(config["options"])
-    for key in ("eigen_safety", "deflation_blocks"):
-        if key in raw and isinstance(raw[key], list):
-            raw[key] = tuple(raw[key])
-    options = SolverOptions(**raw)
-    return grid, problem, options
+    return grid, problem, options_from_dict(config["options"])
 
 
 def run_simulation(
-    grid: Grid2D,
+    grid: Grid2D | Grid3D,
     problem: ProblemSpec,
     options: SolverOptions | None = None,
     *,
@@ -417,6 +412,7 @@ def run_simulation(
     restore_from=None,
     total_steps: int | None = None,
     tracer_factory=None,
+    stack=None,
 ) -> SimulationReport:
     """Run the mini-app over an ``nranks``-rank in-process world.
 
@@ -437,6 +433,12 @@ def run_simulation(
     ``tracer_factory``: optional ``rank -> Tracer`` callable; each rank's
     :class:`Simulation` is instrumented with its tracer and the report's
     ``tracers`` list carries them back (index = rank) for export.
+
+    ``stack``: optional stack factory, the one
+    :func:`~repro.solvers.ranks.solve_on_ranks` takes — ``(raw comm,
+    recv_timeout) -> Stack``; each rank's :class:`Simulation` runs on
+    ``stack.comm`` (e.g. the fault-injecting resilient stack) and the
+    report's ``stacks`` list carries the stack objects back.
     """
     opts = options if options is not None else SolverOptions()
     if checkpoint_dir is None and opts.checkpoint_dir \
@@ -452,10 +454,14 @@ def run_simulation(
             nranks=nranks, conductivity=conductivity, face_mean=face_mean,
             warm_start=warm_start, checkpoint_interval=checkpoint_interval)
 
+    timeout = opts.comm_timeout or None
+
     def rank_main(comm):
         tracer = tracer_factory(comm.rank) if tracer_factory is not None \
             else None
-        sim = Simulation(comm, grid, problem, opts, dt=dt,
+        stk = stack(comm, timeout) if stack is not None else None
+        sim = Simulation(stk.comm if stk is not None else comm,
+                         grid, problem, opts, dt=dt,
                          conductivity=conductivity, face_mean=face_mean,
                          warm_start=warm_start, tracer=tracer)
         if restore_from is not None:
@@ -465,16 +471,15 @@ def run_simulation(
                         checkpoint_dir=checkpoint_dir,
                         checkpoint_config=config)
         temp = sim.gather_temperature(root=0) if gather_temperature else None
-        return steps, temp, sim.events, sim.tracer
+        return steps, temp, sim.events, sim.tracer, stk
 
-    results = launch_spmd(
-        rank_main, nranks,
-        recv_timeout=opts.comm_timeout if opts.comm_timeout > 0 else None)
-    steps0, temp0, events0, _ = results[0]
+    results = launch_spmd(rank_main, nranks, recv_timeout=timeout)
+    steps0, temp0, events0, _, _ = results[0]
     tracers = [r[3] for r in results] if tracer_factory is not None else []
+    stacks = [r[4] for r in results] if stack is not None else []
     return SimulationReport(grid=grid, dt=dt, steps=steps0,
                             temperature=temp0, events=events0,
-                            tracers=tracers)
+                            tracers=tracers, stacks=stacks)
 
 
 def restart_simulation(root,

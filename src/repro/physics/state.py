@@ -12,19 +12,49 @@ import numpy as np
 
 from repro.mesh.decomposition import Tile
 from repro.mesh.field import Field
-from repro.mesh.grid import Grid2D
+from repro.mesh.grid import Grid2D, Grid3D
 from repro.mesh.halo import reflect_boundaries
 from repro.physics.conduction import (Conductivity, _face_mean,
-                                      cell_conductivity)
-from repro.physics.problems import ProblemSpec
+                                      cell_conductivity, face_coefficients)
+from repro.physics.problems import ProblemSpec, crooked_pipe
 from repro.utils.validation import require
 
 
-def global_initial_state(grid: Grid2D, problem: ProblemSpec
+def global_initial_state(grid: Grid2D | Grid3D, problem: ProblemSpec
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rasterise a problem to global ``(density, energy, u)`` arrays."""
     density, energy = problem.paint(grid)
     return density, energy, density * energy
+
+
+def first_step_system(
+    grid: Grid2D | Grid3D,
+    problem: ProblemSpec,
+    dt: float = 0.04,
+    conductivity: Conductivity | str = Conductivity.RECIP_DENSITY,
+    mean: str = "harmonic",
+) -> tuple:
+    """The global linear system of ``problem``'s first implicit step on
+    ``grid``: ``(grid, kx, ky[, kz], u0)`` — the face coefficient arrays of
+    ``A = I + dt * L`` and the right-hand side ``u0 = density * energy``.
+
+    This is the one place a painted problem becomes a system: paint,
+    :func:`~repro.physics.conduction.cell_conductivity`, ``dt/dx^2`` per
+    axis, :func:`~repro.physics.conduction.face_coefficients`.
+    :class:`~repro.physics.simulation.Simulation` builds the same
+    coefficients rank-locally (:func:`build_coefficient_fields`).
+    """
+    density, _, u0 = global_initial_state(grid, problem)
+    ratios = [dt / d ** 2 for d in grid.spacing]
+    faces = face_coefficients(cell_conductivity(density, conductivity),
+                              *ratios, mean=mean)
+    return (grid, *faces, u0)
+
+
+def crooked_pipe_system(n: int, dt: float = 0.04) -> tuple:
+    """The paper's benchmark system: ``(grid, kx, ky, u0)`` of the
+    crooked-pipe first implicit step on an ``n`` x ``n`` mesh."""
+    return first_step_system(Grid2D(n, n), crooked_pipe(), dt)
 
 
 def build_fields(

@@ -8,13 +8,14 @@ test-suite checks across decompositions and solvers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.comm.base import Communicator
 from repro.mesh.field import Field
-from repro.mesh.grid import Grid2D
+from repro.mesh.grid import Grid2D, Grid3D
 
 
 @dataclass(frozen=True)
@@ -35,14 +36,14 @@ class FieldSummary:
                 f"{self.min_temperature:.6g}/{self.max_temperature:.6g}")
 
 
-def field_summary(grid: Grid2D, density: Field, u: Field,
+def field_summary(grid: Grid2D | Grid3D, density: Field, u: Field,
                   comm: Communicator) -> FieldSummary:
     """Compute the global summary (two allreduces: sums + extrema).
 
     ``u`` is the temperature field (``density * energy``); internal energy
     is ``sum(u) * cell_volume`` in TeaLeaf's normalisation.
     """
-    cell_volume = grid.dx * grid.dy
+    cell_volume = math.prod(grid.spacing)
     rho = density.interior
     temp = u.interior
     local_sums = np.array([

@@ -47,22 +47,27 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.comm import launch_spmd
 from repro.comm.instrument import RETRY_KIND
 from repro.utils.events import RECOVERY_KIND, REPLACEMENT_KIND, EventLog
-from repro.mesh import Field
-from repro.resilience.checkpoint import SolverCheckpointStore
+from repro.mesh import Field, Grid2D
+from repro.physics.problems import crooked_pipe
+from repro.physics.simulation import run_simulation
+from repro.physics.state import crooked_pipe_system
+from repro.resilience.checkpoint import (SolverCheckpointStore,
+                                         latest_checkpoint, read_manifest)
 from repro.resilience.faults import (CORRUPTION_MODES, CrashWindow,
                                      FaultPlan, FaultRule)
 from repro.resilience.recovery import run_recoverable
 from repro.resilience.runner import (DEFAULT_RECV_TIMEOUT_S,
                                      build_resilient_comm, run_resilient)
 from repro.solvers import SolverOptions
+from repro.solvers.options import options_from_dict, options_to_dict
+from repro.solvers.ranks import serial_operator
 from repro.utils.errors import (CommunicationError, ConfigurationError,
                                 ConvergenceError)
 
@@ -380,7 +385,6 @@ class GoldenCache:
 
     def _system(self, n: int):
         if n not in self._systems:
-            from repro.testing import crooked_pipe_system, serial_operator
             grid, kxg, kyg, bg = crooked_pipe_system(n)
             op = serial_operator(grid, kxg, kyg)
             b = Field.from_global(op.tile, 1, bg)
@@ -427,35 +431,21 @@ def _run_sim(options: SolverOptions, plan: FaultPlan, *,
     step killed by an exhausted comm retry budget rolls the whole world
     back coherently instead of aborting the run.
     """
-    from repro.mesh.grid import Grid2D
-    from repro.physics import crooked_pipe
-    from repro.physics.simulation import Simulation
-
-    grid = Grid2D(n, n)
-    problem = crooked_pipe()
-
-    def rank_main(comm):
-        stack = build_resilient_comm(comm, plan,
-                                     max_attempts=max_attempts,
-                                     recv_timeout=recv_timeout)
-        sim = Simulation(stack.comm, grid, problem, options)
-        stats = sim.run(steps, checkpoint_interval=1, max_step_retries=3)
-        temp = sim.gather_temperature(root=0)
-        return temp, stats, stack
-
-    out = launch_spmd(rank_main, size)
-    temp = out[0][0]
+    report = run_simulation(
+        Grid2D(n, n), crooked_pipe(), options, n_steps=steps, nranks=size,
+        checkpoint_interval=1, max_step_retries=3,
+        stack=lambda comm, timeout: build_resilient_comm(
+            comm, plan, max_attempts=max_attempts,
+            recv_timeout=timeout or recv_timeout))
+    stacks = report.stacks
     # Iteration counts are globally coherent (the convergence check is an
     # allreduce), so rank 0's stats speak for the world.
-    iters = sum(s.iterations + s.inner_iterations + s.warmup_iterations
-                for s in out[0][1])
-    faults = sum(len(o[2].faulty.log) for o in out)
-    retries = sum(o[2].retrying.retries for o in out)
-    retry_events = sum(_retry_events(o[2].events) for o in out)
-    vtime = max(o[2].clock.now for o in out)
-    return _SimRun(temperature=temp, iterations=iters, faults=faults,
-                   retries=retries, virtual_time_s=vtime,
-                   retry_events=retry_events)
+    return _SimRun(temperature=report.temperature,
+                   iterations=report.total_iterations,
+                   faults=sum(len(s.faulty.log) for s in stacks),
+                   retries=sum(s.retrying.retries for s in stacks),
+                   virtual_time_s=max(s.clock.now for s in stacks),
+                   retry_events=sum(_retry_events(s.events) for s in stacks))
 
 
 def _abort_expected(spec: TrialSpec) -> bool:
@@ -921,21 +911,6 @@ def shrink_plan(plan: FaultPlan, failing, *, max_runs: int = 256) -> FaultPlan:
     return build(atoms)
 
 
-def options_to_dict(options: SolverOptions) -> dict:
-    """JSON-ready SolverOptions (tuples become lists)."""
-    return {k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in asdict(options).items()}
-
-
-def options_from_dict(data: dict) -> SolverOptions:
-    """Invert :func:`options_to_dict` (re-runs all option validation)."""
-    raw = dict(data)
-    for key in ("eigen_safety", "deflation_blocks"):
-        if key in raw and isinstance(raw[key], list):
-            raw[key] = tuple(raw[key])
-    return SolverOptions(**raw)
-
-
 def spec_to_dict(spec: TrialSpec) -> dict:
     return {
         "index": spec.index,
@@ -1149,58 +1124,39 @@ def run_soak(*,
     run: the composed claim that checkpoint/restart and the retry stack
     are both exact.
     """
-    from repro.mesh.grid import Grid2D
-    from repro.physics import crooked_pipe
-    from repro.physics.simulation import Simulation, checkpoint_config
-    from repro.resilience.checkpoint import latest_checkpoint
-
     opts = options if options is not None else SolverOptions(
         solver="cg", eps=1e-8, max_iters=500)
     grid = Grid2D(n, n)
     problem = crooked_pipe()
     total = cycles * steps_per_cycle
     root = Path(checkpoint_root)
-    config = checkpoint_config(grid, problem, opts, dt=0.04, n_steps=total,
-                               nranks=nranks,
-                               conductivity="recip_density",
-                               face_mean="harmonic", warm_start=True,
-                               checkpoint_interval=1)
 
-    def golden_main(comm):
-        sim = Simulation(comm, grid, problem, opts)
-        sim.run(total)
-        return sim.gather_temperature(root=0), sim.mean_temperature()
-
-    golden_temp, _ = launch_spmd(golden_main, nranks)[0]
+    golden_temp = run_simulation(grid, problem, opts, n_steps=total,
+                                 nranks=nranks).temperature
 
     report = SoakReport(seed=seed, n=n, nranks=nranks)
     for cycle in range(cycles):
         plan = storm_plan(seed, cycle, nranks=nranks)
         resume_dir = latest_checkpoint(root)
-
-        def cycle_main(comm, step_dir=resume_dir, storm=plan):
-            stack = build_resilient_comm(comm, storm)
-            sim = Simulation(stack.comm, grid, problem, opts)
-            restored = -1
-            if step_dir is not None:
-                restored = sim.restore_from_checkpoint(step_dir)
-            sim.run(steps_per_cycle, checkpoint_interval=1,
-                    max_step_retries=3, checkpoint_dir=root,
-                    checkpoint_config=config)
-            temp = sim.gather_temperature(root=0)
-            return temp, restored, stack, sim.mean_temperature()
-
-        out = launch_spmd(cycle_main, nranks)
-        temp, restored = out[0][0], out[0][1]
+        restored = (-1 if resume_dir is None
+                    else int(read_manifest(resume_dir)["step"]))
+        run = run_simulation(
+            grid, problem, opts, n_steps=steps_per_cycle, nranks=nranks,
+            checkpoint_interval=1, max_step_retries=3, checkpoint_dir=root,
+            restore_from=resume_dir, total_steps=total,
+            stack=lambda comm, timeout, storm=plan: build_resilient_comm(
+                comm, storm,
+                recv_timeout=timeout or DEFAULT_RECV_TIMEOUT_S))
+        temp = run.temperature
         report.cycles.append(SoakCycle(
             cycle=cycle,
             steps=steps_per_cycle,
             restored_step=restored,
-            faults=sum(len(o[2].faulty.log) for o in out),
-            retries=sum(o[2].retrying.retries for o in out),
-            virtual_time_s=max(o[2].clock.now for o in out),
+            faults=sum(len(s.faulty.log) for s in run.stacks),
+            retries=sum(s.retrying.retries for s in run.stacks),
+            virtual_time_s=max(s.clock.now for s in run.stacks),
         ))
-        report.final_mean_temperature = float(out[0][3])
+        report.final_mean_temperature = run.final_mean_temperature
         if cycle > 0 and restored != cycle * steps_per_cycle:
             report.violations.append(
                 f"cycle {cycle}: resumed from step {restored}, expected "

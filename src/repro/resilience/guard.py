@@ -117,6 +117,18 @@ class SolverGuard:
         self._scalars: dict | None = None
         self._iteration = -1
 
+    @classmethod
+    def from_options(cls, options, iteration: IterationCell | None = None,
+                     store=None) -> "SolverGuard":
+        """The guard ``options`` (``guard_interval > 0``) asks for — the
+        one place the three ``guard_*`` knobs become a guard.  The rank
+        program hands in its stack's iteration cell and the durable
+        store; a bare ``solve_linear`` has neither."""
+        return cls(checkpoint_interval=options.guard_interval,
+                   divergence_ratio=options.guard_divergence_ratio,
+                   max_rollbacks=options.guard_max_rollbacks,
+                   iteration=iteration, store=store)
+
     # -- iteration tracking ----------------------------------------------------
 
     def begin(self, iteration: int) -> None:

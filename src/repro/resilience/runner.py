@@ -8,8 +8,10 @@ Two conveniences live here:
   clock afterwards;
 - :func:`run_resilient` runs one :class:`~repro.solvers.SolverOptions`
   configuration on the crooked-pipe benchmark system through that stack —
-  serial or genuinely decomposed over the thread SPMD world — and returns
-  a :class:`ResilienceReport` whose fault-event log is deterministically
+  the rank program (:func:`~repro.solvers.ranks.solve_on_ranks`) with
+  :func:`build_resilient_comm` as its stack factory, serial or genuinely
+  decomposed over the thread SPMD world — and returns a
+  :class:`ResilienceReport` whose fault-event log is deterministically
   ordered, so two runs with the same plan and seed compare equal
   event-for-event.
 """
@@ -17,19 +19,19 @@ Two conveniences live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 
-from repro.comm import InstrumentedComm, launch_spmd
+from repro.comm import InstrumentedComm
 from repro.comm.base import Communicator
-from repro.mesh import Field, decompose
-from repro.resilience.checkpoint import SolverCheckpointStore
+from repro.physics.state import crooked_pipe_system
 from repro.resilience.faults import FaultEvent, FaultPlan, FaultyComm, IterationCell
-from repro.resilience.guard import GuardEvent, SolverGuard
+from repro.resilience.guard import GuardEvent
 from repro.resilience.integrity import ChecksumComm
 from repro.resilience.retry import RetryingComm, VirtualClock
-from repro.solvers import SolverOptions, StencilOperator2D, solve_linear
+from repro.solvers import SolverOptions
+from repro.solvers.ranks import Stack, solve_on_ranks
 from repro.solvers.result import SolveResult
 from repro.utils.errors import CheckpointError
 from repro.utils.events import EventLog, recovery_scope
@@ -40,17 +42,20 @@ from repro.utils.events import EventLog, recovery_scope
 DEFAULT_RECV_TIMEOUT_S = 5.0
 
 
-@dataclass
-class ResilientStack:
-    """The assembled communicator layers, innermost to outermost."""
+@dataclass(kw_only=True)
+class ResilientStack(Stack):
+    """The assembled communicator layers, innermost to outermost: ``comm``
+    is the :class:`~repro.comm.instrument.InstrumentedComm` on top,
+    ``events`` the log every layer records into, ``cell`` the
+    :class:`~repro.resilience.faults.IterationCell` fault events are
+    stamped with."""
 
     faulty: FaultyComm
     retrying: RetryingComm
-    comm: InstrumentedComm
     clock: VirtualClock
-    cell: IterationCell
-    events: EventLog
     checksum: ChecksumComm | None = None
+    #: the collective checkpoint iteration a ``resume`` restored (-1: none)
+    resumed: int = -1
 
 
 def build_resilient_comm(base: Communicator,
@@ -154,11 +159,11 @@ def run_resilient(options: SolverOptions,
                   setup=None) -> ResilienceReport:
     """Solve the ``n``×``n`` crooked-pipe system through the fault stack.
 
-    Builds the benchmark's first-implicit-step system, decomposes it over
-    ``size`` ranks (serial for ``size == 1``), wraps every rank's
-    communicator via :func:`build_resilient_comm`, and solves with
-    ``options`` — guard and degradation behaviour included when the
-    options enable them (``guard_interval > 0``).
+    Builds the benchmark's first-implicit-step system and hands it to the
+    rank program (:func:`~repro.solvers.ranks.solve_on_ranks`, serial for
+    ``size == 1``) with :func:`build_resilient_comm` as the stack factory;
+    it solves with ``options`` — guard and degradation behaviour included
+    when the options enable them (``guard_interval > 0``).
 
     ``integrity=True`` adds the :class:`ChecksumComm` layer.  With a
     ``checkpoint_dir`` the guard additionally persists every snapshot to a
@@ -189,129 +194,24 @@ def run_resilient(options: SolverOptions,
     the ``recv_timeout`` argument (deck/CLI knob wins over library
     default).
     """
-    from repro.testing import crooked_pipe_system
+    grid, *faces, bg = crooked_pipe_system(n)
+    restore = partial(_restore_from_shards, options=options, plan=plan,
+                      exact=resume == "exact") if resume else None
+    run = solve_on_ranks(
+        grid, faces, bg, options, size,
+        stack=lambda comm, timeout: build_resilient_comm(
+            comm, plan, max_attempts=max_attempts,
+            recv_timeout=timeout or recv_timeout, integrity=integrity,
+            cancel=cancel),
+        cancel=cancel, setup=setup, checkpoint_dir=checkpoint_dir,
+        before_solve=restore)
 
-    grid, kxg, kyg, bg = crooked_pipe_system(n)
-    halo = options.required_field_halo
-    if options.comm_timeout > 0:
-        recv_timeout = options.comm_timeout
-
-    def rank_main(comm):
-        stack = build_resilient_comm(comm, plan,
-                                     max_attempts=max_attempts,
-                                     recv_timeout=recv_timeout,
-                                     integrity=integrity,
-                                     cancel=cancel)
-        tile = decompose(grid, comm.size)[comm.rank]
-        op = StencilOperator2D.from_global_faces(tile, halo, kxg, kyg,
-                                                 stack.comm,
-                                                 events=stack.events)
-        b = Field.from_global(tile, halo, bg)
-        store = None
-        if checkpoint_dir is not None:
-            store = SolverCheckpointStore(Path(checkpoint_dir), comm.rank)
-        guard = None
-        if options.guard_interval > 0:
-            guard = SolverGuard(
-                checkpoint_interval=options.guard_interval,
-                divergence_ratio=options.guard_divergence_ratio,
-                max_rollbacks=options.guard_max_rollbacks,
-                iteration=stack.cell,
-                store=store)
-        x0 = None
-        resumed = -1
-        resume_state = None
-        if resume:
-            if store is None:
-                raise CheckpointError(
-                    "resume requires a checkpoint_dir")
-            exact = resume == "exact"
-            if exact:
-                try:
-                    loaded = store.load()
-                except CheckpointError:
-                    # A corrupt or foreign shard must degrade recovery
-                    # (vote "no checkpoint"), not abort it.
-                    loaded = None
-            else:
-                loaded = store.load()
-            # Exact continuation is only sound when nothing perturbs the
-            # replayed recurrence; the conditions are uniform across
-            # ranks, so every rank takes the same branch.
-            exact_eligible = (exact and options.solver == "cg"
-                              and options.replace_interval == 0
-                              and (plan is None or not plan.active()))
-            complete = (loaded is not None
-                        and all(k in loaded[1] for k in ("x", "r", "p"))
-                        and all(k in loaded[2]
-                                for k in ("rz", "rr", "pa", "reference")))
-            with recovery_scope(stack.events):
-                # Failure vote: every rank contributes its durable shard's
-                # iteration (-1 = no shard); the min is the collective
-                # checkpoint all ranks can satisfy.  Float-typed so the
-                # injector's corruption model applies to it like any
-                # other reduction.
-                if exact:
-                    mine = float(loaded[0]) if complete else -1.0
-                else:
-                    mine = float(loaded[0]) if loaded is not None else -1.0
-                # RPR009 sees `store` as rank-dependent (it is built from
-                # comm.rank) and the `if store is None: raise` above as a
-                # divergent early exit.  Its None-ness actually depends
-                # only on checkpoint_dir — uniform config — so every rank
-                # takes the same path to this vote.
-                lowest = int(
-                    stack.comm.allreduce(mine, "min"))  # repro: ignore[RPR009]
-                if exact:
-                    # Unanimity vote: exact continuation needs every rank
-                    # at the *same* snapshot iteration; shard skew (a
-                    # SIGKILL mid-save) falls back to a from-scratch
-                    # re-solve, which is equally bit-identical to the
-                    # uninterrupted run.
-                    highest = int(
-                        stack.comm.allreduce(mine, "max"))  # repro: ignore[RPR009]
-                    if exact_eligible and 0 <= lowest == highest:
-                        saved_x = loaded[1]["x"]
-                        probe = op.new_field()
-                        if saved_x.shape != probe.data.shape:
-                            raise CheckpointError(
-                                f"rank {comm.rank}: saved solver state is "
-                                f"{saved_x.shape}, tile needs "
-                                f"{probe.data.shape}")
-                        resumed = lowest
-                        resume_state = {"iteration": int(loaded[0]),
-                                        "arrays": loaded[1],
-                                        "scalars": loaded[2]}
-                elif lowest >= 0:
-                    resumed = lowest
-                    saved_x = loaded[1].get("x")
-                    if saved_x is not None:
-                        x0 = op.new_field()
-                        if saved_x.shape != x0.data.shape:
-                            raise CheckpointError(
-                                f"rank {comm.rank}: saved solver state is "
-                                f"{saved_x.shape}, tile needs "
-                                f"{x0.data.shape}")
-                        x0.data[...] = saved_x
-                        # Neighbour halo refresh: the replacement rank's
-                        # reconstructed subdomain gets live boundary data.
-                        op.exchanger.exchange([x0], depth=1)
-        result = solve_linear(op, b, x0=x0, options=options, guard=guard,
-                              cancel=cancel, setup=setup,
-                              resume_state=resume_state)
-        return tile, result, stack, guard, resumed
-
-    out = launch_spmd(rank_main, size)
-
-    x = np.zeros(grid.shape)
     faults: list[FaultEvent] = []
     guard_log: list[GuardEvent] = []
     retries = rollbacks = checkpoints = 0
     detections = repairs = 0
     vtime = 0.0
-    merged_events = EventLog.merged(stack.events for _, _, stack, _, _ in out)
-    for tile, result, stack, guard, _resumed in out:
-        x[tile.global_slices] = result.x.interior
+    for _tile, _result, stack, guard in run.ranks:
         faults.extend(stack.faulty.log)
         retries += stack.retrying.retries
         vtime = max(vtime, stack.clock.now)
@@ -324,7 +224,7 @@ def run_resilient(options: SolverOptions,
             checkpoints += guard.checkpoints
     faults.sort(key=lambda ev: (ev.rank, ev.op_index))
 
-    r0 = out[0][1]
+    r0 = run.result
     # Reference for the relative residual: the solve's *first* recorded
     # norm (for PPCG/Chebyshev that's the warm-up start, which is what
     # the eps criterion is relative to; ``initial_residual_norm`` would
@@ -344,9 +244,91 @@ def run_resilient(options: SolverOptions,
         virtual_time_s=vtime,
         degraded=bool(getattr(r0, "degraded", False)),
         result=r0,
-        x=x,
-        resumed_iteration=out[0][4],
+        x=run.x,
+        resumed_iteration=run.ranks[0].stack.resumed,
         integrity_detections=detections,
         integrity_repairs=repairs,
-        events=merged_events,
+        events=EventLog.merged(rank.stack.events for rank in run.ranks),
     )
+
+
+def _restore_from_shards(op, stack: ResilientStack, store, *,
+                         options: SolverOptions, plan: FaultPlan,
+                         exact: bool) -> dict:
+    """The ``before_solve`` hook of a resuming :func:`run_resilient`: vote
+    on the collective checkpoint the ranks' durable shards can satisfy and
+    return the solve's starting point from it — a warm ``x0``, or with
+    ``exact`` the whole CG recurrence as ``resume_state`` — leaving the
+    agreed iteration in ``stack.resumed``.  Nothing restorable returns
+    ``{}``: the solve starts from scratch."""
+    rank = stack.comm.rank
+    if store is None:
+        # uniform across ranks (it follows checkpoint_dir), so no rank
+        # is left alone in the votes below
+        raise CheckpointError("resume requires a checkpoint_dir")
+    if exact:
+        try:
+            loaded = store.load()
+        except CheckpointError:
+            # A corrupt or foreign shard must degrade recovery
+            # (vote "no checkpoint"), not abort it.
+            loaded = None
+    else:
+        loaded = store.load()
+    # Exact continuation is only sound when nothing perturbs the
+    # replayed recurrence; the conditions are uniform across
+    # ranks, so every rank takes the same branch.
+    exact_eligible = (exact and options.solver == "cg"
+                      and options.replace_interval == 0
+                      and (plan is None or not plan.active()))
+    complete = (loaded is not None
+                and all(k in loaded[1] for k in ("x", "r", "p"))
+                and all(k in loaded[2]
+                        for k in ("rz", "rr", "pa", "reference")))
+    start = {}
+    with recovery_scope(stack.events):
+        # Failure vote: every rank contributes its durable shard's
+        # iteration (-1 = no shard); the min is the collective
+        # checkpoint all ranks can satisfy.  Float-typed so the
+        # injector's corruption model applies to it like any
+        # other reduction.
+        if exact:
+            mine = float(loaded[0]) if complete else -1.0
+        else:
+            mine = float(loaded[0]) if loaded is not None else -1.0
+        lowest = int(stack.comm.allreduce(mine, "min"))
+        if exact:
+            # Unanimity vote: exact continuation needs every rank
+            # at the *same* snapshot iteration; shard skew (a
+            # SIGKILL mid-save) falls back to a from-scratch
+            # re-solve, which is equally bit-identical to the
+            # uninterrupted run.
+            highest = int(stack.comm.allreduce(mine, "max"))
+            if exact_eligible and 0 <= lowest == highest:
+                saved_x = loaded[1]["x"]
+                probe = op.new_field()
+                if saved_x.shape != probe.data.shape:
+                    raise CheckpointError(
+                        f"rank {rank}: saved solver state is "
+                        f"{saved_x.shape}, tile needs "
+                        f"{probe.data.shape}")
+                stack.resumed = lowest
+                start["resume_state"] = {"iteration": int(loaded[0]),
+                                         "arrays": loaded[1],
+                                         "scalars": loaded[2]}
+        elif lowest >= 0:
+            stack.resumed = lowest
+            saved_x = loaded[1].get("x")
+            if saved_x is not None:
+                x0 = op.new_field()
+                if saved_x.shape != x0.data.shape:
+                    raise CheckpointError(
+                        f"rank {rank}: saved solver state is "
+                        f"{saved_x.shape}, tile needs "
+                        f"{x0.data.shape}")
+                x0.data[...] = saved_x
+                # Neighbour halo refresh: the replacement rank's
+                # reconstructed subdomain gets live boundary data.
+                op.exchanger.exchange([x0], depth=1)
+                start["x0"] = x0
+    return start

@@ -404,8 +404,9 @@ class ServiceEngine:
         return None, None, False
 
     def _build_preconditioner(self, options, n: int):
+        from repro.physics import crooked_pipe_system
         from repro.solvers.preconditioners import make_local_preconditioner
-        from repro.testing import crooked_pipe_system, serial_operator
+        from repro.solvers.ranks import serial_operator
         grid, kxg, kyg, _ = crooked_pipe_system(n)
         op = serial_operator(grid, kxg, kyg,
                              halo=options.required_field_halo)

@@ -73,9 +73,7 @@ class Defences:
         ``opt.guard_interval`` would construct."""
         if guard is None and opt.guard_interval > 0:
             from repro.resilience.guard import SolverGuard
-            guard = SolverGuard(checkpoint_interval=opt.guard_interval,
-                                divergence_ratio=opt.guard_divergence_ratio,
-                                max_rollbacks=opt.guard_max_rollbacks)
+            guard = SolverGuard.from_options(opt)
         return cls(guard=guard, cancel=cancel, **{
             knob: getattr(opt, knob) for knob in (
                 "abft_interval", "abft_tolerance", "replace_interval",

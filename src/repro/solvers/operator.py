@@ -152,8 +152,8 @@ class StencilOperator:
 
         In 2-D ``kx_global`` has shape ``(ny, nx+1)`` and ``ky_global`` has
         shape ``(ny+1, nx)`` (see
-        :func:`repro.physics.conduction.face_coefficients`; its ``_3d``
-        form gives the three 3-D arrays).
+        :func:`repro.physics.conduction.face_coefficients`, which gives
+        the three 3-D arrays from a 3-D conductivity).
         Faces outside the global domain are zero, so no halo exchange of the
         coefficients is needed.  ``dtype`` sets the working precision of the
         coefficient fields (and hence of :meth:`new_field` workspaces).

@@ -6,7 +6,7 @@ construction so downstream code can trust it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from repro.utils.validation import check_in, check_positive, require
 
@@ -240,3 +240,19 @@ class SolverOptions:
                 "dcg": "DCG"}[self.solver]
         depth = self.halo_depth if self.solver in ("chebyshev", "ppcg") else 1
         return f"{base} - {depth}"
+
+
+def options_to_dict(options: SolverOptions) -> dict:
+    """JSON-ready :class:`SolverOptions` (tuples become lists) — what
+    checkpoint manifests and chaos fixtures store."""
+    return {k: (list(v) if isinstance(v, tuple) else v)
+            for k, v in asdict(options).items()}
+
+
+def options_from_dict(data: dict) -> SolverOptions:
+    """Invert :func:`options_to_dict` (re-runs all option validation)."""
+    raw = dict(data)
+    for key in ("eigen_safety", "deflation_blocks"):
+        if key in raw and isinstance(raw[key], list):
+            raw[key] = tuple(raw[key])
+    return SolverOptions(**raw)

@@ -6,33 +6,32 @@ reference systems in a line or two:
 
 - :func:`crooked_pipe_system` — global operator coefficients and RHS of
   the paper's benchmark first implicit step (:func:`crooked_duct_system`
-  is its 3-D analogue);
+  is its 3-D analogue); each a one-line call of
+  :func:`repro.physics.first_step_system`, the one system builder;
 - :func:`random_spd_faces` — random positive face coefficients (an SPD
   ``I + D`` operator) for property-style testing;
 - :func:`serial_operator` / :func:`reference_solution` — a one-rank
-  operator and the direct sparse ground truth;
+  operator (from :mod:`repro.solvers.ranks`) and the direct sparse ground
+  truth;
 - :func:`distributed_solve` — run any :class:`SolverOptions` configuration
-  genuinely decomposed over the in-process SPMD world and return the
-  assembled global solution.
+  genuinely decomposed over the in-process SPMD world (the rank program,
+  :func:`repro.solvers.ranks.solve_on_ranks`, on the bare communicator) and
+  return the assembled global solution.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.comm import SerialComm, launch_spmd
-from repro.mesh import Field, Grid2D, Grid3D, decompose
+from repro.mesh import Grid2D, Grid3D
 from repro.physics import (
-    cell_conductivity,
     crooked_duct_3d,
-    crooked_pipe,
     crooked_pipe_jump,
-    face_coefficients,
-    face_coefficients_3d,
-    global_initial_state,
+    crooked_pipe_system,
+    first_step_system,
 )
-from repro.physics.simulation3d import paint_boxes
-from repro.solvers import StencilOperator, solve_linear
+from repro.solvers import StencilOperator
+from repro.solvers.ranks import serial_operator, solve_on_ranks
 
 __all__ = [
     "crooked_pipe_system",
@@ -45,32 +44,12 @@ __all__ = [
 ]
 
 
-def crooked_pipe_system(n: int, dt: float = 0.04):
-    """Global arrays of the crooked-pipe first implicit step.
-
-    Returns ``(grid, kx_global, ky_global, b_global)``.
-    """
-    grid = Grid2D(n, n)
-    density, _, u0 = global_initial_state(grid, crooked_pipe())
-    kappa = cell_conductivity(density)
-    rx = dt / grid.dx ** 2
-    ry = dt / grid.dy ** 2
-    kxg, kyg = face_coefficients(kappa, rx, ry)
-    return grid, kxg, kyg, u0
-
-
 def crooked_pipe_jump_system(n: int, jump: float, dt: float = 0.04):
     """Like :func:`crooked_pipe_system` for one ill-conditioned battery
     problem (:func:`~repro.physics.crooked_pipe_jump`): the conductivity
     contrast — and the operator's condition number — scales with ``jump``.
     """
-    grid = Grid2D(n, n)
-    density, _, u0 = global_initial_state(grid, crooked_pipe_jump(jump))
-    kappa = cell_conductivity(density)
-    rx = dt / grid.dx ** 2
-    ry = dt / grid.dy ** 2
-    kxg, kyg = face_coefficients(kappa, rx, ry)
-    return grid, kxg, kyg, u0
+    return first_step_system(Grid2D(n, n), crooked_pipe_jump(jump), dt)
 
 
 def crooked_duct_system(n: int, dt: float = 0.04):
@@ -79,11 +58,7 @@ def crooked_duct_system(n: int, dt: float = 0.04):
 
     Returns ``(grid, kx_global, ky_global, kz_global, b_global)``.
     """
-    grid = Grid3D(n, n, n)
-    density, energy = paint_boxes(grid, crooked_duct_3d())
-    ratios = [dt / d ** 2 for d in (grid.dx, grid.dy, grid.dz)]
-    return (grid, *face_coefficients_3d(cell_conductivity(density), *ratios),
-            density * energy)
+    return first_step_system(Grid3D(n, n, n), crooked_duct_3d(), dt)
 
 
 def random_spd_faces(rng: np.random.Generator, *shape: int,
@@ -101,14 +76,6 @@ def random_spd_faces(rng: np.random.Generator, *shape: int,
     return tuple(faces)
 
 
-def serial_operator(grid, *faces: np.ndarray, halo: int = 1
-                    ) -> StencilOperator:
-    """A one-rank operator over the whole grid, from its global face
-    arrays ``kx, ky[, kz]``."""
-    tile = decompose(grid, 1)[0]
-    return StencilOperator.from_global_faces(tile, halo, *faces, SerialComm())
-
-
 def reference_solution(*faces_b: np.ndarray):
     """Direct sparse solve of the global system ``reference_solution(kx,
     ky[, kz], b)`` (scipy ground truth)."""
@@ -119,21 +86,10 @@ def reference_solution(*faces_b: np.ndarray):
 
 
 def distributed_solve(grid, *system, factors=None):
-    """Solve on a ``size``-rank world, called as ``distributed_solve(grid,
-    kx, ky[, kz], b, options, size)``; returns (global x, rank-0 result).
-    ``factors`` overrides the process-grid layout ``(px, py[, pz])``."""
+    """:func:`~repro.solvers.ranks.solve_on_ranks` on the bare communicator,
+    called as ``distributed_solve(grid, kx, ky[, kz], b, options, size)``;
+    returns (global x, rank-0 result).  ``factors`` overrides the
+    process-grid layout ``(px, py[, pz])``."""
     *faces, bg, options, size = system
-
-    def rank_main(comm):
-        tile = decompose(grid, comm.size, factors)[comm.rank]
-        halo = options.required_field_halo
-        op = StencilOperator.from_global_faces(tile, halo, *faces, comm)
-        b = Field.from_global(tile, halo, bg)
-        result = solve_linear(op, b, options=options)
-        return tile, result
-
-    out = launch_spmd(rank_main, size)
-    x = np.zeros(grid.shape)
-    for tile, result in out:
-        x[tile.global_slices] = result.x.interior
-    return x, out[0][1]
+    run = solve_on_ranks(grid, faces, bg, options, size, factors=factors)
+    return run.x, run.result

@@ -25,9 +25,18 @@ import numpy as np
 from repro.comm import SerialComm, launch_spmd
 from repro.mesh import (Field, Grid2D, Grid3D, HaloExchanger, choose_factors,
                         decompose)
-from repro.physics import face_coefficients_3d
+from repro.physics import face_coefficients
 from repro.physics.state import build_coefficient_fields
-from repro.solvers import StencilOperator
+from repro.solvers import SolverOptions, StencilOperator
+from repro.solvers.ranks import instrumented_stack, solve_on_ranks
+
+
+def counted_solve(n, size=1, **options):
+    """The ``n``^2 crooked-pipe first step through the rank program on the
+    counting stack: ``run.result``, ``run.events`` (rank 0's log)."""
+    grid, *faces, bg = crooked_pipe_system(n)
+    return solve_on_ranks(grid, faces, bg, SolverOptions(**options), size,
+                          stack=instrumented_stack)
 
 
 def history_sha(history) -> str:
@@ -65,7 +74,7 @@ def system_3d(n=12, seed=3, rx=0.5):
     kz), b, direct solution)``."""
     rng = np.random.default_rng(seed)
     g = Grid3D(n, n, n)
-    faces = face_coefficients_3d(rng.uniform(0.2, 5.0, g.shape), rx, rx, rx)
+    faces = face_coefficients(rng.uniform(0.2, 5.0, g.shape), rx, rx, rx)
     bg = rng.standard_normal(g.shape)
     return g, faces, bg, reference_solution(*faces, bg)
 

@@ -10,6 +10,8 @@ the abort remain restorable, and an **inert** token is bit-transparent
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -233,7 +235,7 @@ class TestRankCoherentCancellation:
 
 
 @pytest.mark.slow
-def test_all_contracts_verify_with_inert_token():
+def test_all_contracts_verify_with_inert_token(monkeypatch):
     """Every shipped COMM_CONTRACT still verifies when an inert
     CancelToken rides along: the cancellation hook adds zero
     communication and never perturbs the iteration path."""
@@ -241,17 +243,23 @@ def test_all_contracts_verify_with_inert_token():
 
     specs = default_specs()
     assert len(specs) == 10
-    # Hand every spec's run an inert token on top of its defences (dcg
-    # ignores it: deflated CG has no cancellation hook).
-    from dataclasses import replace
+    # Hand every spec's solve an inert token (dcg ignores it: deflated CG
+    # has no cancellation hook).
+    from repro.solvers import ranks
 
-    token = CancelToken()
-    for spec in specs:
-        spec.run = (lambda op, b, bounds, k, defences, run=spec.run:
-                    run(op, b, bounds, k, replace(defences, cancel=token)))
+    class CountingToken(CancelToken):
+        checks = 0
+
+        def check(self, iteration):
+            CountingToken.checks += 1
+            super().check(iteration)
+
+    monkeypatch.setattr(ranks, "rank_program", functools.partial(
+        ranks.rank_program, cancel=CountingToken()))
 
     reports = verify_contracts(n=32, specs=specs)
     assert len(reports) == 10
     bad = [(r.name, r.measured_allreduces, r.measured_halos)
            for r in reports if not r.ok]
     assert not bad, bad
+    assert CountingToken.checks > 100    # the token really rode along

@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from repro.mesh import Field, Grid2D
-from repro.solvers import (
-    DiagonalPreconditioner,
-    StencilOperator2D,
-    cg_solve,
-)
+from repro.solvers import cg_solve
 from repro.utils import ConvergenceError
 
 from tests.helpers import (
+    counted_solve,
     crooked_pipe_system,
     random_spd_faces,
     reference_solution,
@@ -139,34 +136,15 @@ class TestDiagnostics:
 class TestCommunicationPattern:
     def test_allreduce_count_two_per_iteration(self):
         """CG must fuse its dots: 2 allreduces per iteration (+1 setup)."""
-        from repro.comm import InstrumentedComm, SerialComm
-        from repro.utils import EventLog
-
-        g, kx, ky, bg = crooked_pipe_system(16)
-        from repro.mesh import decompose
-        log = EventLog()
-        comm = InstrumentedComm(SerialComm(), log)
-        tile = decompose(g, 1)[0]
-        op = StencilOperator2D.from_global_faces(tile, 1, kx, ky, comm)
-        b = Field.from_global(tile, 1, bg)
-        result = cg_solve(op, b, eps=1e-10)
-        n_allreduce = log.count_kind("allreduce")
-        assert n_allreduce == 2 * result.iterations + 1
+        run = counted_solve(16, solver="cg", eps=1e-10)
+        assert run.events.count_kind("allreduce") \
+            == 2 * run.result.iterations + 1
 
     def test_preconditioned_same_allreduce_count(self):
-        from repro.comm import InstrumentedComm, SerialComm
-        from repro.mesh import decompose
-        from repro.utils import EventLog
-
-        g, kx, ky, bg = crooked_pipe_system(16)
-        log = EventLog()
-        comm = InstrumentedComm(SerialComm(), log)
-        tile = decompose(g, 1)[0]
-        op = StencilOperator2D.from_global_faces(tile, 1, kx, ky, comm)
-        b = Field.from_global(tile, 1, bg)
-        result = cg_solve(op, b, eps=1e-10,
-                          preconditioner=DiagonalPreconditioner(op))
-        assert log.count_kind("allreduce") == 2 * result.iterations + 1
+        run = counted_solve(16, solver="cg", eps=1e-10,
+                            preconditioner="diagonal")
+        assert run.events.count_kind("allreduce") \
+            == 2 * run.result.iterations + 1
 
     def test_halo_exchanges_one_per_iteration(self):
         g, kx, ky, bg = crooked_pipe_system(16)

@@ -21,6 +21,7 @@ from repro.solvers.preconditioners import (
 from repro.utils import ConfigurationError, EventLog
 
 from tests.helpers import (
+    counted_solve,
     crooked_pipe_system,
     random_spd_faces,
     reference_solution,
@@ -262,17 +263,9 @@ class TestChebyshevSolve:
         assert result.warmup_iterations > 0
 
     def test_no_dots_between_checks(self):
-        from repro.comm import InstrumentedComm, SerialComm
-        from repro.mesh import decompose
-        from repro.solvers import StencilOperator2D
-
-        g, kx, ky, bg = crooked_pipe_system(24)
-        log = EventLog()
-        comm = InstrumentedComm(SerialComm(), log)
-        tile = decompose(g, 1)[0]
-        op = StencilOperator2D.from_global_faces(tile, 1, kx, ky, comm)
-        b = Field.from_global(tile, 1, bg)
-        result = chebyshev_solve(op, b, eps=1e-10, check_interval=10)
+        run = counted_solve(24, solver="chebyshev", eps=1e-10,
+                            check_interval=10)
+        result, log = run.result, run.events
         # warm-up pays 2/iter; the Chebyshev phase only pays per check
         checks = int(np.ceil(result.iterations / 10))
         expected_max = 2 * result.warmup_iterations + 1 + checks + 1

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from repro.comm import RECOVERY_KIND, SerialComm, launch_spmd
+from repro.mesh import Grid3D
 from repro.observe import Tracer
+from repro.physics import crooked_duct_3d
 from repro.physics.deck import parse_deck_text
 from repro.physics.simulation import restart_simulation, run_simulation
 from repro.resilience import (
@@ -270,26 +272,33 @@ class TestKillAndRestart:
     def test_restart_is_bit_identical_with_invariant_spans(self, tmp_path):
         from repro.physics.deck import crooked_pipe_deck, deck_to_problem
         deck = crooked_pipe_deck(16)
+        # one driver steps both: the 16^2 deck and the 12^3 crooked duct
+        # (whose manifest must bring back a Grid3D and six-bound boxes)
+        for name, grid, problem in (
+                ("pipe", deck.grid, deck_to_problem(deck)),
+                ("duct", Grid3D(12, 12, 12), crooked_duct_3d())):
+            self.check_restart(tmp_path / name, grid, problem,
+                               dt=deck.initial_timestep,
+                               conductivity=deck.tl_coefficient)
+
+    def check_restart(self, root, grid, problem, **kwargs):
         options = SolverOptions(solver="ppcg", eps=1e-10, max_iters=200,
                                 ppcg_inner_steps=4, eigen_warmup_iters=10)
-        kwargs = dict(dt=deck.initial_timestep, nranks=2,
-                      conductivity=deck.tl_coefficient)
-        problem = deck_to_problem(deck)
+        kwargs.update(nranks=2, tracer_factory=_tracer_factory)
 
-        full = run_simulation(deck.grid, problem, options, n_steps=4,
-                              tracer_factory=_tracer_factory, **kwargs)
+        full = run_simulation(grid, problem, options, n_steps=4, **kwargs)
 
         # run half the steps with durable checkpointing, then "crash":
         # every in-memory object goes out of scope, only the disk survives
         interrupted = run_simulation(
-            deck.grid, problem, options, n_steps=2,
-            checkpoint_dir=tmp_path, checkpoint_interval=2, total_steps=4,
-            tracer_factory=_tracer_factory, **kwargs)
-        del problem, options, deck
+            grid, problem, options, n_steps=2,
+            checkpoint_dir=root, checkpoint_interval=2, total_steps=4,
+            **kwargs)
+        del problem, options
 
-        resumed = restart_simulation(tmp_path,
-                                     tracer_factory=_tracer_factory)
+        resumed = restart_simulation(root, tracer_factory=_tracer_factory)
 
+        assert resumed.grid == grid
         assert len(resumed.steps) == 2
         assert resumed.steps[-1].step == 4
         assert np.array_equal(full.temperature, resumed.temperature)
@@ -650,7 +659,7 @@ class TestRestartCli:
         rc = main(["tealeaf", "--deck", str(deck),
                    "--checkpoint-interval", "2"])
         assert rc == 2
-        assert "checkpoint-dir" in capsys.readouterr().err
+        assert "requires a checkpoint_dir" in capsys.readouterr().err
 
 
 # -- snapshot atomicity (satellite) -------------------------------------------

@@ -7,7 +7,6 @@ from repro.physics import (
     Conductivity,
     cell_conductivity,
     face_coefficients,
-    face_coefficients_3d,
 )
 from repro.utils import ConfigurationError
 
@@ -42,18 +41,25 @@ class TestCellConductivity:
         assert rho[0, 0] == 1.0
 
 
+def check_shapes_and_zero_boundaries(shape):
+    """One array per axis (x first), one face longer along it, with zero
+    first and last faces — in 2-D and 3-D."""
+    faces = face_coefficients(np.ones(shape), *range(2, 2 + len(shape)))
+    assert len(faces) == len(shape)
+    for axis, k in zip(reversed(range(len(shape))), faces):
+        assert k.shape == tuple(n + (a == axis) for a, n in enumerate(shape))
+        across = np.moveaxis(k, axis, 0)
+        assert np.all(across[0] == 0) and np.all(across[-1] == 0)
+        assert np.all(across[1:-1] > 0)
+
+
 class TestFaceCoefficients:
     def test_shapes_and_zero_boundaries(self):
-        kappa = np.ones((3, 5))
-        kx, ky = face_coefficients(kappa, rx=2.0, ry=3.0)
-        assert kx.shape == (3, 6)
-        assert ky.shape == (4, 5)
-        assert np.all(kx[:, 0] == 0) and np.all(kx[:, -1] == 0)
-        assert np.all(ky[0, :] == 0) and np.all(ky[-1, :] == 0)
+        check_shapes_and_zero_boundaries((3, 5))
 
     def test_uniform_medium_values(self):
         kappa = np.full((4, 4), 2.0)
-        kx, ky = face_coefficients(kappa, rx=0.5, ry=0.25)
+        kx, ky = face_coefficients(kappa, 0.5, 0.25)
         assert np.allclose(kx[:, 1:-1], 1.0)   # 0.5 * harmonic(2,2)=2
         assert np.allclose(ky[1:-1, :], 0.5)
 
@@ -72,6 +78,8 @@ class TestFaceCoefficients:
     def test_invalid_r(self):
         with pytest.raises(ConfigurationError):
             face_coefficients(np.ones((2, 2)), 0.0, 1.0)
+        with pytest.raises(ConfigurationError):   # one ratio per axis
+            face_coefficients(np.ones((2, 2)), 1.0, 1.0, 1.0)
 
     def test_positive_everywhere_interior(self):
         rng = np.random.default_rng(0)
@@ -83,21 +91,13 @@ class TestFaceCoefficients:
 
 class TestFaceCoefficients3D:
     def test_shapes(self):
-        kappa = np.ones((2, 3, 4))
-        kx, ky, kz = face_coefficients_3d(kappa, 1.0, 1.0, 1.0)
-        assert kx.shape == (2, 3, 5)
-        assert ky.shape == (2, 4, 4)
-        assert kz.shape == (3, 3, 4)
+        check_shapes_and_zero_boundaries((2, 3, 4))
 
     def test_zero_boundary_faces(self):
-        kappa = np.ones((3, 3, 3))
-        kx, ky, kz = face_coefficients_3d(kappa, 1.0, 1.0, 1.0)
-        assert np.all(kx[:, :, 0] == 0) and np.all(kx[:, :, -1] == 0)
-        assert np.all(ky[:, 0, :] == 0) and np.all(ky[:, -1, :] == 0)
-        assert np.all(kz[0] == 0) and np.all(kz[-1] == 0)
+        check_shapes_and_zero_boundaries((3, 3, 3))
 
     def test_uniform_values_scaled(self):
         kappa = np.full((3, 3, 3), 3.0)
-        kx, _, kz = face_coefficients_3d(kappa, 2.0, 1.0, 0.5)
+        kx, _, kz = face_coefficients(kappa, 2.0, 1.0, 0.5)
         assert np.allclose(kx[:, :, 1:-1], 6.0)
         assert np.allclose(kz[1:-1], 1.5)

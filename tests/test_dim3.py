@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from repro.mesh import Field, Grid3D
-from repro.physics import face_coefficients_3d
+from repro.physics import face_coefficients
 from repro.solvers import StencilOperator, cg_solve, jacobi_solve
 from repro.utils import ConfigurationError
 
@@ -19,7 +19,7 @@ from tests.helpers import check_matvec, random_spd_faces, serial_operator
 def random_op(rng, nz=4, ny=5, nx=6):
     """A serial operator with random coefficients, and its sparse matrix."""
     kappa = rng.uniform(0.2, 5.0, size=(nz, ny, nx))
-    faces = face_coefficients_3d(kappa, 0.7, 0.5, 0.3)
+    faces = face_coefficients(kappa, 0.7, 0.5, 0.3)
     return (serial_operator(Grid3D(nx, ny, nz), *faces),
             StencilOperator.assemble_sparse(*faces))
 
@@ -94,7 +94,7 @@ class TestSolvers3D:
         grid = Grid3D(6, 6, 6)
         kappa = rng.uniform(0.5, 2.0, size=grid.shape)
         rx = 0.1 / grid.dx ** 2
-        op = serial_operator(grid, *face_coefficients_3d(kappa, rx, rx, rx))
+        op = serial_operator(grid, *face_coefficients(kappa, rx, rx, rx))
         u0 = rng.uniform(0.0, 5.0, size=grid.shape)
         u1 = cg_solve(op, field(op, u0), eps=1e-12).x
         assert u1.interior.sum() == pytest.approx(u0.sum(), rel=1e-10)

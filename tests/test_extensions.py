@@ -4,12 +4,11 @@ adaptive PPCG, and field summaries."""
 import numpy as np
 import pytest
 
-from repro.comm import InstrumentedComm, SerialComm, launch_spmd
-from repro.mesh import Field, Grid2D, decompose
+from repro.comm import SerialComm, launch_spmd
+from repro.mesh import Field, Grid2D
 from repro.solvers import (
     EigenBounds,
     SolverOptions,
-    StencilOperator2D,
     cg_fused_solve,
     cg_solve,
     deflated_cg_solve,
@@ -17,9 +16,10 @@ from repro.solvers import (
     solve_linear,
 )
 from repro.solvers.deflation import DeflationSpace
-from repro.utils import ConfigurationError, ConvergenceError, EventLog
+from repro.utils import ConfigurationError, ConvergenceError
 
 from tests.helpers import (
+    counted_solve,
     crooked_pipe_system,
     distributed_solve,
     random_spd_faces,
@@ -55,14 +55,9 @@ class TestFusedCG:
 
     def test_one_allreduce_per_iteration(self):
         """The whole point: a single global reduction per iteration."""
-        g, kx, ky, bg = crooked_pipe_system(24)
-        log = EventLog()
-        comm = InstrumentedComm(SerialComm(), log)
-        tile = decompose(g, 1)[0]
-        op = StencilOperator2D.from_global_faces(tile, 1, kx, ky, comm)
-        b = Field.from_global(tile, 1, bg)
-        result = cg_fused_solve(op, b, eps=1e-10)
-        assert log.count_kind("allreduce") == result.iterations + 1
+        run = counted_solve(24, solver="cg_fused", eps=1e-10)
+        assert run.events.count_kind("allreduce") \
+            == run.result.iterations + 1
 
     def test_with_preconditioner(self):
         from repro.solvers import BlockJacobiPreconditioner

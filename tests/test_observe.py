@@ -50,8 +50,7 @@ from repro.resilience import (
     RetryingComm,
     VirtualClock,
 )
-from repro.solvers import (Defences, SolverOptions, StencilOperator2D,
-                           cg_solve)
+from repro.solvers import SolverOptions, StencilOperator2D, cg_solve
 from repro.testing import crooked_pipe_system
 from repro.utils import EventLog
 
@@ -401,22 +400,20 @@ def test_simulation_step_spans(tmp_path):
 def _span_measure(spec, n=32):
     """Replicate verify._measure, counting *spans* instead of events."""
     from repro.analysis.verify import _gershgorin_lam_max, build_system
+    from repro.solvers.driver import SolveSetup
     from repro.solvers.eigen import EigenBounds
+    from repro.solvers.ranks import instrumented_stack, solve_on_ranks
 
     grid, faces, bg = build_system(spec.system, n)
-    bounds = EigenBounds(1.0, _gershgorin_lam_max(*faces))
+    setup = SolveSetup(bounds=EigenBounds(1.0, _gershgorin_lam_max(*faces)))
 
     def one_run(max_iters):
         tracer = Tracer(clock=VirtualClock(tick=1e-6))
-        log = EventLog()
-        comm = InstrumentedComm(SerialComm(), log, tracer=tracer)
-        tile = decompose(grid, 1)[0]
-        op = StencilOperator2D.from_global_faces(
-            tile, spec.halo, *faces, comm, events=log, tracer=tracer)
-        b = Field.from_global(tile, spec.halo, bg)
-        result = spec.run(op, b, bounds, max_iters, Defences())
+        run = solve_on_ranks(
+            grid, faces, bg, spec.options(max_iters), setup=setup,
+            stack=lambda comm, _: instrumented_stack(comm, tracer=tracer))
         return (tracer.count("allreduce"), tracer.count("halo_exchange"),
-                result.iterations, tracer)
+                run.result.iterations, tracer)
 
     ar1, halo1, it1, _ = one_run(spec.iters[0])
     ar2, halo2, it2, tracer = one_run(spec.iters[1])

@@ -10,18 +10,15 @@ import math
 import numpy as np
 import pytest
 
-from repro.comm import InstrumentedComm, SerialComm, launch_spmd
-from repro.mesh import Field, Grid2D, decompose
 from repro.perfmodel.profiles import (
     HaloSpec,
     SolverConfig,
     build_profile,
     warmup_profile,
 )
-from repro.solvers import StencilOperator2D, cg_solve, ppcg_solve
-from repro.utils import ConfigurationError, EventLog
+from repro.utils import ConfigurationError
 
-from tests.helpers import crooked_pipe_system
+from tests.helpers import counted_solve
 
 
 class TestSolverConfig:
@@ -65,28 +62,15 @@ class TestProfileShapes:
         assert warmup_profile() == build_profile(SolverConfig("cg"))
 
 
-def _instrumented_solve(solver_fn, options_halo, size=4, n=32):
-    """Run a solve on an instrumented world; return rank-0 log + result."""
-    g, kx, ky, bg = crooked_pipe_system(n)
-
-    def rank_main(comm):
-        log = EventLog()
-        comm = InstrumentedComm(comm, log)
-        tile = decompose(g, comm.size)[comm.rank]
-        op = StencilOperator2D.from_global_faces(tile, options_halo, kx, ky,
-                                                 comm, events=log)
-        b = Field.from_global(tile, options_halo, bg)
-        result = solver_fn(op, b)
-        return log, result
-
-    out = launch_spmd(rank_main, size)
-    return out[0]
+def _instrumented_solve(**options):
+    """A 4-rank 32^2 solve on the counting stack: rank-0 log + result."""
+    run = counted_solve(32, 4, eps=1e-10, **options)
+    return run.events, run.result
 
 
 class TestProfilesMatchInstrumentedRuns:
     def test_cg_halo_and_allreduce_counts(self):
-        log, result = _instrumented_solve(
-            lambda op, b: cg_solve(op, b, eps=1e-10), options_halo=1)
+        log, result = _instrumented_solve(solver="cg")
         profile = build_profile(SolverConfig("cg"))
         iters = result.iterations
         # +1: the initial residual matvec / setup reduction
@@ -98,9 +82,8 @@ class TestProfilesMatchInstrumentedRuns:
     def test_ppcg_halo_counts(self, inner, depth):
         warmup = 15
         log, result = _instrumented_solve(
-            lambda op, b: ppcg_solve(op, b, eps=1e-10, inner_steps=inner,
-                                     halo_depth=depth, warmup_iters=warmup),
-            options_halo=depth)
+            solver="ppcg", ppcg_inner_steps=inner, halo_depth=depth,
+            eigen_warmup_iters=warmup)
         assert result.converged and result.iterations > 0
         profile = build_profile(
             SolverConfig("ppcg", inner_steps=inner, halo_depth=depth))
@@ -117,13 +100,9 @@ class TestProfilesMatchInstrumentedRuns:
     def test_ppcg_matvec_cells_include_redundancy(self):
         """Measured matvec cells exceed interior-only by the extension work."""
         depth, inner = 4, 8
-        log1, res1 = _instrumented_solve(
-            lambda op, b: ppcg_solve(op, b, eps=1e-10, inner_steps=inner,
-                                     halo_depth=1, warmup_iters=10),
-            options_halo=1)
-        logd, resd = _instrumented_solve(
-            lambda op, b: ppcg_solve(op, b, eps=1e-10, inner_steps=inner,
-                                     halo_depth=depth, warmup_iters=10),
-            options_halo=depth)
+        ppcg = dict(solver="ppcg", ppcg_inner_steps=inner,
+                    eigen_warmup_iters=10)
+        log1, res1 = _instrumented_solve(**ppcg, halo_depth=1)
+        logd, resd = _instrumented_solve(**ppcg, halo_depth=depth)
         assert res1.iterations == resd.iterations  # identical algebra
         assert logd.total("matvec", "cells") > log1.total("matvec", "cells")

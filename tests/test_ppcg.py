@@ -9,9 +9,10 @@ from repro.solvers import (
     cg_solve,
     ppcg_solve,
 )
-from repro.utils import ConfigurationError, EventLog
+from repro.utils import ConfigurationError
 
 from tests.helpers import (
+    counted_solve,
     crooked_pipe_system,
     random_spd_faces,
     reference_solution,
@@ -98,25 +99,13 @@ class TestConvergence:
 class TestCommunicationAvoidance:
     def test_fewer_dot_products_than_cg(self):
         """The headline claim: CPPCG needs far fewer global reductions."""
-        from repro.comm import InstrumentedComm, SerialComm
-        from repro.mesh import decompose
-        from repro.solvers import StencilOperator2D
+        def count(**options):
+            run = counted_solve(48, eps=1e-10, **options)
+            assert run.result.converged
+            return run.events.count_kind("allreduce")
 
-        g, kx, ky, bg = crooked_pipe_system(48)
-
-        def count(solver):
-            log = EventLog()
-            comm = InstrumentedComm(SerialComm(), log)
-            tile = decompose(g, 1)[0]
-            op = StencilOperator2D.from_global_faces(tile, 1, kx, ky, comm)
-            b = Field.from_global(tile, 1, bg)
-            result = solver(op, b)
-            assert result.converged
-            return log.count_kind("allreduce")
-
-        cg_dots = count(lambda op, b: cg_solve(op, b, eps=1e-10))
-        ppcg_dots = count(lambda op, b: ppcg_solve(op, b, eps=1e-10,
-                                                   inner_steps=10))
+        cg_dots = count(solver="cg")
+        ppcg_dots = count(solver="ppcg", ppcg_inner_steps=10)
         assert ppcg_dots < cg_dots / 2
 
     def test_same_matvec_order_as_cg(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mesh import Grid2D
+from repro.mesh import Grid2D, Grid3D
 from repro.physics import ProblemSpec, RegionSpec, crooked_pipe, hot_square, uniform_problem
 from repro.utils import ConfigurationError
 
@@ -19,6 +19,10 @@ class TestRegionSpec:
         m = r.mask(g)
         assert m[:, 2].all() and m[:, 4].all()
         assert not m[:, 1].any() and not m[:, 5].any()
+        # a box on a 3-D grid: the same rectangle over 1 <= z < 3
+        box = RegionSpec(1.0, 1.0, "rectangle", r.bounds + (1.0, 3.0))
+        assert np.array_equal(box.mask(Grid3D(10, 10, 10)),
+                              np.stack([m & (1 <= z < 3) for z in range(10)]))
 
     def test_circle_mask(self):
         g = Grid2D(10, 10)
@@ -44,6 +48,13 @@ class TestRegionSpec:
             RegionSpec(1.0, 1.0, "rectangle", (0.0, 1.0))
         with pytest.raises(ConfigurationError):
             RegionSpec(1.0, 1.0, "circle", (0.0, 1.0))
+        # the bounds count must match the grid painted: 4 in 2-D, 6 in 3-D
+        flat = RegionSpec(1.0, 1.0, "rectangle", (0.0, 1.0, 0.0, 1.0))
+        with pytest.raises(ConfigurationError):
+            flat.mask(Grid3D(4, 4, 4))
+        with pytest.raises(ConfigurationError):   # circles are 2-D
+            RegionSpec(1.0, 1.0, "circle", (5.0, 5.0, 2.0)).mask(
+                Grid3D(4, 4, 4))
 
     def test_bad_geometry(self):
         with pytest.raises(ConfigurationError):

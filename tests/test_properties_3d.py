@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.comm import launch_spmd
 from repro.mesh import Field, Grid3D, HaloExchanger, decompose
-from repro.physics import face_coefficients_3d
+from repro.physics import face_coefficients
 
 from tests.helpers import (check_exchange_fills_ghosts, check_matvec,
                            serial_operator)
@@ -27,7 +27,7 @@ def grids_3d(draw, max_n=10):
 
 
 def random_faces(g, rng):
-    return face_coefficients_3d(rng.uniform(0.1, 5.0, g.shape), 0.7, 0.5, 0.3)
+    return face_coefficients(rng.uniform(0.1, 5.0, g.shape), 0.7, 0.5, 0.3)
 
 
 class TestHalo3DProperties:

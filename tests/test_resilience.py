@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.comm import (
-    EventWindow,
+    RETRY_KIND,
     InstrumentedComm,
     SerialComm,
     launch_spmd,
@@ -159,31 +159,18 @@ class TestRetryNotCounted:
     """Satellite: retries must never inflate COMM_CONTRACT counts."""
 
     def test_contract_counts_unchanged_under_faults(self):
-        from repro.mesh import decompose
-        from repro.solvers import StencilOperator2D
-
-        def counted_solve(plan):
-            grid, kxg, kyg, bg = crooked_pipe_system(24)
-            stack = build_resilient_comm(SerialComm(), plan)
-            tile = decompose(grid, 1)[0]
-            op = StencilOperator2D.from_global_faces(
-                tile, 1, kxg, kyg, stack.comm, events=stack.events)
-            b = Field.from_global(tile, 1, bg)
-            with EventWindow(stack.events) as w:
-                result = cg_solve(op, b, eps=1e-10, max_iters=600)
-            return result, w
-
         # Error-only plan: retried ops succeed, nothing is corrupted, so
         # the logical operation stream is identical to fault-free.
         plan = FaultPlan(seed=7, rules=(
             FaultRule(mode="error", probability=0.05, ops=("allreduce",)),))
-        clean, w_clean = counted_solve(FaultPlan.disabled())
-        faulty, w_faulty = counted_solve(plan)
-        assert w_clean.retry_count() == 0
-        assert w_faulty.retry_count() > 0
+        options = SolverOptions(solver="cg", eps=1e-10, max_iters=600)
+        clean = run_resilient(options, FaultPlan.disabled(), n=24)
+        faulty = run_resilient(options, plan, n=24)
+        assert clean.retries == 0
+        assert faulty.retries == faulty.events.count_kind(RETRY_KIND) > 0
         assert clean.iterations == faulty.iterations
-        assert (w_faulty.count_kind("allreduce")
-                == w_clean.count_kind("allreduce"))
+        assert (faulty.events.count_kind("allreduce")
+                == clean.events.count_kind("allreduce"))
 
     def test_verify_contracts_through_resilient_stack(self):
         from repro.analysis.verify import verify_contracts

@@ -261,25 +261,23 @@ class TestPointToPoint:
 class TestTransparency:
     @staticmethod
     def _solve(wrap):
-        from repro.mesh import Field, decompose
-        from repro.solvers import StencilOperator2D, cg_solve
+        from repro.solvers import SolverOptions
+        from repro.solvers.ranks import instrumented_stack, solve_on_ranks
         from repro.testing import crooked_pipe_system
-        from repro.utils import EventLog
 
-        grid, kxg, kyg, bg = crooked_pipe_system(16)
-        log = EventLog()
-        comm = InstrumentedComm(SerialComm(), log)
+        def stack(comm, _):
+            stk = instrumented_stack(comm)
+            if wrap:
+                stk.comm = SanitizerComm(stk.comm)
+            return stk
+
+        grid, *faces, bg = crooked_pipe_system(16)
+        run = solve_on_ranks(
+            grid, faces, bg,
+            SolverOptions(solver="cg", eps=1e-300, max_iters=12), stack=stack)
         if wrap:
-            comm = SanitizerComm(comm)
-        tile = decompose(grid, 1)[0]
-        op = StencilOperator2D.from_global_faces(tile, 1, kxg, kyg, comm,
-                                                 events=log)
-        b = Field.from_global(tile, 1, bg)
-        result = cg_solve(op, b, eps=1e-300, max_iters=12)
-        counts = dict(log.as_dict())
-        if wrap:
-            comm.check_quiescent()
-        return result, counts
+            run.ranks[0].stack.comm.check_quiescent()
+        return run.result, dict(run.events.as_dict())
 
     def test_sanitizer_is_bit_identical_and_event_silent(self):
         plain, plain_counts = self._solve(wrap=False)

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.comm import SerialComm
 from repro.io.vtk import read_vtk, write_vtk
 from repro.mesh import Grid2D, Grid3D
-from repro.physics.simulation3d import (
-    BoxRegion3D,
-    Simulation3D,
-    crooked_duct_3d,
-)
+from repro.physics import (ProblemSpec, RegionSpec, Simulation,
+                           crooked_duct_3d)
 from repro.utils import ConfigurationError
+
+
+def simulation_3d(n):
+    """The one stepping driver on an ``n``^3 crooked duct, serially."""
+    return Simulation(SerialComm(), Grid3D(n, n, n), crooked_duct_3d())
 
 
 class TestVTK:
@@ -66,43 +69,45 @@ class TestVTK:
 class TestSimulation3D:
     @pytest.fixture(scope="class")
     def sim(self):
-        sim = Simulation3D(Grid3D(12, 12, 12), crooked_duct_3d(),
-                           dt=0.04, eps=1e-10)
+        sim = simulation_3d(12)
         sim.run(3)
         return sim
 
     def test_energy_conserved(self, sim):
-        fresh = Simulation3D(Grid3D(12, 12, 12), crooked_duct_3d())
         assert sim.mean_temperature() == pytest.approx(
-            fresh.mean_temperature(), rel=1e-9)
+            simulation_3d(12).mean_temperature(), rel=1e-9)
 
     def test_heat_follows_duct(self, sim):
         """The low-density duct conducts; the dense block barely does."""
-        grid = sim.grid
-        duct = sim.density < 1.0
-        assert sim.u[duct].mean() > 3 * sim.u[~duct].mean()
+        duct = sim.fields["density"].interior < 1.0
+        u = sim.u.interior
+        assert u[duct].mean() > 3 * u[~duct].mean()
 
     def test_max_temperature_decays(self):
-        sim = Simulation3D(Grid3D(10, 10, 10), crooked_duct_3d())
-        t0 = sim.u.max()
-        sim.run(2)
-        assert sim.u.max() < t0
+        sim = simulation_3d(10)
+        before = sim.summary()
+        assert before.volume == pytest.approx(10.0 ** 3)   # dx * dy * dz
+        after = sim.run(2, summary_frequency=2)[-1].summary
+        assert after.max_temperature < before.max_temperature
+        assert after.internal_energy == pytest.approx(
+            before.internal_energy, rel=1e-9)
 
     def test_step_stats(self):
-        sim = Simulation3D(Grid3D(8, 8, 8), crooked_duct_3d())
-        stats = sim.step()
-        assert stats["step"] == 1
-        assert stats["time"] == pytest.approx(0.04)
-        assert stats["iterations"] > 0
+        stats = simulation_3d(8).step()
+        assert stats.step == 1
+        assert stats.time == pytest.approx(0.04)
+        assert stats.iterations > 0
 
     def test_background_required_first(self):
         with pytest.raises(ConfigurationError):
-            Simulation3D(Grid3D(4, 4, 4),
-                         (BoxRegion3D(1.0, 1.0, bounds=(0, 1, 0, 1, 0, 1)),))
+            ProblemSpec(regions=(
+                RegionSpec(1.0, 1.0, "rectangle", (0, 1, 0, 1, 0, 1)),))
 
     def test_vtk_export_of_3d_state(self, tmp_path, sim):
-        path = write_vtk(tmp_path / "state.vtk", sim.grid,
-                         {"temperature": sim.u, "density": sim.density})
-        shape, fields = read_vtk(path)
+        """The driver's own dump (``visit_frequency``) of a 3-D state."""
+        sim.run(1, visit_frequency=1, output_dir=tmp_path)
+        shape, fields = read_vtk(tmp_path / f"tea.{sim.step_index}.vtk")
         assert shape == sim.grid.shape
-        assert np.allclose(fields["temperature"], sim.u)
+        assert np.allclose(fields["temperature"], sim.u.interior)
+        assert np.allclose(fields["density"],
+                           sim.fields["density"].interior)
