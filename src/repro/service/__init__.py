@@ -9,7 +9,9 @@ breakers + hedged retry** over SPMD worker groups,
 **LRU setup cache** for eigenvalue bounds and block-Jacobi
 factorizations.
 
-Two execution surfaces share these parts:
+One request lifecycle (:class:`~repro.service.lifecycle.RequestLifecycle`:
+admission, parse, dispatch bookkeeping, digest, reply classification,
+the terminal record) has two drivers:
 
 - :class:`~repro.service.engine.ServiceEngine` — deterministic
   discrete-event execution on virtual time (capacity planning, chaos
@@ -18,7 +20,7 @@ Two execution surfaces share these parts:
   real time and worker processes, one BLAS thread each
   (:mod:`repro.service.process`; ``repro serve``, examples).
 
-Both surfaces are optionally **crash-consistent**: a
+Both drivers are optionally **crash-consistent**: a
 :class:`~repro.service.journal.RequestJournal` (CRC32-framed segmented
 write-ahead log) records every lifecycle transition before the service
 acts on it, a :class:`~repro.service.recovery.ResultStore` persists
@@ -26,7 +28,8 @@ converged solutions, and on restart the engine replays the journal with
 exactly-once semantics — acknowledged completions are served from the
 durable digest, the in-flight crash victim resumes mid-solve from its
 guard shards (``resume="exact"``), and a
-:class:`~repro.service.supervisor.Supervisor` watches dispatch liveness.
+:class:`~repro.service.supervisor.SupervisedToken` bounds every
+dispatch's liveness.
 """
 
 from repro.service.breaker import CircuitBreaker
@@ -46,6 +49,7 @@ from repro.service.engine import (
 )
 from repro.service.front import SolveService
 from repro.service.journal import RequestJournal, encode_record, scan_journal
+from repro.service.lifecycle import RequestLifecycle
 from repro.service.quota import TokenBucket
 from repro.service.recovery import (
     RecoveryWarning,
@@ -55,7 +59,7 @@ from repro.service.recovery import (
     solution_digest,
 )
 from repro.service.requests import STATUSES, RequestOutcome, SolveRequest
-from repro.service.supervisor import SupervisedToken, Supervisor
+from repro.service.supervisor import SupervisedToken
 from repro.service.worker import ExecutionResult, WorkerGroup
 from repro.utils.errors import JournalError, WorkerStuck
 
@@ -70,6 +74,7 @@ __all__ = [
     "RecoveryWarning",
     "ReplayIndex",
     "RequestJournal",
+    "RequestLifecycle",
     "RequestOutcome",
     "ResultStore",
     "STATUSES",
@@ -81,7 +86,6 @@ __all__ = [
     "SolveRequest",
     "SolveService",
     "SupervisedToken",
-    "Supervisor",
     "TokenBucket",
     "WorkerGroup",
     "WorkerStuck",

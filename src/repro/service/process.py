@@ -115,8 +115,7 @@ class SolveReply:
     @classmethod
     def of(cls, result: ExecutionResult, cancel_reason: str) -> "SolveReply":
         reply = cls(result.kind, result.iterations, result.error_class,
-                    str(result.error or "")[:200],
-                    cancel_reason=cancel_reason)
+                    result.error_message, cancel_reason=cancel_reason)
         if result.kind == "ok":
             reply.x = result.report.x
             reply.retries = result.report.retries
@@ -221,7 +220,10 @@ def worker_main() -> None:
     worker = WorkerGroup(wid, group_size=group_size)
     with Connection(conn_fd) as conn, mmap.mmap(slot_fd, SLOT_BYTES) as slot:
         os.close(slot_fd)
-        conn.send(_READY)
+        try:
+            conn.send(_READY)
+        except OSError:                 # the parent left before we were up
+            return
         while True:
             try:
                 options, n, deadline, budget = conn.recv()

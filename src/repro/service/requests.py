@@ -1,15 +1,18 @@
 """Request/outcome records of the multi-tenant solve service.
 
-A :class:`SolveRequest` is a deck-style solve submission: the deck text
-is parsed *at dispatch time* (not at admission), so a poison deck costs
-the service one structured ``failed`` outcome instead of crashing the
-front-end.  A :class:`RequestOutcome` is the terminal record every
-request ends in — the engine guarantees exactly one of the
-:data:`STATUSES` for every admitted or shed request, which is what the
-sweep's "zero unclassified failures" acceptance gate asserts on.
+A :class:`SolveRequest` is a deck-style solve submission.  The deck text
+is parsed after admission, never before (a poison deck costs the service
+one structured ``failed`` outcome instead of crashing the front-end) —
+by the engine *at dispatch time*, by the asyncio front before it claims
+a worker (see :meth:`repro.service.lifecycle.RequestLifecycle.parse`).
+A :class:`RequestOutcome` is the terminal record every request ends in —
+the lifecycle guarantees exactly one of the :data:`STATUSES` for every
+admitted or shed request, which is what the sweep's "zero unclassified
+failures" acceptance gate asserts on.
 
-All times are virtual seconds on the engine's discrete-event clock, so
-same-seed runs produce byte-identical outcome ledgers.
+Times are seconds on the driver's clock: virtual on the engine's
+discrete-event clock (so same-seed runs produce byte-identical outcome
+ledgers), ``loop.time()`` readings in the front.
 """
 
 from __future__ import annotations

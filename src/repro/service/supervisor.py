@@ -1,4 +1,4 @@
-"""Worker supervision: liveness heartbeats and stuck-dispatch detection.
+"""Worker supervision: stuck-dispatch detection.
 
 A dispatch can wedge without failing — a solver spinning past any useful
 iteration count, a worker thread blocked on a peer that will never send.
@@ -13,22 +13,19 @@ iteration boundary) when either
   engine derives it from ``ServiceConfig.stuck_after_s`` and the
   per-iteration cost model, so virtual-time runs stay byte-reproducible;
 - a wall-clock watchdog :meth:`~SupervisedToken.trip`\\ s it — the
-  asyncio front-end arms a timer per dispatch.
+  asyncio front-end arms a ``loop.call_later`` per dispatch and relays
+  the trip through the worker's cancel slot.
 
 The engine classifies a ``WorkerStuck`` result like a retryable failure:
 the worker's breaker records the failure and the request re-dispatches
 (hedged, preferring a different worker) while attempts remain.
-
-:class:`Supervisor` is the bookkeeping side: per-worker ``heartbeat``
-timestamps and a ``scan`` that trips every token silent for longer than
-the allowance — what the front-end's watchdog loop calls.
 """
 
 from __future__ import annotations
 
 from repro.utils.errors import WorkerStuck
 
-__all__ = ["SupervisedToken", "Supervisor"]
+__all__ = ["SupervisedToken"]
 
 
 class SupervisedToken:
@@ -107,49 +104,3 @@ class SupervisedToken:
     def reason(self) -> str:
         return getattr(self.inner, "reason", "")
 
-
-class Supervisor:
-    """Per-worker liveness ledger + watchdog sweep.
-
-    ``watch`` registers a dispatch's token; every subsequent
-    ``heartbeat(wid, now)`` refreshes its last-seen time (the front-end
-    calls it as executor futures report progress; the engine's virtual
-    clock feeds ``now`` directly).  ``scan(now)`` trips every watched
-    token silent for longer than ``stuck_after_s`` and returns the
-    culprit worker ids — callers then rely on the cooperative
-    :class:`WorkerStuck` abort plus their breaker/retry machinery.
-    """
-
-    def __init__(self, stuck_after_s: float):
-        self.stuck_after_s = float(stuck_after_s)
-        self._watched: dict[int, tuple[SupervisedToken, float]] = {}
-        self.trips = 0
-
-    def watch(self, wid: int, token: SupervisedToken, now: float) -> None:
-        self._watched[wid] = (token, now)
-
-    def heartbeat(self, wid: int, now: float) -> None:
-        entry = self._watched.get(wid)
-        if entry is not None:
-            self._watched[wid] = (entry[0], now)
-
-    def clear(self, wid: int) -> None:
-        self._watched.pop(wid, None)
-
-    def last_seen(self, wid: int) -> float | None:
-        entry = self._watched.get(wid)
-        return entry[1] if entry is not None else None
-
-    def scan(self, now: float) -> list[int]:
-        """Trip every dispatch silent past the allowance; return its wids."""
-        if self.stuck_after_s <= 0:
-            return []
-        stuck = []
-        for wid, (token, seen) in list(self._watched.items()):
-            if now - seen >= self.stuck_after_s and not token.tripped:
-                token.trip(
-                    f"worker {wid} heartbeat silent for "
-                    f"{now - seen:.3f}s (allowance {self.stuck_after_s}s)")
-                self.trips += 1
-                stuck.append(wid)
-        return stuck

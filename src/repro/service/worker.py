@@ -43,6 +43,11 @@ class ExecutionResult:
     def error_class(self) -> str:
         return type(self.error).__name__ if self.error is not None else ""
 
+    @property
+    def error_message(self) -> str:
+        """``str(error)``, cut to what journal records and replies carry."""
+        return str(self.error)[:200] if self.error is not None else ""
+
 
 def _iteration_of(exc: BaseException) -> int:
     """The iteration a Cancelled/DeadlineExceeded stopped at.
@@ -71,11 +76,6 @@ class WorkerGroup:
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         #: virtual time until which this worker is occupied
         self.busy_until = 0.0
-        self.executed = 0
-
-    @property
-    def idle(self) -> bool:
-        return self.busy_until <= 0.0
 
     def execute(self, options: SolverOptions, n: int,
                 plan: FaultPlan | None = None,
@@ -104,7 +104,6 @@ class WorkerGroup:
         interrupted CG recurrence bit-identically (see
         :func:`~repro.resilience.runner.run_resilient`).
         """
-        self.executed += 1
         run_plan = plan if plan is not None else FaultPlan.disabled()
         try:
             report = run_resilient(options, run_plan, n=n,

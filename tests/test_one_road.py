@@ -197,3 +197,31 @@ def test_the_3d_fork_is_gone():
     for name in ("Simulation3D", "run_simulation_3d_distributed",
                  "BoxRegion3D", "paint_boxes", "face_coefficients_3d"):
         assert name not in source, name
+
+
+def test_the_service_lifecycle_is_stated_once():
+    """Lifecycle records, quota and deck parse have one writer each, and
+    neither driver grows back into one long method."""
+    writers, spans = {}, {}
+    for path in sorted((SRC / "service").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Dict):
+                for key, value in zip(node.keys, node.values):
+                    if getattr(key, "value", None) == "type" \
+                            and isinstance(value, ast.Constant):
+                        writers.setdefault(value.value, set()).add(path.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                spans[f"{path.name}::{node.name}"] = \
+                    node.end_lineno - node.lineno
+    assert writers == {
+        **dict.fromkeys(("accepted", "shed", "dedup", "dispatched",
+                         "terminal"), {"lifecycle.py"}),
+        "attempt": {"engine.py"}}
+    calls = callers()
+    for name in ("TokenBucket", "deck_solver_options"):
+        assert [w for w in calls[name] if w.startswith("service/")] == \
+            ["service/lifecycle.py::RequestLifecycle."
+             + ("arrive" if name == "TokenBucket" else "parse")]
+    assert {name: span for name, span in spans.items() if span > 60
+            and name.split("::")[0] in ("engine.py", "front.py",
+                                        "lifecycle.py")} == {}

@@ -167,6 +167,8 @@ class TestWorkerDeath:
         first, failures, second, killed, pids = asyncio.run(scenario())
         assert first.status == "completed" and first.attempts == 2
         assert first.worker == 1 and first.iterations > 0
+        # a served answer carries no trace of the attempt it replaced
+        assert first.error_class == "" and first.error_message == ""
         assert failures == 1
         assert second.status == "completed" and second.attempts == 1
         assert killed not in pids               # the slot got a new process
@@ -405,6 +407,15 @@ def test_worker_has_no_blas_pool_thread():
     outcome, tasks = asyncio.run(scenario())
     assert outcome.status == "completed"
     assert len(tasks) == 1
+
+
+def test_closing_a_cold_service_is_silent(capfd):
+    """Workers closed mid-import have nobody to say ``ready`` to."""
+    with SolveService(workers=2, **OPEN_QUOTA) as svc:
+        pids = [w.pid for w in svc._pool]
+    assert "Traceback" not in capfd.readouterr().err
+    assert not any(_alive(p) for p in pids)
+    assert multiprocessing.active_children() == []
 
 
 def test_service_leaves_environment_and_process_table_as_found():
