@@ -219,11 +219,13 @@ def dmgcg_solve(
     pre_sweeps: int = 2,
     post_sweeps: int = 2,
     omega: float = 0.8,
+    defences=None,
 ) -> SolveResult:
-    """CG preconditioned by the distributed hybrid V-cycle."""
+    """CG preconditioned by the distributed hybrid V-cycle, watched by
+    ``defences`` as any :func:`~repro.solvers.cg.cg_solve` is."""
     M = DistributedMultigridPreconditioner(
         op, pre_sweeps=pre_sweeps, post_sweeps=post_sweeps, omega=omega)
     result = cg_solve(op, b, x0, eps=eps, max_iters=max_iters,
-                      preconditioner=M, solver_name="mgcg")
+                      preconditioner=M, solver_name="mgcg", defences=defences)
     result.n_levels = M.n_levels
     return result

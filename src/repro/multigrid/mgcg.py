@@ -69,13 +69,15 @@ def mgcg_solve(
     post_sweeps: int = 2,
     omega: float = 0.8,
     smoother: str = "jacobi",
+    defences=None,
 ) -> SolveResult:
-    """Solve ``A x = b`` with V-cycle-preconditioned CG."""
+    """Solve ``A x = b`` with V-cycle-preconditioned CG, watched by
+    ``defences`` as any :func:`~repro.solvers.cg.cg_solve` is."""
     M = MultigridPreconditioner(op, pre_sweeps=pre_sweeps,
                                 post_sweeps=post_sweeps, omega=omega,
                                 smoother=smoother)
     result = cg_solve(op, b, x0, eps=eps, max_iters=max_iters,
-                      preconditioner=M, solver_name="mgcg")
+                      preconditioner=M, solver_name="mgcg", defences=defences)
     result.n_levels = M.hierarchy.n_levels
     return result
 

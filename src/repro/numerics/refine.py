@@ -79,12 +79,16 @@ def _defect_norm(op, b, x, d) -> float:
     return float(np.sqrt(dd))
 
 
-def refined_solve(op, b, x0, options, guard=None) -> SolveResult:
+def refined_solve(op, b, x0, options, guard=None, cancel=None,
+                  setup=None) -> SolveResult:
     """Solve ``A x = b`` by iterative refinement at ``options.dtype``.
 
     ``op``/``b`` are the caller's (float64) operator and right-hand side;
     the working-precision copies are created here, once.  The returned
-    solution field is float64.
+    solution field is float64.  ``guard``, ``cancel`` and ``setup`` go to
+    every inner and escalation solve as :func:`solve_linear` takes them; a
+    token's iteration budget counts boundaries of the inner solve in
+    flight, not of the refinement as a whole.
     """
     from repro.observe.trace import tracer_of
     from repro.solvers.driver import solve_linear
@@ -119,7 +123,7 @@ def refined_solve(op, b, x0, options, guard=None) -> SolveResult:
             d_w = cast_field(d, working)
             try:
                 inner = solve_linear(op_w, d_w, None, options=inner_opt,
-                                     guard=guard)
+                                     guard=guard, cancel=cancel, setup=setup)
             except ConvergenceError as exc:
                 reason = f"inner {options.solver} solve failed: {exc}"
                 break
@@ -154,7 +158,8 @@ def refined_solve(op, b, x0, options, guard=None) -> SolveResult:
         escalated = True
         with tracer.span("refine", "escalate"):
             final_result = solve_linear(op, b, x, options=escalate_opt,
-                                        guard=guard)
+                                        guard=guard, cancel=cancel,
+                                        setup=setup)
         iterations += final_result.iterations
         inner_iters += final_result.inner_iterations
         warmup_iters += final_result.warmup_iterations

@@ -19,16 +19,15 @@ vs. classical CG's 1 matvec + 2 allreduces.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.mesh.field import Field
+from repro.numerics.breakdown import residual_norm
+from repro.solvers.defences import Defences
 from repro.solvers.operator import StencilOperator2D
 from repro.solvers.preconditioners import (
     IdentityPreconditioner,
     Preconditioner,
 )
 from repro.solvers.result import SolveResult
-from repro.numerics.breakdown import BreakdownError, residual_norm
 from repro.utils.validation import check_finite_field, check_positive
 
 #: Machine-checked communication budget (see ``repro.analysis``): the
@@ -42,6 +41,28 @@ COMM_CONTRACT = {
 }
 
 
+class _FusedState:
+    """What a fused-CG solve checkpoints: iterate, residual, direction and
+    its maintained image ``s = A p``, and the two scalars the next step
+    size is built from (see ``Defences.watch``)."""
+
+    def __init__(self, x: Field, r: Field, p: Field, s: Field,
+                 gamma: float, r0_norm: float):
+        self.x, self.r, self.p, self.s, self.gamma = x, r, p, s, gamma
+        self.alpha, self.iterations, self.res_norm = 0.0, 0, r0_norm
+        self.history, self.alphas, self.betas = [r0_norm], [], []
+
+    def snapshot(self) -> tuple[dict, dict]:
+        return ({"x": self.x, "r": self.r, "p": self.p, "s": self.s},
+                {"alpha": self.alpha, "gamma": self.gamma})
+
+    def restore(self, iteration: int, scalars: dict) -> None:
+        self.iterations = k = int(iteration)
+        self.alpha, self.gamma = scalars["alpha"], scalars["gamma"]
+        del self.alphas[k:], self.betas[k:], self.history[k + 1:]
+        self.res_norm = self.history[-1]
+
+
 def cg_fused_solve(
     op: StencilOperator2D,
     b: Field,
@@ -51,13 +72,20 @@ def cg_fused_solve(
     max_iters: int = 10_000,
     preconditioner: Preconditioner | None = None,
     reference_norm: float | None = None,
-    cancel=None,
+    defences: Defences | None = None,
 ) -> SolveResult:
-    """Solve ``A x = b`` with one global reduction per iteration."""
+    """Solve ``A x = b`` with one global reduction per iteration.
+
+    ``defences`` (:class:`~repro.solvers.defences.Defences`) watches the
+    recurrence as it watches classical CG's; the step-size denominator
+    ``delta - beta gamma' / alpha`` *is* ``<p, Ap>`` in exact arithmetic
+    and is screened as that curvature.
+    """
     check_positive("eps", eps)
     check_positive("max_iters", max_iters)
     check_finite_field("b", b)
     check_finite_field("x0", x0)
+    defences = defences if defences is not None else Defences()
     M = preconditioner if preconditioner is not None \
         else IdentityPreconditioner(op)
 
@@ -74,71 +102,57 @@ def cg_fused_solve(
     r0_norm = residual_norm(rr)
     reference = r0_norm if reference_norm is None else reference_norm
     threshold = eps * reference
-    history = [r0_norm]
-    alphas: list[float] = []
-    betas: list[float] = []
 
-    if r0_norm <= threshold:
-        return SolveResult(x=x, solver="cg_fused", converged=True,
-                           iterations=0, residual_norm=r0_norm,
-                           initial_residual_norm=r0_norm, history=history,
-                           events=op.events)
+    # p = u and s = A p = w, the latter maintained by recurrence from here.
+    st = _FusedState(x, r, u.copy(), w.copy(), gamma, r0_norm)
+    watch = defences.watch(st, op, "cg_fused")
+    converged = r0_norm <= threshold
+    if not converged:
+        # <Au, u> is the first <p, Ap>.  No checkpoint exists yet, so there
+        # is nothing to rewind to: the breakdown check alone judges it.
+        watch.breakdown.curvature(delta, 0)
+        st.alpha = gamma / delta
 
-    if not (np.isfinite(delta) and delta > 0):
-        raise BreakdownError(
-            f"fused CG breakdown at setup: <Au, u> = {delta:.3e} <= 0",
-            solver="cg_fused", iteration=0, quantity="pAp", value=delta)
-    alpha = gamma / delta
-    beta = 0.0
-    p = u.copy()
-    s = w.copy()   # s = A p, maintained by recurrence
-
-    converged = False
-    iterations = 0
-    res_norm = r0_norm
-
-    while iterations < max_iters:
-        # Cancellation boundary: before the iteration's matvec exchange
-        # and fused reduction (see repro.service.cancel).
-        if cancel is not None:
-            cancel.check(iterations)
-        x.axpy(alpha, p, op.kernels)
-        r.axpy(-alpha, s, op.kernels)
-        M.apply(r, u)
-        op.apply(u, w)
-        gamma_new, delta, rr = op.dots([(r, u), (w, u), (r, r)])
-        iterations += 1
-        res_norm = residual_norm(rr)
-        history.append(res_norm)
-        alphas.append(float(alpha))
-        if res_norm <= threshold:
-            converged = True
-            betas.append(float(gamma_new / gamma))
-            break
-        beta = gamma_new / gamma
-        betas.append(float(beta))
-        denom = delta - beta * gamma_new / alpha
-        if not (np.isfinite(denom) and denom > 0):
-            raise BreakdownError(
-                f"fused CG breakdown: alpha denominator {denom:.3e} <= 0 "
-                "(non-SPD operator or accumulated round-off)",
-                solver="cg_fused", iteration=iterations,
-                quantity="alpha_denominator", value=denom)
-        alpha = gamma_new / denom
-        gamma = gamma_new
-        p.aypx(beta, u)
-        s.aypx(beta, w)
+    from repro.observe.trace import tracer_of
+    tracer = tracer_of(op)
+    while not converged and st.iterations < max_iters:
+        watch.boundary()
+        with tracer.span("iteration", "cg_fused"):
+            watch.begin()
+            x.axpy(st.alpha, st.p, op.kernels)
+            r.axpy(-st.alpha, st.s, op.kernels)
+            M.apply(r, u)
+            op.apply(u, w)
+            gamma_new, delta, rr = op.dots([(r, u), (w, u), (r, r)])
+            st.iterations += 1
+            st.res_norm = residual_norm(rr)
+            st.history.append(st.res_norm)
+            st.alphas.append(float(st.alpha))
+            if watch.residual():
+                continue
+            beta = gamma_new / st.gamma
+            st.betas.append(float(beta))
+            if st.res_norm <= threshold:
+                converged = True
+                break
+            pap = delta - beta * gamma_new / st.alpha
+            if watch.curvature(pap):
+                continue
+            st.alpha = gamma_new / pap
+            st.gamma = gamma_new
+            st.p.aypx(beta, u)
+            st.s.aypx(beta, w)
 
     result = SolveResult(
         x=x,
         solver="cg_fused",
         converged=converged,
-        iterations=iterations,
-        residual_norm=res_norm,
+        iterations=st.iterations,
+        residual_norm=st.res_norm,
         initial_residual_norm=r0_norm,
-        history=history,
+        history=st.history,
         events=op.events,
     )
-    result.alphas = alphas
-    result.betas = betas
+    result.alphas = st.alphas
+    result.betas = st.betas
     return result

@@ -306,8 +306,7 @@ def chebyshev_solve(
     local_M = make_local_preconditioner(op, preconditioner)
     warmup = cg_solve(op, b, x0, eps=eps, max_iters=warmup_iters,
                       preconditioner=local_M, solver_name="chebyshev",
-                      defences=Defences(guard=defences.guard,
-                                        cancel=defences.cancel))
+                      defences=defences.warmup())
     if warmup.converged:
         warmup.warmup_iterations = warmup.iterations
         warmup.iterations = 0

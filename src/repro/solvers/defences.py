@@ -1,7 +1,9 @@
 """What happens when a recurrence scalar is unhealthy or a check is due.
 
-The loops in :mod:`~repro.solvers.cg`, :mod:`~repro.solvers.ppcg` and
-:mod:`~repro.solvers.chebyshev` state the paper's algorithms; every
+The solver loops (:mod:`~repro.solvers.cg` — which is also the loop of
+ppcg, mgcg and deflated CG —, :mod:`~repro.solvers.cg_fused`,
+:mod:`~repro.solvers.chebyshev`, :mod:`~repro.solvers.jacobi`) state the
+paper's algorithms; every
 safeguard around them lives in :class:`Defences`, built once per solve by
 :func:`~repro.solvers.driver.solve_linear`.  ``defences.watch(state, op,
 name)`` binds a copy to one recurrence, whose loop calls its hooks; a

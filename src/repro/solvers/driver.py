@@ -55,13 +55,12 @@ def solve_linear(
     :class:`~repro.resilience.guard.SolverGuard` (so callers can share its
     iteration cell with a fault injector); when omitted and
     ``options.guard_interval > 0`` one is constructed from the options.
-    Guards apply to the cg/ppcg/chebyshev family.  ``cancel`` is an
-    optional :class:`~repro.service.cancel.CancelToken`-like object
-    checked at every iteration boundary of the
-    cg/cg_fused/jacobi/chebyshev/ppcg family (a fired token raises
-    :class:`~repro.utils.errors.DeadlineExceeded` /
+    ``cancel`` is an optional
+    :class:`~repro.service.cancel.CancelToken`-like object (a fired token
+    raises :class:`~repro.utils.errors.DeadlineExceeded` /
     :class:`~repro.utils.errors.Cancelled` coherently on every rank; an
-    inert token is bit-transparent).
+    inert token is bit-transparent).  Every solver's iteration loop is
+    watched by these defences, refined solves included.
 
     ``setup`` is an optional :class:`SolveSetup` of reusable expensive
     artifacts — Chebyshev eigenvalue bounds and a prefactorised local
@@ -81,7 +80,8 @@ def solve_linear(
         # Mixed-precision iterative refinement wraps whole inner solves
         # (which come back through this entry point with refine=False).
         from repro.numerics.refine import refined_solve
-        return refined_solve(op, b, x0, opt, guard=guard)
+        return refined_solve(op, b, x0, opt, guard=guard, cancel=cancel,
+                             setup=setup)
     defences = Defences.from_options(opt, guard, cancel)
 
     solve_op, bb, xx = op, b, x0
@@ -117,32 +117,32 @@ def _dispatch(op, b, x0, opt, defences, setup=None,
         raise ConfigurationError(
             f"exact mid-solve resume is only supported for the plain "
             f"'cg' solver, not {opt.solver!r}")
-    budget = {"eps": opt.eps, "max_iters": opt.max_iters}
+    # What every solver takes: the iteration budget and the one watch.
+    common = {"eps": opt.eps, "max_iters": opt.max_iters,
+              "defences": defences}
     if opt.solver == "jacobi":
-        return jacobi_solve(op, b, x0, **budget, cancel=defences.cancel,
-                            stagnation_window=opt.stagnation_window)
+        return jacobi_solve(op, b, x0, **common)
     if opt.solver in ("cg", "cg_fused"):
         M = setup.preconditioner if setup is not None else None
         if M is None:
             M = make_local_preconditioner(op, opt.preconditioner)
         if opt.solver == "cg":
-            return cg_solve(op, b, x0, **budget, preconditioner=M,
+            return cg_solve(op, b, x0, **common, preconditioner=M,
                             raise_on_stall=opt.raise_on_stall,
-                            defences=defences, resume_state=resume_state)
+                            resume_state=resume_state)
         from repro.solvers.cg_fused import cg_fused_solve
-        return cg_fused_solve(op, b, x0, **budget, preconditioner=M,
-                              cancel=defences.cancel)
+        return cg_fused_solve(op, b, x0, **common, preconditioner=M)
     if opt.solver == "dcg":
         from repro.solvers.deflation import deflated_cg_solve
-        return deflated_cg_solve(op, b, x0, **budget,
+        return deflated_cg_solve(op, b, x0, **common,
                                  blocks=opt.deflation_blocks,
                                  preconditioner=opt.preconditioner)
     if opt.solver in ("chebyshev", "ppcg"):
-        spectral = dict(budget, warmup_iters=opt.eigen_warmup_iters,
+        spectral = dict(common, warmup_iters=opt.eigen_warmup_iters,
                         eigen_safety=opt.eigen_safety,
                         halo_depth=opt.halo_depth,
                         raise_on_stall=opt.raise_on_stall,
-                        degrade=opt.degrade, defences=defences,
+                        degrade=opt.degrade,
                         bounds=setup.bounds if setup is not None else None)
         if opt.solver == "chebyshev":
             return chebyshev_solve(op, b, x0, **spectral,
@@ -157,7 +157,7 @@ def _dispatch(op, b, x0, opt, defences, setup=None,
         # domain-decomposition + agglomeration V-cycle (paper §VII).
         if op.comm.size == 1:
             from repro.multigrid.mgcg import mgcg_solve
-            return mgcg_solve(op, b, x0, **budget)
+            return mgcg_solve(op, b, x0, **common)
         from repro.multigrid.distributed import dmgcg_solve
-        return dmgcg_solve(op, b, x0, **budget)
+        return dmgcg_solve(op, b, x0, **common)
     raise ConfigurationError(f"unknown solver {opt.solver!r}")

@@ -96,9 +96,9 @@ class SolverOptions:
     #: reductions, turning silent payload corruption into retryable
     #: faults.
     integrity: bool = False
-    #: ABFT residual replay: every this many CG/PPCG iterations recompute
-    #: the true residual ``b - A x`` and compare against the recurrence
-    #: (0 disables).
+    #: ABFT residual replay: every this many iterations of a CG
+    #: recurrence (cg, ppcg, dcg, mgcg) recompute the true residual
+    #: ``b - A x`` and compare against the recurrence (0 disables).
     abft_interval: int = 0
     #: Relative drift tolerated by the ABFT replay before it triggers a
     #: rollback.
@@ -217,6 +217,13 @@ class SolverOptions:
                  and self.solver not in ("cg", "ppcg")),
             "residual replacement is a CG-recurrence repair: "
             "replace_interval > 0 requires solver cg or ppcg",
+        )
+        require(
+            not (self.abft_interval > 0
+                 and self.solver in ("jacobi", "cg_fused", "chebyshev")),
+            "the ABFT replay checks a CG recurrence against its true "
+            "residual: abft_interval > 0 requires solver cg, ppcg, dcg "
+            "or mgcg",
         )
         check_positive("comm_timeout", self.comm_timeout, allow_zero=True)
         require(

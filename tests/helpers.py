@@ -157,3 +157,12 @@ class ScriptedComm(SerialComm):
         out = super().allreduce(value, op)
         fn = self.script.get(self.calls)
         return out if fn is None else fn(out)
+
+
+def scripted_system(script=None, n=16):
+    """The serial ``n``^2 crooked pipe on a :class:`ScriptedComm`:
+    ``(op, b)``."""
+    g, kx, ky, bg = crooked_pipe_system(n)
+    op = StencilOperator.from_global_faces(
+        serial_operator(g, kx, ky).tile, 1, kx, ky, ScriptedComm(script or {}))
+    return op, Field.from_global(op.tile, 1, bg)

@@ -19,8 +19,9 @@ from repro.comm import SanitizerComm, SanitizerState, launch_spmd
 from repro.mesh import Field, decompose
 from repro.service import CancelToken, Cancelled, DeadlineExceeded, \
     ScheduledCancel
-from repro.solvers import Defences, StencilOperator2D, cg_solve, \
-    chebyshev_solve, jacobi_solve, ppcg_solve
+from repro.multigrid import dmgcg_solve, mgcg_solve
+from repro.solvers import Defences, StencilOperator2D, cg_fused_solve, \
+    cg_solve, chebyshev_solve, deflated_cg_solve, jacobi_solve, ppcg_solve
 from repro.testing import crooked_pipe_system, serial_operator
 
 
@@ -124,12 +125,15 @@ class TestSolverCancellation:
 
     @pytest.mark.parametrize("solve", [cg_solve, jacobi_solve])
     def test_scheduled_client_cancel_mid_solve(self, solve):
+        """One spelling for every recurrence: the token rides in
+        ``defences=`` and fires at the scheduled boundary."""
         op, b = _serial_system()
-        cancel = ScheduledCancel(CancelToken(), cancel_at_iteration=3)
-        kw = ({"defences": Defences(cancel=cancel)} if solve is cg_solve
-              else {"cancel": cancel})
-        with pytest.raises(Cancelled):
-            solve(op, b, eps=1e-12, max_iters=500, **kw)
+        for solve in (solve, cg_fused_solve, deflated_cg_solve, mgcg_solve):
+            cancel = ScheduledCancel(CancelToken(), cancel_at_iteration=3)
+            with pytest.raises(Cancelled) as exc:
+                solve(op, b, eps=1e-12, max_iters=500,
+                      defences=Defences(cancel=cancel))
+            assert exc.value.iteration == 3, solve.__name__
 
     def test_chebyshev_and_ppcg_respect_budgets(self):
         op, b = _serial_system()
@@ -141,6 +145,19 @@ class TestSolverCancellation:
             ppcg_solve(op, b, eps=1e-14, max_iters=400, warmup_iters=4,
                        defences=Defences(
                            cancel=CancelToken(iteration_budget=6)))
+
+    def test_refined_solve_is_cancellable(self):
+        """The token reaches the inner solves of mixed-precision
+        refinement: the budget counts boundaries of the inner solve in
+        flight."""
+        from repro.solvers import SolverOptions, solve_linear
+        op, b = _serial_system()
+        options = SolverOptions(solver="cg", dtype="float32", refine=True)
+        assert solve_linear(op, b, options=options).refinement_steps > 1
+        with pytest.raises(DeadlineExceeded) as exc:
+            solve_linear(op, b, options=options,
+                         cancel=CancelToken(iteration_budget=3))
+        assert exc.value.iteration == 3
 
     def test_inert_token_is_bit_transparent(self):
         """The no-token and inert-token solves take identical paths."""
@@ -193,28 +210,30 @@ class TestRankCoherentCancellation:
         """Every rank raises at the same iteration boundary and the
         sanitizer's quiescence check passes inside each rank: no pending
         p2p, no half-exchanged halo, no rank still waiting in a
-        collective."""
+        collective — also behind a projected ``apply_dot`` (dcg) and a
+        distributed V-cycle (mgcg)."""
         size = 2
         n = 16
-        state = SanitizerState(size)
         grid, kxg, kyg, bg = crooked_pipe_system(n)
 
-        def rank_main(comm):
+        def rank_main(comm, solve, state):
             c = SanitizerComm(comm, state=state)
             tile = decompose(grid, c.size)[c.rank]
             op = StencilOperator2D.from_global_faces(tile, 1, kxg, kyg, c)
             b = Field.from_global(tile, 1, bg)
             try:
-                cg_solve(op, b, eps=1e-14, max_iters=200,
-                         defences=Defences(
-                             cancel=CancelToken(iteration_budget=5)))
+                solve(op, b, eps=1e-14, max_iters=200,
+                      defences=Defences(
+                          cancel=CancelToken(iteration_budget=5)))
             except DeadlineExceeded as exc:
                 c.check_quiescent()   # raises SanitizerError if p2p pending
                 return ("deadline", exc.iteration)
             return ("converged", -1)
 
-        out = launch_spmd(rank_main, size)
-        assert out == [("deadline", 5)] * size
+        for solve in (cg_solve, deflated_cg_solve, dmgcg_solve):
+            out = launch_spmd(functools.partial(
+                rank_main, solve=solve, state=SanitizerState(size)), size)
+            assert out == [("deadline", 5)] * size, solve.__name__
 
     def test_client_cancel_via_spmd_runner_surfaces_cancelled(self):
         """Through the full resilient runner, a scheduled client cancel
@@ -243,8 +262,7 @@ def test_all_contracts_verify_with_inert_token(monkeypatch):
 
     specs = default_specs()
     assert len(specs) == 10
-    # Hand every spec's solve an inert token (dcg ignores it: deflated CG
-    # has no cancellation hook).
+    # Hand every spec's solve an inert token.
     from repro.solvers import ranks
 
     class CountingToken(CancelToken):

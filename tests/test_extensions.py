@@ -149,6 +149,43 @@ class TestDeflation:
         assert result.converged
         assert np.allclose(result.x.interior, x_ref, atol=1e-7)
 
+    @pytest.mark.parametrize("n,size,options,iterations", [
+        (32, 1, {}, 62), (48, 4, {}, 96),
+        (32, 2, dict(preconditioner="diagonal", deflation_blocks=(2, 2)), 53),
+        (64, 1, dict(preconditioner="block_jacobi", deflation_blocks=(8, 8)),
+         55),
+    ])
+    def test_is_cg_on_the_projected_operator(self, n, size, options,
+                                             iterations):
+        """Deflated CG is ``cg_solve`` on ``P A``; these counts are the
+        hand-written deflated loop's, whose solutions the replacement
+        reproduced bit for bit."""
+        result = counted_solve(n, size, solver="dcg", **options).result
+        assert result.converged and result.iterations == iterations
+
+    @pytest.mark.parametrize("reduction", range(16, 24))
+    def test_poisoned_reduction_is_judged_by_the_watch(self, reduction):
+        """A NaN in any reduction of an iteration — the projector's
+        ``W^T v`` included, which ``cho_solve`` must pass through, not
+        reject with scipy's ``ValueError`` — is rolled back by a guard, and
+        without one is a ``BreakdownError``."""
+        from repro.numerics.breakdown import BreakdownError
+        from tests.helpers import scripted_system
+
+        def solve(script, **options):
+            return solve_linear(
+                *scripted_system(script),
+                options=SolverOptions(solver="dcg", **options))
+
+        poison = {reduction: lambda out: out * np.nan}
+        clean = solve({}, guard_interval=3)
+        healed = solve(poison, guard_interval=3)
+        assert healed.converged and healed.iterations == 27
+        assert healed.history == clean.history
+        assert np.array_equal(healed.x.data, clean.x.data)
+        with pytest.raises(BreakdownError):
+            solve(poison)
+
     def test_projector_annihilates_deflation_space(self, rng):
         """P A W = 0: the defining property of the deflation projector."""
         n = 16

@@ -12,12 +12,19 @@ import pytest
 
 from repro.cli.main import main
 from repro.mesh import Grid2D, Grid3D
+from repro.numerics.breakdown import BreakdownError
 from repro.observe import traced_solve
 from repro.physics import (crooked_duct_3d, crooked_pipe, first_step_system,
                            run_simulation)
 from repro.resilience import FaultPlan, build_resilient_comm, run_resilient
-from repro.solvers import SolverOptions
+from repro.resilience.guard import SolverGuard
+from repro.service import (CancelToken, Cancelled, DeadlineExceeded,
+                           ScheduledCancel)
+from repro.solvers import SolverOptions, solve_linear
 from repro.solvers.ranks import solve_on_ranks
+from repro.utils.errors import ConfigurationError, ConvergenceError
+
+from tests.helpers import scripted_system
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -225,3 +232,105 @@ def test_the_service_lifecycle_is_stated_once():
     assert {name: span for name, span in spans.items() if span > 60
             and name.split("::")[0] in ("engine.py", "front.py",
                                         "lifecycle.py")} == {}
+
+
+# -- one watch over every recurrence -------------------------------------------
+
+WATCHED = ("jacobi", "cg", "cg_fused", "chebyshev", "ppcg", "dcg", "mgcg")
+ABFT_REFUSED = ("jacobi", "cg_fused", "chebyshev")   # not a CG recurrence
+
+
+def watched_solve(solver, script=None, guard=None, cancel=None, **options):
+    """The serial 16^2 crooked pipe through ``solve_linear``, its k-th
+    reduction passed through ``script[k]``: ``(result, op)``."""
+    op, b = scripted_system(script)
+    options = SolverOptions(solver=solver, max_iters=100_000, **options)
+    return solve_linear(op, b, options=options, guard=guard,
+                        cancel=cancel), op
+
+
+@pytest.mark.parametrize("solver", WATCHED)
+@pytest.mark.parametrize("defence", ["budget", "client_cancel", "guard",
+                                     "stagnation_window", "abft_interval"])
+def test_defence_is_honoured_or_refused(defence, solver):
+    """Whatever ``SolverOptions`` and ``solve_linear`` accept for a solver
+    demonstrably fires in its loop; what cannot is a ``ConfigurationError``
+    naming the option.  Nothing is silently dropped."""
+    if defence == "budget":
+        with pytest.raises(DeadlineExceeded) as exc:
+            watched_solve(solver, cancel=CancelToken(iteration_budget=3))
+        assert exc.value.iteration == 3
+    elif defence == "client_cancel":
+        with pytest.raises(Cancelled) as exc:
+            watched_solve(solver, cancel=ScheduledCancel(
+                CancelToken(), cancel_at_iteration=3))
+        assert exc.value.iteration == 3
+    elif defence == "guard":
+        # One poisoned reduction: rolled back, then bit-identical to the
+        # clean run.
+        guard = SolverGuard(checkpoint_interval=3)
+        clean, _ = watched_solve(solver, guard_interval=3)
+        healed, _ = watched_solve(solver, {12: lambda out: out * np.nan},
+                                  guard=guard, guard_interval=3)
+        assert guard.rollbacks == 1
+        assert healed.converged and outcome(healed) == outcome(clean)
+        assert np.array_equal(healed.x.data, clean.x.data)
+    elif defence == "stagnation_window":
+        # One reduction a million times too large — finite, so only the
+        # window can object.
+        knobs = dict(script={11: lambda out: out * 1e6},
+                     eigen_warmup_iters=4)
+        with pytest.raises(BreakdownError, match="stagnated"):
+            watched_solve(solver, stagnation_window=1, **knobs)
+        try:
+            watched_solve(solver, **knobs)
+        except ConvergenceError as exc:
+            assert "stagnated" not in str(exc)
+    elif solver in ABFT_REFUSED:
+        with pytest.raises(ConfigurationError, match="abft_interval"):
+            SolverOptions(solver=solver, abft_interval=2)
+    else:
+        clean, _ = watched_solve(solver)
+        checked, op = watched_solve(solver, abft_interval=2)
+        assert op.events.recovery_count("matvec") == (
+            checked.warmup_iterations // 2 + checked.iterations // 2)
+        assert outcome(checked) == outcome(clean)
+
+
+def test_every_recurrence_is_watched_by_the_one_defences():
+    """The solver family states each defence once, in ``defences.py``: no
+    solver checks a token, builds a breakdown guard or raises a breakdown
+    by hand, no ``*_solve`` takes a defence as a loose parameter, and every
+    one that iterates takes ``defences``."""
+    exempt = {"multigrid_solve"}   # standalone V-cycles, not a SolverOptions solver
+    for path in sorted([*(SRC / "solvers").glob("*.py"),
+                        *(SRC / "multigrid").glob("*.py")]):
+        where = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+
+        def called(node):
+            return [ast.unparse(n.func) for n in ast.walk(node)
+                    if isinstance(n, ast.Call)]
+
+        if where != "solvers/defences.py":
+            assert not [c for c in called(tree)
+                        if c.endswith("BreakdownGuard")
+                        or ("cancel" in c and c.endswith(".check"))], where
+        if where == "solvers/deflation.py":
+            assert not any(isinstance(n, ast.While) for n in ast.walk(tree))
+        for fn in tree.body:
+            if not (isinstance(fn, ast.FunctionDef)
+                    and fn.name.endswith("_solve")):
+                continue
+            here = f"{where}::{fn.name}"
+            params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
+            assert not params & {"cancel", "stagnation_window"}, here
+            iterates = any(c.split(".")[-1] == "cg_solve"
+                           for c in called(fn)) or any(
+                isinstance(n, ast.While) for n in ast.walk(fn))
+            assert "defences" in params or not iterates \
+                or fn.name in exempt, here
+            raised = {ast.unparse(n.exc.func) for n in ast.walk(fn)
+                      if isinstance(n, ast.Raise)
+                      and isinstance(n.exc, ast.Call)}
+            assert not raised & {"BreakdownError", "ConvergenceError"}, here

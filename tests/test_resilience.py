@@ -23,7 +23,6 @@ from repro.solvers import (
     Defences,
     EigenBounds,
     SolverOptions,
-    StencilOperator2D,
     cg_fused_solve,
     cg_solve,
     chebyshev_solve,
@@ -41,9 +40,9 @@ from repro.utils.errors import (
 )
 
 from tests.helpers import (
-    ScriptedComm,
     crooked_pipe_system,
     history_sha,
+    scripted_system,
     serial_operator,
 )
 
@@ -242,12 +241,7 @@ class TestDefencePaths:
 
     CLEAN = "5ab6329831f90439"   # history of the fault-free 28-iteration run
 
-    @staticmethod
-    def system(script):
-        g, kx, ky, bg = crooked_pipe_system(16)
-        op = StencilOperator2D.from_global_faces(
-            serial_operator(g, kx, ky).tile, 1, kx, ky, ScriptedComm(script))
-        return op, Field.from_global(op.tile, 1, bg)
+    system = staticmethod(scripted_system)
 
     @staticmethod
     def first_inf(out):
