@@ -81,7 +81,8 @@ lint:
 # before PR 13), the numerical core mesh+solvers+physics+kernels
 # (6822 before PR 18 merged the 2-D and 3-D stacks) and the rank programs
 # outside src/ (examples+benchmarks, 1566 before PR 19 put them on
-# solve_on_ranks).  Printed by the CI lint job on every PR.
+# solve_on_ranks), and the C source of the compiled kernel bodies, which
+# the `*.py` counts do not see.  Printed by the CI lint job on every PR.
 loc:
 	@for d in src/repro/*/; do \
 	    printf '%7d  %s\n' $$(find $$d -name '*.py' | xargs cat | wc -l) $$d; done
@@ -92,6 +93,8 @@ loc:
 	    src/repro/solvers src/repro/physics src/repro/kernels -name '*.py' \
 	    | xargs cat | wc -l)
 	@printf '%7d  examples+benchmarks\n' $$(cat examples/*.py benchmarks/*.py \
+	    | wc -l)
+	@printf '%7d  src/repro *.c\n' $$(find src/repro -name '*.c' | xargs cat \
 	    | wc -l)
 
 # Dynamic contract verification: run each solver under InstrumentedComm and

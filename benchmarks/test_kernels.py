@@ -3,8 +3,9 @@
 These are the building blocks whose byte-per-cell costs parameterise the
 performance model; benchmarking them documents the achieved bandwidth of
 every registered :mod:`repro.kernels` backend.  The stencil/BLAS-1 cases
-parametrize over :func:`repro.kernels.available_backends`, so installing
-an optional backend (numba) automatically widens the matrix.
+parametrize over :func:`repro.kernels.available_backends`; ``numpy`` is
+the compiled baseline wherever the machine has a C compiler
+(:func:`repro.kernels.baseline_bodies` says which bodies were timed).
 
 The pinned ledger of record is ``repro bench`` (``make bench``, writing
 ``BENCH_<n>.json``); this pytest-benchmark suite is the interactive

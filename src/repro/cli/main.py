@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="recompute ||b - A x|| after the solve and "
                               "report it next to the recurrence residual")
     p_solve.add_argument("--kernel-backend", default="",
-                         choices=["", "numpy", "fused", "numba"],
+                         choices=["", "numpy", "fused"],
                          help="kernel backend for the hot paths "
                               "(deck: tl_kernel_backend)")
     p_solve.add_argument("--comm-timeout", type=float, default=0.0,

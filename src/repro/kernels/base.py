@@ -3,10 +3,10 @@
 Every computational kernel of the solver family — the 5-point (2-D) or
 7-point (3-D) stencil apply (paper Listing 1), the fused apply+dot and
 apply+axpy+dot chains,
-halo pack/unpack, and the BLAS-1 tail (dot/axpy/norm) — is routed through
-a :class:`KernelBackend`.  Backends operate on **raw padded arrays plus
-explicit loop bounds** so implementations are free to block, fuse or JIT
-without knowing anything about :class:`~repro.mesh.field.Field`,
+halo pack/unpack, and the BLAS-1 tail (dot/axpy/aypx/norm) — is routed
+through a :class:`KernelBackend`.  Backends operate on **raw padded
+arrays plus explicit loop bounds** so implementations are free to block,
+fuse or compile without knowing anything about :class:`~repro.mesh.field.Field`,
 communicators or tracing; all of that stays in the operator layer.
 
 Loop-bound convention: ``(r0, r1, c0, c1)`` are *padded-array* indices of
@@ -26,10 +26,12 @@ padded shape (an operator's fields always do); anything else is a
 
 Numerical policy (see ``docs/kernels.md``):
 
-- **fp-order-preserving kernels** — ``stencil_apply``, ``axpy``, the
-  field updates of ``apply_axpy_dot``, ``pack_halo``/``unpack_halo`` —
+- **fp-order-preserving kernels** — ``stencil_apply``, ``axpy``,
+  ``aypx``, the field updates of ``apply_axpy_dot``,
+  ``pack_halo``/``unpack_halo`` —
   are elementwise and must match the ``numpy`` baseline **bit for bit**
-  for every dtype: blocking or JIT may not reorder an element's ops.
+  for every dtype: blocking or compiling may not reorder an element's
+  ops (nor fuse a multiply into an add).
 - **reductions** — ``dot``, ``norm`` and the scalars of ``apply_dot`` /
   ``apply_axpy_dot`` — may reassociate, within
   ``|d - d_ref| <= 64 * eps(dtype) * sum_i |a_i b_i|`` of the baseline.
@@ -98,7 +100,8 @@ def reduction_tolerance(a: np.ndarray, b: np.ndarray) -> float:
 
 class KernelBackend:
     """Abstract kernel set: subclasses implement the stencil chains,
-    ``dot`` and ``axpy``; ``norm`` and the halo copies have defaults.
+    ``dot`` and ``axpy``; ``aypx``, ``norm`` and the halo copies have
+    defaults.
     The stencil signatures are the 2-D calls (module docstring: a 3-D
     call carries ``kz`` and a plane bound pair more).
 
@@ -109,7 +112,7 @@ class KernelBackend:
     (``flags.writeable`` False) must never change again.
     """
 
-    #: Registry name (``"numpy"`` / ``"fused"`` / ``"numba"``).
+    #: Registry name (``"numpy"`` / ``"fused"``).
     name = "?"
 
     # -- stencil chains --------------------------------------------------------
@@ -153,6 +156,13 @@ class KernelBackend:
     def axpy(self, y: np.ndarray, alpha: float, x: np.ndarray) -> None:
         """``y += alpha * x`` in place (bit-identical to the baseline)."""
         raise NotImplementedError
+
+    def aypx(self, y: np.ndarray, beta: float, x: np.ndarray) -> None:
+        """``y = beta * y + x`` in place, one multiply and one add per
+        cell: the direction update of CG and Chebyshev (bit-identical to
+        these two passes, which are the baseline)."""
+        np.multiply(y, beta, out=y)
+        np.add(y, x, out=y)
 
     def norm(self, a: np.ndarray) -> float:
         """Local 2-norm ``sqrt(<a, a>)``."""

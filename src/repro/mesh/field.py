@@ -249,13 +249,10 @@ class Field:
         """``self += alpha * other`` on ``region(ext)``, by ``kernels.axpy``."""
         self._update(other, ext, lambda y, x: kernels.axpy(y, alpha, x))
 
-    def aypx(self, beta: float, other: "Field", ext: int = 0) -> None:
-        """``self = beta * self + other`` on ``region(ext)``: the direction
-        update of CG and Chebyshev, one multiply and one add per cell."""
-        def update(y, x):
-            np.multiply(y, beta, out=y)
-            np.add(y, x, out=y)
-        self._update(other, ext, update)
+    def aypx(self, beta: float, other: "Field", kernels, ext: int = 0) -> None:
+        """``self = beta * self + other`` on ``region(ext)``, by
+        ``kernels.aypx``: the direction update of CG and Chebyshev."""
+        self._update(other, ext, lambda y, x: kernels.aypx(y, beta, x))
 
     # -- reductions (rank-local; global reductions live on the operator) -----
 

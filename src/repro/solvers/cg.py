@@ -228,7 +228,7 @@ def cg_solve(
                 break
             if watch.coefficient(s.beta):
                 continue
-            s.p.aypx(s.beta, s.z)
+            s.p.aypx(s.beta, s.z, op.kernels)
             s.rz = s.rz_new
 
     if not converged and raise_on_stall:

@@ -140,8 +140,8 @@ def cg_fused_solve(
                 continue
             st.alpha = gamma_new / pap
             st.gamma = gamma_new
-            st.p.aypx(beta, u)
-            st.s.aypx(beta, w)
+            st.p.aypx(beta, u, op.kernels)
+            st.s.aypx(beta, w, op.kernels)
 
     result = SolveResult(
         x=x,

@@ -170,7 +170,7 @@ class ChebyshevIteration:
         rho_new = 1.0 / (2.0 * self.sigma - self.rho)
         # d <- rho' rho d + (2 rho'/delta) M^{-1} r  on the extended region
         self._precondition(self.rr, self.w, region, 2.0 * rho_new / self.delta)
-        self.d.aypx(rho_new * self.rho, self.w, ext)
+        self.d.aypx(rho_new * self.rho, self.w, op.kernels, ext)
         self.rho = rho_new
         self._since_exchange = (s + 1) % n
 
@@ -188,7 +188,7 @@ class ChebyshevIteration:
         self.M.apply(self.rr, self.w)
         wi = self.w.interior
         np.multiply(wi, 2.0 * rho_new / self.delta, out=wi)
-        self.d.aypx(rho_new * self.rho, self.w)
+        self.d.aypx(rho_new * self.rho, self.w, op.kernels)
         self.rho = rho_new
 
 

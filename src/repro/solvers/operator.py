@@ -273,13 +273,18 @@ class StencilOperator:
     def with_kernels(self, backend) -> "StencilOperator":
         """This operator routed through kernel backend ``backend``.
 
-        Returns ``self`` when the backend already matches; otherwise a
-        shallow copy sharing coefficients, communicator, events and
-        tracer, with a fresh exchanger bound to the new backend.
+        ``backend`` is a registry name — ``self`` is returned when its
+        backend already goes by that name — or an instance, which the
+        result always routes through (two classes are called ``numpy``).
+        A new operator is a shallow copy sharing coefficients,
+        communicator, events and tracer, with a fresh exchanger bound to
+        the new backend.
         """
-        k = get_backend(backend) if isinstance(backend, str) else backend
-        if k.name == self.kernels.name:
-            return self
+        k = backend
+        if isinstance(backend, str):
+            if backend == self.kernels.name:
+                return self
+            k = get_backend(backend)
         return replace(self, kernels=k, exchanger=HaloExchanger(
             self.comm, events=self.events, tracer=self.tracer, kernels=k))
 

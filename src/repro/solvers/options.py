@@ -13,7 +13,7 @@ from repro.utils.validation import check_in, check_positive, require
 SOLVERS = ("jacobi", "cg", "cg_fused", "dcg", "chebyshev", "ppcg", "mgcg")
 PRECONDITIONERS = ("none", "diagonal", "block_jacobi")
 WORKING_DTYPES = ("float32", "float64")
-KERNEL_BACKENDS = ("numpy", "fused", "numba")
+KERNEL_BACKENDS = ("numpy", "fused")
 
 
 @dataclass(frozen=True)
@@ -138,9 +138,8 @@ class SolverOptions:
     true_residual: bool = False
     #: Kernel backend (:mod:`repro.kernels`) the solve's hot paths route
     #: through (TeaLeaf deck key ``tl_kernel_backend``).  ``numpy`` is
-    #: the baseline; ``fused`` is loop-fused + cache-blocked; ``numba``
-    #: requires the optional numba extra (availability is checked at
-    #: solve time, so an options object naming it stays constructible).
+    #: the baseline (compiled loops where the machine has a C compiler);
+    #: ``fused`` is its NumPy replay with block-partial reductions.
     kernel_backend: str = "numpy"
     #: Per-attempt receive timeout in seconds for the resilient comm
     #: stack (TeaLeaf-style deck key ``tl_comm_timeout``, CLI

@@ -161,7 +161,7 @@ class TestRegionUpdates:
                 assert np.array_equal(bits(y.data), bits(ref))
                 ref[region] *= -0.75
                 ref[region] += x.data[region]
-                y.aypx(-0.75, x, ext)
+                y.aypx(-0.75, x, self.KERNELS, ext)
                 assert np.array_equal(bits(y.data), bits(ref))
 
     def test_other_may_be_self(self):
@@ -218,7 +218,7 @@ class TestRegionUpdates:
         it: a copy taken after the views exist must update *its* buffer."""
         y, x = _pair(self.center())
         y.axpy(1.0, x, self.KERNELS)
-        y.aypx(0.5, x, 1)
+        y.aypx(0.5, x, self.KERNELS, 1)
         twin = duplicate(y)
         assert np.array_equal(bits(twin.data), bits(y.data))
         ref = y.data.copy()
@@ -229,7 +229,7 @@ class TestRegionUpdates:
         assert not np.shares_memory(twin.data, y.data)
         ref[y.region(1)] *= 0.5
         ref[y.region(1)] += x.data[x.region(1)]
-        twin.aypx(0.5, x, 1)
+        twin.aypx(0.5, x, self.KERNELS, 1)
         assert np.array_equal(bits(twin.data), bits(ref))
 
     def test_buffers_that_do_not_share_a_layout_take_the_2d_path(self):
@@ -250,7 +250,7 @@ class TestRegionUpdates:
             assert np.array_equal(bits(y.data), bits(ref))
             ref[y.region(1)] *= 0.5
             ref[y.region(1)] += x.data[x.region(1)]
-            y.aypx(0.5, x, 1)
+            y.aypx(0.5, x, self.KERNELS, 1)
             assert np.array_equal(bits(y.data), bits(ref))
 
     def test_field3d_carries_the_same_methods(self):

@@ -23,6 +23,10 @@ over the axes, so it is the 5-point and the 7-point expression — as the
 test-only :class:`OracleBackend`.  The ``numpy`` backend must match it
 **exactly** — fields and reductions — kernel by kernel and over full
 solves, and a steady-state CG iteration on it must allocate no array.
+Two classes go by that name — the NumPy replay and, where the machine has
+a C compiler, the compiled loops of ``bodies.c`` — and every ``numpy``
+case below runs both (:func:`_instances`); seeded mutants of the C source
+and of its build flags must die on the same battery.
 """
 
 import hashlib
@@ -36,9 +40,13 @@ import pytest
 from repro.kernels import (
     DEFAULT_BACKEND,
     KNOWN_BACKENDS,
+    CompiledBackend,
     KernelBackend,
+    NumpyBackend,
     available_backends,
     backend_status,
+    baseline_bodies,
+    compiled,
     get_backend,
     reduction_tolerance,
 )
@@ -53,9 +61,20 @@ from tests.helpers import (bits, check_exchange_fills_ghosts,
 
 BASELINE = get_backend("numpy")
 
-#: Every registered non-baseline backend is tested; a backend that cannot
-#: be imported (numba absent) is skipped by not appearing here.
+#: Every registered non-baseline backend is tested.
 OTHERS = [n for n in available_backends() if n != "numpy"]
+
+
+def _instances(name):
+    """Fresh backends for one registry name — for ``numpy`` both classes
+    that go by it: the NumPy replay and, where this machine builds them,
+    the compiled loops (``get_backend`` alone would test only one)."""
+    if name != "numpy":
+        return [get_backend(name)]
+    both = [NumpyBackend()]
+    if baseline_bodies()[0] == "compiled":
+        both.append(CompiledBackend())
+    return both
 
 #: Interior shapes, 2-D then 3-D: square, non-square both ways,
 #: 1-cell-wide tiles along each axis, and per dimension one shape whose
@@ -273,36 +292,36 @@ def test_baseline_bit_identical_to_oracle(shape, halo, dtype, frozen):
     cached diagonal and the memoised geometry are reused across extents),
     every kernel exact."""
     faces, p, y = _system(shape, halo, dtype)
-    for k in faces:
-        k.flags.writeable = not frozen
-    k = get_backend("numpy")
-    for bounds in _all_bound_sets(shape, halo) * 2:
-        region = _window(bounds)
-        ref, out = np.zeros_like(p), np.zeros_like(p)
-        ORACLE.stencil_apply(*faces, p, ref, *bounds)
-        k.stencil_apply(*faces, p, out, *bounds)
-        assert out.dtype == ref.dtype and np.array_equal(out, ref)
+    for coeff in faces:
+        coeff.flags.writeable = not frozen
+    for k in _instances("numpy"):
+        for bounds in _all_bound_sets(shape, halo) * 2:
+            region = _window(bounds)
+            ref, out = np.zeros_like(p), np.zeros_like(p)
+            ORACLE.stencil_apply(*faces, p, ref, *bounds)
+            k.stencil_apply(*faces, p, out, *bounds)
+            assert out.dtype == ref.dtype and np.array_equal(out, ref)
 
-        ref, out = np.zeros_like(p), np.zeros_like(p)
-        assert (k.apply_dot(*faces, p, out, *bounds)
-                == ORACLE.apply_dot(*faces, p, ref, *bounds))
-        assert np.array_equal(out, ref)
+            ref, out = np.zeros_like(p), np.zeros_like(p)
+            assert (k.apply_dot(*faces, p, out, *bounds)
+                    == ORACLE.apply_dot(*faces, p, ref, *bounds))
+            assert np.array_equal(out, ref)
 
-        ref, out = np.zeros_like(p), np.zeros_like(p)
-        ref_y, yw = y.copy(), y.copy()
-        assert (k.apply_axpy_dot(*faces, p, out, yw, -0.75, *bounds)
-                == ORACLE.apply_axpy_dot(*faces, p, ref, ref_y, -0.75,
-                                         *bounds))
-        assert np.array_equal(out, ref) and np.array_equal(yw, ref_y)
+            ref, out = np.zeros_like(p), np.zeros_like(p)
+            ref_y, yw = y.copy(), y.copy()
+            assert (k.apply_axpy_dot(*faces, p, out, yw, -0.75, *bounds)
+                    == ORACLE.apply_axpy_dot(*faces, p, ref, ref_y, -0.75,
+                                             *bounds))
+            assert np.array_equal(out, ref) and np.array_equal(yw, ref_y)
 
-        a, b = p[region], y[region]
-        assert k.dot(a, b) == ORACLE.dot(a, b)
-        assert k.dot(a, a) == ORACLE.dot(a, a)
-        assert k.norm(a) == float(np.sqrt(ORACLE.dot(a, a)))
-        ref_y, yw = y.copy(), y.copy()
-        ORACLE.axpy(ref_y[region], 0.375, a)
-        k.axpy(yw[region], 0.375, a)
-        assert np.array_equal(yw, ref_y)
+            a, b = p[region], y[region]
+            assert k.dot(a, b) == ORACLE.dot(a, b)
+            assert k.dot(a, a) == ORACLE.dot(a, a)
+            assert k.norm(a) == float(np.sqrt(ORACLE.dot(a, a)))
+            ref_y, yw = y.copy(), y.copy()
+            ORACLE.axpy(ref_y[region], 0.375, a)
+            k.axpy(yw[region], 0.375, a)
+            assert np.array_equal(yw, ref_y)
 
 
 # -- contiguous spans: nothing outside the region ever changes -------------------
@@ -388,8 +407,9 @@ def _check_stencil_chains(k, shape, halo, dtype, frozen, exact):
 def test_stencil_chains_write_only_the_region(shape, halo, dtype, frozen,
                                               backend):
     """Every region the halo allows, nothing warned on the way."""
-    _check_stencil_chains(get_backend(backend), shape, halo, dtype, frozen,
-                          exact=backend == "numpy")
+    for k in _instances(backend):
+        _check_stencil_chains(k, shape, halo, dtype, frozen,
+                              exact=backend == "numpy")
 
 
 def _check_layouts_rejected(k, shape, layout, dtype, frozen):
@@ -431,8 +451,8 @@ def test_general_layouts_write_only_the_region(shape, layout, dtype, frozen,
                                                backend):
     """There is one stencil body and it walks spans: layouts it cannot
     walk are refused whole, so they write nothing at all."""
-    _check_layouts_rejected(get_backend(backend), shape, layout, dtype,
-                            frozen)
+    for k in _instances(backend):
+        _check_layouts_rejected(k, shape, layout, dtype, frozen)
 
 
 def _span_tiles(shape):
@@ -470,7 +490,7 @@ def _check_field_updates(field_cls, k, shape, halo, dtype):
             cells = ref[region]
             cells *= -0.75
             cells += x.data[region]
-            y.aypx(-0.75, x, ext)
+            y.aypx(-0.75, x, k, ext)
             assert np.array_equal(bits(y.data), bits(ref))
             assert np.array_equal(bits(x.data), bits(x_before))
 
@@ -482,8 +502,8 @@ def _check_field_updates(field_cls, k, shape, halo, dtype):
 @pytest.mark.parametrize("shape", SPAN_SHAPES, ids=SPAN_IDS)
 def test_field_updates_write_only_the_region(shape, halo, dtype, backend):
     """Through either backend and the whole-array oracle, warning-free."""
-    k = ORACLE if backend == "oracle" else get_backend(backend)
-    _check_field_updates(Field, k, shape, halo, dtype)
+    for k in [ORACLE] if backend == "oracle" else _instances(backend):
+        _check_field_updates(Field, k, shape, halo, dtype)
 
 
 def _mutant(module_name, old, new):
@@ -566,7 +586,8 @@ def test_span_mutants_are_killed(name):
     with pytest.raises((AssertionError, RuntimeWarning, ValueError)):
         for shape in ((13, 7), (5, 6, 7)):
             if module_name.endswith("field"):
-                _check_field_updates(module.Field, BASELINE, shape, 2,
+                # The NumPy replay: C loops raise no flags to report.
+                _check_field_updates(module.Field, NumpyBackend(), shape, 2,
                                      "float64")
             elif module_name.endswith("halo"):
                 check_exchange_fills_ghosts(
@@ -580,22 +601,68 @@ def test_span_mutants_are_killed(name):
                                       "float64", frozen=True, exact=True)
 
 
+#: Seeded mutants of ``bodies.c`` — ``(old, new)`` at every occurrence in
+#: its source (the 2-D and the 3-D cell share lines) — and of its build
+#: flags: each is built through the loader the real bodies come from and
+#: must be killed by the battery above, like the span mutants.
+C_MUTANTS = {
+    "taps-swapped": (
+        "a = a - kx[i + 1] * p[i + 1];   a = a - kx[i] * p[i - 1];",
+        "a = a - kx[i] * p[i - 1];   a = a - kx[i + 1] * p[i + 1];"),
+    "column-bound-one-short": ("nc = c1 - c0", "nc = c1 - c0 - 1"),
+    "diagonal-low-face-first": ("(ky[i + sy] + (T)1) + ky[i]",
+                                "(ky[i] + (T)1) + ky[i + sy]"),
+    "dot-operand-row-not-advanced": ("j = (r - r0) * nc", "j = 0"),
+    "axpy-operands-swapped": ("T t = x[i] * (T)alpha; y[i] = y[i] + t;",
+                              "T t = y[i] * (T)alpha; y[i] = x[i] + t;"),
+    "float-widened-to-double": ("T a = d * p[i];", "double a = d * p[i];"),
+    "contracted-to-fma": None,
+}
+
+
+@pytest.mark.parametrize("name", C_MUTANTS)
+def test_c_mutants_are_killed(name, tmp_path, monkeypatch):
+    if baseline_bodies()[0] != "compiled":
+        pytest.skip(baseline_bodies()[1])
+    source, flags = compiled.SOURCE.read_text(), compiled.FLAGS
+    if C_MUTANTS[name] is None:
+        with open("/proc/cpuinfo") as handle:
+            if " fma " not in handle.read():
+                pytest.skip("this CPU has no fused multiply-add")
+        flags = tuple(f for f in flags if "contract" not in f) + (
+            "-ffp-contract=fast", "-mfma")
+    else:
+        old, new = C_MUTANTS[name]
+        assert old in source, f"mutation site {old!r} moved"
+        source = source.replace(old, new)
+    (tmp_path / "bodies.c").write_text(source)
+    monkeypatch.setattr(compiled, "_cache_dirs", lambda: [tmp_path / "cache"])
+    bodies, _ = compiled.load(tmp_path / "bodies.c", flags)
+    with pytest.raises(AssertionError):
+        for dtype in DTYPES:
+            for shape in ((13, 7), (5, 6, 7)):
+                _check_stencil_chains(CompiledBackend(bodies), shape, 3,
+                                      dtype, frozen=True, exact=True)
+                _check_field_updates(Field, CompiledBackend(bodies), shape,
+                                     2, dtype)
+
+
 @pytest.mark.parametrize("backend", ["numpy", "fused"])
 def test_stencil_rejects_output_aliasing_input(backend):
     """The whole-array expression tolerated ``out is p``; the in-place
     blocked body cannot, and says so instead of computing garbage."""
-    k = get_backend(backend)
-    for shape in ((13, 7), (5, 6, 7)):
-        faces, p, y = _system(shape, 1, "float64")
-        bounds = _bounds(shape, 1, 0)
-        with pytest.raises(ConfigurationError, match="alias"):
-            k.stencil_apply(*faces, p, p, *bounds)
-        with pytest.raises(ConfigurationError, match="alias"):
-            k.apply_dot(*faces, p, p, *bounds)
-        with pytest.raises(ConfigurationError, match="alias"):
-            k.apply_axpy_dot(*faces, p, p, y, -1.0, *bounds)
-        with pytest.raises(ConfigurationError, match="loop bounds"):
-            k.stencil_apply(*faces, p, y, *bounds[2:])
+    for k in _instances(backend):
+        for shape in ((13, 7), (5, 6, 7)):
+            faces, p, y = _system(shape, 1, "float64")
+            bounds = _bounds(shape, 1, 0)
+            with pytest.raises(ConfigurationError, match="alias"):
+                k.stencil_apply(*faces, p, p, *bounds)
+            with pytest.raises(ConfigurationError, match="alias"):
+                k.apply_dot(*faces, p, p, *bounds)
+            with pytest.raises(ConfigurationError, match="alias"):
+                k.apply_axpy_dot(*faces, p, p, y, -1.0, *bounds)
+            with pytest.raises(ConfigurationError, match="loop bounds"):
+                k.stencil_apply(*faces, p, y, *bounds[2:])
 
 
 @pytest.mark.parametrize("backend", ["numpy", "fused"])
@@ -603,8 +670,8 @@ def test_overflowing_reduction_is_a_value_not_a_warning(backend):
     """An overflowed dot is inf for the solvers' guards to report; under
     this suite's filters a ``RuntimeWarning`` from a kernel is an error."""
     a = np.full((300, 300), 1e200)[1:-1, 1:-1]
-    k = get_backend(backend)
-    assert k.dot(a, a) == np.inf and k.norm(a) == np.inf
+    for k in _instances(backend):
+        assert k.dot(a, a) == np.inf and k.norm(a) == np.inf
 
 
 # -- allocation: a steady-state iteration allocates no array -----------------------
@@ -657,12 +724,13 @@ def test_cg_iterations_allocate_no_array(backend, small_ufunc_buffers):
     one row block of a field (any whole-array temporary is 3x that)."""
     n = 256
     grid, kxg, kyg, bg = crooked_pipe_system(n)
-    growth = _steady_state_growth(
-        serial_operator(grid, kxg, kyg).with_kernels(backend), bg)
     row_block = _block_rows(n, n, 8, streams=8) * n * 8
     assert row_block < n * n * 8 // 3
-    assert growth < row_block, \
-        f"{growth} bytes allocated inside steady-state iterations"
+    for k in _instances(backend):
+        growth = _steady_state_growth(
+            serial_operator(grid, kxg, kyg).with_kernels(k), bg)
+        assert growth < row_block, \
+            f"{growth} bytes allocated inside steady-state iterations"
 
 
 @pytest.mark.parametrize("backend", ["numpy", "fused"])
@@ -673,28 +741,32 @@ def test_blas1_tail_on_3d_fields_allocates_no_array(backend,
     one block of planes of a field (a quarter of it)."""
     n = 40
     grid, *faces, bg = crooked_duct_system(n)
-    growth = _steady_state_growth(
-        serial_operator(grid, *faces).with_kernels(backend), bg)
-    assert growth < _block_rows(n, n * n, 8, streams=8) * n * n * 8, \
-        f"{growth} bytes allocated inside steady-state iterations"
+    for k in _instances(backend):
+        growth = _steady_state_growth(
+            serial_operator(grid, *faces).with_kernels(k), bg)
+        assert growth < _block_rows(n, n * n, 8, streams=8) * n * n * 8, \
+            f"{growth} bytes allocated inside steady-state iterations"
 
 
 def test_workspace_is_shared_across_extents():
     """Four regions of different extents (CPPCG's shrinking matrix-powers
-    bounds) leave every workspace slot no larger than the largest needs:
-    its rows at the padded pitch (span scratch keeps the halo columns)."""
+    bounds) leave every workspace slot a backend uses — block scratch and
+    dot operands for the NumPy replay, the dot operands alone for the
+    compiled loops — no larger than the largest needs: its rows at the
+    padded pitch (span scratch keeps the halo columns)."""
     shape, halo = (96, 80), 4
     (kx, ky), p, y = _system(shape, halo, "float64")
     kx.flags.writeable = ky.flags.writeable = False
-    k = get_backend("numpy")
-    out = np.zeros_like(p)
-    for bounds in reversed(_all_bound_sets(shape, halo)):
-        k.apply_dot(kx, ky, p, out, *bounds)
-        k.apply_axpy_dot(kx, ky, p, out, y, -1.0, *bounds)
     assert len(_all_bound_sets(shape, halo)) == 4
     largest = (shape[0] + 2 * (halo - 1)) * (shape[1] + 2 * halo) * 8
-    assert all(pool is not None and pool.nbytes <= largest
-               for pool in k._pools)
+    for k in _instances("numpy"):
+        out = np.zeros_like(p)
+        for bounds in reversed(_all_bound_sets(shape, halo)):
+            k.apply_dot(kx, ky, p, out, *bounds)
+            k.apply_axpy_dot(kx, ky, p, out, y, -1.0, *bounds)
+        used = [pool for pool in k._pools if pool is not None]
+        assert len(used) == (2 if isinstance(k, CompiledBackend) else 4)
+        assert all(pool.nbytes <= largest for pool in used)
 
 
 # -- full-solve differential: the eight COMM_CONTRACT configurations -----------
@@ -775,21 +847,23 @@ def test_full_solve_identical_to_oracle(label, opt):
     grid, kxg, kyg, bg = crooked_pipe_system(16)
     o = replace(opt, kernel_backend="numpy", true_residual=True)
     results = []
-    for kernels in (OracleBackend(), get_backend("numpy")):
+    for kernels in (OracleBackend(), *_instances("numpy")):
         op = replace(serial_operator(grid, kxg, kyg,
                                      halo=o.required_field_halo),
                      kernels=kernels, exchanger=None)
         b = Field.from_global(op.tile, op.halo, bg)
         results.append(solve_linear(op, b, options=o))
-    ref, new = results
-    assert (new.iterations, new.inner_iterations) == PINNED_ITERATIONS[label]
+    ref, *both = results
     assert (ref.iterations, ref.inner_iterations) == PINNED_ITERATIONS[label]
-    assert new.converged == ref.converged
-    assert new.true_relative_residual == ref.true_relative_residual
-    assert np.array_equal(new.x.data, ref.x.data)
-    if label in PINNED_SOLUTIONS:
-        digest = hashlib.sha256(new.x.data.tobytes()).hexdigest()[:16]
-        assert digest == PINNED_SOLUTIONS[label]
+    for new in both:
+        assert (new.iterations,
+                new.inner_iterations) == PINNED_ITERATIONS[label]
+        assert new.converged == ref.converged
+        assert new.true_relative_residual == ref.true_relative_residual
+        assert np.array_equal(new.x.data, ref.x.data)
+        if label in PINNED_SOLUTIONS:
+            digest = hashlib.sha256(new.x.data.tobytes()).hexdigest()[:16]
+            assert digest == PINNED_SOLUTIONS[label]
 
 
 # -- registry, options and deck plumbing ---------------------------------------
@@ -813,13 +887,17 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="unknown kernel backend"):
             get_backend("cuda")
 
-    @pytest.mark.skipif("numba" in available_backends(),
-                        reason="numba installed in this environment")
     def test_unavailable_numba_raises_with_install_hint(self):
-        status = backend_status()
-        assert "numba" in status["numba"]
-        with pytest.raises(ConfigurationError, match="numba"):
-            get_backend("numba")
+        """The optional backend that never ran here left the registry:
+        its name is unknown everywhere, and the error says what is known."""
+        from repro.physics.deck import parse_deck_text
+        assert "numba" not in KNOWN_BACKENDS
+        for ask in (lambda: get_backend("numba"),
+                    lambda: SolverOptions(kernel_backend="numba"),
+                    lambda: parse_deck_text("tl_kernel_backend=numba")):
+            with pytest.raises(ConfigurationError) as refusal:
+                ask()
+            assert all(name in str(refusal.value) for name in KNOWN_BACKENDS)
 
     def test_reduction_tolerance_scales_with_dtype(self):
         rng = np.random.default_rng(7)
@@ -834,8 +912,6 @@ class TestRegistry:
 class TestOptionsAndDeck:
     def test_options_accept_known_backends(self):
         for name in KNOWN_BACKENDS:
-            # Unavailable backends stay constructible: availability is
-            # checked at solve time, not at options-validation time.
             assert SolverOptions(kernel_backend=name).kernel_backend == name
 
     def test_options_reject_unknown_backend(self):

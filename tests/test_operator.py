@@ -174,3 +174,17 @@ class TestConstruction:
 
         for n_ops, refused in launch_spmd(rank_main, 2):
             assert n_ops > 4 and refused == 2 * n_ops
+
+    def test_with_kernels_routes_through_the_instance_it_is_given(self):
+        """Two classes go by the name ``numpy`` (the compiled loops and
+        their NumPy replay): an instance is taken as given, never mistaken
+        for the operator's own by its name; a name still is."""
+        from repro.kernels import NumpyBackend
+        g, kx, ky, _ = crooked_pipe_system(8)
+        op = StencilOperator2D.from_global_faces(decompose(g, 1)[0], 1,
+                                                 kx, ky, SerialComm())
+        assert op.with_kernels("numpy") is op
+        pure = NumpyBackend()
+        routed = op.with_kernels(pure)
+        assert routed.kernels is pure and routed.exchanger.kernels is pure
+        assert routed.kx is op.kx and op.kernels is not pure
