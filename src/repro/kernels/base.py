@@ -28,7 +28,7 @@ Numerical policy (see ``docs/kernels.md``):
 
 - **fp-order-preserving kernels** — ``stencil_apply``, ``axpy``,
   ``aypx``, the field updates of ``apply_axpy_dot``,
-  ``pack_halo``/``unpack_halo`` —
+  ``chebyshev_step``, ``pack_halo``/``unpack_halo`` —
   are elementwise and must match the ``numpy`` baseline **bit for bit**
   for every dtype: blocking or compiling may not reorder an element's
   ops (nor fuse a multiply into an add).
@@ -101,7 +101,7 @@ def reduction_tolerance(a: np.ndarray, b: np.ndarray) -> float:
 class KernelBackend:
     """Abstract kernel set: subclasses implement the stencil chains,
     ``dot`` and ``axpy``; ``aypx``, ``norm`` and the halo copies have
-    defaults.
+    defaults, and ``chebyshev_step`` is optional.
     The stencil signatures are the 2-D calls (module docstring: a 3-D
     call carries ``kz`` and a plane bound pair more).
 
@@ -146,6 +146,21 @@ class KernelBackend:
         one streaming pass.
         """
         raise NotImplementedError
+
+    def chebyshev_step(self, *args) -> bool:
+        """One matrix-powers Chebyshev inner step as one call, where the
+        backend has a body for it — called as ``chebyshev_step(kx, ky, d,
+        w, r, z, inv_diag, scale, beta, r0, r1, c0, c1, ir0, ir1, ic0,
+        ic1)``: on region ``R`` (bounds ``r0 .. c1``; the interior ``I``,
+        ``ir0 .. ic1``, inside it) ``w = A d``; ``z += d`` on ``I`` only;
+        then ``r += w * -1``, ``w = (r * inv_diag) * scale`` (``r *
+        scale`` when ``inv_diag`` is None) and ``d = d * beta + w`` — per
+        cell in the order of those separate passes.
+
+        Returns whether it ran.  The default runs nothing and returns
+        False: the caller then makes the separate passes, the reference.
+        """
+        return False
 
     # -- BLAS-1 tail -----------------------------------------------------------
 

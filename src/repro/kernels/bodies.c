@@ -7,7 +7,8 @@
  * baseline rounds twice).  Arrays are C-contiguous and padded, `H`/`W`
  * their two fastest extents, `z0 .. c1` the region's padded indices; only
  * the region's cells are written.  `restrict` marks what the caller has
- * checked: `out` is not `p`, and `dot_*` is workspace the backend owns.
+ * checked: `out` is not `p`, `dot_*` is workspace the backend owns, and
+ * the Chebyshev step's written arrays overlap no other operand.
  *
  * The file compiles its bodies twice, T = double (suffix _d) and T = float
  * (suffix _f), by including itself. */
@@ -88,6 +89,43 @@ void N(axpy)(T *y, double alpha, const T *x, size_t n)
 void N(aypx)(T *y, double beta, const T *x, size_t n)
 { for (size_t i = 0; i < n; i++) { T t = y[i] * (T)beta; y[i] = t + x[i]; } }
 
+/* One Chebyshev inner step (solvers/chebyshev.py) on the region: w = A p;
+ * acc += p on the interior `i*` bounds only (inside the region); then per
+ * cell res = res + w·(−1) — written `res - w`, the same bits — w =
+ * (res·m)·scale (res·scale without m) and p = p·beta + w: the order of the
+ * separate passes it replaces.  The stencil is a pass of its own because
+ * the tail writes p, which neighbouring cells' stencils read; so is the
+ * interior, whose acc update reads p before the tail writes it. */
+#define TAIL(i) \
+    T t = res[i] - w[i]; res[i] = t; \
+    if (m) t = t * m[i]; \
+    w[i] = t * (T)scale; t = p[i] * (T)beta; p[i] = t + w[i];
+#define STEP T *restrict p, T *restrict w, T *restrict res, T *restrict acc, \
+             const T *restrict m, double scale, double beta
+
+static void N(accumulate2)(T *restrict acc, const T *restrict p, BOUNDS2)
+{ ROWS2 { acc[i] = acc[i] + p[i]; (void)j; } }
+static void N(accumulate3)(T *restrict acc, const T *restrict p, BOUNDS3)
+{ ROWS3 { acc[i] = acc[i] + p[i]; (void)j; } }
+
+void N(chebyshev_step2)(const T *kx, const T *ky, STEP, BOUNDS2,
+                        size_t ir0, size_t ir1, size_t ic0, size_t ic1)
+{
+    { ROWS2 { CELL2(i) w[i] = a; (void)j; } }
+    N(accumulate2)(acc, p, W, ir0, ir1, ic0, ic1);
+    { ROWS2 { TAIL(i) (void)j; } }
+}
+void N(chebyshev_step3)(const T *kx, const T *ky, const T *kz, STEP, BOUNDS3,
+                        size_t iz0, size_t iz1, size_t ir0, size_t ir1,
+                        size_t ic0, size_t ic1)
+{
+    { ROWS3 { CELL3(i) w[i] = a; (void)j; } }
+    N(accumulate3)(acc, p, H, W, iz0, iz1, ir0, ir1, ic0, ic1);
+    { ROWS3 { TAIL(i) (void)j; } }
+}
+
+#undef TAIL
+#undef STEP
 #undef CELL2
 #undef CELL3
 #undef ROWS2

@@ -122,6 +122,8 @@ def _declare(lib) -> dict:
         signatures["apply_dot", ndim] = [ptr] * (ndim + 4) + tail
         signatures["apply_axpy_dot", ndim] = (
             [ptr] * (ndim + 3) + [real, ptr] + tail)
+        signatures["chebyshev_step", ndim] = (
+            [ptr] * (ndim + 5) + [real, real] + tail + [size] * (2 * ndim))
     bodies = {}
     for (kernel, ndim), argtypes in signatures.items():
         for char in "df":
@@ -227,13 +229,15 @@ class CompiledBackend(NumpyBackend):
                                               a.ctypes.data)
         return known[2]
 
-    def _chain(self, kernel: str, faces, p, out, bounds, *more):
+    def _chain(self, kernel: str, faces, p, out, bounds, *more,
+               written=None):
         """``(body, operand addresses, region shape)`` of one stencil
         chain — after ``NumpyBackend``'s own checks, so a refused call
         raises what it always raised — or ``None`` where the operands are
         not what the loops assume: one native float/double dtype, the
-        stencil's ring inside the arrays, and ``out`` (and the chain's
-        ``y``) writeable and overlapping no other operand."""
+        stencil's ring inside the arrays, and the ``written`` operands
+        (default: ``out`` and the chain's ``more``) writeable and
+        overlapping no other operand."""
         g = self._plan(faces, p, out, bounds, 8, *more)[0]
         arrays = (*faces, p, out, *more)
         body = self._bodies.get((kernel, p.ndim, p.dtype))
@@ -242,9 +246,9 @@ class CompiledBackend(NumpyBackend):
                            zip(bounds[::2], bounds[1::2], p.shape))):
             return None
         at = [self._at(a) for a in arrays]
-        for a, written in zip(arrays[p.ndim + 1:], at[p.ndim + 1:]):
+        for a in (out, *more) if written is None else written:
             if not a.flags.writeable or sum(
-                    abs(written - other) < p.nbytes for other in at) != 1:
+                    abs(self._at(a) - other) < p.nbytes for other in at) != 1:
                 return None
         return body, at, g.shape
 
@@ -277,6 +281,24 @@ class CompiledBackend(NumpyBackend):
         yr = self._buf(_DOT_A, shape, p.dtype)
         body(*at, alpha, self._at(yr), *p.shape[1:], *bounds)
         return _dot(yr, yr)
+
+    def chebyshev_step(self, *args):
+        faces, d, w, (r, z, m, scale, beta), bounds = _operands(args, 5)
+        region, inner = bounds[:len(bounds) // 2], bounds[len(bounds) // 2:]
+        if not (_scalar_fits(scale, d.dtype) and _scalar_fits(beta, d.dtype)
+                and all(lo <= hi for lo, hi in zip(
+                    region[::2] + inner[1::2], inner[::2] + region[1::2]))):
+            return False   # the interior must lie inside the region
+        more = (r, z) if m is None else (r, z, m)
+        chain = self._chain("chebyshev_step", faces, d, w, region, *more,
+                            written=(d, w, r, z))
+        if chain is None:
+            return False
+        body, at, _ = chain
+        n = len(faces) + 4
+        body(*at[:n], at[n] if m is not None else None, scale, beta,
+             *d.shape[1:], *bounds)
+        return True
 
     def _flat(self, kernel: str, y, alpha, x) -> bool:
         """Run ``kernel`` (``axpy``/``aypx``) on ``y`` and ``x`` and say

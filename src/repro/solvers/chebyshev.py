@@ -104,6 +104,8 @@ class ChebyshevIteration:
         # block Jacobi steps on the interior with a depth-1 exchange.
         self._pointwise_M = isinstance(
             self.M, (IdentityPreconditioner, DiagonalPreconditioner))
+        self._inv_diag = (self.M.inv_diag_padded if isinstance(
+            self.M, DiagonalPreconditioner) else None)
         self.d = op.new_field()
         self.w = op.new_field()
         self.theta = bounds.theta
@@ -123,13 +125,16 @@ class ChebyshevIteration:
         """``dst[region] = scale * M^{-1} src[region]``.
 
         ``region`` is the tuple of padded-array slices returned by
-        ``Field.region`` (two slices in 2D, three in 3D).
+        ``Field.region`` (two slices in 2D, three in 3D).  Overflow is not
+        reported, as in every other pass of a step: a diverging
+        recurrence is for the solvers' guards to see, in the reductions.
         """
-        if isinstance(self.M, IdentityPreconditioner):
-            np.multiply(src.data[region], scale, out=dst.data[region])
-        else:  # diagonal: the only other preconditioner stepping extended
-            self.M.apply_region(src, dst, region)
-            dst.data[region] *= scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self._inv_diag is None:
+                np.multiply(src.data[region], scale, out=dst.data[region])
+            else:  # diagonal: the only other preconditioner stepping extended
+                self.M.apply_region(src, dst, region)
+                dst.data[region] *= scale
 
     def run(self, steps: int) -> None:
         """Advance ``steps`` Chebyshev steps."""
@@ -163,14 +168,16 @@ class ChebyshevIteration:
             fields = [self.rr, self.d] if n > 1 else [self.d]
             op.exchanger.exchange(fields, depth=n)
         ext = n - 1 - s
-        region = self.rr.region(ext)
-        op.apply_noexchange(self.d, self.w, ext=ext)
-        self.accum.axpy(1.0, self.d, op.kernels)
-        self.rr.axpy(-1.0, self.w, op.kernels, ext)
         rho_new = 1.0 / (2.0 * self.sigma - self.rho)
         # d <- rho' rho d + (2 rho'/delta) M^{-1} r  on the extended region
-        self._precondition(self.rr, self.w, region, 2.0 * rho_new / self.delta)
-        self.d.aypx(rho_new * self.rho, self.w, op.kernels, ext)
+        scale, beta = 2.0 * rho_new / self.delta, rho_new * self.rho
+        # One kernel call where the backend has the step, else its passes.
+        if not op.chebyshev_step(self.d, self.w, self.rr, self.accum,
+                                 self._inv_diag, scale, beta, ext):
+            self.accum.axpy(1.0, self.d, op.kernels)
+            self.rr.axpy(-1.0, self.w, op.kernels, ext)
+            self._precondition(self.rr, self.w, self.rr.region(ext), scale)
+            self.d.aypx(beta, self.w, op.kernels, ext)
         self.rho = rho_new
         self._since_exchange = (s + 1) % n
 

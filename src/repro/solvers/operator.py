@@ -230,6 +230,24 @@ class StencilOperator:
                                        *bounds)
         self.events.record("matvec", None, cells=cells)
 
+    def chebyshev_step(self, d: Field, w: Field, r: Field, z: Field,
+                       inv_diag: np.ndarray | None, scale: float,
+                       beta: float, ext: int) -> bool:
+        """``w = A d`` like :meth:`apply_noexchange` — and, where the
+        backend has the body, the rest of one Chebyshev inner step on the
+        same region (:meth:`~repro.kernels.base.KernelBackend.chebyshev_step`);
+        returns whether it did the rest."""
+        bounds, cells = self._stencil_bounds(ext)
+        with self.tracer.span("stencil", ext):
+            done = self.kernels.chebyshev_step(
+                *self._coeffs, d.data, w.data, r.data, z.data, inv_diag,
+                scale, beta, *bounds, *self._stencil_bounds(0)[0])
+            if not done:
+                self.kernels.stencil_apply(*self._coeffs, d.data, w.data,
+                                           *bounds)
+        self.events.record("matvec", None, cells=cells)
+        return done
+
     def apply(self, p: Field, out: Field) -> None:
         """``out = A p`` on the interior, exchanging p's depth-1 halo first."""
         self.exchanger.exchange(p, depth=1)

@@ -159,3 +159,27 @@ def test_operands_the_loops_cannot_take_are_numpys():
 
     for pure, routed in zip(cases(NumpyBackend()), cases(CompiledBackend())):
         assert pure == routed
+
+
+def test_chebyshev_steps_the_loops_cannot_take_run_nothing():
+    """``chebyshev_step`` hands the whole step back — False, nothing
+    written — where its bits could differ from the passes' or its
+    ``restrict`` promise break: a NumPy scalar beside float32 arrays,
+    ``z`` that is ``r``, a read-only ``d``, an interior reaching outside
+    the region."""
+    rng = np.random.default_rng(29)
+    kx, ky, d, w, r, z = (rng.standard_normal((8, 8)).astype("f")
+                          for _ in range(6))
+    frozen = d.copy()
+    frozen.flags.writeable = False
+    region, inner = (1, 7, 1, 7), (2, 6, 2, 6)
+    k = CompiledBackend()
+    for call in ((d, w, r, z, None, np.float64(0.5), 0.25, *region, *inner),
+                 (d, w, r, r, None, 0.5, 0.25, *region, *inner),
+                 (frozen, w, r, z, None, 0.5, 0.25, *region, *inner),
+                 (d, w, r, z, None, 0.5, 0.25, *inner, *region)):
+        before = [a.tobytes() for a in (d, w, r, z)]
+        assert k.chebyshev_step(kx, ky, *call) is False
+        assert [a.tobytes() for a in (d, w, r, z)] == before
+    assert k.chebyshev_step(kx, ky, d, w, r, z, None, 0.5, 0.25, *region,
+                            *inner) is True

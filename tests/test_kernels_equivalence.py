@@ -3,7 +3,8 @@
 The numerical policy under test (``docs/kernels.md``, ``repro.kernels.base``):
 
 - **fp-order-preserving kernels** (``stencil_apply``, ``axpy``, the field
-  updates of ``apply_axpy_dot``, ``pack_halo``/``unpack_halo``) must match
+  updates of ``apply_axpy_dot``, ``chebyshev_step``,
+  ``pack_halo``/``unpack_halo``) must match
   the baseline **bit for bit** for every dtype, shape and halo depth;
 - **reductions** (``dot``, ``norm``, the scalars of ``apply_dot`` /
   ``apply_axpy_dot``) may reassociate and must agree within the documented
@@ -50,9 +51,16 @@ from repro.kernels import (
     get_backend,
     reduction_tolerance,
 )
+from repro.comm.serial import SerialComm
 from repro.kernels.numpy_backend import _block_rows, _operands
 from repro.mesh import Field, decompose
 from repro.solvers import Defences, SolverOptions, cg_solve, solve_linear
+from repro.solvers.chebyshev import ChebyshevIteration
+from repro.solvers.eigen import EigenBounds
+from repro.solvers.operator import StencilOperator
+from repro.solvers.ppcg import ppcg_solve
+from repro.solvers.preconditioners import make_local_preconditioner
+from repro.solvers.ranks import solve_on_ranks
 from repro.testing import crooked_pipe_system, serial_operator
 from repro.utils.errors import ConfigurationError
 
@@ -506,6 +514,99 @@ def test_field_updates_write_only_the_region(shape, halo, dtype, backend):
         _check_field_updates(Field, k, shape, halo, dtype)
 
 
+# -- the Chebyshev inner step: one call, the bits of its separate passes ---------
+
+CHEBY_SHAPES = [(13, 7), (9, 1), (5, 6, 7), (1, 4, 9)]
+
+
+class _Ghosts:
+    """The exchanger of a tile taken out of its world: ghosts keep what
+    they hold."""
+
+    events = tracer = None
+
+    def exchange(self, fields, depth):
+        pass
+
+
+def _inner_step(k, tile, halo, faces, arrays, depth, ext, inner):
+    """``ChebyshevIteration._step_extended`` once, at extension ``ext`` of
+    a depth-``depth`` block, on an operator over ``tile`` routed through
+    ``k``; ``arrays`` are the padded ``d, w, r, z``, updated in place."""
+    d, w, r, z = (Field(tile, halo, a) for a in arrays)
+    op = StencilOperator(**dict(zip(("kx", "ky", "kz"), (
+        Field(tile, halo, f.copy()) for f in faces))), comm=SerialComm(),
+        exchanger=_Ghosts(), kernels=k)
+    it = ChebyshevIteration(op, r, z, EigenBounds(1.0, 40.0),
+                            halo_depth=depth,
+                            local_precond=make_local_preconditioner(op, inner))
+    it.d, it.w = d, w
+    it.steps_done, it._since_exchange = 1, depth - 1 - ext
+    it._step_extended()
+
+
+def _spy(k, log):
+    """``k``, appending what each ``chebyshev_step`` call returns to
+    ``log``."""
+    step = k.chebyshev_step
+    k.chebyshev_step = lambda *args: log.append(step(*args)) or log[-1]
+    return k
+
+
+def _check_chebyshev_steps(kernels, shape, dtype, inner):
+    """One inner step at every ``ext`` of depths 1 and 4, on a tile whose
+    region grows on every side and on one where it grows on one side per
+    axis, through each backend of ``kernels`` — one ``chebyshev_step``
+    call where it has the body (exactly when it is the compiled one), the
+    separate passes where not — leaves every cell of ``d``, ``w``, ``r``
+    and ``z`` with the bits the passes leave on the whole-array oracle,
+    and every cell the step may not write untouched: ``d``, ``w`` and
+    ``r`` outside the region, ``z`` outside the interior (poison, as is
+    ``d`` beyond the stencil's ring)."""
+    halo = 4
+    faces, _, _ = _system(shape, halo, dtype)
+    pad = faces[0].shape
+    rng = np.random.default_rng(11 * len(shape) + shape[-1])
+    logs = [[] for _ in kernels]
+    kernels = [_spy(k, log) for k, log in zip(kernels, logs)]
+    for tile in _span_tiles(shape):
+        interior = _region_mask(pad, Field(tile, halo).region(0))
+        for depth in (1, 4):
+            for ext in range(depth):
+                region = Field(tile, halo).region(ext)
+                bounds = tuple(b for s in region for b in (s.start, s.stop))
+                written = _region_mask(pad, region)
+                read = written.copy()
+                for axis in range(len(shape)):
+                    for shift in (-1, +1):
+                        read[_window(bounds, axis, shift)] = True
+                start = [_poison(rng.standard_normal(pad).astype(dtype), keep)
+                         for keep in (read, written, written, interior)]
+                oracle = None
+                for k in (ORACLE, *kernels):
+                    arrays = [a.copy() for a in start]
+                    _inner_step(k, tile, halo, faces, arrays, depth, ext,
+                                inner)
+                    for a, a0, keep in zip(arrays, start, (
+                            written, written, written, interior)):
+                        assert np.array_equal(bits(a[~keep]), bits(a0[~keep]))
+                    oracle = oracle or arrays
+                    for a, ref in zip(arrays, oracle):
+                        assert np.array_equal(bits(a), bits(ref))
+    for k, log in zip(kernels, logs):
+        assert log and set(log) == {isinstance(k, CompiledBackend)}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("inner", ["none", "diagonal"])
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", CHEBY_SHAPES,
+                         ids=[_name(shape) for shape in CHEBY_SHAPES])
+def test_chebyshev_step_bit_identical_to_its_passes(shape, dtype, inner):
+    """The compiled step and the NumPy replay's passes, warning-free."""
+    _check_chebyshev_steps(_instances("numpy"), shape, dtype, inner)
+
+
 def _mutant(module_name, old, new):
     """``module_name`` re-executed from its source with ``old`` (which
     must occur exactly once) replaced by ``new``."""
@@ -617,6 +718,15 @@ C_MUTANTS = {
                               "T t = y[i] * (T)alpha; y[i] = x[i] + t;"),
     "float-widened-to-double": ("T a = d * p[i];", "double a = d * p[i];"),
     "contracted-to-fma": None,
+    "step-z-over-the-region": ("ir0, ir1, ic0, ic1);", "r0, r1, c0, c1);"),
+    "step-beta-scale-swapped": (
+        "w[i] = t * (T)scale; t = p[i] * (T)beta;",
+        "w[i] = t * (T)beta; t = p[i] * (T)scale;"),
+    "step-w-from-the-old-r": ("T t = res[i] - w[i]; res[i] = t;",
+                              "T t = res[i]; res[i] = t - w[i];"),
+    "step-diagonal-after-the-scale": (
+        "if (m) t = t * m[i]; \\\n    w[i] = t * (T)scale;",
+        "t = t * (T)scale; \\\n    if (m) t = t * m[i]; w[i] = t;"),
 }
 
 
@@ -645,6 +755,9 @@ def test_c_mutants_are_killed(name, tmp_path, monkeypatch):
                                       dtype, frozen=True, exact=True)
                 _check_field_updates(Field, CompiledBackend(bodies), shape,
                                      2, dtype)
+                for inner in ("none", "diagonal"):
+                    _check_chebyshev_steps([CompiledBackend(bodies)], shape,
+                                           dtype, inner)
 
 
 @pytest.mark.parametrize("backend", ["numpy", "fused"])
@@ -833,8 +946,15 @@ PINNED_ITERATIONS = {
 #: sha256 (first 16 hex digits) of the padded solution of the two solvers
 #: that updated ``x``/``r``/``p`` with whole-array temporaries outside the
 #: backends until they were routed through ``Field.axpy``/``aypx`` —
-#: recorded before the routing, with the iteration counts above.
-PINNED_SOLUTIONS = {"jacobi": "bf37c77db26be68b", "dcg": "2a6dd2423d2bb951"}
+#: recorded before the routing, with the iteration counts above — and of
+#: the ranks' padded solutions, in rank order, of the two matrix-powers
+#: configurations on the 48^2 crooked pipe over 1x2 and 2x2 ranks,
+#: recorded before the Chebyshev step had a compiled body.
+PINNED_SOLUTIONS = {"jacobi": "bf37c77db26be68b", "dcg": "2a6dd2423d2bb951",
+                    "ppcg-depth4@1x2": "dab4d7b1768ffdfa",
+                    "ppcg-depth4@2x2": "0964f2a87eeebe05",
+                    "chebyshev-depth4@1x2": "48840b90ffc97f94",
+                    "chebyshev-depth4@2x2": "916861e144b63a94"}
 
 
 @pytest.mark.parametrize("label,opt", SOLVE_CONFIGS,
@@ -864,6 +984,59 @@ def test_full_solve_identical_to_oracle(label, opt):
         if label in PINNED_SOLUTIONS:
             digest = hashlib.sha256(new.x.data.tobytes()).hexdigest()[:16]
             assert digest == PINNED_SOLUTIONS[label]
+
+
+@pytest.mark.parametrize("factors", [(1, 2), (2, 2)], ids=["1x2", "2x2"])
+@pytest.mark.parametrize("label", ["ppcg-depth4", "chebyshev-depth4"])
+def test_decomposed_matrix_powers_identical_to_oracle(label, factors):
+    """On one rank ``region(ext)`` never grows; on 1x2 and 2x2 ranks it
+    does, so the inner steps run on extended regions: every rank's padded
+    ``x`` is the oracle's bit for bit, and the pinned digest."""
+    grid, kxg, kyg, bg = crooked_pipe_system(48)
+    o = replace(dict(SOLVE_CONFIGS)[label], kernel_backend="numpy",
+                true_residual=True)
+    solutions = []
+    for make in (OracleBackend, *map(type, _instances("numpy"))):
+        def route(op, stack, store, make=make):
+            op.kernels = op.exchanger.kernels = make()
+            return {}
+        run = solve_on_ranks(grid, (kxg, kyg), bg, o, factors[0] * factors[1],
+                             factors=factors, before_solve=route)
+        solutions.append(b"".join(rank.result.x.data.tobytes()
+                                  for rank in run.ranks))
+    assert all(x == solutions[0] for x in solutions)
+    assert (hashlib.sha256(solutions[0]).hexdigest()[:16]
+            == PINNED_SOLUTIONS[f"{label}@{factors[0]}x{factors[1]}"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverging_inner_steps_end_alike_on_both_paths():
+    """``lam_max`` under-estimated tenfold (and ``lam_min``): 160 inner
+    steps overflow.  The compiled step raises no flag, and no pass of the
+    NumPy replay reports one either — the guards see the overflow in the
+    outer reductions — so plain CPPCG breaks down, ``adaptive`` restarts
+    and converges, ``degrade`` finishes on plain CG, alike on both."""
+    grid, kxg, kyg, bg = crooked_pipe_system(32)
+    outcomes = []
+    for k in _instances("numpy"):
+        for mode in ({}, {"adaptive": True}, {"degrade": True}):
+            op = replace(serial_operator(grid, kxg, kyg, halo=4), kernels=k,
+                         exchanger=None)
+            b = Field.from_global(op.tile, op.halo, bg)
+            try:
+                r = ppcg_solve(op, b, eps=1e-8, max_iters=100, warmup_iters=10,
+                               inner_steps=160, halo_depth=4,
+                               bounds=EigenBounds(0.1, 0.11), **mode)
+                outcomes.append((r.iterations, r.inner_iterations, r.restarts,
+                                 getattr(r, "degraded_reason", ""),
+                                 r.converged))
+            except Exception as exc:
+                outcomes.append((type(exc).__name__, str(exc)))
+    plain, adaptive, degrade = outcomes[:3]
+    assert plain[0] == "BreakdownError"
+    assert adaptive[2:] == (1, "", True)
+    assert degrade[3].startswith("fell back to plain CG") and degrade[4]
+    assert outcomes == outcomes[:3] * (len(outcomes) // 3)
 
 
 # -- registry, options and deck plumbing ---------------------------------------
