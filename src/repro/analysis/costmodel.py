@@ -5,10 +5,11 @@ solver code:
 
 - direct primitives — ``*.allreduce(...)`` (one global reduction) and
   ``*exchanger*.exchange(...)`` (one halo exchange);
-- operator helpers — calls on a receiver named ``op``/``self.op`` resolve
-  through a cost table built by analyzing ``StencilOperator``'s own
+- operator helpers — calls on a receiver named ``op``/``self.op`` (or
+  ``step``, the CG step ``op.bind_cg`` returns) resolve through a cost
+  table built by analyzing ``StencilOperator``'s and ``CGStep``'s own
   methods (``apply`` → 1 halo exchange, ``dot``/``dots``/``norm`` → 1
-  allreduce, ``residual`` → 1 halo exchange, ...).  The table is derived
+  allreduce, ``matvec_dot`` → 1 of each, ...).  The table is derived
   from the AST of the sibling ``operator.py`` when present, falling back
   to a built-in table with the same contents;
 - module-local helpers — calls that resolve (uniquely, by name) to a
@@ -43,8 +44,9 @@ REDUCTION_ATTRS = frozenset({"allreduce"})
 #: Attribute names counted as one halo exchange when called on an
 #: exchanger-ish receiver.
 HALO_ATTRS = frozenset({"exchange"})
-#: Receiver names that look like the stencil operator.
-OPERATOR_RECEIVERS = frozenset({"op", "operator"})
+#: Receiver names that look like the stencil operator, or like the CG step
+#: it binds (``step = op.bind_cg(state)``), whose methods share its table.
+OPERATOR_RECEIVERS = frozenset({"op", "operator", "step"})
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,9 @@ DEFAULT_OPERATOR_COSTS: dict[str, CommCost] = {
     "residual": CommCost(halos=1),
     "dot": CommCost(allreduces=1),
     "dots": CommCost(allreduces=1),
+    "reduce": CommCost(allreduces=1),
     "norm": CommCost(allreduces=1),
+    "matvec_dot": CommCost(allreduces=1, halos=1),
     "apply_noexchange": ZERO,
     "new_field": ZERO,
     "diagonal": ZERO,
@@ -231,9 +235,7 @@ class ModuleCostModel:
         return cost if cost is not None else ZERO
 
 
-def build_operator_table(
-        operator_path: Path,
-        class_name: str = "StencilOperator") -> dict[str, CommCost]:
+def build_operator_table(operator_path: Path) -> dict[str, CommCost]:
     """Derive the operator cost table from ``operator.py``'s own AST.
 
     Falls back to :data:`DEFAULT_OPERATOR_COSTS` when the file is missing
@@ -245,11 +247,13 @@ def build_operator_table(
         tree = ast.parse(operator_path.read_text(), filename=str(operator_path))
     except (OSError, SyntaxError, ValueError):
         return table
-    model = ModuleCostModel(tree, operator_table={})
-    for cand_name, defs in model.methods.items():
-        for cls, fn in defs:
-            if cls == class_name:
-                table[cand_name] = model.function_cost(fn, cls)
+    model = ModuleCostModel(tree, operator_table=table)
+    # The step's methods call the operator's: cost them second.
+    for class_name in ("StencilOperator", "CGStep"):
+        for cand_name, defs in model.methods.items():
+            for cls, fn in defs:
+                if cls == class_name:
+                    table[cand_name] = model.function_cost(fn, cls)
     return table
 
 

@@ -28,7 +28,9 @@ Numerical policy (see ``docs/kernels.md``):
 
 - **fp-order-preserving kernels** — ``stencil_apply``, ``axpy``,
   ``aypx``, the field updates of ``apply_axpy_dot``,
-  ``chebyshev_step``, ``pack_halo``/``unpack_halo`` —
+  ``chebyshev_step``, the bound CG bodies of ``bind_cg`` (the
+  ``cg_update`` of ``x``/``r`` and its ``<r, r>`` operand, the region
+  ``aypx``), ``pack_halo``/``unpack_halo`` —
   are elementwise and must match the ``numpy`` baseline **bit for bit**
   for every dtype: blocking or compiling may not reorder an element's
   ops (nor fuse a multiply into an add).
@@ -101,7 +103,7 @@ def reduction_tolerance(a: np.ndarray, b: np.ndarray) -> float:
 class KernelBackend:
     """Abstract kernel set: subclasses implement the stencil chains,
     ``dot`` and ``axpy``; ``aypx``, ``norm`` and the halo copies have
-    defaults, and ``chebyshev_step`` is optional.
+    defaults, and ``chebyshev_step`` and ``bind_cg`` are optional.
     The stencil signatures are the 2-D calls (module docstring: a 3-D
     call carries ``kz`` and a plane bound pair more).
 
@@ -161,6 +163,17 @@ class KernelBackend:
         False: the caller then makes the separate passes, the reference.
         """
         return False
+
+    def bind_cg(self, faces, x, r, p, w, z, bounds):
+        """CG's iteration bodies bound once to one solve's padded arrays on
+        region ``bounds`` — or None, the default: the caller then makes the
+        separate calls, the reference, whose bits the bodies give.  The
+        bound object's ``apply_dot()`` returns the local ``<p, A p>``;
+        ``update(alpha)`` runs ``x += alpha p``, ``r += -alpha w`` (then
+        ``rr()`` is the local ``<r, r>`` when ``z`` is ``r``: ``dot``) and
+        ``direction(beta)`` ``p = beta p + z``, each False if it ran
+        nothing."""
+        return None
 
     # -- BLAS-1 tail -----------------------------------------------------------
 

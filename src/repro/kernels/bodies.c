@@ -8,7 +8,8 @@
  * their two fastest extents, `z0 .. c1` the region's padded indices; only
  * the region's cells are written.  `restrict` marks what the caller has
  * checked: `out` is not `p`, `dot_*` is workspace the backend owns, and
- * the Chebyshev step's written arrays overlap no other operand.
+ * the written arrays of the Chebyshev step and of CG's region updates
+ * overlap no other operand.
  *
  * The file compiles its bodies twice, T = double (suffix _d) and T = float
  * (suffix _f), by including itself. */
@@ -83,11 +84,31 @@ void N(apply_axpy_dot3)(ARGS3, T *y, double alpha, T *restrict dot_y, BOUNDS3)
 { ROWS3 { CELL3(i) out[i] = a; T t = a * (T)alpha;
           dot_y[j] = y[i] = y[i] + t; } }
 
-/* y += alpha x and y = beta y + x over n contiguous cells; y may be x */
+/* y += alpha x and y = beta y + x at cell i: NumPy's two passes' order */
+#define AXPY(y, x, alpha) { T t = x[i] * (T)(alpha); y[i] = y[i] + t; }
+#define AYPX(y, x, beta) { T t = y[i] * (T)(beta); y[i] = t + x[i]; }
+
+/* ... over n contiguous cells; y may be x */
 void N(axpy)(T *y, double alpha, const T *x, size_t n)
-{ for (size_t i = 0; i < n; i++) { T t = x[i] * (T)alpha; y[i] = y[i] + t; } }
+{ for (size_t i = 0; i < n; i++) AXPY(y, x, alpha) }
 void N(aypx)(T *y, double beta, const T *x, size_t n)
-{ for (size_t i = 0; i < n; i++) { T t = y[i] * (T)beta; y[i] = t + x[i]; } }
+{ for (size_t i = 0; i < n; i++) AYPX(y, x, beta) }
+
+/* ... over the region: CG's direction update p = beta p + z */
+void N(aypx2)(T *restrict y, double beta, const T *restrict x, BOUNDS2)
+{ ROWS2 { AYPX(y, x, beta) (void)j; } }
+void N(aypx3)(T *restrict y, double beta, const T *restrict x, BOUNDS3)
+{ ROWS3 { AYPX(y, x, beta) (void)j; } }
+
+/* CG's update on the region: x += alpha p, then res += -alpha w, and —
+ * for <r, r> with the identity preconditioner — res[R] contiguous into
+ * dot_r. */
+#define CG_UPDATE \
+    { AXPY(x, p, alpha) AXPY(res, w, -alpha) if (dot_r) dot_r[j] = res[i]; }
+#define UPDATE T *restrict x, T *restrict res, const T *restrict p, \
+               const T *restrict w, double alpha, T *restrict dot_r
+void N(cg_update2)(UPDATE, BOUNDS2) { ROWS2 CG_UPDATE }
+void N(cg_update3)(UPDATE, BOUNDS3) { ROWS3 CG_UPDATE }
 
 /* One Chebyshev inner step (solvers/chebyshev.py) on the region: w = A p;
  * acc += p on the interior `i*` bounds only (inside the region); then per
@@ -126,6 +147,10 @@ void N(chebyshev_step3)(const T *kx, const T *ky, const T *kz, STEP, BOUNDS3,
 
 #undef TAIL
 #undef STEP
+#undef AXPY
+#undef AYPX
+#undef CG_UPDATE
+#undef UPDATE
 #undef CELL2
 #undef CELL3
 #undef ROWS2

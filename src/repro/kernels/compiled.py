@@ -22,6 +22,7 @@ import stat
 import tempfile
 import threading
 import weakref
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +112,8 @@ def _open(cc: str, source, flags, target: Path):
 
 def _declare(lib) -> dict:
     """The bodies of ``lib`` by ``(kernel, dimension, dtype)`` — dimension
-    0 for the flat BLAS-1 pair — with their ``argtypes`` set."""
+    0 for the flat BLAS-1 pair, whose ``aypx`` is also a region body —
+    with their ``argtypes`` set."""
     import ctypes
     ptr, size, real = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_double
     signatures = {(kernel, 0): [ptr, real, ptr, size]
@@ -124,6 +126,8 @@ def _declare(lib) -> dict:
             [ptr] * (ndim + 3) + [real, ptr] + tail)
         signatures["chebyshev_step", ndim] = (
             [ptr] * (ndim + 5) + [real, real] + tail + [size] * (2 * ndim))
+        signatures["cg_update", ndim] = [ptr] * 4 + [real, ptr] + tail
+        signatures["aypx", ndim] = [ptr, real, ptr] + tail
     bodies = {}
     for (kernel, ndim), argtypes in signatures.items():
         for char in "df":
@@ -300,6 +304,13 @@ class CompiledBackend(NumpyBackend):
              *d.shape[1:], *bounds)
         return True
 
+    def bind_cg(self, faces, x, r, p, w, z, bounds):
+        # ``_chain``'s checks, once per solve; ``z`` is ``r`` or only read.
+        more = (x, r) if z is r else (x, r, z)
+        chain = self._chain("apply_dot", faces, p, w, bounds, *more,
+                            written=(x, r, p, w))
+        return chain and _BoundCG(self, (*faces, p, w, *more), bounds, *chain)
+
     def _flat(self, kernel: str, y, alpha, x) -> bool:
         """Run ``kernel`` (``axpy``/``aypx``) on ``y`` and ``x`` and say
         so — if they are contiguous runs of one native float/double dtype
@@ -323,3 +334,47 @@ class CompiledBackend(NumpyBackend):
     def aypx(self, y, beta, x):
         if not self._flat("aypx", y, beta, x):
             super().aypx(y, beta, x)
+
+
+class _BoundCG:
+    """One CG solve's bodies (:meth:`CompiledBackend.bind_cg`) on the
+    addresses of the arrays it keeps alive.  A call checks only its
+    scalar (False: :func:`_scalar_fits` says NumPy would round otherwise)
+    and looks its workspace up — never bound: a later call on a larger
+    region may regrow the pool."""
+
+    def __init__(self, k, arrays, bounds, apply_dot, at, shape):
+        n, p = len(bounds) // 2, arrays[len(bounds) // 2]
+        p_, w, x, r = at[n:n + 4]       # after the faces; then z unless r
+        self.k, self.arrays, self.shape, self.dtype = k, arrays, shape, p.dtype
+        self.dot = len(arrays) == n + 4     # z is r: <r, r> rides the update
+        self.tail = (*p.shape[1:], *bounds)
+        self._matvec = partial(apply_dot, *at[:n], p_, w)
+        self._update = partial(k._bodies["cg_update", n, p.dtype], x, r, p_, w)
+        self._direction = partial(k._bodies["aypx", n, p.dtype], p_)
+        self._z = at[-1]
+
+    def _workspace(self, slot):
+        return self.k._buf(slot, self.shape, self.dtype)
+
+    def apply_dot(self) -> float:
+        pr, wr = self._workspace(_DOT_A), self._workspace(_DOT_B)
+        self._matvec(self.k._at(pr), self.k._at(wr), *self.tail)
+        return _dot(pr, wr)
+
+    def update(self, alpha) -> bool:
+        if not _scalar_fits(alpha, self.dtype):
+            return False
+        dot_r = self.k._at(self._workspace(_DOT_A)) if self.dot else None
+        self._update(alpha, dot_r, *self.tail)
+        return True
+
+    def rr(self) -> float:
+        rr = self._workspace(_DOT_A)
+        return _dot(rr, rr)
+
+    def direction(self, beta) -> bool:
+        if not _scalar_fits(beta, self.dtype):
+            return False
+        self._direction(beta, self._z, *self.tail)
+        return True

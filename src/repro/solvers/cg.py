@@ -62,11 +62,15 @@ class CGState:
         self.iterations = self.precond_applies = 0
         self.rz = self.rr = self.reference = self.res_norm = 0.0
 
-    def precondition(self) -> float:
+    def precondition(self, local_rr: float | None = None) -> float:
         """``z = M^-1 r`` and the fused ``(<r, z>, <r, r>)`` reduction;
-        returns ``<r, z>`` and leaves ``<r, r>`` in ``rr``."""
+        returns ``<r, z>`` and leaves ``<r, r>`` in ``rr``.  For the
+        identity ``z`` is ``r``: one reduction, of ``local_rr`` when the
+        update has taken the local sum already."""
         if self.identity:
-            (rz,) = self.op.dots([(self.r, self.r)])
+            if local_rr is None:
+                local_rr = self.r.local_dot(self.r, self.op.kernels)
+            (rz,) = self.op.reduce([local_rr])
             self.rr = rz
         else:
             with self.tracer.span("precond", self.solver):
@@ -199,6 +203,7 @@ def cg_solve(
     threshold = eps * s.reference
     converged = s.res_norm <= threshold
     watch = defences.watch(s, op, solver_name)
+    step = op.bind_cg(s)
 
     while not converged and s.iterations < max_iters:
         watch.boundary()
@@ -208,13 +213,11 @@ def cg_solve(
         with tracer.span("iteration", solver_name):
             watch.begin()
             # Fused matvec + direction dot: one exchange, one allreduce.
-            pw = op.apply_dot(s.p, s.w)
+            pw = step.matvec_dot()
             if watch.curvature(pw):
                 continue
             alpha = s.rz / pw
-            s.x.axpy(alpha, s.p, op.kernels)
-            s.r.axpy(-alpha, s.w, op.kernels)
-            s.rz_new = s.precondition()
+            s.rz_new = s.precondition(step.update(alpha))
             s.beta = s.rz_new / s.rz
             s.alphas.append(float(alpha))
             s.betas.append(float(s.beta))
@@ -228,7 +231,7 @@ def cg_solve(
                 break
             if watch.coefficient(s.beta):
                 continue
-            s.p.aypx(s.beta, s.z, op.kernels)
+            step.direction(s.beta)
             s.rz = s.rz_new
 
     if not converged and raise_on_stall:

@@ -71,7 +71,6 @@ def cg_fused_solve(
     eps: float = 1e-10,
     max_iters: int = 10_000,
     preconditioner: Preconditioner | None = None,
-    reference_norm: float | None = None,
     defences: Defences | None = None,
 ) -> SolveResult:
     """Solve ``A x = b`` with one global reduction per iteration.
@@ -100,8 +99,7 @@ def cg_fused_solve(
     gamma, delta, rr = op.dots([(r, u), (w, u), (r, r)])
 
     r0_norm = residual_norm(rr)
-    reference = r0_norm if reference_norm is None else reference_norm
-    threshold = eps * reference
+    threshold = eps * r0_norm
 
     # p = u and s = A p = w, the latter maintained by recurrence from here.
     st = _FusedState(x, r, u.copy(), w.copy(), gamma, r0_norm)

@@ -31,7 +31,7 @@ import scipy.linalg as sla
 from repro.mesh.field import Field
 from repro.solvers.cg import cg_solve
 from repro.solvers.defences import Defences
-from repro.solvers.operator import StencilOperator, StencilOperator2D
+from repro.solvers.operator import CGStep, StencilOperator, StencilOperator2D
 from repro.solvers.preconditioners import (
     Preconditioner,
     make_local_preconditioner,
@@ -169,6 +169,10 @@ class ProjectedOperator(StencilOperator):
         self.apply(p, out)
         self.space.project(out)
         return self.dots([(p, out)])[0]
+
+    def bind_cg(self, state) -> CGStep:
+        """Unbound: CG's matvec is this ``apply_dot``, not the stencil's."""
+        return CGStep(self, state, None)
 
     def residual(self, b: Field, x: Field, out: Field) -> None:
         """``out = P (b - A x)``."""

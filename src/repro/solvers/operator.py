@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -261,13 +262,27 @@ class StencilOperator:
         stream the dot through the stencil pass (see
         :meth:`repro.kernels.base.KernelBackend.apply_dot`).
         """
+        return self._stencil_dot(p, partial(
+            self.kernels.apply_dot, *self._coeffs, p.data, out.data,
+            *self._stencil_bounds(0)[0]))
+
+    def _stencil_dot(self, p: Field, local) -> float:
+        """``p``'s depth-1 exchange, ``local()`` — the stencil returning its
+        local ``<p, A p>`` — in the ``stencil`` span, the ``matvec``
+        event, one allreduce."""
         self.exchanger.exchange(p, depth=1)
-        bounds, cells = self._stencil_bounds(0)
         with self.tracer.span("stencil", 0):
-            local = self.kernels.apply_dot(*self._coeffs, p.data, out.data,
-                                           *bounds)
-        self.events.record("matvec", None, cells=cells)
+            local = local()
+        self.events.record("matvec", None, cells=self._stencil_bounds(0)[1])
         return float(self.comm.allreduce(local))
+
+    def bind_cg(self, state) -> "CGStep":
+        """CG's iteration on ``state``'s fields ``x, r, p, w, z``, bound once
+        through :meth:`~repro.kernels.base.KernelBackend.bind_cg`."""
+        return CGStep(self, state, self.kernels.bind_cg(
+            self._coeffs, *(f.data for f in (state.x, state.r, state.p,
+                                              state.w, state.z)),
+            self._stencil_bounds(0)[0]))
 
     def residual_dot(self, b: Field, x: Field, out: Field) -> float:
         """``out = b - A x``; returns the global ``<out, out>``.
@@ -326,8 +341,11 @@ class StencilOperator:
         This is the "multiple dot products combined into a single
         communication step" optimisation the paper lists as future work.
         """
-        local = np.array([a.local_dot(b, self.kernels) for a, b in pairs])
-        out = self.comm.allreduce(local)
+        return self.reduce([a.local_dot(b, self.kernels) for a, b in pairs])
+
+    def reduce(self, local: list[float]) -> tuple[float, ...]:
+        """Rank-local partial sums, summed over the ranks in one allreduce."""
+        out = self.comm.allreduce(np.array(local))
         return tuple(float(v) for v in out)
 
     def norm(self, a: Field) -> float:
@@ -378,6 +396,44 @@ class StencilOperator:
         return sp.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows),
                                     np.concatenate(cols))), shape=(n, n))
+
+
+class CGStep:
+    """One CG iteration in three calls (:meth:`StencilOperator.bind_cg`):
+    each one body the backend bound, or — unbound, or handed back — the
+    separate calls it replaces, the reference.  Both give the same bits,
+    exchanges, allreduces, spans and events."""
+
+    def __init__(self, op: StencilOperator, state, bound) -> None:
+        self.op, self.s, self.bound = op, state, bound
+
+    def matvec_dot(self) -> float:
+        """``w = A p``; returns the global ``<p, w>``."""
+        s = self.s
+        # An if/else, not two returns: the contract checker (repro.analysis)
+        # charges a branch's maximum, but a sequence's sum.
+        if self.bound is None:
+            pw = self.op.apply_dot(s.p, s.w)
+        else:
+            pw = self.op._stencil_dot(s.p, self.bound.apply_dot)
+        return pw
+
+    def update(self, alpha: float) -> float | None:
+        """``x += alpha p`` then ``r -= alpha w``; returns the local ``<r,
+        r>`` where the bound body took it on the way (``z`` is ``r``),
+        else None."""
+        s, b = self.s, self.bound
+        if b is not None and b.update(alpha):
+            return b.rr() if b.dot else None
+        s.x.axpy(alpha, s.p, self.op.kernels)
+        s.r.axpy(-alpha, s.w, self.op.kernels)
+        return None
+
+    def direction(self, beta: float) -> None:
+        """``p = beta p + z``."""
+        s, b = self.s, self.bound
+        if b is None or not b.direction(beta):
+            s.p.aypx(beta, s.z, self.op.kernels)
 
 
 #: The operator under its 2-D name.

@@ -282,7 +282,7 @@ def _copy_real_solver(tmp_path: Path, inject: bool) -> Path:
     (d / "operator.py").write_text((SRC / "solvers/operator.py").read_text())
     src = (SRC / "solvers/cg.py").read_text()
     if inject:
-        marker = "            pw = op.apply_dot(s.p, s.w)"
+        marker = "            pw = step.matvec_dot()"
         assert marker in src
         src = src.replace(
             marker, marker + "\n            op.comm.allreduce(0.0)")
@@ -442,6 +442,11 @@ def test_operator_table_derived_from_source():
     assert table["dots"].allreduces == 1
     assert table["norm"].allreduces == 1
     assert not table["apply_noexchange"]
+    # The CG step op.bind_cg returns: the matvec carries the iteration's
+    # exchange and first reduction on both its paths, the updates none.
+    step = table["matvec_dot"]
+    assert (step.halos, step.allreduces) == (1, 1)
+    assert not table["update"] and not table["direction"]
 
 
 # -- the shipped tree (tier-1 lint gate) ---------------------------------------

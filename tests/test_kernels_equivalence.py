@@ -3,7 +3,7 @@
 The numerical policy under test (``docs/kernels.md``, ``repro.kernels.base``):
 
 - **fp-order-preserving kernels** (``stencil_apply``, ``axpy``, the field
-  updates of ``apply_axpy_dot``, ``chebyshev_step``,
+  updates of ``apply_axpy_dot``, ``chebyshev_step``, CG's bound bodies,
   ``pack_halo``/``unpack_halo``) must match
   the baseline **bit for bit** for every dtype, shape and halo depth;
 - **reductions** (``dot``, ``norm``, the scalars of ``apply_dot`` /
@@ -31,9 +31,12 @@ and of its build flags must die on the same battery.
 """
 
 import hashlib
+import math
 import tracemalloc
 
+from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,8 +55,9 @@ from repro.kernels import (
     reduction_tolerance,
 )
 from repro.comm.serial import SerialComm
-from repro.kernels.numpy_backend import _block_rows, _operands
+from repro.kernels.numpy_backend import _DOT_A, _DOT_B, _block_rows, _operands
 from repro.mesh import Field, decompose
+from repro.resilience import SolverCheckpointStore, SolverGuard
 from repro.solvers import Defences, SolverOptions, cg_solve, solve_linear
 from repro.solvers.chebyshev import ChebyshevIteration
 from repro.solvers.eigen import EigenBounds
@@ -65,7 +69,7 @@ from repro.testing import crooked_pipe_system, serial_operator
 from repro.utils.errors import ConfigurationError
 
 from tests.helpers import (bits, check_exchange_fills_ghosts,
-                           crooked_duct_system, grid_of)
+                           crooked_duct_system, grid_of, scripted_system)
 
 BASELINE = get_backend("numpy")
 
@@ -607,6 +611,234 @@ def test_chebyshev_step_bit_identical_to_its_passes(shape, dtype, inner):
     _check_chebyshev_steps(_instances("numpy"), shape, dtype, inner)
 
 
+# -- CG's bound iteration: three bodies, the bits of the calls they replace ---
+
+
+def _cg_iterations(k, faces, fields, ext):
+    """Two CG iterations' local work on ``fields`` (``x, r, p, w, z``) over
+    ``region(ext)`` through backend ``k``: its bound bodies where it binds
+    them — the workspace pool regrown before each iteration, as a call on
+    a larger region would —, the reference calls where not.  Returns what
+    the reductions saw: ``<p, A p>``, and when ``z`` is ``r`` the ``<r,
+    r>`` operand's bytes and its sum."""
+    x, r, p, w, z = fields
+    region = x.region(ext)
+    bounds = tuple(b for s in region for b in (s.start, s.stop))
+    bound = k.bind_cg(faces, *(f.data for f in fields), bounds)
+    assert (bound is not None) == isinstance(k, CompiledBackend)
+    seen = []
+    for alpha, beta, grow in ((0.375, -0.75, 1), (-1.25, 0.5, 2)):
+        if bound is None:
+            seen.append(k.apply_dot(*faces, p.data, w.data, *bounds))
+            x.axpy(alpha, p, k, ext)
+            r.axpy(-alpha, w, k, ext)
+            operand = np.ascontiguousarray(r.data[region])
+            rr = k.dot(r.data[region], r.data[region])
+            p.aypx(beta, z, k, ext)
+        else:
+            k._buf(_DOT_A, (grow * r.data.size,), r.dtype)
+            seen.append(bound.apply_dot())
+            assert bound.update(alpha)
+            operand = k._buf(_DOT_A, bound.shape, r.dtype)
+            rr = bound.rr()
+            assert bound.direction(beta)
+        if z is r:
+            seen += [operand.tobytes(), rr]
+    return seen
+
+
+def _check_cg_bodies(kernels, shape, dtype):
+    """Two CG iterations (:func:`_cg_iterations`) at every extension of a
+    tile whose region grows on every side and of one where it grows on
+    one side per axis, with ``z`` being ``r`` (the ``<r, r>`` operand
+    rides the update) and not, through each backend of ``kernels`` —
+    bound exactly when it is the compiled one —: every cell of every
+    field and everything the reductions saw equal the whole-array
+    oracle's through ``Field.axpy``/``aypx`` and a contiguous copy, and
+    every cell the bodies may not write keeps its poison (``p`` beyond the
+    stencil's ring, the others outside the region)."""
+    halo = 2
+    faces, _, _ = _system(shape, halo, dtype)
+    pad = faces[0].shape
+    rng = np.random.default_rng(13 * len(shape) + shape[-1])
+    for tile in _span_tiles(shape):
+        for ext in range(halo):
+            region = Field(tile, halo).region(ext)
+            bounds = tuple(b for s in region for b in (s.start, s.stop))
+            written = _region_mask(pad, region)
+            read = written.copy()
+            for axis in range(len(shape)):
+                for shift in (-1, +1):
+                    read[_window(bounds, axis, shift)] = True
+            for dot in (True, False):
+                start = [_poison(rng.standard_normal(pad).astype(dtype), keep)
+                         for keep in (written, written, read, written,
+                                      written)]
+                if dot:
+                    start[4] = start[1]
+                oracle = None
+                for k in (ORACLE, *kernels):
+                    fields = [Field(tile, halo, a.copy()) for a in start[:4]]
+                    fields.append(fields[1] if dot else
+                                  Field(tile, halo, start[4].copy()))
+                    seen = _cg_iterations(k, faces, fields, ext)
+                    for f, a0 in zip(fields, start):
+                        assert np.array_equal(bits(f.data[~written]),
+                                              bits(a0[~written]))
+                    oracle = oracle or (seen, [f.data for f in fields])
+                    assert seen == oracle[0]
+                    for f, ref in zip(fields, oracle[1]):
+                        assert np.array_equal(bits(f.data), bits(ref))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", CHEBY_SHAPES,
+                         ids=[_name(shape) for shape in CHEBY_SHAPES])
+def test_cg_bodies_bit_identical_to_their_calls(shape, dtype):
+    """The compiled loops, bound, and the NumPy replay's calls."""
+    _check_cg_bodies(_instances("numpy"), shape, dtype)
+
+
+def test_cg_calls_the_bodies_cannot_take_are_the_reference_calls():
+    """``bind_cg`` binds nothing where ``x`` is ``p`` or a written field is
+    read-only; a bound update or direction update runs nothing — False,
+    every array untouched — for a NumPy scalar, or a Python float no
+    float32 holds, beside float32 fields; the step then makes the
+    reference calls, with their bits."""
+    if baseline_bodies()[0] != "compiled":
+        pytest.skip(baseline_bodies()[1])
+    shape, halo = (13, 7), 1
+    faces, _, _ = _system(shape, halo, "float32")
+    rng = np.random.default_rng(31)
+    tile = _span_tiles(shape)[0]
+    start = [rng.standard_normal(faces[0].shape).astype("f") for _ in range(5)]
+    k, bounds = CompiledBackend(), _bounds(shape, halo, 0)
+    x, r, p, w, z = (a.copy() for a in start)
+    frozen = x.copy()
+    frozen.flags.writeable = False
+    assert k.bind_cg(faces, p, r, p, w, z, bounds) is None
+    assert k.bind_cg(faces, frozen, r, p, w, z, bounds) is None
+    bound = k.bind_cg(faces, x, r, p, w, z, bounds)
+    scalars = (np.float64(1 / 3), np.float32(0.5), 1e39)
+    for scalar in scalars:
+        assert bound.update(scalar) is False
+        assert bound.direction(scalar) is False
+    assert all(np.array_equal(bits(a), bits(a0))
+               for a, a0 in zip((x, r, p, w, z), start))
+
+    op = StencilOperator(**dict(zip(("kx", "ky"), (
+        Field(tile, halo, f.copy()) for f in faces))), comm=SerialComm(),
+        exchanger=_Ghosts(), kernels=k)
+    state, ref = ({name: Field(tile, halo, a.copy())
+                   for name, a in zip("xrpwz", start)} for _ in range(2))
+    step = op.bind_cg(SimpleNamespace(**state))
+    assert step.bound is not None
+    for scalar in scalars:
+        assert step.update(scalar) is None
+        step.direction(scalar)
+        ref["x"].axpy(scalar, ref["p"], k)
+        ref["r"].axpy(-scalar, ref["w"], k)
+        ref["p"].aypx(scalar, ref["z"], k)
+    assert all(np.array_equal(bits(state[name].data), bits(ref[name].data))
+               for name in "xrpwz")
+
+
+def test_bound_cg_iteration_is_three_body_calls():
+    """On a compiled build, once ``cg_solve`` has bound its step, an
+    iteration is three body calls — the stencil with the ``<p, A p>``
+    operands, the update (with the ``<r, r>`` operand for the identity),
+    the region's direction update — and no ``_chain``/``_plan`` check:
+    the difference between a 20- and a 10-iteration solve, with and
+    without a preconditioner.  Without this a silent fallback would pass
+    every bits test above."""
+    if baseline_bodies()[0] != "compiled":
+        pytest.skip(baseline_bodies()[1])
+    grid, kxg, kyg, bg = crooked_pipe_system(32)
+    calls = Counter()
+
+    def counted(name, call):
+        return lambda *args, **kw: calls.update([name]) or call(*args, **kw)
+
+    bodies = {key: counted(f"{key[0]}{key[1] or ''}", body)
+              for key, body in compiled._process_bodies()[0].items()}
+    for inner in ("none", "diagonal"):
+        per_solve = []
+        for iterations in (10, 20):
+            k = CompiledBackend(bodies)
+            k._chain, k._plan = (counted(name, getattr(k, name))
+                                 for name in ("_chain", "_plan"))
+            op = serial_operator(grid, kxg, kyg).with_kernels(k)
+            b = Field.from_global(op.tile, op.halo, bg)
+            calls.clear()
+            cg_solve(op, b, eps=1e-30, max_iters=iterations,
+                     preconditioner=make_local_preconditioner(op, inner))
+            per_solve.append(Counter(calls))
+        per_solve[1].subtract(per_solve[0])
+        assert +per_solve[1] == {"apply_dot2": 10, "cg_update2": 10,
+                                 "aypx2": 10}, inner
+
+
+class _Regrow:
+    """A cancel token that regrows a backend's dot workspace at one
+    iteration boundary, as a call on a larger region would."""
+
+    def __init__(self, k, iteration):
+        self.k, self.iteration, self.fired = k, iteration, 0
+
+    def check(self, iteration):
+        if iteration == self.iteration:
+            for slot in (_DOT_A, _DOT_B):
+                self.k._buf(slot, (1 << 14,), np.dtype("float64"))
+            self.fired += 1
+
+
+def _rewritten_cg(k, rewrite, tmp_path):
+    """The 16^2 pipe's CG through backend ``k``, with its fields or its
+    workspace rewritten in place mid-solve by ``rewrite``: the solution's
+    bytes, the history, whether each bound step was bound, and a count
+    that the rewrite happened."""
+    op, b = scripted_system({16: lambda out: float("nan")}
+                            if rewrite == "rollback" else {})
+    op = op.with_kernels(k)
+    steps, bind = [], op.bind_cg
+    op.bind_cg = lambda state: steps.append(bind(state)) or steps[-1]
+    guard, resume = SolverGuard(checkpoint_interval=5), None
+    defences = Defences(guard=guard)
+    if rewrite == "splice":      # with the ABFT replay's true residual in w
+        defences = replace(defences, abft_interval=3, replace_interval=10,
+                           replace_tolerance=1e-15)
+    elif rewrite == "resume":
+        store = SolverCheckpointStore(tmp_path / type(k).__name__, rank=0)
+        cg_solve(op, b, eps=1e-10, max_iters=23, defences=Defences(
+            guard=SolverGuard(checkpoint_interval=5, store=store)))
+        iteration, arrays, scalars = store.load()
+        resume = {"iteration": iteration, "arrays": arrays,
+                  "scalars": scalars}
+    elif rewrite == "regrow":
+        defences = Defences(cancel=_Regrow(k, 7))
+    result = cg_solve(op, b, eps=1e-10, max_iters=300, defences=defences,
+                      resume_state=resume)
+    happened = {"rollback": guard.rollbacks,
+                "splice": result.replacement and result.replacement.splices,
+                "resume": resume and resume["iteration"],
+                "regrow": defences.cancel and defences.cancel.fired}[rewrite]
+    return (result.x.data.tobytes(), result.history,
+            [s.bound is not None for s in steps], happened)
+
+
+@pytest.mark.parametrize("rewrite", ["rollback", "splice", "resume", "regrow"])
+def test_bound_cg_survives_in_place_rewrites(rewrite, tmp_path):
+    """A guard rollback, residual replacement's splice (and the ABFT
+    replay's true residual), an exact resume and a workspace pool regrown
+    mid-solve all write in place under a bound step: the compiled solve
+    ends bit-identical to the NumPy replay's unbound one."""
+    runs = [_rewritten_cg(k, rewrite, tmp_path) for k in _instances("numpy")]
+    for (*_, bound, happened), k in zip(runs, _instances("numpy")):
+        assert happened and set(bound) == {isinstance(k, CompiledBackend)}
+    assert all(run[:2] == runs[0][:2] for run in runs)
+
+
 def _mutant(module_name, old, new):
     """``module_name`` re-executed from its source with ``old`` (which
     must occur exactly once) replaced by ``new``."""
@@ -714,8 +946,8 @@ C_MUTANTS = {
     "diagonal-low-face-first": ("(ky[i + sy] + (T)1) + ky[i]",
                                 "(ky[i] + (T)1) + ky[i + sy]"),
     "dot-operand-row-not-advanced": ("j = (r - r0) * nc", "j = 0"),
-    "axpy-operands-swapped": ("T t = x[i] * (T)alpha; y[i] = y[i] + t;",
-                              "T t = y[i] * (T)alpha; y[i] = x[i] + t;"),
+    "axpy-operands-swapped": ("T t = x[i] * (T)(alpha); y[i] = y[i] + t;",
+                              "T t = y[i] * (T)(alpha); y[i] = x[i] + t;"),
     "float-widened-to-double": ("T a = d * p[i];", "double a = d * p[i];"),
     "contracted-to-fma": None,
     "step-z-over-the-region": ("ir0, ir1, ic0, ic1);", "r0, r1, c0, c1);"),
@@ -727,6 +959,14 @@ C_MUTANTS = {
     "step-diagonal-after-the-scale": (
         "if (m) t = t * m[i]; \\\n    w[i] = t * (T)scale;",
         "t = t * (T)scale; \\\n    if (m) t = t * m[i]; w[i] = t;"),
+    "cg-minus-alpha-on-x": ("AXPY(x, p, alpha) AXPY(res, w, -alpha)",
+                            "AXPY(x, p, -alpha) AXPY(res, w, alpha)"),
+    "cg-dot-before-the-r-update": (
+        "AXPY(res, w, -alpha) if (dot_r) dot_r[j] = res[i];",
+        "if (dot_r) dot_r[j] = res[i]; AXPY(res, w, -alpha)"),
+    "cg-beta-on-z": ("T t = y[i] * (T)(beta); y[i] = t + x[i];",
+                     "T t = x[i] * (T)(beta); y[i] = t + y[i];"),
+    "cg-dot-at-i-not-j": ("dot_r[j] = res[i]", "dot_r[i] = res[i]"),
 }
 
 
@@ -758,6 +998,7 @@ def test_c_mutants_are_killed(name, tmp_path, monkeypatch):
                 for inner in ("none", "diagonal"):
                     _check_chebyshev_steps([CompiledBackend(bodies)], shape,
                                            dtype, inner)
+                _check_cg_bodies([CompiledBackend(bodies)], shape, dtype)
 
 
 @pytest.mark.parametrize("backend", ["numpy", "fused"])
@@ -949,12 +1190,18 @@ PINNED_ITERATIONS = {
 #: recorded before the routing, with the iteration counts above — and of
 #: the ranks' padded solutions, in rank order, of the two matrix-powers
 #: configurations on the 48^2 crooked pipe over 1x2 and 2x2 ranks,
-#: recorded before the Chebyshev step had a compiled body.
+#: recorded before the Chebyshev step had a compiled body — and of CG on
+#: ranks (``cg`` bare and diagonally scaled on that pipe, ``cg`` on the
+#: 12^3 duct over 2 ranks), recorded before CG's iteration was bound.
 PINNED_SOLUTIONS = {"jacobi": "bf37c77db26be68b", "dcg": "2a6dd2423d2bb951",
                     "ppcg-depth4@1x2": "dab4d7b1768ffdfa",
                     "ppcg-depth4@2x2": "0964f2a87eeebe05",
                     "chebyshev-depth4@1x2": "48840b90ffc97f94",
-                    "chebyshev-depth4@2x2": "916861e144b63a94"}
+                    "chebyshev-depth4@2x2": "916861e144b63a94",
+                    "cg@1x2": "c2689ce9694fd1e3", "cg@2x2": "1ab7d720af1e69b8",
+                    "cg-diagonal@1x2": "7ebb9dccd79ad422",
+                    "cg-diagonal@2x2": "0805594f0602b1f7",
+                    "cg-duct@2": "6f969060257ed4b3"}
 
 
 @pytest.mark.parametrize("label,opt", SOLVE_CONFIGS,
@@ -992,21 +1239,46 @@ def test_decomposed_matrix_powers_identical_to_oracle(label, factors):
     """On one rank ``region(ext)`` never grows; on 1x2 and 2x2 ranks it
     does, so the inner steps run on extended regions: every rank's padded
     ``x`` is the oracle's bit for bit, and the pinned digest."""
-    grid, kxg, kyg, bg = crooked_pipe_system(48)
-    o = replace(dict(SOLVE_CONFIGS)[label], kernel_backend="numpy",
-                true_residual=True)
+    assert (_decomposed_digest(crooked_pipe_system(48),
+                               dict(SOLVE_CONFIGS)[label], factors)
+            == PINNED_SOLUTIONS[f"{label}@{factors[0]}x{factors[1]}"])
+
+
+@pytest.mark.parametrize("label", ["cg@1x2", "cg@2x2", "cg-diagonal@1x2",
+                                   "cg-diagonal@2x2", "cg-duct@2"])
+def test_decomposed_cg_identical_to_oracle(label):
+    """CG's bound iteration on ranks — the 48^2 pipe on 1x2 and 2x2, bare
+    and diagonally scaled, the 12^3 duct on 2 — leaves every rank's
+    padded ``x`` the oracle's bit for bit, and the pinned digest."""
+    name, ranks = label.split("@")
+    opt = replace(dict(SOLVE_CONFIGS)["cg"], preconditioner="diagonal"
+                  if name == "cg-diagonal" else "none")
+    system = (crooked_duct_system(12) if name == "cg-duct"
+              else crooked_pipe_system(48))
+    factors = tuple(map(int, ranks.split("x")))
+    assert (_decomposed_digest(system, opt, factors)
+            == PINNED_SOLUTIONS[label])
+
+
+def _decomposed_digest(system, opt, factors):
+    """``opt`` solved on ranks — ``factors`` the process grid, ``(n,)``
+    for ``n`` ranks laid out by default — through the oracle and each
+    ``numpy`` backend: asserts every rank's padded ``x`` agrees bit for
+    bit, returns the digest of them all, in rank order."""
+    grid, *faces, bg = system
+    o = replace(opt, kernel_backend="numpy", true_residual=True)
     solutions = []
     for make in (OracleBackend, *map(type, _instances("numpy"))):
         def route(op, stack, store, make=make):
             op.kernels = op.exchanger.kernels = make()
             return {}
-        run = solve_on_ranks(grid, (kxg, kyg), bg, o, factors[0] * factors[1],
-                             factors=factors, before_solve=route)
+        run = solve_on_ranks(grid, faces, bg, o, math.prod(factors),
+                             factors=factors if len(factors) > 1 else None,
+                             before_solve=route)
         solutions.append(b"".join(rank.result.x.data.tobytes()
                                   for rank in run.ranks))
     assert all(x == solutions[0] for x in solutions)
-    assert (hashlib.sha256(solutions[0]).hexdigest()[:16]
-            == PINNED_SOLUTIONS[f"{label}@{factors[0]}x{factors[1]}"])
+    return hashlib.sha256(solutions[0]).hexdigest()[:16]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -278,15 +278,21 @@ class TestDefencePaths:
         """``A p`` perturbed once (iteration 7): the recurrence residual
         silently drifts away from ``b - A x``."""
         op, b = self.system({})
-        real, calls = op.apply_dot, [0]
+        bind, calls = op.bind_cg, [0]
 
-        def bad(p, out):
-            pw = real(p, out)
-            calls[0] += 1
-            if calls[0] == 8:
-                out.interior[3, 3] += 1e-3
-            return pw
-        op.apply_dot = bad
+        def bound(state):
+            step = bind(state)
+            real = step.matvec_dot
+
+            def bad():
+                pw = real()
+                calls[0] += 1
+                if calls[0] == 8:
+                    state.w.interior[3, 3] += 1e-3
+                return pw
+            step.matvec_dot = bad
+            return step
+        op.bind_cg = bound
         return op, b
 
     def test_abft_drift_rolls_back(self):

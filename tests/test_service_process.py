@@ -221,14 +221,14 @@ class TestWorkerDeath:
 
 class TestCancellationAcrossTheBoundary:
     def test_client_cancel_stops_a_running_solve(self):
-        deck = _deck(192)
+        deck = _deck(256)
 
         async def scenario():
             with SolveService(workers=1, **OPEN_QUOTA) as svc:
-                whole = await svc.submit(deck, n=192)
+                whole = await svc.submit(deck, n=256)
                 token = CancelToken()
                 job = asyncio.ensure_future(
-                    svc.submit(deck, n=192, cancel=token))
+                    svc.submit(deck, n=256, cancel=token))
                 await _until(lambda: svc._pool[0].busy)
                 await asyncio.sleep(0.08)
                 token.cancel("client went away")
@@ -267,7 +267,7 @@ class TestCancellationAcrossTheBoundary:
                 # Cold workers: the allowance must not count their imports.
                 quick = await svc.submit(_deck(), n=12)
                 assert quick.status == "completed" and quick.attempts == 1
-                stuck = await svc.submit(_deck(192), n=192)
+                stuck = await svc.submit(_deck(256), n=256)
                 return stuck, [w.breaker._consecutive for w in svc._pool]
 
         stuck, failures = asyncio.run(scenario())
