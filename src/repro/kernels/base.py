@@ -29,14 +29,16 @@ Numerical policy (see ``docs/kernels.md``):
 - **fp-order-preserving kernels** — ``stencil_apply``, ``axpy``,
   ``aypx``, the field updates of ``apply_axpy_dot``,
   ``chebyshev_step``, the bound CG bodies of ``bind_cg`` (the
-  ``cg_update`` of ``x``/``r`` and its ``<r, r>`` operand, the region
-  ``aypx``), ``pack_halo``/``unpack_halo`` —
+  ``cg_update`` of ``x``/``r``, the region ``aypx``),
+  ``pack_halo``/``unpack_halo`` —
   are elementwise and must match the ``numpy`` baseline **bit for bit**
   for every dtype: blocking or compiling may not reorder an element's
   ops (nor fuse a multiply into an add).
-- **reductions** — ``dot``, ``norm`` and the scalars of ``apply_dot`` /
-  ``apply_axpy_dot`` — may reassociate, within
-  ``|d - d_ref| <= 64 * eps(dtype) * sum_i |a_i b_i|`` of the baseline.
+- **reductions** — ``dot``, ``norm``, the scalars of ``apply_dot`` /
+  ``apply_axpy_dot`` and the ``<r, r>`` of the bound ``cg_update`` — have
+  one defined order, :func:`reference_dot`, so the ``numpy`` baseline's
+  are the same bits on every CPU.  Only ``fused`` reassociates, within
+  ``|d - d_ref| <= 64 * eps(dtype) * sum_i |a_i b_i|`` of it.
 
 The equivalence battery (``tests/test_kernels_equivalence.py``) enforces
 both halves differentially against the ``numpy`` backend for every
@@ -67,6 +69,50 @@ KERNEL_STREAMS = {
 #: Documented reduction-reassociation bound multiplier (ULP policy).
 REDUCTION_ULP_FACTOR = 64.0
 
+#: The reference reduction's lane count (``bodies.c`` defines it too).
+LANES = 8
+
+
+def reference_dot(a: np.ndarray, b: np.ndarray, out=None) -> float:
+    """The reference reduction ``<a, b>`` of two arrays of one shape.
+
+    - Cell ``j`` of the arrays, counted in C order (slowest axis first),
+      goes to lane ``j % 8``.
+    - Each lane starts at ``+0.0`` and adds its products ``a[j] * b[j]``
+      in sequence.  Products, lanes and their combination are computed
+      in the operands' dtype: float32 accumulates in float32.
+    - The lanes combine as ``((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6
+      + l7))``, returned as a Python float; an inf or NaN is a value for
+      the solvers' guards, not a warning.
+
+    No library chooses this order, so it is the same on every CPU.
+    ``bodies.c`` sums the lanes while it streams a region; this is the
+    NumPy statement, which writes the products into ``out`` (flat, at
+    least ``a.size + LANES`` cells of the product dtype) when given.
+    """
+    n = a.size
+    if out is None:
+        out = np.empty(n + LANES, np.result_type(a.dtype, b.dtype))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(a, b, out=out[:n].reshape(a.shape))
+    return lane_sum(out, n)
+
+
+def lane_sum(prod: np.ndarray, n: int) -> float:
+    """:func:`reference_dot` of the products in the first ``n`` cells of
+    the flat ``prod`` (at least ``n + LANES`` cells).  The cells up to the
+    next multiple of ``LANES`` are zeroed: a zero added to a lane that
+    started at ``+0.0`` changes nothing."""
+    rows = prod[:-(-n // LANES) * LANES]
+    rows[n:] = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        # einsum starts each lane at +0.0 and adds one row of LANES cells
+        # after another, so each lane is summed in sequence (a test pins
+        # this) — as np.add.reduce along axis 0 does, 4x slower.
+        lanes = np.einsum("ij->j", rows.reshape(-1, LANES))
+        pairs = lanes[0::2] + lanes[1::2]
+        return float((pairs[0] + pairs[1]) + (pairs[2] + pairs[3]))
+
 
 def stencil_diagonal(*faces: np.ndarray) -> np.ndarray:
     """The stencil's centre coefficient per padded cell: ``1 + `` the
@@ -87,7 +133,8 @@ def stencil_diagonal(*faces: np.ndarray) -> np.ndarray:
 
 
 def reduction_tolerance(a: np.ndarray, b: np.ndarray) -> float:
-    """The documented bound on ``|dot(a, b) - dot_ref(a, b)|``.
+    """The documented bound on ``|dot(a, b) - reference_dot(a, b)|`` of
+    the one backend that reassociates, ``fused``.
 
     ``64 * eps(dtype) * sum|a_i b_i|`` — a forward-error envelope wide
     enough to cover any two summation orders (pairwise, blocked partials,
@@ -169,16 +216,18 @@ class KernelBackend:
         region ``bounds`` — or None, the default: the caller then makes the
         separate calls, the reference, whose bits the bodies give.  The
         bound object's ``apply_dot()`` returns the local ``<p, A p>``;
-        ``update(alpha)`` runs ``x += alpha p``, ``r += -alpha w`` (then
-        ``rr()`` is the local ``<r, r>`` when ``z`` is ``r``: ``dot``) and
-        ``direction(beta)`` ``p = beta p + z``, each False if it ran
-        nothing."""
+        ``update(alpha)`` runs ``x += alpha p``, ``r += -alpha w`` and
+        returns the local ``<r, r>`` when ``z`` is ``r`` (else 0.0), None
+        if it ran nothing; ``direction(beta)`` runs ``p = beta p + z``,
+        False if it ran nothing."""
         return None
 
     # -- BLAS-1 tail -----------------------------------------------------------
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Local dot product of two (view) arrays of one shape."""
+        """Local dot product of two (view) arrays of one shape:
+        :func:`reference_dot`'s bits, or within :func:`reduction_tolerance`
+        of them for a backend that reassociates."""
         raise NotImplementedError
 
     def axpy(self, y: np.ndarray, alpha: float, x: np.ndarray) -> None:

@@ -6,16 +6,18 @@
  * never with -ffast-math (a fused multiply-add rounds once where the
  * baseline rounds twice).  Arrays are C-contiguous and padded, `H`/`W`
  * their two fastest extents, `z0 .. c1` the region's padded indices; only
- * the region's cells are written.  `restrict` marks what the caller has
- * checked: `out` is not `p`, `dot_*` is workspace the backend owns, and
- * the written arrays of the Chebyshev step and of CG's region updates
- * overlap no other operand.
+ * the region's cells are written.  A reduction is the reference reduction
+ * (kernels/base.py, `reference_dot`), summed as the region is streamed and
+ * returned as a double.  `restrict` marks what the caller has checked:
+ * `out` is not `p`, and the written arrays of the Chebyshev step and of
+ * CG's region updates overlap no other operand.
  *
  * The file compiles its bodies twice, T = double (suffix _d) and T = float
  * (suffix _f), by including itself. */
 #include <stddef.h>
 
 #ifndef T
+#define LANES 8
 #define T double
 #define N(name) name##_d
 #include __FILE__
@@ -42,20 +44,39 @@
     a = a - ky[i + sy] * p[i + sy]; a = a - ky[i] * p[i - sy]; \
     a = a - kx[i + 1] * p[i + 1];   a = a - kx[i] * p[i - 1];
 
-/* The region's cells: `i` in the padded arrays, `j` in the contiguous
- * (region-shaped) dot operands. */
-#define ROWS2 \
-    const size_t sy = W, nc = c1 - c0; \
-    for (size_t r = r0; r < r1; r++) \
-        for (size_t i = r * sy + c0, j = (r - r0) * nc, e = i + nc; \
-             i < e; i++, j++)
-#define ROWS3 \
-    const size_t sy = W, sz = H * W, nc = c1 - c0, nr = r1 - r0; \
+/* The region's rows, each one run of `nc` cells from `i0` in the padded
+ * arrays; `j0` counts the region's cells before the row (C order). */
+#define ROWS2(...) { \
+    const size_t sy = W, nc = c1 - c0; size_t j0 = 0; \
+    for (size_t r = r0; r < r1; r++, j0 += nc) { \
+        const size_t i0 = r * sy + c0; (void)j0; __VA_ARGS__ } }
+#define ROWS3(...) { \
+    const size_t sy = W, sz = H * W, nc = c1 - c0; size_t j0 = 0; \
     for (size_t z = z0; z < z1; z++) \
-        for (size_t r = r0; r < r1; r++) \
-            for (size_t i = z * sz + r * sy + c0, \
-                 j = ((z - z0) * nr + (r - r0)) * nc, e = i + nc; \
-                 i < e; i++, j++)
+        for (size_t r = r0; r < r1; r++, j0 += nc) { \
+            const size_t i0 = z * sz + r * sy + c0; (void)j0; __VA_ARGS__ } }
+#define CELLS for (size_t i = i0, e = i0 + nc; i < e; i++)
+
+/* The reference reduction: cell j of the region adds its product to lane
+ * j % LANES, each lane in sequence from +0, in T; the lanes are combined
+ * pairwise.  `lanes` adds one row of n cells, the first being cell j, with
+ * the blocks whose first cell is lane 0's unrolled: those lanes stay in
+ * registers. */
+static void N(lanes)(T *restrict s, const T *a, const T *b, size_t j,
+                     size_t n)
+{
+    T l[LANES];
+    size_t k = 0;
+    for (int m = 0; m < LANES; m++) l[m] = s[m];
+    for (; k < n && (j + k) % LANES; k++) l[(j + k) % LANES] += a[k] * b[k];
+    for (; k + LANES <= n; k += LANES)
+        for (int m = 0; m < LANES; m++) l[m] += a[k + m] * b[k + m];
+    for (; k < n; k++) l[(j + k) % LANES] += a[k] * b[k];
+    for (int m = 0; m < LANES; m++) s[m] = l[m];
+}
+#define DOT T s[8] = {0};
+#define ADD(a, b) N(lanes)(s, a + i0, b + i0, j0, nc);
+#define SUM (((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7])))
 
 #define ARGS2 const T *kx, const T *ky, const T *restrict p, T *restrict out
 #define ARGS3 const T *kx, const T *ky, const T *kz, \
@@ -65,24 +86,27 @@
                 size_t r0, size_t r1, size_t c0, size_t c1
 
 /* out[R] = (A p)[R] */
-void N(stencil2)(ARGS2, BOUNDS2)
-{ ROWS2 { CELL2(i) out[i] = a; (void)j; } }
-void N(stencil3)(ARGS3, BOUNDS3)
-{ ROWS3 { CELL3(i) out[i] = a; (void)j; } }
+void N(stencil2)(ARGS2, BOUNDS2) ROWS2(CELLS { CELL2(i) out[i] = a; })
+void N(stencil3)(ARGS3, BOUNDS3) ROWS3(CELLS { CELL3(i) out[i] = a; })
 
-/* ... and the operands of <p, A p>, contiguous, for the reference dot */
-void N(apply_dot2)(ARGS2, T *restrict dot_p, T *restrict dot_w, BOUNDS2)
-{ ROWS2 { CELL2(i) out[i] = a; dot_p[j] = p[i]; dot_w[j] = a; } }
-void N(apply_dot3)(ARGS3, T *restrict dot_p, T *restrict dot_w, BOUNDS3)
-{ ROWS3 { CELL3(i) out[i] = a; dot_p[j] = p[i]; dot_w[j] = a; } }
+/* ... and <p, A p>, each row summed while it is in cache */
+double N(apply_dot2)(ARGS2, BOUNDS2)
+{ DOT ROWS2(CELLS { CELL2(i) out[i] = a; } ADD(p, out)) return SUM; }
+double N(apply_dot3)(ARGS3, BOUNDS3)
+{ DOT ROWS3(CELLS { CELL3(i) out[i] = a; } ADD(p, out)) return SUM; }
 
-/* ... and y[R] += alpha * out[R], with y[R] contiguous for <y, y> */
-void N(apply_axpy_dot2)(ARGS2, T *y, double alpha, T *restrict dot_y, BOUNDS2)
-{ ROWS2 { CELL2(i) out[i] = a; T t = a * (T)alpha;
-          dot_y[j] = y[i] = y[i] + t; } }
-void N(apply_axpy_dot3)(ARGS3, T *y, double alpha, T *restrict dot_y, BOUNDS3)
-{ ROWS3 { CELL3(i) out[i] = a; T t = a * (T)alpha;
-          dot_y[j] = y[i] = y[i] + t; } }
+/* ... and y[R] += alpha * out[R], and <y, y> */
+#define AXPY_OUT { T t = a * (T)alpha; y[i] = y[i] + t; }
+double N(apply_axpy_dot2)(ARGS2, T *y, double alpha, BOUNDS2)
+{ DOT ROWS2(CELLS { CELL2(i) out[i] = a; AXPY_OUT } ADD(y, y)) return SUM; }
+double N(apply_axpy_dot3)(ARGS3, T *y, double alpha, BOUNDS3)
+{ DOT ROWS3(CELLS { CELL3(i) out[i] = a; AXPY_OUT } ADD(y, y)) return SUM; }
+
+/* <a, b> over the region of two arrays of one padded shape */
+double N(dot2)(const T *a, const T *b, BOUNDS2)
+{ DOT ROWS2(ADD(a, b)) return SUM; }
+double N(dot3)(const T *a, const T *b, BOUNDS3)
+{ DOT ROWS3(ADD(a, b)) return SUM; }
 
 /* y += alpha x and y = beta y + x at cell i: NumPy's two passes' order */
 #define AXPY(y, x, alpha) { T t = x[i] * (T)(alpha); y[i] = y[i] + t; }
@@ -96,19 +120,18 @@ void N(aypx)(T *y, double beta, const T *x, size_t n)
 
 /* ... over the region: CG's direction update p = beta p + z */
 void N(aypx2)(T *restrict y, double beta, const T *restrict x, BOUNDS2)
-{ ROWS2 { AYPX(y, x, beta) (void)j; } }
+ROWS2(CELLS AYPX(y, x, beta))
 void N(aypx3)(T *restrict y, double beta, const T *restrict x, BOUNDS3)
-{ ROWS3 { AYPX(y, x, beta) (void)j; } }
+ROWS3(CELLS AYPX(y, x, beta))
 
-/* CG's update on the region: x += alpha p, then res += -alpha w, and —
- * for <r, r> with the identity preconditioner — res[R] contiguous into
- * dot_r. */
+/* CG's update on the region: x += alpha p, then res += -alpha w; with
+ * `dot` (the identity preconditioner) it returns <res, res>, else 0. */
 #define CG_UPDATE \
-    { AXPY(x, p, alpha) AXPY(res, w, -alpha) if (dot_r) dot_r[j] = res[i]; }
+    CELLS { AXPY(x, p, alpha) AXPY(res, w, -alpha) } if (dot) ADD(res, res)
 #define UPDATE T *restrict x, T *restrict res, const T *restrict p, \
-               const T *restrict w, double alpha, T *restrict dot_r
-void N(cg_update2)(UPDATE, BOUNDS2) { ROWS2 CG_UPDATE }
-void N(cg_update3)(UPDATE, BOUNDS3) { ROWS3 CG_UPDATE }
+               const T *restrict w, double alpha, int dot
+double N(cg_update2)(UPDATE, BOUNDS2) { DOT ROWS2(CG_UPDATE) return SUM; }
+double N(cg_update3)(UPDATE, BOUNDS3) { DOT ROWS3(CG_UPDATE) return SUM; }
 
 /* One Chebyshev inner step (solvers/chebyshev.py) on the region: w = A p;
  * acc += p on the interior `i*` bounds only (inside the region); then per
@@ -125,36 +148,41 @@ void N(cg_update3)(UPDATE, BOUNDS3) { ROWS3 CG_UPDATE }
              const T *restrict m, double scale, double beta
 
 static void N(accumulate2)(T *restrict acc, const T *restrict p, BOUNDS2)
-{ ROWS2 { acc[i] = acc[i] + p[i]; (void)j; } }
+ROWS2(CELLS { acc[i] = acc[i] + p[i]; })
 static void N(accumulate3)(T *restrict acc, const T *restrict p, BOUNDS3)
-{ ROWS3 { acc[i] = acc[i] + p[i]; (void)j; } }
+ROWS3(CELLS { acc[i] = acc[i] + p[i]; })
 
 void N(chebyshev_step2)(const T *kx, const T *ky, STEP, BOUNDS2,
                         size_t ir0, size_t ir1, size_t ic0, size_t ic1)
 {
-    { ROWS2 { CELL2(i) w[i] = a; (void)j; } }
+    ROWS2(CELLS { CELL2(i) w[i] = a; })
     N(accumulate2)(acc, p, W, ir0, ir1, ic0, ic1);
-    { ROWS2 { TAIL(i) (void)j; } }
+    ROWS2(CELLS { TAIL(i) })
 }
 void N(chebyshev_step3)(const T *kx, const T *ky, const T *kz, STEP, BOUNDS3,
                         size_t iz0, size_t iz1, size_t ir0, size_t ir1,
                         size_t ic0, size_t ic1)
 {
-    { ROWS3 { CELL3(i) w[i] = a; (void)j; } }
+    ROWS3(CELLS { CELL3(i) w[i] = a; })
     N(accumulate3)(acc, p, H, W, iz0, iz1, ir0, ir1, ic0, ic1);
-    { ROWS3 { TAIL(i) (void)j; } }
+    ROWS3(CELLS { TAIL(i) })
 }
 
 #undef TAIL
 #undef STEP
 #undef AXPY
 #undef AYPX
+#undef AXPY_OUT
 #undef CG_UPDATE
 #undef UPDATE
 #undef CELL2
 #undef CELL3
 #undef ROWS2
 #undef ROWS3
+#undef CELLS
+#undef DOT
+#undef ADD
+#undef SUM
 #undef ARGS2
 #undef ARGS3
 #undef BOUNDS2

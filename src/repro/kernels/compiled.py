@@ -5,8 +5,9 @@ once per machine with the system C compiler and loaded with ``ctypes``.
 compiler is present :func:`baseline` — what ``get_backend("numpy")``
 constructs — is a :class:`CompiledBackend`, whose stencil chains, ``axpy``
 and ``aypx`` stream each array through cache once instead of once per
-ufunc pass, and whose every reduction is still the one reference
-``np.dot`` over contiguous workspace.  Elsewhere it is the pure
+ufunc pass, and whose reductions sum the reference order
+(:func:`~repro.kernels.base.reference_dot`) as they stream, with no
+operand copied.  Elsewhere it is the pure
 :class:`~repro.kernels.numpy_backend.NumpyBackend`, silently;
 :func:`baseline_bodies` tells which.  ``docs/kernels.md`` ("Compiled
 bodies") has the flag policy, the cache rules and the measurements.
@@ -27,8 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.kernels.numpy_backend import (_DOT_A, _DOT_B, NumpyBackend, _dot,
-                                         _operands)
+from repro.kernels.numpy_backend import NumpyBackend, _operands
 from repro.utils.errors import ConfigurationError
 
 SOURCE = Path(__file__).with_name("bodies.c")
@@ -43,6 +43,10 @@ FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 #: Python floats beyond this do not fit a C ``float``: NumPy warns on the
 #: cast, so such a call is NumPy's.
 _FLOAT_MAX = 3.4e38
+
+
+#: The bodies that return the reference reduction of their region.
+_REDUCING = ("apply_dot", "apply_axpy_dot", "dot", "cg_update")
 
 
 class BuildError(Exception):
@@ -113,7 +117,8 @@ def _open(cc: str, source, flags, target: Path):
 def _declare(lib) -> dict:
     """The bodies of ``lib`` by ``(kernel, dimension, dtype)`` — dimension
     0 for the flat BLAS-1 pair, whose ``aypx`` is also a region body —
-    with their ``argtypes`` set."""
+    with their ``argtypes`` set, and ``restype`` ``c_double`` for the
+    bodies that return a reduction."""
     import ctypes
     ptr, size, real = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_double
     signatures = {(kernel, 0): [ptr, real, ptr, size]
@@ -121,18 +126,19 @@ def _declare(lib) -> dict:
     for ndim in (2, 3):
         tail = [size] * (ndim - 1 + 2 * ndim)   # pitches, then bounds
         signatures["stencil", ndim] = [ptr] * (ndim + 2) + tail
-        signatures["apply_dot", ndim] = [ptr] * (ndim + 4) + tail
-        signatures["apply_axpy_dot", ndim] = (
-            [ptr] * (ndim + 3) + [real, ptr] + tail)
+        signatures["apply_dot", ndim] = [ptr] * (ndim + 2) + tail
+        signatures["apply_axpy_dot", ndim] = [ptr] * (ndim + 3) + [real] + tail
+        signatures["dot", ndim] = [ptr, ptr] + tail
         signatures["chebyshev_step", ndim] = (
             [ptr] * (ndim + 5) + [real, real] + tail + [size] * (2 * ndim))
-        signatures["cg_update", ndim] = [ptr] * 4 + [real, ptr] + tail
+        signatures["cg_update", ndim] = [ptr] * 4 + [real, ctypes.c_int] + tail
         signatures["aypx", ndim] = [ptr, real, ptr] + tail
     bodies = {}
     for (kernel, ndim), argtypes in signatures.items():
         for char in "df":
             fn = getattr(lib, f"{kernel}{ndim or ''}_{char}")
-            fn.argtypes, fn.restype = argtypes, None
+            fn.argtypes = argtypes
+            fn.restype = real if kernel in _REDUCING else None
             bodies[kernel, ndim, np.dtype(char)] = fn
     return bodies
 
@@ -195,6 +201,24 @@ def baseline() -> NumpyBackend:
     return CompiledBackend(bodies) if bodies else NumpyBackend()
 
 
+def _region(a: np.ndarray) -> tuple | None:
+    """The pitches and bounds that make view ``a`` the region of a padded
+    C-order array whose first cell is ``a``'s — the ``dot`` body's tail —
+    or None: a layout no such array has (a 1-D run is one row)."""
+    item, strides = a.itemsize, a.strides
+    if (not 0 < a.ndim <= 3 or strides[-1] != item
+            or any(s <= 0 or s % item for s in strides)):
+        return None
+    if a.ndim == 1:
+        return a.size, 0, 1, 0, a.size
+    pitches = [s // item for s in strides[:-1]]    # 3-D: H·W, W
+    if a.ndim == 3:
+        if pitches[0] % pitches[1]:
+            return None
+        pitches[0] //= pitches[1]
+    return (*pitches, *(b for n in a.shape for b in (0, n)))
+
+
 def _scalar_fits(alpha, dtype: np.dtype) -> bool:
     """``alpha`` is a Python float that ``dtype`` holds.  NumPy keeps the
     arithmetic in the arrays' dtype for one, as the C loops do; a NumPy
@@ -206,8 +230,8 @@ def _scalar_fits(alpha, dtype: np.dtype) -> bool:
 class CompiledBackend(NumpyBackend):
     """The baseline bit patterns from the loops of ``bodies.c``.
 
-    The checks, the workspace and every reduction are ``NumpyBackend``'s;
-    a call whose operands the loops cannot take goes to its bodies whole.
+    The checks are ``NumpyBackend``'s, and the reductions its bits; a
+    call whose operands the loops cannot take goes to its bodies whole.
     """
 
     def __init__(self, bodies: dict | None = None) -> None:
@@ -235,14 +259,14 @@ class CompiledBackend(NumpyBackend):
 
     def _chain(self, kernel: str, faces, p, out, bounds, *more,
                written=None):
-        """``(body, operand addresses, region shape)`` of one stencil
-        chain — after ``NumpyBackend``'s own checks, so a refused call
-        raises what it always raised — or ``None`` where the operands are
+        """``(body, operand addresses)`` of one stencil chain — after
+        ``NumpyBackend``'s own checks, so a refused call raises what it
+        always raised — or ``None`` where the operands are
         not what the loops assume: one native float/double dtype, the
         stencil's ring inside the arrays, and the ``written`` operands
         (default: ``out`` and the chain's ``more``) writeable and
         overlapping no other operand."""
-        g = self._plan(faces, p, out, bounds, 8, *more)[0]
+        self._plan(faces, p, out, bounds, 8, *more)
         arrays = (*faces, p, out, *more)
         body = self._bodies.get((kernel, p.ndim, p.dtype))
         if (body is None or any(a.dtype != p.dtype for a in arrays)
@@ -254,14 +278,14 @@ class CompiledBackend(NumpyBackend):
             if not a.flags.writeable or sum(
                     abs(self._at(a) - other) < p.nbytes for other in at) != 1:
                 return None
-        return body, at, g.shape
+        return body, at
 
     def stencil_apply(self, *args):
         faces, p, out, _, bounds = _operands(args)
         chain = self._chain("stencil", faces, p, out, bounds)
         if chain is None:
             return super().stencil_apply(*args)
-        body, at, _ = chain
+        body, at = chain
         body(*at, *p.shape[1:], *bounds)
 
     def apply_dot(self, *args):
@@ -269,11 +293,8 @@ class CompiledBackend(NumpyBackend):
         chain = self._chain("apply_dot", faces, p, out, bounds)
         if chain is None:
             return super().apply_dot(*args)
-        body, at, shape = chain
-        pr = self._buf(_DOT_A, shape, p.dtype)
-        wr = self._buf(_DOT_B, shape, p.dtype)
-        body(*at, self._at(pr), self._at(wr), *p.shape[1:], *bounds)
-        return _dot(pr, wr)
+        body, at = chain
+        return body(*at, *p.shape[1:], *bounds)
 
     def apply_axpy_dot(self, *args):
         faces, p, out, (y, alpha), bounds = _operands(args, 2)
@@ -281,10 +302,18 @@ class CompiledBackend(NumpyBackend):
                  if _scalar_fits(alpha, p.dtype) else None)
         if chain is None:
             return super().apply_axpy_dot(*args)
-        body, at, shape = chain
-        yr = self._buf(_DOT_A, shape, p.dtype)
-        body(*at, alpha, self._at(yr), *p.shape[1:], *bounds)
-        return _dot(yr, yr)
+        body, at = chain
+        return body(*at, alpha, *p.shape[1:], *bounds)
+
+    def dot(self, a, b):
+        """The ``dot`` body over the region two views of one layout span
+        (``Field`` interiors: no copy); NumPy's lanes otherwise."""
+        body = self._bodies.get(("dot", max(a.ndim, 2), a.dtype))
+        tail = _region(a)
+        if (body is None or tail is None or b.dtype != a.dtype
+                or b.shape != a.shape or b.strides != a.strides):
+            return super().dot(a, b)
+        return body(a.ctypes.data, b.ctypes.data, *tail)
 
     def chebyshev_step(self, *args):
         faces, d, w, (r, z, m, scale, beta), bounds = _operands(args, 5)
@@ -298,7 +327,7 @@ class CompiledBackend(NumpyBackend):
                             written=(d, w, r, z))
         if chain is None:
             return False
-        body, at, _ = chain
+        body, at = chain
         n = len(faces) + 4
         body(*at[:n], at[n] if m is not None else None, scale, beta,
              *d.shape[1:], *bounds)
@@ -338,43 +367,30 @@ class CompiledBackend(NumpyBackend):
 
 class _BoundCG:
     """One CG solve's bodies (:meth:`CompiledBackend.bind_cg`) on the
-    addresses of the arrays it keeps alive.  A call checks only its
-    scalar (False: :func:`_scalar_fits` says NumPy would round otherwise)
-    and looks its workspace up — never bound: a later call on a larger
-    region may regrow the pool."""
+    addresses of the arrays it keeps alive.  ``apply_dot()`` returns the
+    local ``<p, A p>``; ``update`` and ``direction`` check only their
+    scalar, and run nothing where :func:`_scalar_fits` says NumPy would
+    round otherwise (``update`` returns None, ``direction`` False)."""
 
-    def __init__(self, k, arrays, bounds, apply_dot, at, shape):
+    def __init__(self, k, arrays, bounds, apply_dot, at):
         n, p = len(bounds) // 2, arrays[len(bounds) // 2]
         p_, w, x, r = at[n:n + 4]       # after the faces; then z unless r
-        self.k, self.arrays, self.shape, self.dtype = k, arrays, shape, p.dtype
-        self.dot = len(arrays) == n + 4     # z is r: <r, r> rides the update
-        self.tail = (*p.shape[1:], *bounds)
-        self._matvec = partial(apply_dot, *at[:n], p_, w)
+        self.arrays, self.dtype = arrays, p.dtype
+        tail = (*p.shape[1:], *bounds)
+        self.apply_dot = partial(apply_dot, *at[:n], p_, w, *tail)
         self._update = partial(k._bodies["cg_update", n, p.dtype], x, r, p_, w)
+        # z is r: <r, r> rides the update.
+        self._dot = (int(len(arrays) == n + 4), *tail)
         self._direction = partial(k._bodies["aypx", n, p.dtype], p_)
-        self._z = at[-1]
+        self._z = (at[-1], *tail)
 
-    def _workspace(self, slot):
-        return self.k._buf(slot, self.shape, self.dtype)
-
-    def apply_dot(self) -> float:
-        pr, wr = self._workspace(_DOT_A), self._workspace(_DOT_B)
-        self._matvec(self.k._at(pr), self.k._at(wr), *self.tail)
-        return _dot(pr, wr)
-
-    def update(self, alpha) -> bool:
+    def update(self, alpha) -> float | None:
         if not _scalar_fits(alpha, self.dtype):
-            return False
-        dot_r = self.k._at(self._workspace(_DOT_A)) if self.dot else None
-        self._update(alpha, dot_r, *self.tail)
-        return True
-
-    def rr(self) -> float:
-        rr = self._workspace(_DOT_A)
-        return _dot(rr, rr)
+            return None
+        return self._update(alpha, *self._dot)
 
     def direction(self, beta) -> bool:
         if not _scalar_fits(beta, self.dtype):
             return False
-        self._direction(beta, self._z, *self.tail)
+        self._direction(beta, *self._z)
         return True

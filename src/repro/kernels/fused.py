@@ -5,12 +5,12 @@ each field through cache once per chain, not once per whole-array pass.
 Its elementwise half (L2-sized blocks of rows or planes, block scratch)
 now *is* the ``numpy`` baseline, so ``stencil_apply``, ``axpy`` and the
 chains' field updates are inherited, bit-identical by construction.  What is left are
-**block-partial reductions**: where the baseline pays a copy of each
-strided operand and a second pass over memory for its one reference
-``np.dot``, this backend reduces each block while it is cache-hot
-(``np.dot`` per block, exact ``math.fsum`` across).  That reassociates,
-within :func:`repro.kernels.base.reduction_tolerance`; block sizes
-depend only on region shape and dtype, so results repeat run to run.
+**block-partial reductions**: where the baseline sums one region's
+products in the reference order, this backend reduces each block while
+it is cache-hot (``np.einsum``'s order per block, no workspace, exact
+``math.fsum`` across).  That reassociates, within
+:func:`repro.kernels.base.reduction_tolerance`; block sizes depend only
+on region shape and dtype, so results repeat run to run.
 """
 
 from __future__ import annotations
@@ -19,8 +19,14 @@ import math
 
 import numpy as np
 
-from repro.kernels.numpy_backend import (_DOT_A, _DOT_B, NumpyBackend,
-                                         _block_rows, _dot, _operands)
+from repro.kernels.numpy_backend import NumpyBackend, _block_rows, _operands
+
+
+def _block_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``<a, b>`` of one cache-hot block, in the operands' dtype."""
+    axes = list(range(a.ndim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.einsum(a, axes, b, axes, []))
 
 
 class FusedBackend(NumpyBackend):
@@ -31,12 +37,8 @@ class FusedBackend(NumpyBackend):
     def apply_dot(self, *args):
         faces, p, out, _, bounds = _operands(args)
         plan = self._plan(faces, p, out, bounds, 7)
-        partials = []
-        for _, window, acc, _ in self._stencil_blocks(*plan, p, out):
-            # Both operands cache-hot; workspace copies where strided.
-            partials.append(_dot(self._contiguous(_DOT_A, p[window]),
-                                 self._contiguous(_DOT_B, acc)))
-        return math.fsum(partials)
+        return math.fsum(_block_dot(p[window], acc) for _, window, acc, _
+                         in self._stencil_blocks(*plan, p, out))
 
     def apply_axpy_dot(self, *args):
         faces, p, out, (y, alpha), bounds = _operands(args, 2)
@@ -46,16 +48,11 @@ class FusedBackend(NumpyBackend):
             np.multiply(acc, alpha, out=tmp)
             np.add(y[window], tmp, out=tmp)
             y[window] = tmp
-            yb = self._contiguous(_DOT_A, tmp)
-            partials.append(_dot(yb, yb))
+            partials.append(_block_dot(tmp, tmp))
         return math.fsum(partials)
 
     def dot(self, a, b):
         nrows = a.shape[0]
         bs = _block_rows(nrows, a.shape[-1], a.itemsize, streams=2)
-        partials = []
-        for b0 in range(0, nrows, bs):
-            fa = self._contiguous(_DOT_A, a[b0:b0 + bs])
-            fb = fa if b is a else self._contiguous(_DOT_B, b[b0:b0 + bs])
-            partials.append(_dot(fa, fb))
-        return math.fsum(partials)
+        return math.fsum(_block_dot(a[b0:b0 + bs], b[b0:b0 + bs])
+                         for b0 in range(0, nrows, bs))

@@ -21,10 +21,10 @@ allocates no array (``docs/kernels.md`` has the measurements):
   ones are recomputed by the same body on every call.  The index
   arithmetic of a call (strides, block list, span bounds) is worked out
   once per ``(padded shape, bounds)``.
-- **Reductions still copy.**  The reference is one ``np.dot`` of two
-  contiguous vectors and BLAS partial sums depend on the length, so
-  strided operands are copied whole into workspace (once when both are
-  one array); a blocked dot would change bits.
+- **Reductions replay the reference order.**  A reduction writes its
+  products into workspace — per block, as a chain streams — and adds
+  them in :func:`~repro.kernels.base.reference_dot`'s lanes, which the
+  compiled bodies sum in the same order; no operand is copied.
 
 The workspace is one grow-only flat pool per slot, viewed per call, so
 regions of different extents (CPPCG's extended bounds) share memory.
@@ -38,7 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.kernels.base import KernelBackend, stencil_diagonal
+from repro.kernels.base import (LANES, KernelBackend, lane_sum,
+                                reference_dot, stencil_diagonal)
 from repro.utils.errors import ConfigurationError
 
 #: Target bytes for one block's working set (operands + scratch), well
@@ -47,22 +48,15 @@ from repro.utils.errors import ConfigurationError
 _BLOCK_BYTES = 1 << 20
 _MIN_BLOCK_ROWS = 8
 
-#: Workspace slots: block product, block accumulator and the two
-#: whole-region dot operands.
-_TMP, _ACC, _DOT_A, _DOT_B = range(4)
+#: Workspace slots: block product, block accumulator and a reduction's
+#: products.
+_TMP, _ACC, _PROD = range(3)
 
 
 def _block_rows(nrows: int, ncols: int, itemsize: int, streams: int) -> int:
     """Rows per block so ``streams`` arrays of the block fit the target."""
     per_row = max(1, streams * ncols * itemsize)
     return max(_MIN_BLOCK_ROWS, min(nrows, _BLOCK_BYTES // per_row))
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """The reference reduction, of two contiguous arrays; inf/NaN goes to
-    the solvers' guards (they screen every reduction), not to a warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.dot(a.reshape(-1), b.reshape(-1)))
 
 
 def _stencil_passes(diag, taps, p_c, acc, tmp) -> None:
@@ -146,8 +140,8 @@ class NumpyBackend(KernelBackend):
 
     def __init__(self) -> None:
         # Per slot: the grow-only byte pool and its latest typed view.
-        self._pools = [None] * 4
-        self._views = [None] * 4
+        self._pools = [None] * 3
+        self._views = [None] * 3
         # The frozen coefficient set the cached diagonal belongs to, its
         # flat views (one per tap) and that diagonal, flat.
         self._faces, self._coeffs, self._diag = (), None, None
@@ -164,13 +158,9 @@ class NumpyBackend(KernelBackend):
             view = self._views[slot] = pool[:size].view(dtype).reshape(shape)
         return view
 
-    def _contiguous(self, slot: int, a: np.ndarray) -> np.ndarray:
-        """``a`` itself when contiguous, else its copy in slot ``slot``."""
-        if a.flags.c_contiguous:
-            return a
-        buf = self._buf(slot, a.shape, a.dtype)
-        np.copyto(buf, a)
-        return buf
+    def _products(self, n: int, dtype: np.dtype) -> np.ndarray:
+        """Flat workspace for a reduction of ``n`` products."""
+        return self._buf(_PROD, (n + LANES,), dtype)
 
     def _coefficients(self, faces: tuple, shape: tuple) -> tuple:
         """Flat views of ``faces`` (each of ``shape``) — one per tap,
@@ -242,27 +232,31 @@ class NumpyBackend(KernelBackend):
     def apply_dot(self, *args):
         faces, p, out, _, bounds = _operands(args)
         g, *coeffs = self._plan(faces, p, out, bounds, 8)
-        pr = self._buf(_DOT_A, g.shape, p.dtype)
-        wr = self._buf(_DOT_B, g.shape, out.dtype)
+        n = math.prod(g.shape)
+        prod = self._products(n, p.dtype)
+        region = prod[:n].reshape(g.shape)
         for at, window, acc, _ in self._stencil_blocks(g, *coeffs, p, out):
-            pr[at] = p[window]
-            wr[at] = acc
-        return _dot(pr, wr)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(p[window], acc, out=region[at])
+        return lane_sum(prod, n)
 
     def apply_axpy_dot(self, *args):
         faces, p, out, (y, alpha), bounds = _operands(args, 2)
         g, *coeffs = self._plan(faces, p, out, bounds, 8, y)
-        yr = self._buf(_DOT_A, g.shape, y.dtype)
+        n = math.prod(g.shape)
+        prod = self._products(n, y.dtype)
+        region = prod[:n].reshape(g.shape)
         for at, window, acc, tmp in self._stencil_blocks(g, *coeffs, p, out):
             yb = y[window]
             np.multiply(acc, alpha, out=tmp)
             np.add(yb, tmp, out=yb)
-            yr[at] = yb
-        return _dot(yr, yr)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(yb, yb, out=region[at])
+        return lane_sum(prod, n)
 
     def dot(self, a, b):
-        fa = self._contiguous(_DOT_A, a)
-        return _dot(fa, fa if b is a else self._contiguous(_DOT_B, b))
+        dtype = np.result_type(a.dtype, b.dtype)
+        return reference_dot(a, b, self._products(a.size, dtype))
 
     def axpy(self, y, alpha, x):
         nrows = y.shape[0]

@@ -258,11 +258,8 @@ class Field:
 
     def local_dot(self, other: "Field", kernels=None) -> float:
         """Rank-local interior dot product, reduced by ``kernels.dot``
-        (a throwaway baseline backend when none is given).
-
-        Both operands are one view when ``other is self``, so the
-        backend copies the strided interior to workspace once, not twice.
-        """
+        (a throwaway baseline backend when none is given) in the
+        reference order (:func:`repro.kernels.base.reference_dot`)."""
         if kernels is None:
             kernels = get_backend(DEFAULT_BACKEND)
         a = self.interior

@@ -23,10 +23,10 @@ than fighting it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.mesh.field import Field
 from repro.solvers.cg import cg_solve
@@ -56,6 +56,20 @@ COMM_CONTRACT = {
     "hot_function": None,
     "delegates_to": "repro.solvers.cg",
 }
+
+
+def _cholesky(E: np.ndarray) -> np.ndarray:
+    """Lower ``L`` with ``L L^T = E``, eliminating column by column."""
+    L = np.tril(E)
+    for j in range(len(L)):
+        if not L[j, j] > 0:
+            raise ConfigurationError(
+                f"deflation coarse matrix not SPD: pivot {j} is {L[j, j]}")
+        L[j, j] = math.sqrt(L[j, j])
+        col = L[j + 1:, j]
+        col /= L[j, j]
+        L[j + 1:, j + 1:] -= np.tril(np.multiply.outer(col, col))
+    return L
 
 
 class DeflationSpace:
@@ -115,13 +129,14 @@ class DeflationSpace:
                 local_E[i] = self._aw[:, mask].sum(axis=1)
         E = op.comm.allreduce(local_E)
         E = 0.5 * (E + E.T)  # symmetrise round-off
-        try:
-            self._E_factor = sla.cho_factor(E)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - guard
-            raise ConfigurationError(
-                f"deflation coarse matrix not SPD: {exc}")
+        self._L = _cholesky(E)
+        # The box where each A W column is nonzero (empty off this tile).
+        self._box = [tuple(slice(i.min(initial=aw.size), i.max(initial=-1) + 1)
+                           for i in np.nonzero(aw)) for aw in self._aw]
 
     # -- coarse-space algebra ------------------------------------------------
+    # No BLAS or LAPACK, whose summation orders depend on the CPU: every sum
+    # below is elementwise in a fixed order.
 
     def wt(self, v: Field) -> np.ndarray:
         """``W^T v``: per-subdomain sums (one k-sized allreduce)."""
@@ -131,20 +146,35 @@ class DeflationSpace:
         return np.asarray(self.op.comm.allreduce(local))
 
     def awt(self, v: Field) -> np.ndarray:
-        """``(A W)^T v`` (one k-sized allreduce)."""
-        local = self._aw.reshape(self.k, -1) @ v.interior.ravel()
+        """``(A W)^T v`` (one k-sized allreduce), each local sum the
+        backend's reference ``dot``."""
+        local = np.array([self.op.kernels.dot(aw, v.interior)
+                          for aw in self._aw])
         return np.asarray(self.op.comm.allreduce(local))
 
     def coarse_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``E^{-1} rhs`` (replicated tiny dense solve).  A NaN from a
-        corrupted ``wt`` reduction flows through into ``<p, PAp>``, where
-        the solve's defences judge it like any other poisoned scalar."""
-        return sla.cho_solve(self._E_factor, rhs, check_finite=False)
+        """``E^{-1} rhs`` (replicated tiny dense solve): ``L y = rhs``, then
+        ``L^T x = y``, column by column.  A NaN from a corrupted ``wt``
+        reduction flows through into ``<p, PAp>``, where the solve's
+        defences judge it like any other poisoned scalar."""
+        L = self._L
+        x = np.array(rhs, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(self.k):
+                x[j] /= L[j, j]
+                x[j + 1:] -= L[j + 1:, j] * x[j]
+            for j in reversed(range(self.k)):
+                x[j] /= L[j, j]
+                x[:j] -= L[j, :j] * x[j]
+        return x
 
     def project(self, v: Field) -> None:
-        """In place ``v <- P v = v − A W E^{-1} W^T v``."""
+        """In place ``v <- P v = v − A W E^{-1} W^T v``, one column of
+        ``A W`` after another."""
         lam = self.coarse_solve(self.wt(v))
-        v.interior -= np.tensordot(lam, self._aw, axes=(0, 0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for coef, aw, box in zip(lam, self._aw, self._box):
+                v.interior[box] -= coef * aw[box]
 
     def project_transpose(self, v: Field) -> None:
         """In place ``v <- P^T v = v − W E^{-1} (A W)^T v``."""

@@ -423,11 +423,11 @@ class CGStep:
         r>`` where the bound body took it on the way (``z`` is ``r``),
         else None."""
         s, b = self.s, self.bound
-        if b is not None and b.update(alpha):
-            return b.rr() if b.dot else None
-        s.x.axpy(alpha, s.p, self.op.kernels)
-        s.r.axpy(-alpha, s.w, self.op.kernels)
-        return None
+        rr = None if b is None else b.update(alpha)
+        if rr is None:
+            s.x.axpy(alpha, s.p, self.op.kernels)
+            s.r.axpy(-alpha, s.w, self.op.kernels)
+        return rr if s.z is s.r else None
 
     def direction(self, beta: float) -> None:
         """``p = beta p + z``."""

@@ -256,8 +256,8 @@ class TestSolverCheckpointStore:
         assert resumed.iterations == full.iterations == 28
         assert np.array_equal(resumed.x.data, full.x.data)
         assert resumed.history == full.history[20:]
-        assert history_sha(resumed.history) == "67f82e0c50703852"
-        assert history_sha(full.history) == "5ab6329831f90439"
+        assert history_sha(resumed.history) == "15b0ef37d18cdff3"
+        assert history_sha(full.history) == "a39adf6d8124b9fe"
 
 
 # -- kill-and-restart ---------------------------------------------------------

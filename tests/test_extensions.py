@@ -166,8 +166,8 @@ class TestDeflation:
     @pytest.mark.parametrize("reduction", range(16, 24))
     def test_poisoned_reduction_is_judged_by_the_watch(self, reduction):
         """A NaN in any reduction of an iteration — the projector's
-        ``W^T v`` included, which ``cho_solve`` must pass through, not
-        reject with scipy's ``ValueError`` — is rolled back by a guard, and
+        ``W^T v`` included, which the coarse solve must pass through, not
+        reject with a ``ValueError`` — is rolled back by a guard, and
         without one is a ``BreakdownError``."""
         from repro.numerics.breakdown import BreakdownError
         from tests.helpers import scripted_system

@@ -7,8 +7,10 @@ The numerical policy under test (``docs/kernels.md``, ``repro.kernels.base``):
   ``pack_halo``/``unpack_halo``) must match
   the baseline **bit for bit** for every dtype, shape and halo depth;
 - **reductions** (``dot``, ``norm``, the scalars of ``apply_dot`` /
-  ``apply_axpy_dot``) may reassociate and must agree within the documented
-  bound ``reduction_tolerance`` (= 64 * eps(dtype) * sum|a_i b_i|).
+  ``apply_axpy_dot``, the bound ``cg_update``'s ``<r, r>``) are the
+  reference order ``reference_dot`` bit for bit in the baseline, and only
+  ``fused`` may reassociate, within the documented bound
+  ``reduction_tolerance`` (= 64 * eps(dtype) * sum|a_i b_i|).
 
 Both halves run differentially over a dtype x mesh-shape x halo-depth
 grid — 2-D and 3-D shapes in one battery, including 1-cell-wide tiles,
@@ -21,7 +23,8 @@ configurations.
 The baseline itself is blocked and allocation-free; what defines its bit
 patterns is the whole-array one-liner it replaced, kept here — written
 over the axes, so it is the 5-point and the 7-point expression — as the
-test-only :class:`OracleBackend`.  The ``numpy`` backend must match it
+test-only :class:`OracleBackend`, whose reductions state the reference
+order lane by lane.  The ``numpy`` backend must match it
 **exactly** — fields and reductions — kernel by kernel and over full
 solves, and a steady-state CG iteration on it must allocate no array.
 Two classes go by that name — the NumPy replay and, where the machine has
@@ -55,7 +58,8 @@ from repro.kernels import (
     reduction_tolerance,
 )
 from repro.comm.serial import SerialComm
-from repro.kernels.numpy_backend import _DOT_A, _DOT_B, _block_rows, _operands
+from repro.kernels.base import LANES, reference_dot
+from repro.kernels.numpy_backend import _PROD, _block_rows, _operands
 from repro.mesh import Field, decompose
 from repro.resilience import SolverCheckpointStore, SolverGuard
 from repro.solvers import Defences, SolverOptions, cg_solve, solve_linear
@@ -241,10 +245,30 @@ class TestKernelGrid:
 # -- the baseline against the whole-array oracle it replaced ---------------------
 
 
+def _lane_dot(a, b):
+    """The reference reduction stated lane by lane: the products in C
+    order, each lane a ``cumsum`` (strictly in sequence) from a ``+0.0``
+    put in front of its products, the lanes combined pairwise — all in
+    the operands' dtype."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = (a * b).ravel()
+        zero = np.zeros(1, prod.dtype)
+        s = [np.cumsum(np.concatenate((zero, prod[lane::8])))[-1]
+             for lane in range(8)]
+        return float(((s[0] + s[1]) + (s[2] + s[3]))
+                     + ((s[4] + s[5]) + (s[6] + s[7])))
+
+
+def _same(x, y):
+    """Two reductions are one value: the same bits, NaNs alike."""
+    return (math.isnan(x) and math.isnan(y)) or (
+        x == y and math.copysign(1.0, x) == math.copysign(1.0, y))
+
+
 class OracleBackend(KernelBackend):
     """The pre-blocking ``numpy`` backend: whole-array expressions, a
-    temporary per term, ``ravel()`` copies per dot — the 5-point one-liner
-    written over the axes, so the 7-point one too.
+    temporary per term — the 5-point one-liner written over the axes, so
+    the 7-point one too — and the reference reduction lane by lane.
 
     Test-only.  It reports the baseline's name so ``solve_linear`` keeps
     it in place when a solve asks for ``kernel_backend="numpy"``.
@@ -271,17 +295,17 @@ class OracleBackend(KernelBackend):
         self.stencil_apply(*args)
         _, p, out, _, bounds = _operands(args)
         c = _window(bounds)
-        return float(np.dot(p[c].ravel(), out[c].ravel()))
+        return _lane_dot(p[c], out[c])
 
     def apply_axpy_dot(self, *args):
         faces, p, out, (y, alpha), bounds = _operands(args, 2)
         self.stencil_apply(*faces, p, out, *bounds)
         yr = y[_window(bounds)]
         yr += alpha * out[_window(bounds)]
-        return float(np.dot(yr.ravel(), yr.ravel()))
+        return _lane_dot(yr, yr)
 
     def dot(self, a, b):
-        return float(np.dot(a.ravel(), b.ravel()))
+        return _lane_dot(a, b)
 
     def axpy(self, y, alpha, x):
         y += alpha * x
@@ -396,8 +420,8 @@ def _check_stencil_chains(k, shape, halo, dtype, frozen, exact):
         d_ref = ORACLE.apply_dot(*faces, pp, ref, *bounds)
         d = k.apply_dot(*faces, pp, out, *bounds)
         assert np.array_equal(bits(out), bits(ref))
-        assert abs(d - d_ref) <= (0.0 if exact else
-                                  reduction_tolerance(pp[c], ref[c]))
+        assert (_same(d, d_ref) if exact else
+                abs(d - d_ref) <= reduction_tolerance(pp[c], ref[c]))
 
         ref, out = blank.copy(), blank.copy()
         ref_y, yw = yp.copy(), yp.copy()
@@ -405,8 +429,8 @@ def _check_stencil_chains(k, shape, halo, dtype, frozen, exact):
         d = k.apply_axpy_dot(*faces, pp, out, yw, -0.75, *bounds)
         assert np.array_equal(bits(out), bits(ref))
         assert np.array_equal(bits(yw), bits(ref_y))
-        assert abs(d - d_ref) <= (0.0 if exact else
-                                  reduction_tolerance(ref_y[c], ref_y[c]))
+        assert (_same(d, d_ref) if exact else
+                abs(d - d_ref) <= reduction_tolerance(ref_y[c], ref_y[c]))
         assert np.array_equal(bits(pp), bits(_poison(p.copy(), read)))
 
 
@@ -617,46 +641,40 @@ def test_chebyshev_step_bit_identical_to_its_passes(shape, dtype, inner):
 def _cg_iterations(k, faces, fields, ext):
     """Two CG iterations' local work on ``fields`` (``x, r, p, w, z``) over
     ``region(ext)`` through backend ``k``: its bound bodies where it binds
-    them — the workspace pool regrown before each iteration, as a call on
-    a larger region would —, the reference calls where not.  Returns what
-    the reductions saw: ``<p, A p>``, and when ``z`` is ``r`` the ``<r,
-    r>`` operand's bytes and its sum."""
+    them, the reference calls where not.  Returns what the reductions
+    saw: ``<p, A p>``, and ``<r, r>`` when ``z`` is ``r`` (the bound
+    update's, else 0.0)."""
     x, r, p, w, z = fields
     region = x.region(ext)
     bounds = tuple(b for s in region for b in (s.start, s.stop))
     bound = k.bind_cg(faces, *(f.data for f in fields), bounds)
     assert (bound is not None) == isinstance(k, CompiledBackend)
     seen = []
-    for alpha, beta, grow in ((0.375, -0.75, 1), (-1.25, 0.5, 2)):
+    for alpha, beta in ((0.375, -0.75), (-1.25, 0.5)):
         if bound is None:
             seen.append(k.apply_dot(*faces, p.data, w.data, *bounds))
             x.axpy(alpha, p, k, ext)
             r.axpy(-alpha, w, k, ext)
-            operand = np.ascontiguousarray(r.data[region])
-            rr = k.dot(r.data[region], r.data[region])
+            rr = k.dot(r.data[region], r.data[region]) if z is r else 0.0
             p.aypx(beta, z, k, ext)
         else:
-            k._buf(_DOT_A, (grow * r.data.size,), r.dtype)
             seen.append(bound.apply_dot())
-            assert bound.update(alpha)
-            operand = k._buf(_DOT_A, bound.shape, r.dtype)
-            rr = bound.rr()
+            rr = bound.update(alpha)
             assert bound.direction(beta)
-        if z is r:
-            seen += [operand.tobytes(), rr]
+        seen.append(rr)
     return seen
 
 
 def _check_cg_bodies(kernels, shape, dtype):
     """Two CG iterations (:func:`_cg_iterations`) at every extension of a
     tile whose region grows on every side and of one where it grows on
-    one side per axis, with ``z`` being ``r`` (the ``<r, r>`` operand
-    rides the update) and not, through each backend of ``kernels`` —
-    bound exactly when it is the compiled one —: every cell of every
-    field and everything the reductions saw equal the whole-array
-    oracle's through ``Field.axpy``/``aypx`` and a contiguous copy, and
-    every cell the bodies may not write keeps its poison (``p`` beyond the
-    stencil's ring, the others outside the region)."""
+    one side per axis, with ``z`` being ``r`` (``<r, r>`` rides the
+    update) and not, through each backend of ``kernels`` — bound exactly
+    when it is the compiled one —: every cell of every field and every
+    reduction equal the whole-array oracle's through
+    ``Field.axpy``/``aypx`` and its ``dot``, bit for bit, and every cell
+    the bodies may not write keeps its poison (``p`` beyond the stencil's
+    ring, the others outside the region)."""
     halo = 2
     faces, _, _ = _system(shape, halo, dtype)
     pad = faces[0].shape
@@ -686,7 +704,7 @@ def _check_cg_bodies(kernels, shape, dtype):
                         assert np.array_equal(bits(f.data[~written]),
                                               bits(a0[~written]))
                     oracle = oracle or (seen, [f.data for f in fields])
-                    assert seen == oracle[0]
+                    assert all(map(_same, seen, oracle[0]))
                     for f, ref in zip(fields, oracle[1]):
                         assert np.array_equal(bits(f.data), bits(ref))
 
@@ -722,7 +740,7 @@ def test_cg_calls_the_bodies_cannot_take_are_the_reference_calls():
     bound = k.bind_cg(faces, x, r, p, w, z, bounds)
     scalars = (np.float64(1 / 3), np.float32(0.5), 1e39)
     for scalar in scalars:
-        assert bound.update(scalar) is False
+        assert bound.update(scalar) is None
         assert bound.direction(scalar) is False
     assert all(np.array_equal(bits(a), bits(a0))
                for a, a0 in zip((x, r, p, w, z), start))
@@ -746,12 +764,13 @@ def test_cg_calls_the_bodies_cannot_take_are_the_reference_calls():
 
 def test_bound_cg_iteration_is_three_body_calls():
     """On a compiled build, once ``cg_solve`` has bound its step, an
-    iteration is three body calls — the stencil with the ``<p, A p>``
-    operands, the update (with the ``<r, r>`` operand for the identity),
-    the region's direction update — and no ``_chain``/``_plan`` check:
-    the difference between a 20- and a 10-iteration solve, with and
-    without a preconditioner.  Without this a silent fallback would pass
-    every bits test above."""
+    iteration is three body calls — the stencil with ``<p, A p>``, the
+    update (with ``<r, r>`` for the identity), the region's direction
+    update — and no ``_chain``/``_plan`` check: the difference between a
+    20- and a 10-iteration solve, with and without a preconditioner
+    (whose ``<r, z>`` and ``<r, r>`` are two ``dot`` bodies on the
+    interiors).  Without this a silent fallback would pass every bits
+    test above."""
     if baseline_bodies()[0] != "compiled":
         pytest.skip(baseline_bodies()[1])
     grid, kxg, kyg, bg = crooked_pipe_system(32)
@@ -775,12 +794,13 @@ def test_bound_cg_iteration_is_three_body_calls():
                      preconditioner=make_local_preconditioner(op, inner))
             per_solve.append(Counter(calls))
         per_solve[1].subtract(per_solve[0])
+        dots = {"dot2": 20} if inner == "diagonal" else {}
         assert +per_solve[1] == {"apply_dot2": 10, "cg_update2": 10,
-                                 "aypx2": 10}, inner
+                                 "aypx2": 10, **dots}, inner
 
 
 class _Regrow:
-    """A cancel token that regrows a backend's dot workspace at one
+    """A cancel token that regrows a backend's product workspace at one
     iteration boundary, as a call on a larger region would."""
 
     def __init__(self, k, iteration):
@@ -788,8 +808,7 @@ class _Regrow:
 
     def check(self, iteration):
         if iteration == self.iteration:
-            for slot in (_DOT_A, _DOT_B):
-                self.k._buf(slot, (1 << 14,), np.dtype("float64"))
+            self.k._buf(_PROD, (1 << 14,), np.dtype("float64"))
             self.fired += 1
 
 
@@ -837,6 +856,102 @@ def test_bound_cg_survives_in_place_rewrites(rewrite, tmp_path):
     for (*_, bound, happened), k in zip(runs, _instances("numpy")):
         assert happened and set(bound) == {isinstance(k, CompiledBackend)}
     assert all(run[:2] == runs[0][:2] for run in runs)
+
+
+# -- the reference reduction: one order, whichever body sums it ---------------
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", [(32, 32), (37, 53), (256, 128),
+                                   (512, 512)], ids=_name)
+def test_numpy_adds_the_lanes_row_by_row(shape, dtype):
+    """``np.einsum("ij->j")`` of the ``(cells / 8, 8)`` products adds one
+    row after another, so ``reference_dot`` — the NumPy replay's
+    reduction — is the lane-by-lane ``cumsum`` statement, bit for bit
+    (values over ten decades, so any other order shows)."""
+    rng = np.random.default_rng(sum(shape))
+    a, b = (rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 5, shape)
+            for _ in range(2))
+    a, b = a.astype(dtype), b.astype(dtype)
+    assert _same(reference_dot(a, b), _lane_dot(a, b))
+    rows = np.zeros(-(-a.size // LANES) * LANES, a.dtype)
+    rows[:a.size] = (a * b).ravel()
+    rows = rows.reshape(-1, LANES)
+    lanes = np.einsum("ij->j", rows)
+    assert np.array_equal(bits(lanes), bits(np.cumsum(rows, axis=0)[-1]))
+
+
+#: Shapes of the reduction battery: region cells ragged (not a multiple of
+#: the 8 lanes) and not, rows shorter and longer than the lanes, 2-D and
+#: 3-D.
+REDUCTION_SHAPES = [(13, 7), (37, 53), (16, 16), (1, 9), (9, 1), (5, 6, 7),
+                    (4, 4, 4), (3, 1, 11)]
+
+
+def _reduction_operands(shape, dtype, kind):
+    """Padded ``(faces, p, y)`` at halo 2 with ``kind``'s values:
+    ``signed-zeros`` makes ``p`` all ``-0.0`` and ``y`` non-negative (so
+    ``<p, y>`` adds only ``-0.0`` products), ``overflow`` scales both so
+    the products overflow but no stencil does, ``inf`` and ``inf-nan``
+    plant ``+inf`` (and ``-inf``, NaN) in ``y``'s interior."""
+    faces, p, y = _system(shape, 2, dtype)
+    interior = y[_window(_bounds(shape, 2, 0))]
+    if kind == "signed-zeros":
+        p[...] = -0.0
+        np.abs(y, out=y)
+    elif kind == "overflow":
+        big = 4 * np.sqrt(np.finfo(p.dtype).max)
+        p *= big
+        y *= big
+    elif kind in ("inf", "inf-nan"):
+        interior[(0,) * len(shape)] = np.inf
+    if kind == "inf-nan":
+        interior[tuple(n - 1 for n in shape)] = -np.inf
+        interior[tuple(n // 2 for n in shape)] = np.nan
+    return faces, p, y
+
+
+def _cg_fields(tile, p, y):
+    """CG's ``x, r, p, w, z`` at halo 2 for :func:`_cg_iterations`:
+    copies of ``p, y, p, y``, and ``z`` is ``r``."""
+    x, r, d, w = (Field(tile, 2, a.copy()) for a in (p, y, p, y))
+    return [x, r, d, w, r]
+
+
+def _check_reductions(kernels, shape, dtype):
+    """Every reduction — ``dot``, ``apply_dot``, ``apply_axpy_dot`` and
+    the bound ``cg_update``'s ``<r, r>`` — of each backend of ``kernels``
+    is the oracle's lane-by-lane value, bit for bit (NaNs alike), on the
+    interior and every extended region of halo 2, for every kind of
+    :func:`_reduction_operands`."""
+    tile = _span_tiles(shape)[0]
+    for kind in ("normal", "signed-zeros", "overflow", "inf", "inf-nan"):
+        faces, p, y = _reduction_operands(shape, dtype, kind)
+        for ext, bounds in enumerate(_all_bound_sets(shape, 2)):
+            c = _window(bounds)
+            calls = [
+                lambda k: k.dot(p[c], y[c]),
+                lambda k: k.dot(y[c], y[c]),
+                lambda k: k.apply_dot(*faces, p, np.zeros_like(p), *bounds),
+                lambda k: k.apply_dot(*faces, y, np.zeros_like(y), *bounds),
+                lambda k: k.apply_axpy_dot(*faces, p, np.zeros_like(p),
+                                           y.copy(), -0.75, *bounds),
+                lambda k: _cg_iterations(k, faces, _cg_fields(tile, p, y),
+                                         ext)]
+            for call in calls:
+                with np.errstate(all="ignore"):
+                    ref = call(ORACLE)
+                for k in kernels:
+                    got = call(k)
+                    assert all(map(_same, np.atleast_1d(got),
+                                   np.atleast_1d(ref))), (kind, ext, got, ref)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", REDUCTION_SHAPES, ids=_name)
+def test_reductions_are_the_reference_lanes(shape, dtype):
+    """The compiled bodies and the NumPy replay sum the oracle's lanes."""
+    _check_reductions(_instances("numpy"), shape, dtype)
 
 
 def _mutant(module_name, old, new):
@@ -945,7 +1060,7 @@ C_MUTANTS = {
     "column-bound-one-short": ("nc = c1 - c0", "nc = c1 - c0 - 1"),
     "diagonal-low-face-first": ("(ky[i + sy] + (T)1) + ky[i]",
                                 "(ky[i] + (T)1) + ky[i + sy]"),
-    "dot-operand-row-not-advanced": ("j = (r - r0) * nc", "j = 0"),
+    "dot-operand-row-not-advanced": ("r++, j0 += nc)", "r++)"),
     "axpy-operands-swapped": ("T t = x[i] * (T)(alpha); y[i] = y[i] + t;",
                               "T t = y[i] * (T)(alpha); y[i] = x[i] + t;"),
     "float-widened-to-double": ("T a = d * p[i];", "double a = d * p[i];"),
@@ -962,11 +1077,24 @@ C_MUTANTS = {
     "cg-minus-alpha-on-x": ("AXPY(x, p, alpha) AXPY(res, w, -alpha)",
                             "AXPY(x, p, -alpha) AXPY(res, w, alpha)"),
     "cg-dot-before-the-r-update": (
-        "AXPY(res, w, -alpha) if (dot_r) dot_r[j] = res[i];",
-        "if (dot_r) dot_r[j] = res[i]; AXPY(res, w, -alpha)"),
+        "CELLS { AXPY(x, p, alpha) AXPY(res, w, -alpha) }"
+        " if (dot) ADD(res, res)",
+        "if (dot) ADD(res, res)"
+        " CELLS { AXPY(x, p, alpha) AXPY(res, w, -alpha) }"),
     "cg-beta-on-z": ("T t = y[i] * (T)(beta); y[i] = t + x[i];",
                      "T t = x[i] * (T)(beta); y[i] = t + y[i];"),
-    "cg-dot-at-i-not-j": ("dot_r[j] = res[i]", "dot_r[i] = res[i]"),
+    "cg-dot-at-i-not-j": (
+        "if (dot) ADD(res, res)",
+        "if (dot) N(lanes)(s, res + i0, res + i0, i0, nc);"),
+    # The reference reduction's order: every reduction body sums it.
+    "seven-lanes": ("#define LANES 8", "#define LANES 7"),
+    "lane-from-i-not-j": ("b + i0, j0, nc);", "b + i0, i0, nc);"),
+    "lanes-combined-left-to-right": (
+        "(((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7])))",
+        "(((((((s[0] + s[1]) + s[2]) + s[3]) + s[4]) + s[5]) + s[6]) + s[7])"),
+    "row-tail-to-lane-0": ("for (; k < n; k++) l[(j + k) % LANES]",
+                           "for (; k < n; k++) l[0]"),
+    "float-lanes-widened-to-double": ("T l[LANES];", "double l[LANES];"),
 }
 
 
@@ -999,6 +1127,7 @@ def test_c_mutants_are_killed(name, tmp_path, monkeypatch):
                     _check_chebyshev_steps([CompiledBackend(bodies)], shape,
                                            dtype, inner)
                 _check_cg_bodies([CompiledBackend(bodies)], shape, dtype)
+                _check_reductions([CompiledBackend(bodies)], shape, dtype)
 
 
 @pytest.mark.parametrize("backend", ["numpy", "fused"])
@@ -1105,9 +1234,9 @@ def test_blas1_tail_on_3d_fields_allocates_no_array(backend,
 def test_workspace_is_shared_across_extents():
     """Four regions of different extents (CPPCG's shrinking matrix-powers
     bounds) leave every workspace slot a backend uses — block scratch and
-    dot operands for the NumPy replay, the dot operands alone for the
-    compiled loops — no larger than the largest needs: its rows at the
-    padded pitch (span scratch keeps the halo columns)."""
+    the reductions' products for the NumPy replay, none for the compiled
+    loops — no larger than the largest needs: its rows at the padded
+    pitch (span scratch keeps the halo columns)."""
     shape, halo = (96, 80), 4
     (kx, ky), p, y = _system(shape, halo, "float64")
     kx.flags.writeable = ky.flags.writeable = False
@@ -1119,7 +1248,7 @@ def test_workspace_is_shared_across_extents():
             k.apply_dot(kx, ky, p, out, *bounds)
             k.apply_axpy_dot(kx, ky, p, out, y, -1.0, *bounds)
         used = [pool for pool in k._pools if pool is not None]
-        assert len(used) == (2 if isinstance(k, CompiledBackend) else 4)
+        assert len(used) == (0 if isinstance(k, CompiledBackend) else 3)
         assert all(pool.nbytes <= largest for pool in used)
 
 
@@ -1193,15 +1322,15 @@ PINNED_ITERATIONS = {
 #: recorded before the Chebyshev step had a compiled body — and of CG on
 #: ranks (``cg`` bare and diagonally scaled on that pipe, ``cg`` on the
 #: 12^3 duct over 2 ranks), recorded before CG's iteration was bound.
-PINNED_SOLUTIONS = {"jacobi": "bf37c77db26be68b", "dcg": "2a6dd2423d2bb951",
-                    "ppcg-depth4@1x2": "dab4d7b1768ffdfa",
-                    "ppcg-depth4@2x2": "0964f2a87eeebe05",
-                    "chebyshev-depth4@1x2": "48840b90ffc97f94",
-                    "chebyshev-depth4@2x2": "916861e144b63a94",
-                    "cg@1x2": "c2689ce9694fd1e3", "cg@2x2": "1ab7d720af1e69b8",
-                    "cg-diagonal@1x2": "7ebb9dccd79ad422",
-                    "cg-diagonal@2x2": "0805594f0602b1f7",
-                    "cg-duct@2": "6f969060257ed4b3"}
+PINNED_SOLUTIONS = {"jacobi": "bf37c77db26be68b", "dcg": "b227bbfe7dfd7e1e",
+                    "ppcg-depth4@1x2": "46f20b099d118093",
+                    "ppcg-depth4@2x2": "0c3081377af4e722",
+                    "chebyshev-depth4@1x2": "33bbfbfb14101339",
+                    "chebyshev-depth4@2x2": "0765e886401428ad",
+                    "cg@1x2": "f43c8fd52525e007", "cg@2x2": "ead8522be4e205b2",
+                    "cg-diagonal@1x2": "23d91834028c4ad3",
+                    "cg-diagonal@2x2": "21179d1befa0cf0f",
+                    "cg-duct@2": "da12bd262131c457"}
 
 
 @pytest.mark.parametrize("label,opt", SOLVE_CONFIGS,
@@ -1279,6 +1408,56 @@ def _decomposed_digest(system, opt, factors):
                                   for rank in run.ranks))
     assert all(x == solutions[0] for x in solutions)
     return hashlib.sha256(solutions[0]).hexdigest()[:16]
+
+
+#: The pins the every-CPU test re-runs: every digest pin of this file and
+#: the pins elsewhere that failed under ``OPENBLAS_CORETYPE=Haswell`` while
+#: ``np.dot`` was the reference reduction.
+EVERY_CPU_PINS = [
+    "tests/test_kernels_equivalence.py::"
+    "test_full_solve_identical_to_oracle[jacobi]",
+    "tests/test_kernels_equivalence.py::"
+    "test_full_solve_identical_to_oracle[dcg]",
+    "tests/test_kernels_equivalence.py::"
+    "test_decomposed_matrix_powers_identical_to_oracle",
+    "tests/test_kernels_equivalence.py::test_decomposed_cg_identical_to_oracle",
+    "tests/test_checkpoint_restart.py::TestSolverCheckpointStore::"
+    "test_cg_resumes_bit_identically_from_a_guard_shard",
+    "tests/test_numerics.py::TestPpcgRestartAndFallback::"
+    "test_fallback_to_plain_cg",
+    "tests/test_numerics.py::TestResidualReplacement",
+    "tests/test_resilience.py::TestDefencePaths::test_bad_scalar_rolls_back",
+    "tests/test_resilience.py::TestDefencePaths::test_abft_drift_rolls_back",
+    "tests/test_resilience.py::TestDegradation",
+]
+
+
+def test_digest_pins_hold_under_every_openblas_kernel_set():
+    """One answer on every CPU: :data:`EVERY_CPU_PINS` pass in child
+    processes whose OpenBLAS runs its own choice of kernels and the
+    Haswell, Sandybridge and Prescott ones — whose ``ddot`` orders differ
+    (four different sums of one 512² vector here)."""
+    import os
+    import platform
+    import subprocess
+    import sys
+    from pathlib import Path
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("the OpenBLAS core types named are x86's")
+    root = Path(__file__).resolve().parents[1]
+    env = {name: value for name, value in os.environ.items()
+           if name != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    children = {core: subprocess.Popen(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *EVERY_CPU_PINS], cwd=root, text=True, stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        env={**env, **({"OPENBLAS_CORETYPE": core} if core else {})})
+        for core in ("", "Haswell", "Sandybridge", "Prescott")}
+    for core, child in children.items():
+        out = child.communicate(timeout=900)[0]
+        assert child.returncode == 0, f"OPENBLAS_CORETYPE={core!r}:\n{out}"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
