@@ -6,8 +6,8 @@ mpi4py-flavoured API:
 
 - :class:`SerialComm` — the trivial single-rank world;
 - :class:`ThreadComm` / :class:`ThreadWorld` — a real SPMD world where each
-  rank is a Python thread; point-to-point messages go through matched FIFO
-  mailboxes and collectives synchronise on barriers, so every distributed
+  rank is a Python thread; point-to-point messages and collective
+  contributions go through matched FIFO mailboxes, so every distributed
   algorithm (halo exchange at any depth, reduction placement, matrix powers)
   executes genuinely decomposed;
 - :class:`ForwardingComm` — the base every wrapper derives from: it forwards

@@ -1,10 +1,15 @@
 """Thread-backed SPMD world.
 
 Each rank is an OS thread; rank code is written exactly as it would be with
-mpi4py.  Messages travel through per-``(src, dst, tag)`` FIFO mailboxes, and
-collectives synchronise on a generation-counter barrier with a shared slot
-array (double-barrier discipline: deposit → barrier → read → barrier, so a
-fast rank can never clobber slots a slow rank has not read yet).
+mpi4py.  Everything travels through mailboxes, one C ``queue.SimpleQueue``
+per ``(src, dst, key)``: a blocked ``get`` releases the GIL and exactly one
+``put`` wakes it.  Point-to-point messages are keyed by the user's ``int``
+tag; collectives by :data:`_COLLECTIVE`, which no tag can equal.  A
+collective is one exchange: a rank puts its contribution into each peer's
+collective mailbox, then takes one from each peer (``barrier`` carries
+``None``), so no rank leaves before every rank has entered.  Ranks issue
+collectives in the same order and mailboxes are FIFO, so a fast rank's
+next contribution queues behind the current one.
 
 Determinism: reductions fold contributions in rank order, so every rank sees
 a bit-identical result regardless of thread scheduling — this is what makes
@@ -16,22 +21,21 @@ of hanging forever.  :func:`repro.comm.spmd.launch_spmd` relies on this to
 propagate the original error.
 
 Abort is deliberately *lazy*: it only breaks operations that can never be
-satisfied.  Mailbox deposits and barrier arrival counts are durable, so a
-surviving rank keeps consuming messages its dead peer already sent and
-keeps passing sync generations its peer already reached — it fails at the
-first operation the peer genuinely never served.  That point is a function
-of the peer's (deterministic) death position, not of how fast the abort
-flag propagated, which is what makes a surviving rank's progress — and
-therefore its guard/checkpoint state at death — reproducible run-to-run.
-(``threading.Barrier.abort`` cannot provide this: a thread released by a
-*successful* generation still raises ``BrokenBarrierError`` when the abort
-lands before it drains.)
+satisfied.  It puts a wake token *behind* every mailbox's deposits, so a
+surviving rank wakes at once yet keeps consuming messages its dead peer
+already sent and keeps passing collectives its peer already entered — it
+fails at the first operation the peer genuinely never served.  That point
+is a function of the peer's (deterministic) death position, not of how
+fast the abort propagated, which is what makes a surviving rank's
+progress — and therefore its guard/checkpoint state at death —
+reproducible run-to-run.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
+import time
+from queue import Empty, SimpleQueue
 
 from repro.comm.base import (
     Communicator,
@@ -41,10 +45,26 @@ from repro.comm.base import (
 )
 from repro.utils.errors import CommunicationError
 
-#: How long a blocking receive waits between abort checks.
+#: Longest a blocked receive sleeps between abort checks; an abort's wake
+#: token normally ends the sleep first.
 _POLL_S = 0.02
 #: Receive timeout; exceeded only by deadlocked exchanges, so fail loudly.
 _RECV_TIMEOUT_S = 120.0
+#: Mailbox key of the collectives; no user ``int`` tag can equal it.
+_COLLECTIVE = object()
+#: The abort's wake token; also :func:`_poll`'s "no deposit".
+_WAKE = object()
+
+
+def _poll(box: SimpleQueue):
+    """The next real deposit in ``box`` without blocking, else ``_WAKE``."""
+    while True:
+        try:
+            obj = box.get_nowait()
+        except Empty:
+            return _WAKE
+        if obj is not _WAKE:
+            return obj
 
 
 class ThreadWorld:
@@ -66,29 +86,22 @@ class ThreadWorld:
                 f"recv_timeout_s must be > 0, got {recv_timeout_s}")
         self.size = size
         self.recv_timeout_s = recv_timeout_s
-        self._mailbox_lock = threading.Lock()
-        self._mailboxes: dict[tuple[int, int, int], deque] = {}
-        self._mailbox_cv = threading.Condition(self._mailbox_lock)
-        self._sync_cv = threading.Condition()
-        #: per-rank count of sync generations reached; durable, so a late
-        #: rank can still observe that a now-dead peer did arrive.
-        self._arrivals = [0] * size
-        self._slots: list = [None] * size
-        self._aborted = threading.Event()
-
-    # -- lifecycle -------------------------------------------------------------
+        #: guards mailbox creation, so :meth:`abort` sees every mailbox
+        self._lock = threading.Lock()
+        self._mailboxes: dict[tuple, SimpleQueue] = {}
+        self._aborted = False
 
     def abort(self) -> None:
-        """Break all pending synchronisation; called when a rank fails."""
-        self._aborted.set()
-        with self._sync_cv:
-            self._sync_cv.notify_all()
-        with self._mailbox_cv:
-            self._mailbox_cv.notify_all()
+        """Break all pending synchronisation; called when a rank fails.
 
-    @property
-    def aborted(self) -> bool:
-        return self._aborted.is_set()
+        The flag is set before the mailboxes are listed, so a reader of a
+        mailbox created after the listing already sees the flag.
+        """
+        self._aborted = True
+        with self._lock:
+            boxes = list(self._mailboxes.values())
+        for box in boxes:
+            box.put(_WAKE)
 
     def comm(self, rank: int) -> "ThreadComm":
         if not 0 <= rank < self.size:
@@ -97,61 +110,48 @@ class ThreadWorld:
 
     # -- internals ---------------------------------------------------------------
 
-    def _deposit(self, src: int, dst: int, tag: int, obj) -> None:
-        with self._mailbox_cv:
-            self._mailboxes.setdefault((src, dst, tag), deque()).append(obj)
-            self._mailbox_cv.notify_all()
+    def _mailbox(self, src: int, dst: int, key) -> SimpleQueue:
+        try:
+            return self._mailboxes[src, dst, key]
+        except KeyError:
+            with self._lock:
+                return self._mailboxes.setdefault((src, dst, key),
+                                                  SimpleQueue())
 
-    def _collect(self, src: int, dst: int, tag: int,
-                 timeout: float | None = None):
-        key = (src, dst, tag)
-        deadline = self.recv_timeout_s if timeout is None else timeout
+    def _take(self, box: SimpleQueue, src: int, dst: int, key,
+              timeout: float | None = None, what: str = ""):
+        """Next deposit in ``box``, the mailbox of ``(src, dst, key)``.
+
+        ``what`` names a collective's wait in errors.  Once the world is
+        aborted, only a deposit already made is returned.
+        """
+        limit = self.recv_timeout_s if timeout is None else timeout
+        deadline = time.monotonic() + limit
+        while not self._aborted:
+            wait = min(_POLL_S, deadline - time.monotonic())
+            try:
+                obj = box.get(timeout=max(wait, 0.0))
+            except Empty:
+                if wait > 0:
+                    continue
+                break
+            if obj is not _WAKE:
+                return obj
+        else:
+            obj = _poll(box)
+            if obj is not _WAKE:
+                return obj
+        collective = key is _COLLECTIVE
+        where = f"rank {src} in {what}" if collective else \
+            f"src={src} tag={key}"
+        if self._aborted:
+            raise CommunicationError(
+                f"world aborted while rank {dst} awaited {where}")
         why = ("probable deadlock" if timeout is None
                else "dead peer or dropped message")
-        with self._mailbox_cv:
-            while True:
-                box = self._mailboxes.get(key)
-                if box:
-                    return box.popleft()
-                if self._aborted.is_set():
-                    raise CommunicationError(
-                        f"world aborted while rank {dst} awaited "
-                        f"(src={src}, tag={tag})")
-                if deadline <= 0:
-                    raise CommunicationError(
-                        f"receive timeout after "
-                        f"{self.recv_timeout_s if timeout is None else timeout}s: "
-                        f"rank {dst} awaiting src={src} tag={tag} — {why}")
-                self._mailbox_cv.wait(_POLL_S)
-                deadline -= _POLL_S
-
-    def _sync(self, rank: int) -> None:
-        """Block until every rank has arrived at this sync generation.
-
-        A generation *completes* once all ranks' arrival counts reach it,
-        and completion is checked before the abort flag — so a rank whose
-        peers all arrived before the world aborted still passes, exactly
-        as it would have under any other scheduling.  Only a generation
-        the dead rank never reached raises.
-        """
-        with self._sync_cv:
-            self._arrivals[rank] += 1
-            gen = self._arrivals[rank]
-            self._sync_cv.notify_all()
-            deadline = self.recv_timeout_s
-            while True:
-                if all(a >= gen for a in self._arrivals):
-                    return
-                if self._aborted.is_set():
-                    raise CommunicationError(
-                        "world aborted during a collective")
-                if deadline <= 0:
-                    raise CommunicationError(
-                        f"collective timeout after {self.recv_timeout_s}s: "
-                        f"rank {rank} at sync generation {gen} — "
-                        f"probable deadlock")
-                self._sync_cv.wait(_POLL_S)
-                deadline -= _POLL_S
+        raise CommunicationError(
+            f"{'collective' if collective else 'receive'} timeout after "
+            f"{limit}s: rank {dst} awaiting {where} — {why}")
 
 
 class _MailboxRequest(Request):
@@ -159,24 +159,17 @@ class _MailboxRequest(Request):
 
     def __init__(self, world: ThreadWorld, src: int, dst: int, tag: int):
         self._world = world
-        self._key = (src, dst, tag)
-        self._value = None
-        self._done = False
+        self._args = (world._mailbox(src, dst, tag), src, dst, tag)
+        self._value = _WAKE
 
     def test(self) -> bool:
-        if self._done:
-            return True
-        with self._world._mailbox_cv:
-            box = self._world._mailboxes.get(self._key)
-            if box:
-                self._value = box.popleft()
-                self._done = True
-        return self._done
+        if self._value is _WAKE:
+            self._value = _poll(self._args[0])
+        return self._value is not _WAKE
 
     def wait(self):
-        if not self._done:
-            self._value = self._world._collect(*self._key)
-            self._done = True
+        if self._value is _WAKE:
+            self._value = self._world._take(*self._args)
         return self._value
 
 
@@ -187,12 +180,18 @@ class ThreadComm(Communicator):
         self.world = world
         self.rank = rank
         self.size = world.size
+        # this rank's collective mailboxes, resolved once: out to each
+        # peer, and in from each peer in rank order
+        peers = [p for p in range(world.size) if p != rank]
+        self._outboxes = [world._mailbox(rank, p, _COLLECTIVE) for p in peers]
+        self._inboxes = [(world._mailbox(p, rank, _COLLECTIVE), p)
+                         for p in peers]
 
     # -- point to point ---------------------------------------------------------
 
     def send(self, obj, dest: int, tag: int = 0) -> None:
         self._check_peer(dest)
-        self.world._deposit(self.rank, dest, tag, isolate(obj))
+        self.world._mailbox(self.rank, dest, tag).put(isolate(obj))
 
     def recv(self, source: int, tag: int = 0,
              timeout: float | None = None):
@@ -205,7 +204,9 @@ class ThreadComm(Communicator):
         :class:`~repro.resilience.retry.RetryingComm`.
         """
         self._check_peer(source)
-        return self.world._collect(source, self.rank, tag, timeout=timeout)
+        w = self.world
+        return w._take(w._mailbox(source, self.rank, tag), source, self.rank,
+                       tag, timeout)
 
     def irecv(self, source: int, tag: int = 0) -> Request:
         """Truly non-blocking receive: returns a pollable request."""
@@ -214,43 +215,37 @@ class ThreadComm(Communicator):
 
     # -- collectives --------------------------------------------------------------
 
-    def _exchange_slots(self, value):
-        """Deposit into the slot array and return everyone's contributions."""
-        w = self.world
-        w._slots[self.rank] = value
-        w._sync(self.rank)
-        values = list(w._slots)
-        w._sync(self.rank)
+    def _exchange(self, value, what: str) -> list:
+        """Every rank's ``value`` of this collective, indexed by rank."""
+        for box in self._outboxes:
+            box.put(value)
+        values = [value] * self.size
+        for box, src in self._inboxes:
+            values[src] = self.world._take(box, src, self.rank, _COLLECTIVE,
+                                           what=what)
         return values
 
     def allreduce(self, value, op: str = "sum"):
-        if self.size == 1:
-            return reduce_in_rank_order([value], op)
-        values = self._exchange_slots(value)
-        return reduce_in_rank_order(values, op)
+        return reduce_in_rank_order(self._exchange(value, "allreduce"), op)
 
     def bcast(self, obj, root: int = 0):
         self._check_root(root)
-        if self.size == 1:
-            return obj
-        values = self._exchange_slots(obj if self.rank == root else None)
+        values = self._exchange(obj if self.rank == root else None, "bcast")
         return values[root] if self.rank == root else isolate(values[root])
 
     def gather(self, obj, root: int = 0):
         self._check_root(root)
-        values = self._exchange_slots(obj)
+        values = self._exchange(obj, "gather")
         if self.rank != root:
             return None
         return [v if r == self.rank else isolate(v)
                 for r, v in enumerate(values)]
 
     def allgather(self, obj) -> list:
-        values = self._exchange_slots(obj)
-        return [isolate(v) for v in values]
+        return [isolate(v) for v in self._exchange(obj, "allgather")]
 
     def barrier(self) -> None:
-        if self.size > 1:
-            self.world._sync(self.rank)
+        self._exchange(None, "barrier")
 
     # -- helpers ---------------------------------------------------------------------
 

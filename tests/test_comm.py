@@ -1,5 +1,11 @@
 """Unit tests: communicators (serial, threaded, instrumented, spmd)."""
 
+import functools
+import random
+import sys
+import time
+from collections import defaultdict, deque
+
 import numpy as np
 import pytest
 
@@ -9,6 +15,7 @@ from repro.comm import (
     ThreadWorld,
     launch_spmd,
 )
+from repro.comm import threaded
 from repro.utils import CommunicationError, EventLog
 
 
@@ -218,6 +225,210 @@ class TestFailurePropagation:
     def test_size_one_runs_inline_serial(self):
         out = launch_spmd(lambda c: type(c).__name__, 1)
         assert out == ["SerialComm"]
+
+
+# -- the mailbox transport under races -----------------------------------------
+
+#: an independent serial fold for every reduce op
+_FOLD = {"sum": np.add, "max": np.maximum, "min": np.minimum,
+         "prod": np.multiply}
+_KINDS = ("allreduce", "bcast", "gather", "allgather", "barrier",
+          "p2p", "post", "drain")
+
+
+def _contribution(i: int, rank: int, array: bool):
+    # inexact values, so a fold out of rank order changes the bits
+    v = np.sqrt(2.0 + (i + 3 * rank) % 11) / 3.0
+    return np.array([v, -v, v * v]) if array else float(v)
+
+
+def _jittered_rank(comm, seed: int, n_ops: int):
+    """One rank of a seeded script of every primitive, with 0–200 µs sleeps.
+
+    Every rank draws the same script from ``seed``; each sleeps on its own
+    stream.  Received messages are checked against a per-``(src, tag)``
+    FIFO model, collectives against a serial fold.
+    """
+    script = random.Random(seed)
+    pause = random.Random(seed * 7919 + comm.rank)
+    size, me = comm.size, comm.rank
+    expected = defaultdict(deque)      # (src, tag) -> payloads still owed
+
+    def receive(src, tag, mode):
+        if mode == 0:
+            got = comm.recv(src, tag)
+        else:
+            req, deadline = comm.irecv(src, tag), time.monotonic() + 30.0
+            while mode == 2 and not req.test():
+                assert time.monotonic() < deadline, "test() never succeeded"
+                time.sleep(0)
+            got = req.wait()
+        assert got == expected[src, tag].popleft(), (me, src, tag, got)
+
+    for i in range(n_ops):
+        kind = script.choice(_KINDS)
+        shift = 1 + script.randrange(size - 1)
+        tag = script.randrange(4)
+        op = script.choice(sorted(_FOLD))
+        array = script.random() < 0.5
+        mode = script.randrange(3)     # recv, irecv().wait(), test() polls
+        time.sleep(pause.uniform(0.0, 200e-6))
+        root = i % size
+        if kind == "allreduce":
+            got = comm.allreduce(_contribution(i, me, array), op)
+            want = functools.reduce(
+                _FOLD[op], [_contribution(i, r, array) for r in range(size)])
+            assert np.array_equal(got, want), (me, i, op, got, want)
+        elif kind == "bcast":
+            got = comm.bcast(("bcast", i) if me == root else None, root=root)
+            assert got == ("bcast", i)
+        elif kind == "gather":
+            got = comm.gather(("gather", i, me), root=root)
+            assert got == ([("gather", i, r) for r in range(size)]
+                           if me == root else None)
+        elif kind == "allgather":
+            got = comm.allgather(("allgather", i, me))
+            assert got == [("allgather", i, r) for r in range(size)]
+        elif kind == "barrier":
+            comm.barrier()
+        elif kind == "drain":
+            for (src, t), owed in sorted(expected.items()):
+                while owed:
+                    receive(src, t, mode)
+        else:
+            dest, src = (me + shift) % size, (me - shift) % size
+            comm.send(("p2p", i, me, tag), dest=dest, tag=tag)
+            expected[src, tag].append(("p2p", i, src, tag))
+            if kind == "p2p":
+                receive(src, tag, mode)
+    for (src, t), owed in sorted(expected.items()):
+        while owed:
+            receive(src, t, 0)
+    comm.barrier()
+    return comm.world
+
+
+class TestMailboxRaces:
+    @pytest.mark.parametrize("size", [2, 3, 4, 8])
+    def test_jittered_battery(self, size):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)      # switch threads far more often
+        try:
+            for seed in (size, 100 + size, 200 + size):
+                worlds = launch_spmd(_jittered_rank, size,
+                                     rank_args=[(seed, 300)] * size,
+                                     recv_timeout=30.0)
+                # every deposit was consumed where it belonged: nothing
+                # is left in a user mailbox nor in a collective one
+                assert all(box.empty()
+                           for box in worlds[0]._mailboxes.values())
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _lazy_abort_run(kind: str, j: int, seed: int):
+        """Rank 1 dies after its ``j``-th ``kind`` op; what rank 0 saw."""
+        rounds, seen = 8, {}
+        pause = random.Random(seed)
+        sleeps = [pause.uniform(0.0, 300e-6) for _ in range(4 * rounds)]
+
+        def rank_main(comm):
+            done = {"send": 0, "collective": 0}
+            if comm.rank == 1:
+                def step(what):
+                    done[what] += 1
+                    if what == kind and done[what] == j:
+                        raise ValueError(f"rank 1 died after {kind} {j}")
+                if j == 0:
+                    raise ValueError("rank 1 died at once")
+                for k in range(rounds):
+                    time.sleep(sleeps[4 * k])
+                    comm.send(("m", k), dest=0, tag=k % 2)
+                    step("send")
+                    time.sleep(sleeps[4 * k + 1])
+                    comm.allreduce(float(k))
+                    step("collective")
+                return None
+            received, index = [], 0
+            try:
+                for k in range(rounds):
+                    time.sleep(sleeps[4 * k + 2])
+                    received.append(comm.recv(source=1, tag=k % 2))
+                    index += 1
+                    time.sleep(sleeps[4 * k + 3])
+                    assert comm.allreduce(float(k)) == 2.0 * k
+                    index += 1
+            except CommunicationError as exc:
+                seen.update(index=index, received=received, error=str(exc))
+                raise
+            return None
+
+        with pytest.raises(ValueError, match="rank 1 died"):
+            launch_spmd(rank_main, 2)
+        return seen
+
+    @pytest.mark.parametrize("kind", ["send", "collective"])
+    def test_lazy_abort_is_a_function_of_the_death_position(self, kind):
+        for j in (0, 1, 2, 5):
+            # rank 0's op sequence is recv k (index 2k), allreduce k (2k+1)
+            if j == 0:
+                index = 0
+            else:
+                index = 2 * j - 1 if kind == "send" else 2 * j
+            messages = [("m", k) for k in range(j)]
+            for rep in range(20):
+                seen = self._lazy_abort_run(kind, j, seed=1000 * j + rep)
+                assert seen["index"] == index, (kind, j, rep, seen)
+                assert seen["received"] == messages, (kind, j, rep, seen)
+                what = ("rank 1 in allreduce" if index % 2
+                        else f"src=1 tag={j % 2}")
+                assert f"world aborted while rank 0 awaited {what}" \
+                    in seen["error"], seen
+
+    def test_abort_wakes_blocked_ranks_at_once(self, monkeypatch):
+        # With the poll stretched to 5 s, only the abort's wake tokens
+        # can end these waits within the bound.
+        monkeypatch.setattr(threaded, "_POLL_S", 5.0)
+        stamps = {}
+
+        def rank_main(comm):
+            try:
+                if comm.rank == 3:
+                    time.sleep(0.2)
+                    stamps["died"] = time.monotonic()
+                    raise ValueError("rank 3 died")
+                if comm.rank == 0:
+                    comm.recv(source=3, tag=0)
+                elif comm.rank == 1:
+                    # Deliberate RPR009 divergence: rank 1 alone blocks in
+                    # a collective until the abort wakes it.
+                    comm.allreduce(1.0)  # repro: ignore[RPR009]
+                else:
+                    comm.irecv(source=3, tag=0).wait()
+            except CommunicationError:
+                stamps[comm.rank] = time.monotonic()
+                raise
+
+        with pytest.raises(ValueError, match="rank 3 died"):
+            launch_spmd(rank_main, 4)
+        for rank in (0, 1, 2):
+            assert stamps[rank] - stamps["died"] < 1.0, (rank, stamps)
+
+    def test_abort_free_collective_timeout_names_rank_and_collective(self):
+        def rank_main(comm):
+            if comm.rank == 0:
+                # Deliberate RPR009 divergence: rank 1 never arrives.
+                return comm.allreduce(1.0)  # repro: ignore[RPR009]
+            return None
+
+        start = time.monotonic()
+        with pytest.raises(CommunicationError) as info:
+            launch_spmd(rank_main, 2, recv_timeout=0.3)
+        assert 0.3 <= time.monotonic() - start < 5.0
+        message = str(info.value)
+        assert ("collective timeout after 0.3s: rank 0 awaiting rank 1 "
+                "in allreduce") in message, message
+        assert "tag=None" not in message
 
 
 class TestInstrumentedComm:
