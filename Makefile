@@ -6,7 +6,7 @@
 PYTHON ?= python
 PYTHONPATH_SRC = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-fast bench bench-compare perfbench report figures examples trace lint loc verify-contracts resilience restart-demo stability sanitize chaos soak service-soak serve serve-demo clean
+.PHONY: install test test-fast bench-compare perfbench report figures examples trace lint loc verify-contracts resilience restart-demo stability sanitize chaos soak service-soak serve serve-demo clean
 
 install:
 	pip install -e .
@@ -19,23 +19,11 @@ test:
 test-fast:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest tests/ -m "not slow and not distributed"
 
-# Pinned kernel + solver microbenchmarks -> results/bench/BENCH_<n>.json
-# (schema repro.bench/v1; see docs/kernels.md).  The pytest-benchmark
-# suite under benchmarks/ still runs via `pytest benchmarks/` when the
-# plugin is installed, but the ledger of record is `repro bench`.
-bench:
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.cli.main bench --out results/bench
-
-# Perf regression gate: quick fresh run, then diff its solver cases
-# against the committed BENCH_15.json pin (kernel grids differ by design
-# between quick and full suites; only overlapping cases are compared).
-# Exits non-zero when any case regresses past the threshold.
+# A/B of two perfbench result files or directories (`python3 -m
+# perfbench --out DIR` writes them), e.g. `make bench-compare
+# A=perfbench/out/base B=perfbench/out/new`; exits 1 on a regression.
 bench-compare:
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.cli.main bench --quick \
-	    --out results/bench-compare --pr 1
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.cli.main bench \
-	    --compare BENCH_15.json results/bench-compare/BENCH_1.json \
-	    --threshold 2.5
+	$(PYTHON) -m perfbench --compare $(A) $(B)
 
 # The repo's benchmark (BENCHMARK.json; perfbench/README.md): converged,
 # verified solves and service requests timed from outside, every

@@ -2,21 +2,20 @@
 
 These are the building blocks whose byte-per-cell costs parameterise the
 performance model; benchmarking them documents the achieved bandwidth of
-every registered :mod:`repro.kernels` backend.  The stencil/BLAS-1 cases
-parametrize over :func:`repro.kernels.available_backends`; ``numpy`` is
-the compiled baseline wherever the machine has a C compiler
-(:func:`repro.kernels.baseline_bodies` says which bodies were timed).
+both bodies of the one :mod:`repro.kernels` backend.  The stencil/BLAS-1
+cases parametrize over them: ``compiled`` (the C loops, skipped where the
+machine has no C compiler) and ``replay`` (the pure NumPy replay).
 
-The pinned ledger of record is ``repro bench`` (``make bench``, writing
-``BENCH_<n>.json``); this pytest-benchmark suite is the interactive
-companion for quick A/B runs when the plugin is installed.
+The benchmark of record is perfbench (``python3 -m perfbench``); this
+pytest-benchmark suite is the interactive companion for quick A/B runs
+when the plugin is installed.
 """
 
 import numpy as np
 import pytest
 
 from repro.comm import SerialComm
-from repro.kernels import available_backends, get_backend
+from repro.kernels import CompiledBackend, NumpyBackend, baseline_bodies
 from repro.mesh import Field, Grid2D, HaloExchanger, decompose
 from repro.solvers import (
     BlockJacobiPreconditioner,
@@ -30,7 +29,17 @@ from tests.helpers import crooked_pipe_system
 
 N = 512
 
-BACKENDS = list(available_backends())
+#: The two shipped bodies of the ``numpy`` backend.
+BODIES = ["compiled", "replay"]
+
+
+def _bodies(name):
+    """A fresh backend running the named bodies."""
+    if name == "replay":
+        return NumpyBackend()
+    if baseline_bodies()[0] != "compiled":
+        pytest.skip(baseline_bodies()[1])
+    return CompiledBackend()
 
 
 @pytest.fixture(scope="module")
@@ -46,14 +55,14 @@ def vec(op):
     return Field.from_global(op.tile, 1, rng.standard_normal((N, N)))
 
 
-@pytest.fixture(scope="module", params=BACKENDS)
+@pytest.fixture(scope="module", params=BODIES)
 def routed_op(request, op):
-    """The serial operator routed through each registered kernel backend."""
-    return op.with_kernels(request.param)
+    """The serial operator routed through each body of the backend."""
+    return op.with_kernels(_bodies(request.param))
 
 
 def test_matvec(benchmark, routed_op, vec):
-    """w = A p: the paper's Listing 1 kernel, per kernel backend."""
+    """w = A p: the paper's Listing 1 kernel, per body."""
     w = routed_op.new_field()
     benchmark(routed_op.apply_noexchange, vec, w)
 
@@ -87,10 +96,10 @@ def test_fused_dots(benchmark, routed_op, vec):
     benchmark(routed_op.dots, [(vec, vec), (vec, vec)])
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_axpy(benchmark, backend, vec):
-    """y += alpha x on the interior view, per kernel backend."""
-    k = get_backend(backend)
+@pytest.mark.parametrize("bodies", BODIES)
+def test_axpy(benchmark, bodies, vec):
+    """y += alpha x on the interior view, per body."""
+    k = _bodies(bodies)
     y = vec.copy()
     benchmark(k.axpy, y.interior, 0.0, vec.interior)
 

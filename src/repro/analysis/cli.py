@@ -127,14 +127,9 @@ def main(argv: list[str] | None = None) -> int:
     verify_reports = None
     if args.verify or args.verify_only or args.verify_resilience \
             or args.verify_integrity or args.verify_sanitize:
-        from repro.analysis.verify import default_specs, kernel_specs, \
-            verify_contracts
+        from repro.analysis.verify import verify_contracts
         try:
-            # The shipped configurations plus the same solvers re-routed
-            # through the fused kernel backend: kernels must be
-            # communication-neutral (docs/kernels.md).
             verify_reports = verify_contracts(
-                specs=default_specs() + kernel_specs(),
                 n=args.verify_size, names=args.verify_solver or None,
                 resilience=args.verify_resilience,
                 integrity=args.verify_integrity,

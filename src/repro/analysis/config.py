@@ -14,7 +14,7 @@ from pathlib import Path
 #: Receiver names whose method calls the cost model ignores: preconditioner
 #: applications are accounted separately from the iteration budget (the
 #: paper's budgets are for the un-preconditioned iteration skeleton), and
-#: kernel-backend calls (``kernels``) are rank-local compute by contract
+#: kernel backend calls (``kernels``) are rank-local compute by contract
 #: (:class:`repro.kernels.base.KernelBackend` has no communicator).
 DEFAULT_IGNORE_RECEIVERS = frozenset(
     {"M", "local_M", "cheby", "precond", "preconditioner", "_inner",

@@ -209,33 +209,6 @@ def default_specs() -> list[VerifySpec]:
     ]
 
 
-def kernel_specs(backend: str = "fused") -> list[VerifySpec]:
-    """Solver configurations re-run through a non-default kernel backend.
-
-    Routing the hot loops through ``SolverOptions.kernel_backend`` must be
-    communication-neutral: the fused ``apply_dot`` /
-    ``residual_dot`` chains change *how* the local arithmetic is blocked,
-    never how often the solver reduces or exchanges.  These are the
-    matvec-family specs of :func:`default_specs` with the backend engaged
-    (residual replacement left off); the CLI appends
-    them to :func:`default_specs` so ``--verify`` fails if a backend ever
-    smuggles in extra communication.
-    """
-    from dataclasses import replace
-
-    base = {spec.name: spec for spec in default_specs()}
-    specs = []
-    for name in ("cg", "cg_fused", "jacobi", "ppcg"):
-        spec = base[name]
-        specs.append(replace(
-            spec, name=f"{name}[kernels={backend}]", replaceable=False,
-            options=lambda k, options=spec.options: replace(
-                options(k), kernel_backend=backend),
-            detail=", ".join(filter(None, (spec.detail,
-                                           f"kernel backend {backend}")))))
-    return specs
-
-
 def _measure(spec: VerifySpec, n: int,
              resilience: bool = False,
              integrity: bool = False,

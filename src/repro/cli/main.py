@@ -10,8 +10,7 @@ from pathlib import Path
 #: CLI flags that override a deck's solver options; each flag's ``dest``
 #: is the :class:`~repro.solvers.options.SolverOptions` field it sets.
 _OPTION_FLAGS = ("solver", "halo_depth", "dtype", "true_residual",
-                 "kernel_backend", "comm_timeout", "checkpoint_dir",
-                 "checkpoint_interval")
+                 "comm_timeout", "checkpoint_dir", "checkpoint_interval")
 
 
 def _solver_options(deck, args):
@@ -192,21 +191,6 @@ def _cmd_soak(args) -> int:
     return soak_main(argv)
 
 
-def _cmd_bench(args) -> int:
-    """Pinned kernel + whole-solver microbenchmark suite."""
-    from repro.harness.bench import main as bench_main
-    if args.compare:
-        return bench_main(["--compare", *args.compare,
-                           "--threshold", str(args.threshold)])
-    argv = ["--out", args.out, "--pr", str(args.pr),
-            "--repeats", str(args.repeats)]
-    if args.quick:
-        argv.append("--quick")
-    if args.backends:
-        argv += ["--backends", args.backends]
-    return bench_main(argv)
-
-
 def _cmd_serve(args) -> int:
     """Multi-tenant solve service: load sweep or interactive demo."""
     if args.demo:
@@ -320,10 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--true-residual", action="store_true",
                          help="recompute ||b - A x|| after the solve and "
                               "report it next to the recurrence residual")
-    p_solve.add_argument("--kernel-backend", default="",
-                         choices=["", "numpy", "fused"],
-                         help="kernel backend for the hot paths "
-                              "(deck: tl_kernel_backend)")
     p_solve.add_argument("--comm-timeout", type=float, default=0.0,
                          help="per-attempt receive timeout in seconds "
                               "(deck: tl_comm_timeout; 0: library default)")
@@ -380,26 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_soak.add_argument("--kill-seed", type=int, default=7,
                         help="seed for SIGKILL points (with --service)")
     p_soak.set_defaults(func=_cmd_soak)
-
-    p_bench = sub.add_parser(
-        "bench", help="pinned kernel + solver microbenchmarks -> BENCH_<n>.json")
-    p_bench.add_argument("--out", default="results/bench",
-                         help="directory for BENCH_<n>.json")
-    p_bench.add_argument("--pr", type=int, default=0,
-                         help="ledger index (0: next free slot in --out)")
-    p_bench.add_argument("--repeats", type=int, default=5,
-                         help="timed repeats per case (min is reported)")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="smallest grid only (CI smoke)")
-    p_bench.add_argument("--backends", default="",
-                         help="comma-separated backend subset "
-                              "(default: all available)")
-    p_bench.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
-                         help="compare two ledgers (exit 1 on regression) "
-                              "instead of running the suite")
-    p_bench.add_argument("--threshold", type=float, default=1.25,
-                         help="regression ratio for --compare")
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_serve = sub.add_parser(
         "serve", help="multi-tenant solve service: deterministic load "

@@ -1,10 +1,10 @@
 """Numbered, byte-deterministic result ledgers.
 
-Every harness that leaves a ledger of record behind — ``BENCH_<n>.json``,
-``SERVICE_<n>.json``, ``SOAK_SERVICE_<n>.json``, ``CHAOS_<n>.json``,
-``SOAK_<n>.json`` — writes it through here: sorted keys, two-space indent,
-one trailing newline, and either a pinned index or the next free one (so
-successive runs never clobber each other's ledgers).
+Every harness that leaves a ledger of record behind — ``SERVICE_<n>.json``,
+``SOAK_SERVICE_<n>.json``, ``CHAOS_<n>.json``, ``SOAK_<n>.json`` — writes
+it through here: sorted keys, two-space indent, one trailing newline, and
+either a pinned index or the next free one (so successive runs never
+clobber each other's ledgers).
 """
 
 from __future__ import annotations

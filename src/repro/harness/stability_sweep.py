@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.solvers import SolverOptions
+from repro.testing import crooked_pipe_jump_system, distributed_solve
 from repro.utils.errors import ConvergenceError
 
 #: Conductivity jumps swept by default (subset of the full
@@ -212,8 +213,6 @@ class StabilitySweepResult:
 def _run_cell(label: str, solver: str, depth: int, dtype: str, jump: float,
               protected: bool, n: int, eps: float, max_iters: int,
               size: int) -> StabilityCell:
-    from repro.testing import crooked_pipe_jump_system, distributed_solve
-
     grid, kxg, kyg, bg = crooked_pipe_jump_system(n, jump)
     b_norm = float(np.linalg.norm(bg))
     options = cell_options(solver, depth, dtype, protected, eps, max_iters)

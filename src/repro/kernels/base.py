@@ -36,13 +36,12 @@ Numerical policy (see ``docs/kernels.md``):
   ops (nor fuse a multiply into an add).
 - **reductions** — ``dot``, ``norm``, the scalars of ``apply_dot`` /
   ``apply_axpy_dot`` and the ``<r, r>`` of the bound ``cg_update`` — have
-  one defined order, :func:`reference_dot`, so the ``numpy`` baseline's
-  are the same bits on every CPU.  Only ``fused`` reassociates, within
-  ``|d - d_ref| <= 64 * eps(dtype) * sum_i |a_i b_i|`` of it.
+  one defined order, :func:`reference_dot`, so they are the same bits
+  on every CPU.
 
-The equivalence battery (``tests/test_kernels_equivalence.py``) enforces
-both halves differentially against the ``numpy`` backend for every
-registered backend; no backend ships without it.
+The equivalence battery (``tests/test_kernels_equivalence.py``) holds
+both bodies of the ``numpy`` backend — the compiled loops and the NumPy
+replay — to a whole-array oracle, bit for bit.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 #: Per-kernel minimum achievable memory streams (arrays read + written
-#: once per cell), used by the bench ledger's modelled ``bytes_moved``:
+#: once per cell), used by perfbench's modelled bytes per kernel call:
 #: ``bytes = streams * cells * itemsize``.  The stencil kernels count
 #: ``p``/``kx``/``ky`` reads and the ``out`` write; the fused chains add
 #: the extra operand streamed (``y`` read+write for the axpy tail) but
@@ -65,9 +64,6 @@ KERNEL_STREAMS = {
     "pack_halo": 2,
     "unpack_halo": 2,
 }
-
-#: Documented reduction-reassociation bound multiplier (ULP policy).
-REDUCTION_ULP_FACTOR = 64.0
 
 #: The reference reduction's lane count (``bodies.c`` defines it too).
 LANES = 8
@@ -132,21 +128,6 @@ def stencil_diagonal(*faces: np.ndarray) -> np.ndarray:
     return diag
 
 
-def reduction_tolerance(a: np.ndarray, b: np.ndarray) -> float:
-    """The documented bound on ``|dot(a, b) - reference_dot(a, b)|`` of
-    the one backend that reassociates, ``fused``.
-
-    ``64 * eps(dtype) * sum|a_i b_i|`` — a forward-error envelope wide
-    enough to cover any two summation orders (pairwise, blocked partials,
-    serial JIT loops) at the sizes the solvers use, yet ~10 orders of
-    magnitude below the quantities the solvers compare.
-    """
-    eps = float(np.finfo(np.result_type(a.dtype, b.dtype)).eps)
-    weight = float(np.sum(np.abs(a.astype(np.float64, copy=False)
-                                 * b.astype(np.float64, copy=False))))
-    return REDUCTION_ULP_FACTOR * eps * max(weight, 1e-300)
-
-
 class KernelBackend:
     """Abstract kernel set: subclasses implement the stencil chains,
     ``dot`` and ``axpy``; ``aypx``, ``norm`` and the halo copies have
@@ -161,7 +142,7 @@ class KernelBackend:
     (``flags.writeable`` False) must never change again.
     """
 
-    #: Registry name (``"numpy"`` / ``"fused"``).
+    #: Registry name (``"numpy"``).
     name = "?"
 
     # -- stencil chains --------------------------------------------------------
@@ -226,8 +207,7 @@ class KernelBackend:
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """Local dot product of two (view) arrays of one shape:
-        :func:`reference_dot`'s bits, or within :func:`reduction_tolerance`
-        of them for a backend that reassociates."""
+        :func:`reference_dot`'s bits."""
         raise NotImplementedError
 
     def axpy(self, y: np.ndarray, alpha: float, x: np.ndarray) -> None:

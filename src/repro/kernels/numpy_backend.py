@@ -2,7 +2,7 @@
 
 Per element the arithmetic is the original whole-array expressions,
 operation for operation, so the results stay the reference bit patterns
-every other backend is proven against; a steady-state call merely
+the compiled bodies are proven against; a steady-state call merely
 allocates no array (``docs/kernels.md`` has the measurements):
 
 - **Blocked.**  The stencil and ``axpy`` replay their expression with

@@ -82,7 +82,6 @@ class Deck:
     tl_enable_recovery: bool = False
     tl_enable_checksums: bool = False
     tl_working_dtype: str = "float64"
-    tl_kernel_backend: str = "numpy"
     tl_replace_interval: int = 0
     tl_comm_timeout: float = 0.0
     tl_enable_refinement: bool = False
@@ -271,14 +270,6 @@ def _apply_setting(deck: Deck, key: str, val: str, lineno: int) -> None:
                 f"expected one of {list(WORKING_DTYPES)}")
         deck.tl_working_dtype = val
         return
-    if key == "tl_kernel_backend":
-        from repro.solvers.options import KERNEL_BACKENDS
-        if val not in KERNEL_BACKENDS:
-            raise ConfigurationError(
-                f"line {lineno}: unknown tl_kernel_backend {val!r}; "
-                f"expected one of {list(KERNEL_BACKENDS)}")
-        deck.tl_kernel_backend = val
-        return
     raise ConfigurationError(f"line {lineno}: unknown setting {key!r}")
 
 
@@ -331,7 +322,6 @@ def deck_solver_options(deck: Deck, **overrides):
         refine=deck.tl_enable_refinement,
         replace_interval=deck.tl_replace_interval,
         true_residual=deck.tl_check_true_residual,
-        kernel_backend=deck.tl_kernel_backend,
         comm_timeout=deck.tl_comm_timeout,
     ) | overrides))
 

@@ -111,20 +111,14 @@ DEFAULT_BUDGETS = {
     "crash": {"min_recovery_rate": 0.90},
 }
 
-#: The five protected solver configurations the default campaign storms.
+#: The four protected solver configurations the default campaign storms.
 #: Every config runs the full composed defence: guard rollback, graceful
 #: degradation where the solver supports it, and (for the CG family)
 #: van der Vorst-Ye residual replacement so a corrupted convergence-check
-#: reduction cannot exit falsely.  The ``cg[kernels=fused]`` entry storms
-#: the fused :mod:`repro.kernels` backend so the cache-blocked hot path
-#: faces the same fault classes — and the same differential oracle — as
-#: the baseline.
+#: reduction cannot exit falsely.
 CAMPAIGN_SOLVERS = (
     ("cg", SolverOptions(solver="cg", eps=1e-8, max_iters=500,
                          guard_interval=5, replace_interval=10)),
-    ("cg[kernels=fused]", SolverOptions(solver="cg", eps=1e-8, max_iters=500,
-                                        guard_interval=5, replace_interval=10,
-                                        kernel_backend="fused")),
     ("ppcg", SolverOptions(solver="ppcg", eps=1e-8, max_iters=200,
                            ppcg_inner_steps=4, eigen_warmup_iters=8,
                            guard_interval=5, degrade=True,

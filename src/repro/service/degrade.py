@@ -3,14 +3,12 @@
 Under queue pressure the engine trades solve quality-of-service for
 throughput by laddering a request's :class:`SolverOptions` down through
 cheaper configurations (reusing the degradation hooks the solvers
-already honour).  Rungs, in the order they are applied:
+already honour).  Two rungs, in the order they are applied:
 
 1. ``depth1``   — matrix-powers halo depth → 1 (the same fallback the
    CPPCG inner iteration takes on repeated halo-exchange failure);
 2. ``cg``       — Chebyshev/CPPCG → plain CG (skips the warm-up
-   eigenvalue estimation entirely);
-3. ``numpy``    — routed kernel backends → the baseline numpy backend
-   (no fused cache-blocked chains, no jit warm-up).
+   eigenvalue estimation entirely).
 
 Each rung returns ``None`` when it does not apply, so
 :func:`degrade_for_pressure` composes only the applicable ones and
@@ -37,17 +35,10 @@ def _to_cg(options: SolverOptions):
     return None
 
 
-def _to_numpy(options: SolverOptions):
-    if options.kernel_backend != "numpy":
-        return replace(options, kernel_backend="numpy")
-    return None
-
-
 #: (rung name, transform) in application order.
 LADDER = (
     ("depth1", _depth1),
     ("cg", _to_cg),
-    ("numpy", _to_numpy),
 )
 
 

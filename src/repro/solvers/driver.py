@@ -92,11 +92,6 @@ def solve_linear(
         solve_op = cast_operator(op, opt.dtype)
         bb = cast_field(b, opt.dtype)
         xx = cast_field(x0, opt.dtype) if x0 is not None else None
-    if opt.kernel_backend != solve_op.kernels.name:
-        # Routed copy; the caller's operator keeps its own backend.  The
-        # true-residual referee below still runs through the original
-        # ``op`` — a backend-neutral check of the routed solve.
-        solve_op = solve_op.with_kernels(opt.kernel_backend)
 
     from repro.observe.trace import tracer_of
     with tracer_of(solve_op).span("solve", opt.solver):

@@ -82,9 +82,9 @@ class StencilOperator:
         exchanger; the stencil emits ``stencil`` spans, solvers read it
         for ``iteration``/``precond`` spans (null tracer by default).
     kernels:
-        The :class:`~repro.kernels.KernelBackend` (or registry name) the
-        hot paths route through; shared with the exchanger.  Defaults to
-        the ``numpy`` baseline.
+        The :class:`~repro.kernels.KernelBackend` the hot paths route
+        through; shared with the exchanger.  Defaults to the ``numpy``
+        baseline.
     """
 
     kx: Field
@@ -122,8 +122,6 @@ class StencilOperator:
             self.tracer = NULL_TRACER
         if self.kernels is None:
             self.kernels = get_backend(DEFAULT_BACKEND)
-        elif isinstance(self.kernels, str):
-            self.kernels = get_backend(self.kernels)
         if self.exchanger is None:
             self.exchanger = HaloExchanger(self.comm, events=self.events,
                                            tracer=self.tracer,
@@ -303,23 +301,14 @@ class StencilOperator:
         self.events.record("matvec", None, cells=cells)
         return float(self.comm.allreduce(local))
 
-    def with_kernels(self, backend) -> "StencilOperator":
-        """This operator routed through kernel backend ``backend``.
-
-        ``backend`` is a registry name — ``self`` is returned when its
-        backend already goes by that name — or an instance, which the
-        result always routes through (two classes are called ``numpy``).
-        A new operator is a shallow copy sharing coefficients,
-        communicator, events and tracer, with a fresh exchanger bound to
-        the new backend.
+    def with_kernels(self, backend: KernelBackend) -> "StencilOperator":
+        """This operator routed through the backend instance ``backend``:
+        a shallow copy sharing coefficients, communicator, events and
+        tracer, with a fresh exchanger bound to ``backend``.
         """
-        k = backend
-        if isinstance(backend, str):
-            if backend == self.kernels.name:
-                return self
-            k = get_backend(backend)
-        return replace(self, kernels=k, exchanger=HaloExchanger(
-            self.comm, events=self.events, tracer=self.tracer, kernels=k))
+        return replace(self, kernels=backend, exchanger=HaloExchanger(
+            self.comm, events=self.events, tracer=self.tracer,
+            kernels=backend))
 
     def diagonal(self) -> np.ndarray:
         """The diagonal of ``A`` over the interior, shape ``tile.shape``."""

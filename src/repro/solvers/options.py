@@ -6,14 +6,14 @@ construction so downstream code can trust it.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
+from repro.utils.errors import ConfigurationError
 from repro.utils.validation import check_in, check_positive, require
 
 SOLVERS = ("jacobi", "cg", "cg_fused", "dcg", "chebyshev", "ppcg", "mgcg")
 PRECONDITIONERS = ("none", "diagonal", "block_jacobi")
 WORKING_DTYPES = ("float32", "float64")
-KERNEL_BACKENDS = ("numpy", "fused")
 
 
 @dataclass(frozen=True)
@@ -136,11 +136,6 @@ class SolverOptions:
     #: Compute the true residual ``b - A x`` once after the solve (under
     #: the replacement event scope) and attach it to the result.
     true_residual: bool = False
-    #: Kernel backend (:mod:`repro.kernels`) the solve's hot paths route
-    #: through (TeaLeaf deck key ``tl_kernel_backend``).  ``numpy`` is
-    #: the baseline (compiled loops where the machine has a C compiler);
-    #: ``fused`` is its NumPy replay with block-partial reductions.
-    kernel_backend: str = "numpy"
     #: Per-attempt receive timeout in seconds for the resilient comm
     #: stack (TeaLeaf-style deck key ``tl_comm_timeout``, CLI
     #: ``--comm-timeout``).  0 keeps the library default
@@ -200,7 +195,6 @@ class SolverOptions:
             "rank rebuilds its subdomain from the on-disk shards",
         )
         check_in("dtype", self.dtype, WORKING_DTYPES)
-        check_in("kernel_backend", self.kernel_backend, KERNEL_BACKENDS)
         check_positive("refine_max_steps", self.refine_max_steps)
         require(0.0 < self.refine_stagnation < 1.0,
                 f"refine_stagnation must be in (0, 1), "
@@ -233,6 +227,12 @@ class SolverOptions:
         )
 
     @property
+    def kernel_backend(self) -> str:
+        """The kernel backend (:mod:`repro.kernels`) the hot paths run
+        on: always ``numpy``, whose bodies are a fact of the machine."""
+        return "numpy"
+
+    @property
     def required_field_halo(self) -> int:
         """Minimum halo depth the solve's fields must be allocated with."""
         if self.solver in ("chebyshev", "ppcg"):
@@ -256,7 +256,14 @@ def options_to_dict(options: SolverOptions) -> dict:
 
 
 def options_from_dict(data: dict) -> SolverOptions:
-    """Invert :func:`options_to_dict` (re-runs all option validation)."""
+    """Invert :func:`options_to_dict` (re-runs all option validation); a
+    key that is not a field — say, one a removed option left in an older
+    manifest — is a :class:`~repro.utils.errors.ConfigurationError`
+    naming it."""
+    unknown = sorted(set(data) - {f.name for f in fields(SolverOptions)})
+    if unknown:
+        raise ConfigurationError(
+            f"unknown solver option(s) {', '.join(map(repr, unknown))}")
     raw = dict(data)
     for key in ("eigen_safety", "deflation_blocks"):
         if key in raw and isinstance(raw[key], list):

@@ -332,6 +332,23 @@ class TestKillAndRestart:
         with pytest.raises(CheckpointError, match="nothing left"):
             restart_simulation(tmp_path)
 
+    def test_restart_refuses_a_removed_option_by_name(self, tmp_path):
+        """A manifest whose options carry a key that is no field — the
+        kernel backend an older run recorded — is refused with a
+        ``ConfigurationError`` naming the key, not resumed."""
+        from repro.physics.deck import crooked_pipe_deck, deck_to_problem
+        deck = crooked_pipe_deck(12)
+        run_simulation(deck.grid, deck_to_problem(deck),
+                       SolverOptions(solver="cg"), dt=deck.initial_timestep,
+                       n_steps=4, nranks=1, checkpoint_dir=tmp_path,
+                       checkpoint_interval=2)
+        path = latest_checkpoint(tmp_path) / "manifest.json"
+        manifest = json.loads(path.read_text("utf-8"))
+        manifest["config"]["options"]["kernel_backend"] = "numpy"
+        path.write_text(json.dumps(manifest), "utf-8")
+        with pytest.raises(ConfigurationError, match="'kernel_backend'"):
+            restart_simulation(tmp_path, extra_steps=1)
+
 
 # -- rank-loss recovery -------------------------------------------------------
 
@@ -517,6 +534,15 @@ def test_all_contracts_verify_under_integrity_stack():
 
 
 class TestOptionsValidation:
+    def test_options_from_dict_names_unknown_keys(self):
+        from repro.solvers.options import options_from_dict, options_to_dict
+        data = options_to_dict(SolverOptions(solver="ppcg", halo_depth=4))
+        assert options_from_dict(data) == SolverOptions(solver="ppcg",
+                                                        halo_depth=4)
+        with pytest.raises(ConfigurationError,
+                           match=r"option\(s\) 'made_up', 'tl_eps'$"):
+            options_from_dict(dict(data, made_up=1, tl_eps=1e-8))
+
     def test_checkpoint_interval_requires_dir(self):
         with pytest.raises(ConfigurationError, match="checkpoint_dir"):
             SolverOptions(checkpoint_interval=5)

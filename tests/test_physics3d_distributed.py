@@ -99,9 +99,9 @@ class TestDistributedSimulation3D:
 
     def test_options_reach_the_3d_driver(self, serial_ref):
         """``SolverOptions`` drive the 3D stepping: float32 working
-        precision with refinement, a guard and the fused backend, on two
-        ranks, agree with the plain serial run."""
+        precision with refinement and a guard, on two ranks, agree with
+        the plain serial run."""
         out = duct_temperature(nranks=2, solver="cg", eps=1e-11,
                                dtype="float32", refine=True,
-                               guard_interval=5, kernel_backend="fused")
+                               guard_interval=5)
         assert np.abs(out - serial_ref).max() < 1e-9
