@@ -27,8 +27,8 @@ padded shape (an operator's fields always do); anything else is a
 Numerical policy (see ``docs/kernels.md``):
 
 - **fp-order-preserving kernels** — ``stencil_apply``, ``axpy``,
-  ``aypx``, the field updates of ``apply_axpy_dot``,
-  ``chebyshev_step``, the bound CG bodies of ``bind_cg`` (the
+  ``aypx``, the field updates of ``apply_axpy_dot``, the Chebyshev
+  step of ``bind_chebyshev``, the bound CG bodies of ``bind_cg`` (the
   ``cg_update`` of ``x``/``r``, the region ``aypx``),
   ``pack_halo``/``unpack_halo`` —
   are elementwise and must match the ``numpy`` baseline **bit for bit**
@@ -131,7 +131,7 @@ def stencil_diagonal(*faces: np.ndarray) -> np.ndarray:
 class KernelBackend:
     """Abstract kernel set: subclasses implement the stencil chains,
     ``dot`` and ``axpy``; ``aypx``, ``norm`` and the halo copies have
-    defaults, and ``chebyshev_step`` and ``bind_cg`` are optional.
+    defaults, and ``bind_chebyshev`` and ``bind_cg`` are optional.
     The stencil signatures are the 2-D calls (module docstring: a 3-D
     call carries ``kz`` and a plane bound pair more).
 
@@ -177,20 +177,20 @@ class KernelBackend:
         """
         raise NotImplementedError
 
-    def chebyshev_step(self, *args) -> bool:
-        """One matrix-powers Chebyshev inner step as one call, where the
-        backend has a body for it — called as ``chebyshev_step(kx, ky, d,
-        w, r, z, inv_diag, scale, beta, r0, r1, c0, c1, ir0, ir1, ic0,
-        ic1)``: on region ``R`` (bounds ``r0 .. c1``; the interior ``I``,
-        ``ir0 .. ic1``, inside it) ``w = A d``; ``z += d`` on ``I`` only;
-        then ``r += w * -1``, ``w = (r * inv_diag) * scale`` (``r *
-        scale`` when ``inv_diag`` is None) and ``d = d * beta + w`` — per
-        cell in the order of those separate passes.
-
-        Returns whether it ran.  The default runs nothing and returns
-        False: the caller then makes the separate passes, the reference.
-        """
-        return False
+    def bind_chebyshev(self, faces, d, w, r, z, inv_diag, regions,
+                       interior):
+        """One matrix-powers Chebyshev inner step bound once to one
+        iteration's padded arrays — or None, the default: the caller then
+        makes the separate passes, the reference, whose bits the body
+        gives.  ``regions[ext]`` are the loop bounds of extension ``ext``,
+        ``interior`` the interior's, inside each.  The bound object's
+        ``step(ext, scale, beta)`` runs, on region ``R = regions[ext]``:
+        ``w = A d``; ``z += d`` on the interior only; then ``r += w * -1``,
+        ``w = (r * inv_diag) * scale`` (``r * scale`` when ``inv_diag`` is
+        None) and ``d = d * beta + w`` — per cell in the order of those
+        separate passes — and returns True, or runs nothing and returns
+        False."""
+        return None
 
     def bind_cg(self, faces, x, r, p, w, z, bounds):
         """CG's iteration bodies bound once to one solve's padded arrays on

@@ -137,39 +137,50 @@ double N(cg_update3)(UPDATE, BOUNDS3) { DOT ROWS3(CG_UPDATE) return SUM; }
  * acc += p on the interior `i*` bounds only (inside the region); then per
  * cell res = res + w·(−1) — written `res - w`, the same bits — w =
  * (res·m)·scale (res·scale without m) and p = p·beta + w: the order of the
- * separate passes it replaces.  The stencil is a pass of its own because
- * the tail writes p, which neighbouring cells' stencils read; so is the
- * interior, whose acc update reads p before the tail writes it. */
+ * separate passes it replaces.  One pass over the region's rows, the rest
+ * of the step `lag` rows behind the stencil: the tail writes p, which the
+ * stencils of the next row (2-D) or of the next plane (3-D: a plane's rows
+ * behind) still read; a row's acc update reads p before its tail. */
 #define TAIL(i) \
     T t = res[i] - w[i]; res[i] = t; \
     if (m) t = t * m[i]; \
     w[i] = t * (T)scale; t = p[i] * (T)beta; p[i] = t + w[i];
 #define STEP T *restrict p, T *restrict w, T *restrict res, T *restrict acc, \
-             const T *restrict m, double scale, double beta
-
-static void N(accumulate2)(T *restrict acc, const T *restrict p, BOUNDS2)
-ROWS2(CELLS { acc[i] = acc[i] + p[i]; })
-static void N(accumulate3)(T *restrict acc, const T *restrict p, BOUNDS3)
-ROWS3(CELLS { acc[i] = acc[i] + p[i]; })
+             const T *restrict m
+/* Row k of the region, counted from 0 in C order: its first cell. */
+#define ROW(k) ((z0 + (k) / nr) * sz + (r0 + (k) % nr) * sy + c0)
+#define INNER(k) (iz0 <= z0 + (k) / nr && z0 + (k) / nr < iz1 \
+                  && ir0 <= r0 + (k) % nr && r0 + (k) % nr < ir1)
+#define LAGGED(CELL, lag) { \
+    const size_t nc = c1 - c0, nr = r1 - r0, rows = (z1 - z0) * nr; \
+    for (size_t k = 0; k < rows + (lag); k++) { \
+        if (k < rows) { const size_t i0 = ROW(k); CELLS { CELL(i) w[i] = a; } } \
+        if (k < (lag)) continue; \
+        const size_t j = k - (lag), i0 = ROW(j); \
+        if (INNER(j)) for (size_t i = i0 + ic0 - c0; i < i0 + ic1 - c0; i++) \
+            acc[i] = acc[i] + p[i]; \
+        CELLS { TAIL(i) } } }
 
 void N(chebyshev_step2)(const T *kx, const T *ky, STEP, BOUNDS2,
-                        size_t ir0, size_t ir1, size_t ic0, size_t ic1)
+                        size_t ir0, size_t ir1, size_t ic0, size_t ic1,
+                        double scale, double beta)
 {
-    ROWS2(CELLS { CELL2(i) w[i] = a; })
-    N(accumulate2)(acc, p, W, ir0, ir1, ic0, ic1);
-    ROWS2(CELLS { TAIL(i) })
+    const size_t z0 = 0, z1 = 1, iz0 = 0, iz1 = 1, sy = W, sz = 0;
+    LAGGED(CELL2, 1)
 }
 void N(chebyshev_step3)(const T *kx, const T *ky, const T *kz, STEP, BOUNDS3,
                         size_t iz0, size_t iz1, size_t ir0, size_t ir1,
-                        size_t ic0, size_t ic1)
+                        size_t ic0, size_t ic1, double scale, double beta)
 {
-    ROWS3(CELLS { CELL3(i) w[i] = a; })
-    N(accumulate3)(acc, p, H, W, iz0, iz1, ir0, ir1, ic0, ic1);
-    ROWS3(CELLS { TAIL(i) })
+    const size_t sy = W, sz = H * W;
+    LAGGED(CELL3, r1 - r0)
 }
 
 #undef TAIL
 #undef STEP
+#undef ROW
+#undef INNER
+#undef LAGGED
 #undef AXPY
 #undef AYPX
 #undef AXPY_OUT

@@ -130,7 +130,7 @@ def _declare(lib) -> dict:
         signatures["apply_axpy_dot", ndim] = [ptr] * (ndim + 3) + [real] + tail
         signatures["dot", ndim] = [ptr, ptr] + tail
         signatures["chebyshev_step", ndim] = (
-            [ptr] * (ndim + 5) + [real, real] + tail + [size] * (2 * ndim))
+            [ptr] * (ndim + 5) + tail + [size] * (2 * ndim) + [real, real])
         signatures["cg_update", ndim] = [ptr] * 4 + [real, ctypes.c_int] + tail
         signatures["aypx", ndim] = [ptr, real, ptr] + tail
     bodies = {}
@@ -243,6 +243,11 @@ class CompiledBackend(NumpyBackend):
         self._bodies = bodies
         self._addresses = {}
 
+    def __reduce__(self):
+        # ctypes bodies and raw addresses do not travel: a copy or pickle
+        # is the receiving process's baseline, the same bits.
+        return baseline, ()
+
     def _at(self, a: np.ndarray) -> int:
         """The address of ``a``'s first cell.  ``ndarray.ctypes`` takes
         2 µs a time — four times the arithmetic of a 32² stencil — and a
@@ -275,8 +280,9 @@ class CompiledBackend(NumpyBackend):
             return None
         at = [self._at(a) for a in arrays]
         for a in (out, *more) if written is None else written:
+            here = self._at(a)
             if not a.flags.writeable or sum(
-                    abs(self._at(a) - other) < p.nbytes for other in at) != 1:
+                    abs(here - other) < p.nbytes for other in at) != 1:
                 return None
         return body, at
 
@@ -315,23 +321,23 @@ class CompiledBackend(NumpyBackend):
             return super().dot(a, b)
         return body(a.ctypes.data, b.ctypes.data, *tail)
 
-    def chebyshev_step(self, *args):
-        faces, d, w, (r, z, m, scale, beta), bounds = _operands(args, 5)
-        region, inner = bounds[:len(bounds) // 2], bounds[len(bounds) // 2:]
-        if not (_scalar_fits(scale, d.dtype) and _scalar_fits(beta, d.dtype)
-                and all(lo <= hi for lo, hi in zip(
-                    region[::2] + inner[1::2], inner[::2] + region[1::2]))):
-            return False   # the interior must lie inside the region
-        more = (r, z) if m is None else (r, z, m)
-        chain = self._chain("chebyshev_step", faces, d, w, region, *more,
-                            written=(d, w, r, z))
-        if chain is None:
-            return False
-        body, at = chain
-        n = len(faces) + 4
-        body(*at[:n], at[n] if m is not None else None, scale, beta,
-             *d.shape[1:], *bounds)
-        return True
+    def bind_chebyshev(self, faces, d, w, r, z, inv_diag, regions, interior):
+        # ``_chain``'s checks, once per extension, the interior inside each
+        # region; one packed call per extension.
+        more = (r, z) if inv_diag is None else (r, z, inv_diag)
+        n, steps = len(faces) + 4, []
+        for region in regions:
+            chain = all(lo <= hi for lo, hi in zip(
+                region[::2] + interior[1::2], interior[::2] + region[1::2])
+            ) and self._chain("chebyshev_step", faces, d, w, region, *more,
+                              written=(d, w, r, z))
+            if not chain:
+                return None
+            body, at = chain
+            m = at[n] if inv_diag is not None else None
+            steps.append(partial(body, *at[:n], m, *d.shape[1:], *region,
+                                 *interior))
+        return _BoundChebyshev((*faces, d, w, *more), d.dtype, steps)
 
     def bind_cg(self, faces, x, r, p, w, z, bounds):
         # ``_chain``'s checks, once per solve; ``z`` is ``r`` or only read.
@@ -393,4 +399,22 @@ class _BoundCG:
         if not _scalar_fits(beta, self.dtype):
             return False
         self._direction(beta, *self._z)
+        return True
+
+
+class _BoundChebyshev:
+    """One Chebyshev iteration's inner-step body
+    (:meth:`CompiledBackend.bind_chebyshev`), per extension, on the
+    addresses of the arrays it keeps alive.  ``step`` checks only its two
+    scalars and runs nothing — False — where :func:`_scalar_fits` says
+    NumPy would round otherwise."""
+
+    def __init__(self, arrays, dtype, steps):
+        self.arrays, self.dtype, self._steps = arrays, dtype, steps
+
+    def step(self, ext, scale, beta) -> bool:
+        dtype = self.dtype
+        if not (_scalar_fits(scale, dtype) and _scalar_fits(beta, dtype)):
+            return False
+        self._steps[ext](scale, beta)
         return True

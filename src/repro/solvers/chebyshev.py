@@ -114,6 +114,21 @@ class ChebyshevIteration:
             raise ConfigurationError(
                 "Chebyshev needs lam_max > lam_min (delta > 0); got equal bounds")
         self.sigma = self.theta / self.delta
+        # The operator's inner step on d, w, rr and accum, bound at the
+        # first extended step.
+        self._step = None
+        self.restart(accum)
+
+    def __getstate__(self) -> dict:
+        # A pickle or deepcopy must not carry the bound step's raw
+        # addresses: the copy binds its own arrays at its next step.
+        return {**self.__dict__, "_step": None}
+
+    def restart(self, accum: Field) -> None:
+        """Start the recurrence afresh from ``rr``, accumulating into
+        ``accum`` (the step is rebound only if that is another field)."""
+        if accum is not self.accum:
+            self.accum, self._step = accum, None
         self.rho = 1.0 / self.sigma
         self.steps_done = 0
         self._since_exchange = 0
@@ -171,9 +186,11 @@ class ChebyshevIteration:
         rho_new = 1.0 / (2.0 * self.sigma - self.rho)
         # d <- rho' rho d + (2 rho'/delta) M^{-1} r  on the extended region
         scale, beta = 2.0 * rho_new / self.delta, rho_new * self.rho
-        # One kernel call where the backend has the step, else its passes.
-        if not op.chebyshev_step(self.d, self.w, self.rr, self.accum,
-                                 self._inv_diag, scale, beta, ext):
+        if self._step is None:
+            self._step = op.bind_chebyshev(self.d, self.w, self.rr,
+                                           self.accum, self._inv_diag, n)
+        # One kernel call where the backend bound the step, else its passes.
+        if not self._step.step(ext, scale, beta):
             self.accum.axpy(1.0, self.d, op.kernels)
             self.rr.axpy(-1.0, self.w, op.kernels, ext)
             self._precondition(self.rr, self.w, self.rr.region(ext), scale)
@@ -226,6 +243,7 @@ class ChebyshevPreconditioner(Preconditioner):
         self.halo_depth = halo_depth
         self._inner = make_local_preconditioner(op, inner_preconditioner)
         self._rr = op.new_field()
+        self._it: ChebyshevIteration | None = None
         self.applications = 0
 
     @property
@@ -235,10 +253,14 @@ class ChebyshevPreconditioner(Preconditioner):
     def apply(self, r: Field, z: Field) -> None:
         self._rr.data[...] = r.data
         z.data.fill(0.0)
-        it = ChebyshevIteration(self.op, self._rr, z, self.bounds,
-                                halo_depth=self.halo_depth,
-                                local_precond=self._inner)
-        it.run(self.steps)
+        # One recurrence — its d, w and bound step — for every application.
+        if self._it is None:
+            self._it = ChebyshevIteration(self.op, self._rr, z, self.bounds,
+                                          halo_depth=self.halo_depth,
+                                          local_precond=self._inner)
+        else:
+            self._it.restart(z)
+        self._it.run(self.steps)
         self.applications += 1
 
 

@@ -229,23 +229,16 @@ class StencilOperator:
                                        *bounds)
         self.events.record("matvec", None, cells=cells)
 
-    def chebyshev_step(self, d: Field, w: Field, r: Field, z: Field,
-                       inv_diag: np.ndarray | None, scale: float,
-                       beta: float, ext: int) -> bool:
-        """``w = A d`` like :meth:`apply_noexchange` — and, where the
-        backend has the body, the rest of one Chebyshev inner step on the
-        same region (:meth:`~repro.kernels.base.KernelBackend.chebyshev_step`);
-        returns whether it did the rest."""
-        bounds, cells = self._stencil_bounds(ext)
-        with self.tracer.span("stencil", ext):
-            done = self.kernels.chebyshev_step(
-                *self._coeffs, d.data, w.data, r.data, z.data, inv_diag,
-                scale, beta, *bounds, *self._stencil_bounds(0)[0])
-            if not done:
-                self.kernels.stencil_apply(*self._coeffs, d.data, w.data,
-                                           *bounds)
-        self.events.record("matvec", None, cells=cells)
-        return done
+    def bind_chebyshev(self, d: Field, w: Field, r: Field, z: Field,
+                       inv_diag: np.ndarray | None,
+                       depth: int) -> "ChebyshevStep":
+        """One Chebyshev iteration's inner step on ``d, w, r, z`` at
+        extensions ``0 .. depth-1``, bound once through
+        :meth:`~repro.kernels.base.KernelBackend.bind_chebyshev`."""
+        return ChebyshevStep(self, d, w, self.kernels.bind_chebyshev(
+            self._coeffs, d.data, w.data, r.data, z.data, inv_diag,
+            [self._stencil_bounds(ext)[0] for ext in range(depth)],
+            self._stencil_bounds(0)[0]))
 
     def apply(self, p: Field, out: Field) -> None:
         """``out = A p`` on the interior, exchanging p's depth-1 halo first."""
@@ -423,6 +416,30 @@ class CGStep:
         s, b = self.s, self.bound
         if b is None or not b.direction(beta):
             s.p.aypx(beta, s.z, self.op.kernels)
+
+
+class ChebyshevStep:
+    """One Chebyshev inner step (:meth:`StencilOperator.bind_chebyshev`):
+    the body the backend bound, or — unbound, or handed back — the stencil
+    alone, and the caller makes the separate passes, the reference.  Both
+    give the same bits, spans and events."""
+
+    def __init__(self, op: StencilOperator, d: Field, w: Field, bound):
+        self.op, self.d, self.w, self.bound = op, d, w, bound
+
+    def step(self, ext: int, scale: float, beta: float) -> bool:
+        """``w = A d`` like :meth:`StencilOperator.apply_noexchange` — and,
+        where the bound body ran, the rest of the step on the same region;
+        returns whether it did the rest."""
+        op, b = self.op, self.bound
+        bounds, cells = op._stencil_bounds(ext)
+        with op.tracer.span("stencil", ext):
+            done = b is not None and b.step(ext, scale, beta)
+            if not done:
+                op.kernels.stencil_apply(*op._coeffs, self.d.data,
+                                         self.w.data, *bounds)
+        op.events.record("matvec", None, cells=cells)
+        return done
 
 
 #: The operator under its 2-D name.

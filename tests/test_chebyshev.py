@@ -1,5 +1,7 @@
 """Unit tests: Chebyshev iteration — solver, preconditioner, matrix powers."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.solvers.preconditioners import (
 from repro.utils import ConfigurationError, EventLog
 
 from tests.helpers import (
+    bits,
     counted_solve,
     crooked_pipe_system,
     random_spd_faces,
@@ -247,6 +250,30 @@ class TestChebyshevPreconditioner:
         M.apply(r, z)
         assert M.applications == 2
         assert M.inner_steps == 6
+
+    def test_copy_after_an_apply_binds_its_own_arrays(self):
+        """A deepcopy of a preconditioner that has applied (its bound inner
+        step holds raw addresses) carries no binding: it binds its own
+        arrays at its next apply, gives the original's bits, and leaves
+        the original's arrays untouched."""
+        g, kx, ky, bg = crooked_pipe_system(24)
+        op = serial_operator(g, kx, ky, halo=4)
+        for depth, inner in ((1, "none"), (4, "diagonal")):
+            M = ChebyshevPreconditioner(op, EigenBounds(1.0, 50.0), steps=6,
+                                        halo_depth=depth,
+                                        inner_preconditioner=inner)
+            r, z = op.new_field(), op.new_field()
+            r.interior[...] = bg
+            M.apply(r, z)
+            twin = copy.deepcopy(M)
+            assert twin._it._step is None
+            held = [f.data.copy() for f in (M._it.d, M._it.w, M._rr, z)]
+            z_twin = twin.op.new_field()
+            twin.apply(r, z_twin)
+            assert all(np.array_equal(bits(f.data), bits(a)) for f, a in zip(
+                (M._it.d, M._it.w, M._rr, z), held))
+            M.apply(r, z)
+            assert np.array_equal(bits(z_twin.data), bits(z.data))
 
 
 class TestChebyshevSolve:

@@ -162,24 +162,28 @@ def test_operands_the_loops_cannot_take_are_numpys():
 
 
 def test_chebyshev_steps_the_loops_cannot_take_run_nothing():
-    """``chebyshev_step`` hands the whole step back — False, nothing
-    written — where its bits could differ from the passes' or its
-    ``restrict`` promise break: a NumPy scalar beside float32 arrays,
-    ``z`` that is ``r``, a read-only ``d``, an interior reaching outside
-    the region."""
+    """``bind_chebyshev`` binds nothing where the step's ``restrict``
+    promise would break — ``z`` that is ``r``, a read-only ``d`` — or an
+    interior reaches outside a region; a bound step hands the whole step
+    back — False, nothing written — where its bits could differ from the
+    passes': a NumPy scalar, or a Python float no float32 holds, beside
+    float32 arrays."""
     rng = np.random.default_rng(29)
     kx, ky, d, w, r, z = (rng.standard_normal((8, 8)).astype("f")
                           for _ in range(6))
     frozen = d.copy()
     frozen.flags.writeable = False
-    region, inner = (1, 7, 1, 7), (2, 6, 2, 6)
+    inner, regions = (2, 6, 2, 6), [(2, 6, 2, 6), (1, 7, 1, 7)]
     k = CompiledBackend()
-    for call in ((d, w, r, z, None, np.float64(0.5), 0.25, *region, *inner),
-                 (d, w, r, r, None, 0.5, 0.25, *region, *inner),
-                 (frozen, w, r, z, None, 0.5, 0.25, *region, *inner),
-                 (d, w, r, z, None, 0.5, 0.25, *inner, *region)):
-        before = [a.tobytes() for a in (d, w, r, z)]
-        assert k.chebyshev_step(kx, ky, *call) is False
-        assert [a.tobytes() for a in (d, w, r, z)] == before
-    assert k.chebyshev_step(kx, ky, d, w, r, z, None, 0.5, 0.25, *region,
-                            *inner) is True
+    before = [a.tobytes() for a in (d, w, r, z)]
+    for call in ((d, w, r, r, None, regions, inner),
+                 (frozen, w, r, z, None, regions, inner),
+                 (d, w, r, z, None, regions[:1], regions[1])):
+        assert k.bind_chebyshev((kx, ky), *call) is None
+    bound = k.bind_chebyshev((kx, ky), d, w, r, z, None, regions, inner)
+    for scale, beta in ((np.float64(0.5), 0.25), (0.5, np.float32(0.25)),
+                        (1e39, 0.25)):
+        for ext in (0, 1):
+            assert bound.step(ext, scale, beta) is False
+    assert [a.tobytes() for a in (d, w, r, z)] == before
+    assert bound.step(1, 0.5, 0.25) is True

@@ -3,8 +3,8 @@
 The numerical policy under test (``docs/kernels.md``, ``repro.kernels.base``):
 
 - **fp-order-preserving kernels** (``stencil_apply``, ``axpy``, the field
-  updates of ``apply_axpy_dot``, ``chebyshev_step``, CG's bound bodies,
-  ``pack_halo``/``unpack_halo``) must match
+  updates of ``apply_axpy_dot``, the bound Chebyshev step, CG's bound
+  bodies, ``pack_halo``/``unpack_halo``) must match
   the oracle **bit for bit** for every dtype, shape and halo depth;
 - **reductions** (``dot``, ``norm``, the scalars of ``apply_dot`` /
   ``apply_axpy_dot``, the bound ``cg_update``'s ``<r, r>``) are the
@@ -571,19 +571,31 @@ def _inner_step(k, tile, halo, faces, arrays, depth, ext, inner):
 
 
 def _spy(k, log):
-    """``k``, appending what each ``chebyshev_step`` call returns to
-    ``log``."""
-    step = k.chebyshev_step
-    k.chebyshev_step = lambda *args: log.append(step(*args)) or log[-1]
+    """``k``, appending to ``log`` what each step of a step it binds
+    returns — False for each binding it refuses (one step is taken per
+    binding here)."""
+    bind = k.bind_chebyshev
+
+    def spied(*args):
+        bound = bind(*args)
+        if bound is None:
+            log.append(False)
+        else:
+            step = bound.step
+            bound.step = lambda *a: log.append(step(*a)) or log[-1]
+        return bound
+
+    k.bind_chebyshev = spied
     return k
 
 
 def _check_chebyshev_steps(kernels, shape, dtype, inner):
     """One inner step at every ``ext`` of depths 1 and 4, on a tile whose
     region grows on every side and on one where it grows on one side per
-    axis, through each backend of ``kernels`` — one ``chebyshev_step``
-    call where it has the body (exactly when it is the compiled one), the
-    separate passes where not — leaves every cell of ``d``, ``w``, ``r``
+    axis, through each backend of ``kernels`` — one call of the step
+    ``bind_chebyshev`` bound where it has the body (exactly when it is the
+    compiled one), the separate passes where not — leaves every cell of
+    ``d``, ``w``, ``r``
     and ``z`` with the bits the passes leave on the whole-array oracle,
     and every cell the step may not write untouched: ``d``, ``w`` and
     ``r`` outside the region, ``z`` outside the interior (poison, as is
@@ -630,6 +642,44 @@ def _check_chebyshev_steps(kernels, shape, dtype, inner):
 def test_chebyshev_step_bit_identical_to_its_passes(shape, dtype, inner):
     """The compiled step and the NumPy replay's passes, warning-free."""
     _check_chebyshev_steps(_instances("numpy"), shape, dtype, inner)
+
+
+def test_bound_chebyshev_binds_once_and_steps_in_one_body_call():
+    """On a compiled build a 48^2 depth-4 ``ppcg`` solve binds its inner
+    step once — one preconditioner, one binding across its applications
+    — and then makes exactly ``inner_iterations`` step-body calls, none
+    handed back to the separate passes.  Without this a silent fallback
+    would pass every bits test above."""
+    if baseline_bodies()[0] != "compiled":
+        pytest.skip(baseline_bodies()[1])
+    grid, kxg, kyg, bg = crooked_pipe_system(48)
+    calls = Counter()
+
+    def counted(name, call):
+        return lambda *args, **kw: calls.update([name]) or call(*args, **kw)
+
+    bodies = {key: counted(f"{key[0]}{key[1] or ''}", body)
+              for key, body in compiled._process_bodies()[0].items()}
+    k = CompiledBackend(bodies)
+    binds, steps = [], []
+    bind = k.bind_chebyshev
+
+    def spied(*args):
+        bound = bind(*args)
+        binds.append(bound)
+        step = bound.step
+        bound.step = lambda *a: steps.append(step(*a)) or steps[-1]
+        return bound
+
+    k.bind_chebyshev = spied
+    op = serial_operator(grid, kxg, kyg, halo=4).with_kernels(k)
+    result = ppcg_solve(op, Field.from_global(op.tile, op.halo, bg),
+                        eps=1e-8, max_iters=200, inner_steps=8,
+                        halo_depth=4, warmup_iters=8)
+    assert result.converged and result.iterations > 1
+    assert len(binds) == 1 and binds[0] is not None
+    assert len(steps) == result.inner_iterations and all(steps)
+    assert calls["chebyshev_step2"] == result.inner_iterations
 
 
 # -- CG's bound iteration: three bodies, the bits of the calls they replace ---
@@ -1062,7 +1112,9 @@ C_MUTANTS = {
                               "T t = y[i] * (T)(alpha); y[i] = x[i] + t;"),
     "float-widened-to-double": ("T a = d * p[i];", "double a = d * p[i];"),
     "contracted-to-fma": None,
-    "step-z-over-the-region": ("ir0, ir1, ic0, ic1);", "r0, r1, c0, c1);"),
+    "step-z-over-the-region": (
+        "if (INNER(j)) for (size_t i = i0 + ic0 - c0; i < i0 + ic1 - c0; i++)",
+        "for (size_t i = i0; i < i0 + nc; i++)"),
     "step-beta-scale-swapped": (
         "w[i] = t * (T)scale; t = p[i] * (T)beta;",
         "w[i] = t * (T)beta; t = p[i] * (T)scale;"),
@@ -1071,6 +1123,10 @@ C_MUTANTS = {
     "step-diagonal-after-the-scale": (
         "if (m) t = t * m[i]; \\\n    w[i] = t * (T)scale;",
         "t = t * (T)scale; \\\n    if (m) t = t * m[i]; w[i] = t;"),
+    # The step's one pass: a row's tail before the next row's stencil has
+    # read its p; in 3-D, a row behind where the next plane still reads.
+    "tail-not-lagged": ("(lag)", "(0)"),
+    "3d-lag-by-row-not-plane": ("LAGGED(CELL3, r1 - r0)", "LAGGED(CELL3, 1)"),
     "cg-minus-alpha-on-x": ("AXPY(x, p, alpha) AXPY(res, w, -alpha)",
                             "AXPY(x, p, -alpha) AXPY(res, w, alpha)"),
     "cg-dot-before-the-r-update": (
