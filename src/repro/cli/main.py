@@ -13,11 +13,25 @@ _OPTION_FLAGS = ("solver", "halo_depth", "dtype", "true_residual",
                  "comm_timeout", "checkpoint_dir", "checkpoint_interval")
 
 
+#: Deck flags of the resilient stack (:func:`~repro.resilience.runner.
+#: run_resilient`); ``solve``, ``trace`` and ``tealeaf`` run on the bare or
+#: counting stack, so they refuse a deck that sets one.
+_RESILIENCE_FLAGS = ("tl_enable_checksums", "tl_enable_recovery")
+
+
 def _solver_options(deck, args):
     """The deck's solver options with this subcommand's flags applied: a
-    flag left at its falsy default keeps the deck's value."""
+    flag left at its falsy default keeps the deck's value.  Raises
+    :class:`~repro.utils.errors.ConfigurationError` on an inconsistent
+    combination or a resilience flag this subcommand cannot honour."""
     from repro.physics.deck import deck_solver_options
+    from repro.utils.errors import ConfigurationError
 
+    for flag in _RESILIENCE_FLAGS:
+        if getattr(deck, flag):
+            raise ConfigurationError(
+                f"{flag} needs the resilient stack; 'repro "
+                f"{args.command}' does not run on it")
     given = {flag: getattr(args, flag) for flag in _OPTION_FLAGS
              if getattr(args, flag, None)}
     if given.get("solver") == "cppcg":
@@ -47,16 +61,9 @@ def _print_run(report, args) -> None:
 def _cmd_tealeaf(args) -> int:
     from repro.physics.deck import deck_to_problem, parse_deck
     from repro.physics.simulation import run_simulation
-    from repro.utils.errors import ConfigurationError
 
     deck = parse_deck(args.deck)
-    try:
-        options = _solver_options(deck, args)
-    except ConfigurationError as exc:
-        # e.g. --checkpoint-interval with neither --checkpoint-dir nor
-        # tl_checkpoint_dir in the deck
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    options = _solver_options(deck, args)
     n_steps = args.steps if args.steps else deck.n_steps
     report = run_simulation(
         deck.grid, deck_to_problem(deck), options,
@@ -386,8 +393,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.utils.errors import ConfigurationError
+
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:
+        # a deck and flags that cannot run together, e.g.
+        # --checkpoint-interval with no checkpoint directory anywhere
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,6 +4,11 @@ Each ``figN`` module exposes a ``run_figN(...)`` function returning a
 structured result (series data plus provenance) and a ``main()`` that
 prints the paper-style table; the corresponding ``benchmarks/test_figN_*``
 regenerates and shape-checks it.  See DESIGN.md §4 for the index.
+
+The campaign drivers run as ``python -m repro.harness.<module>``
+(``chaos_sweep``, ``resilience_sweep``, ``stability_sweep``, ...) and are
+imported from their modules, not re-exported here: a package that imports
+a module ``-m`` then runs makes :mod:`runpy` warn.
 """
 
 from repro.harness.common import (
@@ -15,11 +20,8 @@ from repro.harness.common import (
     spruce_node_counts,
 )
 from repro.harness.breakdown import run_breakdown
-from repro.harness.chaos_sweep import run_chaos
 from repro.harness.depth_sweep import run_depth_sweep
 from repro.harness.future_solvers import run_future_solvers
-from repro.harness.resilience_sweep import run_resilience_sweep
-from repro.harness.stability_sweep import run_stability_sweep
 from repro.harness.table1 import run_table1
 from repro.harness.fig3 import run_fig3
 from repro.harness.fig4 import run_fig4
@@ -37,11 +39,8 @@ __all__ = [
     "iteration_model_for",
     "run_table1",
     "run_breakdown",
-    "run_chaos",
     "run_depth_sweep",
     "run_future_solvers",
-    "run_resilience_sweep",
-    "run_stability_sweep",
     "run_fig3",
     "run_fig4",
     "run_fig5",

@@ -14,7 +14,7 @@ regression).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.resilience import FaultPlan, FaultRule, ResilienceReport, run_resilient
 from repro.solvers import SolverOptions
@@ -129,15 +129,14 @@ def run_resilience_sweep(n: int = 24,
                          seed: int = 7,
                          rates: tuple[float, ...] = RATES,
                          size: int = 1,
-                         solvers=SOLVERS,
-                         integrity: bool = False) -> ResilienceSweepResult:
+                         solvers=SOLVERS) -> ResilienceSweepResult:
     """Run every solver configuration at every fault rate.
 
     ``solvers`` is a sequence of ``(name, SolverOptions)`` pairs
     (default: the full :data:`SOLVERS` study) — tests pass a subset to
-    keep runtimes short.  ``integrity`` threads the
-    :class:`~repro.resilience.integrity.ChecksumComm` layer into every
-    run's stack, surfacing checksum detections/repairs in the cells.
+    keep runtimes short.  Options with ``integrity`` on thread the
+    :class:`~repro.resilience.integrity.ChecksumComm` layer into their
+    runs' stacks, surfacing checksum detections/repairs in the cells.
     """
     result = ResilienceSweepResult(
         n=n, seed=seed, rates=tuple(rates),
@@ -145,8 +144,7 @@ def run_resilience_sweep(n: int = 24,
     for name, options in solvers:
         for rate in rates:
             result.reports[(name, rate)] = run_resilient(
-                options, fault_plan(rate, seed), n=n, size=size,
-                integrity=integrity)
+                options, fault_plan(rate, seed), n=n, size=size)
     return result
 
 
@@ -181,8 +179,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--integrity", action="store_true",
                         help="enable the checksummed-envelope comm layer")
     args = parser.parse_args(argv)
+    solvers = SOLVERS
+    if args.integrity:
+        solvers = [(name, replace(options, integrity=True))
+                   for name, options in SOLVERS]
     sweep = run_resilience_sweep(n=args.n, seed=args.seed, size=args.size,
-                                 integrity=args.integrity)
+                                 solvers=solvers)
     print(render(sweep))
     if not sweep.all_converged:
         failed = [(name, rate) for (name, rate), r in sweep.reports.items()

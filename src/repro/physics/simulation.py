@@ -33,6 +33,7 @@ from repro.solvers.driver import solve_linear
 from repro.solvers.operator import StencilOperator
 from repro.solvers.options import (SolverOptions, options_from_dict,
                                    options_to_dict)
+from repro.solvers.ranks import Stack
 from repro.utils.errors import (CheckpointError, CommunicationError,
                                 ConvergenceError)
 from repro.utils.events import EventLog, recovery_scope
@@ -67,9 +68,8 @@ class SimulationReport:
     steps: list[StepStats]
     temperature: np.ndarray | None  # global, of grid.shape, on the caller
     events: EventLog
-    #: per-rank tracers when run_simulation was given a tracer_factory
-    tracers: list = field(default_factory=list)
     #: per-rank stack objects when run_simulation was given a stack factory
+    #: (index = rank; a traced run reads ``stacks[rank].tracer``)
     stacks: list = field(default_factory=list)
 
     @property
@@ -411,7 +411,6 @@ def run_simulation(
     checkpoint_dir=None,
     restore_from=None,
     total_steps: int | None = None,
-    tracer_factory=None,
     stack=None,
 ) -> SimulationReport:
     """Run the mini-app over an ``nranks``-rank in-process world.
@@ -430,15 +429,12 @@ def run_simulation(
     ``n_steps``) is what the manifest records as the run's full length —
     a restart passes the original total so further restarts stay possible.
 
-    ``tracer_factory``: optional ``rank -> Tracer`` callable; each rank's
-    :class:`Simulation` is instrumented with its tracer and the report's
-    ``tracers`` list carries them back (index = rank) for export.
-
     ``stack``: optional stack factory, the one
     :func:`~repro.solvers.ranks.solve_on_ranks` takes — ``(raw comm,
     recv_timeout) -> Stack``; each rank's :class:`Simulation` runs on
-    ``stack.comm`` (e.g. the fault-injecting resilient stack) and the
-    report's ``stacks`` list carries the stack objects back.
+    ``stack.comm`` (e.g. the fault-injecting resilient stack), is
+    instrumented with ``stack.tracer`` when it has one, and the report's
+    ``stacks`` list carries the stack objects back.
     """
     opts = options if options is not None else SolverOptions()
     if checkpoint_dir is None and opts.checkpoint_dir \
@@ -457,13 +453,10 @@ def run_simulation(
     timeout = opts.comm_timeout or None
 
     def rank_main(comm):
-        tracer = tracer_factory(comm.rank) if tracer_factory is not None \
-            else None
-        stk = stack(comm, timeout) if stack is not None else None
-        sim = Simulation(stk.comm if stk is not None else comm,
-                         grid, problem, opts, dt=dt,
+        stk = stack(comm, timeout) if stack is not None else Stack(comm)
+        sim = Simulation(stk.comm, grid, problem, opts, dt=dt,
                          conductivity=conductivity, face_mean=face_mean,
-                         warm_start=warm_start, tracer=tracer)
+                         warm_start=warm_start, tracer=stk.tracer)
         if restore_from is not None:
             sim.restore_from_checkpoint(restore_from)
         steps = sim.run(n_steps, checkpoint_interval=checkpoint_interval,
@@ -471,15 +464,14 @@ def run_simulation(
                         checkpoint_dir=checkpoint_dir,
                         checkpoint_config=config)
         temp = sim.gather_temperature(root=0) if gather_temperature else None
-        return steps, temp, sim.events, sim.tracer, stk
+        return steps, temp, sim.events, stk
 
     results = launch_spmd(rank_main, nranks, recv_timeout=timeout)
-    steps0, temp0, events0, _, _ = results[0]
-    tracers = [r[3] for r in results] if tracer_factory is not None else []
-    stacks = [r[4] for r in results] if stack is not None else []
+    steps0, temp0, events0, _ = results[0]
+    stacks = [r[3] for r in results] if stack is not None else []
     return SimulationReport(grid=grid, dt=dt, steps=steps0,
                             temperature=temp0, events=events0,
-                            tracers=tracers, stacks=stacks)
+                            stacks=stacks)
 
 
 def restart_simulation(root,
@@ -487,7 +479,7 @@ def restart_simulation(root,
                        extra_steps: int | None = None,
                        nranks: int | None = None,
                        gather_temperature: bool = True,
-                       tracer_factory=None) -> SimulationReport:
+                       stack=None) -> SimulationReport:
     """Resume a checkpointed run from the newest committed checkpoint.
 
     Rebuilds the grid, problem and solver options from the manifest's
@@ -495,8 +487,9 @@ def restart_simulation(root,
     and advances the remaining ``n_steps - step`` steps — bit-identically
     to the uninterrupted run.  ``extra_steps`` overrides the remaining
     count; ``nranks`` must match the checkpoint's decomposition when
-    given.  Raises :class:`CheckpointError` when no committed checkpoint
-    exists or the run already finished.
+    given; ``stack`` is :func:`run_simulation`'s stack factory.  Raises
+    :class:`CheckpointError` when no committed checkpoint exists or the
+    run already finished.
     """
     from repro.resilience.checkpoint import latest_checkpoint, read_manifest
     step_dir = latest_checkpoint(root)
@@ -530,5 +523,5 @@ def restart_simulation(root,
         checkpoint_dir=Path(root),
         restore_from=step_dir,
         total_steps=total,
-        tracer_factory=tracer_factory,
+        stack=stack,
     )

@@ -14,15 +14,17 @@ solver stack the machinery to survive them:
   checks plus in-memory checkpoint/rollback for CG/PPCG/Chebyshev;
 - :mod:`repro.resilience.runner` — the canonical stack
   (:func:`build_resilient_comm`) and a turn-key benchmark driver
-  (:func:`run_resilient`);
+  (:func:`run_resilient`) whose defences the
+  :class:`~repro.solvers.SolverOptions` choose;
 - :mod:`repro.resilience.checkpoint` — durable atomic on-disk checkpoints
   (versioned manifest, per-array CRC32, per-rank shards) for simulation
   and solver state;
 - :mod:`repro.resilience.integrity` — :class:`ChecksumComm`, checksummed
   redundant message envelopes and duplicate-lane reductions that turn
   silent payload corruption into detected, retryable faults;
-- :mod:`repro.resilience.recovery` — :func:`run_recoverable`, ULFM-style
-  shrink/respawn recovery from rank loss via the durable checkpoints;
+- :mod:`repro.resilience.recovery` — the ULFM-style shrink/respawn
+  protocol :func:`run_resilient` follows on rank loss when
+  ``options.recovery`` is set, via the durable checkpoints;
 - :mod:`repro.resilience.chaos` — seeded chaos campaigns: randomized
   fault storms over the *composed* stack, a differential invariant
   oracle against fault-free golden runs, ddmin fault-plan minimization
@@ -80,7 +82,7 @@ from repro.resilience.integrity import (
     ChecksumComm,
     IntegrityEvent,
 )
-from repro.resilience.recovery import RecoveryEvent, run_recoverable
+from repro.resilience.recovery import RecoveryEvent
 from repro.resilience.retry import RetryingComm, VirtualClock
 from repro.resilience.runner import (
     ResilienceReport,
@@ -131,7 +133,6 @@ __all__ = [
     "read_manifest",
     "replay_fixture",
     "run_campaign",
-    "run_recoverable",
     "run_resilient",
     "run_soak",
     "run_trial",

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +62,6 @@ from repro.resilience.checkpoint import (SolverCheckpointStore,
                                          latest_checkpoint, read_manifest)
 from repro.resilience.faults import (CORRUPTION_MODES, CrashWindow,
                                      FaultPlan, FaultRule)
-from repro.resilience.recovery import run_recoverable
 from repro.resilience.runner import (DEFAULT_RECV_TIMEOUT_S,
                                      build_resilient_comm, run_resilient)
 from repro.solvers import SolverOptions
@@ -180,9 +179,9 @@ class TrialSpec:
 
     ``kind`` selects the driver: ``"solve"`` is one full linear solve via
     :func:`~repro.resilience.runner.run_resilient`; ``"recover"`` is a
-    solve with a fatal crash window driven through
-    :func:`~repro.resilience.recovery.run_recoverable` (durable
-    checkpoints + shrink/respawn); ``"sim"`` is a ``steps``-step
+    solve with a fatal crash window, run with ``options.recovery`` on
+    (durable checkpoints + shrink/respawn, see
+    :mod:`repro.resilience.recovery`); ``"sim"`` is a ``steps``-step
     :class:`~repro.physics.simulation.Simulation` with step-level
     checkpoint/retry under the same comm stack.
     """
@@ -194,7 +193,6 @@ class TrialSpec:
     plan: FaultPlan
     n: int = 12
     size: int = 1
-    integrity: bool = False
     max_attempts: int = 5
     steps: int = 0
     recv_timeout: float = DEFAULT_RECV_TIMEOUT_S
@@ -355,7 +353,9 @@ class GoldenCache:
 
     Golden runs depend only on the (kind, options, n, size, steps)
     configuration, never on the fault plan, so a 200-trial campaign pays
-    for one golden per solver config instead of one per trial.
+    for one golden per solver config instead of one per trial.  A
+    trial's defences are not part of that configuration: the golden is
+    the bare solve, with ``integrity`` and ``recovery`` off.
     """
 
     def __init__(self):
@@ -364,10 +364,10 @@ class GoldenCache:
         self._systems: dict = {}
 
     def solve(self, options: SolverOptions, n: int, size: int):
-        key = (options, n, size)
+        key = (replace(options, integrity=False, recovery=False), n, size)
         if key not in self._solves:
             self._solves[key] = run_resilient(
-                options, FaultPlan.disabled(), n=n, size=size)
+                key[0], FaultPlan.disabled(), n=n, size=size)
         return self._solves[key]
 
     def sim(self, options: SolverOptions, n: int, size: int, steps: int):
@@ -485,19 +485,14 @@ def run_trial(spec: TrialSpec,
         else:
             gold = golden.solve(spec.options, spec.n, spec.size)
             res.golden_iterations = gold.iterations
+            options = spec.options
             if spec.kind == "recover":
-                report = run_recoverable(
-                    spec.options, spec.plan, n=spec.n, size=spec.size,
-                    checkpoint_dir=workdir,
-                    max_attempts=spec.max_attempts,
-                    integrity=spec.integrity,
-                    recv_timeout=spec.recv_timeout)
-            else:
-                report = run_resilient(
-                    spec.options, spec.plan, n=spec.n, size=spec.size,
-                    max_attempts=spec.max_attempts,
-                    integrity=spec.integrity,
-                    recv_timeout=spec.recv_timeout)
+                options = replace(options, recovery=True,
+                                  checkpoint_dir=str(workdir))
+            report = run_resilient(
+                options, spec.plan, n=spec.n, size=spec.size,
+                max_attempts=spec.max_attempts,
+                recv_timeout=spec.recv_timeout)
             _fill(res, report)
             _check_solve(res, report, gold, golden)
             if spec.kind == "recover":
@@ -647,9 +642,12 @@ def campaign_specs(seed: int,
     replacement composition.
     """
 
-    def _integrity(i: int, options: SolverOptions, plan: FaultPlan) -> bool:
+    def _defended(i: int, options: SolverOptions,
+                  plan: FaultPlan) -> SolverOptions:
         corrupting = any(r.mode in CORRUPTION_MODES for r in plan.rules)
-        return corrupting and (options.replace_interval == 0 or i % 5 == 2)
+        if corrupting and (options.replace_interval == 0 or i % 5 == 2):
+            return replace(options, integrity=True)
+        return options
 
     specs: list[TrialSpec] = []
     for i in range(trials):
@@ -665,18 +663,19 @@ def campaign_specs(seed: int,
                                      max_attempts=max_attempts,
                                      fatal_crash=True)
             specs.append(TrialSpec(
-                index=i, kind="recover", solver=name, options=options,
-                plan=plan, n=n, size=2, max_attempts=max_attempts,
-                integrity=_integrity(i, options, plan)))
+                index=i, kind="recover", solver=name,
+                options=_defended(i, options, plan),
+                plan=plan, n=n, size=2, max_attempts=max_attempts))
             continue
         if i % 20 == 17:
             plan = random_fault_plan(seed, i, size=2, solver=name,
                                      max_attempts=max_attempts,
                                      allow_drops=True)
             specs.append(TrialSpec(
-                index=i, kind="solve", solver=name, options=options,
+                index=i, kind="solve", solver=name,
+                options=_defended(i, options, plan),
                 plan=plan, n=n, size=2, max_attempts=max_attempts,
-                recv_timeout=0.5, integrity=_integrity(i, options, plan)))
+                recv_timeout=0.5))
             continue
         if i % 10 == 6:
             plan = _transparent_only(random_fault_plan(
@@ -690,9 +689,9 @@ def campaign_specs(seed: int,
         plan = random_fault_plan(seed, i, size=size, solver=name,
                                  max_attempts=max_attempts)
         specs.append(TrialSpec(
-            index=i, kind="solve", solver=name, options=options,
-            plan=plan, n=n, size=size, max_attempts=max_attempts,
-            integrity=_integrity(i, options, plan)))
+            index=i, kind="solve", solver=name,
+            options=_defended(i, options, plan),
+            plan=plan, n=n, size=size, max_attempts=max_attempts))
     return specs
 
 
@@ -914,7 +913,6 @@ def spec_to_dict(spec: TrialSpec) -> dict:
         "plan": spec.plan.to_dict(),
         "n": spec.n,
         "size": spec.size,
-        "integrity": spec.integrity,
         "max_attempts": spec.max_attempts,
         "steps": spec.steps,
         "recv_timeout": spec.recv_timeout,
@@ -930,7 +928,6 @@ def spec_from_dict(data: dict) -> TrialSpec:
         plan=FaultPlan.from_dict(data["plan"]),
         n=data["n"],
         size=data.get("size", 1),
-        integrity=data.get("integrity", False),
         max_attempts=data.get("max_attempts", 5),
         steps=data.get("steps", 0),
         recv_timeout=data.get("recv_timeout", DEFAULT_RECV_TIMEOUT_S),
@@ -985,14 +982,12 @@ def minimize_and_write_fixture(spec: TrialSpec,
     smallest fault composition that still breaks the invariant, which is
     exactly what a regression test wants to replay.
     """
-    import dataclasses
-
     def failing(candidate: FaultPlan) -> bool:
-        trial = dataclasses.replace(spec, plan=candidate)
+        trial = replace(spec, plan=candidate)
         return bool(run_trial(trial, golden, workdir=workdir).violations)
 
     minimal = shrink_plan(spec.plan, failing, max_runs=max_runs)
-    final = dataclasses.replace(spec, plan=minimal)
+    final = replace(spec, plan=minimal)
     result = run_trial(final, golden, workdir=workdir)
     name = f"chaos-seed{spec.plan.seed}-trial{spec.index:04d}.json"
     return write_fixture(final, result.violations, fixtures_dir / name)

@@ -13,7 +13,10 @@ Two conveniences live here:
   decomposed over the thread SPMD world — and returns a
   :class:`ResilienceReport` whose fault-event log is deterministically
   ordered, so two runs with the same plan and seed compare equal
-  event-for-event.
+  event-for-event.  The options are the one place its defences are
+  chosen: ``integrity`` (deck ``tl_enable_checksums``) arms the checksum
+  layer and ``recovery`` (deck ``tl_enable_recovery``) the rank-loss
+  recovery loop.
 """
 
 from __future__ import annotations
@@ -29,11 +32,13 @@ from repro.physics.state import crooked_pipe_system
 from repro.resilience.faults import FaultEvent, FaultPlan, FaultyComm, IterationCell
 from repro.resilience.guard import GuardEvent
 from repro.resilience.integrity import ChecksumComm
+from repro.resilience.recovery import (RecoveryEvent, drop_rank_windows,
+                                       fatal_window)
 from repro.resilience.retry import RetryingComm, VirtualClock
 from repro.solvers import SolverOptions
 from repro.solvers.ranks import Stack, solve_on_ranks
 from repro.solvers.result import SolveResult
-from repro.utils.errors import CheckpointError
+from repro.utils.errors import CheckpointError, CommunicationError
 from repro.utils.events import EventLog, recovery_scope
 
 #: Per-attempt receive timeout (seconds) used by the resilient stack; the
@@ -64,11 +69,7 @@ def build_resilient_comm(base: Communicator,
                          events: EventLog | None = None,
                          max_attempts: int = 5,
                          recv_timeout: float | None = DEFAULT_RECV_TIMEOUT_S,
-                         clock: VirtualClock | None = None,
-                         cell: IterationCell | None = None,
                          integrity: bool = False,
-                         copies: int = 2,
-                         max_delay: float = 1.0,
                          cancel=None) -> ResilientStack:
     """Wrap ``base`` in the canonical resilient stack.
 
@@ -85,22 +86,21 @@ def build_resilient_comm(base: Communicator,
     counts are unchanged.
     """
     log = events if events is not None else EventLog()
-    clk = clock if clock is not None else VirtualClock()
-    it = cell if cell is not None else IterationCell()
-    faulty = FaultyComm(base, plan, events=log, clock=clk, iteration=it)
+    clock, cell = VirtualClock(), IterationCell()
+    faulty = FaultyComm(base, plan, events=log, clock=clock, iteration=cell)
     inner: Communicator = faulty
     checksum = None
     if integrity:
-        checksum = ChecksumComm(faulty, events=log, copies=copies)
+        checksum = ChecksumComm(faulty, events=log)
         inner = checksum
     retrying = RetryingComm(inner, max_attempts=max_attempts,
-                            clock=clk, events=log,
+                            clock=clock, events=log,
                             recv_timeout=recv_timeout,
-                            max_delay=max_delay,
                             cancel=cancel)
     outer = InstrumentedComm(retrying, log)
     return ResilientStack(faulty=faulty, retrying=retrying, comm=outer,
-                          clock=clk, cell=it, events=log, checksum=checksum)
+                          clock=clock, cell=cell, events=log,
+                          checksum=checksum)
 
 
 @dataclass
@@ -152,9 +152,9 @@ def run_resilient(options: SolverOptions,
                   size: int = 1,
                   max_attempts: int = 5,
                   recv_timeout: float | None = DEFAULT_RECV_TIMEOUT_S,
-                  integrity: bool = False,
                   checkpoint_dir=None,
                   resume: bool | str = False,
+                  max_recoveries: int = 2,
                   cancel=None,
                   setup=None) -> ResilienceReport:
     """Solve the ``n``×``n`` crooked-pipe system through the fault stack.
@@ -165,8 +165,17 @@ def run_resilient(options: SolverOptions,
     it solves with ``options`` — guard and degradation behaviour included
     when the options enable them (``guard_interval > 0``).
 
-    ``integrity=True`` adds the :class:`ChecksumComm` layer.  With a
-    ``checkpoint_dir`` the guard additionally persists every snapshot to a
+    The options choose the defences: ``integrity`` adds the
+    :class:`ChecksumComm` layer, and ``recovery`` survives rank loss —
+    when an attempt dies of a crash window the retry budget cannot
+    absorb, the failed rank is respawned and the solve resumes from the
+    last collective checkpoint of the durable shards in
+    ``options.checkpoint_dir``, up to ``max_recoveries`` times (the
+    protocol is in :mod:`repro.resilience.recovery`).  The report then
+    carries ``recoveries``/``recovery_events``.  A failure no fatal
+    window explains, or one past the budget, is raised unchanged.
+
+    With a ``checkpoint_dir`` the guard persists every snapshot to a
     per-rank durable shard; ``resume=True`` then restores from those
     shards before solving: the ranks vote (min over per-rank shard
     iterations, an allreduce under the recovery scope) on the collective
@@ -195,17 +204,50 @@ def run_resilient(options: SolverOptions,
     default).
     """
     grid, *faces, bg = crooked_pipe_system(n)
-    restore = partial(_restore_from_shards, options=options, plan=plan,
-                      exact=resume == "exact") if resume else None
-    run = solve_on_ranks(
-        grid, faces, bg, options, size,
-        stack=lambda comm, timeout: build_resilient_comm(
-            comm, plan, max_attempts=max_attempts,
-            recv_timeout=timeout or recv_timeout, integrity=integrity,
-            cancel=cancel),
-        cancel=cancel, setup=setup, checkpoint_dir=checkpoint_dir,
-        before_solve=restore)
+    if options.recovery:
+        checkpoint_dir = options.checkpoint_dir
 
+    def attempt(plan: FaultPlan, resume) -> ResilienceReport:
+        restore = partial(_restore_from_shards, options=options, plan=plan,
+                          exact=resume == "exact") if resume else None
+        run = solve_on_ranks(
+            grid, faces, bg, options, size,
+            stack=lambda comm, timeout: build_resilient_comm(
+                comm, plan, max_attempts=max_attempts,
+                recv_timeout=timeout or recv_timeout,
+                integrity=options.integrity, cancel=cancel),
+            cancel=cancel, setup=setup, checkpoint_dir=checkpoint_dir,
+            before_solve=restore)
+        return _report(run)
+
+    if not options.recovery:
+        return attempt(plan, resume)
+    recovery_events: list[RecoveryEvent] = []
+    while True:
+        try:
+            report = attempt(plan, resume)
+            break
+        except CommunicationError:
+            window = fatal_window(plan, max_attempts)
+            if window is None or len(recovery_events) >= max_recoveries:
+                raise
+            recovery_events.append(RecoveryEvent(
+                attempt=len(recovery_events),
+                failed_rank=window.rank,
+                window_start=window.start,
+                detail=(f"window length {window.length} >= retry budget "
+                        f"{max_attempts}; respawned from last durable "
+                        f"checkpoint")))
+            plan = drop_rank_windows(plan, window.rank)
+            resume = True
+    report.recoveries = len(recovery_events)
+    report.recovery_events = recovery_events
+    return report
+
+
+def _report(run) -> ResilienceReport:
+    """One finished attempt's :class:`ResilienceReport`, merged over the
+    ranks of ``run``."""
     faults: list[FaultEvent] = []
     guard_log: list[GuardEvent] = []
     retries = rollbacks = checkpoints = 0

@@ -156,10 +156,18 @@ class RequestLifecycle:
         With ``managed_checkpoints`` the deck's ``tl_checkpoint_interval``
         becomes the guard's snapshot cadence and the driver chooses where
         the shards land (the deck's own ``tl_checkpoint_dir`` is a
-        placeholder).
+        placeholder).  A deck that asks for rank-loss recovery
+        (``tl_enable_recovery``) is a configuration error: recovery
+        writes durable shards to the deck's own ``tl_checkpoint_dir``,
+        which a client must not choose on the service's disk.
         """
         try:
-            options = deck_solver_options(parse_deck_text(deck_text))
+            deck = parse_deck_text(deck_text)
+            if deck.tl_enable_recovery:
+                raise ConfigurationError(
+                    "tl_enable_recovery is not served: rank-loss recovery "
+                    "writes to a client-named tl_checkpoint_dir")
+            options = deck_solver_options(deck)
             if managed_checkpoints and options.checkpoint_interval > 0:
                 options = replace(
                     options,

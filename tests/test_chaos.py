@@ -90,7 +90,7 @@ class TestCampaignSpecs:
         kinds = {s.kind for s in specs}
         assert kinds == {"solve", "recover", "sim"}
         assert any(s.size > 1 for s in specs)
-        assert any(s.integrity for s in specs)
+        assert any(s.options.integrity for s in specs)
         assert any(not s.plan.active() for s in specs)  # controls
 
     def test_covers_all_solvers(self):

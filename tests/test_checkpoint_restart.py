@@ -9,6 +9,7 @@ them (SolverOptions and the deck dialect).
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from repro.resilience import (
     load_rank_checkpoint,
     load_shard,
     read_manifest,
-    run_recoverable,
     run_resilient,
     validate_checkpoint,
     write_shard,
@@ -42,6 +42,7 @@ from repro.resilience import (
 from repro.resilience.checkpoint import META_KEY
 from repro.resilience.integrity import CHANNEL_OFFSET
 from repro.solvers import SolverOptions
+from repro.solvers.ranks import Stack
 from repro.testing import crooked_pipe_system
 from repro.utils import EventLog
 from repro.utils.errors import (
@@ -49,6 +50,7 @@ from repro.utils.errors import (
     ChecksumError,
     CommunicationError,
     ConfigurationError,
+    ConvergenceError,
     TransientCommError,
 )
 
@@ -263,8 +265,9 @@ class TestSolverCheckpointStore:
 # -- kill-and-restart ---------------------------------------------------------
 
 
-def _tracer_factory(rank):
-    return Tracer(clock=VirtualClock(tick=1e-6), rank=rank)
+def _traced_stack(comm, _timeout):
+    return Stack(comm, tracer=Tracer(clock=VirtualClock(tick=1e-6),
+                                     rank=comm.rank))
 
 
 @pytest.mark.distributed
@@ -284,7 +287,7 @@ class TestKillAndRestart:
     def check_restart(self, root, grid, problem, **kwargs):
         options = SolverOptions(solver="ppcg", eps=1e-10, max_iters=200,
                                 ppcg_inner_steps=4, eigen_warmup_iters=10)
-        kwargs.update(nranks=2, tracer_factory=_tracer_factory)
+        kwargs.update(nranks=2, stack=_traced_stack)
 
         full = run_simulation(grid, problem, options, n_steps=4, **kwargs)
 
@@ -296,7 +299,7 @@ class TestKillAndRestart:
             **kwargs)
         del problem, options
 
-        resumed = restart_simulation(root, tracer_factory=_tracer_factory)
+        resumed = restart_simulation(root, stack=_traced_stack)
 
         assert resumed.grid == grid
         assert len(resumed.steps) == 2
@@ -306,13 +309,15 @@ class TestKillAndRestart:
         # trace invariants: one solve span per step on every rank, and the
         # interrupted + resumed halves partition the uninterrupted run
         for rank in range(2):
-            assert full.tracers[rank].count("solve") == 4
-            assert interrupted.tracers[rank].count("solve") \
-                + resumed.tracers[rank].count("solve") == 4
+            full_t, interrupted_t, resumed_t = (
+                run.stacks[rank].tracer
+                for run in (full, interrupted, resumed))
+            assert full_t.count("solve") == 4
+            assert interrupted_t.count("solve") \
+                + resumed_t.count("solve") == 4
             # the durable commit and the restore are traced on every rank
-            assert interrupted.tracers[rank].count(
-                "checkpoint", "simulation") == 1
-            assert resumed.tracers[rank].count("recover", "simulation") == 1
+            assert interrupted_t.count("checkpoint", "simulation") == 1
+            assert resumed_t.count("recover", "simulation") == 1
 
         # checkpoint traffic (commit barriers/gathers) is bookkept under
         # RECOVERY_KIND, not as first-attempt solver communication
@@ -360,11 +365,16 @@ FATAL_PLAN = FaultPlan(seed=3, crashes=(
     CrashWindow(rank=1, start=40, length=10),))
 
 
+def _recovering(tmp_path) -> SolverOptions:
+    """``CG_GUARDED`` with rank-loss recovery on, shards under ``tmp_path``."""
+    return replace(CG_GUARDED, recovery=True, checkpoint_dir=str(tmp_path))
+
+
 @pytest.mark.distributed
 class TestRankLossRecovery:
     def test_fatal_window_triggers_respawn_and_converges(self, tmp_path):
-        report = run_recoverable(CG_GUARDED, FATAL_PLAN, n=24, size=2,
-                                 checkpoint_dir=tmp_path, max_attempts=5)
+        report = run_resilient(_recovering(tmp_path), FATAL_PLAN, n=24,
+                               size=2, max_attempts=5)
         assert report.converged
         assert report.recoveries == 1
         (event,) = report.recovery_events
@@ -374,15 +384,14 @@ class TestRankLossRecovery:
 
     def test_recovery_budget_spent_reraises(self, tmp_path):
         with pytest.raises(CommunicationError):
-            run_recoverable(CG_GUARDED, FATAL_PLAN, n=24, size=2,
-                            checkpoint_dir=tmp_path, max_attempts=5,
-                            max_recoveries=0)
+            run_resilient(_recovering(tmp_path), FATAL_PLAN, n=24, size=2,
+                          max_attempts=5, max_recoveries=0)
 
     def test_survivable_window_needs_no_recovery(self, tmp_path):
         plan = FaultPlan(seed=3, crashes=(
             CrashWindow(rank=1, start=40, length=2),))
-        report = run_recoverable(CG_GUARDED, plan, n=24, size=2,
-                                 checkpoint_dir=tmp_path, max_attempts=5)
+        report = run_resilient(_recovering(tmp_path), plan, n=24, size=2,
+                               max_attempts=5)
         assert report.converged and report.recoveries == 0
 
 
@@ -511,8 +520,8 @@ class TestIntegrityAcrossRanks:
         """A 2-rank guarded CG through the full integrity stack converges
         to the same iterate as the plain stack (checksums are transparent)."""
         plain = run_resilient(CG_GUARDED, FaultPlan.disabled(), n=24, size=2)
-        checked = run_resilient(CG_GUARDED, FaultPlan.disabled(), n=24,
-                                size=2, integrity=True)
+        checked = run_resilient(replace(CG_GUARDED, integrity=True),
+                                FaultPlan.disabled(), n=24, size=2)
         assert plain.converged and checked.converged
         assert plain.iterations == checked.iterations
         assert checked.integrity_detections == 0
@@ -584,6 +593,22 @@ class TestDeckKnobs:
     def test_bad_interval_rejected(self):
         with pytest.raises(ConfigurationError):
             parse_deck_text("tl_checkpoint_interval=five\n")
+
+    def test_checksums_flag_arms_the_integrity_layer(self):
+        """``tl_enable_checksums`` alone puts the checksum layer into a
+        :func:`run_resilient` stack: corrupted reductions are detected."""
+        from repro.physics.deck import deck_solver_options
+        plan = FaultPlan(seed=11, rules=(
+            FaultRule(mode="corrupt_nan", probability=0.2,
+                      ops=("allreduce",)),))
+        bare, armed = (deck_solver_options(parse_deck_text(
+            f"tl_max_iters=600\n{flag}\n"))
+            for flag in ("", "tl_enable_checksums"))
+        assert armed.integrity and not bare.integrity
+        report = run_resilient(armed, plan, n=16)
+        assert report.converged and report.integrity_detections > 0
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            run_resilient(bare, plan, n=16)     # the NaN reaches CG
 
 
 # -- sweep v2 and ABFT --------------------------------------------------------

@@ -97,6 +97,26 @@ class TestSolveCommand:
         assert "density" in fields
 
 
+class TestResilienceFlags:
+    """``solve``, ``trace`` and ``tealeaf`` run on the bare or counting
+    stack: a deck asking for checksums or rank-loss recovery is refused
+    with exit 2 and the flag's name, never silently run without it."""
+
+    def test_solve_trace_tealeaf_refuse_the_flags(self, tmp_path, capsys):
+        for flag in ("tl_enable_checksums", "tl_enable_recovery"):
+            deck = tmp_path / f"{flag}.in"
+            deck.write_text(CROOKED_PIPE_DECK.format(n=12).replace(
+                "*endtea", f"{flag}\ntl_checkpoint_interval=2\n"
+                           f"tl_checkpoint_dir={tmp_path / 'ck'}\n*endtea"))
+            for argv in (["solve"], ["trace", "--out", str(tmp_path / "tr")],
+                         ["tealeaf", "--steps", "1"]):
+                assert main(argv + ["--deck", str(deck)]) == 2, (flag, argv)
+                err = capsys.readouterr().err
+                assert flag in err and argv[0] in err
+        assert not (tmp_path / "tr").exists()
+        assert not (tmp_path / "ck").exists()
+
+
 class TestReportCommand:
     def test_writes_files(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "res")]) == 0

@@ -170,3 +170,24 @@ class TestReport:
         assert {"table1.txt", "fig3.txt", "fig4.csv", "fig5.csv",
                 "fig6.csv", "fig7.csv", "fig8.csv"} <= names
         assert all(p.stat().st_size > 0 for p in paths)
+
+
+@pytest.mark.parametrize("module", ["chaos_sweep", "resilience_sweep",
+                                    "stability_sweep"])
+def test_campaign_module_runs_without_runpy_warning(module):
+    """``python -m repro.harness.<module>`` must not find its module
+    already imported by the package (runpy's RuntimeWarning)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         f"repro.harness.{module}", "--help"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -372,17 +372,20 @@ def test_simulation_step_spans(tmp_path):
     from repro.physics import crooked_pipe
     from repro.physics.simulation import run_simulation
 
+    from repro.solvers.ranks import Stack
+
     tracers = {}
 
-    def factory(rank):
-        tracers[rank] = Tracer(clock=VirtualClock(tick=1e-6), rank=rank)
-        return tracers[rank]
+    def factory(comm, _timeout):
+        tracers[comm.rank] = Tracer(clock=VirtualClock(tick=1e-6),
+                                    rank=comm.rank)
+        return Stack(comm, tracer=tracers[comm.rank])
 
     report = run_simulation(Grid2D(12, 12), crooked_pipe(),
                             SolverOptions(solver="cg", eps=1e-8),
-                            n_steps=2, tracer_factory=factory)
+                            n_steps=2, stack=factory)
     assert report.n_steps == 2
-    assert report.tracers == [tracers[0]]
+    assert [s.tracer for s in report.stacks] == [tracers[0]]
     t = tracers[0]
     assert t.count("step") == 2
     assert t.count("solve") == 2

@@ -201,6 +201,19 @@ class TestServiceEngine:
         assert by_id["r000"].iterations > 0
         assert by_id["r000"].x is not None
 
+    def test_recovery_deck_fails_as_configuration_error(self, tmp_path):
+        """Rank-loss recovery writes shards to the deck's own
+        ``tl_checkpoint_dir``: a request asking for it is refused, and the
+        directory it names stays untouched."""
+        ckdir = tmp_path / "client-named"
+        deck = _deck(extra=f"tl_enable_recovery\ntl_checkpoint_interval=5\n"
+                           f"tl_checkpoint_dir={ckdir}")
+        (outcome,) = ServiceEngine(self.CFG).run([_req(0, deck)])
+        assert outcome.status == "failed"
+        assert outcome.error_class == "ConfigurationError"
+        assert "tl_enable_recovery" in outcome.error_message
+        assert not ckdir.exists()
+
     def test_quota_sheds_heavy_hitter_only(self):
         cfg = dataclasses.replace(self.CFG, quota_rate=10.0, quota_burst=2.0)
         reqs = [_req(i, _deck(), tenant="hog", arrival=i * 1e-4)

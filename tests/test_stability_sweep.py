@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.harness import run_stability_sweep
-from repro.harness.stability_sweep import render
+from repro.harness.stability_sweep import render, run_stability_sweep
 from repro.observe import MetricsRegistry, record_stability_metrics
 from repro.physics import STABILITY_JUMPS, crooked_pipe_jump, stability_battery
 
