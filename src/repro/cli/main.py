@@ -42,13 +42,16 @@ def _solver_options(deck, args):
 
 def _print_run(report, args) -> None:
     """What ``tealeaf`` and ``restart`` print of a stepping run: one line
-    per step, then ``--show`` and ``--out``."""
+    per step (and its field summary, when one is attached), then
+    ``--show`` and ``--out``."""
     for s in report.steps:
         true = (f" true={s.true_residual_norm:.3e}"
                 if s.true_residual_norm is not None else "")
         print(f"  step {s.step:4d} t={s.time:8.3f} iters={s.iterations:5d}"
               f" (+{s.inner_iterations} inner) residual={s.residual_norm:.3e}"
               f"{true} mean T={s.mean_temperature:.6f}")
+        if s.summary is not None:
+            print(f"    summary {s.summary}")
     if args.show:
         from repro.io.ascii_viz import render_heatmap
         print(render_heatmap(report.temperature, width=args.width))
@@ -61,14 +64,21 @@ def _print_run(report, args) -> None:
 def _cmd_tealeaf(args) -> int:
     from repro.physics.deck import deck_to_problem, parse_deck
     from repro.physics.simulation import run_simulation
+    from repro.utils.errors import ConfigurationError
 
     deck = parse_deck(args.deck)
     options = _solver_options(deck, args)
+    if deck.visit_frequency:
+        raise ConfigurationError(
+            "visit_frequency asks for a VTK dump every few steps; 'repro "
+            "tealeaf' has no directory to write them to (--vtk writes the "
+            "final state)")
     n_steps = args.steps if args.steps else deck.n_steps
     report = run_simulation(
         deck.grid, deck_to_problem(deck), options,
         dt=deck.initial_timestep, n_steps=n_steps, nranks=args.ranks,
-        conductivity=deck.tl_coefficient)
+        conductivity=deck.tl_coefficient,
+        summary_frequency=deck.summary_frequency)
     print(f"TeaLeaf: {deck.x_cells}x{deck.y_cells} mesh, solver={deck.solver}, "
           f"{n_steps} steps on {args.ranks} rank(s)")
     _print_run(report, args)

@@ -17,6 +17,21 @@
 #include <stddef.h>
 
 #ifndef T
+/* CLONED: each body is also compiled for AVX2, and glibc's ifunc resolver
+ * picks the copy once, at load time, so the object still runs on any
+ * x86-64 CPU.  The bits cannot move: every cell keeps its order of
+ * operations, each lane of a reduction is still summed in sequence, and
+ * -ffp-contract=off holds in both copies (no fused multiply-add).  Empty
+ * off x86-64, without target_clones, or without glibc (ifunc). */
+#include <limits.h>   /* defines __GLIBC__ on glibc */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define CLONED __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef CLONED
+#define CLONED
+#endif
 #define LANES 8
 #define T double
 #define N(name) name##_d
@@ -62,8 +77,8 @@
  * pairwise.  `lanes` adds one row of n cells, the first being cell j, with
  * the blocks whose first cell is lane 0's unrolled: those lanes stay in
  * registers. */
-static void N(lanes)(T *restrict s, const T *a, const T *b, size_t j,
-                     size_t n)
+CLONED static void N(lanes)(T *restrict s, const T *a, const T *b,
+                            size_t j, size_t n)
 {
     T l[LANES];
     size_t k = 0;
@@ -86,26 +101,26 @@ static void N(lanes)(T *restrict s, const T *a, const T *b, size_t j,
                 size_t r0, size_t r1, size_t c0, size_t c1
 
 /* out[R] = (A p)[R] */
-void N(stencil2)(ARGS2, BOUNDS2) ROWS2(CELLS { CELL2(i) out[i] = a; })
-void N(stencil3)(ARGS3, BOUNDS3) ROWS3(CELLS { CELL3(i) out[i] = a; })
+CLONED void N(stencil2)(ARGS2, BOUNDS2) ROWS2(CELLS { CELL2(i) out[i] = a; })
+CLONED void N(stencil3)(ARGS3, BOUNDS3) ROWS3(CELLS { CELL3(i) out[i] = a; })
 
 /* ... and <p, A p>, each row summed while it is in cache */
-double N(apply_dot2)(ARGS2, BOUNDS2)
+CLONED double N(apply_dot2)(ARGS2, BOUNDS2)
 { DOT ROWS2(CELLS { CELL2(i) out[i] = a; } ADD(p, out)) return SUM; }
-double N(apply_dot3)(ARGS3, BOUNDS3)
+CLONED double N(apply_dot3)(ARGS3, BOUNDS3)
 { DOT ROWS3(CELLS { CELL3(i) out[i] = a; } ADD(p, out)) return SUM; }
 
 /* ... and y[R] += alpha * out[R], and <y, y> */
 #define AXPY_OUT { T t = a * (T)alpha; y[i] = y[i] + t; }
-double N(apply_axpy_dot2)(ARGS2, T *y, double alpha, BOUNDS2)
+CLONED double N(apply_axpy_dot2)(ARGS2, T *y, double alpha, BOUNDS2)
 { DOT ROWS2(CELLS { CELL2(i) out[i] = a; AXPY_OUT } ADD(y, y)) return SUM; }
-double N(apply_axpy_dot3)(ARGS3, T *y, double alpha, BOUNDS3)
+CLONED double N(apply_axpy_dot3)(ARGS3, T *y, double alpha, BOUNDS3)
 { DOT ROWS3(CELLS { CELL3(i) out[i] = a; AXPY_OUT } ADD(y, y)) return SUM; }
 
 /* <a, b> over the region of two arrays of one padded shape */
-double N(dot2)(const T *a, const T *b, BOUNDS2)
+CLONED double N(dot2)(const T *a, const T *b, BOUNDS2)
 { DOT ROWS2(ADD(a, b)) return SUM; }
-double N(dot3)(const T *a, const T *b, BOUNDS3)
+CLONED double N(dot3)(const T *a, const T *b, BOUNDS3)
 { DOT ROWS3(ADD(a, b)) return SUM; }
 
 /* y += alpha x and y = beta y + x at cell i: NumPy's two passes' order */
@@ -113,16 +128,16 @@ double N(dot3)(const T *a, const T *b, BOUNDS3)
 #define AYPX(y, x, beta) { T t = y[i] * (T)(beta); y[i] = t + x[i]; }
 
 /* ... over n contiguous cells; y may be x */
-void N(axpy)(T *y, double alpha, const T *x, size_t n)
+CLONED void N(axpy)(T *y, double alpha, const T *x, size_t n)
 { for (size_t i = 0; i < n; i++) AXPY(y, x, alpha) }
-void N(aypx)(T *y, double beta, const T *x, size_t n)
+CLONED void N(aypx)(T *y, double beta, const T *x, size_t n)
 { for (size_t i = 0; i < n; i++) AYPX(y, x, beta) }
 
 /* ... over the region: CG's direction update p = beta p + z */
-void N(aypx2)(T *restrict y, double beta, const T *restrict x, BOUNDS2)
-ROWS2(CELLS AYPX(y, x, beta))
-void N(aypx3)(T *restrict y, double beta, const T *restrict x, BOUNDS3)
-ROWS3(CELLS AYPX(y, x, beta))
+CLONED void N(aypx2)(T *restrict y, double beta, const T *restrict x,
+                     BOUNDS2) ROWS2(CELLS AYPX(y, x, beta))
+CLONED void N(aypx3)(T *restrict y, double beta, const T *restrict x,
+                     BOUNDS3) ROWS3(CELLS AYPX(y, x, beta))
 
 /* CG's update on the region: x += alpha p, then res += -alpha w; with
  * `dot` (the identity preconditioner) it returns <res, res>, else 0. */
@@ -130,8 +145,10 @@ ROWS3(CELLS AYPX(y, x, beta))
     CELLS { AXPY(x, p, alpha) AXPY(res, w, -alpha) } if (dot) ADD(res, res)
 #define UPDATE T *restrict x, T *restrict res, const T *restrict p, \
                const T *restrict w, double alpha, int dot
-double N(cg_update2)(UPDATE, BOUNDS2) { DOT ROWS2(CG_UPDATE) return SUM; }
-double N(cg_update3)(UPDATE, BOUNDS3) { DOT ROWS3(CG_UPDATE) return SUM; }
+CLONED double N(cg_update2)(UPDATE, BOUNDS2)
+{ DOT ROWS2(CG_UPDATE) return SUM; }
+CLONED double N(cg_update3)(UPDATE, BOUNDS3)
+{ DOT ROWS3(CG_UPDATE) return SUM; }
 
 /* One Chebyshev inner step (solvers/chebyshev.py) on the region: w = A p;
  * acc += p on the interior `i*` bounds only (inside the region); then per
@@ -161,16 +178,17 @@ double N(cg_update3)(UPDATE, BOUNDS3) { DOT ROWS3(CG_UPDATE) return SUM; }
             acc[i] = acc[i] + p[i]; \
         CELLS { TAIL(i) } } }
 
-void N(chebyshev_step2)(const T *kx, const T *ky, STEP, BOUNDS2,
-                        size_t ir0, size_t ir1, size_t ic0, size_t ic1,
-                        double scale, double beta)
+CLONED void N(chebyshev_step2)(const T *kx, const T *ky, STEP, BOUNDS2,
+                               size_t ir0, size_t ir1, size_t ic0, size_t ic1,
+                               double scale, double beta)
 {
     const size_t z0 = 0, z1 = 1, iz0 = 0, iz1 = 1, sy = W, sz = 0;
     LAGGED(CELL2, 1)
 }
-void N(chebyshev_step3)(const T *kx, const T *ky, const T *kz, STEP, BOUNDS3,
-                        size_t iz0, size_t iz1, size_t ir0, size_t ir1,
-                        size_t ic0, size_t ic1, double scale, double beta)
+CLONED void N(chebyshev_step3)(const T *kx, const T *ky, const T *kz, STEP,
+                               BOUNDS3, size_t iz0, size_t iz1, size_t ir0,
+                               size_t ir1, size_t ic0, size_t ic1,
+                               double scale, double beta)
 {
     const size_t sy = W, sz = H * W;
     LAGGED(CELL3, r1 - r0)

@@ -37,7 +37,8 @@ SOURCE = Path(__file__).with_name("bodies.c")
 #: the baseline rounds twice (the default contracts on aarch64 and under
 #: ``-mfma``).  Never ``-ffast-math``/``-Ofast`` (reassociation, flushed
 #: denormals) and never ``-march=*`` (the cached object would belong to
-#: one CPU; measured slower here besides).
+#: one CPU): the wider vectors come from ``bodies.c``'s ``CLONED`` macro,
+#: an AVX2 copy of each body beside the baseline one, picked at load time.
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 #: Python floats beyond this do not fit a C ``float``: NumPy warns on the

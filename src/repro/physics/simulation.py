@@ -411,6 +411,7 @@ def run_simulation(
     checkpoint_dir=None,
     restore_from=None,
     total_steps: int | None = None,
+    summary_frequency: int = 0,
     stack=None,
 ) -> SimulationReport:
     """Run the mini-app over an ``nranks``-rank in-process world.
@@ -428,6 +429,8 @@ def run_simulation(
     bit-identically from that checkpoint.  ``total_steps`` (default
     ``n_steps``) is what the manifest records as the run's full length —
     a restart passes the original total so further restarts stay possible.
+    ``summary_frequency``: every k steps, the step record carries a
+    :class:`~repro.physics.summary.FieldSummary` (:meth:`Simulation.run`).
 
     ``stack``: optional stack factory, the one
     :func:`~repro.solvers.ranks.solve_on_ranks` takes — ``(raw comm,
@@ -459,7 +462,8 @@ def run_simulation(
                          warm_start=warm_start, tracer=stk.tracer)
         if restore_from is not None:
             sim.restore_from_checkpoint(restore_from)
-        steps = sim.run(n_steps, checkpoint_interval=checkpoint_interval,
+        steps = sim.run(n_steps, summary_frequency=summary_frequency,
+                        checkpoint_interval=checkpoint_interval,
                         max_step_retries=max_step_retries,
                         checkpoint_dir=checkpoint_dir,
                         checkpoint_config=config)

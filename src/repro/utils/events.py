@@ -63,7 +63,9 @@ class EventLog:
         bucket = (kind, key)
         self.counts[bucket] += n
         if amounts:
-            q = self.quantities.setdefault(bucket, Counter())
+            q = self.quantities.get(bucket)
+            if q is None:
+                q = self.quantities[bucket] = Counter()
             for name, value in amounts.items():
                 q[name] += value
 

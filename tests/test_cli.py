@@ -117,6 +117,37 @@ class TestResilienceFlags:
         assert not (tmp_path / "ck").exists()
 
 
+class TestOutputKeys:
+    """The deck's TeaLeaf output keys: ``summary_frequency`` reaches the
+    run and each summary is printed under its step; ``visit_frequency``,
+    which ``tealeaf`` has nowhere to write, is refused by name."""
+
+    def test_summary_frequency_prints_each_summary(self, tmp_path, capsys):
+        deck = tmp_path / "tea.in"
+        deck.write_text(CROOKED_PIPE_DECK.format(n=12).replace(
+            "*endtea", "summary_frequency=2\n*endtea"))
+        assert main(["tealeaf", "--deck", str(deck), "--steps", "5",
+                     "--ranks", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        steps = [line.split()[1] for line in lines
+                 if line.lstrip().startswith("step")]
+        after = [lines[i - 1].split()[1] for i, line in enumerate(lines)
+                 if line.lstrip().startswith("summary")]
+        assert steps == ["1", "2", "3", "4", "5"]
+        assert after == ["2", "4"]
+        assert all("ie=" in line for line in lines if "summary" in line)
+
+    def test_visit_frequency_is_refused(self, tmp_path, capsys,
+                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        deck = tmp_path / "tea.in"
+        deck.write_text(CROOKED_PIPE_DECK.format(n=12).replace(
+            "*endtea", "visit_frequency=1\n*endtea"))
+        assert main(["tealeaf", "--deck", str(deck), "--steps", "1"]) == 2
+        assert "visit_frequency" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.vtk"))
+
+
 class TestReportCommand:
     def test_writes_files(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "res")]) == 0

@@ -7,7 +7,9 @@ environment variable — the compiler and cache-directory lookups are
 patched.
 """
 
+import ctypes
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -112,6 +114,24 @@ def test_untrusted_cached_object_is_rebuilt_once_then_used(tmp_path, damage):
     assert _children(1, cache) == [["compiled", path]]
     assert os.stat(path).st_mtime_ns == rebuilt.st_mtime_ns
     assert [entry.name for entry in cache.iterdir()] == [Path(path).name]
+
+
+def test_every_body_is_cloned_where_the_toolchain_can():
+    """On x86-64 with glibc, ``bodies.c`` builds each body twice (its
+    ``CLONED`` macro) behind an ifunc resolver: every body the loader
+    declares has one.  A guard that quietly expanded to nothing would
+    bring back the baseline-ISA-only object, the same bits but slower."""
+    if platform.machine() != "x86_64":
+        pytest.skip(f"no clones on {platform.machine()}: only x86-64 gets them")
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("no clones without glibc: its ifunc picks the copy")
+    kind, path = baseline_bodies()
+    if kind != "compiled":
+        pytest.skip(path)
+    lib = ctypes.CDLL(path)
+    for kernel, ndim, dtype in compiled._process_bodies()[0]:
+        name = f"{kernel}{ndim or ''}_{dtype.char}"
+        assert lib[f"{name}.resolver"], name
 
 
 def _outcome(call, *arrays):

@@ -31,6 +31,7 @@ mutants of the C source and of its build flags must die on the same
 battery.
 """
 
+import ctypes
 import hashlib
 import math
 import tracemalloc
@@ -1181,6 +1182,41 @@ def test_c_mutants_are_killed(name, tmp_path, monkeypatch):
                                            dtype, inner)
                 _check_cg_bodies([CompiledBackend(bodies)], shape, dtype)
                 _check_reductions([CompiledBackend(bodies)], shape, dtype)
+
+
+#: ``bodies.c``'s clone macro: with it, each body is built twice and the
+#: loader's CPU picks one; without it, the object has only the ``default``
+#: copy.
+CLONE_SITE = '#define CLONED __attribute__((target_clones("avx2", "default")))'
+
+
+def test_default_clone_gives_the_same_bits(tmp_path, monkeypatch):
+    """The loaded bodies run the copy this CPU picks (AVX2 where it has
+    it); the same source with the clone macro empty builds the
+    ``default`` copy alone.  Both pass the every-bit battery — each cell
+    and each reduction the oracle's bits — on rows shorter and longer
+    than a vector, 2-D and 3-D, in both dtypes: which copy runs cannot
+    move a bit."""
+    if baseline_bodies()[0] != "compiled":
+        pytest.skip(baseline_bodies()[1])
+    source = compiled.SOURCE.read_text()
+    assert CLONE_SITE in source, "clone macro moved"
+    (tmp_path / "bodies.c").write_text(
+        source.replace(CLONE_SITE, "#define CLONED"))
+    monkeypatch.setattr(compiled, "_cache_dirs", lambda: [tmp_path / "cache"])
+    plain, path = compiled.load(tmp_path / "bodies.c")
+    with pytest.raises(AttributeError):
+        ctypes.CDLL(path)["stencil2_d.resolver"]
+    builds = [CompiledBackend(), CompiledBackend(plain)]
+    for dtype in DTYPES:
+        for shape in ((13, 7), (37, 53), (5, 6, 7), (6, 9, 21)):
+            for k in builds:
+                _check_stencil_chains(k, shape, 3, dtype, frozen=True)
+                _check_field_updates(Field, k, shape, 2, dtype)
+            for inner in ("none", "diagonal"):
+                _check_chebyshev_steps(builds, shape, dtype, inner)
+            _check_cg_bodies(builds, shape, dtype)
+            _check_reductions(builds, shape, dtype)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
