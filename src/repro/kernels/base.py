@@ -29,13 +29,14 @@ Numerical policy (see ``docs/kernels.md``):
 - **fp-order-preserving kernels** — ``stencil_apply``, ``axpy``,
   ``aypx``, the field updates of ``apply_axpy_dot``, the Chebyshev
   step of ``bind_chebyshev``, the bound CG bodies of ``bind_cg`` (the
-  ``cg_update`` of ``x``/``r``, the region ``aypx``),
+  ``cg_pass`` of ``x``/``p``/``w``, the ``cg_residual`` of ``r``),
   ``pack_halo``/``unpack_halo`` —
   are elementwise and must match the ``numpy`` baseline **bit for bit**
   for every dtype: blocking or compiling may not reorder an element's
   ops (nor fuse a multiply into an add).
 - **reductions** — ``dot``, ``norm``, the scalars of ``apply_dot`` /
-  ``apply_axpy_dot`` and the ``<r, r>`` of the bound ``cg_update`` — have
+  ``apply_axpy_dot`` and the bound CG bodies' ``<p, A p>`` and ``<r,
+  r>`` — have
   one defined order, :func:`reference_dot`, so they are the same bits
   on every CPU.
 
@@ -192,15 +193,20 @@ class KernelBackend:
         False."""
         return None
 
-    def bind_cg(self, faces, x, r, p, w, z, bounds):
+    def bind_cg(self, faces, x, r, p, w, z, bounds, ring):
         """CG's iteration bodies bound once to one solve's padded arrays on
-        region ``bounds`` — or None, the default: the caller then makes the
-        separate calls, the reference, whose bits the bodies give.  The
-        bound object's ``apply_dot()`` returns the local ``<p, A p>``;
-        ``update(alpha)`` runs ``x += alpha p``, ``r += -alpha w`` and
-        returns the local ``<r, r>`` when ``z`` is ``r`` (else 0.0), None
-        if it ran nothing; ``direction(beta)`` runs ``p = beta p + z``,
-        False if it ran nothing."""
+        region ``bounds`` and its ``ring`` (the region grown by one cell
+        toward neighbours) — or None, the default: the caller then makes
+        the separate calls, the reference, whose bits the bodies give.
+        The bound object's ``fits(scalar)`` says whether its bodies take a
+        scalar; ``apply_dot()`` returns the local ``<p, A p>``;
+        ``cg_residual(alpha)`` runs ``r += -alpha w`` and returns the local
+        ``<r, r>`` when ``z`` is ``r`` (else 0.0); ``cg_pass(alpha,
+        beta)`` runs, in one pass, ``x += alpha p`` on the region, ``p =
+        beta p + z`` on the ring and ``w = A p`` on the region, and returns
+        the local ``<p, A p>``; ``settle(alpha, beta)`` runs ``x += alpha
+        p``, then ``p = beta p + z``, on the region (a None scalar skips
+        its update)."""
         return None
 
     # -- BLAS-1 tail -----------------------------------------------------------

@@ -10,7 +10,7 @@
  * (kernels/base.py, `reference_dot`), summed as the region is streamed and
  * returned as a double.  `restrict` marks what the caller has checked:
  * `out` is not `p`, and the written arrays of the Chebyshev step and of
- * CG's region updates overlap no other operand.
+ * CG's two passes overlap no other operand.
  *
  * The file compiles its bodies twice, T = double (suffix _d) and T = float
  * (suffix _f), by including itself. */
@@ -133,22 +133,68 @@ CLONED void N(axpy)(T *y, double alpha, const T *x, size_t n)
 CLONED void N(aypx)(T *y, double beta, const T *x, size_t n)
 { for (size_t i = 0; i < n; i++) AYPX(y, x, beta) }
 
-/* ... over the region: CG's direction update p = beta p + z */
+/* ... over the region: what CG's pass leaves pending, x += alpha p and
+ * p = beta p + z, applied when something reads them (CGState.settle) */
+CLONED void N(axpy2)(T *restrict y, double alpha, const T *restrict x,
+                     BOUNDS2) ROWS2(CELLS AXPY(y, x, alpha))
+CLONED void N(axpy3)(T *restrict y, double alpha, const T *restrict x,
+                     BOUNDS3) ROWS3(CELLS AXPY(y, x, alpha))
 CLONED void N(aypx2)(T *restrict y, double beta, const T *restrict x,
                      BOUNDS2) ROWS2(CELLS AYPX(y, x, beta))
 CLONED void N(aypx3)(T *restrict y, double beta, const T *restrict x,
                      BOUNDS3) ROWS3(CELLS AYPX(y, x, beta))
 
-/* CG's update on the region: x += alpha p, then res += -alpha w; with
- * `dot` (the identity preconditioner) it returns <res, res>, else 0. */
-#define CG_UPDATE \
-    CELLS { AXPY(x, p, alpha) AXPY(res, w, -alpha) } if (dot) ADD(res, res)
-#define UPDATE T *restrict x, T *restrict res, const T *restrict p, \
-               const T *restrict w, double alpha, int dot
-CLONED double N(cg_update2)(UPDATE, BOUNDS2)
-{ DOT ROWS2(CG_UPDATE) return SUM; }
-CLONED double N(cg_update3)(UPDATE, BOUNDS3)
-{ DOT ROWS3(CG_UPDATE) return SUM; }
+/* CG's residual update on the region: res += -alpha w; with `dot` (the
+ * identity preconditioner) it returns <res, res>, else 0. */
+#define CG_RESIDUAL CELLS AXPY(res, w, -alpha) if (dot) ADD(res, res)
+#define RESIDUAL T *restrict res, const T *restrict w, int dot
+CLONED double N(cg_residual2)(RESIDUAL, BOUNDS2, double alpha)
+{ DOT ROWS2(CG_RESIDUAL) return SUM; }
+CLONED double N(cg_residual3)(RESIDUAL, BOUNDS3, double alpha)
+{ DOT ROWS3(CG_RESIDUAL) return SUM; }
+
+/* CG's pass (solvers/operator.py, CGStep): the previous iteration's
+ * x += alpha p on the interior `z0 .. c1`, then p = beta p + z on the ring
+ * `Z0 .. C1` (the interior grown by one cell toward neighbours, whose
+ * ghosts of z were just exchanged: each ghost of p becomes the neighbour's
+ * own cell), then w = A p on the interior with <p, w>.  One pass over the
+ * ring's rows, the stencil `behind` rows after the updates: a row's
+ * stencil reads the p of the next row (2-D) or of the next plane (3-D: a
+ * plane's rows behind), which must be the new one; a cell's x update
+ * reads p before the direction writes it. */
+#define INSIDE(pz, pr) (z0 <= (pz) && (pz) < z1 && r0 <= (pr) && (pr) < r1)
+#define X_ROW for (size_t i = row + c0; i < row + c1; i++) AXPY(x, p, alpha)
+#define P_ROW for (size_t i = row + C0; i < row + C1; i++) AYPX(p, z, beta)
+#define PASS(CELL, behind) { \
+    const size_t nc = c1 - c0, nr = R1 - R0, rows = (Z1 - Z0) * nr; \
+    size_t j0 = 0; \
+    for (size_t k = 0; k < rows + (behind); k++) { \
+        if (k < rows) { \
+            const size_t pz = Z0 + k / nr, pr = R0 + k % nr, \
+                         row = pz * sz + pr * sy; \
+            if (INSIDE(pz, pr)) { X_ROW } \
+            P_ROW } \
+        if (k < (behind)) continue; \
+        const size_t pz = Z0 + (k - (behind)) / nr, \
+                     pr = R0 + (k - (behind)) % nr, i0 = pz * sz + pr * sy + c0; \
+        if (!INSIDE(pz, pr)) continue; \
+        CELLS { CELL(i) w[i] = a; } ADD(p, w) j0 += nc; } }
+#define PASS_ARGS T *restrict p, T *restrict w, T *restrict x, \
+                  const T *restrict z
+CLONED double N(cg_pass2)(const T *kx, const T *ky, PASS_ARGS, BOUNDS2,
+                          size_t R0, size_t R1, size_t C0, size_t C1,
+                          double alpha, double beta)
+{
+    const size_t z0 = 0, z1 = 1, Z0 = 0, Z1 = 1, sy = W, sz = 0;
+    DOT PASS(CELL2, 1) return SUM;
+}
+CLONED double N(cg_pass3)(const T *kx, const T *ky, const T *kz, PASS_ARGS,
+                          BOUNDS3, size_t Z0, size_t Z1, size_t R0, size_t R1,
+                          size_t C0, size_t C1, double alpha, double beta)
+{
+    const size_t sy = W, sz = H * W;
+    DOT PASS(CELL3, R1 - R0) return SUM;
+}
 
 /* One Chebyshev inner step (solvers/chebyshev.py) on the region: w = A p;
  * acc += p on the interior `i*` bounds only (inside the region); then per
@@ -202,8 +248,13 @@ CLONED void N(chebyshev_step3)(const T *kx, const T *ky, const T *kz, STEP,
 #undef AXPY
 #undef AYPX
 #undef AXPY_OUT
-#undef CG_UPDATE
-#undef UPDATE
+#undef CG_RESIDUAL
+#undef RESIDUAL
+#undef INSIDE
+#undef X_ROW
+#undef P_ROW
+#undef PASS
+#undef PASS_ARGS
 #undef CELL2
 #undef CELL3
 #undef ROWS2

@@ -47,7 +47,7 @@ _FLOAT_MAX = 3.4e38
 
 
 #: The bodies that return the reference reduction of their region.
-_REDUCING = ("apply_dot", "apply_axpy_dot", "dot", "cg_update")
+_REDUCING = ("apply_dot", "apply_axpy_dot", "dot", "cg_pass", "cg_residual")
 
 
 class BuildError(Exception):
@@ -117,7 +117,7 @@ def _open(cc: str, source, flags, target: Path):
 
 def _declare(lib) -> dict:
     """The bodies of ``lib`` by ``(kernel, dimension, dtype)`` — dimension
-    0 for the flat BLAS-1 pair, whose ``aypx`` is also a region body —
+    0 for the flat BLAS-1 pair, which is also a pair of region bodies —
     with their ``argtypes`` set, and ``restype`` ``c_double`` for the
     bodies that return a reduction."""
     import ctypes
@@ -132,8 +132,12 @@ def _declare(lib) -> dict:
         signatures["dot", ndim] = [ptr, ptr] + tail
         signatures["chebyshev_step", ndim] = (
             [ptr] * (ndim + 5) + tail + [size] * (2 * ndim) + [real, real])
-        signatures["cg_update", ndim] = [ptr] * 4 + [real, ctypes.c_int] + tail
-        signatures["aypx", ndim] = [ptr, real, ptr] + tail
+        signatures["cg_pass", ndim] = (
+            [ptr] * (ndim + 4) + tail + [size] * (2 * ndim) + [real, real])
+        signatures["cg_residual", ndim] = (
+            [ptr, ptr, ctypes.c_int] + tail + [real])
+        signatures["axpy", ndim] = signatures["aypx", ndim] = (
+            [ptr, real, ptr] + tail)
     bodies = {}
     for (kernel, ndim), argtypes in signatures.items():
         for char in "df":
@@ -340,12 +344,18 @@ class CompiledBackend(NumpyBackend):
                                  *interior))
         return _BoundChebyshev((*faces, d, w, *more), d.dtype, steps)
 
-    def bind_cg(self, faces, x, r, p, w, z, bounds):
-        # ``_chain``'s checks, once per solve; ``z`` is ``r`` or only read.
+    def bind_cg(self, faces, x, r, p, w, z, bounds, ring):
+        # ``_chain``'s checks, once per solve, the interior inside the ring
+        # and the ring inside the arrays; ``z`` is ``r`` or only read.
         more = (x, r) if z is r else (x, r, z)
-        chain = self._chain("apply_dot", faces, p, w, bounds, *more,
-                            written=(x, r, p, w))
-        return chain and _BoundCG(self, (*faces, p, w, *more), bounds, *chain)
+        chain = all(0 <= lo <= b_lo <= b_hi <= hi <= n
+                    for lo, b_lo, b_hi, hi, n in zip(
+                        ring[::2], bounds[::2], bounds[1::2], ring[1::2],
+                        p.shape)) and self._chain(
+            "apply_dot", faces, p, w, bounds, *more, written=(x, r, p, w))
+        if not chain:
+            return None
+        return _BoundCG(self, (*faces, p, w, *more), bounds, ring, *chain)
 
     def _flat(self, kernel: str, y, alpha, x) -> bool:
         """Run ``kernel`` (``axpy``/``aypx``) on ``y`` and ``x`` and say
@@ -375,32 +385,38 @@ class CompiledBackend(NumpyBackend):
 class _BoundCG:
     """One CG solve's bodies (:meth:`CompiledBackend.bind_cg`) on the
     addresses of the arrays it keeps alive.  ``apply_dot()`` returns the
-    local ``<p, A p>``; ``update`` and ``direction`` check only their
-    scalar, and run nothing where :func:`_scalar_fits` says NumPy would
-    round otherwise (``update`` returns None, ``direction`` False)."""
+    local ``<p, A p>``, ``cg_residual(alpha)`` the local ``<r, r>`` when
+    ``z`` is ``r`` (else 0.0) and ``cg_pass(alpha, beta)`` the local ``<p,
+    A p>`` of the new ``p``; ``settle`` applies what a pass would have.
+    None checks its scalars, which the caller asks :meth:`fits` about
+    first."""
 
-    def __init__(self, k, arrays, bounds, apply_dot, at):
+    def __init__(self, k, arrays, bounds, ring, apply_dot, at):
         n, p = len(bounds) // 2, arrays[len(bounds) // 2]
         p_, w, x, r = at[n:n + 4]       # after the faces; then z unless r
         self.arrays, self.dtype = arrays, p.dtype
         tail = (*p.shape[1:], *bounds)
         self.apply_dot = partial(apply_dot, *at[:n], p_, w, *tail)
-        self._update = partial(k._bodies["cg_update", n, p.dtype], x, r, p_, w)
+        self.cg_pass = partial(k._bodies["cg_pass", n, p.dtype], *at[:n],
+                               p_, w, x, at[-1], *tail, *ring)
         # z is r: <r, r> rides the update.
-        self._dot = (int(len(arrays) == n + 4), *tail)
-        self._direction = partial(k._bodies["aypx", n, p.dtype], p_)
-        self._z = (at[-1], *tail)
+        self.cg_residual = partial(k._bodies["cg_residual", n, p.dtype], r,
+                                   w, int(len(arrays) == n + 4), *tail)
+        self._axpy = partial(k._bodies["axpy", n, p.dtype], x)
+        self._aypx = partial(k._bodies["aypx", n, p.dtype], p_)
+        self._p, self._z = (p_, *tail), (at[-1], *tail)
 
-    def update(self, alpha) -> float | None:
-        if not _scalar_fits(alpha, self.dtype):
-            return None
-        return self._update(alpha, *self._dot)
+    def fits(self, scalar) -> bool:
+        """The bodies may take ``scalar`` (:func:`_scalar_fits`)."""
+        return _scalar_fits(scalar, self.dtype)
 
-    def direction(self, beta) -> bool:
-        if not _scalar_fits(beta, self.dtype):
-            return False
-        self._direction(beta, *self._z)
-        return True
+    def settle(self, alpha, beta) -> None:
+        """``x += alpha p``, then ``p = beta p + z``, on the region; a
+        None scalar skips its update."""
+        if alpha is not None:
+            self._axpy(alpha, *self._p)
+        if beta is not None:
+            self._aypx(beta, *self._z)
 
 
 class _BoundChebyshev:

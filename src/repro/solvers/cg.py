@@ -47,6 +47,12 @@ class CGState:
     state of a CG solve": a guard checkpoint (and its durable shard) holds
     what ``snapshot`` returns, and a guard rollback and an exact
     ``resume_state`` resume both reinstate it through ``restore``.
+
+    A bound step (:class:`~repro.solvers.operator.CGStep`) leaves the
+    iteration's ``x += alpha p`` and ``p = beta p + z`` pending for its
+    next pass (``pending_alpha``/``pending_beta``); :meth:`settle`
+    applies them through the step's ``bound`` bodies, and whatever reads
+    ``x`` or ``p`` settles first.
     """
 
     def __init__(self, op, M, x, tracer, solver_name):
@@ -61,6 +67,15 @@ class CGState:
         self.history: list[float] = []
         self.iterations = self.precond_applies = 0
         self.rz = self.rr = self.reference = self.res_norm = 0.0
+        self.pending_alpha = self.pending_beta = self.bound = None
+
+    def settle(self) -> None:
+        """Apply the pending ``x += alpha p``, then ``p = beta p + z`` —
+        only a bound step leaves them, with scalars its bodies take."""
+        alpha, beta = self.pending_alpha, self.pending_beta
+        if alpha is not None or beta is not None:
+            self.pending_alpha = self.pending_beta = None
+            self.bound.settle(alpha, beta)
 
     def precondition(self, local_rr: float | None = None) -> float:
         """``z = M^-1 r`` and the fused ``(<r, z>, <r, r>)`` reduction;
@@ -94,14 +109,17 @@ class CGState:
         self.res_norm = self.history[-1] = residual_norm(self.rr)
 
     def snapshot(self) -> tuple[dict, dict]:
-        """``(fields, scalars)`` at an iteration boundary."""
+        """``(fields, scalars)`` at an iteration boundary, settled."""
+        self.settle()
         return ({"x": self.x, "r": self.r, "p": self.p},
                 {"rz": self.rz, "rr": self.rr, "pa": self.precond_applies,
                  "steps": len(self.alphas), "reference": self.reference})
 
     def restore(self, iteration: int, scalars: dict) -> None:
         """Reinstate a snapshot's scalars (its field data is already back
-        in place) and drop the coefficients/history recorded since."""
+        in place) and drop the coefficients/history recorded since, and
+        whatever was pending."""
+        self.pending_alpha = self.pending_beta = None
         self.iterations = int(iteration)
         self.rz, self.rr = float(scalars["rz"]), float(scalars["rr"])
         self.precond_applies = int(scalars["pa"])
@@ -233,6 +251,7 @@ def cg_solve(
                 continue
             step.direction(s.beta)
             s.rz = s.rz_new
+    s.settle()   # what the last iteration left pending
 
     if not converged and raise_on_stall:
         raise stall_error(solver_name, s.iterations, s.res_norm,

@@ -168,7 +168,8 @@ class Defences:
         and reductions run under the recovery scope (ABFT due) or the
         replacement scope, so first-attempt contract counts stay exact;
         every decision comes from globally-reduced scalars, so every rank
-        takes the same branch.
+        takes the same branch.  ``state`` settles (``CGState.settle``)
+        before ``x`` is read.
         """
         st, op = self.state, self.op
         abft = (self.abft_interval > 0
@@ -179,6 +180,7 @@ class Defences:
             return False
         if replacing:
             self.replacer.update_condition(st.alphas, st.betas)
+        st.settle()   # x as the iteration left it
         span, scope = ((("recover", "abft_replay"), recovery_scope) if abft
                        else (("replace", self.solver), replacement_scope))
         with self.tracer.span(*span), \

@@ -257,23 +257,25 @@ class StencilOperator:
             self.kernels.apply_dot, *self._coeffs, p.data, out.data,
             *self._stencil_bounds(0)[0]))
 
-    def _stencil_dot(self, p: Field, local) -> float:
-        """``p``'s depth-1 exchange, ``local()`` — the stencil returning its
-        local ``<p, A p>`` — in the ``stencil`` span, the ``matvec``
-        event, one allreduce."""
-        self.exchanger.exchange(p, depth=1)
+    def _stencil_dot(self, ghosts: Field, local, *args) -> float:
+        """``ghosts``' depth-1 exchange, ``local(*args)`` — the stencil
+        returning its local ``<p, A p>`` — in the ``stencil`` span, the
+        ``matvec`` event, one allreduce."""
+        self.exchanger.exchange(ghosts, depth=1)
         with self.tracer.span("stencil", 0):
-            local = local()
+            local = local(*args)
         self.events.record("matvec", None, cells=self._stencil_bounds(0)[1])
         return float(self.comm.allreduce(local))
 
     def bind_cg(self, state) -> "CGStep":
         """CG's iteration on ``state``'s fields ``x, r, p, w, z``, bound once
-        through :meth:`~repro.kernels.base.KernelBackend.bind_cg`."""
+        through :meth:`~repro.kernels.base.KernelBackend.bind_cg` on the
+        interior and its ring ``region(1)``."""
         return CGStep(self, state, self.kernels.bind_cg(
             self._coeffs, *(f.data for f in (state.x, state.r, state.p,
                                               state.w, state.z)),
-            self._stencil_bounds(0)[0]))
+            self._stencil_bounds(0)[0],
+            tuple(b for s in self.kx.region(1) for b in (s.start, s.stop))))
 
     def residual_dot(self, b: Field, x: Field, out: Field) -> float:
         """``out = b - A x``; returns the global ``<out, out>``.
@@ -381,40 +383,63 @@ class StencilOperator:
 
 
 class CGStep:
-    """One CG iteration in three calls (:meth:`StencilOperator.bind_cg`):
-    each one body the backend bound, or — unbound, or handed back — the
+    """One CG iteration (:meth:`StencilOperator.bind_cg`).  Where the
+    backend bound its bodies, an iteration is two passes: ``update``
+    runs ``r -= alpha w`` and leaves ``x += alpha p`` pending,
+    ``direction`` only records ``beta``, and the next ``matvec_dot``
+    applies both on its way through the stencil (``state.settle()``
+    applies them where something reads ``x`` or ``p`` first).  Unbound,
+    or handed a scalar the bodies cannot take, each method makes the
     separate calls it replaces, the reference.  Both give the same bits,
-    exchanges, allreduces, spans and events."""
+    allreduces, spans and events, and one depth-1 exchange per iteration
+    with the same bytes."""
 
     def __init__(self, op: StencilOperator, state, bound) -> None:
         self.op, self.s, self.bound = op, state, bound
+        state.bound = bound   # what settles the pending updates
 
     def matvec_dot(self) -> float:
-        """``w = A p``; returns the global ``<p, w>``."""
-        s = self.s
+        """``w = A p`` — after the pending ``x`` update and direction,
+        if any —; returns the global ``<p, w>``."""
+        s, op = self.s, self.op
         # An if/else, not two returns: the contract checker (repro.analysis)
         # charges a branch's maximum, but a sequence's sum.
-        if self.bound is None:
-            pw = self.op.apply_dot(s.p, s.w)
+        if s.pending_beta is not None:
+            # p's ghost ring is the neighbours' own p, computed here from
+            # their z (exchanged instead of p) and beta, the same on every
+            # rank: the matrix powers kernel at depth 1.
+            pw = op._stencil_dot(s.z, self.bound.cg_pass, s.pending_alpha,
+                                 s.pending_beta)
+            s.pending_alpha = s.pending_beta = None
         else:
-            pw = self.op._stencil_dot(s.p, self.bound.apply_dot)
+            s.settle()
+            if self.bound is None:
+                pw = op.apply_dot(s.p, s.w)
+            else:
+                pw = op._stencil_dot(s.p, self.bound.apply_dot)
         return pw
 
     def update(self, alpha: float) -> float | None:
-        """``x += alpha p`` then ``r -= alpha w``; returns the local ``<r,
-        r>`` where the bound body took it on the way (``z`` is ``r``),
-        else None."""
+        """``x += alpha p`` (pending, where bound) and ``r -= alpha w``;
+        returns the local ``<r, r>`` where the bound body took it on the
+        way (``z`` is ``r``), else None."""
         s, b = self.s, self.bound
-        rr = None if b is None else b.update(alpha)
-        if rr is None:
+        if b is not None and b.fits(alpha):
+            rr = b.cg_residual(alpha)
+            s.pending_alpha = alpha
+        else:
+            rr = None
             s.x.axpy(alpha, s.p, self.op.kernels)
             s.r.axpy(-alpha, s.w, self.op.kernels)
         return rr if s.z is s.r else None
 
     def direction(self, beta: float) -> None:
-        """``p = beta p + z``."""
-        s, b = self.s, self.bound
-        if b is None or not b.direction(beta):
+        """``p = beta p + z`` (pending, where bound)."""
+        s = self.s
+        if s.pending_alpha is not None and self.bound.fits(beta):
+            s.pending_beta = beta
+        else:
+            s.settle()
             s.p.aypx(beta, s.z, self.op.kernels)
 
 

@@ -71,7 +71,14 @@ class DiagonalPreconditioner(Preconditioner):
 
     def __init__(self, op):
         self.op = op
-        self.inv_diag_padded = 1.0 / op.diagonal_padded()
+        inv_diag = Field(op.tile, op.halo, 1.0 / op.diagonal_padded())
+        if op.tile.n_neighbors:
+            # The outermost high ghost layer has no face beyond the array
+            # (``stencil_diagonal`` pads it with 1): every ghost toward a
+            # neighbour is the neighbour's own cell, exchanged once — the
+            # diagonal never changes.
+            op.exchanger.exchange(inv_diag, depth=op.halo)
+        self.inv_diag_padded = inv_diag.data
 
     def apply(self, r: Field, z: Field) -> None:
         sl = r.region(0)

@@ -38,7 +38,6 @@ import tracemalloc
 
 from collections import Counter
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -58,6 +57,7 @@ from repro.kernels.numpy_backend import _PROD, _block_rows, _operands
 from repro.mesh import Field, decompose
 from repro.resilience import SolverCheckpointStore, SolverGuard
 from repro.solvers import Defences, SolverOptions, cg_solve, solve_linear
+from repro.solvers.cg import CGState
 from repro.solvers.chebyshev import ChebyshevIteration
 from repro.solvers.eigen import EigenBounds
 from repro.solvers.operator import StencilOperator
@@ -683,46 +683,61 @@ def test_bound_chebyshev_binds_once_and_steps_in_one_body_call():
     assert calls["chebyshev_step2"] == result.inner_iterations
 
 
-# -- CG's bound iteration: three bodies, the bits of the calls they replace ---
+# -- CG's bound iteration: two bodies, the bits of the calls they replace -----
 
 
 def _cg_iterations(k, faces, fields, ext):
-    """Two CG iterations' local work on ``fields`` (``x, r, p, w, z``) over
-    ``region(ext)`` through backend ``k``: its bound bodies where it binds
-    them, the reference calls where not.  Returns what the reductions
-    saw: ``<p, A p>``, and ``<r, r>`` when ``z`` is ``r`` (the bound
-    update's, else 0.0)."""
+    """Three CG iterations' local work on ``fields`` (``x, r, p, w, z``)
+    over ``region(ext)`` and its ring ``region(ext + 1)`` through backend
+    ``k``: a first matvec, then twice the residual update and the next
+    matvec after ``x += alpha p`` and the direction on the ring, then a
+    third residual update and ``x += alpha p`` and the direction on the
+    region — in the bound bodies (two passes, then ``settle``) where
+    ``k`` binds them, in the reference calls where not.  Returns what the
+    reductions saw: ``<p, A p>``, and ``<r, r>`` when ``z`` is ``r``
+    (else 0.0), in turn."""
     x, r, p, w, z = fields
-    region = x.region(ext)
-    bounds = tuple(b for s in region for b in (s.start, s.stop))
-    bound = k.bind_cg(faces, *(f.data for f in fields), bounds)
+    region, ring = x.region(ext), x.region(ext + 1)
+    bounds, ring_bounds = (tuple(b for s in reg for b in (s.start, s.stop))
+                           for reg in (region, ring))
+    bound = k.bind_cg(faces, *(f.data for f in fields), bounds, ring_bounds)
     assert (bound is not None) == isinstance(k, CompiledBackend)
-    seen = []
-    for alpha, beta in ((0.375, -0.75), (-1.25, 0.5)):
+    if bound is None:
+        seen = [k.apply_dot(*faces, p.data, w.data, *bounds)]
+    else:
+        seen = [bound.apply_dot()]
+    for alpha, beta, last in ((0.375, -0.75, False), (-1.25, 0.5, False),
+                              (0.625, -1.5, True)):
         if bound is None:
-            seen.append(k.apply_dot(*faces, p.data, w.data, *bounds))
-            x.axpy(alpha, p, k, ext)
             r.axpy(-alpha, w, k, ext)
-            rr = k.dot(r.data[region], r.data[region]) if z is r else 0.0
-            p.aypx(beta, z, k, ext)
+            seen.append(k.dot(r.data[region], r.data[region]) if z is r
+                        else 0.0)
+            x.axpy(alpha, p, k, ext)
+            p.aypx(beta, z, k, ext + (not last))
+            if not last:
+                seen.append(k.apply_dot(*faces, p.data, w.data, *bounds))
         else:
-            seen.append(bound.apply_dot())
-            rr = bound.update(alpha)
-            assert bound.direction(beta)
-        seen.append(rr)
+            assert bound.fits(alpha) and bound.fits(beta)
+            seen.append(bound.cg_residual(alpha))
+            if last:
+                bound.settle(alpha, beta)
+            else:
+                seen.append(bound.cg_pass(alpha, beta))
     return seen
 
 
 def _check_cg_bodies(kernels, shape, dtype):
-    """Two CG iterations (:func:`_cg_iterations`) at every extension of a
-    tile whose region grows on every side and of one where it grows on
-    one side per axis, with ``z`` being ``r`` (``<r, r>`` rides the
+    """Three CG iterations (:func:`_cg_iterations`) at every extension of a
+    tile whose ring grows on every side and of one where it grows on one
+    side per axis, with ``z`` being ``r`` (``<r, r>`` rides the residual
     update) and not, through each backend of ``kernels`` — bound exactly
     when it is the compiled one —: every cell of every field and every
     reduction equal the whole-array oracle's through
     ``Field.axpy``/``aypx`` and its ``dot``, bit for bit, and every cell
-    the bodies may not write keeps its poison (``p`` beyond the stencil's
-    ring, the others outside the region)."""
+    the bodies may not write keeps its poison (``x``, ``r`` and ``w``
+    outside the region, ``p`` outside the ring, all of ``z``; ``p``
+    beyond the stencil's and the ring's reach and ``z`` beyond the ring
+    start as poison)."""
     halo = 2
     faces, _, _ = _system(shape, halo, dtype)
     pad = faces[0].shape
@@ -732,14 +747,16 @@ def _check_cg_bodies(kernels, shape, dtype):
             region = Field(tile, halo).region(ext)
             bounds = tuple(b for s in region for b in (s.start, s.stop))
             written = _region_mask(pad, region)
-            read = written.copy()
+            ring = _region_mask(pad, Field(tile, halo).region(ext + 1))
+            nothing = np.zeros(pad, bool)
+            read = written | ring
             for axis in range(len(shape)):
                 for shift in (-1, +1):
                     read[_window(bounds, axis, shift)] = True
             for dot in (True, False):
                 start = [_poison(rng.standard_normal(pad).astype(dtype), keep)
-                         for keep in (written, written, read, written,
-                                      written)]
+                         for keep in (written, ring if dot else written,
+                                      read, written, ring)]
                 if dot:
                     start[4] = start[1]
                 oracle = None
@@ -748,9 +765,11 @@ def _check_cg_bodies(kernels, shape, dtype):
                     fields.append(fields[1] if dot else
                                   Field(tile, halo, start[4].copy()))
                     seen = _cg_iterations(k, faces, fields, ext)
-                    for f, a0 in zip(fields, start):
-                        assert np.array_equal(bits(f.data[~written]),
-                                              bits(a0[~written]))
+                    for f, a0, keep in zip(fields, start, (
+                            written, written, ring, written,
+                            written if dot else nothing)):
+                        assert np.array_equal(bits(f.data[~keep]),
+                                              bits(a0[~keep]))
                     oracle = oracle or (seen, [f.data for f in fields])
                     assert all(map(_same, seen, oracle[0]))
                     for f, ref in zip(fields, oracle[1]):
@@ -768,10 +787,10 @@ def test_cg_bodies_bit_identical_to_their_calls(shape, dtype):
 
 def test_cg_calls_the_bodies_cannot_take_are_the_reference_calls():
     """``bind_cg`` binds nothing where ``x`` is ``p`` or a written field is
-    read-only; a bound update or direction update runs nothing — False,
-    every array untouched — for a NumPy scalar, or a Python float no
-    float32 holds, beside float32 fields; the step then makes the
-    reference calls, with their bits."""
+    read-only; the bound bodies do not take a NumPy scalar, or a Python
+    float no float32 holds, beside float32 fields (``fits`` is False), and
+    the step then makes the reference calls — applying first what a
+    fitting ``alpha`` left pending — with their bits."""
     if baseline_bodies()[0] != "compiled":
         pytest.skip(baseline_bodies()[1])
     shape, halo = (13, 7), 1
@@ -780,45 +799,48 @@ def test_cg_calls_the_bodies_cannot_take_are_the_reference_calls():
     tile = _span_tiles(shape)[0]
     start = [rng.standard_normal(faces[0].shape).astype("f") for _ in range(5)]
     k, bounds = CompiledBackend(), _bounds(shape, halo, 0)
+    ring = _bounds(shape, halo, 1)
     x, r, p, w, z = (a.copy() for a in start)
     frozen = x.copy()
     frozen.flags.writeable = False
-    assert k.bind_cg(faces, p, r, p, w, z, bounds) is None
-    assert k.bind_cg(faces, frozen, r, p, w, z, bounds) is None
-    bound = k.bind_cg(faces, x, r, p, w, z, bounds)
+    assert k.bind_cg(faces, p, r, p, w, z, bounds, ring) is None
+    assert k.bind_cg(faces, frozen, r, p, w, z, bounds, ring) is None
+    bound = k.bind_cg(faces, x, r, p, w, z, bounds, ring)
     scalars = (np.float64(1 / 3), np.float32(0.5), 1e39)
-    for scalar in scalars:
-        assert bound.update(scalar) is None
-        assert bound.direction(scalar) is False
-    assert all(np.array_equal(bits(a), bits(a0))
-               for a, a0 in zip((x, r, p, w, z), start))
+    assert bound.fits(0.5) and not any(map(bound.fits, scalars))
 
     op = StencilOperator(**dict(zip(("kx", "ky"), (
         Field(tile, halo, f.copy()) for f in faces))), comm=SerialComm(),
         exchanger=_Ghosts(), kernels=k)
-    state, ref = ({name: Field(tile, halo, a.copy())
-                   for name, a in zip("xrpwz", start)} for _ in range(2))
-    step = op.bind_cg(SimpleNamespace(**state))
+    state = CGState(op, make_local_preconditioner(op, "diagonal"),
+                    op.new_field(), op.tracer, "cg")
+    ref = {name: Field(tile, halo, a.copy())
+           for name, a in zip("xrpwz", start)}
+    for name, a in zip("xrpwz", start):
+        getattr(state, name).data[...] = a
+    step = op.bind_cg(state)
     assert step.bound is not None
-    for scalar in scalars:
-        assert step.update(scalar) is None
-        step.direction(scalar)
-        ref["x"].axpy(scalar, ref["p"], k)
-        ref["r"].axpy(-scalar, ref["w"], k)
-        ref["p"].aypx(scalar, ref["z"], k)
-    assert all(np.array_equal(bits(state[name].data), bits(ref[name].data))
-               for name in "xrpwz")
+    for first, second in ((scalars[0], 0.25), (0.5, scalars[1]),
+                          (scalars[2], scalars[2])):
+        assert step.update(first) is None
+        step.direction(second)
+        ref["x"].axpy(first, ref["p"], k)
+        ref["r"].axpy(-first, ref["w"], k)
+        ref["p"].aypx(second, ref["z"], k)
+        assert state.pending_alpha is state.pending_beta is None
+    assert all(np.array_equal(bits(getattr(state, name).data),
+                              bits(ref[name].data)) for name in "xrpwz")
 
 
 def test_bound_cg_iteration_is_three_body_calls():
     """On a compiled build, once ``cg_solve`` has bound its step, an
-    iteration is three body calls — the stencil with ``<p, A p>``, the
-    update (with ``<r, r>`` for the identity), the region's direction
-    update — and no ``_chain``/``_plan`` check: the difference between a
-    20- and a 10-iteration solve, with and without a preconditioner
-    (whose ``<r, z>`` and ``<r, r>`` are two ``dot`` bodies on the
-    interiors).  Without this a silent fallback would pass every bits
-    test above."""
+    iteration is two body calls — the residual update (with ``<r, r>``
+    for the identity), then the pass that applies ``x += alpha p`` and
+    the direction on its way through the stencil with ``<p, A p>`` — and
+    no ``_chain``/``_plan`` check: the difference between a 20- and a
+    10-iteration solve, with and without a preconditioner (whose ``<r,
+    z>`` and ``<r, r>`` are two ``dot`` bodies on the interiors).
+    Without this a silent fallback would pass every bits test above."""
     if baseline_bodies()[0] != "compiled":
         pytest.skip(baseline_bodies()[1])
     grid, kxg, kyg, bg = crooked_pipe_system(32)
@@ -843,8 +865,8 @@ def test_bound_cg_iteration_is_three_body_calls():
             per_solve.append(Counter(calls))
         per_solve[1].subtract(per_solve[0])
         dots = {"dot2": 20} if inner == "diagonal" else {}
-        assert +per_solve[1] == {"apply_dot2": 10, "cg_update2": 10,
-                                 "aypx2": 10, **dots}, inner
+        assert +per_solve[1] == {"cg_pass2": 10, "cg_residual2": 10,
+                                 **dots}, inner
 
 
 class _Regrow:
@@ -884,22 +906,48 @@ def _rewritten_cg(k, rewrite, tmp_path):
                   "scalars": scalars}
     elif rewrite == "regrow":
         defences = Defences(cancel=_Regrow(k, 7))
+    elif rewrite == "handback":  # NumPy scalars, which the bodies hand back
+        spied = op.bind_cg
+        op.bind_cg = lambda state: _numpy_scalars(spied(state), handed)
+    handed = []
     result = cg_solve(op, b, eps=1e-10, max_iters=300, defences=defences,
                       resume_state=resume)
     happened = {"rollback": guard.rollbacks,
                 "splice": result.replacement and result.replacement.splices,
                 "resume": resume and resume["iteration"],
-                "regrow": defences.cancel and defences.cancel.fired}[rewrite]
+                "regrow": defences.cancel and defences.cancel.fired,
+                "handback": len(handed)}[rewrite]
     return (result.x.data.tobytes(), result.history,
             [s.bound is not None for s in steps], happened)
 
 
-@pytest.mark.parametrize("rewrite", ["rollback", "splice", "resume", "regrow"])
+def _numpy_scalars(step, handed):
+    """``step`` handed ``alpha`` as a NumPy scalar every third iteration,
+    and ``beta`` on another third (after an ``alpha`` left pending): the
+    bound bodies do not take them, so the step settles what is pending
+    and makes the reference calls."""
+    update, direction = step.update, step.direction
+
+    def scalar(value, when):
+        if step.s.iterations % 3 != when:
+            return value
+        handed.append(when)
+        return np.float64(value)
+
+    step.update = lambda alpha: update(scalar(alpha, 0))
+    step.direction = lambda beta: direction(scalar(beta, 2))
+    return step
+
+
+@pytest.mark.parametrize("rewrite", ["rollback", "splice", "resume", "regrow",
+                                     "handback"])
 def test_bound_cg_survives_in_place_rewrites(rewrite, tmp_path):
     """A guard rollback, residual replacement's splice (and the ABFT
     replay's true residual), an exact resume and a workspace pool regrown
-    mid-solve all write in place under a bound step: the compiled solve
-    ends bit-identical to the NumPy replay's unbound one."""
+    mid-solve all write in place under a bound step, and NumPy scalars
+    make it hand calls back with its ``x`` update and direction pending:
+    the compiled solve ends bit-identical to the NumPy replay's unbound
+    one."""
     runs = [_rewritten_cg(k, rewrite, tmp_path) for k in _instances("numpy")]
     for (*_, bound, happened), k in zip(runs, _instances("numpy")):
         assert happened and set(bound) == {isinstance(k, CompiledBackend)}
@@ -1127,19 +1175,24 @@ C_MUTANTS = {
     # The step's one pass: a row's tail before the next row's stencil has
     # read its p; in 3-D, a row behind where the next plane still reads.
     "tail-not-lagged": ("(lag)", "(0)"),
-    "3d-lag-by-row-not-plane": ("LAGGED(CELL3, r1 - r0)", "LAGGED(CELL3, 1)"),
-    "cg-minus-alpha-on-x": ("AXPY(x, p, alpha) AXPY(res, w, -alpha)",
-                            "AXPY(x, p, -alpha) AXPY(res, w, alpha)"),
+    "3d-lag-by-row-not-plane": [("LAGGED(CELL3, r1 - r0)", "LAGGED(CELL3, 1)"),
+                                ("PASS(CELL3, R1 - R0)", "PASS(CELL3, 1)")],
+    "cg-minus-alpha-on-x": ("AXPY(x, p, alpha)", "AXPY(x, p, -alpha)"),
     "cg-dot-before-the-r-update": (
-        "CELLS { AXPY(x, p, alpha) AXPY(res, w, -alpha) }"
-        " if (dot) ADD(res, res)",
-        "if (dot) ADD(res, res)"
-        " CELLS { AXPY(x, p, alpha) AXPY(res, w, -alpha) }"),
+        "CELLS AXPY(res, w, -alpha) if (dot) ADD(res, res)",
+        "if (dot) ADD(res, res) CELLS AXPY(res, w, -alpha)"),
     "cg-beta-on-z": ("T t = y[i] * (T)(beta); y[i] = t + x[i];",
                      "T t = x[i] * (T)(beta); y[i] = t + y[i];"),
     "cg-dot-at-i-not-j": (
         "if (dot) ADD(res, res)",
         "if (dot) N(lanes)(s, res + i0, res + i0, i0, nc);"),
+    # CG's pass: x from the old p, p on the whole ring, the stencil a row
+    # (3-D: a plane) behind the direction it reads.
+    "x-after-direction": ("if (INSIDE(pz, pr)) { X_ROW } \\\n            P_ROW",
+                          "P_ROW if (INSIDE(pz, pr)) { X_ROW } \\\n"),
+    "ring-not-written": ("\\\n            P_ROW",
+                         "\\\n            if (INSIDE(pz, pr)) { P_ROW }"),
+    "stencil-not-lagged": ("(behind)", "(0)"),
     # The reference reduction's order: every reduction body sums it.
     "seven-lanes": ("#define LANES 8", "#define LANES 7"),
     "lane-from-i-not-j": ("b + i0, j0, nc);", "b + i0, i0, nc);"),
@@ -1163,25 +1216,32 @@ def test_c_mutants_are_killed(name, tmp_path, monkeypatch):
                 pytest.skip("this CPU has no fused multiply-add")
         flags = tuple(f for f in flags if "contract" not in f) + (
             "-ffp-contract=fast", "-mfma")
-    else:
-        old, new = C_MUTANTS[name]
-        assert old in source, f"mutation site {old!r} moved"
-        source = source.replace(old, new)
-    (tmp_path / "bodies.c").write_text(source)
-    monkeypatch.setattr(compiled, "_cache_dirs", lambda: [tmp_path / "cache"])
-    bodies, _ = compiled.load(tmp_path / "bodies.c", flags)
-    with pytest.raises(AssertionError):
-        for dtype in DTYPES:
-            for shape in ((13, 7), (5, 6, 7)):
-                _check_stencil_chains(CompiledBackend(bodies), shape, 3,
-                                      dtype, frozen=True)
-                _check_field_updates(Field, CompiledBackend(bodies), shape,
-                                     2, dtype)
-                for inner in ("none", "diagonal"):
-                    _check_chebyshev_steps([CompiledBackend(bodies)], shape,
-                                           dtype, inner)
-                _check_cg_bodies([CompiledBackend(bodies)], shape, dtype)
-                _check_reductions([CompiledBackend(bodies)], shape, dtype)
+    sites = C_MUTANTS[name]
+    # One build per site of a mutant: each one must die.
+    for site, mutant in enumerate([source] if sites is None else [
+            _mutated(source, old, new) for old, new in (
+                [sites] if isinstance(sites, tuple) else sites)]):
+        (tmp_path / f"{site}.c").write_text(mutant)
+        monkeypatch.setattr(compiled, "_cache_dirs",
+                            lambda: [tmp_path / "cache"])
+        bodies, _ = compiled.load(tmp_path / f"{site}.c", flags)
+        with pytest.raises(AssertionError):
+            for dtype in DTYPES:
+                for shape in ((13, 7), (5, 6, 7)):
+                    _check_stencil_chains(CompiledBackend(bodies), shape, 3,
+                                          dtype, frozen=True)
+                    _check_field_updates(Field, CompiledBackend(bodies),
+                                         shape, 2, dtype)
+                    for inner in ("none", "diagonal"):
+                        _check_chebyshev_steps([CompiledBackend(bodies)],
+                                               shape, dtype, inner)
+                    _check_cg_bodies([CompiledBackend(bodies)], shape, dtype)
+                    _check_reductions([CompiledBackend(bodies)], shape, dtype)
+
+
+def _mutated(source, old, new):
+    assert old in source, f"mutation site {old!r} moved"
+    return source.replace(old, new)
 
 
 #: ``bodies.c``'s clone macro: with it, each body is built twice and the
@@ -1417,7 +1477,8 @@ PINNED_SOLUTIONS = {"jacobi": "bf37c77db26be68b", "dcg": "b227bbfe7dfd7e1e",
                     "cg@1x2": "f43c8fd52525e007", "cg@2x2": "ead8522be4e205b2",
                     "cg-diagonal@1x2": "23d91834028c4ad3",
                     "cg-diagonal@2x2": "21179d1befa0cf0f",
-                    "cg-duct@2": "da12bd262131c457"}
+                    "cg-duct@2": "da12bd262131c457",
+                    "cg-duct@2x2x1": "b29221895f07927e"}
 
 
 @pytest.mark.parametrize("label,opt", SOLVE_CONFIGS,
@@ -1461,11 +1522,14 @@ def test_decomposed_matrix_powers_identical_to_oracle(label, factors):
 
 
 @pytest.mark.parametrize("label", ["cg@1x2", "cg@2x2", "cg-diagonal@1x2",
-                                   "cg-diagonal@2x2", "cg-duct@2"])
+                                   "cg-diagonal@2x2", "cg-duct@2",
+                                   "cg-duct@2x2x1"])
 def test_decomposed_cg_identical_to_oracle(label):
     """CG's bound iteration on ranks — the 48^2 pipe on 1x2 and 2x2, bare
-    and diagonally scaled, the 12^3 duct on 2 — leaves every rank's
-    padded ``x`` the oracle's bit for bit, and the pinned digest."""
+    and diagonally scaled, the 12^3 duct on 2 and 2x2x1 — leaves every
+    rank's padded ``x`` the oracle's bit for bit, and the pinned digest:
+    the ghost ring of ``p`` each rank computes from its neighbours' ``z``
+    is their own ``p``."""
     name, ranks = label.split("@")
     opt = replace(dict(SOLVE_CONFIGS)["cg"], preconditioner="diagonal"
                   if name == "cg-diagonal" else "none")

@@ -74,6 +74,25 @@ class TestConvergence:
         assert result.converged
         assert np.allclose(result.x.interior, x_ref, atol=1e-6)
 
+    @pytest.mark.parametrize("size", [2, 4])
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    def test_diagonal_inner_on_ranks_converges_as_on_one(self, depth, size):
+        """The first Chebyshev direction is ``M^-1 r / theta`` on the whole
+        matrix-powers region, exchange-free: the inverse diagonal's
+        outermost ghost layer toward a neighbour must be the neighbour's
+        (it is exchanged once, at construction), not the padding of a
+        face beyond the array — with which 2 and 4 ranks stalled at
+        depths 1 and 2 and needed 21/23 outer iterations at depth 4."""
+        def outer(ranks):
+            result = counted_solve(48, ranks, solver="ppcg", eps=1e-10,
+                                   max_iters=300, halo_depth=depth,
+                                   preconditioner="diagonal",
+                                   ppcg_inner_steps=10).result
+            assert result.converged
+            return result.iterations
+
+        assert outer(size) == outer(1) == 8
+
     def test_block_jacobi_inner_depth1(self):
         g, kx, ky, bg = crooked_pipe_system(24)
         op = serial_operator(g, kx, ky)
