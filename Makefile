@@ -96,7 +96,7 @@ verify-contracts:
 # the resilient stack in place (faults disabled) and again with the
 # checksummed-envelope + durable-checkpoint stack.
 resilience:
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.harness.resilience_sweep
+	$(PYTHONPATH_SRC) $(PYTHON) -m repro.cli.main resilience
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.analysis --verify-only --verify-resilience
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.analysis --verify-only --verify-integrity
 
@@ -138,7 +138,7 @@ sanitize:
 # protected by the repro.numerics stack (docs/numerics.md; exits non-zero
 # when any protected cell misses tolerance without a diagnosis).
 stability:
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.harness.stability_sweep --n 16
+	$(PYTHONPATH_SRC) $(PYTHON) -m repro.cli.main stability --n 16
 
 # Chaos campaign (docs/resilience.md, "Chaos campaigns"): a pinned-seed
 # storm of randomized fault plans against the *composed* resilient stack,
@@ -147,7 +147,7 @@ stability:
 # and minimized fixtures for any failure.  Exits non-zero on any oracle
 # or budget violation.
 chaos:
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.harness.chaos_sweep \
+	$(PYTHONPATH_SRC) $(PYTHON) -m repro.cli.main chaos \
 	    --trials 200 --out results/chaos
 
 # Soak: periodic fault storms plus kill/restart cycles on the mini-app;
@@ -155,7 +155,7 @@ chaos:
 # run.  Writes results/soak/SOAK_<n>.json.
 soak:
 	@rm -rf results/soak
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.harness.soak \
+	$(PYTHONPATH_SRC) $(PYTHON) -m repro.cli.main soak \
 	    --cycles 3 --ranks 2 --out results/soak
 
 # Service durability soak (docs/service.md, "Durability & crash
@@ -168,7 +168,7 @@ soak:
 # violation.  Writes results/service-soak/SOAK_SERVICE_<n>.json.
 service-soak:
 	@rm -rf results/service-soak
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.cli.main soak --service \
+	$(PYTHONPATH_SRC) $(PYTHON) -m repro.cli.main service-soak \
 	    --seed 424243 --kill-seed 7 --requests 30 \
 	    --out results/service-soak
 

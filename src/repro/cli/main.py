@@ -181,31 +181,50 @@ def _cmd_figure(args) -> int:
     return 0
 
 
+def _finish(result, text: str, out: str = "", prefix: str = "",
+            index: int = -1) -> int:
+    """Every campaign's tail: print its rendered result, write its ledger
+    ``<out>/<prefix>_<n>.json`` when it keeps one (``index`` pins
+    ``<n>``; -1 takes the next free slot), return its exit code."""
+    print(text)
+    if prefix:
+        from repro.harness.ledger import write_ledger
+        path = write_ledger(result.as_dict(), Path(out), prefix,
+                            index if index >= 0 else None)
+        print(f"ledger written to {path}")
+    return result.exit_code
+
+
 def _cmd_chaos(args) -> int:
     """Seeded chaos campaign against the composed resilient stack."""
-    from repro.harness.chaos_sweep import main as chaos_main
-    argv = ["--seed", str(args.seed), "--trials", str(args.trials),
-            "--n", str(args.n), "--out", args.out]
-    return chaos_main(argv)
+    from repro.harness.chaos_sweep import render
+    from repro.resilience.chaos import run_campaign
+    result = run_campaign(args.seed, args.trials, n=args.n,
+                          fixtures_dir=Path(args.out) / "fixtures")
+    return _finish(result, render(result), args.out, "CHAOS")
 
 
 def _cmd_soak(args) -> int:
     """Kill/restart soak of the mini-app under periodic fault storms."""
-    if args.service:
-        from repro.harness.service_soak import main as service_soak_main
-        argv = ["--seed", str(args.seed),
-                "--requests", str(args.requests),
-                "--kill-seed", str(args.kill_seed),
-                "--out", args.out]
-        if args.out == "results/soak":   # service ledgers live elsewhere
-            argv[-1] = "results/service"
-        return service_soak_main(argv)
-    from repro.harness.soak import main as soak_main
-    argv = ["--seed", str(args.seed), "--cycles", str(args.cycles),
-            "--steps-per-cycle", str(args.steps_per_cycle),
-            "--n", str(args.n), "--ranks", str(args.ranks),
-            "--out", args.out]
-    return soak_main(argv)
+    from repro.harness.soak import render
+    from repro.resilience.chaos import run_soak
+    report = run_soak(seed=args.seed, cycles=args.cycles,
+                      steps_per_cycle=args.steps_per_cycle, n=args.n,
+                      nranks=args.nranks,
+                      checkpoint_root=Path(args.out) / "checkpoints")
+    return _finish(report, render(report), args.out, "SOAK")
+
+
+def _cmd_service_soak(args) -> int:
+    """SIGKILL/replay soak of the journaled solve service."""
+    import tempfile
+
+    from repro.harness.service_soak import render, run_service_soak
+    with tempfile.TemporaryDirectory(prefix="service-soak-") as work_dir:
+        result = run_service_soak(args.seed, args.count,
+                                  kill_seed=args.kill_seed,
+                                  work_dir=Path(work_dir))
+    return _finish(result, render(result), args.out, "SOAK_SERVICE")
 
 
 def _cmd_serve(args) -> int:
@@ -213,15 +232,38 @@ def _cmd_serve(args) -> int:
     if args.demo:
         import asyncio
         return asyncio.run(_serve_demo())
-    from repro.harness.service_sweep import main as sweep_main
-    argv = ["--seed", str(args.seed), "--requests", str(args.requests),
-            "--workers", str(args.workers),
-            "--group-size", str(args.group_size), "--out", args.out]
-    if args.no_chaos:
-        argv.append("--no-chaos")
-    if args.index >= 0:
-        argv += ["--index", str(args.index)]
-    return sweep_main(argv)
+    from repro.harness.service_sweep import render, run_service_sweep
+    result = run_service_sweep(args.seed, args.count, chaos=args.chaos,
+                               workers=args.workers,
+                               group_size=args.group_size)
+    return _finish(result, render(result), args.out, "SERVICE", args.index)
+
+
+def _cmd_resilience(args) -> int:
+    """Fault rate x solver sweep through the injection stack."""
+    from dataclasses import replace
+
+    from repro.harness.resilience_sweep import (
+        SOLVERS,
+        render,
+        run_resilience_sweep,
+    )
+    solvers = SOLVERS
+    if args.integrity:
+        solvers = [(name, replace(options, integrity=True))
+                   for name, options in SOLVERS]
+    sweep = run_resilience_sweep(n=args.n, seed=args.seed, size=args.size,
+                                 solvers=solvers)
+    return _finish(sweep, render(sweep))
+
+
+def _cmd_stability(args) -> int:
+    """Solver x dtype x depth sweep over the ill-conditioned battery."""
+    from repro.harness.stability_sweep import render, run_stability_sweep
+    sweep = run_stability_sweep(n=args.n, eps=args.eps,
+                                max_iters=args.max_iters,
+                                jumps=tuple(args.jumps), size=args.size)
+    return _finish(sweep, render(sweep))
 
 
 async def _serve_demo() -> int:
@@ -350,6 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
                                         "breakdown"])
     p_fig.set_defaults(func=_cmd_figure)
 
+    # The campaigns.  Each flag's dest is the parameter of the run_*
+    # function it feeds, and its default that parameter's default.
     p_chaos = sub.add_parser(
         "chaos", help="seeded chaos campaign against the resilient stack")
     p_chaos.add_argument("--seed", type=int, default=20170905)
@@ -365,28 +409,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_soak.add_argument("--cycles", type=int, default=3)
     p_soak.add_argument("--steps-per-cycle", type=int, default=2)
     p_soak.add_argument("--n", type=int, default=16, help="mesh size")
-    p_soak.add_argument("--ranks", type=int, default=2,
+    p_soak.add_argument("--ranks", dest="nranks", type=int, default=2,
                         help="SPMD world size (thread ranks)")
     p_soak.add_argument("--out", default="results/soak",
                         help="directory for checkpoints + SOAK_<n>.json")
-    p_soak.add_argument("--service", action="store_true",
-                        help="soak the journaled solve service instead: "
-                             "SIGKILL/replay cycles -> SOAK_SERVICE_<n>.json")
-    p_soak.add_argument("--requests", type=int, default=30,
-                        help="service workload size (with --service)")
-    p_soak.add_argument("--kill-seed", type=int, default=7,
-                        help="seed for SIGKILL points (with --service)")
     p_soak.set_defaults(func=_cmd_soak)
+
+    p_ssoak = sub.add_parser(
+        "service-soak", help="SIGKILL/replay soak of the journaled solve "
+                             "service -> SOAK_SERVICE_<n>.json")
+    p_ssoak.add_argument("--seed", type=int, default=424243)
+    p_ssoak.add_argument("--requests", dest="count", type=int, default=30,
+                         help="workload size")
+    p_ssoak.add_argument("--kill-seed", type=int, default=7,
+                         help="seed for the SIGKILL points")
+    p_ssoak.add_argument("--out", default="results/service",
+                         help="directory for SOAK_SERVICE_<n>.json")
+    p_ssoak.set_defaults(func=_cmd_service_soak)
 
     p_serve = sub.add_parser(
         "serve", help="multi-tenant solve service: deterministic load "
                       "sweep -> SERVICE_<n>.json (or --demo)")
     p_serve.add_argument("--seed", type=int, default=20170905)
-    p_serve.add_argument("--requests", type=int, default=200)
+    p_serve.add_argument("--requests", dest="count", type=int, default=200)
     p_serve.add_argument("--workers", type=int, default=2)
     p_serve.add_argument("--group-size", type=int, default=2,
                          help="SPMD ranks per worker group")
-    p_serve.add_argument("--no-chaos", action="store_true",
+    p_serve.add_argument("--no-chaos", dest="chaos", action="store_false",
                          help="disable fault storms / crashes")
     p_serve.add_argument("--out", default="results/service",
                          help="directory for SERVICE_<n>.json")
@@ -395,6 +444,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--demo", action="store_true",
                          help="run the asyncio front-end demo instead")
     p_serve.set_defaults(func=_cmd_serve)
+
+    p_res = sub.add_parser(
+        "resilience", help="fault rate x solver sweep through the "
+                           "fault-injection stack")
+    p_res.add_argument("--n", type=int, default=24, help="mesh size")
+    p_res.add_argument("--seed", type=int, default=7)
+    p_res.add_argument("--size", type=int, default=1, help="world size")
+    p_res.add_argument("--integrity", action="store_true",
+                       help="enable the checksummed-envelope comm layer")
+    p_res.set_defaults(func=_cmd_resilience)
+
+    p_stab = sub.add_parser(
+        "stability", help="solver x dtype x depth sweep over the "
+                          "ill-conditioned crooked-pipe battery")
+    p_stab.add_argument("--n", type=int, default=24, help="mesh size")
+    p_stab.add_argument("--eps", type=float, default=1e-8)
+    p_stab.add_argument("--max-iters", type=int, default=600)
+    p_stab.add_argument("--size", type=int, default=1, help="world size")
+    p_stab.add_argument("--jumps", type=float, nargs="+", default=(1e4, 1e8),
+                        help="conductivity jumps of the battery")
+    p_stab.set_defaults(func=_cmd_stability)
 
     p_rep = sub.add_parser("report", help="write all figures/tables to a directory")
     p_rep.add_argument("--out", default="results")

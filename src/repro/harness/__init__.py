@@ -5,10 +5,14 @@ structured result (series data plus provenance) and a ``main()`` that
 prints the paper-style table; the corresponding ``benchmarks/test_figN_*``
 regenerates and shape-checks it.  See DESIGN.md §4 for the index.
 
-The campaign drivers run as ``python -m repro.harness.<module>``
-(``chaos_sweep``, ``resilience_sweep``, ``stability_sweep``, ...) and are
-imported from their modules, not re-exported here: a package that imports
-a module ``-m`` then runs makes :mod:`runpy` warn.
+The six campaign modules (``chaos_sweep``, ``soak``, ``service_sweep``,
+``service_soak``, ``resilience_sweep``, ``stability_sweep``) hold each
+campaign's ``render`` and, but for the chaos campaign and the soak (whose
+``run_campaign``/``run_soak`` live in :mod:`repro.resilience.chaos`), its
+``run_*`` function.  They have no command line of their own: ``repro
+<campaign>`` (:mod:`repro.cli.main`) declares the flags, runs the
+campaign, prints the rendered result and writes the ledger.  They are
+imported from their modules, not re-exported here.
 """
 
 from repro.harness.common import (

@@ -1,11 +1,11 @@
-"""Chaos campaign driver: run, render and persist the recovery-SLO ledger.
+"""Chaos campaign table: the recovery-SLO ledger as text.
 
-Thin harness over :func:`repro.resilience.chaos.run_campaign`: runs a
-pinned-seed campaign, renders the per-fault-class SLO table, and writes
-the ledger as ``CHAOS_<n>.json`` into a results directory (``<n>`` is the
-next free index, so successive campaigns never clobber each other's
-ledgers).  Minimized fixtures for any oracle failure land next to the
-ledger under ``fixtures/``.
+``repro chaos`` runs a pinned-seed :func:`repro.resilience.chaos.
+run_campaign`, prints :func:`render`'s per-fault-class SLO table and
+writes the ledger as ``CHAOS_<n>.json`` into a results directory (``<n>``
+is the next free index, so successive campaigns never clobber each
+other's ledgers).  Minimized fixtures for any oracle failure land next
+to the ledger under ``fixtures/``.
 
 Everything in the ledger derives from seeded draws and virtual clocks —
 two runs at the same seed write byte-identical JSON (the CI ``chaos``
@@ -14,13 +14,8 @@ job and ``tests/test_chaos.py`` both hold that invariant).
 
 from __future__ import annotations
 
-from pathlib import Path
+from repro.resilience.chaos import ChaosCampaignResult
 
-from repro.harness.ledger import write_ledger
-from repro.resilience.chaos import (
-    ChaosCampaignResult,
-    run_campaign,
-)
 
 def render(result: ChaosCampaignResult) -> str:
     """Human-readable SLO ledger table."""
@@ -42,40 +37,3 @@ def render(result: ChaosCampaignResult) -> str:
         lines.append(f"  BUDGET {v}")
     lines.append("  PASS" if result.passed else "  FAIL")
     return "\n".join(lines)
-
-
-def run_chaos(seed: int = 20170905,
-              trials: int = 200,
-              *,
-              n: int = 12,
-              out_dir: Path | str = "results/chaos") -> tuple[
-                  ChaosCampaignResult, Path]:
-    """Run one campaign and persist its ledger + fixtures under ``out_dir``."""
-    out = Path(out_dir)
-    result = run_campaign(seed, trials, n=n, fixtures_dir=out / "fixtures")
-    return result, write_ledger(result.as_dict(), out, "CHAOS")
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Run a campaign; exit 1 on any oracle or budget violation."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="chaos campaign: randomized fault storms vs the "
-                    "composed resilient stack")
-    parser.add_argument("--seed", type=int, default=20170905)
-    parser.add_argument("--trials", type=int, default=200)
-    parser.add_argument("--n", type=int, default=12, help="mesh size")
-    parser.add_argument("--out", default="results/chaos",
-                        help="directory for CHAOS_<n>.json + fixtures/")
-    args = parser.parse_args(argv)
-    result, path = run_chaos(args.seed, args.trials, n=args.n,
-                             out_dir=args.out)
-    print(render(result))
-    print(f"ledger written to {path}")
-    return result.exit_code
-
-
-if __name__ == "__main__":
-    import sys
-    sys.exit(main())

@@ -47,10 +47,11 @@ def write_report(out_dir: Path, fig3_mesh: int = 48) -> list[Path]:
     write("stability_sweep.txt", stability_sweep.render(sweep))
 
     from repro.harness import chaos_sweep
-    chaos, ledger = chaos_sweep.run_chaos(
-        trials=50, out_dir=out_dir / "chaos")
+    from repro.harness.ledger import write_ledger
+    from repro.resilience.chaos import run_campaign
+    chaos = run_campaign(trials=50, fixtures_dir=out_dir / "chaos" / "fixtures")
     write("chaos_campaign.txt", chaos_sweep.render(chaos))
-    paths.append(ledger)
+    paths.append(write_ledger(chaos.as_dict(), out_dir / "chaos", "CHAOS"))
 
     paths.extend(write_trace_profile(out_dir))
     return paths

@@ -14,7 +14,7 @@ regression).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.resilience import FaultPlan, FaultRule, ResilienceReport, run_resilient
 from repro.solvers import SolverOptions
@@ -149,7 +149,8 @@ def run_resilience_sweep(n: int = 24,
 
 
 def render(sweep: ResilienceSweepResult) -> str:
-    """Human-readable sweep table."""
+    """Human-readable sweep table, closed by a ``FAILED:`` line naming
+    every configuration that did not converge."""
     lines = [f"== resilience sweep: crooked pipe n={sweep.n}, "
              f"seed={sweep.seed} =="]
     for name in sweep.solvers:
@@ -164,36 +165,10 @@ def render(sweep: ResilienceSweepResult) -> str:
                 f"{r.retries:3d} retrie(s) {r.rollbacks:2d} rollback(s) "
                 f"{r.recoveries:2d} recover(ies)"
                 + ("  degraded" if r.degraded else ""))
-    return "\n".join(lines)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Run the sweep; exit 1 when any configuration failed to converge."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="resilience sweep: fault rate x solver")
-    parser.add_argument("--n", type=int, default=24, help="mesh size")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--size", type=int, default=1, help="world size")
-    parser.add_argument("--integrity", action="store_true",
-                        help="enable the checksummed-envelope comm layer")
-    args = parser.parse_args(argv)
-    solvers = SOLVERS
-    if args.integrity:
-        solvers = [(name, replace(options, integrity=True))
-                   for name, options in SOLVERS]
-    sweep = run_resilience_sweep(n=args.n, seed=args.seed, size=args.size,
-                                 solvers=solvers)
-    print(render(sweep))
     if not sweep.all_converged:
         failed = [(name, rate) for (name, rate), r in sweep.reports.items()
                   if not r.converged]
-        print(f"FAILED: {len(failed)} configuration(s) did not converge: "
-              + ", ".join(f"{n}@{r:g}" for n, r in failed))
-    return sweep.exit_code
-
-
-if __name__ == "__main__":
-    import sys
-    sys.exit(main())
+        lines.append(f"FAILED: {len(failed)} configuration(s) did not "
+                     "converge: "
+                     + ", ".join(f"{n}@{r:g}" for n, r in failed))
+    return "\n".join(lines)

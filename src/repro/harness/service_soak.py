@@ -36,15 +36,15 @@ import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.harness.ledger import to_json, write_ledger
 from repro.harness.service_sweep import (
-    SWEEP_EPS,
+    ORACLE_THRESHOLD,
     _deck_text,
     _percentile,
     _weighted,
+    check_oracle,
+    service_config,
 )
-from repro.resilience.chaos import ORACLE_RESIDUAL_SLACK, GoldenCache
-from repro.service.engine import ServiceConfig, ServiceEngine
+from repro.service.engine import ServiceEngine
 from repro.service.journal import RequestJournal, scan_journal
 from repro.service.recovery import ResultStore
 from repro.service.requests import STATUSES, SolveRequest
@@ -128,19 +128,16 @@ def generate_soak_requests(seed: int, count: int) -> list[SolveRequest]:
     return requests
 
 
-def _engine_config(seed: int, workers: int, group_size: int) -> ServiceConfig:
-    return ServiceConfig(workers=workers, group_size=group_size,
-                         max_queue=8, quota_rate=300.0, quota_burst=12.0,
-                         chaos_seed=seed, stuck_after_s=0.05)
+def _engine_config(seed: int):
+    return service_config(seed, stuck_after_s=0.05)
 
 
-def _run_campaign(root: Path, seed: int, count: int, workers: int,
-                  group_size: int):
+def _run_campaign(root: Path, seed: int, count: int):
     """One full engine pass over the workload with durability on."""
     root = Path(root)
     journal = RequestJournal(root / "wal")
     engine = ServiceEngine(
-        _engine_config(seed, workers, group_size),
+        _engine_config(seed),
         journal=journal,
         results=ResultStore(root / "results"),
         checkpoint_root=root / "checkpoints")
@@ -152,8 +149,8 @@ def _run_campaign(root: Path, seed: int, count: int, workers: int,
 # -- child process: run until the armed kill fires ---------------------------
 
 
-def _child(root: Path, seed: int, count: int, workers: int,
-           group_size: int, kill_seed: int, cycle: int) -> int:
+def _child(root: Path, seed: int, count: int, kill_seed: int,
+           cycle: int) -> int:
     """Run the campaign with a seeded SIGKILL armed; 0 = ran to completion.
 
     The kill point is drawn relative to the *reopened* journal's record
@@ -167,7 +164,7 @@ def _child(root: Path, seed: int, count: int, workers: int,
     mode = "torn" if rng.random() < TORN_PROBABILITY else "clean"
     journal.arm_kill(kill_after, mode)
     engine = ServiceEngine(
-        _engine_config(seed, workers, group_size),
+        _engine_config(seed),
         journal=journal,
         results=ResultStore(root / "results"),
         checkpoint_root=root / "checkpoints")
@@ -185,8 +182,7 @@ def _child(root: Path, seed: int, count: int, workers: int,
     # Survived the armed kill: the campaign is complete.  Persist what
     # only this process knows (outcomes + runtime recovery stats); the
     # parent re-loads it for the golden comparison.
-    oracle, oracle_violations = _check_oracle(
-        outcomes, generate_soak_requests(seed, count))
+    oracle, oracle_violations = _oracle(outcomes, seed, count)
     (root / "outcomes.json").write_text(json.dumps({
         "outcomes": [o.to_dict() for o in outcomes],
         "oracle": oracle,
@@ -196,28 +192,12 @@ def _child(root: Path, seed: int, count: int, workers: int,
     return 0
 
 
-def _check_oracle(outcomes, requests) -> tuple[dict, list[str]]:
-    """PR 7's differential oracle over every served solution."""
-    golden = GoldenCache()
-    threshold = ORACLE_RESIDUAL_SLACK * SWEEP_EPS
-    checked = 0
-    skipped = 0
-    violations: list[str] = []
-    n_of = {r.request_id: r.n for r in requests}
-    for o in outcomes:
-        if o.status not in ("completed", "degraded"):
-            continue
-        if o.x is None:
-            skipped += 1
-            continue
-        checked += 1
-        rel = golden.true_relative_residual(o.x, n_of[o.request_id])
-        if rel > threshold:
-            violations.append(
-                f"{o.request_id}: true relative residual {rel:.3e} "
-                f"> {threshold:.1e}")
+def _oracle(outcomes, seed: int, count: int) -> tuple[dict, list[str]]:
+    """The differential oracle's ledger summary and its violations."""
+    checked, skipped, violations = check_oracle(
+        outcomes, generate_soak_requests(seed, count))
     return ({"checked": checked, "skipped": skipped,
-             "threshold": threshold,
+             "threshold": ORACLE_THRESHOLD,
              "violations": len(violations)}, violations)
 
 
@@ -296,7 +276,7 @@ class ServiceSoakResult:
     def exit_code(self) -> int:
         return 0 if self.passed else 1
 
-    def to_dict(self) -> dict:
+    def as_dict(self) -> dict:
         return {
             "schema": SCHEMA,
             "seed": self.seed,
@@ -309,9 +289,6 @@ class ServiceSoakResult:
             "violations": list(self.violations),
             "outcomes": list(self.outcomes),
         }
-
-    def to_json(self) -> str:
-        return to_json(self.to_dict())
 
 
 def _stats(outcomes: list[dict]) -> dict:
@@ -335,8 +312,7 @@ def _stats(outcomes: list[dict]) -> dict:
 
 
 def run_service_soak(seed: int = 424243, count: int = 30, *,
-                     kill_seed: int = 7, workers: int = 2,
-                     group_size: int = 2,
+                     kill_seed: int = 7,
                      work_dir: Path) -> ServiceSoakResult:
     """Kill/restart campaign + golden comparison; see the module docs.
 
@@ -349,12 +325,7 @@ def run_service_soak(seed: int = 424243, count: int = 30, *,
     golden_root = work_dir / "golden"
     killed_root.mkdir(parents=True, exist_ok=True)
 
-    child_args = [sys.executable, "-m", "repro.harness.service_soak",
-                  "--child", "--root", str(killed_root),
-                  "--seed", str(seed), "--requests", str(count),
-                  "--kill-seed", str(kill_seed),
-                  "--workers", str(workers),
-                  "--group-size", str(group_size)]
+    child_args = (str(killed_root), seed, count, kill_seed)
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[2])
     env["PYTHONPATH"] = src + (
@@ -367,8 +338,10 @@ def run_service_soak(seed: int = 424243, count: int = 30, *,
             raise RuntimeError(
                 f"service soak made no progress in {MAX_CYCLES} cycles")
         cycles += 1
+        call = ("import sys; from repro.harness.service_soak import _child; "
+                f"sys.exit(_child(*{child_args + (cycles,)!r}))")
         proc = subprocess.run(
-            child_args + ["--cycle", str(cycles)], env=env,
+            [sys.executable, "-c", call], env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
         if proc.returncode == 0:
             break
@@ -383,11 +356,10 @@ def run_service_soak(seed: int = 424243, count: int = 30, *,
     recovered = child_out["outcomes"]
 
     # Uninterrupted same-seed reference, fully independent tree.
-    golden_engine, golden_outcomes = _run_campaign(
-        golden_root, seed, count, workers, group_size)
+    golden_engine, golden_outcomes = _run_campaign(golden_root, seed, count)
     golden_dicts = [o.to_dict() for o in golden_outcomes]
-    golden_oracle, golden_oracle_violations = _check_oracle(
-        golden_outcomes, generate_soak_requests(seed, count))
+    golden_oracle, golden_oracle_violations = _oracle(
+        golden_outcomes, seed, count)
 
     violations: list[str] = []
     outcomes_match = recovered == golden_dicts
@@ -431,7 +403,7 @@ def run_service_soak(seed: int = 424243, count: int = 30, *,
         seed=seed,
         kill_seed=kill_seed,
         requests=count,
-        config=asdict(_engine_config(seed, workers, group_size)),
+        config=asdict(_engine_config(seed)),
         outcomes=recovered,
         stats=_stats(recovered),
         checks=checks,
@@ -484,58 +456,3 @@ def render(result: ServiceSoakResult) -> str:
         lines.append(f"  VIOLATION {v}")
     lines.append("  PASS" if result.passed else "  FAIL")
     return "\n".join(lines)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Run the kill/restart soak; exit 1 on any durability violation."""
-    import argparse
-    import tempfile
-
-    parser = argparse.ArgumentParser(
-        description="SIGKILL/restart soak of the journaled solve service "
-                    "-> SOAK_SERVICE_<n>.json")
-    parser.add_argument("--seed", type=int, default=424243)
-    parser.add_argument("--requests", type=int, default=30)
-    parser.add_argument("--kill-seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--group-size", type=int, default=2)
-    parser.add_argument("--out", default="results/service",
-                        help="directory for SOAK_SERVICE_<n>.json")
-    parser.add_argument("--index", type=int, default=-1,
-                        help="pin the ledger index (-1: next free slot)")
-    parser.add_argument("--work-dir", default="",
-                        help="journal/results scratch tree "
-                             "(default: a temp dir)")
-    # internal: one kill cycle inside the scratch tree
-    parser.add_argument("--child", action="store_true",
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--root", default="", help=argparse.SUPPRESS)
-    parser.add_argument("--cycle", type=int, default=0,
-                        help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-
-    if args.child:
-        return _child(Path(args.root), args.seed, args.requests,
-                      args.workers, args.group_size, args.kill_seed,
-                      args.cycle)
-
-    if args.work_dir:
-        result = run_service_soak(
-            args.seed, args.requests, kill_seed=args.kill_seed,
-            workers=args.workers, group_size=args.group_size,
-            work_dir=Path(args.work_dir))
-    else:
-        with tempfile.TemporaryDirectory(prefix="service-soak-") as td:
-            result = run_service_soak(
-                args.seed, args.requests, kill_seed=args.kill_seed,
-                workers=args.workers, group_size=args.group_size,
-                work_dir=Path(td))
-    path = write_ledger(result.to_dict(), Path(args.out), "SOAK_SERVICE",
-                        args.index if args.index >= 0 else None)
-    print(render(result))
-    print(f"ledger written to {path}")
-    return result.exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
-from repro.harness.ledger import to_json, write_ledger
 from repro.physics.deck import CROOKED_PIPE_DECK
 from repro.resilience.chaos import ORACLE_RESIDUAL_SLACK, GoldenCache
 from repro.service.engine import ServiceConfig, ServiceEngine
@@ -47,9 +45,12 @@ SOLVER_MIX = (
     ("use_chebyshev", "tl_eigen_warmup_iters=8\ntl_enable_checksums", 2),
 )
 
-#: Deck tolerance every sweep request runs at (the oracle threshold is
-#: ORACLE_RESIDUAL_SLACK times this; matches PR 7's campaign configs).
+#: Deck tolerance every sweep request runs at (the chaos campaign's).
 SWEEP_EPS = 1e-8
+
+#: True relative residual above which a served solution fails the
+#: differential oracle.
+ORACLE_THRESHOLD = ORACLE_RESIDUAL_SLACK * SWEEP_EPS
 
 _POISON_DECKS = (
     "*tea\nbogus_key=1\n*endtea\n",                       # unknown setting
@@ -166,7 +167,7 @@ class ServiceSweepResult:
     def exit_code(self) -> int:
         return 0 if self.passed else 1
 
-    def to_dict(self) -> dict:
+    def as_dict(self) -> dict:
         return {
             "schema": SCHEMA,
             "seed": self.seed,
@@ -179,9 +180,6 @@ class ServiceSweepResult:
             "violations": list(self.violations),
             "outcomes": list(self.outcomes),
         }
-
-    def to_json(self) -> str:
-        return to_json(self.to_dict())
 
 
 def _compute_stats(outcomes, engine: ServiceEngine) -> dict:
@@ -234,37 +232,47 @@ def _compute_stats(outcomes, engine: ServiceEngine) -> dict:
     }
 
 
-def _check_oracle(outcomes, requests) -> tuple[dict, list[str]]:
-    """Differential oracle over every served solution (PR 7 reuse)."""
+def check_oracle(outcomes, requests) -> tuple[int, int, list[str]]:
+    """The chaos campaign's differential oracle over every served solution:
+    ``(checked, skipped, violations)``, where ``skipped`` counts served
+    outcomes that carry no solution to check."""
     golden = GoldenCache()
-    threshold = ORACLE_RESIDUAL_SLACK * SWEEP_EPS
-    checked = 0
+    checked = skipped = 0
     violations: list[str] = []
     n_of = {r.request_id: r.n for r in requests}
     for o in outcomes:
-        if o.status not in ("completed", "degraded") or o.x is None:
+        if o.status not in ("completed", "degraded"):
+            continue
+        if o.x is None:
+            skipped += 1
             continue
         checked += 1
         rel = golden.true_relative_residual(o.x, n_of[o.request_id])
-        if rel > threshold:
+        if rel > ORACLE_THRESHOLD:
             violations.append(
                 f"{o.request_id}: true relative residual {rel:.3e} "
-                f"> {threshold:.1e}")
-    return ({"checked": checked, "threshold": threshold,
-             "violations": len(violations)}, violations)
+                f"> {ORACLE_THRESHOLD:.1e}")
+    return checked, skipped, violations
+
+
+def service_config(seed: int, *, workers: int = 2, group_size: int = 2,
+                   stuck_after_s: float = 0.0) -> ServiceConfig:
+    """The engine configuration of the service campaigns (sweep and
+    soak): a short queue and a quota the heavy tenant trips."""
+    return ServiceConfig(workers=workers, group_size=group_size,
+                         max_queue=8, quota_rate=300.0, quota_burst=12.0,
+                         chaos_seed=seed, stuck_after_s=stuck_after_s)
 
 
 def run_service_sweep(seed: int = 20170905,
                       count: int = 200,
                       *,
                       chaos: bool = True,
-                      config: ServiceConfig | None = None,
+                      workers: int = 2,
+                      group_size: int = 2,
                       slo: dict | None = None) -> ServiceSweepResult:
     """Run one sweep and judge it against the SLO budgets."""
-    cfg = config if config is not None else ServiceConfig(
-        workers=2, group_size=2, max_queue=8,
-        quota_rate=300.0, quota_burst=12.0,
-        chaos_seed=seed)
+    cfg = service_config(seed, workers=workers, group_size=group_size)
     budgets = dict(DEFAULT_SLO)
     if slo:
         budgets.update(slo)
@@ -280,10 +288,10 @@ def run_service_sweep(seed: int = 20170905,
         violations.append(
             f"{len(unclassified)} unclassified outcome(s): "
             + ", ".join(o.request_id for o in unclassified[:5]))
-    oracle, oracle_violations = _check_oracle(outcomes, requests)
+    checked, _, oracle_violations = check_oracle(outcomes, requests)
+    oracle = {"checked": checked, "threshold": ORACLE_THRESHOLD,
+              "violations": len(oracle_violations)}
     violations.extend(oracle_violations[:10])
-    if oracle["violations"] > budgets["max_oracle_violations"]:
-        pass  # the individual messages above already fail the sweep
     if stats["served_rate"] < budgets["min_served_rate"]:
         violations.append(
             f"served_rate {stats['served_rate']:.3f} "
@@ -350,40 +358,3 @@ def render(result: ServiceSweepResult) -> str:
         lines.append(f"  SLO {v}")
     lines.append("  PASS" if result.passed else "  FAIL")
     return "\n".join(lines)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Run a sweep; exit 1 on any SLO or oracle violation."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="deterministic multi-tenant service load sweep "
-                    "-> SERVICE_<n>.json")
-    parser.add_argument("--seed", type=int, default=20170905)
-    parser.add_argument("--requests", type=int, default=200)
-    parser.add_argument("--no-chaos", action="store_true",
-                        help="disable fault storms / crashes")
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--group-size", type=int, default=2,
-                        help="SPMD ranks per worker group")
-    parser.add_argument("--out", default="results/service",
-                        help="directory for SERVICE_<n>.json")
-    parser.add_argument("--index", type=int, default=-1,
-                        help="pin the ledger index (-1: next free slot)")
-    args = parser.parse_args(argv)
-
-    cfg = ServiceConfig(workers=args.workers, group_size=args.group_size,
-                        max_queue=8, quota_rate=300.0, quota_burst=12.0,
-                        chaos_seed=args.seed)
-    result = run_service_sweep(args.seed, args.requests,
-                               chaos=not args.no_chaos, config=cfg)
-    path = write_ledger(result.to_dict(), Path(args.out), "SERVICE",
-                        args.index if args.index >= 0 else None)
-    print(render(result))
-    print(f"ledger written to {path}")
-    return result.exit_code
-
-
-if __name__ == "__main__":
-    import sys
-    sys.exit(main())

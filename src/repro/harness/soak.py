@@ -1,6 +1,6 @@
-"""Soak driver: kill/restart cycles under fault storms, from the CLI.
+"""Soak summary: kill/restart cycles under fault storms, as text.
 
-Thin harness over :func:`repro.resilience.chaos.run_soak`: each cycle
+``repro soak`` runs :func:`repro.resilience.chaos.run_soak`: each cycle
 relaunches the SPMD world, restores from the newest durable checkpoint
 and advances under a seeded transient-fault storm; the final temperature
 must be bit-identical to one uninterrupted fault-free run.  The report
@@ -9,10 +9,8 @@ is written as ``SOAK_<n>.json`` next to the checkpoints.
 
 from __future__ import annotations
 
-from pathlib import Path
+from repro.resilience.chaos import SoakReport
 
-from repro.harness.ledger import write_ledger
-from repro.resilience.chaos import SoakReport, run_soak
 
 def render(report: SoakReport) -> str:
     """Human-readable soak summary."""
@@ -29,34 +27,3 @@ def render(report: SoakReport) -> str:
         lines.append(f"  VIOLATION: {v}")
     lines.append("  PASS" if report.passed else "  FAIL")
     return "\n".join(lines)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Run a soak; exit 1 when any cycle violated the oracle."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="soak: periodic fault storms and kill/restart cycles")
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--cycles", type=int, default=3)
-    parser.add_argument("--steps-per-cycle", type=int, default=2)
-    parser.add_argument("--n", type=int, default=16, help="mesh size")
-    parser.add_argument("--ranks", type=int, default=2,
-                        help="SPMD world size (thread ranks)")
-    parser.add_argument("--out", default="results/soak",
-                        help="directory for checkpoints + SOAK_<n>.json")
-    args = parser.parse_args(argv)
-    out = Path(args.out)
-    report = run_soak(seed=args.seed, cycles=args.cycles,
-                      steps_per_cycle=args.steps_per_cycle, n=args.n,
-                      nranks=args.ranks,
-                      checkpoint_root=out / "checkpoints")
-    print(render(report))
-    path = write_ledger(report.as_dict(), out, "SOAK")
-    print(f"report written to {path}")
-    return report.exit_code
-
-
-if __name__ == "__main__":
-    import sys
-    sys.exit(main())

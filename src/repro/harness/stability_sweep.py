@@ -39,7 +39,7 @@ from repro.utils.errors import ConvergenceError
 
 #: Conductivity jumps swept by default (subset of the full
 #: :data:`~repro.physics.STABILITY_JUMPS` battery to keep the smoke
-#: target quick; ``--jumps`` widens it).
+#: target quick; ``repro stability --jumps`` widens it).
 JUMPS = (1e4, 1e8)
 
 #: Working precisions studied.
@@ -274,7 +274,8 @@ def run_stability_sweep(n: int = 24,
 
 
 def render(sweep: StabilitySweepResult) -> str:
-    """Human-readable sweep table."""
+    """Human-readable sweep table, closed by a ``FAILED:`` line naming
+    every protected cell that missed its acceptance."""
     lines = [f"== stability sweep: crooked-pipe battery n={sweep.n}, "
              f"eps={sweep.eps:g} =="]
     for label in sweep.solvers:
@@ -306,34 +307,9 @@ def render(sweep: StabilitySweepResult) -> str:
                         lines.append(f"      diagnosis: {c.diagnosis}")
     lines.append(f"false convergences (unprotected): "
                  f"{sweep.false_convergences}")
-    return "\n".join(lines)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Run the sweep; exit 1 when any protected cell failed."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="stability sweep: solver x dtype x depth over the "
-                    "ill-conditioned crooked-pipe battery")
-    parser.add_argument("--n", type=int, default=24, help="mesh size")
-    parser.add_argument("--eps", type=float, default=1e-8)
-    parser.add_argument("--max-iters", type=int, default=600)
-    parser.add_argument("--size", type=int, default=1, help="world size")
-    parser.add_argument("--jumps", type=float, nargs="+", default=list(JUMPS),
-                        help="conductivity jumps of the battery")
-    args = parser.parse_args(argv)
-    sweep = run_stability_sweep(n=args.n, eps=args.eps,
-                                max_iters=args.max_iters,
-                                jumps=tuple(args.jumps), size=args.size)
-    print(render(sweep))
     if not sweep.all_protected_pass:
         failed = [c for c in sweep.protected_cells if not c.passes(sweep.eps)]
-        print(f"FAILED: {len(failed)} protected cell(s): "
-              + ", ".join(f"{c.solver}/{c.dtype}@{c.jump:g}" for c in failed))
-    return sweep.exit_code
-
-
-if __name__ == "__main__":
-    import sys
-    sys.exit(main())
+        lines.append(f"FAILED: {len(failed)} protected cell(s): "
+                     + ", ".join(f"{c.solver}/{c.dtype}@{c.jump:g}"
+                                 for c in failed))
+    return "\n".join(lines)

@@ -809,9 +809,6 @@ class ChaosCampaignResult:
             "trial_rows": [r.row() for r in self.results],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
-
 
 def run_campaign(seed: int = 20170905,
                  trials: int = 200,
@@ -1073,9 +1070,6 @@ class SoakReport:
             "cycles": [c.row() for c in self.cycles],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
-
 
 def storm_plan(seed: int, cycle: int, *, nranks: int) -> FaultPlan:
     """The (transparent) fault storm of one soak cycle.
@@ -1100,7 +1094,7 @@ def run_soak(*,
              cycles: int = 3,
              steps_per_cycle: int = 2,
              n: int = 16,
-             nranks: int = 1,
+             nranks: int = 2,
              checkpoint_root,
              options: SolverOptions | None = None) -> SoakReport:
     """Soak the mini-app: periodic fault storms and kill/restart cycles.

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.harness.ledger import to_json
 from repro.observe import MetricsRegistry, record_chaos_metrics
 from repro.resilience import FaultPlan
 from repro.resilience.chaos import (
@@ -138,12 +139,12 @@ class TestCampaignDeterminism:
                                   workdir=tmp_path / f"run{run}")
             assert result.passed, (result.oracle_violations,
                                    result.budget_violations())
-            ledgers.append(result.to_json())
+            ledgers.append(to_json(result.as_dict()))
         assert ledgers[0] == ledgers[1]
 
     def test_ledger_shape(self, tmp_path):
         result = run_campaign(trials=25, workdir=tmp_path)
-        data = json.loads(result.to_json())
+        data = json.loads(to_json(result.as_dict()))
         assert data["schema"] == "repro.chaos/v1"
         assert data["trials"] == 25
         assert len(data["trial_rows"]) == 25

@@ -1,10 +1,18 @@
 """Integration tests: the command-line interface."""
 
+import argparse
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.cli.main import build_parser, main
+from repro.harness.resilience_sweep import run_resilience_sweep
+from repro.harness.service_soak import run_service_soak
+from repro.harness.service_sweep import run_service_sweep
+from repro.harness.stability_sweep import run_stability_sweep
 from repro.physics.deck import CROOKED_PIPE_DECK
+from repro.resilience.chaos import run_campaign, run_soak
 
 
 @pytest.fixture
@@ -29,6 +37,33 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+#: campaign subcommand -> the run_* function its flags feed
+CAMPAIGNS = {"chaos": run_campaign, "soak": run_soak,
+             "serve": run_service_sweep, "service-soak": run_service_soak,
+             "resilience": run_resilience_sweep,
+             "stability": run_stability_sweep}
+
+#: campaign flags that feed no run_* parameter: where the ledger goes,
+#: the serve demo, and the options rewrite of ``resilience --integrity``
+NOT_RUN_PARAMETERS = {"help", "out", "index", "demo", "integrity"}
+
+
+@pytest.mark.parametrize("command", list(CAMPAIGNS))
+def test_campaign_defaults_are_the_run_defaults(command):
+    """A campaign run with no flags runs its ``run_*`` function's default
+    campaign: every flag is named for the parameter it feeds and
+    defaults to that parameter's default."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    params = inspect.signature(CAMPAIGNS[command]).parameters
+    for action in sub._actions:
+        if action.dest in NOT_RUN_PARAMETERS:
+            continue
+        assert action.dest in params, (command, action.option_strings)
+        assert action.default == params[action.dest].default, \
+            (command, action.option_strings)
 
 
 class TestTealeafCommand:

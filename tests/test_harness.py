@@ -172,11 +172,17 @@ class TestReport:
         assert all(p.stat().st_size > 0 for p in paths)
 
 
-@pytest.mark.parametrize("module", ["chaos_sweep", "resilience_sweep",
-                                    "stability_sweep"])
+#: harness module -> the ``repro`` subcommand that runs its campaign
+CAMPAIGNS = {"chaos_sweep": "chaos", "resilience_sweep": "resilience",
+             "stability_sweep": "stability", "soak": "soak",
+             "service_sweep": "serve", "service_soak": "service-soak"}
+
+
+@pytest.mark.parametrize("module", list(CAMPAIGNS))
 def test_campaign_module_runs_without_runpy_warning(module):
-    """``python -m repro.harness.<module>`` must not find its module
-    already imported by the package (runpy's RuntimeWarning)."""
+    """``python -m repro.cli.main <campaign> --help`` must not find
+    ``repro.cli.main`` already imported by its package (runpy's
+    RuntimeWarning)."""
     import os
     import subprocess
     import sys
@@ -188,6 +194,6 @@ def test_campaign_module_runs_without_runpy_warning(module):
                    filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m",
-         f"repro.harness.{module}", "--help"],
+         "repro.cli.main", CAMPAIGNS[module], "--help"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -93,11 +93,11 @@ class TestLedgerIO:
         result = service_soak.ServiceSoakResult(
             seed=1, kill_seed=2, requests=3, config={})
         result.oracle = {"checked": 0, "skipped": 0, "violations": 0}
-        path = ledger.write_ledger(result.to_dict(), tmp_path, "SOAK_SERVICE")
+        path = ledger.write_ledger(result.as_dict(), tmp_path, "SOAK_SERVICE")
         assert path.name == "SOAK_SERVICE_0.json"
         assert ledger.next_ledger_path(tmp_path, "SOAK_SERVICE").name == \
             "SOAK_SERVICE_1.json"
-        pinned = ledger.write_ledger(result.to_dict(), tmp_path,
+        pinned = ledger.write_ledger(result.as_dict(), tmp_path,
                                      "SOAK_SERVICE", index=10)
         assert pinned.name == "SOAK_SERVICE_10.json"
         data = json.loads(pinned.read_text())
@@ -107,8 +107,8 @@ class TestLedgerIO:
         result = service_soak.ServiceSoakResult(
             seed=1, kill_seed=2, requests=0, config={},
             runtime={"kills": 7})
-        assert "runtime" not in result.to_dict()
-        assert "kills" not in json.dumps(result.to_dict())
+        assert "runtime" not in result.as_dict()
+        assert "kills" not in json.dumps(result.as_dict())
 
 
 @pytest.mark.slow
@@ -161,4 +161,4 @@ def test_committed_ledger_matches_regeneration(tmp_path):
     fresh = service_soak.run_service_soak(
         data["seed"], data["requests"], kill_seed=data["kill_seed"],
         work_dir=tmp_path)
-    assert fresh.to_json() + "\n" == pinned.read_text()
+    assert ledger.to_json(fresh.as_dict()) + "\n" == pinned.read_text()

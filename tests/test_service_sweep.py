@@ -29,7 +29,8 @@ def result():
 class TestDeterminism:
     def test_same_seed_byte_identical(self, result):
         again = service_sweep.run_service_sweep(SEED, COUNT)
-        assert again.to_json() == result.to_json()
+        assert ledger.to_json(again.as_dict()) == \
+            ledger.to_json(result.as_dict())
 
     def test_request_generation_seeded(self):
         a = service_sweep.generate_requests(7, 20)
@@ -73,7 +74,7 @@ class TestClassification:
 
 class TestLedgerIO:
     def test_schema_and_naming(self, result, tmp_path):
-        path = ledger.write_ledger(result.to_dict(), tmp_path, "SERVICE")
+        path = ledger.write_ledger(result.as_dict(), tmp_path, "SERVICE")
         assert path.name == "SERVICE_0.json"
         data = json.loads(path.read_text())
         assert data["schema"] == "repro.service/v1"
@@ -82,7 +83,7 @@ class TestLedgerIO:
         assert next_path.name == "SERVICE_1.json"
 
     def test_pinned_index(self, result, tmp_path):
-        path = ledger.write_ledger(result.to_dict(), tmp_path, "SERVICE",
+        path = ledger.write_ledger(result.as_dict(), tmp_path, "SERVICE",
                                    index=9)
         assert path.name == "SERVICE_9.json"
 
@@ -101,12 +102,13 @@ def test_committed_ledger_matches_regeneration():
     pinned = Path(__file__).resolve().parents[1] / "SERVICE_9.json"
     data = json.loads(pinned.read_text())
     fresh = service_sweep.run_service_sweep(data["seed"], data["requests"])
-    assert fresh.to_json() + "\n" == pinned.read_text()
+    assert ledger.to_json(fresh.as_dict()) + "\n" == pinned.read_text()
 
 
 def test_cli_main_writes_ledger(tmp_path, capsys):
-    rc = service_sweep.main(["--seed", "3", "--requests", "30",
-                             "--out", str(tmp_path)])
+    from repro.cli.main import main
+    rc = main(["serve", "--seed", "3", "--requests", "30",
+               "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert "ledger written to" in out
     data = json.loads((tmp_path / "SERVICE_0.json").read_text())

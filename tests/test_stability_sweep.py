@@ -106,8 +106,9 @@ class TestStabilitySweep:
             1 for c in cells if c.breakdown)
 
     def test_main_exit_code(self):
-        from repro.harness.stability_sweep import main
-        rc = main(["--n", "12", "--jumps", "1e4", "--eps", "1e-6"])
+        from repro.cli.main import main
+        rc = main(["stability", "--n", "12", "--jumps", "1e4",
+                   "--eps", "1e-6"])
         assert rc == 0
 
 
