@@ -127,8 +127,7 @@ def demo_degradation():
                              max_attempts=2)
                 for i in range(6)]
     engine = ServiceEngine(ServiceConfig(
-        workers=1, max_queue=6, quota_rate=400.0, quota_burst=10.0,
-        degrade_low=0.25, degrade_high=0.5))
+        workers=1, max_queue=6, quota_rate=400.0, quota_burst=10.0))
     outcomes = engine.run(requests)
     degraded = [o for o in outcomes if o.status == "degraded"]
     for o in degraded[:3]:

@@ -22,7 +22,7 @@ small rationals).
 Expected values are derived from the contract plus the run parameters:
 
 - matvec solvers: the declared budget verbatim;
-- Chebyshev: ``allreduces_per_check / check_interval`` reductions and
+- Chebyshev: ``allreduces_per_check / CHECK_INTERVAL`` reductions and
   ``halo_exchanges_per_iter / halo_depth`` exchanges per step (the matrix
   powers kernel amortises one deep exchange over ``halo_depth`` steps);
 - CPPCG: ``halo_exchanges_per_iter + ceil(inner_steps / halo_depth) *
@@ -135,9 +135,11 @@ def _per_iter(contract):
 
 
 def _cheby_expected(depth):
+    from repro.solvers.chebyshev import CHECK_INTERVAL
+
     def expected(contract):
         ar = (contract["allreduces_per_iter"]
-              + contract.get("allreduces_per_check", 0) / 10)
+              + contract.get("allreduces_per_check", 0) / CHECK_INTERVAL)
         return ar, contract["halo_exchanges_per_iter"] / depth
     return expected
 
@@ -153,7 +155,7 @@ def _ppcg_expected(inner, depth):
 
 def default_specs() -> list[VerifySpec]:
     """The shipped solver configurations to verify."""
-    cheby = dict(solver="chebyshev", eigen_warmup_iters=8, check_interval=10)
+    cheby = dict(solver="chebyshev", eigen_warmup_iters=8)
     ppcg = dict(solver="ppcg", eigen_warmup_iters=8)
     return [
         VerifySpec(

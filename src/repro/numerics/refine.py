@@ -45,6 +45,11 @@ from repro.utils.events import replacement_scope
 #: ``u_working * kappa`` exceeds this (the inner solver then cannot even
 #: resolve the defect system's dominant digits).
 HOPELESS_THRESHOLD = 0.1
+#: Outer refinement-step budget.
+REFINE_MAX_STEPS = 8
+#: A refinement step stagnates when the defect norm fails to contract
+#: below this fraction of the previous step's norm.
+REFINE_STAGNATION = 0.5
 
 
 @dataclass(frozen=True)
@@ -118,7 +123,7 @@ def refined_solve(op, b, x0, options, guard=None, cancel=None,
     escalated = False
     final_result = None
 
-    while norm > threshold and steps < options.refine_max_steps:
+    while norm > threshold and steps < REFINE_MAX_STEPS:
         with tracer.span("refine", working):
             d_w = cast_field(d, working)
             try:
@@ -143,13 +148,13 @@ def refined_solve(op, b, x0, options, guard=None, cancel=None,
                       f"{working} refinement hopeless "
                       f"(u * kappa = {u_work * kappa:.3e})")
             break
-        if not math.isfinite(norm) or norm > options.refine_stagnation * prev:
+        if not math.isfinite(norm) or norm > REFINE_STAGNATION * prev:
             reason = (f"refinement stagnated at step {steps}: defect "
                       f"{prev:.6e} -> {norm:.6e}")
             break
 
     if norm > threshold and not reason:
-        reason = (f"refinement budget of {options.refine_max_steps} "
+        reason = (f"refinement budget of {REFINE_MAX_STEPS} "
                   f"step(s) exhausted at defect {norm:.6e}")
     if norm > threshold:
         # The working precision cannot finish the job: re-solve the

@@ -36,6 +36,9 @@ from repro.resilience.faults import IterationCell
 from repro.utils.errors import ConvergenceError
 from repro.utils.validation import check_positive
 
+DIVERGENCE_RATIO = 1e4   #: default ``divergence_ratio`` (see below)
+MAX_ROLLBACKS = 3        #: default ``max_rollbacks``
+
 
 @dataclass(frozen=True)
 class GuardEvent:
@@ -95,8 +98,8 @@ class SolverGuard:
     """
 
     def __init__(self, checkpoint_interval: int = 10,
-                 divergence_ratio: float = 1e4,
-                 max_rollbacks: int = 3,
+                 divergence_ratio: float = DIVERGENCE_RATIO,
+                 max_rollbacks: int = MAX_ROLLBACKS,
                  iteration: IterationCell | None = None,
                  store=None):
         check_positive("checkpoint_interval", checkpoint_interval)
@@ -121,12 +124,10 @@ class SolverGuard:
     def from_options(cls, options, iteration: IterationCell | None = None,
                      store=None) -> "SolverGuard":
         """The guard ``options`` (``guard_interval > 0``) asks for — the
-        one place the three ``guard_*`` knobs become a guard.  The rank
-        program hands in its stack's iteration cell and the durable
-        store; a bare ``solve_linear`` has neither."""
+        one place ``guard_interval`` becomes a guard.  The rank program
+        hands in its stack's iteration cell and the durable store; a bare
+        ``solve_linear`` has neither."""
         return cls(checkpoint_interval=options.guard_interval,
-                   divergence_ratio=options.guard_divergence_ratio,
-                   max_rollbacks=options.guard_max_rollbacks,
                    iteration=iteration, store=store)
 
     # -- iteration tracking ----------------------------------------------------

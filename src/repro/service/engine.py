@@ -42,6 +42,7 @@ from pathlib import Path
 
 from repro.observe.metrics import MetricsRegistry
 from repro.resilience.chaos import random_fault_plan
+from repro.service.breaker import CircuitBreaker
 from repro.service.cancel import CancelToken, ScheduledCancel
 from repro.service.cache import SetupCache
 from repro.service.degrade import degrade_for_pressure
@@ -56,6 +57,15 @@ from repro.utils.errors import ConfigurationError, JournalError
 
 #: Virtual seconds one solver iteration costs per mesh cell.
 _CELL_COST_S = 1e-7
+_OVERHEAD_S = 2e-4          #: fixed dispatch/teardown charge
+_FAILURE_COST_S = 0.01      #: virtual charge of a failed attempt
+_RETRY_BACKOFF_S = 0.01     #: re-dispatch backoff, doubled per attempt
+_COMM_ATTEMPTS = 5          #: retry budget inside each worker's comm stack
+_BREAKER_THRESHOLD = 3      #: consecutive failures that open a breaker
+_BREAKER_COOLDOWN_S = 0.5   #: virtual seconds a breaker stays open
+_DEGRADE_LOW = 0.5          #: queue-pressure watermark → level 1
+_DEGRADE_HIGH = 0.8         #: queue-pressure watermark → level 2
+_CACHE_ENTRIES = 32         #: setup-cache capacity
 
 #: Relative per-iteration weight of each outer solver iteration (PPCG
 #: outer iterations run ``inner_steps`` Chebyshev applications, hence the
@@ -85,17 +95,8 @@ class ServiceConfig:
     max_queue: int = 8
     quota_rate: float = 50.0        #: tokens / virtual second / tenant
     quota_burst: float = 10.0
-    breaker_threshold: int = 3
-    breaker_cooldown_s: float = 0.5
-    retry_backoff_s: float = 0.01   #: service-level re-dispatch backoff
-    comm_attempts: int = 5          #: retry budget inside the comm stack
-    degrade_low: float = 0.5        #: queue-pressure watermark → level 1
-    degrade_high: float = 0.8       #: queue-pressure watermark → level 2
     degrade_enabled: bool = True
-    cache_entries: int = 32
     cache_enabled: bool = True
-    overhead_s: float = 2e-4        #: fixed dispatch/teardown charge
-    failure_cost_s: float = 0.01    #: virtual charge of a failed attempt
     chaos_seed: int = 0             #: base seed for per-request fault plans
     #: Liveness allowance: a dispatch running longer than this
     #: (virtual seconds, converted to an iteration allowance up front) is
@@ -137,16 +138,14 @@ class ServiceEngine:
         """
         self.config = config if config is not None else ServiceConfig()
         self.metrics = MetricsRegistry()
-        self.cache = SetupCache(self.config.cache_entries,
-                                metrics=self.metrics)
+        self.cache = SetupCache(_CACHE_ENTRIES, metrics=self.metrics)
         self.workers = [
             WorkerGroup(i, group_size=self.config.group_size,
-                        max_attempts=self.config.comm_attempts)
+                        max_attempts=_COMM_ATTEMPTS,
+                        breaker=CircuitBreaker(_BREAKER_THRESHOLD,
+                                               _BREAKER_COOLDOWN_S))
             for i in range(self.config.workers)
         ]
-        for w in self.workers:
-            w.breaker.failure_threshold = self.config.breaker_threshold
-            w.breaker.cooldown_s = self.config.breaker_cooldown_s
         self.now = 0.0
         if tracer is None:
             from repro.observe.trace import NULL_TRACER
@@ -247,9 +246,9 @@ class ServiceEngine:
         if not self.config.degrade_enabled or self.config.max_queue <= 0:
             return 0
         pressure = len(self._queue) / self.config.max_queue
-        if pressure >= self.config.degrade_high:
+        if pressure >= _DEGRADE_HIGH:
             return 2
-        if pressure >= self.config.degrade_low:
+        if pressure >= _DEGRADE_LOW:
             return 1
         return 0
 
@@ -266,7 +265,7 @@ class ServiceEngine:
         req, outcome = pending.req, pending.outcome
         worker.breaker.on_dispatch()
         self.life.dispatched(outcome, worker.wid, self.now)
-        turnaround = self.now + self.config.overhead_s
+        turnaround = self.now + _OVERHEAD_S
         if pending.options is None:     # parsed here, at dispatch: see parse()
             pending.options = self.life.parse(
                 outcome, req.deck_text,
@@ -284,15 +283,15 @@ class ServiceEngine:
         digest = self._digest(req, result, entry, replayed)
         self._journal_attempt(outcome, result, digest)
 
-        duration = (self.config.overhead_s + result.iterations * cost
+        duration = (_OVERHEAD_S + result.iterations * cost
                     + (result.report.virtual_time_s if result.report else 0.0))
-        # A failed attempt costs ``failure_cost_s`` more.  The two sums
+        # A failed attempt costs ``_FAILURE_COST_S`` more.  The two sums
         # associate differently, and SERVICE_9.json pins their bits.
         if result.kind == "fatal":
-            duration += self.config.failure_cost_s
+            duration += _FAILURE_COST_S
         finish_t = self.now + duration
         if result.kind in ("stuck", "retryable"):
-            finish_t += self.config.failure_cost_s
+            finish_t += _FAILURE_COST_S
         outcome.iterations = result.iterations
         if result.report is not None:
             outcome.retries += result.report.retries
@@ -309,7 +308,7 @@ class ServiceEngine:
             or bool(result.report and result.report.degraded))
         if again:
             self._occupy(worker, finish_t)
-            backoff = self.config.retry_backoff_s * (2 ** (outcome.attempts - 1))
+            backoff = _RETRY_BACKOFF_S * (2 ** (outcome.attempts - 1))
             self._push(finish_t + backoff, "retry", pending)
         else:
             self._finish(outcome, worker, finish_t, digest)
@@ -366,7 +365,7 @@ class ServiceEngine:
         return (n, self.config.group_size, options.solver,
                 options.preconditioner, options.halo_depth,
                 options.ppcg_inner_steps, options.eigen_warmup_iters,
-                options.eigen_safety, options.dtype)
+                options.dtype)
 
     def _setup_for(self, options, n: int):
         """Cache lookup (and eager block-Jacobi build) for this dispatch.
@@ -434,7 +433,7 @@ class ServiceEngine:
             plan = random_fault_plan(self.config.chaos_seed, req.chaos_trial,
                                      size=self.config.group_size,
                                      solver=pending.options.solver,
-                                     max_attempts=self.config.comm_attempts,
+                                     max_attempts=_COMM_ATTEMPTS,
                                      fatal_crash=req.chaos_crash
                                      and attempt == 1)
         # The in-flight crash victim (dispatched pre-crash, no attempt

@@ -149,8 +149,8 @@ class RequestLifecycle:
 
         *When* this runs is each driver's: the engine parses at dispatch
         (a poison deck journals ``dispatched`` and occupies a worker for
-        ``overhead_s`` — pinned by ``SERVICE_9.json``), the front before
-        it claims a worker (pinned by ``service_mixed``'s
+        the engine's dispatch overhead — pinned by ``SERVICE_9.json``),
+        the front before it claims a worker (pinned by ``service_mixed``'s
         ``journal.records_per_request``).
 
         With ``managed_checkpoints`` the deck's ``tl_checkpoint_interval``

@@ -56,8 +56,8 @@ from repro.utils.validation import check_finite_field, check_positive
 #: global reductions** — that is the paper's communication-avoiding
 #: property — and one halo exchange per step at depth 1 (amortised to
 #: ``1/halo_depth`` by the matrix powers kernel).  The standalone solver
-#: additionally pays one allreduce per ``check_interval`` steps for the
-#: convergence check, declared as ``allreduces_per_check``.
+#: additionally pays one allreduce per :data:`CHECK_INTERVAL` steps for
+#: the convergence check, declared as ``allreduces_per_check``.
 COMM_CONTRACT = {
     "solver": "chebyshev",
     "halo_exchanges_per_iter": 1,
@@ -66,6 +66,9 @@ COMM_CONTRACT = {
     "halo_depth": 1,
     "hot_function": "ChebyshevIteration.run",
 }
+
+#: Steps of the standalone solver between residual-norm checks.
+CHECK_INTERVAL = 10
 
 
 class ChebyshevIteration:
@@ -300,8 +303,6 @@ def chebyshev_solve(
     eps: float = 1e-10,
     max_iters: int = 20_000,
     warmup_iters: int = 25,
-    eigen_safety: tuple[float, float] = (0.95, 1.05),
-    check_interval: int = 10,
     preconditioner: str = "none",
     halo_depth: int = 1,
     bounds: EigenBounds | None = None,
@@ -313,7 +314,7 @@ def chebyshev_solve(
 
     Runs ``warmup_iters`` of (P)CG to estimate the spectrum (unless
     ``bounds`` is supplied), then iterates the Chebyshev recurrence with a
-    residual-norm check (one allreduce) every ``check_interval`` steps —
+    residual-norm check (one allreduce) every :data:`CHECK_INTERVAL` steps —
     between checks there is **no global communication at all**.
 
     ``raise_on_stall`` raises :class:`ConvergenceError` (solver name,
@@ -324,11 +325,10 @@ def chebyshev_solve(
     True``.  Of the ``defences``
     (:class:`~repro.solvers.defences.Defences`) the guard checkpoints and
     rolls back the recurrence at each convergence check, the stagnation
-    window counts residual *checks* (``check_interval`` steps each), and
+    window counts residual *checks* (:data:`CHECK_INTERVAL` steps each), and
     cancellation fires between checks — right after the previous chunk's
     convergence allreduce synchronised every rank.
     """
-    check_positive("check_interval", check_interval)
     check_finite_field("b", b)
     check_finite_field("x0", x0)
     defences = defences if defences is not None else Defences()
@@ -341,8 +341,7 @@ def chebyshev_solve(
         warmup.iterations = 0
         return warmup
     if bounds is None:
-        bounds = estimate_eigenvalues(warmup.alphas, warmup.betas,
-                                      safety=eigen_safety)
+        bounds = estimate_eigenvalues(warmup.alphas, warmup.betas)
 
     x = warmup.x
     rr = op.new_field()
@@ -358,7 +357,7 @@ def chebyshev_solve(
         watch.boundary()
         watch.begin()
         try:
-            st.it.run(min(check_interval, max_iters - st.iterations))
+            st.it.run(min(CHECK_INTERVAL, max_iters - st.iterations))
         except CommunicationError:
             if not (degrade and st.it.n > 1):
                 raise

@@ -27,6 +27,10 @@ from repro.utils.errors import ConvergenceError
 from repro.utils.events import recovery_scope, replacement_scope
 from repro.utils.validation import check_positive
 
+#: Gap between the true and the recurrence residual norm, as a fraction
+#: of the solve's reference norm, that the ABFT replay treats as corruption.
+ABFT_TOLERANCE = 1e-6
+
 
 @dataclass
 class Defences:
@@ -40,10 +44,10 @@ class Defences:
     object checked at every iteration boundary *before* the iteration
     communicates, so all ranks stop at the same boundary with nothing in
     flight; an inert token is bit-transparent.
-    ``abft_interval`` / ``abft_tolerance`` — when positive, every that many
-    iterations the *true* residual ``b - A x`` is recomputed and compared
-    with the recurrence's ``||r||`` (corruption checksums cannot see); a
-    gap beyond ``abft_tolerance * reference`` rolls back, or raises
+    ``abft_interval`` — when positive, every that many iterations the
+    *true* residual ``b - A x`` is recomputed and compared with the
+    recurrence's ``||r||`` (corruption checksums cannot see); a gap beyond
+    :data:`ABFT_TOLERANCE` ``* reference`` rolls back, or raises
     :class:`ConvergenceError` without a guard.
     ``replace_interval`` / ``replace_adaptive`` / ``replace_tolerance`` —
     residual replacement (:mod:`repro.numerics.replacement`): at that
@@ -56,7 +60,6 @@ class Defences:
     guard: object | None = None
     cancel: object | None = None
     abft_interval: int = 0
-    abft_tolerance: float = 1e-6
     replace_interval: int = 0
     replace_adaptive: bool = False
     replace_tolerance: float = 0.0
@@ -64,7 +67,6 @@ class Defences:
 
     def __post_init__(self):
         check_positive("abft_interval", self.abft_interval, allow_zero=True)
-        check_positive("abft_tolerance", self.abft_tolerance)
         check_positive("replace_interval", self.replace_interval,
                        allow_zero=True)
 
@@ -78,8 +80,8 @@ class Defences:
             guard = SolverGuard.from_options(opt)
         return cls(guard=guard, cancel=cancel, **{
             knob: getattr(opt, knob) for knob in (
-                "abft_interval", "abft_tolerance", "replace_interval",
-                "replace_adaptive", "replace_tolerance", "stagnation_window")})
+                "abft_interval", "replace_interval", "replace_adaptive",
+                "replace_tolerance", "stagnation_window")})
 
     def warmup(self) -> "Defences":
         """For an eigenvalue warm-up phase: replacement and the stagnation
@@ -189,7 +191,7 @@ class Defences:
             (true_rr,) = op.dots([(st.w, st.w)])
             true_norm = residual_norm(true_rr)
             drift = abs(true_norm - st.res_norm)
-            corrupt = abft and drift > self.abft_tolerance * st.reference
+            corrupt = abft and drift > ABFT_TOLERANCE * st.reference
             if replacing and not corrupt and self.replacer.observe(
                     drift, max(true_norm, st.res_norm), st.iterations):
                 st.splice(true_rr)

@@ -134,14 +134,12 @@ def _dispatch(op, b, x0, opt, defences, setup=None,
                                  preconditioner=opt.preconditioner)
     if opt.solver in ("chebyshev", "ppcg"):
         spectral = dict(common, warmup_iters=opt.eigen_warmup_iters,
-                        eigen_safety=opt.eigen_safety,
                         halo_depth=opt.halo_depth,
                         raise_on_stall=opt.raise_on_stall,
                         degrade=opt.degrade,
                         bounds=setup.bounds if setup is not None else None)
         if opt.solver == "chebyshev":
             return chebyshev_solve(op, b, x0, **spectral,
-                                   check_interval=opt.check_interval,
                                    preconditioner=opt.preconditioner)
         return ppcg_solve(op, b, x0, **spectral, adaptive=opt.adaptive,
                           inner_steps=opt.ppcg_inner_steps,

@@ -22,6 +22,10 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from repro.utils.errors import ConfigurationError
 
+#: Safety factors ``(lo, hi)`` widening the Ritz interval of a warm-up
+#: estimate — TeaLeaf's, shared by the Chebyshev and CPPCG solvers.
+EIGEN_SAFETY = (0.95, 1.05)
+
 
 @dataclass(frozen=True)
 class EigenBounds:
@@ -83,7 +87,7 @@ def lanczos_tridiagonal(alphas: np.ndarray, betas: np.ndarray
 def estimate_eigenvalues(
     alphas,
     betas,
-    safety: tuple[float, float] = (0.95, 1.05),
+    safety: tuple[float, float] = EIGEN_SAFETY,
 ) -> EigenBounds:
     """Extreme-eigenvalue estimates from CG coefficients.
 

@@ -39,10 +39,12 @@ class SolverOptions:
     halo_depth:
         Matrix-powers halo depth for Chebyshev/PPCG inner iterations; the
         paper's configurations "PPCG - n" set this to 1/4/8/16.
-    eigen_warmup_iters / eigen_safety:
-        Eigenvalue-estimation controls (§III-D).
-    check_interval:
-        Residual-check cadence for the standalone Chebyshev solver.
+    eigen_warmup_iters:
+        CG warm-up iterations before the eigenvalue estimate (§III-D).
+
+    A field is a setting that a deck key, a CLI flag or a campaign varies;
+    a value nobody varies is a constant beside its one use (say,
+    :data:`~repro.solvers.eigen.EIGEN_SAFETY`).
     """
 
     solver: str = "cg"
@@ -52,8 +54,6 @@ class SolverOptions:
     ppcg_inner_steps: int = 10
     halo_depth: int = 1
     eigen_warmup_iters: int = 25
-    eigen_safety: tuple[float, float] = (0.95, 1.05)
-    check_interval: int = 10
     #: PPCG robustness: re-estimate eigenvalue bounds and restart when the
     #: outer iteration stalls or breaks down (addresses the paper's §VIII
     #: open question about robustness at extreme condition numbers).
@@ -69,11 +69,6 @@ class SolverOptions:
     #: state every this many iterations and roll back on unhealthy
     #: residuals.  0 disables the guard entirely.
     guard_interval: int = 0
-    #: An iteration is unhealthy when its residual norm exceeds this
-    #: multiple of the best norm seen so far (or is NaN/Inf).
-    guard_divergence_ratio: float = 1e4
-    #: Rollback budget before the guard gives up and raises.
-    guard_max_rollbacks: int = 3
     #: Graceful degradation: CPPCG falls back to plain CG on unusable
     #: spectrum bounds; matrix-powers depth falls back to 1 on repeated
     #: halo-exchange failure.
@@ -100,9 +95,6 @@ class SolverOptions:
     #: recurrence (cg, ppcg, dcg, mgcg) recompute the true residual
     #: ``b - A x`` and compare against the recurrence (0 disables).
     abft_interval: int = 0
-    #: Relative drift tolerated by the ABFT replay before it triggers a
-    #: rollback.
-    abft_tolerance: float = 1e-6
     #: Working precision of the solve (:mod:`repro.numerics`): fields,
     #: operator coefficients and inner recurrence arithmetic run at this
     #: dtype; global reductions stay float64 regardless.
@@ -113,11 +105,6 @@ class SolverOptions:
     #: :class:`~repro.numerics.refine.PrecisionDiagnosis`) when the
     #: refinement stagnates.  No effect when ``dtype == "float64"``.
     refine: bool = False
-    #: Outer refinement-step budget.
-    refine_max_steps: int = 8
-    #: A refinement step stagnates when the defect norm fails to contract
-    #: below this fraction of the previous step's norm.
-    refine_stagnation: float = 0.5
     #: Residual replacement (cg/ppcg): every this many outer iterations
     #: recompute the true residual ``b - A x`` and splice it into the
     #: recurrence when the drift exceeds the rounding-error bound.
@@ -154,27 +141,19 @@ class SolverOptions:
         check_positive("ppcg_inner_steps", self.ppcg_inner_steps)
         check_positive("halo_depth", self.halo_depth)
         check_positive("eigen_warmup_iters", self.eigen_warmup_iters)
-        check_positive("check_interval", self.check_interval)
         qx, qy = self.deflation_blocks
         check_positive("deflation_blocks[0]", qx)
         check_positive("deflation_blocks[1]", qy)
         check_positive("guard_interval", self.guard_interval, allow_zero=True)
-        check_positive("guard_divergence_ratio", self.guard_divergence_ratio)
-        check_positive("guard_max_rollbacks", self.guard_max_rollbacks,
-                       allow_zero=True)
         require(
             not (self.preconditioner == "block_jacobi" and self.halo_depth > 1
                  and self.solver in ("chebyshev", "ppcg")),
             "block Jacobi cannot be combined with matrix powers "
             "(halo_depth > 1); see paper §IV-C2",
         )
-        lo, hi = self.eigen_safety
-        require(0 < lo <= 1.0 <= hi,
-                f"eigen_safety must satisfy 0 < lo <= 1 <= hi, got {self.eigen_safety}")
         check_positive("checkpoint_interval", self.checkpoint_interval,
                        allow_zero=True)
         check_positive("abft_interval", self.abft_interval, allow_zero=True)
-        check_positive("abft_tolerance", self.abft_tolerance)
         require(
             not (self.checkpoint_interval > 0 and not self.checkpoint_dir),
             "checkpoint_interval > 0 requires a checkpoint_dir to write "
@@ -195,10 +174,6 @@ class SolverOptions:
             "rank rebuilds its subdomain from the on-disk shards",
         )
         check_in("dtype", self.dtype, WORKING_DTYPES)
-        check_positive("refine_max_steps", self.refine_max_steps)
-        require(0.0 < self.refine_stagnation < 1.0,
-                f"refine_stagnation must be in (0, 1), "
-                f"got {self.refine_stagnation}")
         check_positive("replace_interval", self.replace_interval,
                        allow_zero=True)
         check_positive("replace_tolerance", self.replace_tolerance,
@@ -265,7 +240,6 @@ def options_from_dict(data: dict) -> SolverOptions:
         raise ConfigurationError(
             f"unknown solver option(s) {', '.join(map(repr, unknown))}")
     raw = dict(data)
-    for key in ("eigen_safety", "deflation_blocks"):
-        if key in raw and isinstance(raw[key], list):
-            raw[key] = tuple(raw[key])
+    if isinstance(raw.get("deflation_blocks"), list):
+        raw["deflation_blocks"] = tuple(raw["deflation_blocks"])
     return SolverOptions(**raw)

@@ -28,6 +28,7 @@ from repro.solvers.cg import cg_solve
 from repro.solvers.chebyshev import ChebyshevPreconditioner
 from repro.solvers.defences import Defences
 from repro.solvers.eigen import (
+    EIGEN_SAFETY,
     EigenBounds,
     estimate_eigenvalues,
     iteration_bounds,
@@ -72,7 +73,6 @@ def ppcg_solve(
     inner_steps: int = 10,
     halo_depth: int = 1,
     warmup_iters: int = 25,
-    eigen_safety: tuple[float, float] = (0.95, 1.05),
     inner_preconditioner: str = "none",
     bounds: EigenBounds | None = None,
     adaptive: bool = False,
@@ -157,8 +157,7 @@ def ppcg_solve(
         warmup.restarts = 0
         return warmup
     if bounds is None:
-        bounds = estimate_eigenvalues(warmup.alphas, warmup.betas,
-                                      safety=eigen_safety)
+        bounds = estimate_eigenvalues(warmup.alphas, warmup.betas)
 
     reference = warmup.initial_residual_norm
     extra_warmup = 0
@@ -167,7 +166,7 @@ def ppcg_solve(
     restarts = 0
     budget = max_iters
     outer = None
-    safety = eigen_safety
+    safety = EIGEN_SAFETY
     depth = halo_depth
     # When set, the Chebyshev machinery is unusable and the remaining
     # budget is spent on plain CG (graceful degradation, ``degrade=True``).

@@ -14,7 +14,7 @@ from repro.solvers import (
     estimate_eigenvalues,
     cg_solve,
 )
-from repro.solvers.chebyshev import ChebyshevIteration
+from repro.solvers.chebyshev import CHECK_INTERVAL, ChebyshevIteration
 from repro.solvers.preconditioners import (
     BlockJacobiPreconditioner,
     DiagonalPreconditioner,
@@ -290,11 +290,10 @@ class TestChebyshevSolve:
         assert result.warmup_iterations > 0
 
     def test_no_dots_between_checks(self):
-        run = counted_solve(24, solver="chebyshev", eps=1e-10,
-                            check_interval=10)
+        run = counted_solve(24, solver="chebyshev", eps=1e-10)
         result, log = run.result, run.events
         # warm-up pays 2/iter; the Chebyshev phase only pays per check
-        checks = int(np.ceil(result.iterations / 10))
+        checks = int(np.ceil(result.iterations / CHECK_INTERVAL))
         expected_max = 2 * result.warmup_iterations + 1 + checks + 1
         assert log.count_kind("allreduce") <= expected_max
 

@@ -77,7 +77,7 @@ class TestSolverOptions:
         dict(max_iters=0),
         dict(ppcg_inner_steps=-1),
         dict(halo_depth=0),
-        dict(eigen_safety=(1.2, 1.1)),
+        dict(checkpoint_interval=5),       # no checkpoint_dir
         dict(solver="ppcg", preconditioner="block_jacobi", halo_depth=4),
     ])
     def test_invalid_options(self, bad):

@@ -1410,10 +1410,10 @@ SOLVE_CONFIGS = [
     ("cg_fused", SolverOptions(solver="cg_fused", eps=1e-8, max_iters=500)),
     ("jacobi", SolverOptions(solver="jacobi", eps=1e-8, max_iters=300)),
     ("chebyshev", SolverOptions(solver="chebyshev", eps=1e-8, max_iters=500,
-                                eigen_warmup_iters=8, check_interval=10)),
+                                eigen_warmup_iters=8)),
     ("chebyshev-depth4", SolverOptions(solver="chebyshev", eps=1e-8,
                                        max_iters=500, eigen_warmup_iters=8,
-                                       check_interval=10, halo_depth=4)),
+                                       halo_depth=4)),
     ("ppcg", SolverOptions(solver="ppcg", eps=1e-8, max_iters=200,
                            ppcg_inner_steps=4, eigen_warmup_iters=8)),
     ("ppcg-depth4", SolverOptions(solver="ppcg", eps=1e-8, max_iters=200,

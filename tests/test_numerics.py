@@ -231,7 +231,7 @@ class TestSolverBreakdowns:
         solve = {
             "jacobi": lambda op, b: jacobi_solve(op, b, max_iters=20),
             "chebyshev": lambda op, b: chebyshev_solve(
-                op, b, max_iters=40, warmup_iters=4, check_interval=5),
+                op, b, max_iters=40, warmup_iters=4),
             "cg_fused": lambda op, b: cg_fused_solve(op, b, max_iters=5),
             "dcg": lambda op, b: deflated_cg_solve(
                 op, b, max_iters=5, blocks=(2, 2), preconditioner="diagonal"),
@@ -275,8 +275,7 @@ class TestSolverBreakdowns:
         with pytest.raises(BreakdownError, match="stagnated"):
             solve_linear(op, b, options=SolverOptions(
                 solver="chebyshev", eps=1e-10, max_iters=2000,
-                eigen_warmup_iters=4, eigen_safety=(1.0, 1.0),
-                stagnation_window=5))
+                eigen_warmup_iters=4, stagnation_window=5))
 
     def test_cg3d_breakdown(self):
         # The 7-point operator under the shared CG: negative faces.

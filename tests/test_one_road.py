@@ -234,6 +234,58 @@ def test_the_service_lifecycle_is_stated_once():
                                         "lifecycle.py")} == {}
 
 
+#: Settings that only tests (and examples) give a second value: kept,
+#: but each is a candidate for a constant once its tests no longer need it.
+TEST_ONLY_SETTINGS = {
+    "raise_on_stall": "pinned ConvergenceError tests switch it on",
+    "replace_tolerance": "pinned replacement tests set an explicit bound",
+    "degrade_enabled": "the engine/front parity and pinned tests clear it",
+    "cache_enabled": "pinned cache tests clear it",
+    "max_queue": "the campaigns state the default 8; tests shorten it",
+}
+
+
+def settings_with_a_caller(defaults):
+    """The ``defaults`` keys something other than a test sets: a CLI flag,
+    or a keyword of a call under ``src/repro`` whose value is neither its
+    field's default nor a pass-through (``name=<x>.name``) — which counts
+    each ``field=deck.tl_*`` of ``deck_solver_options``."""
+    from repro.cli.main import _OPTION_FLAGS
+
+    covered = set(_OPTION_FLAGS)
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            for kw in node.keywords:
+                if kw.arg not in defaults or getattr(
+                        kw.value, "attr", None) == kw.arg:
+                    continue
+                try:
+                    if ast.literal_eval(kw.value) == defaults[kw.arg]:
+                        continue
+                except ValueError:
+                    pass
+                covered.add(kw.arg)
+    return covered & set(defaults)
+
+
+def test_every_setting_has_a_caller():
+    """A ``SolverOptions`` or ``ServiceConfig`` field nobody but a test
+    sets is a constant waiting to happen: each has a deck key, a CLI flag
+    or a non-test caller, or is named in ``TEST_ONLY_SETTINGS``."""
+    from dataclasses import MISSING, fields
+
+    from repro.service import ServiceConfig
+
+    defaults = {f.name: f.default for cls in (SolverOptions, ServiceConfig)
+                for f in fields(cls) if f.default is not MISSING}
+    covered = settings_with_a_caller(defaults)
+    assert sorted(set(defaults) - covered - set(TEST_ONLY_SETTINGS)) == []
+    # the allow-list names only fields, and none that found a caller
+    assert set(TEST_ONLY_SETTINGS) <= set(defaults) - covered
+
+
 # -- one watch over every recurrence -------------------------------------------
 
 WATCHED = ("jacobi", "cg", "cg_fused", "chebyshev", "ppcg", "dcg", "mgcg")

@@ -236,8 +236,7 @@ class TestServiceEngine:
         assert any(o.status == "completed" for o in outcomes)
 
     def test_pressure_degrades_ppcg_and_marks_outcome(self):
-        cfg = dataclasses.replace(self.CFG, workers=1, max_queue=6,
-                                  degrade_low=0.25, degrade_high=0.5)
+        cfg = dataclasses.replace(self.CFG, workers=1, max_queue=6)
         deck = _deck(solver="use_ppcg", extra="tl_eigen_warmup_iters=8\n"
                      "tl_ppcg_halo_depth=4")
         reqs = [_req(i, deck, arrival=i * 1e-6) for i in range(6)]
@@ -249,8 +248,7 @@ class TestServiceEngine:
 
     def test_degrade_disabled_never_ladders(self):
         cfg = dataclasses.replace(self.CFG, workers=1, max_queue=6,
-                                  degrade_enabled=False,
-                                  degrade_low=0.25, degrade_high=0.5)
+                                  degrade_enabled=False)
         deck = _deck(solver="use_ppcg", extra="tl_eigen_warmup_iters=8\n"
                      "tl_ppcg_halo_depth=4")
         reqs = [_req(i, deck, arrival=i * 1e-6) for i in range(6)]
@@ -309,8 +307,7 @@ class TestServiceEngine:
         from repro.service.worker import ExecutionResult
         from repro.utils.errors import CommunicationError
 
-        cfg = dataclasses.replace(self.CFG, workers=2, breaker_threshold=2)
-        engine = ServiceEngine(cfg)
+        engine = ServiceEngine(self.CFG)
         engine.workers[0].execute = \
             lambda *a, **kw: ExecutionResult(
                 kind="retryable", error=CommunicationError("flaky"))
