@@ -4,8 +4,10 @@ The paper benchmarks TeaLeaf's solvers against PETSc's CG preconditioned by
 Hypre's BoomerAMG.  Neither library is available here, so this package
 implements the closest in-spirit substitute on the structured grid: a
 geometric multigrid V-cycle (Galerkin-coarsened coefficients, piecewise
-constant transfers, weighted-Jacobi smoothing, direct coarse solve) used as
-a CG preconditioner ("MG-CG").
+constant transfers, weighted-Jacobi or Chebyshev smoothing, direct coarse
+solve) used as a CG preconditioner ("MG-CG").  One hybrid V-cycle serves
+every world size: decomposed levels, then the coarsest level agglomerated
+on rank 0 (:mod:`repro.multigrid.mgcg`).
 
 The substitution preserves what the evaluation actually measures: MG-CG
 converges in very few outer iterations (best-in-class at low node counts)
@@ -15,31 +17,19 @@ collapse beyond ~32 nodes in Fig. 7, and the performance model charges it
 for exactly those.
 """
 
-from repro.multigrid.levels import Level, build_hierarchy, level_matvec
 from repro.multigrid.transfer import restrict_full_weighting, prolong_constant
-from repro.multigrid.smoothers import chebyshev_smooth, jacobi_smooth
-from repro.multigrid.vcycle import MultigridHierarchy, v_cycle
-from repro.multigrid.mgcg import MultigridPreconditioner, mgcg_solve, multigrid_solve
-from repro.multigrid.distributed import (
-    DistributedMultigrid,
-    DistributedMultigridPreconditioner,
-    dmgcg_solve,
+from repro.multigrid.mgcg import (
+    Multigrid,
+    MultigridPreconditioner,
+    mgcg_solve,
+    multigrid_solve,
 )
 
 __all__ = [
-    "Level",
-    "build_hierarchy",
-    "level_matvec",
     "restrict_full_weighting",
     "prolong_constant",
-    "jacobi_smooth",
-    "chebyshev_smooth",
-    "MultigridHierarchy",
-    "v_cycle",
+    "Multigrid",
     "MultigridPreconditioner",
     "mgcg_solve",
     "multigrid_solve",
-    "DistributedMultigrid",
-    "DistributedMultigridPreconditioner",
-    "dmgcg_solve",
 ]

@@ -3,7 +3,7 @@
 Piecewise-constant prolongation (each coarse cell value is injected into
 its four children) paired with 4-cell averaging restriction — the
 transpose pair matching the Galerkin coarsening in
-:mod:`repro.multigrid.levels`, which keeps the V-cycle a symmetric
+:mod:`repro.multigrid.mgcg`, which keeps the V-cycle a symmetric
 operator (required for use as a PCG preconditioner).
 """
 

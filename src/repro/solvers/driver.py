@@ -145,12 +145,7 @@ def _dispatch(op, b, x0, opt, defences, setup=None,
                           inner_steps=opt.ppcg_inner_steps,
                           inner_preconditioner=opt.preconditioner)
     if opt.solver == "mgcg":
-        # Imported lazily: multigrid builds on this package.  Serial runs
-        # use the global-grid hierarchy; decomposed runs use the hybrid
-        # domain-decomposition + agglomeration V-cycle (paper §VII).
-        if op.comm.size == 1:
-            from repro.multigrid.mgcg import mgcg_solve
-            return mgcg_solve(op, b, x0, **common)
-        from repro.multigrid.distributed import dmgcg_solve
-        return dmgcg_solve(op, b, x0, **common)
+        # Imported lazily: multigrid builds on this package.
+        from repro.multigrid.mgcg import mgcg_solve
+        return mgcg_solve(op, b, x0, **common)
     raise ConfigurationError(f"unknown solver {opt.solver!r}")

@@ -19,7 +19,7 @@ from repro.comm import SanitizerComm, SanitizerState, launch_spmd
 from repro.mesh import Field, decompose
 from repro.service import CancelToken, Cancelled, DeadlineExceeded, \
     ScheduledCancel
-from repro.multigrid import dmgcg_solve, mgcg_solve
+from repro.multigrid import mgcg_solve
 from repro.solvers import Defences, StencilOperator2D, cg_fused_solve, \
     cg_solve, chebyshev_solve, deflated_cg_solve, jacobi_solve, ppcg_solve
 from repro.testing import crooked_pipe_system, serial_operator
@@ -230,7 +230,7 @@ class TestRankCoherentCancellation:
                 return ("deadline", exc.iteration)
             return ("converged", -1)
 
-        for solve in (cg_solve, deflated_cg_solve, dmgcg_solve):
+        for solve in (cg_solve, deflated_cg_solve, mgcg_solve):
             out = launch_spmd(functools.partial(
                 rank_main, solve=solve, state=SanitizerState(size)), size)
             assert out == [("deadline", 5)] * size, solve.__name__

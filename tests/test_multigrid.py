@@ -5,17 +5,14 @@ import pytest
 
 from repro.mesh import Field, Grid2D
 from repro.multigrid import (
-    MultigridHierarchy,
+    Multigrid,
     MultigridPreconditioner,
-    build_hierarchy,
-    level_matvec,
     mgcg_solve,
     multigrid_solve,
     prolong_constant,
     restrict_full_weighting,
 )
-from repro.multigrid.levels import Level, coarsen_level
-from repro.multigrid.smoothers import jacobi_smooth
+from repro.multigrid.mgcg import coarsen_operator
 from repro.solvers import StencilOperator2D, cg_solve
 from repro.utils import ConfigurationError
 
@@ -27,43 +24,63 @@ from tests.helpers import (
 )
 
 
+def faces_operator(kx, ky):
+    """The one-rank operator of global faces ``(kx, ky)``."""
+    ny, nx = kx.shape[0], ky.shape[1]
+    return serial_operator(Grid2D(nx, ny), kx, ky)
+
+
+def level_faces(lop):
+    """A one-rank level's global ``(kx, ky)`` face arrays."""
+    t, h = lop.tile, lop.halo
+    return (lop.kx.data[h:h + t.ny, h:h + t.nx + 1],
+            lop.ky.data[h:h + t.ny + 1, h:h + t.nx])
+
+
+def apply_level(lop, u):
+    """``A u`` on a one-rank level, as an array."""
+    out = lop.new_field()
+    lop.apply(Field.from_global(lop.tile, lop.halo, u), out)
+    return out.interior.copy()
+
+
 class TestLevels:
     def test_level_matvec_matches_sparse(self, rng):
-        kx, ky = random_spd_faces(rng, 8, 8)
-        A = StencilOperator2D.assemble_sparse(kx, ky)
-        level = Level(kx=kx, ky=ky)
+        kx, ky = random_spd_faces(rng, 16, 16)
+        coarse = Multigrid(faces_operator(kx, ky)).ops[1]
+        A = StencilOperator2D.assemble_sparse(*level_faces(coarse))
         x = rng.standard_normal((8, 8))
-        assert np.allclose(level_matvec(level, x).ravel(), A @ x.ravel())
+        assert np.allclose(apply_level(coarse, x).ravel(), A @ x.ravel())
 
     def test_hierarchy_depth(self, rng):
         kx, ky = random_spd_faces(rng, 64, 64)
-        levels = build_hierarchy(kx, ky, min_size=4)
-        assert [lv.shape for lv in levels] == [
+        mg = Multigrid(faces_operator(kx, ky), min_size=4)
+        assert [lop.tile.shape for lop in mg.ops] == [
             (64, 64), (32, 32), (16, 16), (8, 8), (4, 4)]
 
     def test_hierarchy_stops_at_odd(self, rng):
         kx, ky = random_spd_faces(rng, 24, 24)
-        levels = build_hierarchy(kx, ky, min_size=2)
+        mg = Multigrid(faces_operator(kx, ky), min_size=2)
         # 24 -> 12 -> 6 -> 3 (odd, stop)
-        assert levels[-1].shape == (3, 3)
+        assert mg.ops[-1].tile.shape == (3, 3)
 
     def test_coarsen_odd_raises(self, rng):
         kx, ky = random_spd_faces(rng, 5, 6)
         with pytest.raises(ConfigurationError):
-            coarsen_level(Level(kx=kx, ky=ky))
+            coarsen_operator(faces_operator(kx, ky))
 
     def test_coarse_operator_preserves_constants(self, rng):
         """Galerkin coarsening keeps A_c * 1 = 1 (insulated boundaries)."""
         kx, ky = random_spd_faces(rng, 16, 16)
-        coarse = coarsen_level(Level(kx=kx, ky=ky))
-        ones = np.ones(coarse.shape)
-        assert np.allclose(level_matvec(coarse, ones), 1.0, atol=1e-12)
+        coarse = coarsen_operator(faces_operator(kx, ky))
+        ones = np.ones(coarse.tile.shape)
+        assert np.allclose(apply_level(coarse, ones), 1.0, atol=1e-12)
 
     def test_coarse_faces_zero_on_boundary(self, rng):
         kx, ky = random_spd_faces(rng, 8, 8)
-        coarse = coarsen_level(Level(kx=kx, ky=ky))
-        assert np.all(coarse.kx[:, 0] == 0) and np.all(coarse.kx[:, -1] == 0)
-        assert np.all(coarse.ky[0, :] == 0) and np.all(coarse.ky[-1, :] == 0)
+        ckx, cky = level_faces(coarsen_operator(faces_operator(kx, ky)))
+        assert np.all(ckx[:, 0] == 0) and np.all(ckx[:, -1] == 0)
+        assert np.all(cky[0, :] == 0) and np.all(cky[-1, :] == 0)
 
 
 class TestTransfers:
@@ -92,50 +109,54 @@ class TestTransfers:
 class TestSmoother:
     def test_jacobi_smooth_reduces_residual(self, rng):
         kx, ky = random_spd_faces(rng, 16, 16)
-        level = Level(kx=kx, ky=ky)
-        b = rng.standard_normal((16, 16))
-        u = np.zeros_like(b)
-        r0 = np.linalg.norm(b - level_matvec(level, u))
-        jacobi_smooth(level, u, b, sweeps=5)
-        r1 = np.linalg.norm(b - level_matvec(level, u))
+        mg = Multigrid(faces_operator(kx, ky))
+        level = mg.ops[0]
+        bg = rng.standard_normal((16, 16))
+        b, u = Field.from_global(level.tile, 1, bg), level.new_field()
+        r0 = np.linalg.norm(bg - apply_level(level, u.interior))
+        mg.smooth(0, u, b, sweeps=5)
+        r1 = np.linalg.norm(bg - apply_level(level, u.interior))
         assert r1 < r0
 
     def test_invalid_omega(self, rng):
         kx, ky = random_spd_faces(rng, 4, 4)
         with pytest.raises(ConfigurationError):
-            jacobi_smooth(Level(kx=kx, ky=ky), np.zeros((4, 4)),
-                          np.zeros((4, 4)), omega=1.5)
+            Multigrid(faces_operator(kx, ky), omega=1.5)
 
 
 class TestVCycle:
     def test_cycle_contracts_error(self, rng):
         g, kx, ky, bg = crooked_pipe_system(32)
-        h = MultigridHierarchy.build(kx, ky)
+        op = serial_operator(g, kx, ky)
+        mg = Multigrid(op)
         x_ref = reference_solution(kx, ky, bg)
-        x = np.zeros_like(bg)
+        b, x, r = Field.from_global(op.tile, 1, bg), op.new_field(), \
+            op.new_field()
         errs = []
         for _ in range(6):
-            from repro.multigrid.levels import level_matvec as mv
-            r = bg - mv(h.levels[0], x)
-            x += h.cycle(r)
-            errs.append(np.linalg.norm(x - x_ref))
+            op.residual(b, x, out=r)
+            x.interior += mg.cycle(r).interior
+            errs.append(np.linalg.norm(x.interior - x_ref))
         # geometric-ish convergence of the error
         assert errs[-1] < errs[0] * 0.2
 
     def test_coarse_solve_exact(self, rng):
         kx, ky = random_spd_faces(rng, 8, 8)
-        h = MultigridHierarchy.build(kx, ky, min_size=4)
-        b = rng.standard_normal(h.levels[-1].shape)
-        x = h.coarse_solve(b)
-        assert np.allclose(level_matvec(h.levels[-1], x), b, atol=1e-10)
+        mg = Multigrid(faces_operator(kx, ky), min_size=4)
+        coarse = mg.ops[-1]
+        bg = rng.standard_normal(coarse.tile.shape)
+        x = coarse.new_field()
+        mg.coarse.solve(Field.from_global(coarse.tile, 1, bg), x)
+        assert np.allclose(apply_level(coarse, x.interior), bg, atol=1e-10)
 
     def test_single_level_is_direct(self, rng):
         kx, ky = random_spd_faces(rng, 6, 6)
-        h = MultigridHierarchy.build(kx, ky, min_size=6)
-        assert h.n_levels == 1
-        b = rng.standard_normal((6, 6))
-        x = h.cycle(b)
-        assert np.allclose(level_matvec(h.levels[0], x), b, atol=1e-10)
+        mg = Multigrid(faces_operator(kx, ky), min_size=6)
+        assert mg.n_levels == 1
+        bg = rng.standard_normal((6, 6))
+        x = mg.cycle(Field.from_global(mg.ops[0].tile, 1, bg))
+        assert np.allclose(apply_level(mg.ops[0], x.interior), bg,
+                           atol=1e-10)
 
 
 class TestMGCG:
@@ -168,22 +189,6 @@ class TestMGCG:
             b = Field.from_global(op.tile, 1, bg)
             its.append(mgcg_solve(op, b, eps=1e-10).iterations)
         assert its[-1] <= its[0] * 3  # vs ~4x growth for plain CG
-
-    def test_distributed_rejected(self):
-        """MG-CG is the serial baseline; distributed cost is modelled."""
-        from repro.comm import launch_spmd
-        from repro.mesh import decompose
-        g, kx, ky, bg = crooked_pipe_system(16)
-
-        def rank_main(comm):
-            tile = decompose(g, comm.size)[comm.rank]
-            op = StencilOperator2D.from_global_faces(tile, 1, kx, ky, comm)
-            b = Field.from_global(tile, 1, bg)
-            with pytest.raises(ConfigurationError, match="serial"):
-                mgcg_solve(op, b)
-            return True
-
-        assert all(launch_spmd(rank_main, 2))
 
     def test_preconditioner_spd(self, rng):
         """The V-cycle preconditioner must be symmetric for CG validity."""

@@ -5,11 +5,7 @@ import pytest
 
 from repro.comm import SerialComm, launch_spmd
 from repro.mesh import Field, Grid2D, decompose
-from repro.multigrid.distributed import (
-    DistributedMultigrid,
-    DistributedMultigridPreconditioner,
-    dmgcg_solve,
-)
+from repro.multigrid import Multigrid, MultigridPreconditioner, mgcg_solve
 from repro.solvers import SolverOptions, StencilOperator2D, solve_linear
 from repro.utils import ConfigurationError
 
@@ -24,12 +20,12 @@ from tests.helpers import (
 pytestmark = pytest.mark.distributed
 
 
-def run_dmgcg(g, kx, ky, bg, size, **kwargs):
+def run_mgcg(g, kx, ky, bg, size, **kwargs):
     def rank_main(comm):
         tile = decompose(g, comm.size)[comm.rank]
         op = StencilOperator2D.from_global_faces(tile, 1, kx, ky, comm)
         b = Field.from_global(tile, 1, bg)
-        return tile, dmgcg_solve(op, b, **kwargs)
+        return tile, mgcg_solve(op, b, **kwargs)
 
     out = launch_spmd(rank_main, size)
     x = np.zeros(g.shape)
@@ -43,31 +39,30 @@ class TestDistributedMGCG:
     def test_matches_reference(self, size):
         g, kx, ky, bg = crooked_pipe_system(64)
         x_ref = reference_solution(kx, ky, bg)
-        x, result = run_dmgcg(g, kx, ky, bg, size, eps=1e-11)
+        x, result = run_mgcg(g, kx, ky, bg, size, eps=1e-11)
         assert result.converged
         assert np.abs(x - x_ref).max() <= 1e-8 * np.abs(x_ref).max()
 
     def test_iteration_count_decomposition_invariant(self):
         g, kx, ky, bg = crooked_pipe_system(64)
-        iters = [run_dmgcg(g, kx, ky, bg, size, eps=1e-10)[1].iterations
+        iters = [run_mgcg(g, kx, ky, bg, size, eps=1e-10)[1].iterations
                  for size in (1, 2, 4)]
         assert max(iters) - min(iters) <= 2
 
     def test_matches_serial_baseline_quality(self):
-        """Hybrid V-cycle converges about as fast as the serial hierarchy."""
-        from repro.multigrid import mgcg_solve
+        """The V-cycle converges about as fast on 4 ranks as on one."""
         g, kx, ky, bg = crooked_pipe_system(64)
         op = serial_operator(g, kx, ky)
         b = Field.from_global(op.tile, 1, bg)
         serial = mgcg_solve(op, b, eps=1e-10)
-        _, dist = run_dmgcg(g, kx, ky, bg, 4, eps=1e-10)
+        _, dist = run_mgcg(g, kx, ky, bg, 4, eps=1e-10)
         assert dist.iterations <= serial.iterations * 2
 
     def test_uneven_tiles_fall_back_to_agglomeration(self):
         """Odd local sizes: zero decomposed levels, still correct."""
         g, kx, ky, bg = crooked_pipe_system(30)  # 30 over 4 ranks: 15-wide
         x_ref = reference_solution(kx, ky, bg)
-        x, result = run_dmgcg(g, kx, ky, bg, 4, eps=1e-10)
+        x, result = run_mgcg(g, kx, ky, bg, 4, eps=1e-10)
         assert result.converged
         assert result.n_levels >= 1
         assert np.abs(x - x_ref).max() <= 1e-7 * np.abs(x_ref).max()
@@ -86,11 +81,23 @@ class TestDistributedMGCG:
         def rank_main(comm):
             tile = decompose(g, comm.size)[comm.rank]
             op = StencilOperator2D.from_global_faces(tile, 1, kx, ky, comm)
-            mg = DistributedMultigrid(op)
-            return mg.n_local_levels
+            return Multigrid(op).n_levels
 
         counts = launch_spmd(rank_main, 4)
         assert len(set(counts)) == 1
+
+    def test_same_event_log_on_one_and_two_ranks(self):
+        """One V-cycle on every world size: per iteration, rank 0 logs as
+        many matvecs and halo exchanges on one rank as on two."""
+        g, kx, ky, bg = crooked_pipe_system(64)
+        options = SolverOptions(solver="mgcg", eps=1e-10)
+        per_iteration = []
+        for size in (1, 2):
+            _, result = distributed_solve(g, kx, ky, bg, options, size)
+            per_iteration.append(tuple(
+                result.events.count(kind) / result.iterations
+                for kind in ("matvec", "halo_exchange")))
+        assert per_iteration[0] == per_iteration[1]
 
 
 class TestHybridVCyclePreconditioner:
@@ -98,7 +105,7 @@ class TestHybridVCyclePreconditioner:
         n = 8
         kx, ky = random_spd_faces(rng, n, n)
         op = serial_operator(Grid2D(n, n), kx, ky)
-        M = DistributedMultigridPreconditioner(op, min_local=2)
+        M = MultigridPreconditioner(op, min_size=2)
         cells = n * n
         mat = np.zeros((cells, cells))
         r, z = op.new_field(), op.new_field()
@@ -118,7 +125,7 @@ class TestHybridVCyclePreconditioner:
             tile = decompose(g, comm.size)[comm.rank]
             op = StencilOperator2D.from_global_faces(tile, 1, kx, ky, comm)
             b = Field.from_global(tile, 1, bg)
-            mg = DistributedMultigrid(op)
+            mg = Multigrid(op)
             x = op.new_field()
             r = op.new_field()
             norms = []
@@ -135,7 +142,20 @@ class TestHybridVCyclePreconditioner:
         g, kx, ky, bg = crooked_pipe_system(16)
         op = serial_operator(g, kx, ky)
         with pytest.raises(ConfigurationError):
-            DistributedMultigrid(op, pre_sweeps=0)
+            Multigrid(op, pre_sweeps=0)
+
+    def test_invalid_omega_on_every_rank(self):
+        """Damped Jacobi needs omega in (0, 1] on a decomposed world too."""
+        g, kx, ky, bg = crooked_pipe_system(16)
+
+        def rank_main(comm):
+            tile = decompose(g, comm.size)[comm.rank]
+            op = StencilOperator2D.from_global_faces(tile, 1, kx, ky, comm)
+            with pytest.raises(ConfigurationError, match="omega"):
+                Multigrid(op, omega=1.5)
+            return True
+
+        assert all(launch_spmd(rank_main, 2))
 
 
 class TestWeakScalingModel:

@@ -206,6 +206,25 @@ def test_the_3d_fork_is_gone():
         assert name not in source, name
 
 
+def test_the_serial_multigrid_fork_is_gone():
+    """One V-cycle for MG-CG on every world size: no global-array
+    hierarchy beside it, and the driver does not pick by world size."""
+    source = "".join(p.read_text(encoding="utf-8")
+                     for p in SRC.rglob("*.py"))
+    for name in ("MultigridHierarchy", "level_matvec", "_assemble_level",
+                 "dmgcg_solve"):
+        assert name not in source, name
+    tree = ast.parse((SRC / "solvers" / "driver.py").read_text(
+        encoding="utf-8"))
+    dispatch = next(n for n in ast.walk(tree)
+                    if isinstance(n, ast.FunctionDef) and n.name == "_dispatch")
+    branches = [n for n in ast.walk(dispatch) if isinstance(n, ast.If)
+                and "'mgcg'" in ast.unparse(n.test)]
+    assert len(branches) == 1
+    assert "comm.size" not in "".join(ast.unparse(n)
+                                      for n in branches[0].body)
+
+
 def test_the_service_lifecycle_is_stated_once():
     """Lifecycle records, quota and deck parse have one writer each, and
     neither driver grows back into one long method."""

@@ -155,7 +155,7 @@ class TestConstruction:
         hierarchy (which used to halo-exchange the coefficients of a live
         operator) — writing to its ``kx``/``ky`` raises: kernel backends
         cache what they derive from them."""
-        from repro.multigrid.distributed import DistributedMultigrid
+        from repro.multigrid import Multigrid
         g, kx, ky, _ = crooked_pipe_system(32)
 
         def rank_main(comm):
@@ -164,7 +164,7 @@ class TestConstruction:
             bare = StencilOperator2D(kx=Field(tile, 1), ky=Field(tile, 1),
                                      comm=comm)
             ops = [op, bare, op.with_kernels(NumpyBackend()),
-                   *DistributedMultigrid(op).ops]
+                   *Multigrid(op).ops]
             refused = 0
             for o in ops:
                 for coeff in (o.kx, o.ky):

@@ -5,8 +5,7 @@ import pytest
 
 from repro.comm import SerialComm, launch_spmd
 from repro.mesh import Field, Grid2D
-from repro.multigrid import MultigridHierarchy, chebyshev_smooth, mgcg_solve
-from repro.multigrid.levels import Level, level_matvec
+from repro.multigrid import Multigrid, mgcg_solve
 from repro.physics import crooked_pipe
 from repro.physics.simulation import Simulation
 from repro.solvers import EigenBounds, SolverOptions, chebyshev_solve
@@ -15,37 +14,44 @@ from repro.utils import ConfigurationError, ConvergenceError
 from tests.helpers import crooked_pipe_system, random_spd_faces, serial_operator
 
 
+def residual_norm(lop, b, u):
+    """``||b - A u||`` on a one-rank level."""
+    w = lop.new_field()
+    lop.apply(u, w)
+    return np.linalg.norm(b.interior - w.interior)
+
+
 class TestChebyshevSmoother:
     def test_reduces_residual(self, rng):
         kx, ky = random_spd_faces(rng, 16, 16)
-        level = Level(kx=kx, ky=ky)
-        b = rng.standard_normal((16, 16))
-        u = np.zeros_like(b)
-        r0 = np.linalg.norm(b)
-        chebyshev_smooth(level, u, b, sweeps=4)
-        r1 = np.linalg.norm(b - level_matvec(level, u))
+        mg = Multigrid(serial_operator(Grid2D(16, 16), kx, ky),
+                       smoother="chebyshev")
+        level = mg.ops[0]
+        b = Field.from_global(level.tile, 1, rng.standard_normal((16, 16)))
+        u = level.new_field()
+        r0 = np.linalg.norm(b.interior)
+        mg.smooth(0, u, b, sweeps=4)
+        r1 = residual_norm(level, b, u)
         assert r1 < r0
 
     def test_kills_high_frequencies_harder_than_jacobi(self, rng):
         """The smoother's job: damp oscillatory error fast."""
-        from repro.multigrid.smoothers import jacobi_smooth
         n = 32
         kx, ky = random_spd_faces(rng, n, n, scale=3.0)
-        level = Level(kx=kx, ky=ky)
+        op = serial_operator(Grid2D(n, n), kx, ky)
         # checkerboard = highest-frequency mode
         j, k = np.meshgrid(np.arange(n), np.arange(n))
         err0 = ((-1.0) ** (j + k))
-        b = np.zeros((n, n))
+        b = op.new_field()
 
-        def remaining(smooth):
-            u = -err0.copy()  # error = -u when solution is 0
-            smooth(level, u, b, sweeps=3)
-            return np.linalg.norm(u)
+        def remaining(smoother):
+            mg = Multigrid(op, smoother=smoother)
+            u = Field.from_global(op.tile, 1, -err0)  # error = -u, x = 0
+            mg.smooth(0, u, b, sweeps=3)
+            return np.linalg.norm(u.interior)
 
-        cheb = remaining(lambda lv, u, bb, sweeps: chebyshev_smooth(
-            lv, u, bb, sweeps=sweeps))
-        jac = remaining(lambda lv, u, bb, sweeps: jacobi_smooth(
-            lv, u, bb, sweeps=sweeps))
+        cheb = remaining("chebyshev")
+        jac = remaining("jacobi")
         assert cheb < jac
 
     def test_mgcg_with_chebyshev_smoother(self):
@@ -63,13 +69,13 @@ class TestChebyshevSmoother:
     def test_invalid_smoother_name(self, rng):
         kx, ky = random_spd_faces(rng, 8, 8)
         with pytest.raises(ConfigurationError):
-            MultigridHierarchy.build(kx, ky, smoother="ilu")
+            Multigrid(serial_operator(Grid2D(8, 8), kx, ky), smoother="ilu")
 
     def test_invalid_fraction(self, rng):
         kx, ky = random_spd_faces(rng, 8, 8)
         with pytest.raises(ConfigurationError):
-            chebyshev_smooth(Level(kx=kx, ky=ky), np.zeros((8, 8)),
-                             np.zeros((8, 8)), smooth_fraction=0.5)
+            Multigrid(serial_operator(Grid2D(8, 8), kx, ky),
+                      smoother="chebyshev", smooth_fraction=0.5)
 
 
 class TestDivergenceGuards:
