@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-#: Where figure benches drop their regenerated series.
+#: Where the ablation benches write their CSVs (the figures are
+#: written by `repro report` alone).
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 

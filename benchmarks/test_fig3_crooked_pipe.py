@@ -1,4 +1,4 @@
-"""Fig. 3 regeneration: the crooked-pipe temperature field at t = 15.
+"""Fig. 3 shape check: the crooked-pipe temperature field at t = 15.
 
 Paper: 4000x4000 after 15 us, rendered as a heat map — "heat travels faster
 along this [pipe] area than elsewhere in the domain".  We run the same
@@ -10,14 +10,9 @@ import numpy as np
 
 from repro.harness.fig3 import run_fig3
 
-from benchmarks.conftest import write_result
-
-MESH = 48
-
 
 def test_fig3_crooked_pipe(benchmark):
-    result = benchmark.pedantic(run_fig3, args=(MESH,),
-                                iterations=1, rounds=1)
+    result = benchmark.pedantic(run_fig3, iterations=1, rounds=1)
     T = result.temperature
     pipe = result.pipe_mask()
 
@@ -25,7 +20,7 @@ def test_fig3_crooked_pipe(benchmark):
     assert T[pipe].mean() > 3 * T[~pipe].mean()
 
     # the source region (pipe inlet) is the hottest area
-    n = MESH
+    n = result.mesh_n
     inlet = T[int(0.15 * n), : int(0.1 * n)].mean()
     assert inlet >= 0.9 * T.max()
 
@@ -37,11 +32,6 @@ def test_fig3_crooked_pipe(benchmark):
     # insulated box: the domain mean equals the initial mean
     from repro.mesh import Grid2D
     from repro.physics import crooked_pipe, global_initial_state
-    _, _, u0 = global_initial_state(Grid2D(MESH, MESH), crooked_pipe())
+    _, _, u0 = global_initial_state(Grid2D(n, n), crooked_pipe())
     assert T.mean() == np.float64(T.mean())
     assert abs(T.mean() - u0.mean()) < 1e-6 * u0.mean() + 1e-12
-
-    art = result.render(width=72)
-    write_result("fig3.txt", art
-                 + f"\nmin={T.min():.4g} max={T.max():.4g} mean={T.mean():.4g}")
-    print("\n" + art)

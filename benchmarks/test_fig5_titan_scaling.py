@@ -1,4 +1,4 @@
-"""Fig. 5 regeneration: CUDA strong scaling on Titan (1-8192 nodes).
+"""Fig. 5 shape check: CUDA strong scaling on Titan (1-8192 nodes).
 
 Series: CG-1, PPCG-1/4/8/16 on the 4000x4000 crooked pipe.  Iteration counts
 are measured from real solves and extrapolated; wall-clock comes from the
@@ -8,8 +8,6 @@ calibrated Titan model.  Shape assertions encode the paper's findings.
 import numpy as np
 
 from repro.harness.fig5 import run_fig5
-
-from benchmarks.conftest import write_result
 
 
 def test_fig5_titan_scaling(benchmark):
@@ -36,7 +34,3 @@ def test_fig5_titan_scaling(benchmark):
 
     # anchor: "4.26 seconds at 8,192 nodes" for the best CUDA config
     assert abs(fig.value("PPCG - 16", 8192) - 4.26) / 4.26 < 0.2
-
-    write_result("fig5.csv", fig.to_csv())
-    write_result("fig5.txt", fig.to_text())
-    print("\n" + fig.to_text())

@@ -1,4 +1,4 @@
-"""Fig. 6 regeneration: CUDA strong scaling on Piz Daint (1-2048 nodes).
+"""Fig. 6 shape check: CUDA strong scaling on Piz Daint (1-2048 nodes).
 
 The paper's headline comparison: at 2048 nodes Piz Daint runs in 2.79 s vs
 Titan's 4.09 s on identical GPUs — "this 47% strong scaling performance
@@ -7,8 +7,6 @@ improvement can be attributed to the fully connected network on Piz Daint".
 
 from repro.harness.fig5 import run_fig5
 from repro.harness.fig6 import run_fig6
-
-from benchmarks.conftest import write_result
 
 
 def test_fig6_pizdaint_scaling(benchmark):
@@ -26,8 +24,3 @@ def test_fig6_pizdaint_scaling(benchmark):
     titan = run_fig5()
     ratio = titan.value("PPCG - 16", 2048) / fig.value("PPCG - 16", 2048)
     assert 1.2 < ratio < 1.9  # paper: 1.47
-
-    write_result("fig6.csv", fig.to_csv())
-    write_result("fig6.txt", fig.to_text()
-                 + f"\nTitan/PizDaint at 2048 nodes: {ratio:.2f}x (paper 1.47x)")
-    print("\n" + fig.to_text())

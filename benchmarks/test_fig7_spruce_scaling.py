@@ -1,4 +1,4 @@
-"""Fig. 7 regeneration: MPI and hybrid strong scaling on Spruce (CPU).
+"""Fig. 7 shape check: MPI and hybrid strong scaling on Spruce (CPU).
 
 Paper findings encoded below:
 - "The PETSc CG with BoomerAMG preconditioner implementation is the fastest
@@ -16,8 +16,6 @@ Paper findings encoded below:
 import numpy as np
 
 from repro.harness.fig7 import run_fig7
-
-from benchmarks.conftest import write_result
 
 
 def test_fig7_spruce_scaling(benchmark):
@@ -51,7 +49,3 @@ def test_fig7_spruce_scaling(benchmark):
     best_ppcg_512 = min(fig.value("PPCG - 1 (Hybrid)", 512),
                         fig.value("PPCG - 1 (MPI)", 512))
     assert 1.5 < best_amg_512 / best_ppcg_512 < 4.0
-
-    write_result("fig7.csv", fig.to_csv())
-    write_result("fig7.txt", fig.to_text())
-    print("\n" + fig.to_text())

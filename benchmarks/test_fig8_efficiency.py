@@ -1,4 +1,4 @@
-"""Fig. 8 regeneration: scaling efficiency of the best config per machine.
+"""Fig. 8 shape check: scaling efficiency of the best config per machine.
 
 Paper: Spruce's CPPCG "maintains super linear scaling up to 512 nodes,
 beating both Piz Daint and Titan in terms of ... scaling efficiency", and
@@ -9,8 +9,6 @@ counts" (Aries vs Gemini).
 import math
 
 from repro.harness.fig8 import run_fig8
-
-from benchmarks.conftest import write_result
 
 
 def test_fig8_efficiency(benchmark):
@@ -37,7 +35,3 @@ def test_fig8_efficiency(benchmark):
         if not math.isnan(p):
             assert p >= titan[i] - 1e-9
     assert piz[nodes.index(2048)] > 1.15 * titan[nodes.index(2048)]
-
-    write_result("fig8.csv", fig.to_csv())
-    write_result("fig8.txt", fig.to_text(value_fmt="{:.3f}"))
-    print("\n" + fig.to_text(value_fmt="{:.3f}"))

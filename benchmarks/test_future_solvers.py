@@ -2,8 +2,6 @@
 
 from repro.harness.future_solvers import run_future_solvers
 
-from benchmarks.conftest import write_result
-
 
 def test_future_solvers_roadmap(benchmark):
     fig = benchmark.pedantic(run_future_solvers, iterations=1, rounds=1)
@@ -27,7 +25,3 @@ def test_future_solvers_roadmap(benchmark):
     # CPPCG remains the best at the top end by a clear margin
     ppcg = fig.series["CPPCG - 16"]
     assert ppcg[-1] < 0.5 * min(cg[-1], fused[-1], dcg[-1])
-
-    write_result("future_solvers.csv", fig.to_csv())
-    write_result("future_solvers.txt", fig.to_text())
-    print("\n" + fig.to_text())

@@ -1,12 +1,9 @@
-"""Table I regeneration: test setup specifications."""
+"""Table I shape check: test setup specifications."""
 
 from repro.harness.table1 import run_table1
-from repro.io.tables import format_table
-
-from benchmarks.conftest import write_result
 
 
-def test_table1(benchmark, results_dir):
+def test_table1(benchmark):
     rows = benchmark(run_table1)
     by_name = {r["system"]: r for r in rows}
     # the paper's Table I content
@@ -14,7 +11,3 @@ def test_table1(benchmark, results_dir):
     assert by_name["Piz Daint"]["compute_device"] == "NVIDIA K20x"
     assert by_name["Titan"]["compute_device"] == "NVIDIA K20x"
     assert by_name["Titan"]["max_nodes"] == 8192
-    headers = list(rows[0])
-    text = format_table(headers, [[r[h] for h in headers] for r in rows])
-    write_result("table1.txt", text)
-    print("\n" + text)

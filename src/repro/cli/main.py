@@ -169,15 +169,9 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    from repro.harness import fig3, fig4, fig5, fig6, fig7, fig8, table1
-    from repro.harness import breakdown, depth_sweep, future_solvers
-    mains = {
-        "table1": table1.main, "fig3": fig3.main, "fig4": fig4.main,
-        "fig5": fig5.main, "fig6": fig6.main, "fig7": fig7.main,
-        "fig8": fig8.main, "depth-sweep": depth_sweep.main,
-        "future-solvers": future_solvers.main, "breakdown": breakdown.main,
-    }
-    mains[args.name]()
+    """Print the figure's first file, as ``repro report`` writes it."""
+    from repro.harness.report import FIGURES
+    print(next(iter(FIGURES[args.name]().values())))
     return 0
 
 
@@ -302,6 +296,8 @@ def _cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.harness.report import FIGURES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="TeaLeaf reproduction: solvers, mini-app, paper figures")
@@ -386,10 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.set_defaults(func=_cmd_trace)
 
     p_fig = sub.add_parser("figure", help="regenerate one paper figure/table")
-    p_fig.add_argument("name", choices=["table1", "fig3", "fig4", "fig5",
-                                        "fig6", "fig7", "fig8",
-                                        "depth-sweep", "future-solvers",
-                                        "breakdown"])
+    p_fig.add_argument("name", choices=list(FIGURES))
     p_fig.set_defaults(func=_cmd_figure)
 
     # The campaigns.  Each flag's dest is the parameter of the run_*

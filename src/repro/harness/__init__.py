@@ -1,9 +1,12 @@
 """Experiment harness: one entry point per paper table and figure.
 
 Each ``figN`` module exposes a ``run_figN(...)`` function returning a
-structured result (series data plus provenance) and a ``main()`` that
-prints the paper-style table; the corresponding ``benchmarks/test_figN_*``
-regenerates and shape-checks it.  See DESIGN.md §4 for the index.
+structured result (series data plus provenance); its defaults are the
+one set of parameters the committed results use.  :mod:`.report`'s
+``FIGURES`` table renders each result into its ``results/`` files, the
+only writer of them (``repro report``; ``repro figure NAME`` prints one);
+the corresponding ``benchmarks/test_figN_*`` shape-checks it.  See
+DESIGN.md §4 for the index.
 
 The six campaign modules (``chaos_sweep``, ``soak``, ``service_sweep``,
 ``service_soak``, ``resilience_sweep``, ``stability_sweep``) hold each

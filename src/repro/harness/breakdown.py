@@ -80,22 +80,3 @@ def run_breakdown(machine: Machine = TITAN,
             seconds[c].append(p.breakdown.get(c, 0.0))
     return BreakdownResult(machine=machine.name, config=config,
                            node_counts=node_counts, seconds=seconds)
-
-
-def main() -> str:
-    texts = []
-    for config in (SolverConfig("cg"),
-                   SolverConfig("ppcg", inner_steps=10, halo_depth=16)):
-        result = run_breakdown(TITAN, config)
-        texts.append(result.to_text())
-        knee = result.node_counts[
-            result.totals().index(min(result.totals()))]
-        texts.append(f"knee at {knee} nodes; dominant term there: "
-                     f"{result.dominant(knee)}\n")
-    out = "\n".join(texts)
-    print(out)
-    return out
-
-
-if __name__ == "__main__":
-    main()

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.harness.common import BENCH_MESH, BENCH_STEPS, iteration_model_for
-from repro.perfmodel.machines import Machine, MACHINES
+from repro.perfmodel.machines import Machine
 from repro.perfmodel.predict import predict_solve_time
 from repro.perfmodel.profiles import SolverConfig
 
@@ -59,21 +59,3 @@ def run_depth_sweep(machine: Machine,
         ]
     return DepthSweepResult(machine=machine.name, ranks_per_node=rpn,
                             node_counts=node_counts, seconds=seconds)
-
-
-def main() -> str:
-    lines = []
-    for name, rpn in (("Titan", 1), ("Piz Daint", 1), ("Spruce", 20)):
-        sweep = run_depth_sweep(MACHINES[name], ranks_per_node=rpn)
-        lines.append(f"== {name} (rpn={rpn}): best PPCG halo depth ==")
-        for nodes, best in zip(sweep.node_counts, sweep.best_depths()):
-            row = "  ".join(f"d{d}={sweep.seconds[d][sweep.node_counts.index(nodes)]:.2f}s"
-                            for d in DEPTHS)
-            lines.append(f"  {nodes:5d} nodes: best depth {best:2d}   {row}")
-    text = "\n".join(lines)
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

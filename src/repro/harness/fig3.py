@@ -43,7 +43,7 @@ class Fig3Result:
         return render_heatmap(self.temperature, width=width)
 
 
-def run_fig3(mesh_n: int = 64, *, dt: float = DT, end_time: float = END_TIME,
+def run_fig3(mesh_n: int = 48, *, dt: float = DT, end_time: float = END_TIME,
              nranks: int = 1, eps: float = 1e-8) -> Fig3Result:
     """Run the crooked-pipe problem to ``end_time`` and return the field."""
     n_steps = max(1, round(end_time / dt))
@@ -52,24 +52,3 @@ def run_fig3(mesh_n: int = 64, *, dt: float = DT, end_time: float = END_TIME,
         Grid2D(mesh_n, mesh_n), crooked_pipe(), options,
         dt=dt, n_steps=n_steps, nranks=nranks)
     return Fig3Result(report=report, mesh_n=mesh_n, end_time=end_time)
-
-
-def main(mesh_n: int = 64) -> str:
-    result = run_fig3(mesh_n)
-    T = result.temperature
-    pipe = result.pipe_mask()
-    text = "\n".join([
-        f"== Fig. 3: crooked pipe at t={result.end_time} "
-        f"({mesh_n}x{mesh_n}, paper: 4000x4000) ==",
-        result.render(),
-        f"temperature: min={T.min():.4g} max={T.max():.4g} "
-        f"mean={T.mean():.4g}",
-        f"pipe mean={T[pipe].mean():.4g}  dense-material "
-        f"mean={T[~pipe].mean():.4g}",
-    ])
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

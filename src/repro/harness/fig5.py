@@ -48,17 +48,3 @@ def run_fig5(mesh_n: int = BENCH_MESH,
              n_steps: int = BENCH_STEPS) -> FigureSeries:
     return run_gpu_scaling(TITAN, "Fig. 5: CUDA strong scaling on Titan",
                            mesh_n, n_steps)
-
-
-def main() -> str:
-    fig = run_fig5()
-    text = fig.to_text()
-    best = fig.series["PPCG - 16"][-1]
-    text += (f"\nPPCG-16 at 8192 nodes: {best:.2f} s "
-             f"(paper: 4.26 s)")
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -17,16 +17,3 @@ def run_fig6(mesh_n: int = BENCH_MESH,
     return run_gpu_scaling(PIZ_DAINT,
                            "Fig. 6: CUDA strong scaling on Piz Daint",
                            mesh_n, n_steps)
-
-
-def main() -> str:
-    fig = run_fig6()
-    text = fig.to_text()
-    text += (f"\nPPCG-16 at 2048 nodes: "
-             f"{fig.value('PPCG - 16', 2048):.2f} s (paper: 2.79 s)")
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -45,25 +45,3 @@ def run_fig7(mesh_n: int = BENCH_MESH,
                               ranks_per_node=rpn)
         fig.add(label, [p.seconds for p in pts])
     return fig
-
-
-def main() -> str:
-    fig = run_fig7()
-    text = fig.to_text()
-    amg_best_nodes, amg_best = min(
-        (fig.best("BoomerAMG (Hybrid)"), fig.best("BoomerAMG (MPI)")),
-        key=lambda t: t[1])
-    ppcg_512 = min(fig.value("PPCG - 1 (Hybrid)", 512),
-                   fig.value("PPCG - 1 (MPI)", 512))
-    amg_512 = min(fig.value("BoomerAMG (Hybrid)", 512),
-                  fig.value("BoomerAMG (MPI)", 512))
-    text += (f"\nBoomerAMG* peaks at {amg_best_nodes} nodes "
-             f"({amg_best:.2f} s; paper: peaks at 32). "
-             f"At 512 nodes CPPCG is {amg_512 / ppcg_512:.1f}x the best "
-             f"baseline (paper: ~2x).")
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

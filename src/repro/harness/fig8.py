@@ -14,7 +14,6 @@ from repro.harness.common import (
     FigureSeries,
     gpu_node_counts,
     iteration_model_for,
-    spruce_node_counts,
 )
 from repro.perfmodel.efficiency import scaling_efficiency
 from repro.perfmodel.machines import PIZ_DAINT, SPRUCE, TITAN
@@ -49,18 +48,3 @@ def run_fig8(mesh_n: int = BENCH_MESH,
         # Pad machines that stop before 8192 nodes.
         fig.add(label, eff + [float("nan")] * (len(nodes) - len(counts)))
     return fig
-
-
-def main() -> str:
-    fig = run_fig8()
-    text = fig.to_text(value_fmt="{:.3f}")
-    spruce = fig.series["Spruce - PPCG - 1 (MPI)"]
-    peak = max(v for v in spruce if v == v)
-    text += (f"\nSpruce peak efficiency: {peak:.2f} "
-             f"(super-linear, cache effect; paper shows >1 up to 512 nodes)")
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -49,19 +49,3 @@ def run_future_solvers(machine: Machine = TITAN,
                               outer_iters=iters, n_steps=n_steps)
         fig.add(label, [p.seconds for p in pts])
     return fig
-
-
-def main() -> str:
-    fig = run_future_solvers()
-    text = fig.to_text()
-    best = {label: fig.best(label) for label in fig.series}
-    lines = [text, ""]
-    for label, (nodes, secs) in best.items():
-        lines.append(f"{label:12s}: best {secs:7.2f} s at {nodes} nodes")
-    out = "\n".join(lines)
-    print(out)
-    return out
-
-
-if __name__ == "__main__":
-    main()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.io.tables import format_table
 from repro.perfmodel.machines import MACHINES, Machine
 
 
@@ -22,16 +21,3 @@ def run_table1() -> list[dict]:
             "ranks_per_node": m.default_ranks_per_node,
         })
     return rows
-
-
-def main() -> str:
-    rows = run_table1()
-    headers = list(rows[0])
-    table = format_table(headers, [[r[h] for h in headers] for r in rows])
-    text = "== Table I: test setup specifications (model registry) ==\n" + table
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

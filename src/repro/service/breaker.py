@@ -48,15 +48,11 @@ class CircuitBreaker:
         self.opened = 0
         self.reclosed = 0
 
-    def _admit(self, now: float | None) -> bool:
-        """Lock-held core of ``allow``/``on_dispatch``.
-
-        ``now=None`` skips the cooldown transition (the caller already
-        ran ``allow(now)`` this step); a timestamp additionally moves an
-        expired OPEN breaker to HALF_OPEN before deciding.
-        """
+    def _admit(self, now: float) -> bool:
+        """Lock-held core of ``allow``/``on_dispatch``: moves an expired
+        OPEN breaker to HALF_OPEN, then decides."""
         if self.state == OPEN:
-            if now is not None and now - self._opened_at >= self.cooldown_s:
+            if now - self._opened_at >= self.cooldown_s:
                 self.state = HALF_OPEN
                 self._probing = False
             else:
@@ -76,16 +72,14 @@ class CircuitBreaker:
         with self._lock:
             return self._admit(now)
 
-    def on_dispatch(self, now: float | None = None) -> bool:
+    def on_dispatch(self, now: float) -> bool:
         """Atomically admit a dispatch and claim the half-open probe.
 
         Returns ``False`` when the dispatch must not proceed (breaker
         open, or another thread already holds the probe slot).  On
         ``True`` in the half-open state, the caller now owns the single
         probe; :meth:`record_success`/:meth:`record_failure` releases
-        it.  The legacy no-argument call after a winning ``allow(now)``
-        remains valid — ``now=None`` merely skips re-checking the
-        cooldown clock.
+        it, so call it only for a dispatch that will reach one of them.
         """
         with self._lock:
             if not self._admit(now):

@@ -263,7 +263,6 @@ class ServiceEngine:
     def _execute(self, pending: _Pending, worker: WorkerGroup) -> None:
         """One dispatch of ``pending`` on ``worker``, start to verdict."""
         req, outcome = pending.req, pending.outcome
-        worker.breaker.on_dispatch()
         self.life.dispatched(outcome, worker.wid, self.now)
         turnaround = self.now + _OVERHEAD_S
         if pending.options is None:     # parsed here, at dispatch: see parse()
@@ -278,6 +277,9 @@ class ServiceEngine:
         if expired:
             outcome.status = expired
             return self._finish(outcome, worker, turnaround)
+        # Claimed only now that a solve runs: the two exits above end
+        # without a verdict, and would leave a half-open probe held.
+        worker.breaker.on_dispatch(self.now)
         key, setup, outcome.cache_hit = self._setup_for(options, req.n)
         result, entry, replayed = self._attempt(pending, worker, cancel, setup)
         digest = self._digest(req, result, entry, replayed)

@@ -47,6 +47,6 @@ class TestBreakdown:
     def test_to_text_and_main(self, cg, capsys):
         text = cg.to_text()
         assert "compute_%" in text
-        from repro.harness.breakdown import main
-        out = main()
+        from repro.harness.report import FIGURES
+        out = FIGURES["breakdown"]()["breakdown.txt"]
         assert "knee" in out

@@ -165,7 +165,7 @@ class TestFig8:
 class TestReport:
     def test_write_report(self, tmp_path):
         from repro.harness.report import write_report
-        paths = write_report(tmp_path, fig3_mesh=24)
+        paths = write_report(tmp_path)
         names = {p.name for p in paths}
         assert {"table1.txt", "fig3.txt", "fig4.csv", "fig5.csv",
                 "fig6.csv", "fig7.csv", "fig8.csv"} <= names

@@ -35,8 +35,8 @@ class TestDepthSweep:
         assert max(vals) / min(vals) < 1.05
 
     def test_main_prints(self, capsys):
-        from repro.harness.depth_sweep import main
-        text = main()
+        from repro.harness.report import FIGURES
+        text = FIGURES["depth-sweep"]()["depth_sweep.txt"]
         assert "Titan" in text and "best depth" in text
 
 
@@ -60,8 +60,8 @@ class TestFutureSolvers:
         assert not signs[0] and signs[-1]  # overhead first, win later
 
     def test_main_prints(self, capsys):
-        from repro.harness.future_solvers import main
-        text = main()
+        from repro.harness.report import FIGURES
+        text = FIGURES["future-solvers"]()["future_solvers.txt"]
         assert "best" in text
 
 

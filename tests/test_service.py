@@ -85,7 +85,7 @@ class TestCircuitBreaker:
         assert b.state == "open"
         assert b.allow(1.5)                     # cooldown elapsed: probe
         assert b.state == "half_open"
-        b.on_dispatch()
+        b.on_dispatch(1.5)
         assert not b.allow(1.6)                 # single probe in flight
         b.record_success()
         assert b.state == "closed" and b.reclosed == 1
@@ -94,7 +94,7 @@ class TestCircuitBreaker:
         b = CircuitBreaker(failure_threshold=1, cooldown_s=1.0)
         b.record_failure(0.0)
         assert b.allow(1.5)
-        b.on_dispatch()
+        b.on_dispatch(1.5)
         b.record_failure(1.6)
         assert b.state == "open" and b.opened == 2
 
@@ -316,6 +316,23 @@ class TestServiceEngine:
         assert engine.workers[0].breaker.opened >= 1
         assert all(o.status == "completed" for o in outcomes)
 
+    def test_poison_probe_does_not_hold_the_half_open_slot(self):
+        """A request that ends before its solve (a poison deck, parsed at
+        dispatch) as a half-open worker's probe leaves the probe slot
+        free: the next request still goes to that worker."""
+        engine = ServiceEngine(self.CFG)
+        breaker = engine.workers[0].breaker
+        for _ in range(breaker.failure_threshold):
+            breaker.record_failure(0.0)
+        assert breaker.state == "open"
+        after = breaker.cooldown_s + 0.1
+        poison, valid = engine.run([
+            _req(0, "*tea\nbogus=1\n*endtea\n", arrival=after),
+            _req(1, _deck(), arrival=after + 0.1)])
+        assert poison.status == "failed" and poison.worker == 0
+        assert valid.status == "completed" and valid.worker == 0
+        assert breaker.state == "closed"
+
     def test_same_seed_runs_identical(self):
         reqs = [_req(i, _deck(), chaos_trial=i if i % 3 == 0 else -1)
                 for i in range(12)]
@@ -433,5 +450,5 @@ class TestBreakerHalfOpenRace:
     def test_allow_is_a_pure_query(self):
         b = self._half_open_breaker()
         assert b.allow(2.0) and b.allow(2.0)    # no claim, repeatable
-        assert b.on_dispatch()                  # legacy no-arg claim
+        assert b.on_dispatch(2.0)               # claims the probe
         assert not b.allow(2.0)                 # probe now held
