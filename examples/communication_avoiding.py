@@ -8,26 +8,22 @@ model:
    combined into a single communication step";
 2. deflated CG (Frank & Vuik, the paper's ref [27]) — removing low-energy
    modes via subdomain deflation;
-3. adaptive CPPCG — restarting with re-estimated eigenvalue bounds when
-   the polynomial misbehaves (the §VIII robustness question);
-4. the hybrid domain-decomposition + agglomeration multigrid;
-5. what-if sensitivity analysis of future machines.
+3. the hybrid domain-decomposition + agglomeration multigrid;
+4. what-if sensitivity analysis of future machines.
 
 Run:  python examples/communication_avoiding.py
 """
 
 from repro import Grid2D, SolverOptions, crooked_pipe
 from repro.physics import first_step_system
-from repro.solvers import EigenBounds
-from repro.solvers.driver import SolveSetup
 from repro.solvers.ranks import instrumented_stack, solve_on_ranks
 
 
-def solve(n, options, dt=0.04, size=1, **kw):
+def solve(n, options, dt=0.04, size=1):
     """The crooked-pipe first step at ``n``^2 on the rank program."""
     grid, *faces, u0 = first_step_system(Grid2D(n, n), crooked_pipe(), dt)
     return solve_on_ranks(grid, faces, u0, options, size,
-                          stack=instrumented_stack, **kw)
+                          stack=instrumented_stack)
 
 
 def demo_fused_cg():
@@ -49,19 +45,8 @@ def demo_deflation():
               f"iterations ({plain / defl:.2f}x)")
 
 
-def demo_adaptive():
-    print("\n3) adaptive CPPCG recovering from bad eigenvalue bounds")
-    bad = EigenBounds(1.0, 1.5)  # lam_max grossly underestimated
-    result = solve(48, SolverOptions(solver="ppcg", eps=1e-9, adaptive=True,
-                                     eigen_warmup_iters=15),
-                   setup=SolveSetup(bounds=bad)).result
-    print(f"   converged={result.converged} after {result.restarts} "
-          f"restart(s); final bounds "
-          f"[{result.eigen_bounds[0]:.2f}, {result.eigen_bounds[1]:.2f}]")
-
-
 def demo_hybrid_mg():
-    print("\n4) hybrid DD + agglomeration multigrid (4 SPMD ranks)")
+    print("\n3) hybrid DD + agglomeration multigrid (4 SPMD ranks)")
     result = solve(64, SolverOptions(solver="mgcg", eps=1e-10),
                    size=4).result
     print(f"   {result.iterations} outer iterations over "
@@ -69,7 +54,7 @@ def demo_hybrid_mg():
 
 
 def demo_sensitivity():
-    print("\n5) what binds at 8192 Titan nodes? (2x degradation per knob)")
+    print("\n4) what binds at 8192 Titan nodes? (2x degradation per knob)")
     from repro.perfmodel import TITAN, SolverConfig
     from repro.perfmodel.sensitivity import sensitivities
     for label, config, iters in (
@@ -86,6 +71,5 @@ def demo_sensitivity():
 if __name__ == "__main__":
     demo_fused_cg()
     demo_deflation()
-    demo_adaptive()
     demo_hybrid_mg()
     demo_sensitivity()

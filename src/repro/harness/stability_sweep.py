@@ -81,7 +81,6 @@ def cell_options(solver: str, depth: int, dtype: str, protected: bool,
         ppcg_inner_steps=16 if solver == "ppcg" else 10,
         halo_depth=depth,
         eigen_warmup_iters=30,
-        adaptive=solver == "ppcg",
         degrade=solver in ("ppcg", "chebyshev"),
         dtype=dtype,
         refine=protected and dtype != "float64",

@@ -37,6 +37,7 @@ from repro.mesh.halo import HaloExchanger
 from repro.multigrid.transfer import prolong_constant, restrict_full_weighting
 from repro.numerics.breakdown import residual_norm
 from repro.solvers.cg import cg_solve
+from repro.solvers.eigen import gershgorin_row_max
 from repro.solvers.operator import StencilOperator2D
 from repro.solvers.preconditioners import Preconditioner
 from repro.solvers.result import SolveResult
@@ -159,12 +160,11 @@ class Multigrid:
         for _ in range(halvings):
             self.ops.append(coarsen_operator(self.ops[-1]))
         self.coarse = _CoarseSolver.build(self.ops[-1])
-        diagonals = [lop.diagonal() for lop in self.ops[:-1]]
-        self._inv_diag = [1.0 / d for d in diagonals]
-        if smoother == "chebyshev" and diagonals:
-            # Gershgorin: diag + |off-diagonals| = diag + (diag - 1) here.
+        self._inv_diag = [1.0 / lop.diagonal() for lop in self.ops[:-1]]
+        if smoother == "chebyshev" and len(self.ops) > 1:
+            # Every level's Gershgorin bound, in one allreduce.
             lam_max = op.comm.allreduce(
-                np.array([(2.0 * d - 1.0).max() for d in diagonals]),
+                np.array([gershgorin_row_max(lop) for lop in self.ops[:-1]]),
                 op="max")
             lam_min = lam_max / smooth_fraction
             self._spectrum = list(zip(0.5 * (lam_max + lam_min),

@@ -10,7 +10,7 @@ checked nothing); now they all share one :class:`BreakdownGuard` raising a
 structured :class:`BreakdownError`.
 
 ``BreakdownError`` derives from :class:`ConvergenceError` so every existing
-degradation path keeps working unchanged: PPCG's adaptive/degrade logic and
+degradation path keeps working unchanged: PPCG's degrade fallback and
 the harness sweeps already catch ``ConvergenceError``.
 """
 

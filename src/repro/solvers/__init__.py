@@ -16,7 +16,8 @@ Plus the supporting machinery: :class:`~repro.solvers.defences.Defences`
 (every safeguard around the cg/ppcg/chebyshev loops — guard rollback, ABFT
 replay, residual replacement, cancellation), the matrix-free operator
 (Listing 1),
-eigenvalue estimation from the CG Lanczos recurrence, and the local
+the Chebyshev interval (``lam_min`` from the CG Lanczos recurrence,
+``lam_max`` a Gershgorin bound), and the local
 preconditioners (diagonal Jacobi, 4x1-strip block Jacobi via the Thomas
 algorithm).
 """

@@ -34,7 +34,7 @@ from repro.mesh.field import Field
 from repro.numerics.breakdown import residual_norm
 from repro.solvers.cg import cg_solve
 from repro.solvers.defences import Defences
-from repro.solvers.eigen import EigenBounds, estimate_eigenvalues
+from repro.solvers.eigen import EigenBounds, spectrum_bounds
 from repro.solvers.operator import StencilOperator2D
 from repro.solvers.preconditioners import (
     BlockJacobiPreconditioner,
@@ -295,6 +295,33 @@ class _Recurrence:
         self.res_norm = self.history[-1]
 
 
+def warm_up(op: StencilOperator2D, b: Field, x0: Field | None,
+            M: Preconditioner, *, eps: float, warmup_iters: int,
+            bounds: EigenBounds | None, solver_name: str,
+            defences: Defences) -> tuple[SolveResult, EigenBounds | None]:
+    """The Chebyshev solvers' prologue (paper §III-D), under a ``phase``
+    span: ``warmup_iters`` of CG preconditioned by the local ``M``, then
+    the interval of ``M^{-1} A`` unless the caller supplied ``bounds``
+    (:func:`~repro.solvers.eigen.spectrum_bounds`).
+
+    Returns ``(warmup, bounds)``; ``bounds`` is None when the warm-up
+    itself converged, and ``warmup`` is then the finished result.
+    """
+    from repro.observe.trace import tracer_of
+    with tracer_of(op).span("phase", "warmup"):
+        warmup = cg_solve(op, b, x0, eps=eps, max_iters=warmup_iters,
+                          preconditioner=M, solver_name=solver_name,
+                          defences=defences.warmup())
+        if warmup.converged:
+            warmup.warmup_iterations = warmup.iterations
+            warmup.iterations = 0
+            return warmup, None
+        if bounds is None:
+            bounds = spectrum_bounds(op, M.name, warmup.alphas,
+                                     warmup.betas)
+    return warmup, bounds
+
+
 def chebyshev_solve(
     op: StencilOperator2D,
     b: Field,
@@ -312,10 +339,11 @@ def chebyshev_solve(
 ) -> SolveResult:
     """Standalone Chebyshev solver (TeaLeaf ``tl_use_chebyshev``).
 
-    Runs ``warmup_iters`` of (P)CG to estimate the spectrum (unless
-    ``bounds`` is supplied), then iterates the Chebyshev recurrence with a
-    residual-norm check (one allreduce) every :data:`CHECK_INTERVAL` steps —
-    between checks there is **no global communication at all**.
+    Runs ``warmup_iters`` of (P)CG for the interval (:func:`warm_up`;
+    ``bounds`` replaces the warm-up's), then iterates the Chebyshev
+    recurrence with a residual-norm check (one allreduce) every
+    :data:`CHECK_INTERVAL` steps — between checks there is **no global
+    communication at all**.
 
     ``raise_on_stall`` raises :class:`ConvergenceError` (solver name,
     final relative residual, iteration count) when the budget runs out
@@ -333,15 +361,11 @@ def chebyshev_solve(
     check_finite_field("x0", x0)
     defences = defences if defences is not None else Defences()
     local_M = make_local_preconditioner(op, preconditioner)
-    warmup = cg_solve(op, b, x0, eps=eps, max_iters=warmup_iters,
-                      preconditioner=local_M, solver_name="chebyshev",
-                      defences=defences.warmup())
-    if warmup.converged:
-        warmup.warmup_iterations = warmup.iterations
-        warmup.iterations = 0
-        return warmup
+    warmup, bounds = warm_up(op, b, x0, local_M, eps=eps,
+                             warmup_iters=warmup_iters, bounds=bounds,
+                             solver_name="chebyshev", defences=defences)
     if bounds is None:
-        bounds = estimate_eigenvalues(warmup.alphas, warmup.betas)
+        return warmup
 
     x = warmup.x
     rr = op.new_field()
@@ -377,9 +401,9 @@ def chebyshev_solve(
             continue
         st.res_norm = residual_norm(op.dot(rr, rr))
         st.history.append(st.res_norm)
-        # A non-finite residual means the eigenvalue bounds exclude part
-        # of the spectrum (lam_max underestimated?) and the recurrence
-        # diverged: the guard rewinds, the breakdown check raises.
+        # A non-finite residual means the recurrence diverged (a caller's
+        # interval that misses the top of the spectrum, or a fault): the
+        # guard rewinds, the breakdown check raises.
         if watch.residual():
             continue
         if st.res_norm <= threshold:

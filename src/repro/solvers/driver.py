@@ -21,8 +21,8 @@ from repro.utils.errors import ConfigurationError
 class SolveSetup:
     """Reusable expensive setup artifacts injected into a solve.
 
-    ``bounds`` short-circuits the Chebyshev/CPPCG warm-up eigenvalue
-    estimation; ``preconditioner`` is a prebuilt local preconditioner
+    ``bounds`` replaces the Chebyshev/CPPCG interval the warm-up would
+    give; ``preconditioner`` is a prebuilt local preconditioner
     object (e.g. a factorised
     :class:`~repro.solvers.preconditioners.BlockJacobiPreconditioner`)
     handed to the cg/cg_fused family instead of factorising per solve.
@@ -141,7 +141,7 @@ def _dispatch(op, b, x0, opt, defences, setup=None,
         if opt.solver == "chebyshev":
             return chebyshev_solve(op, b, x0, **spectral,
                                    preconditioner=opt.preconditioner)
-        return ppcg_solve(op, b, x0, **spectral, adaptive=opt.adaptive,
+        return ppcg_solve(op, b, x0, **spectral,
                           inner_steps=opt.ppcg_inner_steps,
                           inner_preconditioner=opt.preconditioner)
     if opt.solver == "mgcg":

@@ -1,11 +1,23 @@
-"""Eigenvalue estimation and the paper's iteration-count bounds.
+"""The Chebyshev interval and the paper's iteration-count bounds.
 
-CPPCG needs a-priori estimates of the extreme eigenvalues of the (possibly
-preconditioned) operator.  Following the paper (§III-D), these come from a
-few warm-up iterations of plain (P)CG: the CG coefficients ``alpha_i``
-(step lengths) and ``beta_i`` define the Lanczos tridiagonal matrix whose
-extreme eigenvalues (Ritz values) converge to the extreme eigenvalues of
-the system from the inside.
+CPPCG and the Chebyshev solver need an interval ``[lam_min, lam_max]``
+holding the spectrum of the (possibly preconditioned) operator.  Its two
+ends come from different places, because only one of them can hurt:
+
+- **``lam_max`` is proven** (:func:`lam_max_bound`).  An underestimated
+  ``lam_max`` is the one error that makes the Chebyshev polynomial
+  indefinite, so it is read off the operator, not estimated.  TeaLeaf's
+  ``A`` is ``I`` plus a weighted graph Laplacian: each row's diagonal is
+  ``d = 1 + sum |off-diagonal|``.  Gershgorin then gives
+  ``lam_max(A) <= max(2d - 1)``.  Under a local preconditioner ``M``
+  (diagonal or block Jacobi) ``2M - A`` has ``A``'s diagonal and ``A``'s
+  off-diagonal magnitudes, so it is strictly diagonally dominant, hence
+  SPD, hence ``lam_max(M^{-1} A) < 2``.
+- **``lam_min`` is the paper's estimate** (§III-D): a few warm-up
+  iterations of (P)CG give the coefficients ``alpha_i``/``beta_i`` of the
+  Lanczos tridiagonal, whose smallest eigenvalue (Ritz value) converges
+  to ``lam_min`` from above; :data:`LAM_MIN_SAFETY` widens it.  An
+  overestimated ``lam_min`` keeps the polynomial SPD and only slows it.
 
 This module also implements the bounds of §III-C (Eqs. 4-7): the effective
 PCG condition number under an ``m``-step Chebyshev preconditioner and the
@@ -15,6 +27,7 @@ resulting total/outer iteration counts — the analytic engine behind the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,20 +35,24 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from repro.utils.errors import ConfigurationError
 
-#: Safety factors ``(lo, hi)`` widening the Ritz interval of a warm-up
-#: estimate — TeaLeaf's, shared by the Chebyshev and CPPCG solvers.
-EIGEN_SAFETY = (0.95, 1.05)
+#: Widening of the warm-up's smallest Ritz value, which converges to
+#: ``lam_min`` from above (TeaLeaf's factor).
+LAM_MIN_SAFETY = 0.95
+
+#: Upper end of the spectrum of ``M^{-1} A`` under any local
+#: preconditioner ``M`` (module docstring: ``2M - A`` is SPD).
+PRECONDITIONED_LAM_MAX = 2.0
 
 
 @dataclass(frozen=True)
 class EigenBounds:
-    """Estimated extreme eigenvalues (after safety factors)."""
+    """A finite spectral interval ``0 < lam_min <= lam_max``."""
 
     lam_min: float
     lam_max: float
 
     def __post_init__(self):
-        if not (0 < self.lam_min <= self.lam_max):
+        if not (0 < self.lam_min <= self.lam_max < math.inf):
             raise ConfigurationError(
                 f"invalid eigenvalue bounds [{self.lam_min}, {self.lam_max}]")
 
@@ -75,62 +92,81 @@ def lanczos_tridiagonal(alphas: np.ndarray, betas: np.ndarray
     if len(betas) < k - 1:
         raise ConfigurationError(
             f"need at least {k - 1} betas for {k} alphas, got {len(betas)}")
-    if np.any(alphas <= 0) or np.any(betas[:k - 1] < 0):
+    betas = betas[:k - 1]
+    if not (np.all(np.isfinite(alphas)) and np.all(np.isfinite(betas))):
+        raise ConfigurationError("CG coefficients are not finite")
+    if np.any(alphas <= 0) or np.any(betas < 0):
         raise ConfigurationError(
             "CG coefficients imply a non-SPD system (alpha<=0 or beta<0)")
     diag = 1.0 / alphas
-    diag[1:] += betas[:k - 1] / alphas[:k - 1]
-    offdiag = np.sqrt(betas[:k - 1]) / alphas[:k - 1]
+    diag[1:] += betas / alphas[:-1]
+    offdiag = np.sqrt(betas) / alphas[:-1]
     return diag, offdiag
 
 
-def estimate_eigenvalues(
-    alphas,
-    betas,
-    safety: tuple[float, float] = EIGEN_SAFETY,
-) -> EigenBounds:
-    """Extreme-eigenvalue estimates from CG coefficients.
-
-    Ritz values under-estimate ``lam_max`` and over-estimate ``lam_min``, so a
-    safety factor widens the interval (TeaLeaf does the same); Chebyshev
-    preconditioning diverges if the true spectrum escapes ``[lam_min, lam_max]``
-    above, and merely degrades gracefully below.
-    """
-    lo_safety, hi_safety = safety
-    if not (0 < lo_safety <= 1.0 and hi_safety >= 1.0):
-        raise ConfigurationError(
-            f"safety factors must satisfy 0 < lo <= 1 <= hi, got {safety}")
+def estimate_eigenvalues(alphas, betas) -> EigenBounds:
+    """The Ritz interval of CG coefficients: the extreme eigenvalues of
+    their Lanczos tridiagonal, which lie *inside* the spectrum."""
     diag, offdiag = lanczos_tridiagonal(alphas, betas)
-    if len(diag) == 1:
-        ritz = diag
-    else:
-        ritz = eigvalsh_tridiagonal(diag, offdiag)
-    lam_min = float(ritz[0]) * lo_safety
-    lam_max = float(ritz[-1]) * hi_safety
+    ritz = diag if len(diag) == 1 else eigvalsh_tridiagonal(diag, offdiag)
+    return EigenBounds(lam_min=float(ritz[0]), lam_max=float(ritz[-1]))
+
+
+def gershgorin_row_max(op) -> float:
+    """This rank's largest Gershgorin row bound ``2d - 1``, ``d = diag(A)``.
+
+    No communication.  Summed in float64 from the face coefficients,
+    whatever the working dtype, in
+    :func:`~repro.kernels.stencil_diagonal`'s order (a float64 operator
+    gets ``op.diagonal()``'s bits).
+    """
+    region = op.kx.region(0)
+    d = np.ones(op.tile.shape)
+    for axis, k in enumerate(reversed(op.faces)):
+        high = list(region)
+        high[axis] = slice(region[axis].start + 1, region[axis].stop + 1)
+        d += k.data[tuple(high)]
+        d += k.data[region]
+    return float((2.0 * d - 1.0).max())
+
+
+def lam_max_bound(op, preconditioner: str = "none") -> float:
+    """The proven upper end of the spectrum of ``M^{-1} A`` (module
+    docstring): the global Gershgorin bound with no preconditioner (one
+    ``allreduce(max)``), :data:`PRECONDITIONED_LAM_MAX` under a local one
+    (no communication)."""
+    if preconditioner == "none":
+        return float(op.comm.allreduce(gershgorin_row_max(op), op="max"))
+    if preconditioner in ("diagonal", "block_jacobi"):
+        return PRECONDITIONED_LAM_MAX
+    raise ConfigurationError(
+        f"no spectrum bound for preconditioner {preconditioner!r}")
+
+
+def spectrum_bounds(op, preconditioner: str, alphas, betas) -> EigenBounds:
+    """The Chebyshev interval of ``M^{-1} A``: the warm-up's smallest Ritz
+    value times :data:`LAM_MIN_SAFETY` below, :func:`lam_max_bound`
+    above.  ``alphas``/``betas`` are the warm-up (P)CG's coefficients."""
+    lam_max = lam_max_bound(op, preconditioner)
+    lam_min = estimate_eigenvalues(alphas, betas).lam_min * LAM_MIN_SAFETY
     return EigenBounds(lam_min=lam_min, lam_max=lam_max)
 
 
 def condition_estimate(alphas, betas, default: float = 1.0) -> float:
     """Condition-number estimate ``lam_max/lam_min`` from CG coefficients.
 
-    Safety-free Ritz estimate (``safety=(1, 1)``): the Lanczos view of the
-    spectrum as CG itself saw it, used by :mod:`repro.numerics` to size
+    The Ritz estimate (:func:`estimate_eigenvalues`): the Lanczos view of
+    the spectrum as CG itself saw it, used by :mod:`repro.numerics` to size
     residual-replacement intervals and judge float32 feasibility.  Returns
     ``default`` when the coefficients are absent, non-SPD-looking or
     numerically unusable — condition-aware safeguards degrade to their
     fixed-cadence behaviour rather than fail.
     """
-    alphas = np.asarray(alphas, dtype=np.float64)
-    if alphas.size == 0 or not np.all(np.isfinite(alphas)):
-        return default
     try:
-        bounds = estimate_eigenvalues(alphas, betas, safety=(1.0, 1.0))
+        kappa = estimate_eigenvalues(alphas, betas).condition_number
     except (ConfigurationError, np.linalg.LinAlgError):
         return default
-    kappa = bounds.condition_number
-    if not np.isfinite(kappa) or kappa < 1.0:
-        return default
-    return float(kappa)
+    return float(kappa) if np.isfinite(kappa) else default
 
 
 def _cheb_T(m: int, x: float) -> float:

@@ -44,7 +44,7 @@ class SolverOptions:
 
     A field is a setting that a deck key, a CLI flag or a campaign varies;
     a value nobody varies is a constant beside its one use (say,
-    :data:`~repro.solvers.eigen.EIGEN_SAFETY`).
+    :data:`~repro.solvers.eigen.LAM_MIN_SAFETY`).
     """
 
     solver: str = "cg"
@@ -54,10 +54,6 @@ class SolverOptions:
     ppcg_inner_steps: int = 10
     halo_depth: int = 1
     eigen_warmup_iters: int = 25
-    #: PPCG robustness: re-estimate eigenvalue bounds and restart when the
-    #: outer iteration stalls or breaks down (addresses the paper's §VIII
-    #: open question about robustness at extreme condition numbers).
-    adaptive: bool = False
     #: Deflated CG (solver="dcg"): subdomain partition (qx, qy).
     deflation_blocks: tuple[int, int] = (4, 4)
     #: Raise :class:`~repro.utils.errors.ConvergenceError` (solver name,
@@ -69,9 +65,9 @@ class SolverOptions:
     #: state every this many iterations and roll back on unhealthy
     #: residuals.  0 disables the guard entirely.
     guard_interval: int = 0
-    #: Graceful degradation: CPPCG falls back to plain CG on unusable
-    #: spectrum bounds; matrix-powers depth falls back to 1 on repeated
-    #: halo-exchange failure.
+    #: Graceful degradation: CPPCG falls back to plain CG when its
+    #: Chebyshev preconditioner breaks down; matrix-powers depth falls
+    #: back to 1 on repeated halo-exchange failure.
     degrade: bool = False
     #: Durable checkpointing (see :mod:`repro.resilience.checkpoint`):
     #: commit an atomic on-disk simulation checkpoint every this many

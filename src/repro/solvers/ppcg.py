@@ -3,8 +3,9 @@
 The paper's communication-avoiding solver (§III).  Structure:
 
 1. **Warm-up** — ``warmup_iters`` of plain (P)CG, recording the recurrence
-   coefficients; the Lanczos tridiagonal built from them yields estimates
-   of the extreme eigenvalues (§III-D).
+   coefficients; the Lanczos tridiagonal built from them estimates
+   ``lam_min`` (§III-D), and ``lam_max`` is a bound read off the operator
+   (:func:`~repro.solvers.eigen.lam_max_bound`).
 2. **Switch-over** — continue from the warm-up iterate with PCG whose
    preconditioner applies ``inner_steps`` Chebyshev steps per outer
    iteration (:class:`~repro.solvers.chebyshev.ChebyshevPreconditioner`).
@@ -21,18 +22,11 @@ matrix powers kernel: one ``n``-deep halo exchange per ``n`` inner steps.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.mesh.field import Field
 from repro.solvers.cg import cg_solve
-from repro.solvers.chebyshev import ChebyshevPreconditioner
+from repro.solvers.chebyshev import ChebyshevPreconditioner, warm_up
 from repro.solvers.defences import Defences
-from repro.solvers.eigen import (
-    EIGEN_SAFETY,
-    EigenBounds,
-    estimate_eigenvalues,
-    iteration_bounds,
-)
+from repro.solvers.eigen import EigenBounds
 from repro.solvers.operator import StencilOperator2D
 from repro.solvers.preconditioners import make_local_preconditioner
 from repro.solvers.result import SolveResult
@@ -75,8 +69,6 @@ def ppcg_solve(
     warmup_iters: int = 25,
     inner_preconditioner: str = "none",
     bounds: EigenBounds | None = None,
-    adaptive: bool = False,
-    max_restarts: int = 2,
     raise_on_stall: bool = False,
     degrade: bool = False,
     defences: Defences | None = None,
@@ -98,23 +90,17 @@ def ppcg_solve(
         Local preconditioner applied inside the Chebyshev inner steps
         (``none``/``diagonal``; ``block_jacobi`` only with halo depth 1).
     bounds:
-        Skip estimation and use these eigenvalue bounds directly.
-    adaptive:
-        Robust mode (paper §VIII asks whether "these simpler methods can
-        cope with extreme condition numbers robustly"): when the outer
-        iteration stalls or breaks down — typically because the estimated
-        ``lam_max`` undershot the spectrum and the Chebyshev polynomial
-        lost positive-definiteness — re-run a short CG from the current
-        iterate, re-estimate with widened safety factors, and restart, up
-        to ``max_restarts`` times.
+        Use this interval instead of the warm-up's (the warm-up still
+        runs: the outer phase starts from its iterate).
     raise_on_stall:
         Raise :class:`ConvergenceError` (with solver name, final relative
         residual and iteration count) instead of returning an unconverged
         result when the budget is exhausted.
     degrade:
         Graceful degradation: fall back to *plain CG* when the Chebyshev
-        preconditioner is unusable (invalid/non-finite spectrum bounds,
-        or breakdown persisting after ``max_restarts``), and fall back to
+        preconditioner is unusable (an interval it rejects, or a breakdown
+        of the outer recurrence — say, under a caller's ``bounds`` that
+        miss the spectrum), and fall back to
         ``halo_depth = 1`` when the matrix-powers deep exchanges keep
         failing with :class:`CommunicationError`.  A degraded result
         carries ``result.degraded = True`` and ``result.degraded_reason``.
@@ -139,137 +125,64 @@ def ppcg_solve(
             "(halo_depth > 1); see paper §IV-C2")
 
     defences = defences if defences is not None else Defences()
+    warmup, bounds = warm_up(
+        op, b, x0, make_local_preconditioner(op, inner_preconditioner),
+        eps=eps, warmup_iters=warmup_iters, bounds=bounds,
+        solver_name="ppcg", defences=defences)
+    if bounds is None:
+        return warmup
     from repro.observe.trace import tracer_of
     tracer = tracer_of(op)
 
-    def phase(name, x, iters, defences, **kwargs):
-        """One ``cg_solve`` phase of this solve, under its own span."""
+    def phase(name, **kwargs):
+        """One ``cg_solve`` phase from the warm-up's iterate, under its
+        own span."""
         with tracer.span("phase", name):
-            return cg_solve(op, b, x, eps=eps, max_iters=iters,
-                            solver_name="ppcg", defences=defences, **kwargs)
+            return cg_solve(op, b, warmup.x, eps=eps, max_iters=max_iters,
+                            solver_name="ppcg", defences=defences,
+                            reference_norm=warmup.initial_residual_norm,
+                            **kwargs)
 
-    warmup = phase("warmup", x0, warmup_iters, defences.warmup(),
-                   preconditioner=make_local_preconditioner(
-                       op, inner_preconditioner))
-    if warmup.converged:
-        warmup.warmup_iterations = warmup.iterations
-        warmup.iterations = 0
-        warmup.restarts = 0
-        return warmup
-    if bounds is None:
-        bounds = estimate_eigenvalues(warmup.alphas, warmup.betas)
-
-    reference = warmup.initial_residual_norm
-    extra_warmup = 0
-    history_prefix = list(warmup.history)
-    current_x = warmup.x
-    restarts = 0
-    budget = max_iters
-    outer = None
-    safety = EIGEN_SAFETY
     depth = halo_depth
-    # When set, the Chebyshev machinery is unusable and the remaining
-    # budget is spent on plain CG (graceful degradation, ``degrade=True``).
-    cg_reason: str | None = None
-
-    if degrade and _invalid_bounds(bounds):
-        cg_reason = ("invalid spectrum bounds "
-                     f"[{bounds.lam_min:.3e}, {bounds.lam_max:.3e}]")
-
-    while cg_reason is None:
-        cheby = ChebyshevPreconditioner(
-            op, bounds, steps=inner_steps, halo_depth=depth,
-            inner_preconditioner=inner_preconditioner)
-        # Stall detection window: Eq. 7 predicts the outer iteration count
-        # *if the bounds are right*; exceeding it by 4x means they are not.
-        chunk = max(budget, 1)
-        if adaptive and restarts < max_restarts:
-            predicted = iteration_bounds(bounds, inner_steps,
-                                         tolerance=eps).k_outer
-            chunk = min(chunk, int(4 * predicted) + 20)
+    # Set when the Chebyshev machinery is unusable and the budget is
+    # spent on plain CG instead (graceful degradation, ``degrade=True``).
+    reason: str | None = None
+    while True:
         try:
-            outer = phase("outer", current_x, chunk, defences,
-                          preconditioner=cheby, reference_norm=reference)
+            outer = phase("outer", preconditioner=ChebyshevPreconditioner(
+                op, bounds, steps=inner_steps, halo_depth=depth,
+                inner_preconditioner=inner_preconditioner))
+            break
         except CommunicationError:
-            if degrade and depth > 1:
-                # The deep exchanges of the matrix powers kernel keep
-                # failing (retries exhausted): trade the communication
-                # saving for plain depth-1 inner steps and press on.
-                depth = 1
-                continue
-            raise
-        except ConfigurationError as exc:
-            # Chebyshev rejected its spectrum bounds (delta <= 0).
-            if degrade:
-                cg_reason = f"chebyshev preconditioner unusable: {exc}"
-                break
-            raise
-        except ConvergenceError as exc:
-            # Breakdown: restart below while the adaptive budget lasts,
-            # then degrade or give up.
-            if not (adaptive and restarts < max_restarts):
-                if not degrade:
-                    raise
-                cg_reason = (
-                    f"breakdown persists after {restarts} restart(s): {exc}"
-                    if adaptive else
-                    f"chebyshev-preconditioned CG broke down: {exc}")
-                break
-        else:
-            history_prefix += outer.history[1:]
-            budget -= outer.iterations
-            current_x = outer.x
-            if outer.converged or not adaptive or budget <= 0 \
-                    or restarts >= max_restarts:
-                break
-
-        # Restart: widen the interval and re-estimate from where we are.
-        restarts += 1
-        safety = (safety[0] * 0.85, safety[1] * 1.25)
-        rewarm = phase("rewarm", current_x, warmup_iters, defences.warmup(),
-                       reference_norm=reference)
-        extra_warmup += rewarm.iterations
-        history_prefix += rewarm.history[1:]
-        current_x = rewarm.x
-        if rewarm.converged:
-            outer = rewarm
-            outer.iterations = 0
-            break
-        bounds = estimate_eigenvalues(rewarm.alphas, rewarm.betas,
-                                      safety=safety)
-        if degrade and _invalid_bounds(bounds):
-            cg_reason = ("re-estimated spectrum bounds invalid "
-                         f"[{bounds.lam_min:.3e}, {bounds.lam_max:.3e}]")
+            if not (degrade and depth > 1):
+                raise
+            # The deep exchanges of the matrix powers kernel keep failing
+            # (retries exhausted): trade the communication saving for
+            # plain depth-1 inner steps and press on.
+            depth = 1
+        except (ConfigurationError, ConvergenceError) as exc:
+            # Chebyshev rejected its interval (delta <= 0), or the outer
+            # recurrence broke down.
+            if not degrade:
+                raise
+            reason = f"chebyshev-preconditioned CG broke down: {exc}"
+            # Finish on plain CG — slower, but immune to the interval
+            # (same eps against the same reference norm).
+            outer = phase("fallback_cg")
             break
 
-    if cg_reason is not None:
-        # Graceful degradation: finish the solve with plain CG — slower,
-        # but immune to bad spectrum bounds (the stopping criterion is
-        # unchanged: same eps against the same reference norm).
-        outer = phase("fallback_cg", current_x, max(budget, 1), defences,
-                      reference_norm=reference)
-        history_prefix += outer.history[1:]
-        current_x = outer.x
-
-    outer.x = current_x
-    outer.warmup_iterations = warmup.iterations + extra_warmup
-    outer.history = history_prefix
+    outer.warmup_iterations = warmup.iterations
+    outer.history = warmup.history + outer.history[1:]
     outer.eigen_bounds = (bounds.lam_min, bounds.lam_max)
-    outer.restarts = restarts
-    outer.degraded = cg_reason is not None or depth != halo_depth
-    if cg_reason is not None:
-        outer.degraded_reason = f"fell back to plain CG: {cg_reason}"
+    outer.degraded = reason is not None or depth != halo_depth
+    if reason is not None:
+        outer.degraded_reason = f"fell back to plain CG: {reason}"
     elif depth != halo_depth:
         outer.degraded_reason = (f"matrix-powers halo depth fell back "
                                  f"{halo_depth} -> 1 after repeated "
                                  "communication failures")
     if raise_on_stall and not outer.converged:
         raise stall_error("ppcg", len(outer.history) - 1,
-                          outer.residual_norm, reference, eps, result=outer)
+                          outer.residual_norm, warmup.initial_residual_norm,
+                          eps, result=outer)
     return outer
-
-
-def _invalid_bounds(bounds: EigenBounds) -> bool:
-    """Spectrum bounds the Chebyshev polynomial cannot be built from."""
-    return not (np.isfinite(bounds.lam_min) and np.isfinite(bounds.lam_max)
-                and 0.0 < bounds.lam_min < bounds.lam_max)

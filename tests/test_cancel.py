@@ -141,10 +141,11 @@ class TestSolverCancellation:
             chebyshev_solve(op, b, eps=1e-14, max_iters=400, warmup_iters=8,
                             defences=Defences(
                                 cancel=CancelToken(iteration_budget=12)))
+        # 5 outer iterations converge: the budget fires before that.
         with pytest.raises(DeadlineExceeded):
             ppcg_solve(op, b, eps=1e-14, max_iters=400, warmup_iters=4,
                        defences=Defences(
-                           cancel=CancelToken(iteration_budget=6)))
+                           cancel=CancelToken(iteration_budget=4)))
 
     def test_refined_solve_is_cancellable(self):
         """The token reaches the inner solves of mixed-precision

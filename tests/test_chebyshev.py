@@ -11,10 +11,10 @@ from repro.solvers import (
     EigenBounds,
     chebyshev_epsilon,
     chebyshev_solve,
-    estimate_eigenvalues,
     cg_solve,
 )
 from repro.solvers.chebyshev import CHECK_INTERVAL, ChebyshevIteration
+from repro.solvers.eigen import spectrum_bounds
 from repro.solvers.preconditioners import (
     BlockJacobiPreconditioner,
     DiagonalPreconditioner,
@@ -107,13 +107,13 @@ class TestChebyshevIteration:
     def test_block_jacobi_inner_converges(self, rng):
         n = 12
         kx, ky = random_spd_faces(rng, n, n)
-        # bounds must be of M^-1 A; estimate from a preconditioned CG run
+        # bounds must be of M^-1 A: lam_min from a preconditioned CG run
         op = serial_operator(Grid2D(n, n), kx, ky)
         bg = rng.standard_normal((n, n))
         b = Field.from_global(op.tile, 1, bg)
         M = BlockJacobiPreconditioner(op)
         warm = cg_solve(op, b, max_iters=30, eps=1e-14, preconditioner=M)
-        bounds = estimate_eigenvalues(warm.alphas, warm.betas)
+        bounds = spectrum_bounds(op, "block_jacobi", warm.alphas, warm.betas)
         rr = Field.from_global(op.tile, 1, bg)
         x = op.new_field()
         it = ChebyshevIteration(op, rr, x, bounds, local_precond=M)

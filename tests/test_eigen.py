@@ -6,17 +6,26 @@ import pytest
 from repro.mesh import Field
 from repro.solvers import (
     EigenBounds,
+    SolverOptions,
     StencilOperator2D,
     cg_solve,
     chebyshev_epsilon,
     estimate_eigenvalues,
     iteration_bounds,
     lanczos_tridiagonal,
+    make_local_preconditioner,
 )
+from repro.solvers.eigen import (
+    LAM_MIN_SAFETY,
+    condition_estimate,
+    lam_max_bound,
+    spectrum_bounds,
+)
+from repro.solvers.ranks import solve_on_ranks
 from repro.utils import ConfigurationError
 
 from tests.helpers import crooked_pipe_system, random_spd_faces, serial_operator
-from repro.mesh import Grid2D
+from repro.mesh import Grid2D, Grid3D
 
 
 class TestEigenBounds:
@@ -31,6 +40,9 @@ class TestEigenBounds:
             EigenBounds(0.0, 1.0)
         with pytest.raises(ConfigurationError):
             EigenBounds(2.0, 1.0)
+        for lo, hi in ((1.0, np.inf), (np.nan, 2.0), (1.0, np.nan)):
+            with pytest.raises(ConfigurationError):
+                EigenBounds(lo, hi)
 
 
 class TestLanczos:
@@ -56,6 +68,16 @@ class TestLanczos:
             lanczos_tridiagonal([1.0, 1.0], [])  # not enough betas
         with pytest.raises(ConfigurationError):
             lanczos_tridiagonal([-1.0], [])
+        for alphas, betas in (([1.0, 1.0], [np.nan]), ([np.nan], []),
+                              ([1.0, np.inf], [0.5]), ([1.0, 1.0], [np.inf])):
+            with pytest.raises(ConfigurationError):
+                lanczos_tridiagonal(alphas, betas)
+
+    def test_condition_estimate_defaults_on_unusable_coefficients(self):
+        assert condition_estimate([1.0, 1.0], [np.nan], default=7.0) == 7.0
+        assert condition_estimate([1.0, np.inf], [0.5], default=7.0) == 7.0
+        assert condition_estimate([], [], default=7.0) == 7.0
+        assert condition_estimate([0.5], [], default=7.0) == 1.0
 
 
 class TestEstimateFromRealCG:
@@ -67,10 +89,11 @@ class TestEstimateFromRealCG:
         op = serial_operator(Grid2D(n, n), kx, ky)
         b = Field.from_global(op.tile, 1, rng.standard_normal((n, n)))
         result = cg_solve(op, b, max_iters=40, eps=1e-14)
-        bounds = estimate_eigenvalues(result.alphas, result.betas)
-        # Safety-widened Ritz values must bracket the spectrum closely.
-        assert bounds.lam_min <= true[0] * 1.02
-        assert bounds.lam_max >= true[-1] * 0.98
+        bounds = spectrum_bounds(op, "none", result.alphas, result.betas)
+        # The widened Ritz lam_min sits close below the spectrum, the
+        # Gershgorin lam_max above it.
+        assert true[0] * 0.9 <= bounds.lam_min <= true[0] * 1.02
+        assert bounds.lam_max >= true[-1]
 
     def test_ritz_interior_without_safety(self, rng):
         n = 12
@@ -80,8 +103,7 @@ class TestEstimateFromRealCG:
         op = serial_operator(Grid2D(n, n), kx, ky)
         b = Field.from_global(op.tile, 1, rng.standard_normal((n, n)))
         result = cg_solve(op, b, max_iters=30, eps=1e-14)
-        bounds = estimate_eigenvalues(result.alphas, result.betas,
-                                      safety=(1.0, 1.0))
+        bounds = estimate_eigenvalues(result.alphas, result.betas)
         assert bounds.lam_min >= true[0] - 1e-8
         assert bounds.lam_max <= true[-1] + 1e-8
 
@@ -90,13 +112,84 @@ class TestEstimateFromRealCG:
         op = serial_operator(g, kx, ky)
         b = Field.from_global(op.tile, 1, bg)
         result = cg_solve(op, b, max_iters=30, eps=1e-14)
-        bounds = estimate_eigenvalues(result.alphas, result.betas)
+        bounds = spectrum_bounds(op, "none", result.alphas, result.betas)
         assert bounds.lam_min == pytest.approx(1.0, rel=0.1)
         assert bounds.condition_number > 10
 
     def test_invalid_safety(self):
-        with pytest.raises(ConfigurationError):
+        """One widening is left, on ``lam_min`` and below 1; the Ritz
+        estimator itself takes none."""
+        assert 0.0 < LAM_MIN_SAFETY < 1.0
+        with pytest.raises(TypeError):
             estimate_eigenvalues([1.0], [], safety=(1.2, 1.05))
+        op = serial_operator(Grid2D(4, 4), *random_spd_faces(
+            np.random.default_rng(1), 4, 4))
+        bounds = spectrum_bounds(op, "diagonal", [0.5], [])
+        assert bounds.lam_min == 2.0 * LAM_MIN_SAFETY
+        assert bounds.lam_max == 2.0
+        with pytest.raises(ConfigurationError):
+            spectrum_bounds(op, "none", [0.5, 0.5], [np.nan])
+
+
+class TestSpectrumEnclosure:
+    """``lam_max_bound`` is a proof, not an estimate: it lies on or above
+    every eigenvalue of ``A`` (no preconditioner) or of ``M^{-1} A``
+    (diagonal, block Jacobi), and every rank count gives the same value."""
+
+    CASES = ((12, 10), (5, 6, 7))
+
+    @staticmethod
+    def spectrum(op, faces, kind):
+        """Eigenvalues of ``M^{-1} A`` from the assembled ``A`` and the
+        preconditioner applied to every unit vector."""
+        A = StencilOperator2D.assemble_sparse(*faces).toarray()
+        M = make_local_preconditioner(op, kind)
+        shape = op.tile.shape
+        inv_m = np.empty_like(A)
+        for i in range(A.shape[0]):
+            e = np.zeros(A.shape[0])
+            e[i] = 1.0
+            r = Field.from_global(op.tile, op.halo, e.reshape(shape))
+            z = op.new_field()
+            M.apply(r, z)
+            inv_m[:, i] = z.interior.ravel()
+        return np.linalg.eigvals(inv_m @ A).real
+
+    @pytest.mark.parametrize("shape", CASES)
+    def test_bound_encloses_the_spectrum(self, rng, shape):
+        faces = random_spd_faces(rng, *shape, scale=3.0)
+        grid = Grid2D(*shape[::-1]) if len(shape) == 2 \
+            else Grid3D(*shape[::-1])
+        op = serial_operator(grid, *faces)
+        kinds = ("none", "diagonal") + (("block_jacobi",)
+                                        if len(shape) == 2 else ())
+        for kind in kinds:
+            lam = self.spectrum(op, faces, kind)
+            bound = lam_max_bound(op, kind)
+            assert lam.max() <= bound, kind
+            assert lam.min() > 0.0, kind
+        # The unpreconditioned bound is Gershgorin's max(2d - 1), to the
+        # bit of the operator's own diagonal.
+        assert lam_max_bound(op) == (2.0 * op.diagonal() - 1.0).max()
+
+    @pytest.mark.parametrize("shape", CASES)
+    def test_one_and_two_ranks_agree(self, rng, shape):
+        faces = random_spd_faces(rng, *shape, scale=3.0)
+        grid = Grid2D(*shape[::-1]) if len(shape) == 2 \
+            else Grid3D(*shape[::-1])
+        bg = rng.standard_normal(shape)
+        kinds = ("none", "diagonal") + (("block_jacobi",)
+                                        if len(shape) == 2 else ())
+        op = serial_operator(grid, *faces)
+        for kind in kinds:
+            options = SolverOptions(solver="chebyshev", eps=1e-14,
+                                    max_iters=10, eigen_warmup_iters=4,
+                                    preconditioner=kind)
+            tops = {r.result.eigen_bounds[1]
+                    for size in (1, 2)
+                    for r in solve_on_ranks(grid, faces, bg, options,
+                                            size).ranks}
+            assert tops == {lam_max_bound(op, kind)}, kind
 
 
 class TestChebyshevEpsilon:

@@ -1,5 +1,5 @@
 """Tests for the §VII future-work extensions: fused CG, deflation,
-adaptive PPCG, and field summaries."""
+CPPCG's provable interval, and field summaries."""
 
 import numpy as np
 import pytest
@@ -16,6 +16,8 @@ from repro.solvers import (
     solve_linear,
 )
 from repro.solvers.deflation import DeflationSpace
+from repro.solvers.eigen import lam_max_bound
+from repro.solvers.options import options_from_dict
 from repro.utils import ConfigurationError, ConvergenceError
 
 from tests.helpers import (
@@ -219,6 +221,10 @@ class TestDeflation:
 
 
 class TestAdaptivePPCG:
+    """The §VIII robustness question at the top of the spectrum: a
+    caller's interval that undershoots ``lam_max`` fails, the solver's own
+    (Gershgorin ``lam_max``) converges with no restart machinery."""
+
     def bad_bounds(self):
         # grossly underestimated lam_max -> Chebyshev polynomial diverges
         return EigenBounds(1.0, 1.5)
@@ -239,10 +245,9 @@ class TestAdaptivePPCG:
         x_ref = reference_solution(kx, ky, bg)
         op = serial_operator(g, kx, ky)
         b = Field.from_global(op.tile, 1, bg)
-        result = ppcg_solve(op, b, eps=1e-10, bounds=self.bad_bounds(),
-                            warmup_iters=15, adaptive=True)
-        assert result.converged
-        assert result.restarts >= 1
+        result = ppcg_solve(op, b, eps=1e-10, max_iters=50, warmup_iters=3)
+        assert result.converged and not result.degraded
+        assert result.eigen_bounds[1] == lam_max_bound(op)
         assert np.allclose(result.x.interior, x_ref,
                            atol=1e-6 * np.abs(x_ref).max())
 
@@ -250,16 +255,22 @@ class TestAdaptivePPCG:
         g, kx, ky, bg = crooked_pipe_system(32)
         op = serial_operator(g, kx, ky)
         b = Field.from_global(op.tile, 1, bg)
-        result = ppcg_solve(op, b, eps=1e-10, adaptive=True)
-        assert result.converged
-        assert result.restarts == 0
+        result = ppcg_solve(op, b, eps=1e-10)
+        assert result.converged and not result.degraded
+        assert not hasattr(result, "restarts")
+        lam_min, lam_max = result.eigen_bounds
+        assert lam_min < 1.0 < lam_max == lam_max_bound(op)
 
     def test_driver_passes_adaptive(self):
+        with pytest.raises(ConfigurationError, match="'adaptive'"):
+            options_from_dict({"solver": "ppcg", "adaptive": False})
+        with pytest.raises(TypeError):
+            ppcg_solve(None, None, adaptive=True)
         g, kx, ky, bg = crooked_pipe_system(24)
         op = serial_operator(g, kx, ky)
         b = Field.from_global(op.tile, 1, bg)
         result = solve_linear(op, b, options=SolverOptions(
-            solver="ppcg", eps=1e-10, adaptive=True))
+            solver="ppcg", eps=1e-10))
         assert result.converged
 
 

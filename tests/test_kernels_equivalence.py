@@ -1450,13 +1450,12 @@ def test_full_solve_differential(label, opt, backend):
 
 
 #: (outer, inner) iteration counts of SOLVE_CONFIGS on the 16^2 crooked
-#: pipe as measured before the baseline was blocked (the ``chebyshev``
-#: configurations run out their budget: 8 warm-up iterations are too few
-#: for usable bounds at this size, on either side of the change).
+#: pipe as measured before the baseline was blocked (the ``chebyshev`` and
+#: ``ppcg`` ones since ``lam_max`` became the Gershgorin bound).
 PINNED_ITERATIONS = {
     "cg": (23, 0), "cg_fused": (23, 0), "jacobi": (51, 0),
-    "chebyshev": (500, 0), "chebyshev-depth4": (500, 0),
-    "ppcg": (12, 52), "ppcg-depth4": (9, 80), "dcg": (23, 0),
+    "chebyshev": (20, 0), "chebyshev-depth4": (20, 0),
+    "ppcg": (5, 24), "ppcg-depth4": (3, 32), "dcg": (23, 0),
 }
 
 
@@ -1466,14 +1465,15 @@ PINNED_ITERATIONS = {
 #: recorded before the routing, with the iteration counts above — and of
 #: the ranks' padded solutions, in rank order, of the two matrix-powers
 #: configurations on the 48^2 crooked pipe over 1x2 and 2x2 ranks,
-#: recorded before the Chebyshev step had a compiled body — and of CG on
+#: recorded before the Chebyshev step had a compiled body (since
+#: ``lam_max`` became the Gershgorin bound) — and of CG on
 #: ranks (``cg`` bare and diagonally scaled on that pipe, ``cg`` on the
 #: 12^3 duct over 2 ranks), recorded before CG's iteration was bound.
 PINNED_SOLUTIONS = {"jacobi": "bf37c77db26be68b", "dcg": "b227bbfe7dfd7e1e",
-                    "ppcg-depth4@1x2": "46f20b099d118093",
-                    "ppcg-depth4@2x2": "0c3081377af4e722",
-                    "chebyshev-depth4@1x2": "33bbfbfb14101339",
-                    "chebyshev-depth4@2x2": "0765e886401428ad",
+                    "ppcg-depth4@1x2": "f76d22fab6c64d30",
+                    "ppcg-depth4@2x2": "c51d3e11114e9b0f",
+                    "chebyshev-depth4@1x2": "d82bf9d9c4363bab",
+                    "chebyshev-depth4@2x2": "30d630565cf8b606",
                     "cg@1x2": "f43c8fd52525e007", "cg@2x2": "ead8522be4e205b2",
                     "cg-diagonal@1x2": "23d91834028c4ad3",
                     "cg-diagonal@2x2": "21179d1befa0cf0f",
@@ -1616,28 +1616,29 @@ def test_diverging_inner_steps_end_alike_on_both_paths():
     """``lam_max`` under-estimated tenfold (and ``lam_min``): 160 inner
     steps overflow.  The compiled step raises no flag, and no pass of the
     NumPy replay reports one either — the guards see the overflow in the
-    outer reductions — so plain CPPCG breaks down, ``adaptive`` restarts
-    and converges, ``degrade`` finishes on plain CG, alike on both."""
+    outer reductions — so plain CPPCG breaks down, ``degrade`` finishes on
+    plain CG, and the solver's own interval converges, alike on both."""
     grid, kxg, kyg, bg = crooked_pipe_system(32)
+    bad = EigenBounds(0.1, 0.11)
     outcomes = []
     for k in _instances("numpy"):
-        for mode in ({}, {"adaptive": True}, {"degrade": True}):
+        for mode in ({"bounds": bad}, {"bounds": bad, "degrade": True},
+                     {"bounds": None}):
             op = replace(serial_operator(grid, kxg, kyg, halo=4), kernels=k,
                          exchanger=None)
             b = Field.from_global(op.tile, op.halo, bg)
             try:
                 r = ppcg_solve(op, b, eps=1e-8, max_iters=100, warmup_iters=10,
-                               inner_steps=160, halo_depth=4,
-                               bounds=EigenBounds(0.1, 0.11), **mode)
-                outcomes.append((r.iterations, r.inner_iterations, r.restarts,
+                               inner_steps=160, halo_depth=4, **mode)
+                outcomes.append((r.iterations, r.inner_iterations,
                                  getattr(r, "degraded_reason", ""),
                                  r.converged))
             except Exception as exc:
                 outcomes.append((type(exc).__name__, str(exc)))
-    plain, adaptive, degrade = outcomes[:3]
+    plain, degrade, own = outcomes[:3]
     assert plain[0] == "BreakdownError"
-    assert adaptive[2:] == (1, "", True)
-    assert degrade[3].startswith("fell back to plain CG") and degrade[4]
+    assert degrade[2].startswith("fell back to plain CG") and degrade[3]
+    assert own[2:] == ("", True)
     assert outcomes == outcomes[:3] * (len(outcomes) // 3)
 
 

@@ -19,6 +19,8 @@ from repro.numerics import (
 from repro.solvers import (Defences, EigenBounds, SolverOptions,
                            StencilOperator2D, cg_solve, solve_linear)
 from repro.solvers.jacobi import jacobi_solve
+from repro.solvers.driver import SolveSetup
+from repro.solvers.eigen import lam_max_bound
 from repro.solvers.ppcg import ppcg_solve
 from repro.utils import ConvergenceError
 from repro.utils.errors import ConfigurationError
@@ -272,10 +274,14 @@ class TestSolverBreakdowns:
         g, kx, ky, bg = crooked_pipe_jump_system(16, 1e8)
         op = serial_operator(g, kx, ky)
         b = Field.from_global(op.tile, 1, bg)
+        # The Ritz interval of 4 warm-up iterations: lam_max far short of
+        # the Gershgorin bound, 2591.5, on the top of the spectrum.
+        bad = SolveSetup(bounds=EigenBounds(0.9500021512454224,
+                                            1245.6300019801065))
         with pytest.raises(BreakdownError, match="stagnated"):
             solve_linear(op, b, options=SolverOptions(
                 solver="chebyshev", eps=1e-10, max_iters=2000,
-                eigen_warmup_iters=4, stagnation_window=5))
+                eigen_warmup_iters=4, stagnation_window=5), setup=bad)
 
     def test_cg3d_breakdown(self):
         # The 7-point operator under the shared CG: negative faces.
@@ -297,15 +303,17 @@ class TestSolverBreakdowns:
 
 
 class TestPpcgRestartAndFallback:
-    """Breakdown-driven restart/degrade paths (verified recipes).
+    """Breakdown-driven degrade paths (verified recipes).
 
     With deliberately bogus eigenvalue bounds the Chebyshev inner phase
     makes no progress; the stagnation window raises a BreakdownError
-    inside the outer loop, which the adaptive machinery turns into a
-    restart, a fallback to plain CG, or a structured raise.
+    inside the outer loop, which ``degrade`` turns into a fallback to
+    plain CG and which otherwise propagates as a structured raise.  The
+    solver's own interval (Gershgorin ``lam_max``) needs neither.
     """
 
     EPS = 1e-8
+    BAD = EigenBounds(lam_min=0.5, lam_max=0.6)
 
     @pytest.fixture(scope="class")
     def system(self):
@@ -314,25 +322,22 @@ class TestPpcgRestartAndFallback:
         b = Field.from_global(op.tile, 4, bg)
         return op, b
 
-    def run(self, system, **kw):
+    def run(self, system, bounds=BAD, **kw):
         op, b = system
-        bad = EigenBounds(lam_min=0.5, lam_max=0.6)
         return ppcg_solve(op, b, eps=self.EPS, max_iters=400,
-                          inner_steps=9, halo_depth=4, bounds=bad,
+                          inner_steps=9, halo_depth=4, bounds=bounds,
                           defences=Defences(stagnation_window=15), **kw)
 
     def test_fallback_to_plain_cg(self, system):
-        result = self.run(system, adaptive=True, max_restarts=0,
-                          degrade=True)
+        result = self.run(system, degrade=True)
         assert result.converged
         assert result.degraded
-        assert "fell back to plain CG" in result.degraded_reason
-        assert "breakdown persists" in result.degraded_reason
+        assert result.degraded_reason.startswith(
+            "fell back to plain CG: chebyshev-preconditioned CG broke down")
         # pinned before PR 13 moved the defences behind one object: the
         # warm-up ran with the stagnation window off, every later phase
         # with a fresh one
-        assert (result.iterations, result.warmup_iterations,
-                result.restarts) == (37, 25, 0)
+        assert (result.iterations, result.warmup_iterations) == (37, 25)
         assert len(result.history) == 63
         assert history_sha(result.history) == "cb081c3e28a33388"
         assert result.degraded_reason.endswith(
@@ -341,20 +346,21 @@ class TestPpcgRestartAndFallback:
 
     def test_breakdown_raises_without_degrade(self, system):
         with pytest.raises(BreakdownError, match="stagnated"):
-            self.run(system, adaptive=True, max_restarts=0, degrade=False)
+            self.run(system, degrade=False)
 
     def test_restart_recovers(self, system):
-        result = self.run(system, adaptive=True, max_restarts=2,
-                          degrade=True)
+        result = self.run(system, bounds=None, degrade=True)
         assert result.converged
-        assert result.restarts >= 1
         assert not result.degraded
+        assert result.eigen_bounds[1] == lam_max_bound(system[0])
 
     def test_nonadaptive_degrades_immediately(self, system):
-        result = self.run(system, adaptive=False, degrade=True)
+        # An interval Chebyshev rejects (delta = 0) degrades at once too.
+        result = self.run(system, bounds=EigenBounds(0.5, 0.5), degrade=True)
         assert result.converged
         assert result.degraded
         assert "broke down" in result.degraded_reason
+        assert "lam_max > lam_min" in result.degraded_reason
 
 
 class TestMixedPrecision:
