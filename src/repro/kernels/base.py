@@ -2,8 +2,8 @@
 
 Every computational kernel of the solver family — the 5-point (2-D) or
 7-point (3-D) stencil apply (paper Listing 1), the fused apply+dot and
-apply+axpy+dot chains,
-halo pack/unpack, and the BLAS-1 tail (dot/axpy/aypx/norm) — is routed
+apply+axpy+dot chains, halo pack/unpack, and the BLAS-1 tail
+(dot/axpy/aypx/norm) — is routed
 through a :class:`KernelBackend`.  Backends operate on **raw padded
 arrays plus explicit loop bounds** so implementations are free to block,
 fuse or compile without knowing anything about :class:`~repro.mesh.field.Field`,
@@ -27,18 +27,14 @@ padded shape (an operator's fields always do); anything else is a
 Numerical policy (see ``docs/kernels.md``):
 
 - **fp-order-preserving kernels** — ``stencil_apply``, ``axpy``,
-  ``aypx``, the field updates of ``apply_axpy_dot``, the Chebyshev
-  step of ``bind_chebyshev``, the bound CG bodies of ``bind_cg`` (the
-  ``cg_pass`` of ``x``/``p``/``w``, the ``cg_residual`` of ``r``),
-  ``pack_halo``/``unpack_halo`` —
-  are elementwise and must match the ``numpy`` baseline **bit for bit**
-  for every dtype: blocking or compiling may not reorder an element's
-  ops (nor fuse a multiply into an add).
+  ``aypx``, the field updates of ``apply_axpy_dot``, the bound bodies
+  of ``bind_chebyshev`` and ``bind_cg``, ``pack_halo``/``unpack_halo``
+  — are elementwise and must match the ``numpy`` baseline **bit for
+  bit** for every dtype: blocking or compiling may not reorder an
+  element's ops (nor fuse a multiply into an add).
 - **reductions** — ``dot``, ``norm``, the scalars of ``apply_dot`` /
-  ``apply_axpy_dot`` and the bound CG bodies' ``<p, A p>`` and ``<r,
-  r>`` — have
-  one defined order, :func:`reference_dot`, so they are the same bits
-  on every CPU.
+  ``apply_axpy_dot`` and of the bound CG bodies — have one defined
+  order, :func:`reference_dot`, so they are the same bits on every CPU.
 
 The equivalence battery (``tests/test_kernels_equivalence.py``) holds
 both bodies of the ``numpy`` backend — the compiled loops and the NumPy
@@ -181,16 +177,14 @@ class KernelBackend:
     def bind_chebyshev(self, faces, d, w, r, z, inv_diag, regions,
                        interior):
         """One matrix-powers Chebyshev inner step bound once to one
-        iteration's padded arrays — or None, the default: the caller then
-        makes the separate passes, the reference, whose bits the body
-        gives.  ``regions[ext]`` are the loop bounds of extension ``ext``,
-        ``interior`` the interior's, inside each.  The bound object's
-        ``step(ext, scale, beta)`` runs, on region ``R = regions[ext]``:
+        iteration's padded arrays, as :meth:`bind_cg` binds, or None.
+        ``regions[ext]`` are the loop bounds of extension ``ext``,
+        ``interior`` the interior's, inside each.  Where ``fits(scale,
+        beta)``, ``steps[ext](scale, beta)`` runs on ``R = regions[ext]``:
         ``w = A d``; ``z += d`` on the interior only; then ``r += w * -1``,
         ``w = (r * inv_diag) * scale`` (``r * scale`` when ``inv_diag`` is
         None) and ``d = d * beta + w`` — per cell in the order of those
-        separate passes — and returns True, or runs nothing and returns
-        False."""
+        separate passes."""
         return None
 
     def bind_cg(self, faces, x, r, p, w, z, bounds, ring):
@@ -198,15 +192,15 @@ class KernelBackend:
         region ``bounds`` and its ``ring`` (the region grown by one cell
         toward neighbours) — or None, the default: the caller then makes
         the separate calls, the reference, whose bits the bodies give.
-        The bound object's ``fits(scalar)`` says whether its bodies take a
-        scalar; ``apply_dot()`` returns the local ``<p, A p>``;
+        The bound object keeps the arrays alive and its bodies as
+        attributes, and ``fits(*scalars)`` is their one scalar check.
+        ``apply_dot()`` returns the local ``<p, A p>``;
         ``cg_residual(alpha)`` runs ``r += -alpha w`` and returns the local
         ``<r, r>`` when ``z`` is ``r`` (else 0.0); ``cg_pass(alpha,
         beta)`` runs, in one pass, ``x += alpha p`` on the region, ``p =
         beta p + z`` on the ring and ``w = A p`` on the region, and returns
-        the local ``<p, A p>``; ``settle(alpha, beta)`` runs ``x += alpha
-        p``, then ``p = beta p + z``, on the region (a None scalar skips
-        its update)."""
+        the local ``<p, A p>``; ``update_x(alpha)`` and ``update_p(beta)``
+        are its first two updates alone, on the region."""
         return None
 
     # -- BLAS-1 tail -----------------------------------------------------------

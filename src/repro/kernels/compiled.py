@@ -7,9 +7,8 @@ constructs — is a :class:`CompiledBackend`, whose stencil chains, ``axpy``
 and ``aypx`` stream each array through cache once instead of once per
 ufunc pass, and whose reductions sum the reference order
 (:func:`~repro.kernels.base.reference_dot`) as they stream, with no
-operand copied.  Elsewhere it is the pure
-:class:`~repro.kernels.numpy_backend.NumpyBackend`, silently;
-:func:`baseline_bodies` tells which.  ``docs/kernels.md`` ("Compiled
+operand copied; elsewhere it is the pure NumPy replay, silently
+(:func:`baseline_bodies` tells which).  ``docs/kernels.md`` ("Compiled
 bodies") has the flag policy, the cache rules and the measurements.
 """
 
@@ -46,8 +45,24 @@ FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _FLOAT_MAX = 3.4e38
 
 
-#: The bodies that return the reference reduction of their region.
-_REDUCING = ("apply_dot", "apply_axpy_dot", "dot", "cg_pass", "cg_residual")
+#: Every kernel of ``bodies.c``, built for 2-D and 3-D, double and float:
+#: its arguments — ``F`` the faces, ``B`` the pitches and the region's
+#: bounds (a flat run: its length), ``R`` CG's ring or the Chebyshev
+#: interior, ``p`` a pointer, ``r`` a double, ``i`` an int — and whether
+#: it returns the reference reduction of its region (``c_double``).
+BODIES = {
+    "stencil": ("F p p B", False),
+    "apply_dot": ("F p p B", True),
+    "apply_axpy_dot": ("F p p p r B", True),
+    "dot": ("p p B", True),
+    "axpy": ("p r p B", False),
+    "aypx": ("p r p B", False),
+    "cg_residual": ("p p i B r", True),
+    "cg_pass": ("F p p p p B R r r", True),
+    "chebyshev_step": ("F p p p p p B R r r", False),
+}
+#: The kernels also built over one flat run (dimension 0).
+FLAT = ("axpy", "aypx")
 
 
 class BuildError(Exception):
@@ -117,34 +132,22 @@ def _open(cc: str, source, flags, target: Path):
 
 def _declare(lib) -> dict:
     """The bodies of ``lib`` by ``(kernel, dimension, dtype)`` — dimension
-    0 for the flat BLAS-1 pair, which is also a pair of region bodies —
-    with their ``argtypes`` set, and ``restype`` ``c_double`` for the
-    bodies that return a reduction."""
+    0 for the :data:`FLAT` pair — with the ``argtypes`` and ``restype``
+    :data:`BODIES` gives them."""
     import ctypes
-    ptr, size, real = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_double
-    signatures = {(kernel, 0): [ptr, real, ptr, size]
-                  for kernel in ("axpy", "aypx")}
-    for ndim in (2, 3):
-        tail = [size] * (ndim - 1 + 2 * ndim)   # pitches, then bounds
-        signatures["stencil", ndim] = [ptr] * (ndim + 2) + tail
-        signatures["apply_dot", ndim] = [ptr] * (ndim + 2) + tail
-        signatures["apply_axpy_dot", ndim] = [ptr] * (ndim + 3) + [real] + tail
-        signatures["dot", ndim] = [ptr, ptr] + tail
-        signatures["chebyshev_step", ndim] = (
-            [ptr] * (ndim + 5) + tail + [size] * (2 * ndim) + [real, real])
-        signatures["cg_pass", ndim] = (
-            [ptr] * (ndim + 4) + tail + [size] * (2 * ndim) + [real, real])
-        signatures["cg_residual", ndim] = (
-            [ptr, ptr, ctypes.c_int] + tail + [real])
-        signatures["axpy", ndim] = signatures["aypx", ndim] = (
-            [ptr, real, ptr] + tail)
     bodies = {}
-    for (kernel, ndim), argtypes in signatures.items():
-        for char in "df":
-            fn = getattr(lib, f"{kernel}{ndim or ''}_{char}")
-            fn.argtypes = argtypes
-            fn.restype = real if kernel in _REDUCING else None
-            bodies[kernel, ndim, np.dtype(char)] = fn
+    for kernel, (layout, reducing) in BODIES.items():
+        for ndim in (0, 2, 3) if kernel in FLAT else (2, 3):
+            codes = {"p": [ctypes.c_void_p], "r": [ctypes.c_double],
+                     "i": [ctypes.c_int], "F": [ctypes.c_void_p] * ndim,
+                     "B": [ctypes.c_size_t] * (3 * ndim - 1 if ndim else 1),
+                     "R": [ctypes.c_size_t] * (2 * ndim)}
+            for char in "df":
+                fn = getattr(lib, f"{kernel}{ndim or ''}_{char}")
+                fn.argtypes = [t for code in layout.split()
+                               for t in codes[code]]
+                fn.restype = ctypes.c_double if reducing else None
+                bodies[kernel, ndim, np.dtype(char)] = fn
     return bodies
 
 
@@ -232,6 +235,12 @@ def _scalar_fits(alpha, dtype: np.dtype) -> bool:
                                      or abs(alpha) < _FLOAT_MAX)
 
 
+def _within(inner, *outer) -> bool:
+    """Bounds ``inner`` lie inside each of the bounds ``outer``."""
+    return all(o[k] <= inner[k] <= inner[k + 1] <= o[k + 1]
+               for o in outer for k in range(0, len(inner), 2))
+
+
 class CompiledBackend(NumpyBackend):
     """The baseline bit patterns from the loops of ``bodies.c``.
 
@@ -291,30 +300,26 @@ class CompiledBackend(NumpyBackend):
                 return None
         return body, at
 
-    def stencil_apply(self, *args):
-        faces, p, out, _, bounds = _operands(args)
-        chain = self._chain("stencil", faces, p, out, bounds)
-        if chain is None:
-            return super().stencil_apply(*args)
+    def _stencil(self, kernel: str, args, numpy, extra: int = 0):
+        """``kernel``'s body on a stencil chain's ``args`` (``extra``: an array
+        and its scalar), or ``numpy``'s where the body cannot take them."""
+        faces, p, out, more, bounds = _operands(args, extra)
+        chain = (not more or _scalar_fits(more[1], p.dtype)) and (
+            self._chain(kernel, faces, p, out, bounds, *more[:1]))
+        if not chain:
+            return numpy(*args)
         body, at = chain
-        body(*at, *p.shape[1:], *bounds)
+        return body(*at, *more[1:], *p.shape[1:], *bounds)
+
+    def stencil_apply(self, *args):
+        return self._stencil("stencil", args, super().stencil_apply)
 
     def apply_dot(self, *args):
-        faces, p, out, _, bounds = _operands(args)
-        chain = self._chain("apply_dot", faces, p, out, bounds)
-        if chain is None:
-            return super().apply_dot(*args)
-        body, at = chain
-        return body(*at, *p.shape[1:], *bounds)
+        return self._stencil("apply_dot", args, super().apply_dot)
 
     def apply_axpy_dot(self, *args):
-        faces, p, out, (y, alpha), bounds = _operands(args, 2)
-        chain = (self._chain("apply_axpy_dot", faces, p, out, bounds, y)
-                 if _scalar_fits(alpha, p.dtype) else None)
-        if chain is None:
-            return super().apply_axpy_dot(*args)
-        body, at = chain
-        return body(*at, alpha, *p.shape[1:], *bounds)
+        return self._stencil("apply_axpy_dot", args, super().apply_axpy_dot,
+                             2)
 
     def dot(self, a, b):
         """The ``dot`` body over the region two views of one layout span
@@ -326,36 +331,49 @@ class CompiledBackend(NumpyBackend):
             return super().dot(a, b)
         return body(a.ctypes.data, b.ctypes.data, *tail)
 
+    def _chains(self, kernel: str, faces, p, w, more, regions):
+        """``_chain``'s ``(body, addresses)`` on each of ``regions`` — ``p``,
+        ``w`` and ``more[:2]`` written — or None where one fails."""
+        chains = [self._chain(kernel, faces, p, w, region, *more,
+                              written=(p, w, *more[:2])) for region in regions]
+        return chains if all(chains) else None
+
     def bind_chebyshev(self, faces, d, w, r, z, inv_diag, regions, interior):
-        # ``_chain``'s checks, once per extension, the interior inside each
-        # region; one packed call per extension.
+        # One packed call per extension, the interior inside each region.
         more = (r, z) if inv_diag is None else (r, z, inv_diag)
-        n, steps = len(faces) + 4, []
-        for region in regions:
-            chain = all(lo <= hi for lo, hi in zip(
-                region[::2] + interior[1::2], interior[::2] + region[1::2])
-            ) and self._chain("chebyshev_step", faces, d, w, region, *more,
-                              written=(d, w, r, z))
-            if not chain:
-                return None
-            body, at = chain
-            m = at[n] if inv_diag is not None else None
-            steps.append(partial(body, *at[:n], m, *d.shape[1:], *region,
-                                 *interior))
-        return _BoundChebyshev((*faces, d, w, *more), d.dtype, steps)
+        chains = _within(interior, *regions) and self._chains(
+            "chebyshev_step", faces, d, w, more, regions)
+        if not chains:
+            return None
+        n = len(faces) + 4
+        return _Bound((*faces, d, w, *more), d.dtype, steps=[
+            partial(body, *at[:n], at[n] if inv_diag is not None else None,
+                    *d.shape[1:], *region, *interior)
+            for (body, at), region in zip(chains, regions)])
 
     def bind_cg(self, faces, x, r, p, w, z, bounds, ring):
-        # ``_chain``'s checks, once per solve, the interior inside the ring
-        # and the ring inside the arrays; ``z`` is ``r`` or only read.
+        # Once per solve, the interior inside the ring and the ring inside
+        # the arrays; ``z`` is ``r`` or only read.
         more = (x, r) if z is r else (x, r, z)
-        chain = all(0 <= lo <= b_lo <= b_hi <= hi <= n
-                    for lo, b_lo, b_hi, hi, n in zip(
-                        ring[::2], bounds[::2], bounds[1::2], ring[1::2],
-                        p.shape)) and self._chain(
-            "apply_dot", faces, p, w, bounds, *more, written=(x, r, p, w))
-        if not chain:
+        whole = tuple(b for size in p.shape for b in (0, size))
+        chains = _within(bounds, ring) and _within(ring, whole) and (
+            self._chains("apply_dot", faces, p, w, more, [bounds]))
+        if not chains:
             return None
-        return _BoundCG(self, (*faces, p, w, *more), bounds, ring, *chain)
+        ((apply_dot, at),) = chains
+        n, tail = len(faces), (*p.shape[1:], *bounds)
+        cg_pass, cg_residual, axpy, aypx = (
+            self._bodies[kernel, n, p.dtype]
+            for kernel in ("cg_pass", "cg_residual", "axpy", "aypx"))
+        f, (p_, w_, x_, r_), z_ = at[:n], at[n:n + 4], at[-1]
+        return _Bound(
+            (*faces, p, w, *more), p.dtype,
+            apply_dot=partial(apply_dot, *f, p_, w_, *tail),
+            cg_pass=partial(cg_pass, *f, p_, w_, x_, z_, *tail, *ring),
+            # z is r: <r, r> rides the update.
+            cg_residual=partial(cg_residual, r_, w_, int(z is r), *tail),
+            update_x=lambda alpha: axpy(x_, alpha, p_, *tail),
+            update_p=lambda beta: aypx(p_, beta, z_, *tail))
 
     def _flat(self, kernel: str, y, alpha, x) -> bool:
         """Run ``kernel`` (``axpy``/``aypx``) on ``y`` and ``x`` and say
@@ -382,56 +400,17 @@ class CompiledBackend(NumpyBackend):
             super().aypx(y, beta, x)
 
 
-class _BoundCG:
-    """One CG solve's bodies (:meth:`CompiledBackend.bind_cg`) on the
-    addresses of the arrays it keeps alive.  ``apply_dot()`` returns the
-    local ``<p, A p>``, ``cg_residual(alpha)`` the local ``<r, r>`` when
-    ``z`` is ``r`` (else 0.0) and ``cg_pass(alpha, beta)`` the local ``<p,
-    A p>`` of the new ``p``; ``settle`` applies what a pass would have.
-    None checks its scalars, which the caller asks :meth:`fits` about
-    first."""
+class _Bound:
+    """Bodies bound once to the addresses of ``arrays``, which it keeps
+    alive: each an attribute (``KernelBackend.bind_cg`` and
+    ``bind_chebyshev`` name them).  No body checks its scalars: the
+    caller asks :meth:`fits` first."""
 
-    def __init__(self, k, arrays, bounds, ring, apply_dot, at):
-        n, p = len(bounds) // 2, arrays[len(bounds) // 2]
-        p_, w, x, r = at[n:n + 4]       # after the faces; then z unless r
-        self.arrays, self.dtype = arrays, p.dtype
-        tail = (*p.shape[1:], *bounds)
-        self.apply_dot = partial(apply_dot, *at[:n], p_, w, *tail)
-        self.cg_pass = partial(k._bodies["cg_pass", n, p.dtype], *at[:n],
-                               p_, w, x, at[-1], *tail, *ring)
-        # z is r: <r, r> rides the update.
-        self.cg_residual = partial(k._bodies["cg_residual", n, p.dtype], r,
-                                   w, int(len(arrays) == n + 4), *tail)
-        self._axpy = partial(k._bodies["axpy", n, p.dtype], x)
-        self._aypx = partial(k._bodies["aypx", n, p.dtype], p_)
-        self._p, self._z = (p_, *tail), (at[-1], *tail)
+    def __init__(self, arrays, dtype, **bodies):
+        self.arrays, self.dtype = arrays, dtype
+        vars(self).update(bodies)
 
-    def fits(self, scalar) -> bool:
-        """The bodies may take ``scalar`` (:func:`_scalar_fits`)."""
-        return _scalar_fits(scalar, self.dtype)
-
-    def settle(self, alpha, beta) -> None:
-        """``x += alpha p``, then ``p = beta p + z``, on the region; a
-        None scalar skips its update."""
-        if alpha is not None:
-            self._axpy(alpha, *self._p)
-        if beta is not None:
-            self._aypx(beta, *self._z)
-
-
-class _BoundChebyshev:
-    """One Chebyshev iteration's inner-step body
-    (:meth:`CompiledBackend.bind_chebyshev`), per extension, on the
-    addresses of the arrays it keeps alive.  ``step`` checks only its two
-    scalars and runs nothing — False — where :func:`_scalar_fits` says
-    NumPy would round otherwise."""
-
-    def __init__(self, arrays, dtype, steps):
-        self.arrays, self.dtype, self._steps = arrays, dtype, steps
-
-    def step(self, ext, scale, beta) -> bool:
-        dtype = self.dtype
-        if not (_scalar_fits(scale, dtype) and _scalar_fits(beta, dtype)):
-            return False
-        self._steps[ext](scale, beta)
-        return True
+    def fits(self, *scalars) -> bool:
+        """The bodies may take every one of ``scalars``: NumPy would keep
+        the arithmetic in the arrays' dtype (:func:`_scalar_fits`)."""
+        return all(_scalar_fits(s, self.dtype) for s in scalars)

@@ -73,9 +73,11 @@ class CGState:
         """Apply the pending ``x += alpha p``, then ``p = beta p + z`` —
         only a bound step leaves them, with scalars its bodies take."""
         alpha, beta = self.pending_alpha, self.pending_beta
-        if alpha is not None or beta is not None:
-            self.pending_alpha = self.pending_beta = None
-            self.bound.settle(alpha, beta)
+        self.pending_alpha = self.pending_beta = None
+        if alpha is not None:
+            self.bound.update_x(alpha)
+        if beta is not None:
+            self.bound.update_p(beta)
 
     def precondition(self, local_rr: float | None = None) -> float:
         """``z = M^-1 r`` and the fused ``(<r, z>, <r, r>)`` reduction;

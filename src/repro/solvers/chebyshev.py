@@ -226,6 +226,8 @@ class ChebyshevPreconditioner(Preconditioner):
     preconditioner of Ashby, Manteuffel & Otto (Eq. 2): the induced
     ``B(lambda) lambda = 1 - T_m(xi(lambda))/T_m(xi(0))`` is SPD for any SPD ``A`` whose
     spectrum lies within the supplied bounds, so outer CG remains valid.
+    Its inner steps apply ``local_precond`` (None: the identity), which
+    the caller builds and may share — CPPCG's warm-up uses the same one.
     """
 
     name = "chebyshev"
@@ -237,14 +239,14 @@ class ChebyshevPreconditioner(Preconditioner):
         bounds: EigenBounds,
         steps: int = 10,
         halo_depth: int = 1,
-        inner_preconditioner: str = "none",
+        local_precond: Preconditioner | None = None,
     ):
         check_positive("steps", steps)
         self.op = op
         self.bounds = bounds
         self.steps = steps
         self.halo_depth = halo_depth
-        self._inner = make_local_preconditioner(op, inner_preconditioner)
+        self._inner = local_precond
         self._rr = op.new_field()
         self._it: ChebyshevIteration | None = None
         self.applications = 0

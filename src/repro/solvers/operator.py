@@ -445,9 +445,9 @@ class CGStep:
 
 class ChebyshevStep:
     """One Chebyshev inner step (:meth:`StencilOperator.bind_chebyshev`):
-    the body the backend bound, or — unbound, or handed back — the stencil
-    alone, and the caller makes the separate passes, the reference.  Both
-    give the same bits, spans and events."""
+    the body the backend bound, or — unbound, or handed a scalar it cannot
+    take (``fits``) — the stencil alone, and the caller makes the separate
+    passes, the reference.  Both give the same bits, spans and events."""
 
     def __init__(self, op: StencilOperator, d: Field, w: Field, bound):
         self.op, self.d, self.w, self.bound = op, d, w, bound
@@ -459,8 +459,10 @@ class ChebyshevStep:
         op, b = self.op, self.bound
         bounds, cells = op._stencil_bounds(ext)
         with op.tracer.span("stencil", ext):
-            done = b is not None and b.step(ext, scale, beta)
-            if not done:
+            done = b is not None and b.fits(scale, beta)
+            if done:
+                b.steps[ext](scale, beta)
+            else:
                 op.kernels.stencil_apply(*op._coeffs, self.d.data,
                                          self.w.data, *bounds)
         op.events.record("matvec", None, cells=cells)

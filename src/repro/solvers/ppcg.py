@@ -125,9 +125,12 @@ def ppcg_solve(
             "(halo_depth > 1); see paper §IV-C2")
 
     defences = defences if defences is not None else Defences()
+    # One local preconditioner for the warm-up and every inner iteration:
+    # block Jacobi factorises its strips once, the diagonal exchanges its
+    # halo once.
+    local_M = make_local_preconditioner(op, inner_preconditioner)
     warmup, bounds = warm_up(
-        op, b, x0, make_local_preconditioner(op, inner_preconditioner),
-        eps=eps, warmup_iters=warmup_iters, bounds=bounds,
+        op, b, x0, local_M, eps=eps, warmup_iters=warmup_iters, bounds=bounds,
         solver_name="ppcg", defences=defences)
     if bounds is None:
         return warmup
@@ -151,7 +154,7 @@ def ppcg_solve(
         try:
             outer = phase("outer", preconditioner=ChebyshevPreconditioner(
                 op, bounds, steps=inner_steps, halo_depth=depth,
-                inner_preconditioner=inner_preconditioner))
+                local_precond=local_M))
             break
         except CommunicationError:
             if not (degrade and depth > 1):

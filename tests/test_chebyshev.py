@@ -259,9 +259,9 @@ class TestChebyshevPreconditioner:
         g, kx, ky, bg = crooked_pipe_system(24)
         op = serial_operator(g, kx, ky, halo=4)
         for depth, inner in ((1, "none"), (4, "diagonal")):
-            M = ChebyshevPreconditioner(op, EigenBounds(1.0, 50.0), steps=6,
-                                        halo_depth=depth,
-                                        inner_preconditioner=inner)
+            M = ChebyshevPreconditioner(
+                op, EigenBounds(1.0, 50.0), steps=6, halo_depth=depth,
+                local_precond=make_local_preconditioner(op, inner))
             r, z = op.new_field(), op.new_field()
             r.interior[...] = bg
             M.apply(r, z)

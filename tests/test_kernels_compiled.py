@@ -116,22 +116,31 @@ def test_untrusted_cached_object_is_rebuilt_once_then_used(tmp_path, damage):
     assert [entry.name for entry in cache.iterdir()] == [Path(path).name]
 
 
-def test_every_body_is_cloned_where_the_toolchain_can():
-    """On x86-64 with glibc, ``bodies.c`` builds each body twice (its
-    ``CLONED`` macro) behind an ifunc resolver: every body the loader
-    declares has one.  A guard that quietly expanded to nothing would
-    bring back the baseline-ISA-only object, the same bits but slower."""
-    if platform.machine() != "x86_64":
-        pytest.skip(f"no clones on {platform.machine()}: only x86-64 gets them")
-    if platform.libc_ver()[0] != "glibc":
-        pytest.skip("no clones without glibc: its ifunc picks the copy")
+def test_body_table_is_what_loads_cloned():
+    """Every kernel of ``compiled.BODIES`` — 2-D and 3-D, flat too for
+    the ``FLAT`` pair, double and float — is a loaded body, and no other
+    is; a reducing one returns ``c_double``, the rest nothing.  On
+    x86-64 with glibc, ``bodies.c`` builds each body twice (its
+    ``CLONED`` macro) behind an ifunc resolver: every body has one.  A
+    guard that quietly expanded to nothing would bring back the
+    baseline-ISA-only object, the same bits but slower."""
     kind, path = baseline_bodies()
     if kind != "compiled":
         pytest.skip(path)
-    lib = ctypes.CDLL(path)
-    for kernel, ndim, dtype in compiled._process_bodies()[0]:
-        name = f"{kernel}{ndim or ''}_{dtype.char}"
-        assert lib[f"{name}.resolver"], name
+    bodies, lib = compiled._process_bodies()[0], ctypes.CDLL(path)
+    cloned = (platform.machine() == "x86_64"
+              and platform.libc_ver()[0] == "glibc")
+    seen = set()
+    for kernel, (_, reducing) in compiled.BODIES.items():
+        for ndim in (0, 2, 3) if kernel in compiled.FLAT else (2, 3):
+            for char in "df":
+                name = f"{kernel}{ndim or ''}_{char}"
+                body = bodies[kernel, ndim, np.dtype(char)]
+                assert body.restype is (
+                    ctypes.c_double if reducing else None), name
+                assert not cloned or lib[f"{name}.resolver"], name
+                seen.add((kernel, ndim, np.dtype(char)))
+    assert seen == set(bodies)
 
 
 def _outcome(call, *arrays):
@@ -184,10 +193,10 @@ def test_operands_the_loops_cannot_take_are_numpys():
 def test_chebyshev_steps_the_loops_cannot_take_run_nothing():
     """``bind_chebyshev`` binds nothing where the step's ``restrict``
     promise would break — ``z`` that is ``r``, a read-only ``d`` — or an
-    interior reaches outside a region; a bound step hands the whole step
-    back — False, nothing written — where its bits could differ from the
-    passes': a NumPy scalar, or a Python float no float32 holds, beside
-    float32 arrays."""
+    interior reaches outside a region; a bound step does not fit — the
+    operator then takes the separate passes — where its bits could
+    differ from the passes': a NumPy scalar, or a Python float no
+    float32 holds, beside float32 arrays."""
     rng = np.random.default_rng(29)
     kx, ky, d, w, r, z = (rng.standard_normal((8, 8)).astype("f")
                           for _ in range(6))
@@ -203,7 +212,8 @@ def test_chebyshev_steps_the_loops_cannot_take_run_nothing():
     bound = k.bind_chebyshev((kx, ky), d, w, r, z, None, regions, inner)
     for scale, beta in ((np.float64(0.5), 0.25), (0.5, np.float32(0.25)),
                         (1e39, 0.25)):
-        for ext in (0, 1):
-            assert bound.step(ext, scale, beta) is False
+        assert bound.fits(scale, beta) is False
     assert [a.tobytes() for a in (d, w, r, z)] == before
-    assert bound.step(1, 0.5, 0.25) is True
+    assert bound.fits(0.5, 0.25) is True
+    bound.steps[1](0.5, 0.25)
+    assert [a.tobytes() for a in (d, w, r, z)] != before

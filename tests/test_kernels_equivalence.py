@@ -572,9 +572,9 @@ def _inner_step(k, tile, halo, faces, arrays, depth, ext, inner):
 
 
 def _spy(k, log):
-    """``k``, appending to ``log`` what each step of a step it binds
-    returns — False for each binding it refuses (one step is taken per
-    binding here)."""
+    """``k``, appending to ``log`` whether each step of a step it binds
+    fits the bound body — False for each binding it refuses (one step is
+    taken per binding here)."""
     bind = k.bind_chebyshev
 
     def spied(*args):
@@ -582,8 +582,8 @@ def _spy(k, log):
         if bound is None:
             log.append(False)
         else:
-            step = bound.step
-            bound.step = lambda *a: log.append(step(*a)) or log[-1]
+            fits = bound.fits
+            bound.fits = lambda *a: log.append(fits(*a)) or log[-1]
         return bound
 
     k.bind_chebyshev = spied
@@ -668,8 +668,8 @@ def test_bound_chebyshev_binds_once_and_steps_in_one_body_call():
     def spied(*args):
         bound = bind(*args)
         binds.append(bound)
-        step = bound.step
-        bound.step = lambda *a: steps.append(step(*a)) or steps[-1]
+        fits = bound.fits
+        bound.fits = lambda *a: steps.append(fits(*a)) or steps[-1]
         return bound
 
     k.bind_chebyshev = spied
@@ -692,7 +692,8 @@ def _cg_iterations(k, faces, fields, ext):
     ``k``: a first matvec, then twice the residual update and the next
     matvec after ``x += alpha p`` and the direction on the ring, then a
     third residual update and ``x += alpha p`` and the direction on the
-    region — in the bound bodies (two passes, then ``settle``) where
+    region — in the bound bodies (two passes, then the two pending
+    updates, as ``CGState.settle`` runs them) where
     ``k`` binds them, in the reference calls where not.  Returns what the
     reductions saw: ``<p, A p>``, and ``<r, r>`` when ``z`` is ``r``
     (else 0.0), in turn."""
@@ -720,7 +721,8 @@ def _cg_iterations(k, faces, fields, ext):
             assert bound.fits(alpha) and bound.fits(beta)
             seen.append(bound.cg_residual(alpha))
             if last:
-                bound.settle(alpha, beta)
+                bound.update_x(alpha)
+                bound.update_p(beta)
             else:
                 seen.append(bound.cg_pass(alpha, beta))
     return seen
@@ -1146,7 +1148,7 @@ def test_span_mutants_are_killed(name):
 
 
 #: Seeded mutants of ``bodies.c`` — ``(old, new)`` at every occurrence in
-#: its source (the 2-D and the 3-D cell share lines) — and of its build
+#: its source (each kernel is one text for 2-D and 3-D) — and of its build
 #: flags: each is built through the loader the real bodies come from and
 #: must be killed by the battery above, like the span mutants.
 C_MUTANTS = {
@@ -1154,29 +1156,29 @@ C_MUTANTS = {
         "a = a - kx[i + 1] * p[i + 1];   a = a - kx[i] * p[i - 1];",
         "a = a - kx[i] * p[i - 1];   a = a - kx[i + 1] * p[i + 1];"),
     "column-bound-one-short": ("nc = c1 - c0", "nc = c1 - c0 - 1"),
-    "diagonal-low-face-first": ("(ky[i + sy] + (T)1) + ky[i]",
-                                "(ky[i] + (T)1) + ky[i + sy]"),
+    "diagonal-low-face-first": ("(ZD + ky[i + sy]) + ky[i]",
+                                "(ZD + ky[i]) + ky[i + sy]"),
     "dot-operand-row-not-advanced": ("r++, j0 += nc)", "r++)"),
     "axpy-operands-swapped": ("T t = x[i] * (T)(alpha); y[i] = y[i] + t;",
                               "T t = y[i] * (T)(alpha); y[i] = x[i] + t;"),
     "float-widened-to-double": ("T a = d * p[i];", "double a = d * p[i];"),
     "contracted-to-fma": None,
     "step-z-over-the-region": (
-        "if (INNER(j)) for (size_t i = i0 + ic0 - c0; i < i0 + ic1 - c0; i++)",
-        "for (size_t i = i0; i < i0 + nc; i++)"),
+        "if (iz0 <= pz && pz < iz1 && ir0 <= pr && pr < ir1) \\\n"
+        "        for (size_t i = row + ic0; i < row + ic1; i++)",
+        "\\\n        for (size_t i = row + c0; i < row + c1; i++)"),
     "step-beta-scale-swapped": (
         "w[i] = t * (T)scale; t = p[i] * (T)beta;",
         "w[i] = t * (T)beta; t = p[i] * (T)scale;"),
     "step-w-from-the-old-r": ("T t = res[i] - w[i]; res[i] = t;",
                               "T t = res[i]; res[i] = t - w[i];"),
     "step-diagonal-after-the-scale": (
-        "if (m) t = t * m[i]; \\\n    w[i] = t * (T)scale;",
-        "t = t * (T)scale; \\\n    if (m) t = t * m[i]; w[i] = t;"),
+        "if (m) t = t * m[i]; \\\n        w[i] = t * (T)scale;",
+        "t = t * (T)scale; \\\n        if (m) t = t * m[i]; w[i] = t;"),
     # The step's one pass: a row's tail before the next row's stencil has
     # read its p; in 3-D, a row behind where the next plane still reads.
-    "tail-not-lagged": ("(lag)", "(0)"),
-    "3d-lag-by-row-not-plane": [("LAGGED(CELL3, r1 - r0)", "LAGGED(CELL3, 1)"),
-                                ("PASS(CELL3, R1 - R0)", "PASS(CELL3, 1)")],
+    "tail-not-lagged": ("LAG_PASS(PLANE)\n}", "LAG_PASS(0)\n}"),
+    "3d-lag-by-row-not-plane": ("#define PLANE nr", "#define PLANE 1"),
     "cg-minus-alpha-on-x": ("AXPY(x, p, alpha)", "AXPY(x, p, -alpha)"),
     "cg-dot-before-the-r-update": (
         "CELLS AXPY(res, w, -alpha) if (dot) ADD(res, res)",
@@ -1185,14 +1187,21 @@ C_MUTANTS = {
                      "T t = x[i] * (T)(beta); y[i] = t + y[i];"),
     "cg-dot-at-i-not-j": (
         "if (dot) ADD(res, res)",
-        "if (dot) N(lanes)(s, res + i0, res + i0, i0, nc);"),
+        "if (dot) NAME(lanes, , S)(s, res + i0, res + i0, i0, nc);"),
     # CG's pass: x from the old p, p on the whole ring, the stencil a row
     # (3-D: a plane) behind the direction it reads.
-    "x-after-direction": ("if (INSIDE(pz, pr)) { X_ROW } \\\n            P_ROW",
-                          "P_ROW if (INSIDE(pz, pr)) { X_ROW } \\\n"),
-    "ring-not-written": ("\\\n            P_ROW",
-                         "\\\n            if (INSIDE(pz, pr)) { P_ROW }"),
-    "stencil-not-lagged": ("(behind)", "(0)"),
+    "x-after-direction": (
+        "    if (INSIDE(pz, pr)) for (size_t i = row + c0; i < row + c1; i++) "
+        "\\\n        AXPY(x, p, alpha) \\\n"
+        "    for (size_t i = row + C0; i < row + C1; i++) AYPX(p, z, beta)",
+        "    for (size_t i = row + C0; i < row + C1; i++) AYPX(p, z, beta) "
+        "\\\n    if (INSIDE(pz, pr)) for (size_t i = row + c0; i < row + c1; "
+        "i++) \\\n        AXPY(x, p, alpha)"),
+    "ring-not-written": (
+        "\\\n    for (size_t i = row + C0;",
+        "\\\n    if (INSIDE(pz, pr)) for (size_t i = row + C0;"),
+    "stencil-not-lagged": ("LAG_PASS(PLANE) return SUM;",
+                           "LAG_PASS(0) return SUM;"),
     # The reference reduction's order: every reduction body sums it.
     "seven-lanes": ("#define LANES 8", "#define LANES 7"),
     "lane-from-i-not-j": ("b + i0, j0, nc);", "b + i0, i0, nc);"),
@@ -1217,26 +1226,22 @@ def test_c_mutants_are_killed(name, tmp_path, monkeypatch):
         flags = tuple(f for f in flags if "contract" not in f) + (
             "-ffp-contract=fast", "-mfma")
     sites = C_MUTANTS[name]
-    # One build per site of a mutant: each one must die.
-    for site, mutant in enumerate([source] if sites is None else [
-            _mutated(source, old, new) for old, new in (
-                [sites] if isinstance(sites, tuple) else sites)]):
-        (tmp_path / f"{site}.c").write_text(mutant)
-        monkeypatch.setattr(compiled, "_cache_dirs",
-                            lambda: [tmp_path / "cache"])
-        bodies, _ = compiled.load(tmp_path / f"{site}.c", flags)
-        with pytest.raises(AssertionError):
-            for dtype in DTYPES:
-                for shape in ((13, 7), (5, 6, 7)):
-                    _check_stencil_chains(CompiledBackend(bodies), shape, 3,
-                                          dtype, frozen=True)
-                    _check_field_updates(Field, CompiledBackend(bodies),
-                                         shape, 2, dtype)
-                    for inner in ("none", "diagonal"):
-                        _check_chebyshev_steps([CompiledBackend(bodies)],
-                                               shape, dtype, inner)
-                    _check_cg_bodies([CompiledBackend(bodies)], shape, dtype)
-                    _check_reductions([CompiledBackend(bodies)], shape, dtype)
+    (tmp_path / "mutant.c").write_text(
+        source if sites is None else _mutated(source, *sites))
+    monkeypatch.setattr(compiled, "_cache_dirs", lambda: [tmp_path / "cache"])
+    bodies, _ = compiled.load(tmp_path / "mutant.c", flags)
+    with pytest.raises(AssertionError):
+        for dtype in DTYPES:
+            for shape in ((13, 7), (5, 6, 7)):
+                _check_stencil_chains(CompiledBackend(bodies), shape, 3,
+                                      dtype, frozen=True)
+                _check_field_updates(Field, CompiledBackend(bodies),
+                                     shape, 2, dtype)
+                for inner in ("none", "diagonal"):
+                    _check_chebyshev_steps([CompiledBackend(bodies)],
+                                           shape, dtype, inner)
+                _check_cg_bodies([CompiledBackend(bodies)], shape, dtype)
+                _check_reductions([CompiledBackend(bodies)], shape, dtype)
 
 
 def _mutated(source, old, new):

@@ -1,5 +1,7 @@
 """Unit tests: CPPCG (the paper's solver)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,10 @@ from repro.solvers import (
     EigenBounds,
     cg_solve,
     ppcg_solve,
+)
+from repro.solvers.preconditioners import (
+    BlockJacobiPreconditioner,
+    DiagonalPreconditioner,
 )
 from repro.utils import ConfigurationError
 
@@ -160,6 +166,32 @@ class TestCommunicationAvoidance:
         # one preconditioner application per outer iteration, plus the
         # initial application before the loop
         assert result.inner_iterations == 7 * (result.iterations + 1)
+
+    @pytest.mark.parametrize("inner, digest", [
+        ("diagonal", "1ac7d94988f77471"), ("block_jacobi", "3053a073e3b2c094")])
+    def test_inner_preconditioner_is_built_once(self, inner, digest,
+                                                monkeypatch):
+        """The warm-up and the Chebyshev inner steps share one local
+        preconditioner: block Jacobi factorises its strips once, the
+        diagonal exchanges its halo once — with the solution bits of
+        building it twice (the digest pins them)."""
+        cls = {"diagonal": DiagonalPreconditioner,
+               "block_jacobi": BlockJacobiPreconditioner}[inner]
+        built, init = [], cls.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+        g, kx, ky, bg = crooked_pipe_system(32)
+        op = serial_operator(g, kx, ky)
+        result = ppcg_solve(op, Field.from_global(op.tile, 1, bg),
+                            eps=1e-10, inner_steps=10,
+                            inner_preconditioner=inner)
+        assert result.converged and len(built) == 1
+        assert hashlib.sha256(
+            result.x.data.tobytes()).hexdigest()[:16] == digest
 
 
 class TestValidation:
