@@ -18,6 +18,9 @@ ends come from different places, because only one of them can hurt:
   Lanczos tridiagonal, whose smallest eigenvalue (Ritz value) converges
   to ``lam_min`` from above; :data:`LAM_MIN_SAFETY` widens it.  An
   overestimated ``lam_min`` keeps the polynomial SPD and only slows it.
+  The Ritz extremes come from :func:`tridiagonal_extreme`, a Sturm-count
+  bisection in plain IEEE double arithmetic with a fixed stopping rule,
+  so their bits are the same on every CPU and need no LAPACK.
 
 This module also implements the bounds of §III-C (Eqs. 4-7): the effective
 PCG condition number under an ``m``-step Chebyshev preconditioner and the
@@ -28,10 +31,10 @@ resulting total/outer iteration counts — the analytic engine behind the
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from repro.utils.errors import ConfigurationError
 
@@ -104,12 +107,78 @@ def lanczos_tridiagonal(alphas: np.ndarray, betas: np.ndarray
     return diag, offdiag
 
 
+def tridiagonal_extreme(diag, offdiag, largest: bool = False) -> float:
+    """The smallest (or ``largest``) eigenvalue of the symmetric
+    tridiagonal ``(diag, offdiag)``, by Sturm-count bisection as LAPACK's
+    ``dstebz``.
+
+    The Sturm count at ``x`` is the number of pivots of the ``LDL^T``
+    factorisation of ``T - x I`` below ``pivmin`` (a pivot smaller in
+    magnitude is replaced by ``-pivmin``): the number of eigenvalues at
+    or below ``x``.  The smallest eigenvalue is the smallest double at
+    which the count reaches 1, the largest the smallest at which it
+    reaches ``len(diag)``, found by bisecting the widened Gershgorin
+    interval until the midpoint equals an end.  Plain Python floats and
+    a fixed stopping rule: the bits depend on the input alone.  A count
+    stops at the first pivot that decides its question.
+    """
+    d = [float(v) for v in diag]
+    e = [abs(float(v)) for v in offdiag]
+    n = len(d)
+    if n < 1 or len(e) != n - 1:
+        raise ConfigurationError(
+            f"tridiagonal of {n} diagonal and {len(e)} off-diagonal entries")
+    e2 = [0.0] + [v * v for v in e]     # e2[0] = 0: q_0 = d[0] - x
+    rows = list(zip(d, e2))
+    radius = [a + b for a, b in zip([0.0] + e, e + [0.0])]
+    lo = min(v - r for v, r in zip(d, radius))
+    hi = max(v + r for v, r in zip(d, radius))
+    pivmin = sys.float_info.min * max(1.0, max(e2))
+    slack = 2.1 * (max(abs(lo), abs(hi)) * sys.float_info.epsilon * n
+                   + 2.0 * pivmin)
+    lo, hi = lo - slack, hi + slack
+    if not (math.isfinite(lo) and math.isfinite(hi)
+            and math.isfinite(pivmin)):
+        raise ConfigurationError("tridiagonal entries overflow")
+
+    def some_below(x):
+        q = 1.0
+        for di, ei2 in rows:
+            q = di - x - ei2 / q
+            if q < pivmin:
+                return True
+        return False
+
+    def all_below(x):
+        q = 1.0
+        for di, ei2 in rows:
+            q = di - x - ei2 / q
+            if q >= pivmin:
+                return False
+            if q > -pivmin:
+                q = -pivmin
+        return True
+
+    count_reached = all_below if largest else some_below
+    while True:
+        mid = 0.5 * lo + 0.5 * hi
+        if not lo < mid < hi:
+            return hi
+        if count_reached(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
 def estimate_eigenvalues(alphas, betas) -> EigenBounds:
     """The Ritz interval of CG coefficients: the extreme eigenvalues of
-    their Lanczos tridiagonal, which lie *inside* the spectrum."""
+    their Lanczos tridiagonal (:func:`tridiagonal_extreme`), which lie
+    *inside* the spectrum.  Raises :class:`ConfigurationError` when the
+    coefficients are absent, non-finite or not those of an SPD system."""
     diag, offdiag = lanczos_tridiagonal(alphas, betas)
-    ritz = diag if len(diag) == 1 else eigvalsh_tridiagonal(diag, offdiag)
-    return EigenBounds(lam_min=float(ritz[0]), lam_max=float(ritz[-1]))
+    return EigenBounds(
+        lam_min=tridiagonal_extreme(diag, offdiag),
+        lam_max=tridiagonal_extreme(diag, offdiag, largest=True))
 
 
 def gershgorin_row_max(op) -> float:
@@ -148,7 +217,8 @@ def spectrum_bounds(op, preconditioner: str, alphas, betas) -> EigenBounds:
     value times :data:`LAM_MIN_SAFETY` below, :func:`lam_max_bound`
     above.  ``alphas``/``betas`` are the warm-up (P)CG's coefficients."""
     lam_max = lam_max_bound(op, preconditioner)
-    lam_min = estimate_eigenvalues(alphas, betas).lam_min * LAM_MIN_SAFETY
+    ritz_min = tridiagonal_extreme(*lanczos_tridiagonal(alphas, betas))
+    lam_min = ritz_min * LAM_MIN_SAFETY
     return EigenBounds(lam_min=lam_min, lam_max=lam_max)
 
 
@@ -160,11 +230,12 @@ def condition_estimate(alphas, betas, default: float = 1.0) -> float:
     residual-replacement intervals and judge float32 feasibility.  Returns
     ``default`` when the coefficients are absent, non-SPD-looking or
     numerically unusable — condition-aware safeguards degrade to their
-    fixed-cadence behaviour rather than fail.
+    fixed-cadence behaviour rather than fail.  Every such case is a
+    :class:`ConfigurationError` of :func:`estimate_eigenvalues`.
     """
     try:
         kappa = estimate_eigenvalues(alphas, betas).condition_number
-    except (ConfigurationError, np.linalg.LinAlgError):
+    except ConfigurationError:
         return default
     return float(kappa) if np.isfinite(kappa) else default
 

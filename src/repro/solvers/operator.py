@@ -16,9 +16,10 @@ constant vector, from the insulated boundaries).
 The operator is *matrix free*: it reads the coefficient arrays in mesh
 layout and no sparse matrix is ever assembled (except by
 :meth:`StencilOperator.assemble_sparse`, which exists for testing against
-``scipy``).  Every method also supports the **extended bounds** needed by
-the matrix powers kernel: computing on the interior grown by ``ext`` cells
-toward neighbouring ranks.
+``scipy`` and is the one place this module imports it).  Every method
+also supports the **extended bounds** needed by the matrix powers kernel:
+computing on the interior grown by ``ext`` cells toward neighbouring
+ranks.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field as dc_field, replace
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.comm.base import Communicator
 from repro.kernels import (DEFAULT_BACKEND, KernelBackend, get_backend,
@@ -343,13 +343,15 @@ class StencilOperator:
     # -- reference assembly (tests/ground truth) --------------------------------------
 
     @staticmethod
-    def assemble_sparse(*faces_global: np.ndarray) -> sp.csr_matrix:
+    def assemble_sparse(*faces_global: np.ndarray
+                        ) -> "scipy.sparse.csr_matrix":
         """Assemble the explicit global sparse matrix of ``(kx_global,
         ky_global[, kz_global])`` (serial, for tests).
 
         Row-major cell ordering: cell ``(k, j)`` maps to row ``k*nx + j``.
         Faces whose coefficient is zero contribute no entry.
         """
+        import scipy.sparse as sp
         ndim = len(faces_global)
         shape = tuple(n - (a == ndim - 1)
                       for a, n in enumerate(faces_global[0].shape))

@@ -1,5 +1,7 @@
 """Unit tests: Lanczos eigenvalue estimation and the paper's Eqs. 4-7."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.solvers.eigen import (
     condition_estimate,
     lam_max_bound,
     spectrum_bounds,
+    tridiagonal_extreme,
 )
 from repro.solvers.ranks import solve_on_ranks
 from repro.utils import ConfigurationError
@@ -78,6 +81,51 @@ class TestLanczos:
         assert condition_estimate([1.0, np.inf], [0.5], default=7.0) == 7.0
         assert condition_estimate([], [], default=7.0) == 7.0
         assert condition_estimate([0.5], [], default=7.0) == 1.0
+
+
+class TestSturmBisection:
+    """The Ritz extremes are the repo's own bits: a Sturm-count bisection
+    in IEEE double arithmetic, the same on every CPU and LAPACK build."""
+
+    SIZES = (1, 2, 8, 25, 1160, 2300)
+    #: sha256 of every ``(lam_min, lam_max)`` of :meth:`cases`, in order.
+    DIGEST = "5555d3dc6af26c19cfaf9ff30c61479d918ffa4c7a38243d82d608ac4457fa3b"
+
+    def cases(self):
+        """Random SPD Lanczos tridiagonals (positive CG coefficients)."""
+        rng = np.random.default_rng(45)
+        for k in self.SIZES:
+            yield lanczos_tridiagonal(rng.uniform(0.05, 1.0, k),
+                                      rng.uniform(0.0, 1.0, k - 1))
+
+    @staticmethod
+    def ends(diag, off):
+        return (tridiagonal_extreme(diag, off),
+                tridiagonal_extreme(diag, off, largest=True))
+
+    def test_ends_match_dense_eigvalsh_and_repeat_bit_for_bit(self):
+        digest = hashlib.sha256()
+        for diag, off in self.cases():
+            ends = self.ends(diag, off)
+            assert self.ends(diag, off) == ends
+            dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            true = np.linalg.eigvalsh(dense)
+            ulp = np.finfo(np.float64).eps * np.abs(true).max()
+            assert abs(ends[0] - true[0]) <= 8 * ulp, len(diag)
+            assert abs(ends[1] - true[-1]) <= 8 * ulp, len(diag)
+            digest.update(np.array(ends).tobytes())
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_diagonal_matrix_gives_its_entries_exactly(self):
+        assert self.ends([3.0, 0.5, 2.0], [0.0, 0.0]) == (0.5, 3.0)
+        assert self.ends([0.25], []) == (0.25, 0.25)
+
+    def test_rejects_mismatched_or_overflowing_entries(self):
+        with pytest.raises(ConfigurationError):
+            tridiagonal_extreme([1.0, 2.0], [])
+        with pytest.raises(ConfigurationError):
+            tridiagonal_extreme([1.0, 2.0], [1e200])
+        assert condition_estimate([1e-300, 1.0], [1.0], default=7.0) == 7.0
 
 
 class TestEstimateFromRealCG:

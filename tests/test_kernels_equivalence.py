@@ -1585,6 +1585,7 @@ EVERY_CPU_PINS = [
     "tests/test_resilience.py::TestDefencePaths::test_bad_scalar_rolls_back",
     "tests/test_resilience.py::TestDefencePaths::test_abft_drift_rolls_back",
     "tests/test_resilience.py::TestDegradation",
+    "tests/test_eigen.py::TestSturmBisection",
 ]
 
 

@@ -4,7 +4,10 @@ the stepping driver), so they must agree bit for bit — and stay the only
 copies (the architecture guard)."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -413,3 +416,39 @@ def test_every_recurrence_is_watched_by_the_one_defences():
                       if isinstance(n, ast.Raise)
                       and isinstance(n.exc, ast.Call)}
             assert not raised & {"BreakdownError", "ConvergenceError"}, here
+
+
+# -- no SciPy on the solve or service path -------------------------------------
+
+NO_SCIPY_PROBE = """
+import sys
+import repro, repro.solvers, repro.service, repro.cli.main
+from repro.physics import crooked_pipe_system
+from repro.service import WorkerGroup
+from repro.solvers import SolverOptions
+from repro.solvers.ranks import solve_on_ranks
+
+grid, kx, ky, bg = crooked_pipe_system(32)
+for kw in (dict(solver="cg"), dict(solver="ppcg", halo_depth=4),
+           dict(solver="chebyshev"),
+           dict(solver="cg", dtype="float32", refine=True)):
+    options = SolverOptions(eps=1e-8, **kw)
+    assert solve_on_ranks(grid, (kx, ky), bg, options,
+                          1).result.converged, kw
+    assert WorkerGroup(0).execute(options, 32).kind == "ok", kw
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_no_scipy_on_the_solve_or_service_path():
+    """A fresh process imports the package, its solvers, its service and
+    its CLI and solves with CG, CPPCG, Chebyshev and float32 + refine,
+    inline and on a service worker's path, without loading SciPy: it
+    serves only the referee (``assemble_sparse``), ``mgcg``'s coarse LU
+    and the tests."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

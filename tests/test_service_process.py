@@ -265,8 +265,13 @@ class TestCancellationAcrossTheBoundary:
             with SolveService(workers=2, stuck_after_s=0.05,
                               **OPEN_QUOTA) as svc:
                 # Cold workers: the allowance must not count their imports.
-                quick = await svc.submit(_deck(), n=12)
-                assert quick.status == "completed" and quick.attempts == 1
+                # Both are warmed (two requests at once), so the hedged
+                # attempt's 50 ms is not a first solve's either.
+                quick = await asyncio.gather(svc.submit(_deck(), n=12),
+                                             svc.submit(_deck(), n=12))
+                for q in quick:
+                    assert q.status == "completed" and q.attempts == 1
+                assert sorted(q.worker for q in quick) == [0, 1]
                 stuck = await svc.submit(_deck(256), n=256)
                 return stuck, [w.breaker._consecutive for w in svc._pool]
 
