@@ -125,6 +125,12 @@ class ThreadWorld:
         ``what`` names a collective's wait in errors.  Once the world is
         aborted, only a deposit already made is returned.
         """
+        try:   # a deposit already made costs no clock and no wait
+            obj = box.get_nowait()
+            if obj is not _WAKE:
+                return obj
+        except Empty:
+            pass
         limit = self.recv_timeout_s if timeout is None else timeout
         deadline = time.monotonic() + limit
         while not self._aborted:
@@ -186,12 +192,19 @@ class ThreadComm(Communicator):
         self._outboxes = [world._mailbox(rank, p, _COLLECTIVE) for p in peers]
         self._inboxes = [(world._mailbox(p, rank, _COLLECTIVE), p)
                          for p in peers]
+        # point-to-point mailboxes by (peer, tag), resolved at first use
+        self._sends, self._recvs = {}, {}
 
     # -- point to point ---------------------------------------------------------
 
     def send(self, obj, dest: int, tag: int = 0) -> None:
-        self._check_peer(dest)
-        self.world._mailbox(self.rank, dest, tag).put(isolate(obj))
+        try:
+            box = self._sends[dest, tag]
+        except KeyError:
+            self._check_peer(dest)
+            box = self._sends[dest, tag] = self.world._mailbox(
+                self.rank, dest, tag)
+        box.put(isolate(obj))
 
     def recv(self, source: int, tag: int = 0,
              timeout: float | None = None):
@@ -203,10 +216,13 @@ class ThreadComm(Communicator):
         loudly instead of hanging the rank forever.  Used by
         :class:`~repro.resilience.retry.RetryingComm`.
         """
-        self._check_peer(source)
-        w = self.world
-        return w._take(w._mailbox(source, self.rank, tag), source, self.rank,
-                       tag, timeout)
+        try:
+            box = self._recvs[source, tag]
+        except KeyError:
+            self._check_peer(source)
+            box = self._recvs[source, tag] = self.world._mailbox(
+                source, self.rank, tag)
+        return self.world._take(box, source, self.rank, tag, timeout)
 
     def irecv(self, source: int, tag: int = 0) -> Request:
         """Truly non-blocking receive: returns a pollable request."""

@@ -235,6 +235,15 @@ def _scalar_fits(alpha, dtype: np.dtype) -> bool:
                                      or abs(alpha) < _FLOAT_MAX)
 
 
+def _c(code: str, *values) -> list:
+    """``values`` as prebuilt ``ctypes`` arguments — ``p`` pointers (None
+    stays NULL), ``z`` sizes, ``i`` ints — so a bound body's call
+    converts only its scalars."""
+    import ctypes
+    kind = {"p": ctypes.c_void_p, "z": ctypes.c_size_t, "i": ctypes.c_int}
+    return [v if v is None else kind[code](v) for v in values]
+
+
 def _within(inner, *outer) -> bool:
     """Bounds ``inner`` lie inside each of the bounds ``outer``."""
     return all(o[k] <= inner[k] <= inner[k + 1] <= o[k + 1]
@@ -347,8 +356,9 @@ class CompiledBackend(NumpyBackend):
             return None
         n = len(faces) + 4
         return _Bound((*faces, d, w, *more), d.dtype, steps=[
-            partial(body, *at[:n], at[n] if inv_diag is not None else None,
-                    *d.shape[1:], *region, *interior)
+            partial(body, *_c("p", *at[:n], at[n] if inv_diag is not None
+                              else None),
+                    *_c("z", *d.shape[1:], *region, *interior))
             for (body, at), region in zip(chains, regions)])
 
     def bind_cg(self, faces, x, r, p, w, z, bounds, ring):
@@ -361,17 +371,20 @@ class CompiledBackend(NumpyBackend):
         if not chains:
             return None
         ((apply_dot, at),) = chains
-        n, tail = len(faces), (*p.shape[1:], *bounds)
+        n, tail = len(faces), _c("z", *p.shape[1:], *bounds)
         cg_pass, cg_residual, axpy, aypx = (
             self._bodies[kernel, n, p.dtype]
             for kernel in ("cg_pass", "cg_residual", "axpy", "aypx"))
+        at = _c("p", *at)
         f, (p_, w_, x_, r_), z_ = at[:n], at[n:n + 4], at[-1]
         return _Bound(
             (*faces, p, w, *more), p.dtype,
             apply_dot=partial(apply_dot, *f, p_, w_, *tail),
-            cg_pass=partial(cg_pass, *f, p_, w_, x_, z_, *tail, *ring),
+            cg_pass=partial(cg_pass, *f, p_, w_, x_, z_, *tail,
+                            *_c("z", *ring)),
             # z is r: <r, r> rides the update.
-            cg_residual=partial(cg_residual, r_, w_, int(z is r), *tail),
+            cg_residual=partial(cg_residual, r_, w_, *_c("i", int(z is r)),
+                                *tail),
             update_x=lambda alpha: axpy(x_, alpha, p_, *tail),
             update_p=lambda beta: aypx(p_, beta, z_, *tail))
 
@@ -408,9 +421,13 @@ class _Bound:
 
     def __init__(self, arrays, dtype, **bodies):
         self.arrays, self.dtype = arrays, dtype
+        self._double = dtype.char == "d"
         vars(self).update(bodies)
 
     def fits(self, *scalars) -> bool:
         """The bodies may take every one of ``scalars``: NumPy would keep
-        the arithmetic in the arrays' dtype (:func:`_scalar_fits`)."""
+        the arithmetic in the arrays' dtype (:func:`_scalar_fits`; for
+        doubles, any Python float)."""
+        if self._double:   # every one a Python float, with no generator
+            return {*map(type, scalars)} <= {float}
         return all(_scalar_fits(s, self.dtype) for s in scalars)

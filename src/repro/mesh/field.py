@@ -28,6 +28,20 @@ from repro.kernels import DEFAULT_BACKEND, get_backend
 from repro.mesh.decomposition import Tile
 from repro.utils.validation import check_positive, require
 
+# Distinct tag streams per (phase, direction) so concurrent exchanges of
+# different fields cannot cross-match: the message travelling toward the
+# low neighbour of spatial axis i (x is 0) carries _TAG_LOW + 2 i, the
+# one toward the high neighbour the tag after it (x: 101/102, y: 103/104,
+# z: 105/106).
+_TAG_LOW = 101
+
+
+class HaloPlan(NamedTuple):
+    """One field's depth-``d`` halo exchange (see ``Field.halo_plan``)."""
+
+    phases: tuple   # per axis with a neighbour: (sends, recvs)
+    nbytes: int     # send + recv payload bytes
+
 
 class _Span(NamedTuple):
     """One region of one padded buffer as 1-D memory (see ``Field._span``)."""
@@ -79,7 +93,7 @@ class Field:
         # the interior grown by a uniform extension (0: the interior
         # itself), and the exchange's slabs by depth.
         self._regions = {0: tuple(slice(h, h + n) for n in self.tile.shape)}
-        self._slabs = {}
+        self._slabs, self._plans = {}, {}
         # The buffer the cached spans view, and those spans by extension.
         self._spans_of, self._spans = None, {}
 
@@ -168,6 +182,32 @@ class Field:
                                   for s in box[:axis] + box[axis + 1:])))
         self._slabs[depth] = tuple(per_axis)
         return self._slabs[depth]
+
+    def halo_plan(self, depth: int) -> HaloPlan:
+        """What a depth-``depth`` exchange of this field does, worked out
+        once: per axis with a neighbour, fastest first, the sends (own
+        slab, peer, tag) then the receives (ghost slab, peer, tag), low
+        side before high, and the payload bytes they move."""
+        try:
+            return self._plans[depth]
+        except KeyError:
+            pass
+        t, phases, nbytes = self.tile, [], 0
+        for axis in reversed(range(t.ndim)):
+            own_low, ghost_low, own_high, ghost_high, cells = \
+                self.slabs(depth)[axis]
+            low, high = t.lower[axis], t.upper[axis]
+            tag = _TAG_LOW + 2 * (t.ndim - 1 - axis)
+            sends, recvs = (tuple(m for m in pair if m[1] is not None)
+                            for pair in (((own_low, low, tag),
+                                          (own_high, high, tag + 1)),
+                                         ((ghost_low, low, tag + 1),
+                                          (ghost_high, high, tag))))
+            if sends:
+                phases.append((sends, recvs))
+                nbytes += 2 * cells * self.data.itemsize * len(sends)
+        self._plans[depth] = HaloPlan(tuple(phases), nbytes)
+        return self._plans[depth]
 
     def extended(self, ext: dict[str, int] | int) -> np.ndarray:
         """View of the interior grown by ``ext`` toward neighbouring ranks."""

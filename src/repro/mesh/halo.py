@@ -26,13 +26,6 @@ from repro.mesh.field import Field
 from repro.utils.errors import CommunicationError
 from repro.utils.events import EventLog
 
-# Distinct tag streams per (phase, direction) so concurrent exchanges of
-# different fields cannot cross-match: the message travelling toward the
-# low neighbour of spatial axis i (x is 0) carries _TAG_LOW + 2 i, the
-# one toward the high neighbour the tag after it (x: 101/102, y: 103/104,
-# z: 105/106).
-_TAG_LOW = 101
-
 
 @dataclass
 class HaloExchanger:
@@ -75,13 +68,15 @@ class HaloExchanger:
 
         Multiple fields passed together are exchanged in one logical event
         (TeaLeaf packs several arrays per message); payload bytes accumulate
-        across them.
+        across them.  Each field's plan (:meth:`Field.halo_plan`) is built
+        once; per phase, field by field, all sends are posted (non-blocking
+        deposits) before the blocking receives.
         """
         if isinstance(fields, Field):
-            fields = [fields]
+            fields = (fields,)
         if not fields:
             return
-        tile = fields[0].tile
+        tile, plans, nbytes = fields[0].tile, [], 0
         for f in fields:
             if f.tile is not tile and f.tile != tile:
                 raise CommunicationError(
@@ -89,36 +84,21 @@ class HaloExchanger:
             if depth > f.halo:
                 raise CommunicationError(
                     f"exchange depth {depth} exceeds field halo {f.halo}")
+            plans.append(f.halo_plan(depth))
+            nbytes += plans[-1].nbytes
+        pack, unpack = self.kernels.pack_halo, self.kernels.unpack_halo
+        send, recv = self.comm.send, self.comm.recv
         with self.tracer.span("halo_exchange", depth):
-            nbytes = 0
-            for axis in reversed(range(tile.ndim)):
-                low, high = tile.lower[axis], tile.upper[axis]
-                if low is None and high is None:
-                    continue
-                tag_low = _TAG_LOW + 2 * (tile.ndim - 1 - axis)
-                for f in fields:
-                    nbytes += self._exchange_axis(
-                        f.data, f.slabs(depth)[axis], low, high, tag_low)
+            for phase in range(len(plans[0].phases)):
+                for f, plan in zip(fields, plans):
+                    a = f.data
+                    sends, recvs = plan.phases[phase]
+                    for slab, peer, tag in sends:
+                        send(pack(a, *slab), dest=peer, tag=tag)
+                    for slab, peer, tag in recvs:
+                        unpack(a, *slab, recv(source=peer, tag=tag))
         if self.events is not None:
             self.events.record("halo_exchange", depth, bytes=nbytes)
-
-    def _exchange_axis(self, a, slabs: tuple, low, high, tag_low: int) -> int:
-        """One phase for one field's array; returns its send + recv
-        payload bytes."""
-        own_low, ghost_low, own_high, ghost_high, cells = slabs
-        tag_high = tag_low + 1
-        pack, unpack = self.kernels.pack_halo, self.kernels.unpack_halo
-        # Post all sends first (non-blocking deposit), then blocking recvs.
-        if low is not None:
-            self.comm.send(pack(a, *own_low), dest=low, tag=tag_low)
-        if high is not None:
-            self.comm.send(pack(a, *own_high), dest=high, tag=tag_high)
-        if low is not None:
-            unpack(a, *ghost_low, self.comm.recv(source=low, tag=tag_high))
-        if high is not None:
-            unpack(a, *ghost_high, self.comm.recv(source=high, tag=tag_low))
-        return (2 * cells * a.itemsize
-                * ((low is not None) + (high is not None)))
 
 
 def reflect_boundaries(f: Field, depth: int | None = None) -> None:

@@ -127,6 +127,8 @@ class Defences:
                             scalars=scalars)
 
     # -- screening hooks: False = proceed, True = rewound, or raise --------------
+    # A healthy scalar is judged here, in the hook; only a sick one (or the
+    # stagnation window) goes on to the rewind or the BreakdownGuard.
 
     def _rewind(self, reason: str) -> bool:
         """Restore the guard's last checkpoint and replay from there (the
@@ -140,24 +142,29 @@ class Defences:
     def curvature(self, pw: float) -> bool:
         """``<p, Ap>`` finite *and* positive (``pw <= 0`` is False for NaN,
         which would wave a poisoned reduction through)."""
-        if self.guard is not None and not (math.isfinite(pw) and pw > 0.0):
+        if math.isfinite(pw) and pw > 0.0:
+            return False
+        if self.guard is not None:
             return self._rewind(f"<p, Ap> = {pw:.3e}")
-        self.breakdown.curvature(pw, self.state.iterations)
+        self.breakdown.curvature(pw, self.state.iterations)   # raises
         return False
 
     def residual(self) -> bool:
         norm = self.state.res_norm
         if self.guard is not None and not self.guard.healthy(norm):
             return self._rewind(f"residual norm {norm:.3e}")
-        self.breakdown.residual(norm, self.state.iterations)
+        if self.stagnation_window or not math.isfinite(norm):
+            self.breakdown.residual(norm, self.state.iterations)
         return False
 
     def coefficient(self, beta: float) -> bool:
         """A corrupted ``(rz, rr)`` reduction poisons ``beta`` before the
         residual norm: rewind now, not one matvec of NaNs later."""
-        if self.guard is not None and not math.isfinite(beta):
+        if math.isfinite(beta):
+            return False
+        if self.guard is not None:
             return self._rewind(f"beta = {beta!r}")
-        self.breakdown.coefficient("beta", beta, self.state.iterations)
+        self.breakdown.coefficient("beta", beta, self.state.iterations)  # raises
         return False
 
     def verify(self, b, threshold: float) -> bool:

@@ -80,6 +80,52 @@ class TestExchange:
         assert calls[0] == 2 * [("send", 1, 104), ("recv", 1, 103)] \
             + 2 * [("send", 2, 106), ("recv", 2, 105)]
 
+    def test_messages_keep_their_bytes_on_a_two_by_two_world(self):
+        """Through a recording ``Communicator`` wrapper on a 2x2
+        ``ThreadComm`` world: a depth-1 exchange of one field, then
+        CPPCG's ``[rr, d]`` exchange at depth 4, as ``(op, peer, tag,
+        payload bytes)`` — the sequence the exchanges made before their
+        plans were cached (6x5 tiles: x strips of 5 rows, y strips of
+        6 + 2·depth columns)."""
+        from repro.comm import ForwardingComm
+        from repro.comm.base import payload_bytes
+
+        class Recording(ForwardingComm):
+            def __init__(self, inner):
+                super().__init__(inner)
+                self.calls = []
+
+            def send(self, obj, dest, tag=0):
+                self.calls.append(("send", dest, tag, payload_bytes(obj)))
+                super().send(obj, dest, tag)
+
+            def recv(self, source, tag=0, timeout=None):
+                obj = super().recv(source, tag, timeout)
+                self.calls.append(("recv", source, tag, payload_bytes(obj)))
+                return obj
+
+        def rank_main(comm):
+            t = decompose(Grid2D(12, 10), 4, (2, 2))[comm.rank]
+            recording = Recording(comm)
+            exchanger = HaloExchanger(recording)
+            exchanger.exchange(Field(t, 4), depth=1)
+            one, recording.calls = recording.calls, []
+            exchanger.exchange([Field(t, 4), Field(t, 4)], depth=4)
+            return one, recording.calls
+
+        # rank: (x neighbour, its tags out/in), (y neighbour, tags out/in)
+        layout = {0: ((1, 102, 101), (2, 104, 103)),
+                  1: ((0, 101, 102), (3, 104, 103)),
+                  2: ((3, 102, 101), (0, 103, 104)),
+                  3: ((2, 101, 102), (1, 103, 104))}
+        for rank, (one, two) in enumerate(launch_spmd(rank_main, 4)):
+            (px, xout, xin), (py, yout, yin) = layout[rank]
+            assert one == [("send", px, xout, 40), ("recv", px, xin, 40),
+                           ("send", py, yout, 64), ("recv", py, yin, 64)]
+            assert two == 2 * [("send", px, xout, 160),
+                               ("recv", px, xin, 160)] \
+                + 2 * [("send", py, yout, 448), ("recv", py, yin, 448)]
+
     def test_pack_unpack_go_through_the_backend_and_the_tracer(self):
         """In 3-D as in 2-D: every strip is copied by ``kernels.pack_halo``
         / ``unpack_halo`` and the exchange is one ``halo_exchange`` span."""

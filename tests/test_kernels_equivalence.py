@@ -1119,8 +1119,8 @@ SPAN_MUTANTS = {
         "finally:\n            for gap, saved in y.gaps[len(y.gaps) > 1:]:"),
     "z-phase-before-y-phase": (
         "repro.mesh.halo",
-        "for axis in reversed(range(tile.ndim)):",
-        "for axis in (tile.ndim - 1, *range(tile.ndim - 1)):"),
+        "for phase in range(len(plans[0].phases)):",
+        "for phase in (0, *reversed(range(1, len(plans[0].phases)))):"),
 }
 
 
@@ -1214,22 +1214,57 @@ C_MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("name", C_MUTANTS)
-def test_c_mutants_are_killed(name, tmp_path, monkeypatch):
-    if baseline_bodies()[0] != "compiled":
-        pytest.skip(baseline_bodies()[1])
+def _has_fma() -> bool:
+    with open("/proc/cpuinfo") as handle:
+        return " fma " in handle.read()
+
+
+def _build_mutant(name, directory):
+    """``name``'s bodies: its source and flags compiled into ``directory``
+    and loaded by the loader's own ``_open`` and ``_declare``."""
     source, flags = compiled.SOURCE.read_text(), compiled.FLAGS
-    if C_MUTANTS[name] is None:
-        with open("/proc/cpuinfo") as handle:
-            if " fma " not in handle.read():
-                pytest.skip("this CPU has no fused multiply-add")
+    sites = C_MUTANTS[name]
+    if sites is None:
         flags = tuple(f for f in flags if "contract" not in f) + (
             "-ffp-contract=fast", "-mfma")
-    sites = C_MUTANTS[name]
-    (tmp_path / "mutant.c").write_text(
-        source if sites is None else _mutated(source, *sites))
-    monkeypatch.setattr(compiled, "_cache_dirs", lambda: [tmp_path / "cache"])
-    bodies, _ = compiled.load(tmp_path / "mutant.c", flags)
+    else:
+        source = _mutated(source, *sites)
+    (directory / "mutant.c").write_text(source)
+    return compiled._declare(compiled._open(
+        compiled._compiler(), directory / "mutant.c", flags,
+        directory / "mutant.so"))
+
+
+@pytest.fixture(scope="module")
+def mutant_bodies(request, tmp_path_factory):
+    """The bodies of every C mutant this run selected, by name, as
+    futures: built two at a time (each build is one single-threaded
+    compiler process of up to ~4 s; two match a two-core runner) from
+    the first test that asks, so each test waits only for its own."""
+    from concurrent.futures import ThreadPoolExecutor
+    names = [item.callspec.params["name"] for item in request.session.items
+             if getattr(item, "originalname", "")
+             == "test_c_mutants_are_killed"]
+    if baseline_bodies()[0] != "compiled":
+        names = []
+    elif not _has_fma():
+        names = [n for n in names if C_MUTANTS[n] is not None]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = {name: pool.submit(_build_mutant, name,
+                                     tmp_path_factory.mktemp("mutant"))
+                   for name in names}
+        yield futures
+        for future in futures.values():
+            future.cancel()
+
+
+@pytest.mark.parametrize("name", C_MUTANTS)
+def test_c_mutants_are_killed(name, mutant_bodies):
+    if baseline_bodies()[0] != "compiled":
+        pytest.skip(baseline_bodies()[1])
+    if C_MUTANTS[name] is None and not _has_fma():
+        pytest.skip("this CPU has no fused multiply-add")
+    bodies = mutant_bodies[name].result()
     with pytest.raises(AssertionError):
         for dtype in DTYPES:
             for shape in ((13, 7), (5, 6, 7)):

@@ -234,6 +234,51 @@ class TestNullTracer:
         assert per_iteration <= 0, \
             f"disabled span path allocated {per_iteration} bytes / 10k spans"
 
+    def test_python_calls_per_iteration(self):
+        """What an iteration costs the interpreter, with tracing off:
+        Python calls on rank 0 (``sys.setprofile`` "call" events) per
+        iteration of a 32² crooked-pipe solve — the difference between a
+        60- and a 20-iteration capped solve, over 40.  On thread ranks
+        every call is paid twice, the two ranks' Python taking turns on
+        the GIL (docs/kernels.md, "What an iteration costs besides its
+        bodies"); the ceilings are the compiled bodies' (44 / 63 / 354
+        before the halo plans and the leaner hooks)."""
+        import sys
+        from repro.kernels import baseline_bodies
+        from repro.solvers.ranks import solve_on_ranks
+        if baseline_bodies()[0] != "compiled":
+            pytest.skip(baseline_bodies()[1])
+        grid, kx, ky, b = crooked_pipe_system(32)
+
+        def calls(size, iterations, **options):
+            count = [0]
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    count[0] += 1
+
+            def start(op, stack, store):
+                if op.comm.rank == 0:
+                    sys.setprofile(profile)
+                return {}
+
+            try:
+                run = solve_on_ranks(grid, (kx, ky), b, SolverOptions(
+                    eps=1e-300, max_iters=iterations, **options), size,
+                    before_solve=start)
+            finally:
+                sys.setprofile(None)
+            assert run.result.iterations == iterations
+            return count[0]
+
+        for size, options, ceiling in ((1, dict(solver="cg"), 33),
+                                       (2, dict(solver="cg"), 42),
+                                       (2, dict(solver="ppcg", halo_depth=4),
+                                        300)):
+            per_iteration = (calls(size, 60, **options)
+                             - calls(size, 20, **options)) / 40
+            assert per_iteration <= ceiling, (size, options, per_iteration)
+
 
 # -- metrics -------------------------------------------------------------------
 

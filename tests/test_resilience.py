@@ -126,6 +126,37 @@ class TestDeterminism:
         assert report.fault_events
         assert all(ev.iteration >= 0 for ev in report.fault_events)
 
+    def test_two_rank_fault_logs_are_pinned(self):
+        """A seeded plan on two thread ranks meets every operation at the
+        index it had before the halo plans, the non-blocking first take
+        and the one-value reductions: each fault's (rank, op, op index,
+        iteration, rule, mode), the retries and the solution match the
+        recorded run (sha256 prefixes of the log's repr and of ``x``)."""
+        import hashlib
+        rules = (FaultRule("error", probability=0.03),
+                 FaultRule("delay", probability=0.05, delay_s=1e-3))
+        corrupt = FaultRule("corrupt_scale", probability=0.02,
+                            ops=("allreduce",), scale=1e3)
+        cases = (
+            (SolverOptions(solver="cg", eps=1e-10, guard_interval=5),
+             (corrupt,), 32, (311, 71, 217, "34eafade0122b63d3f928378",
+                              "ab63446f7c763727")),
+            (SolverOptions(solver="ppcg", eps=1e-10, halo_depth=4,
+                           guard_interval=5),
+             (), 48, (8, 7, 26, "f8f4b29f180ef8f084441b78",
+                      "23d00235591fce93")))
+        for options, extra, n, pinned in cases:
+            report = run_resilient(options, FaultPlan(seed=46,
+                                                      rules=rules + extra),
+                                   n=n, size=2)
+            log = [(e.rank, e.op, e.op_index, e.iteration, e.rule, e.mode)
+                   for e in report.fault_events]
+            assert report.converged and report.rollbacks == 0
+            assert (report.iterations, report.retries, len(log),
+                    hashlib.sha256(repr(log).encode()).hexdigest()[:24],
+                    hashlib.sha256(report.x.tobytes()).hexdigest()[:16]
+                    ) == pinned, options.solver
+
 
 class TestAcceptance:
     """ISSUE acceptance: >=1% faults + corrupted allreduce, same answer."""
